@@ -59,7 +59,7 @@ class PerturbationBudget:
 
     def __post_init__(self) -> None:
         if self.metric not in (L1, KL):
-            raise ValueError(f"metric must of be one of {L1!r}, {KL!r}")
+            raise ValueError(f"metric must be one of {L1!r}, {KL!r}")
         if not math.isfinite(self.epsilon) or self.epsilon < 0.0:
             raise ValueError("budget epsilon must be finite and non-negative")
 
@@ -140,6 +140,39 @@ def _check_estimates(true_source: LabeledSource, est_dists: Sequence[Distributio
     return est
 
 
+def _optimal_risk(true_source: LabeledSource, cost: Optional[CostLike]) -> float:
+    """Risk of the optimal predictor: the Bayes classifier under ``cost``,
+    the posterior rule under log loss (``cost is None``)."""
+    if cost is None:
+        return logloss_risk(posterior_rule(true_source), true_source)
+    return risk(bayes_classifier(true_source, cost), true_source, cost)
+
+
+def _theorem1_report(
+    true_source: LabeledSource,
+    est: tuple[Distribution, ...],
+    cost: CostLike,
+    l1s: Sequence[float],
+    risk_opt: float,
+) -> BoundReport:
+    eps = max(float(g) * v for g, v in zip(true_source.priors, l1s))
+    bound = theorem1_bound(eps, true_source.k, cost)
+    f_prime = bayes_classifier(LabeledSource(true_source.priors, est), cost)
+    return _report(risk_opt, risk(f_prime, true_source, cost), bound, eps)
+
+
+def _theorem2_report(
+    true_source: LabeledSource,
+    est: tuple[Distribution, ...],
+    kls: Sequence[float],
+    risk_opt: float,
+) -> BoundReport:
+    eps = max(float(g) * v for g, v in zip(true_source.priors, kls))
+    bound = theorem2_bound(eps, true_source.k) if math.isfinite(eps) else math.inf
+    r_plugin = logloss_risk(plugin_rule(LabeledSource(true_source.priors, est)), true_source)
+    return _report(risk_opt, r_plugin, bound, eps)
+
+
 def check_theorem1(
     true_source: LabeledSource, est_dists: Sequence[Distribution], cost: CostLike
 ) -> BoundReport:
@@ -152,14 +185,7 @@ def check_theorem1(
     """
     est = _check_estimates(true_source, est_dists)
     l1s = [l1_distance(d, e) for d, e in zip(true_source.class_dists, est)]
-    eps = max(float(g) * v for g, v in zip(true_source.priors, l1s))
-    bound = theorem1_bound(eps, true_source.k, cost)
-    est_source = LabeledSource(true_source.priors, est)
-    f_star = bayes_classifier(true_source, cost)
-    f_prime = bayes_classifier(est_source, cost)
-    return _report(
-        risk(f_star, true_source, cost), risk(f_prime, true_source, cost), bound, eps
-    )
+    return _theorem1_report(true_source, est, cost, l1s, _optimal_risk(true_source, cost))
 
 
 def check_theorem2(true_source: LabeledSource, est_dists: Sequence[Distribution]) -> BoundReport:
@@ -170,12 +196,7 @@ def check_theorem2(true_source: LabeledSource, est_dists: Sequence[Distribution]
     """
     est = _check_estimates(true_source, est_dists)
     kls = [kl_divergence(d, e) for d, e in zip(true_source.class_dists, est)]
-    eps = max(float(g) * v for g, v in zip(true_source.priors, kls))
-    bound = theorem2_bound(eps, true_source.k) if math.isfinite(eps) else math.inf
-    est_source = LabeledSource(true_source.priors, est)
-    r_opt = logloss_risk(posterior_rule(true_source), true_source)
-    r_plugin = logloss_risk(plugin_rule(est_source), true_source)
-    return _report(r_opt, r_plugin, bound, eps)
+    return _theorem2_report(true_source, est, kls, _optimal_risk(true_source, None))
 
 
 def excess_logloss_identity(

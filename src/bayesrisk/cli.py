@@ -45,11 +45,11 @@ from .distributions import (
     l1_distance,
     random_quantized,
 )
-from .pdfa import Pdfa, truncate
+from .pdfa import Pdfa, truncate_all
 from .pipeline import (
     TRIAL_CSV_COLUMNS,
     TrialConfig,
-    config_from_dict,
+    _config_and_spec,
     config_to_dict,
     run_pac_experiment,
     with_seed,
@@ -323,8 +323,8 @@ def cmd_smooth(args) -> int:
     return EXIT_VIOLATION if violations else EXIT_OK
 
 
-def _classes_from_pdfa_sources(sources: str, max_len: int) -> tuple[Distribution, ...]:
-    dists = []
+def _pdfa_machines(sources: str) -> tuple[Pdfa, ...]:
+    machines = []
     for item in sources.split(","):
         item = item.strip()
         if not item.startswith("pdfa:"):
@@ -332,20 +332,23 @@ def _classes_from_pdfa_sources(sources: str, max_len: int) -> tuple[Distribution
         path = Path(item[len("pdfa:") :])
         if not path.exists():
             raise UsageError(f"machine file not found: {path}")
-        machine = Pdfa.from_json(path.read_text())
-        dists.append(truncate(machine, max_len))
-    if len(dists) < 2:
+        try:
+            machines.append(Pdfa.from_json(path.read_text()))
+        except (KeyError, ValueError) as exc:
+            raise UsageError(f"bad machine file {path}: {exc}") from exc
+    if len(machines) < 2:
         raise UsageError("need at least two pdfa sources to form a labeled source")
-    return tuple(dists)
+    return tuple(machines)
 
 
 def cmd_pipeline(args) -> int:
+    pdfa = None
     if args.config:
         path = Path(args.config)
         if not path.exists():
             raise UsageError(f"config file not found: {path}")
         try:
-            config = config_from_dict(json.loads(path.read_text()))
+            config, pdfa = _config_and_spec(json.loads(path.read_text()))
         except (KeyError, ValueError, json.JSONDecodeError) as exc:
             raise UsageError(f"bad config: {exc}") from exc
         if args.seed is not None:
@@ -353,9 +356,12 @@ def cmd_pipeline(args) -> int:
     elif args.source:
         if args.truncate is None:
             raise UsageError("--source pdfa:<file> requires --truncate")
-        classes = _classes_from_pdfa_sources(args.source, args.truncate)
-        k = len(classes)
-        source = LabeledSource(np.full(k, 1.0 / k), classes)
+        pdfa = (_pdfa_machines(args.source), args.truncate)
+        k = len(pdfa[0])
+        try:
+            source = LabeledSource(np.full(k, 1.0 / k), truncate_all(*pdfa))
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
         n_grid = None
         if args.n_grid:
             try:
@@ -382,7 +388,7 @@ def cmd_pipeline(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     run = _Run(
-        "pipeline", args.out_dir, config.seed, config_to_dict(config), TRIAL_CSV_COLUMNS
+        "pipeline", args.out_dir, config.seed, config_to_dict(config, pdfa), TRIAL_CSV_COLUMNS
     )
     for row in summary.csv_rows():
         run.add_row(row)

@@ -10,7 +10,11 @@ transition probabilities times the stop probability at the final state.
 Truncation to a finite domain keeps every string of length at most L as
 its own atom and aggregates all longer strings into one overflow atom
 "⊥", preserving total mass so divergences between two machines truncated
-at the same L stay faithful.
+at the same L stay faithful. Truncated masses are float-faithful, not
+exact: each string starts from the float product along its path (the
+value :func:`string_probability` returns), and the resulting
+:class:`Distribution` then renormalizes the products and the overflow
+to unit mass.
 
 Canonical binary encoding (so "polynomial description length" is a
 checkable formula and a round-trip property):
@@ -34,7 +38,6 @@ or 1.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from bisect import bisect_right
@@ -208,7 +211,7 @@ class Pdfa:
 
 
 def string_probability(a: Pdfa, s: str) -> float:
-    """Exact probability that the machine generates ``s`` and stops."""
+    """Probability that the machine generates ``s`` and stops: the float product along its path."""
     q = a.initial
     prob = 1.0
     maps = a._trans_maps
@@ -226,7 +229,11 @@ def string_probability(a: Pdfa, s: str) -> float:
 
 @dataclass(frozen=True)
 class TruncatedStringDomain:
-    """All strings of length <= max_len plus the overflow atom, as a Domain."""
+    """All strings of length <= max_len plus the overflow atom, as a Domain.
+
+    Strings are ordered by length, then lexicographically in alphabet
+    order: the order in which :func:`truncate` lays out its masses.
+    """
 
     alphabet: tuple[str, ...]
     max_len: int
@@ -245,8 +252,10 @@ class TruncatedStringDomain:
                 f"enumeration over limit: {count} atoms exceeds the cap of {max_atoms}"
             )
         atoms = [""]
-        for length in range(1, max_len + 1):
-            atoms.extend("".join(t) for t in itertools.product(alphabet, repeat=length))
+        level = [""]
+        for _ in range(max_len):
+            level = [prefix + sym for prefix in level for sym in alphabet]
+            atoms.extend(level)
         atoms.append(OVERFLOW_ATOM)
         return cls(alphabet, max_len, Domain(tuple(atoms)))
 
@@ -259,32 +268,59 @@ class TruncatedStringDomain:
         return (alphabet_size ** (max_len + 1) - 1) // (alphabet_size - 1) + 1
 
 
-def truncate(a: Pdfa, max_len: int, max_atoms: int = DEFAULT_MAX_ATOMS) -> Distribution:
-    """Exact distribution over strings of length <= max_len plus overflow mass.
+def _path_masses(a: Pdfa, max_len: int) -> np.ndarray:
+    """Masses of all strings up to ``max_len``, level by level, then the overflow.
 
-    Each short string keeps its exact generation probability; the overflow
-    atom absorbs the remaining mass, so two machines truncated at the same
-    length can be compared with any divergence.
+    A level holds one (state, path probability) pair per string of that
+    length. The next level multiplies each path by every symbol's
+    transition probability (0.0 and the same state where the machine has
+    no transition), so each string's mass is the float product
+    ``((1.0 * p1) * p2 ...) * stop``, in the order
+    :func:`string_probability` multiplies.
     """
-    tsd = TruncatedStringDomain.build(a.alphabet, max_len, max_atoms)
-    mass = []
-    level: list[tuple[int, float]] = [(a.initial, 1.0)]
-    maps = a._trans_maps
+    size = len(a.alphabet)
+    prob = np.zeros((a.n, size))
+    target = np.repeat(np.arange(a.n)[:, None], size, axis=1)
+    for q, table in enumerate(a._trans_maps):
+        for j, sym in enumerate(a.alphabet):
+            if sym in table:
+                prob[q, j], target[q, j] = table[sym]
+    stops = np.asarray(a.stops)
+    states = np.array([a.initial])
+    paths = np.array([1.0])
+    levels = []
     for length in range(max_len + 1):
-        for q, path_prob in level:
-            mass.append(path_prob * a.stops[q])
-        if length == max_len:
-            break
-        nxt = []
-        for q, path_prob in level:
-            table = maps[q]
-            for sym in a.alphabet:
-                hop = table.get(sym)
-                nxt.append((hop[1], path_prob * hop[0]) if hop else (q, 0.0))
-        level = nxt
-    overflow = max(0.0, 1.0 - float(np.sum(mass)))
-    mass.append(overflow)
-    return Distribution(tsd.domain, np.asarray(mass))
+        levels.append(paths * stops[states])
+        if length < max_len:
+            paths = (paths[:, None] * prob[states]).ravel()
+            states = target[states].ravel()
+    mass = np.concatenate(levels)
+    return np.append(mass, max(0.0, 1.0 - float(np.sum(mass))))
+
+
+def truncate(a: Pdfa, max_len: int, max_atoms: int = DEFAULT_MAX_ATOMS) -> Distribution:
+    """Float-faithful distribution over strings of length <= max_len plus overflow mass.
+
+    Each short string starts from its path product, bit for bit what
+    :func:`string_probability` returns, and the overflow atom from the
+    remaining mass; the :class:`Distribution` then renormalizes the whole
+    vector to unit mass. Two machines truncated at the same length can be
+    compared with any divergence.
+    """
+    return truncate_all((a,), max_len, max_atoms)[0]
+
+
+def truncate_all(
+    machines: Sequence[Pdfa], max_len: int, max_atoms: int = DEFAULT_MAX_ATOMS
+) -> tuple[Distribution, ...]:
+    """:func:`truncate` every machine at ``max_len``; machines over one alphabet share one Domain."""
+    spaces: dict[tuple[str, ...], TruncatedStringDomain] = {}
+    dists = []
+    for a in machines:
+        if a.alphabet not in spaces:
+            spaces[a.alphabet] = TruncatedStringDomain.build(a.alphabet, max_len, max_atoms)
+        dists.append(Distribution(spaces[a.alphabet].domain, _path_masses(a, max_len)))
+    return tuple(dists)
 
 
 def sample_string(

@@ -26,9 +26,10 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .bounds import BoundReport, check_theorem1, check_theorem2
+from .bounds import BoundReport, _optimal_risk, _theorem1_report, _theorem2_report
 from .classify import CostMatrix, LabeledSource
 from .distributions import Distribution, Domain, kl_divergence, l1_distance
+from .pdfa import Pdfa, truncate_all
 
 
 @dataclass(frozen=True)
@@ -103,18 +104,22 @@ def empirical_estimator(
 
     ``mass(x) = (count(x) + laplace) / (len(samples) + laplace * m)``;
     with ``laplace == 0`` and no samples the estimate defaults to uniform.
-    Samples may be atom identifiers or atom indices.
+    Samples may be atom identifiers or atom indices in ``[0, m)``.
     """
     if laplace < 0.0:
         raise ValueError("laplace weight must be non-negative")
     m = domain.size
-    counts = np.zeros(m)
-    total = 0
-    for s in samples:
-        idx = s if isinstance(s, (int, np.integer)) else domain.index(s)
-        counts[idx] += 1.0
-        total += 1
-    denom = total + laplace * m
+    if isinstance(samples, np.ndarray) and samples.dtype.kind == "i":
+        idx = samples
+    else:
+        idx = np.fromiter(
+            (s if isinstance(s, (int, np.integer)) else domain.index(s) for s in samples),
+            dtype=np.int64,
+        )
+    if idx.size and (idx.min() < 0 or idx.max() >= m):
+        raise ValueError(f"sample index out of range: atom indices must lie in [0, {m})")
+    counts = np.bincount(idx, minlength=m)
+    denom = idx.size + laplace * m
     if denom == 0.0:
         return Distribution(domain, np.full(m, 1.0 / m))
     return Distribution(domain, (counts + laplace) / denom)
@@ -128,9 +133,16 @@ def run_trial(
     A class that drew no samples falls back to the uniform estimate, so
     degenerate splits still produce a total predictor.
     """
+    n = config.sample_size if sample_size is None else int(sample_size)
+    return _trial(config, rng, n, _optimal_risk(config.source, config.cost))
+
+
+def _trial(
+    config: TrialConfig, rng: np.random.Generator, n: int, risk_opt: float
+) -> TrialOutcome:
+    """:func:`run_trial` at sample size ``n``, given the true source's optimal risk."""
     source = config.source
     k, m = source.k, source.domain.size
-    n = config.sample_size if sample_size is None else int(sample_size)
     lam = config.resolved_laplace
     labels = rng.choice(k, size=n, p=source.priors)
     counts = np.bincount(labels, minlength=k)
@@ -146,9 +158,9 @@ def run_trial(
     l1s = tuple(l1_distance(d, e) for d, e in zip(source.class_dists, est))
     kls = tuple(kl_divergence(d, e) for d, e in zip(source.class_dists, est))
     if config.log_loss_mode:
-        report = check_theorem2(source, est)
+        report = _theorem2_report(source, est, kls, risk_opt)
     else:
-        report = check_theorem1(source, est, config.cost)
+        report = _theorem1_report(source, est, config.cost, l1s, risk_opt)
     return TrialOutcome(tuple(int(c) for c in counts), l1s, kls, report)
 
 
@@ -205,13 +217,14 @@ def run_pac_experiment(config: TrialConfig) -> ExperimentSummary:
         raise ValueError("at least 30 trials are needed for a meaningful delta estimate")
     grid = config.n_grid or (config.sample_size,)
     streams = np.random.SeedSequence(config.seed).spawn(len(grid) * config.trials)
+    risk_opt = _optimal_risk(config.source, config.cost)
     rows = []
     per_n = []
     for gi, n in enumerate(grid):
         outcomes = []
         for t in range(config.trials):
             rng = np.random.default_rng(streams[gi * config.trials + t])
-            outcome = run_trial(config, rng, sample_size=n)
+            outcome = _trial(config, rng, n, risk_opt)
             outcomes.append(outcome)
             rows.append(
                 {
@@ -249,10 +262,24 @@ def run_pac_experiment(config: TrialConfig) -> ExperimentSummary:
     return ExperimentSummary(mode, tuple(grid), config.trials, tuple(rows), tuple(per_n))
 
 
-def config_to_dict(config: TrialConfig) -> dict:
+PdfaSpec = tuple[tuple[Pdfa, ...], int]
+
+
+def config_to_dict(config: TrialConfig, pdfa: Optional[PdfaSpec] = None) -> dict:
+    """JSON form of the config; :func:`config_from_dict` reads it back bit for bit.
+
+    ``pdfa = (machines, max_len)`` says the class distributions are
+    ``truncate_all(machines, max_len)``: the machines and ``truncate`` then
+    stand in for the class masses, whose count grows exponentially with
+    ``max_len``.
+    """
+    if pdfa is None:
+        classes = {"classes": [d.to_dict() for d in config.source.class_dists]}
+    else:
+        classes = {"machines": [a.to_dict() for a in pdfa[0]], "truncate": pdfa[1]}
     data = {
         "priors": [float(g) for g in config.source.priors],
-        "classes": [d.to_dict() for d in config.source.class_dists],
+        **classes,
         "cost": config.cost.to_list() if config.cost is not None else None,
         "sample_size": config.sample_size,
         "trials": config.trials,
@@ -266,12 +293,21 @@ def config_to_dict(config: TrialConfig) -> dict:
 
 
 def config_from_dict(data: dict) -> TrialConfig:
-    source = LabeledSource(
-        np.asarray(data["priors"], dtype=float),
-        tuple(Distribution.from_dict(c) for c in data["classes"]),
-    )
+    return _config_and_spec(data)[0]
+
+
+def _config_and_spec(data: dict) -> tuple[TrialConfig, Optional[PdfaSpec]]:
+    """The config of a :func:`config_to_dict` dict, plus its ``(machines, max_len)``
+    if the classes are PDFA-sourced (else None), each machine parsed once."""
+    pdfa = None
+    if "machines" in data:
+        pdfa = tuple(Pdfa.from_dict(a) for a in data["machines"]), int(data["truncate"])
+        classes = truncate_all(*pdfa)
+    else:
+        classes = tuple(Distribution.from_dict(c) for c in data["classes"])
+    source = LabeledSource(np.asarray(data["priors"], dtype=float), classes)
     cost = CostMatrix(np.asarray(data["cost"], dtype=float)) if data.get("cost") else None
-    return TrialConfig(
+    config = TrialConfig(
         source=source,
         cost=cost,
         sample_size=int(data["sample_size"]),
@@ -282,6 +318,7 @@ def config_from_dict(data: dict) -> TrialConfig:
         laplace=None if data.get("laplace") is None else float(data["laplace"]),
         n_grid=tuple(data["n_grid"]) if data.get("n_grid") else None,
     )
+    return config, pdfa
 
 
 def with_seed(config: TrialConfig, seed: int) -> TrialConfig:

@@ -258,6 +258,10 @@ class TestRandomInstances:
 
 
 class TestTightnessSearch:
+    def test_unknown_budget_metric_rejected(self):
+        with pytest.raises(ValueError, match=r"metric must be one of 'L1', 'KL'"):
+            PerturbationBudget("TV", 0.1)
+
     def test_two_atom_l1_reaches_analytic_ratio(self):
         rng = np.random.default_rng(42)
         budget = PerturbationBudget("L1", 0.2)

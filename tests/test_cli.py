@@ -167,6 +167,64 @@ class TestPipelineCommand:
         assert summary["mode"] == "cost"
         assert summary["per_n"][0]["satisfied_fraction"] == 1.0
 
+    @staticmethod
+    def binary_machines(tmp_path):
+        from bayesrisk.pdfa import Pdfa
+
+        paths = []
+        for name, (stop, pa, to) in {"m1": (0.25, 0.5, 1), "m2": (0.5, 0.25, 0)}.items():
+            machine = Pdfa.build(
+                ("a", "b"),
+                4,
+                [(stop, {"a": (pa, to), "b": (1.0 - stop - pa, 0)}), (0.5, {"a": (0.25, 0), "b": (0.25, 1)})],
+            )
+            path = tmp_path / f"{name}.json"
+            path.write_text(machine.to_json())
+            paths.append(f"pdfa:{path}")
+        return ",".join(paths)
+
+    def test_pdfa_classes_share_one_domain(self, tmp_path, monkeypatch):
+        import bayesrisk.cli as cli
+
+        seen = []
+
+        def capture(config):
+            seen.append(config)
+            return real(config)
+
+        real = cli.run_pac_experiment
+        monkeypatch.setattr(cli, "run_pac_experiment", capture)
+        sources = self.binary_machines(tmp_path)
+        code = run(["pipeline", "--source", sources, "--truncate", "6", "--sample-size", "50",
+                    "--trials", "30", "--out-dir", tmp_path / "run"])
+        assert code == 0
+        domains = {id(d.domain) for d in seen[0].source.class_dists}
+        assert len(domains) == 1
+
+    def test_pdfa_manifest_is_small_and_replays_bit_for_bit(self, tmp_path):
+        sources = self.binary_machines(tmp_path)
+        first = tmp_path / "source_run"
+        code = run(["pipeline", "--source", sources, "--truncate", "12", "--n-grid", "20,200",
+                    "--trials", "30", "--seed", "3", "--out-dir", first])
+        assert code == 0
+        manifest_path = first / "manifest.json"
+        assert manifest_path.stat().st_size < 64 * 1024
+        config = json.loads(manifest_path.read_text())["config"]
+        assert config["truncate"] == 12 and len(config["machines"]) == 2
+        assert "classes" not in config
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        again = tmp_path / "config_run"
+        assert run(["pipeline", "--config", config_path, "--out-dir", again]) == 0
+        assert (again / "report.csv").read_bytes() == (first / "report.csv").read_bytes()
+        assert (again / "summary.json").read_bytes() == (first / "summary.json").read_bytes()
+        assert json.loads((again / "manifest.json").read_text())["config"] == config
+
+    def test_pdfa_sources_over_different_alphabets_are_usage_errors(self, tmp_path):
+        sources = f"{self.binary_machines(tmp_path)},pdfa:{DATA / 'machine_half.json'}"
+        code = run(["pipeline", "--source", sources, "--truncate", "4", "--out-dir", tmp_path / "run"])
+        assert code == 2
+
     def test_pdfa_source_requires_truncate(self, tmp_path):
         code = run(
             ["pipeline", "--source", f"pdfa:{DATA / 'machine_half.json'}", "--out-dir", tmp_path]

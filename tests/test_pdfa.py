@@ -1,12 +1,15 @@
-"""PDFA string distributions: exact probabilities, truncation, encoding."""
+"""PDFA string distributions: path probabilities, truncation, encoding."""
 
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from bayesrisk.distributions import l1_distance
+from bayesrisk import pdfa
+from bayesrisk.distributions import Distribution, l1_distance
 from bayesrisk.pdfa import (
     OVERFLOW_ATOM,
     Pdfa,
@@ -19,6 +22,7 @@ from bayesrisk.pdfa import (
     sample_string,
     string_probability,
     truncate,
+    truncate_all,
 )
 
 
@@ -64,6 +68,28 @@ def three_state():
         ],
         initial=0,
     )
+
+
+@st.composite
+def small_machines(draw):
+    """Random PDFA: 1-3 symbols, 1-3 states, 1-12 bits, some transitions missing."""
+    alphabet = "abc"[: draw(st.integers(1, 3))]
+    n = draw(st.integers(1, 3))
+    precision = draw(st.integers(1, 12))
+    scale = 1 << precision
+    states = []
+    for _ in range(n):
+        cuts = sorted(draw(st.lists(st.integers(0, scale), min_size=len(alphabet), max_size=len(alphabet))))
+        nums = np.diff([0, *cuts, scale])
+        stop, trans = int(nums[0]), {}
+        for sym, num in zip(alphabet, nums[1:]):
+            if num == 0 or draw(st.booleans()):
+                stop += int(num)  # a missing transition: its mass stops here instead
+            else:
+                trans[sym] = (int(num) / scale, draw(st.integers(0, n - 1)))
+        assume(all(p < 1.0 for p, _ in trans.values()))
+        states.append((stop / scale, trans))
+    return Pdfa.build(alphabet, precision, states, initial=draw(st.integers(0, n - 1)))
 
 
 def zoo():
@@ -143,6 +169,48 @@ class TestTruncate:
     def test_enumeration_limit(self):
         with pytest.raises(ValueError, match="over limit"):
             truncate(two_symbol(), 25)
+
+    def test_atom_cap_checked_before_enumeration(self, monkeypatch):
+        class Tripwire(str):
+            def __radd__(self, other):
+                raise AssertionError("strings enumerated")
+
+        alphabet = (Tripwire("a"), Tripwire("b"))
+        with pytest.raises(AssertionError, match="enumerated"):
+            TruncatedStringDomain.build(alphabet, 2)
+        with pytest.raises(ValueError, match="over limit"):
+            TruncatedStringDomain.build(alphabet, 8, max_atoms=100)
+
+        def no_masses(*args):
+            raise AssertionError("masses computed")
+
+        monkeypatch.setattr(pdfa, "_path_masses", no_masses)
+        with pytest.raises(ValueError, match="over limit"):
+            truncate(two_symbol(), 8, max_atoms=100)
+
+    @given(small_machines(), st.integers(0, 6))
+    @settings(max_examples=150, deadline=None)
+    def test_every_atom_is_its_path_product(self, machine, max_len):
+        dist = truncate(machine, max_len)
+        raw = np.array([string_probability(machine, s) for s in dist.domain.atoms[:-1]])
+        overflow = max(0.0, 1.0 - float(np.sum(raw)))
+        # Distribution renormalizes; the masses are the path products it was given.
+        expected = Distribution(dist.domain, np.append(raw, overflow)).mass
+        assert dist.mass.tobytes() == expected.tobytes()
+        if machine.precision * (max_len + 1) <= 53:
+            # Every product and partial sum is an exact dyadic here, so the
+            # total is exactly 1 and renormalization leaves each product as is.
+            assert dist.mass[:-1].tobytes() == raw.tobytes()
+
+    def test_truncate_all_shares_one_domain_per_alphabet(self):
+        machines = [two_symbol(), three_state(), geometric()]
+        dists = truncate_all(machines, 6)
+        assert dists[0].domain is dists[1].domain
+        assert dists[2].domain is not dists[0].domain
+        for machine, dist in zip(machines, dists):
+            alone = truncate(machine, 6)
+            assert dist.domain == alone.domain
+            assert dist.mass.tobytes() == alone.mass.tobytes()
 
     def test_atom_count_formula(self):
         for size, L in [(0, 4), (1, 6), (2, 5), (3, 4)]:

@@ -7,7 +7,7 @@ import pytest
 
 from bayesrisk.bounds import random_source
 from bayesrisk.classify import CostMatrix, LabeledSource
-from bayesrisk.distributions import Domain, make_distribution
+from bayesrisk.distributions import Distribution, Domain, make_distribution
 from bayesrisk.pipeline import (
     TrialConfig,
     empirical_estimator,
@@ -54,6 +54,24 @@ class TestEmpiricalEstimator:
     def test_integer_indices_accepted(self):
         est = empirical_estimator([0, 0, 1, 0], D2, 0.0)
         assert est.mass == pytest.approx([0.75, 0.25], abs=1e-15)
+
+    def test_out_of_range_indices_rejected(self):
+        for bad in ([0, -1], [2], np.array([1, 2]), np.array([-1])):
+            with pytest.raises(ValueError, match="out of range"):
+                empirical_estimator(bad, D2, 1.0)
+
+    def test_counts_match_per_sample_loop(self):
+        rng = np.random.default_rng(3)
+        dom = Domain.indexed(7)
+        for lam in (0.0, 0.5, 1.0):
+            idx = rng.integers(0, 7, size=500)
+            counts = np.zeros(7)
+            for i in idx:
+                counts[i] += 1.0
+            expected = (counts + lam) / (len(idx) + lam * 7)
+            for samples in (idx, list(idx), [dom.atoms[i] for i in idx]):
+                est = empirical_estimator(samples, dom, lam)
+                assert np.array_equal(est.mass, Distribution(dom, expected).mass)
 
 
 class TestRunTrial:
