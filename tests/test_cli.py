@@ -73,6 +73,11 @@ class TestVerifyCommands:
         expected = (GOLDEN / "verify_theorem1_report.csv").read_bytes()
         assert (tmp_path / "report.csv").read_bytes() == expected
 
+    def test_theorem2_golden_report(self, tmp_path):
+        assert run(["verify-theorem2", "--trials", "50", "--seed", "42", "--out-dir", tmp_path]) == 0
+        expected = (GOLDEN / "verify_theorem2_report.csv").read_bytes()
+        assert (tmp_path / "report.csv").read_bytes() == expected
+
     def test_replay_recomputes_instance(self, tmp_path):
         from bayesrisk.bounds import example1_construction
         from bayesrisk.cli import _instance_payload
@@ -134,6 +139,11 @@ class TestSmoothCommand:
         assert code == 0
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["config"]["bits"] == 4
+
+    def test_golden_report(self, tmp_path):
+        assert run(["smooth", "--trials", "50", "--seed", "42", "--out-dir", tmp_path]) == 0
+        expected = (GOLDEN / "smooth_report.csv").read_bytes()
+        assert (tmp_path / "report.csv").read_bytes() == expected
 
     def test_indivisible_ld_is_usage_error(self, tmp_path):
         code = run(

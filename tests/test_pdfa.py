@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -279,7 +280,17 @@ class TestSampleString:
             sample_string(spinning, np.random.default_rng(0), emission_cap=1000)
 
 
+DATA = Path(__file__).parent / "data"
+
+
 class TestEncoding:
+    @pytest.mark.parametrize(
+        "name, expected", [("machine_half", "a5031500"), ("machine_quarter", "a5031380")]
+    )
+    def test_pinned_bytes_of_data_machines(self, name, expected):
+        machine = Pdfa.from_json((DATA / f"{name}.json").read_text())
+        assert encode(machine).hex() == expected
+
     def test_payload_formula_minimal_machine(self):
         m = Pdfa.build(("a",), 8, [(128 / 256, {"a": (128 / 256, 0)})])
         assert payload_length(m) == 1 * (1 * (8 + 0) + 8)
