@@ -26,7 +26,8 @@ the estimated mixture coincides with the true one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
+from operator import attrgetter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -35,6 +36,7 @@ from .classify import (
     CostLike,
     CostMatrix,
     LabeledSource,
+    as_cost_array,
     bayes_classifier,
     logloss_risk,
     plugin_rule,
@@ -64,6 +66,32 @@ class PerturbationBudget:
             raise ValueError("budget epsilon must be finite and non-negative")
 
 
+def report_rows(*excluded: str):
+    """Class decorator giving a report dataclass row forms derived from its fields.
+
+    ``to_dict`` maps every field to its value; ``CSV_COLUMNS`` and
+    ``csv_row`` cover every field but ``excluded``, in declaration order.
+    The names are resolved once per class, not per row.
+    """
+
+    def derive(cls):
+        names = tuple(f.name for f in fields(cls))
+        columns = tuple(n for n in names if n not in excluded)
+        every, csv_values = attrgetter(*names), attrgetter(*columns)
+
+        def to_dict(self) -> dict:
+            return dict(zip(names, every(self)))
+
+        def csv_row(self) -> list:
+            return list(csv_values(self))
+
+        cls.CSV_COLUMNS, cls.to_dict, cls.csv_row = columns, to_dict, csv_row
+        return cls
+
+    return derive
+
+
+@report_rows("epsilon")
 @dataclass(frozen=True)
 class BoundReport:
     """Exact risks of the optimal and plug-in predictors against one bound."""
@@ -72,8 +100,8 @@ class BoundReport:
     risk_plugin: float
     excess: float
     bound: float
-    satisfied: bool
     slack: float
+    satisfied: bool
     epsilon: float
 
     def __post_init__(self) -> None:
@@ -82,22 +110,6 @@ class BoundReport:
         expected = self.bound == math.inf or self.excess <= self.bound + BOUND_TOL
         if self.satisfied != expected:
             raise ValueError("satisfied flag inconsistent with excess and bound")
-
-    def csv_row(self) -> list:
-        return [self.risk_opt, self.risk_plugin, self.excess, self.bound, self.slack, self.satisfied]
-
-    CSV_COLUMNS = ("risk_opt", "risk_plugin", "excess", "bound", "slack", "satisfied")
-
-    def to_dict(self) -> dict:
-        return {
-            "risk_opt": self.risk_opt,
-            "risk_plugin": self.risk_plugin,
-            "excess": self.excess,
-            "bound": self.bound,
-            "slack": self.slack,
-            "satisfied": self.satisfied,
-            "epsilon": self.epsilon,
-        }
 
 
 def _report(risk_opt: float, risk_plugin: float, bound: float, epsilon: float) -> BoundReport:
@@ -119,8 +131,7 @@ def theorem1_bound(epsilon: float, k: int, cost: CostLike) -> float:
     """Cost-loss excess bound ``epsilon * k * max_ij c_ij``."""
     if epsilon < 0.0:
         raise ValueError("epsilon must be non-negative")
-    arr = cost.costs if isinstance(cost, CostMatrix) else np.asarray(cost, dtype=float)
-    return epsilon * k * float(arr.max())
+    return epsilon * k * float(as_cost_array(cost, k).max())
 
 
 def theorem2_bound(epsilon: float, k: int) -> float:
@@ -148,29 +159,37 @@ def _optimal_risk(true_source: LabeledSource, cost: Optional[CostLike]) -> float
     return risk(bayes_classifier(true_source, cost), true_source, cost)
 
 
-def _theorem1_report(
-    true_source: LabeledSource,
-    est: tuple[Distribution, ...],
-    cost: CostLike,
-    l1s: Sequence[float],
-    risk_opt: float,
-) -> BoundReport:
-    eps = max(float(g) * v for g, v in zip(true_source.priors, l1s))
-    bound = theorem1_bound(eps, true_source.k, cost)
+def _plugin_risk(
+    true_source: LabeledSource, est: Sequence[Distribution], cost: Optional[CostLike]
+) -> float:
+    """Risk on ``true_source`` of the predictor built from the true priors and the
+    estimated classes ``est``: their Bayes classifier under ``cost``, their plug-in
+    rule under log loss (``cost is None``).
+
+    The estimated source is a temporary, freed once its predictor is built: at
+    large m its weighted mass would otherwise stay alive through the scoring.
+    """
+    if cost is None:
+        return logloss_risk(plugin_rule(LabeledSource(true_source.priors, est)), true_source)
     f_prime = bayes_classifier(LabeledSource(true_source.priors, est), cost)
-    return _report(risk_opt, risk(f_prime, true_source, cost), bound, eps)
+    return risk(f_prime, true_source, cost)
 
 
-def _theorem2_report(
+def _theorem_report(
     true_source: LabeledSource,
     est: tuple[Distribution, ...],
-    kls: Sequence[float],
+    cost: Optional[CostLike],
+    divergences: Sequence[float],
     risk_opt: float,
 ) -> BoundReport:
-    eps = max(float(g) * v for g, v in zip(true_source.priors, kls))
-    bound = theorem2_bound(eps, true_source.k) if math.isfinite(eps) else math.inf
-    r_plugin = logloss_risk(plugin_rule(LabeledSource(true_source.priors, est)), true_source)
-    return _report(risk_opt, r_plugin, bound, eps)
+    """The cost-loss bound's report from per-class L1 distances, or with
+    ``cost is None`` the log-loss bound's report from per-class KLs."""
+    eps = max(float(g) * v for g, v in zip(true_source.priors, divergences))
+    if cost is None:
+        bound = theorem2_bound(eps, true_source.k) if math.isfinite(eps) else math.inf
+    else:
+        bound = theorem1_bound(eps, true_source.k, cost)
+    return _report(risk_opt, _plugin_risk(true_source, est, cost), bound, eps)
 
 
 def check_theorem1(
@@ -185,7 +204,7 @@ def check_theorem1(
     """
     est = _check_estimates(true_source, est_dists)
     l1s = [l1_distance(d, e) for d, e in zip(true_source.class_dists, est)]
-    return _theorem1_report(true_source, est, cost, l1s, _optimal_risk(true_source, cost))
+    return _theorem_report(true_source, est, cost, l1s, _optimal_risk(true_source, cost))
 
 
 def check_theorem2(true_source: LabeledSource, est_dists: Sequence[Distribution]) -> BoundReport:
@@ -196,7 +215,7 @@ def check_theorem2(true_source: LabeledSource, est_dists: Sequence[Distribution]
     """
     est = _check_estimates(true_source, est_dists)
     kls = [kl_divergence(d, e) for d, e in zip(true_source.class_dists, est)]
-    return _theorem2_report(true_source, est, kls, _optimal_risk(true_source, None))
+    return _theorem_report(true_source, est, None, kls, _optimal_risk(true_source, None))
 
 
 def excess_logloss_identity(
@@ -215,16 +234,16 @@ def excess_logloss_identity(
         raise ValueError(
             "per-class KL divergence is infinite: estimate supports must cover the true class supports"
         )
-    est_source = LabeledSource(true_source.priors, est)
-    lhs = logloss_risk(plugin_rule(est_source), true_source) - logloss_risk(
-        posterior_rule(true_source), true_source
-    )
-    mix_kl = kl_divergence(true_source.mixture_distribution(), est_source.mixture_distribution())
+    lhs = _plugin_risk(true_source, est, None) - _optimal_risk(true_source, None)
+    est_mixture = LabeledSource(true_source.priors, est).mixture_distribution()
+    mix_kl = kl_divergence(true_source.mixture_distribution(), est_mixture)
     rhs = sum(float(g) * v for g, v in zip(true_source.priors, kls)) - mix_kl
     return lhs, rhs
 
 
-def _two_atom_params(epsilon_prime: float, gamma: float) -> None:
+def _two_atom_instance(
+    epsilon_prime: float, gamma: float
+) -> tuple[LabeledSource, tuple[Distribution, Distribution]]:
     ok = (
         math.isfinite(epsilon_prime)
         and math.isfinite(gamma)
@@ -237,12 +256,6 @@ def _two_atom_params(epsilon_prime: float, gamma: float) -> None:
             f"parameter out of range: need epsilon_prime >= 0, gamma >= 0, "
             f"epsilon_prime + gamma < 1/2; got ({epsilon_prime!r}, {gamma!r})"
         )
-
-
-def _two_atom_instance(
-    epsilon_prime: float, gamma: float
-) -> tuple[LabeledSource, tuple[Distribution, Distribution]]:
-    _two_atom_params(epsilon_prime, gamma)
     domain = Domain(("x0", "x1"))
     d0 = Distribution(domain, np.array([0.5 + epsilon_prime, 0.5 - epsilon_prime]))
     d1 = Distribution(domain, np.array([0.5 - epsilon_prime, 0.5 + epsilon_prime]))
@@ -351,30 +364,30 @@ def random_cost(rng: np.random.Generator, k: int) -> CostMatrix:
     return CostMatrix(c)
 
 
-def random_theorem1_instance(
-    rng: np.random.Generator, k_max: int = 5, m_max: int = 64
-) -> tuple[LabeledSource, tuple[Distribution, ...], CostMatrix]:
+def _random_instance(
+    rng: np.random.Generator, k_max: int, m_max: int, perturb, max_budget: float
+) -> tuple[LabeledSource, tuple[Distribution, ...]]:
+    """Draw k, then m, then the source, then per class a budget and its perturbation."""
     k = int(rng.integers(2, k_max + 1))
     m = int(rng.integers(2, m_max + 1))
     source = random_source(rng, k, m)
     est = tuple(
-        random_l1_perturbation(d, float(rng.uniform(0.0, 2.0)), rng)
-        for d in source.class_dists
+        perturb(d, float(rng.uniform(0.0, max_budget)), rng) for d in source.class_dists
     )
-    return source, est, random_cost(rng, k)
+    return source, est
+
+
+def random_theorem1_instance(
+    rng: np.random.Generator, k_max: int = 5, m_max: int = 64
+) -> tuple[LabeledSource, tuple[Distribution, ...], CostMatrix]:
+    source, est = _random_instance(rng, k_max, m_max, random_l1_perturbation, 2.0)
+    return source, est, random_cost(rng, source.k)
 
 
 def random_theorem2_instance(
     rng: np.random.Generator, k_max: int = 5, m_max: int = 64
 ) -> tuple[LabeledSource, tuple[Distribution, ...]]:
-    k = int(rng.integers(2, k_max + 1))
-    m = int(rng.integers(2, m_max + 1))
-    source = random_source(rng, k, m)
-    est = tuple(
-        support_safe_perturbation(d, float(rng.uniform(0.0, 1.5)), rng)
-        for d in source.class_dists
-    )
-    return source, est
+    return _random_instance(rng, k_max, m_max, support_safe_perturbation, 1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -393,19 +406,18 @@ class TightnessResult:
     ratio: float
 
 
-def _divergence(metric: str, p: Distribution, q: Distribution) -> float:
-    return l1_distance(p, q) if metric == L1 else kl_divergence(p, q)
-
-
 def _project_into_budget(
     metric: str, true_d: Distribution, est: Distribution, limit: float
 ) -> Distribution:
     """Pull ``est`` toward ``true_d`` until the per-class divergence fits."""
-    if _divergence(metric, true_d, est) <= limit:
-        return est
     if metric == L1:
-        t = limit / l1_distance(true_d, est)
+        distance = l1_distance(true_d, est)
+        if distance <= limit:
+            return est
+        t = limit / distance
         return Distribution(true_d.domain, true_d.mass + t * (est.mass - true_d.mass))
+    if kl_divergence(true_d, est) <= limit:
+        return est
     lo, hi = 0.0, 1.0
     for _ in range(50):
         mid = 0.5 * (lo + hi)
@@ -417,53 +429,39 @@ def _project_into_budget(
     return Distribution(true_d.domain, (1.0 - lo) * true_d.mass + lo * est.mass)
 
 
+@dataclass
 class _SearchState:
-    """Mutable (source, estimates) pair under a fixed budget and cost."""
+    """Mutable (source, estimates) pair under a fixed budget and cost (``None`` for log loss)."""
 
-    def __init__(self, metric, priors, true_masses, est_masses, domain, cost, epsilon):
-        self.metric = metric
-        self.priors = priors
-        self.true_masses = [np.asarray(t, dtype=float) for t in true_masses]
-        self.est_masses = [np.asarray(e, dtype=float) for e in est_masses]
-        self.domain = domain
-        self.cost = cost
-        self.epsilon = epsilon
-
-    def limits(self) -> list[float]:
-        return [self.epsilon / float(g) for g in self.priors]
+    metric: str
+    priors: np.ndarray
+    true_masses: list[np.ndarray]
+    est_masses: list[np.ndarray]
+    domain: Domain
+    cost: Optional[CostLike]
+    epsilon: float
 
     def materialize(self) -> tuple[LabeledSource, tuple[Distribution, ...]]:
         dists = tuple(Distribution(self.domain, t) for t in self.true_masses)
         source = LabeledSource(self.priors, dists)
         est = tuple(
             _project_into_budget(
-                self.metric, d, Distribution(self.domain, e), lim
+                self.metric, d, Distribution(self.domain, e), self.epsilon / float(g)
             )
-            for d, e, lim in zip(dists, self.est_masses, self.limits())
+            for d, e, g in zip(dists, self.est_masses, self.priors)
         )
         return source, est
 
     def excess(self) -> float:
         source, est = self.materialize()
-        est_source = LabeledSource(source.priors, est)
-        if self.metric == L1:
-            f_star = bayes_classifier(source, self.cost)
-            f_prime = bayes_classifier(est_source, self.cost)
-            return risk(f_prime, source, self.cost) - risk(f_star, source, self.cost)
-        value = logloss_risk(plugin_rule(est_source), source) - logloss_risk(
-            posterior_rule(source), source
-        )
+        value = _plugin_risk(source, est, self.cost) - _optimal_risk(source, self.cost)
         return value if math.isfinite(value) else -math.inf
 
     def copy(self) -> "_SearchState":
-        return _SearchState(
-            self.metric,
-            self.priors,
-            [t.copy() for t in self.true_masses],
-            [e.copy() for e in self.est_masses],
-            self.domain,
-            self.cost,
-            self.epsilon,
+        return replace(
+            self,
+            true_masses=[t.copy() for t in self.true_masses],
+            est_masses=[e.copy() for e in self.est_masses],
         )
 
 
@@ -513,17 +511,13 @@ def _climb(state: _SearchState, rng: np.random.Generator) -> tuple[float, _Searc
     return best_val, best
 
 
-def _seed_l1_lower_bound(epsilon: float) -> tuple[np.ndarray, list, list]:
+def _seed_l1_lower_bound(epsilon: float) -> tuple[LabeledSource, tuple[Distribution, ...]]:
     s = min(epsilon, 0.45)
     source, est, _ = example1_construction(0.9 * s, 0.1 * s)
-    return (
-        np.asarray(source.priors),
-        [d.mass.copy() for d in source.class_dists],
-        [d.mass.copy() for d in est],
-    )
+    return source, est
 
 
-def _seed_kl_lower_bound(epsilon: float) -> tuple[np.ndarray, list, list]:
+def _seed_kl_lower_bound(epsilon: float) -> tuple[LabeledSource, tuple[Distribution, ...]]:
     # Bisect the class separation until the per-class KL of the mirrored
     # two-atom instance uses the whole per-class budget 2 * epsilon.
     gamma = 1e-3
@@ -544,12 +538,7 @@ def _seed_kl_lower_bound(epsilon: float) -> tuple[np.ndarray, list, list]:
                 hi = mid
     else:
         lo = hi_ep
-    source, est = example2_construction(lo, gamma)
-    return (
-        np.asarray(source.priors),
-        [d.mass.copy() for d in source.class_dists],
-        [d.mass.copy() for d in est],
-    )
+    return example2_construction(lo, gamma)
 
 
 def tightness_search(
@@ -579,6 +568,7 @@ def tightness_search(
         bound = theorem1_bound(budget.epsilon, k, cost)
     else:
         bound = theorem2_bound(budget.epsilon, k)
+        cost = None  # log loss ignores any cost matrix
 
     uniform = np.full(m, 1.0 / m)
     if budget.epsilon == 0.0 or bound == 0.0:
@@ -590,10 +580,11 @@ def tightness_search(
     best_state: Optional[_SearchState] = None
     for restart in range(iterations):
         if restart == 0 and include_analytic_seed and k == 2 and m == 2:
-            if budget.metric == L1:
-                priors, true_masses, est_masses = _seed_l1_lower_bound(budget.epsilon)
-            else:
-                priors, true_masses, est_masses = _seed_kl_lower_bound(budget.epsilon)
+            seed = _seed_l1_lower_bound if budget.metric == L1 else _seed_kl_lower_bound
+            source, est = seed(budget.epsilon)
+            priors = np.asarray(source.priors)
+            true_masses = [d.mass.copy() for d in source.class_dists]
+            est_masses = [d.mass.copy() for d in est]
         else:
             priors = (
                 np.full(k, 1.0 / k)
@@ -604,16 +595,13 @@ def tightness_search(
                 make_distribution(domain, rng.gamma(0.6, 1.0, m) + 1e-300).mass.copy()
                 for _ in range(k)
             ]
-            est_masses = []
-            for t in true_masses:
-                d = Distribution(domain, t)
-                if budget.metric == L1:
-                    cap = min(budget.epsilon / priors.min(), 2.0)
-                    est_masses.append(random_l1_perturbation(d, cap, rng).mass.copy())
-                else:
-                    est_masses.append(
-                        support_safe_perturbation(d, 1.0, rng).mass.copy()
-                    )
+            if budget.metric == L1:
+                perturb, radius = random_l1_perturbation, min(budget.epsilon / priors.min(), 2.0)
+            else:
+                perturb, radius = support_safe_perturbation, 1.0
+            est_masses = [
+                perturb(Distribution(domain, t), radius, rng).mass.copy() for t in true_masses
+            ]
         state = _SearchState(
             budget.metric, priors, true_masses, est_masses, domain, cost, budget.epsilon
         )

@@ -17,6 +17,7 @@ import csv
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,8 +25,11 @@ import numpy as np
 from . import __version__
 from .bounds import (
     BOUND_TOL,
+    KL,
+    L1,
     BoundReport,
     PerturbationBudget,
+    _check_estimates,
     check_theorem1,
     check_theorem2,
     example1_construction,
@@ -52,7 +56,6 @@ from .pipeline import (
     _config_and_spec,
     config_to_dict,
     run_pac_experiment,
-    with_seed,
 )
 from .smoothing import SmoothingReport, SmoothingParams, base_mixture, verify_smoothing
 
@@ -122,22 +125,38 @@ def _instance_payload(source: LabeledSource, est_dists, cost, metric: str) -> di
     }
 
 
-def _load_instance(path: str):
-    data = json.loads(Path(path).read_text())
+def _read_input(path, parse):
+    """``parse`` applied to a JSON input file; a missing, malformed or invalid file is a UsageError."""
+    try:
+        return parse(json.loads(Path(path).read_text()))
+    except (OSError, AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise UsageError(f"bad input file {path}: {exc!r}") from exc
+
+
+def _instance_from_payload(data: dict):
+    """Inverse of :func:`_instance_payload`: ``(metric, source, estimates, cost)``."""
+    metric = data.get("metric", L1)
+    if metric not in (L1, KL):
+        raise ValueError(f"metric must be {L1!r} or {KL!r}, got {metric!r}")
     source = LabeledSource.from_dict(data["source"])
-    est = tuple(Distribution.from_dict(d) for d in data["estimates"])
-    cost = CostMatrix(np.asarray(data["cost"], dtype=float)) if data.get("cost") else None
-    return data.get("metric", "L1"), source, est, cost
+    est = _check_estimates(source, (Distribution.from_dict(d) for d in data["estimates"]))
+    return metric, source, est, CostMatrix(data["cost"]) if metric == L1 else None
 
 
-def _replay(path: str) -> int:
-    metric, source, est, cost = _load_instance(path)
-    if metric == "L1":
+def _check_instance(metric: str, source: LabeledSource, est, cost):
+    """Check one instance as the sweeps do: ``(report, identity_gap, ok)``.
+
+    The log-loss check also measures the gap between the two sides of the
+    exact excess identity (``None`` under L1); ``ok`` needs the bound
+    satisfied and any gap within ``BOUND_TOL``.
+    """
+    if metric == L1:
         report = check_theorem1(source, est, cost)
-    else:
-        report = check_theorem2(source, est)
-    print(json.dumps(report.to_dict(), indent=2))
-    return EXIT_OK if report.satisfied else EXIT_VIOLATION
+        return report, None, report.satisfied
+    report = check_theorem2(source, est)
+    lhs, rhs = excess_logloss_identity(source, est)
+    gap = abs(lhs - rhs)
+    return report, gap, report.satisfied and gap <= BOUND_TOL
 
 
 def _require_positive_trials(args) -> None:
@@ -145,10 +164,17 @@ def _require_positive_trials(args) -> None:
         raise UsageError("--trials must be at least 1")
 
 
-def cmd_verify_theorem1(args) -> int:
+def cmd_verify(args) -> int:
+    """Randomized sweep of one theorem (the subcommand names which), or ``--replay`` of one instance."""
     if args.replay:
-        return _replay(args.replay)
+        report, gap, ok = _check_instance(*_read_input(args.replay, _instance_from_payload))
+        shown = report.to_dict() if gap is None else {**report.to_dict(), "identity_gap": gap}
+        print(json.dumps(shown, indent=2))
+        return EXIT_OK if ok else EXIT_VIOLATION
     _require_positive_trials(args)
+    if args.k_max < 2 or args.m_max < 2:
+        raise UsageError("--k-max and --m-max must be at least 2")
+    metric = L1 if args.command == "verify-theorem1" else KL
     rng = np.random.default_rng(args.seed)
     config = {
         "trials": args.trials,
@@ -157,68 +183,33 @@ def cmd_verify_theorem1(args) -> int:
         "seed": args.seed,
     }
     columns = ("trial", "k", "m") + BoundReport.CSV_COLUMNS
-    run = _Run("verify-theorem1", args.out_dir, args.seed, config, columns)
-    violations = 0
-    for trial in range(args.trials):
-        source, est, cost = random_theorem1_instance(rng, args.k_max, args.m_max)
-        report = check_theorem1(source, est, cost)
-        run.add_row([trial, source.k, source.domain.size] + report.csv_row())
-        if not report.satisfied:
-            violations += 1
-            run.write_instance(
-                f"violation_{trial}.json", _instance_payload(source, est, cost, "L1")
-            )
-    run.finish({"trials": args.trials, "violations": violations})
-    return EXIT_VIOLATION if violations else EXIT_OK
-
-
-def cmd_verify_theorem2(args) -> int:
-    if args.replay:
-        return _replay(args.replay)
-    _require_positive_trials(args)
-    rng = np.random.default_rng(args.seed)
-    config = {
-        "trials": args.trials,
-        "k_max": args.k_max,
-        "m_max": args.m_max,
-        "seed": args.seed,
-    }
-    columns = ("trial", "k", "m") + BoundReport.CSV_COLUMNS + ("identity_gap",)
-    run = _Run("verify-theorem2", args.out_dir, args.seed, config, columns)
+    if metric == KL:
+        columns += ("identity_gap",)
+    run = _Run(args.command, args.out_dir, args.seed, config, columns)
     violations = 0
     worst_gap = 0.0
     for trial in range(args.trials):
-        source, est = random_theorem2_instance(rng, args.k_max, args.m_max)
-        report = check_theorem2(source, est)
-        lhs, rhs = excess_logloss_identity(source, est)
-        gap = abs(lhs - rhs)
-        worst_gap = max(worst_gap, gap)
-        run.add_row([trial, source.k, source.domain.size] + report.csv_row() + [gap])
-        if not report.satisfied or gap > BOUND_TOL:
+        if metric == L1:
+            source, est, cost = random_theorem1_instance(rng, args.k_max, args.m_max)
+        else:
+            source, est = random_theorem2_instance(rng, args.k_max, args.m_max)
+            cost = None
+        report, gap, ok = _check_instance(metric, source, est, cost)
+        row = [trial, source.k, source.domain.size] + report.csv_row()
+        if gap is not None:
+            row.append(gap)
+            worst_gap = max(worst_gap, gap)
+        run.add_row(row)
+        if not ok:
             violations += 1
             run.write_instance(
-                f"violation_{trial}.json", _instance_payload(source, est, None, "KL")
+                f"violation_{trial}.json", _instance_payload(source, est, cost, metric)
             )
-    run.finish(
-        {"trials": args.trials, "violations": violations, "worst_identity_gap": worst_gap}
-    )
+    summary = {"trials": args.trials, "violations": violations}
+    if metric == KL:
+        summary["worst_identity_gap"] = worst_gap
+    run.finish(summary)
     return EXIT_VIOLATION if violations else EXIT_OK
-
-
-LOWER_BOUND_COLUMNS = (
-    "eps_prime",
-    "gamma",
-    "risk_opt",
-    "risk_plugin",
-    "per_class_l1",
-    "t1_bound",
-    "t1_excess",
-    "t1_slack",
-    "slack_law_gap",
-    "per_class_kl",
-    "t2_excess",
-    "identity_gap",
-)
 
 
 def cmd_lower_bounds(args) -> int:
@@ -228,8 +219,7 @@ def cmd_lower_bounds(args) -> int:
         )
     except ValueError as exc:
         raise UsageError(f"bad --grid value: {exc}") from exc
-    config = {"eps_prime": args.eps_prime, "gamma": args.gamma, "grid": args.grid}
-    run = _Run("lower-bounds", args.out_dir, None, config, LOWER_BOUND_COLUMNS)
+    rows = []
     violations = 0
     for gamma in gammas:
         try:
@@ -240,25 +230,23 @@ def cmd_lower_bounds(args) -> int:
         per_l1 = l1_distance(source.class_dists[0], est[0])
         slack_gap = abs(t1.slack - 2.0 * gamma * cost.max_cost)
         src2, est2 = example2_construction(args.eps_prime, gamma)
-        t2 = check_theorem2(src2, est2)
+        t2, gap, t2_ok = _check_instance(KL, src2, est2, None)
         per_kl = kl_divergence(src2.class_dists[0], est2[0])
-        lhs, rhs = excess_logloss_identity(src2, est2)
-        gap = abs(lhs - rhs)
-        run.add_row(
-            [
-                args.eps_prime,
-                gamma,
-                t1.risk_opt,
-                t1.risk_plugin,
-                per_l1,
-                t1.bound,
-                t1.excess,
-                t1.slack,
-                slack_gap,
-                per_kl,
-                t2.excess,
-                gap,
-            ]
+        rows.append(
+            {
+                "eps_prime": args.eps_prime,
+                "gamma": gamma,
+                "risk_opt": t1.risk_opt,
+                "risk_plugin": t1.risk_plugin,
+                "per_class_l1": per_l1,
+                "t1_bound": t1.bound,
+                "t1_excess": t1.excess,
+                "t1_slack": t1.slack,
+                "slack_law_gap": slack_gap,
+                "per_class_kl": per_kl,
+                "t2_excess": t2.excess,
+                "identity_gap": gap,
+            }
         )
         # The printed closed forms 1/2 +- eps_prime need a strict tilt
         # (gamma > 0) to flip the plug-in classifier; the log-loss identity
@@ -270,11 +258,13 @@ def cmd_lower_bounds(args) -> int:
                 and abs(t1.risk_plugin - (0.5 + args.eps_prime)) <= 1e-12
                 and slack_gap <= 1e-12
             )
-        closed_form_ok = (
-            closed_form_ok and abs(t2.excess - per_kl) <= BOUND_TOL and gap <= BOUND_TOL
-        )
+        closed_form_ok = closed_form_ok and abs(t2.excess - per_kl) <= BOUND_TOL and t2_ok
         if not closed_form_ok:
             violations += 1
+    config = {"eps_prime": args.eps_prime, "gamma": args.gamma, "grid": args.grid}
+    run = _Run("lower-bounds", args.out_dir, None, config, rows[0])
+    for row in rows:
+        run.add_row(row.values())
     run.finish({"rows": len(gammas), "violations": violations})
     return EXIT_VIOLATION if violations else EXIT_OK
 
@@ -282,6 +272,8 @@ def cmd_lower_bounds(args) -> int:
 def cmd_smooth(args) -> int:
     _require_positive_trials(args)
     m = args.domain_size
+    if m < 1:
+        raise UsageError("--domain-size must be at least 1")
     if args.ld is not None:
         if args.ld % m != 0:
             raise UsageError("--ld must be divisible by --domain-size")
@@ -329,13 +321,7 @@ def _pdfa_machines(sources: str) -> tuple[Pdfa, ...]:
         item = item.strip()
         if not item.startswith("pdfa:"):
             raise UsageError(f"unsupported source {item!r}; expected pdfa:<machine file>")
-        path = Path(item[len("pdfa:") :])
-        if not path.exists():
-            raise UsageError(f"machine file not found: {path}")
-        try:
-            machines.append(Pdfa.from_json(path.read_text()))
-        except (KeyError, ValueError) as exc:
-            raise UsageError(f"bad machine file {path}: {exc}") from exc
+        machines.append(_read_input(item[len("pdfa:") :], Pdfa.from_dict))
     if len(machines) < 2:
         raise UsageError("need at least two pdfa sources to form a labeled source")
     return tuple(machines)
@@ -344,24 +330,14 @@ def _pdfa_machines(sources: str) -> tuple[Pdfa, ...]:
 def cmd_pipeline(args) -> int:
     pdfa = None
     if args.config:
-        path = Path(args.config)
-        if not path.exists():
-            raise UsageError(f"config file not found: {path}")
-        try:
-            config, pdfa = _config_and_spec(json.loads(path.read_text()))
-        except (KeyError, ValueError, json.JSONDecodeError) as exc:
-            raise UsageError(f"bad config: {exc}") from exc
+        config, pdfa = _read_input(args.config, _config_and_spec)
         if args.seed is not None:
-            config = with_seed(config, args.seed)
+            config = replace(config, seed=args.seed)
     elif args.source:
         if args.truncate is None:
             raise UsageError("--source pdfa:<file> requires --truncate")
         pdfa = (_pdfa_machines(args.source), args.truncate)
         k = len(pdfa[0])
-        try:
-            source = LabeledSource(np.full(k, 1.0 / k), truncate_all(*pdfa))
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
         n_grid = None
         if args.n_grid:
             try:
@@ -370,7 +346,7 @@ def cmd_pipeline(args) -> int:
                 raise UsageError(f"bad --n-grid value: {exc}") from exc
         try:
             config = TrialConfig(
-                source=source,
+                source=LabeledSource(np.full(k, 1.0 / k), truncate_all(*pdfa)),
                 cost=CostMatrix.zero_one(k),
                 sample_size=args.sample_size,
                 trials=args.trials,
@@ -400,13 +376,14 @@ def cmd_pipeline(args) -> int:
 def cmd_tightness(args) -> int:
     if args.iterations < 1:
         raise UsageError("--iterations must be at least 1")
-    if args.metric not in ("L1", "KL"):
-        raise UsageError("--metric must be L1 or KL")
-    if args.epsilon < 0:
-        raise UsageError("--epsilon must be non-negative")
+    if args.k < 2 or args.domain_size < 1:
+        raise UsageError("--k must be at least 2 and --domain-size at least 1")
+    try:
+        budget = PerturbationBudget(args.metric, args.epsilon)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     rng = np.random.default_rng(args.seed)
-    budget = PerturbationBudget(args.metric, args.epsilon)
-    cost = CostMatrix.zero_one(args.k) if args.metric == "L1" else None
+    cost = CostMatrix.zero_one(args.k) if args.metric == L1 else None
     result = tightness_search(
         args.k, args.domain_size, cost, budget, args.iterations, rng
     )
@@ -444,19 +421,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--trials", type=int, default=trials_default, help="number of randomized instances")
         p.add_argument("--out-dir", default=default_out, help="directory for report.csv, summary.json, manifest.json")
 
-    p1 = sub.add_parser("verify-theorem1", help="randomized cost-loss bound sweep")
-    common(p1, "runs/verify-theorem1")
-    p1.add_argument("--k-max", type=int, default=5, help="max class count")
-    p1.add_argument("--m-max", type=int, default=64, help="max domain size")
-    p1.add_argument("--replay", help="recheck one serialized instance and exit")
-    p1.set_defaults(func=cmd_verify_theorem1)
-
-    p2 = sub.add_parser("verify-theorem2", help="randomized log-loss bound sweep plus exact identity")
-    common(p2, "runs/verify-theorem2")
-    p2.add_argument("--k-max", type=int, default=5, help="max class count")
-    p2.add_argument("--m-max", type=int, default=64, help="max domain size")
-    p2.add_argument("--replay", help="recheck one serialized instance and exit")
-    p2.set_defaults(func=cmd_verify_theorem2)
+    for name, help_text in (
+        ("verify-theorem1", "randomized cost-loss bound sweep"),
+        ("verify-theorem2", "randomized log-loss bound sweep plus exact identity"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        common(p, f"runs/{name}")
+        p.add_argument("--k-max", type=int, default=5, help="max class count")
+        p.add_argument("--m-max", type=int, default=64, help="max domain size")
+        p.add_argument("--replay", help="recheck one serialized instance and exit")
+        p.set_defaults(func=cmd_verify)
 
     p3 = sub.add_parser("lower-bounds", help="two-atom lower-bound constructions over a gamma grid")
     p3.add_argument("--eps-prime", type=float, default=0.1, help="class separation parameter")
@@ -489,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     p6 = sub.add_parser("tightness", help="search for instances pressing the bound")
     p6.add_argument("--k", type=int, default=2)
     p6.add_argument("--domain-size", type=int, default=2)
-    p6.add_argument("--metric", default="L1", help="L1 or KL")
+    p6.add_argument("--metric", default=L1, choices=(L1, KL))
     p6.add_argument("--epsilon", type=float, default=0.2, help="perturbation budget")
     p6.add_argument("--iterations", type=int, default=20, help="random restarts")
     p6.add_argument("--seed", type=int, default=42)

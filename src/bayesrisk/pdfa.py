@@ -346,25 +346,26 @@ def sample_string(
 
 
 class _BitWriter:
+    """Big-endian bit string held as an int accumulator plus its bit count."""
+
     def __init__(self) -> None:
-        self.bits: list[int] = []
+        self.value = 0
+        self.length = 0
 
     def write(self, value: int, width: int) -> None:
-        for shift in range(width - 1, -1, -1):
-            self.bits.append((value >> shift) & 1)
+        """Append the low ``width`` bits of ``value``, most significant first."""
+        self.value = (self.value << width) | (value & ((1 << width) - 1))
+        self.length += width
 
     def write_gamma(self, value: int) -> None:
         if value < 1:
             raise ValueError("Elias gamma encodes positive integers only")
-        width = value.bit_length()
-        self.bits.extend([0] * (width - 1))
-        self.write(value, width)
+        # width - 1 zero bits, then value's width bits: value in 2 * width - 1 bits.
+        self.write(value, 2 * value.bit_length() - 1)
 
     def to_bytes(self) -> bytes:
-        padded = self.bits + [0] * (-len(self.bits) % 8)
-        return bytes(
-            int("".join(map(str, padded[i : i + 8])), 2) for i in range(0, len(padded), 8)
-        )
+        pad = -self.length % 8
+        return (self.value << pad).to_bytes((self.length + pad) // 8, "big")
 
 
 class _BitReader:
@@ -425,15 +426,13 @@ def encode(a: Pdfa) -> bytes:
         w.write_gamma(ord(sym) + 1)
     scale = 1 << a.precision
     target_bits = _log2_ceil(a.n)
-    for stop, trans in zip(a.stops, a.transitions):
-        table = {sym: (p, t) for sym, p, t in trans}
+    for stop, table in zip(a.stops, a._trans_maps):
         w.write(int(round(stop * scale)) % scale, a.precision)
         for sym in a.alphabet:
             p, target = table.get(sym, (0.0, 0))
             w.write(int(round(p * scale)), a.precision)
-            if target_bits:
-                w.write(target, target_bits)
-    assert len(w.bits) == encoding_length(a)
+            w.write(target, target_bits)
+    assert w.length == encoding_length(a)
     return w.to_bytes()
 
 

@@ -21,12 +21,12 @@ parallel; aggregation is a sequential reduction over the trial index.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .bounds import BoundReport, _optimal_risk, _theorem1_report, _theorem2_report
+from .bounds import BoundReport, _optimal_risk, _theorem_report
 from .classify import CostMatrix, LabeledSource
 from .distributions import Distribution, Domain, kl_divergence, l1_distance
 from .pdfa import Pdfa, truncate_all
@@ -157,10 +157,8 @@ def _trial(
     est = tuple(est)
     l1s = tuple(l1_distance(d, e) for d, e in zip(source.class_dists, est))
     kls = tuple(kl_divergence(d, e) for d, e in zip(source.class_dists, est))
-    if config.log_loss_mode:
-        report = _theorem2_report(source, est, kls, risk_opt)
-    else:
-        report = _theorem1_report(source, est, config.cost, l1s, risk_opt)
+    divergences = kls if config.log_loss_mode else l1s
+    report = _theorem_report(source, est, config.cost, divergences, risk_opt)
     return TrialOutcome(tuple(int(c) for c in counts), l1s, kls, report)
 
 
@@ -230,11 +228,7 @@ def run_pac_experiment(config: TrialConfig) -> ExperimentSummary:
                 {
                     "n": n,
                     "trial": t,
-                    "excess": outcome.report.excess,
-                    "bound": outcome.report.bound,
-                    "satisfied": outcome.report.satisfied,
-                    "risk_opt": outcome.report.risk_opt,
-                    "risk_plugin": outcome.report.risk_plugin,
+                    **outcome.report.to_dict(),
                     "max_l1": max(outcome.l1_per_class),
                     "max_kl": max(outcome.kl_per_class),
                     "counts": "|".join(str(c) for c in outcome.counts),
@@ -274,12 +268,15 @@ def config_to_dict(config: TrialConfig, pdfa: Optional[PdfaSpec] = None) -> dict
     ``max_len``.
     """
     if pdfa is None:
-        classes = {"classes": [d.to_dict() for d in config.source.class_dists]}
+        source = config.source.to_dict()
     else:
-        classes = {"machines": [a.to_dict() for a in pdfa[0]], "truncate": pdfa[1]}
-    data = {
-        "priors": [float(g) for g in config.source.priors],
-        **classes,
+        source = {
+            "priors": [float(g) for g in config.source.priors],
+            "machines": [a.to_dict() for a in pdfa[0]],
+            "truncate": pdfa[1],
+        }
+    return {
+        **source,
         "cost": config.cost.to_list() if config.cost is not None else None,
         "sample_size": config.sample_size,
         "trials": config.trials,
@@ -289,7 +286,6 @@ def config_to_dict(config: TrialConfig, pdfa: Optional[PdfaSpec] = None) -> dict
         "laplace": config.laplace,
         "n_grid": list(config.n_grid) if config.n_grid else None,
     }
-    return data
 
 
 def config_from_dict(data: dict) -> TrialConfig:
@@ -302,14 +298,12 @@ def _config_and_spec(data: dict) -> tuple[TrialConfig, Optional[PdfaSpec]]:
     pdfa = None
     if "machines" in data:
         pdfa = tuple(Pdfa.from_dict(a) for a in data["machines"]), int(data["truncate"])
-        classes = truncate_all(*pdfa)
+        source = LabeledSource(np.asarray(data["priors"], dtype=float), truncate_all(*pdfa))
     else:
-        classes = tuple(Distribution.from_dict(c) for c in data["classes"])
-    source = LabeledSource(np.asarray(data["priors"], dtype=float), classes)
-    cost = CostMatrix(np.asarray(data["cost"], dtype=float)) if data.get("cost") else None
+        source = LabeledSource.from_dict(data)
     config = TrialConfig(
         source=source,
-        cost=cost,
+        cost=CostMatrix(data["cost"]) if data.get("cost") else None,
         sample_size=int(data["sample_size"]),
         trials=int(data["trials"]),
         epsilon_target=float(data["epsilon_target"]),
@@ -319,7 +313,3 @@ def _config_and_spec(data: dict) -> tuple[TrialConfig, Optional[PdfaSpec]]:
         n_grid=tuple(data["n_grid"]) if data.get("n_grid") else None,
     )
     return config, pdfa
-
-
-def with_seed(config: TrialConfig, seed: int) -> TrialConfig:
-    return replace(config, seed=seed)

@@ -28,6 +28,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
+from .bounds import report_rows
 from .distributions import (
     Distribution,
     QuantizedClassSpec,
@@ -138,6 +139,7 @@ def kl_certificate_from_floor(params: SmoothingParams, base: BaseDistribution) -
     return 3.0 * xi * (1.0 - math.log2(xi * base.min_mass))
 
 
+@report_rows()
 @dataclass(frozen=True)
 class SmoothingReport:
     """One verification row: achieved divergences against the certificate."""
@@ -148,21 +150,6 @@ class SmoothingReport:
     certificate: float
     certificate_floor: float
     within: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "xi": self.xi,
-            "l1_actual": self.l1_actual,
-            "kl_actual": self.kl_actual,
-            "certificate": self.certificate,
-            "certificate_floor": self.certificate_floor,
-            "within": self.within,
-        }
-
-    CSV_COLUMNS = ("xi", "l1_actual", "kl_actual", "certificate", "certificate_floor", "within")
-
-    def csv_row(self) -> list:
-        return [self.xi, self.l1_actual, self.kl_actual, self.certificate, self.certificate_floor, self.within]
 
 
 def verify_smoothing(

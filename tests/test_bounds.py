@@ -41,6 +41,10 @@ class TestBoundFormulas:
         cost = CostMatrix(np.array([[0.0, 5.0, 1.0], [2.0, 0.0, 3.0], [1.0, 1.0, 0.0]]))
         assert theorem1_bound(0.1, 3, cost) == pytest.approx(1.5, abs=1e-12)
 
+    def test_theorem1_bound_rejects_cost_of_wrong_shape(self):
+        with pytest.raises(ValueError, match="shape"):
+            theorem1_bound(0.1, 3, CostMatrix.zero_one(2))
+
     def test_theorem2_bound_values(self):
         assert theorem2_bound(0.0175545, 2) == pytest.approx(0.035109, abs=1e-6)
         assert theorem2_bound(0.0, 5) == 0.0

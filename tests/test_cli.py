@@ -44,6 +44,50 @@ class TestExitCodes:
     def test_version_flag_is_clean_exit(self):
         assert run(["--version"]) == 0
 
+    @pytest.mark.parametrize(
+        "argv, instance",
+        [
+            pytest.param(["verify-theorem1", "--replay", "{dir}/missing.json"], None,
+                         id="replay-missing-file"),
+            pytest.param(["verify-theorem2", "--replay", "{dir}/instance.json"], "{not json",
+                         id="replay-malformed-json"),
+            pytest.param(["verify-theorem1", "--replay", "{dir}/instance.json"], "[]",
+                         id="replay-not-an-object"),
+            pytest.param(["verify-theorem1", "--replay", "{dir}/instance.json"], "no estimates",
+                         id="replay-no-estimates"),
+            pytest.param(["verify-theorem1", "--replay", "{dir}/instance.json"], "no cost",
+                         id="replay-l1-without-cost"),
+            pytest.param(["verify-theorem1", "--replay", "{dir}/instance.json"], "one estimate",
+                         id="replay-estimate-count"),
+            pytest.param(["pipeline", "--config", "{dir}"], None, id="config-is-a-directory"),
+            pytest.param(["verify-theorem1", "--k-max", "1"], None, id="k-max-1"),
+            pytest.param(["verify-theorem2", "--m-max", "1"], None, id="m-max-1"),
+            pytest.param(["tightness", "--k", "1"], None, id="tightness-k-1"),
+            pytest.param(["tightness", "--metric", "KL", "--k", "1"], None, id="tightness-kl-k-1"),
+            pytest.param(["tightness", "--domain-size", "0"], None, id="tightness-domain-size-0"),
+            pytest.param(["tightness", "--epsilon", "nan"], None, id="tightness-epsilon-nan"),
+            pytest.param(["smooth", "--domain-size", "0"], None, id="smooth-domain-size-0"),
+            pytest.param(["smooth", "--domain-size", "0", "--ld", "8"], None,
+                         id="smooth-domain-size-0-with-ld"),
+        ],
+    )
+    def test_bad_flag_values_exit_2(self, tmp_path, argv, instance):
+        from bayesrisk.bounds import example1_construction
+        from bayesrisk.cli import _instance_payload
+
+        source, est, cost = example1_construction(0.1, 0.01)
+        payload = _instance_payload(source, est, cost, "L1")
+        edits = {
+            "no estimates": {k: v for k, v in payload.items() if k != "estimates"},
+            "no cost": {**payload, "cost": None},
+            "one estimate": {**payload, "estimates": payload["estimates"][:1]},
+        }
+        if instance is not None:
+            text = json.dumps(edits[instance]) if instance in edits else instance
+            (tmp_path / "instance.json").write_text(text)
+        argv = [a.format(dir=tmp_path) for a in argv] + ["--out-dir", tmp_path / "run"]
+        assert run(argv) == 2
+
 
 class TestVerifyCommands:
     def test_theorem1_small_sweep_passes(self, tmp_path):
@@ -86,6 +130,19 @@ class TestVerifyCommands:
         path = tmp_path / "instance.json"
         path.write_text(json.dumps(_instance_payload(source, est, cost, "L1")))
         assert run(["verify-theorem1", "--replay", path]) == 0
+
+    def test_replay_rechecks_identity_gap(self, tmp_path, monkeypatch):
+        import bayesrisk.cli as cli
+
+        real = cli.excess_logloss_identity
+
+        def off_by_1e6(source, est):
+            lhs, rhs = real(source, est)
+            return lhs, rhs + 1e-6
+
+        monkeypatch.setattr(cli, "excess_logloss_identity", off_by_1e6)
+        assert run(["verify-theorem2", "--trials", "1", "--out-dir", tmp_path]) == 1
+        assert run(["verify-theorem2", "--replay", tmp_path / "violation_0.json"]) == 1
 
 
 class TestLowerBounds:

@@ -1,6 +1,8 @@
 """Sample-split-estimate-classify trials and the experiment harness."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,8 @@ from bayesrisk.classify import CostMatrix, LabeledSource
 from bayesrisk.distributions import Distribution, Domain, make_distribution
 from bayesrisk.pipeline import (
     TrialConfig,
+    config_from_dict,
+    config_to_dict,
     empirical_estimator,
     run_pac_experiment,
     run_trial,
@@ -209,3 +213,9 @@ class TestConfigValidation:
         assert back.laplace == 0.5
         assert np.array_equal(back.source.priors, config.source.priors)
         assert np.array_equal(back.cost.costs, config.cost.costs)
+
+    def test_data_config_round_trips_with_key_order(self):
+        data = json.loads((Path(__file__).parent / "data" / "pipeline_config.json").read_text())
+        back = config_to_dict(config_from_dict(data))
+        assert back == data
+        assert list(back) == list(data)
