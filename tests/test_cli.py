@@ -234,6 +234,16 @@ class TestPipelineCommand:
         assert summary["mode"] == "cost"
         assert summary["per_n"][0]["satisfied_fraction"] == 1.0
 
+    def test_pdfa_sources_match_golden(self, tmp_path):
+        sources = f"pdfa:{DATA / 'machine_half.json'},pdfa:{DATA / 'machine_quarter.json'}"
+        code = run(["pipeline", "--source", sources, "--truncate", "8", "--n-grid", "50,200",
+                    "--trials", "30", "--seed", "7", "--out-dir", tmp_path])
+        assert code == 0
+        assert (tmp_path / "report.csv").read_bytes() == (GOLDEN / "pipeline_pdfa_report.csv").read_bytes()
+        assert (tmp_path / "summary.json").read_bytes() == (
+            GOLDEN / "pipeline_pdfa_summary.json"
+        ).read_bytes()
+
     @staticmethod
     def binary_machines(tmp_path):
         from bayesrisk.pdfa import Pdfa
