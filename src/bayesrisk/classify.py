@@ -72,7 +72,8 @@ class LabeledSource:
     @cached_property
     def weighted_mass(self) -> np.ndarray:
         """(k, m) matrix ``W[i, x] = g_i * D_i(x)``; read-only."""
-        w = self.priors[:, None] * np.stack([d.mass for d in self.class_dists])
+        w = np.stack([d.mass for d in self.class_dists])
+        w *= self.priors[:, None]
         w.flags.writeable = False
         return w
 
@@ -206,8 +207,7 @@ def bayes_classifier(source: LabeledSource, cost: CostLike) -> Classifier:
     zero mixture mass (all scores zero there).
     """
     costs = as_cost_array(cost, source.k)
-    scores = source.weighted_mass.T @ costs
-    return Classifier(source.domain, np.argmin(scores, axis=1))
+    return Classifier(source.domain, np.argmin(source.weighted_mass.T @ costs, axis=1))
 
 
 def risk(f: Classifier, source: LabeledSource, cost: CostLike) -> float:
@@ -217,7 +217,9 @@ def risk(f: Classifier, source: LabeledSource, cost: CostLike) -> float:
     costs = as_cost_array(cost, source.k)
     if np.any(f.labels >= source.k):
         raise ValueError("classifier labels exceed the source's class count")
-    return float(np.sum(source.weighted_mass * costs[:, f.labels]))
+    weighted_costs = costs.take(f.labels, axis=1)
+    weighted_costs *= source.weighted_mass
+    return float(np.sum(weighted_costs))
 
 
 def posterior(source: LabeledSource, atom: str) -> np.ndarray:

@@ -71,15 +71,14 @@ class Domain:
 
 
 def _exact_unit_mass(mass: np.ndarray) -> np.ndarray:
-    """Rescale so the vector sums to 1.0 up to at most one ulp.
+    """Rescale in place so the vector sums to 1.0 up to at most one ulp.
 
     After dividing by the sum, the float re-sum can still miss 1.0 by a
     few ulp; folding the residual into the largest entry brings the sum to
     literal 1.0 in almost all cases (and always within one ulp, far inside
     every downstream tolerance).
     """
-    total = float(mass.sum())
-    mass = mass / total
+    mass /= float(mass.sum())
     for _ in range(4):
         residual = float(mass.sum()) - 1.0
         if residual == 0.0:
@@ -172,7 +171,8 @@ def l1_distance(p: Distribution, q: Distribution) -> float:
     supports.
     """
     _require_same_domain(p, q)
-    return float(np.abs(p.mass - q.mass).sum())
+    diff = p.mass - q.mass
+    return float(np.abs(diff, out=diff).sum())
 
 
 def kl_divergence(p: Distribution, q: Distribution) -> float:
@@ -212,15 +212,33 @@ def mixture(components: Sequence[tuple[float, Distribution]]) -> Distribution:
     return Distribution(domain, combined)
 
 
+def _draw_indices(mass: np.ndarray, rng: np.random.Generator, n: int) -> np.ndarray:
+    """``n`` i.i.d. indices into ``mass``, a validated pmf, by inverse CDF.
+
+    This is the arithmetic ``rng.choice(mass.size, size=n, p=mass)`` runs
+    once it has validated ``p``, so it returns the same indices and leaves
+    the generator in the same state, without re-checking a mass vector
+    that :class:`Distribution` or the class priors have already checked.
+    The CDF is built per call on purpose: a held copy costs m floats per
+    class for the life of whatever holds it.
+    """
+    cdf = mass.cumsum()
+    cdf /= cdf[-1]
+    return cdf.searchsorted(rng.random(n), side="right")
+
+
 def sample(d: Distribution, rng: np.random.Generator, n: int) -> list[str]:
-    """Draw ``n`` i.i.d. atoms; deterministic given the generator state."""
+    """Draw ``n`` i.i.d. atoms; deterministic given the generator state.
+
+    Atoms are drawn by inverse CDF, the same algorithm and the same draws
+    as ``rng.choice(m, size=n, p=d.mass)``.
+    """
     if n < 0:
         raise ValueError("sample count must be non-negative")
     if n == 0:
         return []
-    idx = rng.choice(d.domain.size, size=n, p=d.mass)
     atoms = d.domain.atoms
-    return [atoms[i] for i in idx]
+    return [atoms[i] for i in _draw_indices(d.mass, rng, n)]
 
 
 @dataclass(frozen=True)

@@ -374,6 +374,8 @@ class _BitReader:
         self.pos = 0
 
     def read(self, width: int) -> int:
+        if self.pos + width > 8 * len(self.data):
+            raise ValueError(f"corrupt encoding: data ends at bit {8 * len(self.data)}")
         value = 0
         for _ in range(width):
             byte = self.data[self.pos >> 3]

@@ -16,6 +16,9 @@ so it must hold in 100% of trials, not merely 1 - delta of them.
 Trials draw from generators spawned deterministically off the master
 seed, so runs are reproducible and trials could be evaluated in
 parallel; aggregation is a sequential reduction over the trial index.
+Labels and atoms are drawn by inverse CDF, rebuilt on every draw: the
+same algorithm, and so the same draws, as ``Generator.choice`` with
+``p=``, without re-validating masses the source has already checked.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import numpy as np
 
 from .bounds import BoundReport, _optimal_risk, _theorem_report
 from .classify import CostMatrix, LabeledSource
-from .distributions import Distribution, Domain, kl_divergence, l1_distance
+from .distributions import Distribution, Domain, _draw_indices, kl_divergence, l1_distance
 from .pdfa import Pdfa, truncate_all
 
 
@@ -142,19 +145,12 @@ def _trial(
 ) -> TrialOutcome:
     """:func:`run_trial` at sample size ``n``, given the true source's optimal risk."""
     source = config.source
-    k, m = source.k, source.domain.size
     lam = config.resolved_laplace
-    labels = rng.choice(k, size=n, p=source.priors)
-    counts = np.bincount(labels, minlength=k)
-    est = []
-    for i in range(k):
-        drawn = (
-            rng.choice(m, size=int(counts[i]), p=source.class_dists[i].mass)
-            if counts[i]
-            else ()
-        )
-        est.append(empirical_estimator(drawn, source.domain, lam))
-    est = tuple(est)
+    counts = np.bincount(_draw_indices(source.priors, rng, n), minlength=source.k)
+    est = tuple(
+        empirical_estimator(_draw_indices(d.mass, rng, int(c)) if c else (), source.domain, lam)
+        for d, c in zip(source.class_dists, counts)
+    )
     l1s = tuple(l1_distance(d, e) for d, e in zip(source.class_dists, est))
     kls = tuple(kl_divergence(d, e) for d, e in zip(source.class_dists, est))
     divergences = kls if config.log_loss_mode else l1s

@@ -11,6 +11,7 @@ from bayesrisk.distributions import (
     Distribution,
     Domain,
     QuantizedClassSpec,
+    _draw_indices,
     kl_divergence,
     l1_distance,
     make_distribution,
@@ -180,6 +181,38 @@ class TestSample:
         a = sample(p, np.random.default_rng(7), 100)
         b = sample(p, np.random.default_rng(7), 100)
         assert a == b
+
+
+def masses_with_zero_atoms(m):
+    """A pmf on ``m`` atoms; from m = 2 on, every third atom has zero mass."""
+    weights = np.random.default_rng(m).random(m) + 0.1
+    if m > 1:
+        weights[::3] = 0.0
+    return make_distribution(Domain.indexed(m), weights).mass
+
+
+class TestDrawIndices:
+    """The inverse-CDF sampler must stay ``Generator.choice(m, size=n, p=mass)``
+    draw for draw: the pipeline goldens were made with ``choice``."""
+
+    @pytest.mark.parametrize("m", [1, 2, 64, 131_073])
+    @pytest.mark.parametrize("n", [1, 7, 1000])
+    def test_matches_generator_choice_bit_for_bit(self, m, n):
+        mass = masses_with_zero_atoms(m)
+        ours, numpy_rng = np.random.default_rng([m, n]), np.random.default_rng([m, n])
+        drawn = _draw_indices(mass, ours, n)
+        expected = numpy_rng.choice(m, size=n, p=mass)
+        assert np.array_equal(drawn, expected), (
+            "Generator.choice(p=...) no longer draws by inverse CDF; the sampler "
+            "must follow it, or the change of random stream must be declared"
+        )
+        assert ours.random() == numpy_rng.random(), "the generators' states diverged"
+        assert np.all(mass[drawn] > 0.0)
+
+    def test_sample_draws_what_choice_draws(self):
+        p = make_distribution(Domain.indexed(5), [1, 0, 3, 4, 5])
+        expected = np.random.default_rng(3).choice(5, size=100, p=p.mass)
+        assert sample(p, np.random.default_rng(3), 100) == [f"x{i}" for i in expected]
 
 
 class TestInvariants:

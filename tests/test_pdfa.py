@@ -322,6 +322,20 @@ class TestEncoding:
             ratio = payload_length(double) / payload_length(small)
             assert ratio <= 2.0 * (1.0 + math.ceil(math.log2(2 * n)) / ell)
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"",
+            b"\x00",
+            b"\xa5",
+            encode(Pdfa.from_json((DATA / "machine_half.json").read_text()))[:-1],
+        ],
+        ids=["empty", "zero-byte", "header-only", "machine-half-cut"],
+    )
+    def test_truncated_input_is_corrupt_encoding(self, data):
+        with pytest.raises(ValueError, match="corrupt encoding"):
+            decode(data)
+
     def test_corruption_never_passes_silently(self):
         machine = two_symbol()
         data = bytearray(encode(machine))

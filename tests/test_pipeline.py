@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -181,6 +182,38 @@ class TestRunPacExperiment:
         config = fixed_config(trials=10)
         with pytest.raises(ValueError, match="30 trials"):
             run_pac_experiment(config)
+
+    # Peak traced bytes of the run below, above its starting size. The code
+    # before the per-trial temporaries were trimmed peaked at 10,694,741
+    # bytes (numpy 2.4, Python 3.11); it now peaks near 9.50 MB. The ceiling
+    # sits between the two, so one more m-float array alive at the peak
+    # (a CDF held per class, or the scores kept through the label copy)
+    # fails the test. Tighten it freely; never loosen it.
+    PEAK_CEILING = 10_000_000
+
+    def test_wide_domain_peak_memory(self):
+        m = 131_073
+        rng = np.random.default_rng(0)
+        domain = Domain.indexed(m)
+        dists = tuple(Distribution(domain, rng.dirichlet(np.ones(m))) for _ in range(2))
+        config = TrialConfig(
+            source=LabeledSource(np.array([0.5, 0.5]), dists),
+            cost=CostMatrix.zero_one(2),
+            sample_size=1000,
+            trials=30,
+            epsilon_target=0.1,
+            delta_target=0.1,
+            seed=1,
+        )
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            run_pac_experiment(config)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= self.PEAK_CEILING
 
 
 class TestConfigValidation:
