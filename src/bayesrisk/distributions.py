@@ -184,10 +184,10 @@ def kl_divergence(p: Distribution, q: Distribution) -> float:
     """
     _require_same_domain(p, q)
     support = p.mass > 0.0
-    ps = p.mass[support]
     qs = q.mass[support]
     if np.any(qs == 0.0):
         return math.inf
+    ps = p.mass[support]
     return max(0.0, float(np.sum(ps * np.log2(ps / qs))))
 
 

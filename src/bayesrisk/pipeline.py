@@ -125,7 +125,9 @@ def empirical_estimator(
     denom = idx.size + laplace * m
     if denom == 0.0:
         return Distribution(domain, np.full(m, 1.0 / m))
-    return Distribution(domain, (counts + laplace) / denom)
+    mass = counts + float(laplace)
+    mass /= denom
+    return Distribution(domain, mass)
 
 
 def run_trial(
