@@ -150,7 +150,7 @@ def _trial(
     lam = config.resolved_laplace
     counts = np.bincount(_draw_indices(source.priors, rng, n), minlength=source.k)
     est = tuple(
-        empirical_estimator(_draw_indices(d.mass, rng, int(c)) if c else (), source.domain, lam)
+        empirical_estimator(_draw_indices(d.mass, rng, c), source.domain, lam)
         for d, c in zip(source.class_dists, counts)
     )
     l1s = tuple(l1_distance(d, e) for d, e in zip(source.class_dists, est))
