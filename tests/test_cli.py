@@ -320,3 +320,19 @@ class TestTightnessCommand:
         assert summary["ratio"] >= 0.9
         assert summary["ratio"] <= 1.0 + 1e-9
         assert (tmp_path / "best_instance.json").exists()
+
+    @pytest.mark.parametrize(
+        "name, args",
+        [
+            # The analytic KL seed and a random restart: both bisections.
+            pytest.param("kl", ["--metric", "KL", "--k", "2", "--domain-size", "2", "--epsilon", "0.1",
+                                "--iterations", "2", "--seed", "4"], id="kl-seeded"),
+            # m > 6 draws random transfer pairs; a random restart pulls back under L1.
+            pytest.param("l1", ["--metric", "L1", "--k", "2", "--domain-size", "9", "--epsilon", "0.2",
+                                "--iterations", "1", "--seed", "6"], id="l1-random-pairs"),
+        ],
+    )
+    def test_golden_run(self, tmp_path, name, args):
+        assert run(["tightness", *args, "--out-dir", tmp_path]) == 0
+        for output in ("report.csv", "best_instance.json"):
+            assert (tmp_path / output).read_bytes() == (GOLDEN / f"tightness_{name}_{output}").read_bytes()
