@@ -26,7 +26,8 @@ the estimated mixture coincides with the true one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
+from functools import partial
 from operator import attrgetter
 from typing import Optional, Sequence
 
@@ -186,7 +187,7 @@ def _theorem_report(
     ``cost is None`` the log-loss bound's report from per-class KLs."""
     eps = max(float(g) * v for g, v in zip(true_source.priors, divergences))
     if cost is None:
-        bound = theorem2_bound(eps, true_source.k) if math.isfinite(eps) else math.inf
+        bound = theorem2_bound(eps, true_source.k)
     else:
         bound = theorem1_bound(eps, true_source.k, cost)
     return _report(risk_opt, _plugin_risk(true_source, est, cost), bound, eps)
@@ -213,9 +214,21 @@ def check_theorem2(true_source: LabeledSource, est_dists: Sequence[Distribution]
     ``eps = max_i g_i * KL(D_i || D'_i)``; infinite per-class KL yields an
     infinite bound (the hypothesis is vacuous there).
     """
-    est = _check_estimates(true_source, est_dists)
+    return _logloss_check(true_source, _check_estimates(true_source, est_dists))[0]
+
+
+def _logloss_check(
+    true_source: LabeledSource, est: tuple[Distribution, ...]
+) -> tuple[BoundReport, Optional[float]]:
+    """The log-loss bound's report and, when every per-class KL is finite, the
+    identity's ``rhs`` from the same KLs (``None`` otherwise)."""
     kls = [kl_divergence(d, e) for d, e in zip(true_source.class_dists, est)]
-    return _theorem_report(true_source, est, None, kls, _optimal_risk(true_source, None))
+    report = _theorem_report(true_source, est, None, kls, _optimal_risk(true_source, None))
+    if not all(math.isfinite(v) for v in kls):
+        return report, None
+    est_mixture = LabeledSource(true_source.priors, est).mixture_distribution()
+    mix_kl = kl_divergence(true_source.mixture_distribution(), est_mixture)
+    return report, sum(float(g) * v for g, v in zip(true_source.priors, kls)) - mix_kl
 
 
 def excess_logloss_identity(
@@ -228,17 +241,12 @@ def excess_logloss_identity(
     with the prior-weighted mixtures ``D, D'``. The two agree to float
     round-off whenever every per-class KL is finite.
     """
-    est = _check_estimates(true_source, est_dists)
-    kls = [kl_divergence(d, e) for d, e in zip(true_source.class_dists, est)]
-    if not all(math.isfinite(v) for v in kls):
+    report, rhs = _logloss_check(true_source, _check_estimates(true_source, est_dists))
+    if rhs is None:
         raise ValueError(
             "per-class KL divergence is infinite: estimate supports must cover the true class supports"
         )
-    lhs = _plugin_risk(true_source, est, None) - _optimal_risk(true_source, None)
-    est_mixture = LabeledSource(true_source.priors, est).mixture_distribution()
-    mix_kl = kl_divergence(true_source.mixture_distribution(), est_mixture)
-    rhs = sum(float(g) * v for g, v in zip(true_source.priors, kls)) - mix_kl
-    return lhs, rhs
+    return report.excess, rhs
 
 
 def _two_atom_instance(
@@ -292,6 +300,38 @@ def example2_construction(
     return _two_atom_instance(epsilon_prime, gamma)
 
 
+def _bisect(fits, hi: float, steps: int) -> float:
+    """The largest point of ``[0, hi]`` found to ``fits`` in ``steps`` halvings,
+    with ``fits(0)`` assumed."""
+    lo = 0.0
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        if fits(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _project_into_budget(
+    metric: str, true_d: Distribution, est: Distribution, limit: float
+) -> Distribution:
+    """Pull ``est`` toward ``true_d`` until the per-class divergence fits."""
+    if metric == L1:
+        distance = l1_distance(true_d, est)
+        if distance <= limit:
+            return est
+        t = limit / distance
+        return Distribution(true_d.domain, true_d.mass + t * (est.mass - true_d.mass))
+    if kl_divergence(true_d, est) <= limit:
+        return est
+
+    def blend(t: float) -> Distribution:
+        return Distribution(true_d.domain, (1.0 - t) * true_d.mass + t * est.mass)
+
+    return blend(_bisect(lambda t: kl_divergence(true_d, blend(t)) <= limit, 1.0, 50))
+
+
 def random_l1_perturbation(
     d: Distribution, budget: float, rng: np.random.Generator
 ) -> Distribution:
@@ -314,12 +354,7 @@ def random_l1_perturbation(
         return d
     v *= budget / norm
     cand = np.clip(d.mass + v, 0.0, None)
-    perturbed = make_distribution(d.domain, cand)
-    achieved = l1_distance(d, perturbed)
-    if achieved > budget:
-        t = budget / achieved
-        perturbed = Distribution(d.domain, d.mass + t * (perturbed.mass - d.mass))
-    return perturbed
+    return _project_into_budget(L1, d, make_distribution(d.domain, cand), budget)
 
 
 def support_safe_perturbation(
@@ -406,65 +441,6 @@ class TightnessResult:
     ratio: float
 
 
-def _project_into_budget(
-    metric: str, true_d: Distribution, est: Distribution, limit: float
-) -> Distribution:
-    """Pull ``est`` toward ``true_d`` until the per-class divergence fits."""
-    if metric == L1:
-        distance = l1_distance(true_d, est)
-        if distance <= limit:
-            return est
-        t = limit / distance
-        return Distribution(true_d.domain, true_d.mass + t * (est.mass - true_d.mass))
-    if kl_divergence(true_d, est) <= limit:
-        return est
-    lo, hi = 0.0, 1.0
-    for _ in range(50):
-        mid = 0.5 * (lo + hi)
-        blend = Distribution(true_d.domain, (1.0 - mid) * true_d.mass + mid * est.mass)
-        if kl_divergence(true_d, blend) <= limit:
-            lo = mid
-        else:
-            hi = mid
-    return Distribution(true_d.domain, (1.0 - lo) * true_d.mass + lo * est.mass)
-
-
-@dataclass
-class _SearchState:
-    """Mutable (source, estimates) pair under a fixed budget and cost (``None`` for log loss)."""
-
-    metric: str
-    priors: np.ndarray
-    true_masses: list[np.ndarray]
-    est_masses: list[np.ndarray]
-    domain: Domain
-    cost: Optional[CostLike]
-    epsilon: float
-
-    def materialize(self) -> tuple[LabeledSource, tuple[Distribution, ...]]:
-        dists = tuple(Distribution(self.domain, t) for t in self.true_masses)
-        source = LabeledSource(self.priors, dists)
-        est = tuple(
-            _project_into_budget(
-                self.metric, d, Distribution(self.domain, e), self.epsilon / float(g)
-            )
-            for d, e, g in zip(dists, self.est_masses, self.priors)
-        )
-        return source, est
-
-    def excess(self) -> float:
-        source, est = self.materialize()
-        value = _plugin_risk(source, est, self.cost) - _optimal_risk(source, self.cost)
-        return value if math.isfinite(value) else -math.inf
-
-    def copy(self) -> "_SearchState":
-        return replace(
-            self,
-            true_masses=[t.copy() for t in self.true_masses],
-            est_masses=[e.copy() for e in self.est_masses],
-        )
-
-
 def _transfer(mass: np.ndarray, a: int, b: int, step: float) -> bool:
     moved = min(step, float(mass[a]))
     if moved <= 0.0:
@@ -474,14 +450,19 @@ def _transfer(mass: np.ndarray, a: int, b: int, step: float) -> bool:
     return True
 
 
-def _climb(state: _SearchState, rng: np.random.Generator) -> tuple[float, _SearchState]:
-    """Coordinate hill climbing with step halving (20 levels from 0.1 * budget)."""
-    best_val = state.excess()
-    best = state
-    m = state.domain.size
-    k = len(state.true_masses)
+def _climb(
+    masses: np.ndarray, excess, epsilon: float, rng: np.random.Generator
+) -> tuple[float, np.ndarray]:
+    """Coordinate hill climbing with step halving (20 levels from 0.1 * budget).
+
+    ``masses`` is a (2, k, m) array, the true classes in row 0 and the raw
+    estimates in row 1; ``excess`` scores such an array.
+    """
+    best_val = excess(masses)
+    best = masses
+    _, k, m = masses.shape
     for level in range(20):
-        step = 0.1 * state.epsilon * 0.5**level
+        step = 0.1 * epsilon * 0.5**level
         if step <= 0.0:
             break
         for _ in range(2):
@@ -493,15 +474,12 @@ def _climb(state: _SearchState, rng: np.random.Generator) -> tuple[float, _Searc
                     tuple(rng.choice(m, size=2, replace=False)) for _ in range(24)
                 ]
             for i in range(k):
-                for which in ("est", "true"):
+                for row in (1, 0):
                     for a, b in pairs:
                         trial = best.copy()
-                        masses = (
-                            trial.est_masses[i] if which == "est" else trial.true_masses[i]
-                        )
-                        if not _transfer(masses, a, b, step):
+                        if not _transfer(trial[row, i], a, b, step):
                             continue
-                        val = trial.excess()
+                        val = excess(trial)
                         if val > best_val + 1e-15:
                             best_val = val
                             best = trial
@@ -521,24 +499,13 @@ def _seed_kl_lower_bound(epsilon: float) -> tuple[LabeledSource, tuple[Distribut
     # Bisect the class separation until the per-class KL of the mirrored
     # two-atom instance uses the whole per-class budget 2 * epsilon.
     gamma = 1e-3
-    target = 2.0 * epsilon
 
-    def per_class_kl(ep: float) -> float:
+    def fits(ep: float) -> bool:
         src, est = example2_construction(ep, gamma)
-        return kl_divergence(src.class_dists[0], est[0])
+        return kl_divergence(src.class_dists[0], est[0]) <= 2.0 * epsilon
 
-    hi_ep = 0.5 - gamma - 1e-9
-    lo, hi = 0.0, hi_ep
-    if per_class_kl(hi_ep) > target:
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if per_class_kl(mid) <= target:
-                lo = mid
-            else:
-                hi = mid
-    else:
-        lo = hi_ep
-    return example2_construction(lo, gamma)
+    hi = 0.5 - gamma - 1e-9
+    return example2_construction(hi if fits(hi) else _bisect(fits, hi, 60), gamma)
 
 
 def tightness_search(
@@ -548,7 +515,6 @@ def tightness_search(
     budget: PerturbationBudget,
     iterations: int,
     rng: np.random.Generator,
-    include_analytic_seed: bool = True,
 ) -> TightnessResult:
     """Random-restart coordinate search maximizing excess risk within the budget.
 
@@ -576,15 +542,29 @@ def tightness_search(
         source = LabeledSource(np.full(k, 1.0 / k), dists)
         return TightnessResult(source, dists, 0.0, bound, 0.0)
 
+    def build(priors: np.ndarray, masses: np.ndarray):
+        source = LabeledSource(priors, tuple(Distribution(domain, t) for t in masses[0]))
+        est = tuple(
+            _project_into_budget(
+                budget.metric, d, Distribution(domain, e), budget.epsilon / float(g)
+            )
+            for d, e, g in zip(source.class_dists, masses[1], priors)
+        )
+        return source, est
+
+    def excess(priors: np.ndarray, masses: np.ndarray) -> float:
+        source, est = build(priors, masses)
+        value = _plugin_risk(source, est, cost) - _optimal_risk(source, cost)
+        return value if math.isfinite(value) else -math.inf
+
     best_val = -math.inf
-    best_state: Optional[_SearchState] = None
+    best = None
     for restart in range(iterations):
-        if restart == 0 and include_analytic_seed and k == 2 and m == 2:
+        if restart == 0 and k == 2 and m == 2:
             seed = _seed_l1_lower_bound if budget.metric == L1 else _seed_kl_lower_bound
             source, est = seed(budget.epsilon)
             priors = np.asarray(source.priors)
-            true_masses = [d.mass.copy() for d in source.class_dists]
-            est_masses = [d.mass.copy() for d in est]
+            masses = np.array([[d.mass for d in source.class_dists], [d.mass for d in est]])
         else:
             priors = (
                 np.full(k, 1.0 / k)
@@ -592,25 +572,21 @@ def tightness_search(
                 else np.asarray(random_source(rng, k, m, domain).priors)
             )
             true_masses = [
-                make_distribution(domain, rng.gamma(0.6, 1.0, m) + 1e-300).mass.copy()
+                make_distribution(domain, rng.gamma(0.6, 1.0, m) + 1e-300).mass
                 for _ in range(k)
             ]
             if budget.metric == L1:
                 perturb, radius = random_l1_perturbation, min(budget.epsilon / priors.min(), 2.0)
             else:
                 perturb, radius = support_safe_perturbation, 1.0
-            est_masses = [
-                perturb(Distribution(domain, t), radius, rng).mass.copy() for t in true_masses
-            ]
-        state = _SearchState(
-            budget.metric, priors, true_masses, est_masses, domain, cost, budget.epsilon
-        )
-        val, state = _climb(state, rng)
+            est_masses = [perturb(Distribution(domain, t), radius, rng).mass for t in true_masses]
+            masses = np.array([true_masses, est_masses])
+        val, masses = _climb(masses, partial(excess, priors), budget.epsilon, rng)
         if val > best_val:
             best_val = val
-            best_state = state
+            best = priors, masses
 
-    source, est = best_state.materialize()
+    source, est = build(*best)
     excess = max(best_val, 0.0)
     ratio = excess / bound if bound > 0.0 else 0.0
     return TightnessResult(source, est, excess, bound, ratio)

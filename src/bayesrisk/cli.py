@@ -30,11 +30,10 @@ from .bounds import (
     BoundReport,
     PerturbationBudget,
     _check_estimates,
+    _logloss_check,
     check_theorem1,
-    check_theorem2,
     example1_construction,
     example2_construction,
-    excess_logloss_identity,
     random_l1_perturbation,
     random_theorem1_instance,
     random_theorem2_instance,
@@ -147,16 +146,16 @@ def _check_instance(metric: str, source: LabeledSource, est, cost):
     """Check one instance as the sweeps do: ``(report, identity_gap, ok)``.
 
     The log-loss check also measures the gap between the two sides of the
-    exact excess identity (``None`` under L1); ``ok`` needs the bound
-    satisfied and any gap within ``BOUND_TOL``.
+    exact excess identity when every per-class KL is finite (``None``
+    otherwise and under L1); ``ok`` needs the bound satisfied and any gap
+    within ``BOUND_TOL``.
     """
     if metric == L1:
         report = check_theorem1(source, est, cost)
         return report, None, report.satisfied
-    report = check_theorem2(source, est)
-    lhs, rhs = excess_logloss_identity(source, est)
-    gap = abs(lhs - rhs)
-    return report, gap, report.satisfied and gap <= BOUND_TOL
+    report, rhs = _logloss_check(source, est)
+    gap = None if rhs is None else abs(report.excess - rhs)
+    return report, gap, report.satisfied and (gap is None or gap <= BOUND_TOL)
 
 
 def _require_positive_trials(args) -> None:

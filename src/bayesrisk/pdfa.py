@@ -444,6 +444,8 @@ def decode(data: bytes) -> Pdfa:
     n = r.read_gamma()
     alpha_size = r.read_gamma() - 1
     precision = r.read_gamma()
+    if not 1 <= precision <= 52:
+        raise ValueError(f"corrupt encoding: precision {precision} outside 1..52 bits")
     initial = r.read_gamma() - 1
     alphabet = tuple(chr(r.read_gamma() - 1) for _ in range(alpha_size))
     scale = 1 << precision

@@ -146,6 +146,23 @@ class TestExcessLoglossIdentity:
             lhs, rhs = excess_logloss_identity(source, est)
             assert abs(lhs - rhs) <= 1e-9
 
+    def test_lhs_is_the_reports_excess_bit_for_bit(self):
+        rng = np.random.default_rng(24)
+        for _ in range(200):
+            source, est = random_theorem2_instance(rng)
+            lhs, _ = excess_logloss_identity(source, est)
+            assert lhs.hex() == check_theorem2(source, est).excess.hex()
+
+    def test_infinite_kl_vacuous_bound_and_refused_identity(self):
+        dom = Domain.indexed(2)
+        d = make_distribution(dom, [0.5, 0.5])
+        source = LabeledSource(np.array([0.5, 0.5]), (d, make_distribution(dom, [0.4, 0.6])))
+        est = (make_distribution(dom, [1, 0]), d)
+        rep = check_theorem2(source, est)
+        assert rep.bound == math.inf and rep.satisfied
+        with pytest.raises(ValueError, match="per-class KL divergence is infinite"):
+            excess_logloss_identity(source, est)
+
     def test_infinite_kl_rejected(self):
         dom = Domain.indexed(2)
         d = make_distribution(dom, [0.5, 0.5])

@@ -134,15 +134,31 @@ class TestVerifyCommands:
     def test_replay_rechecks_identity_gap(self, tmp_path, monkeypatch):
         import bayesrisk.cli as cli
 
-        real = cli.excess_logloss_identity
+        real = cli._logloss_check
 
         def off_by_1e6(source, est):
-            lhs, rhs = real(source, est)
-            return lhs, rhs + 1e-6
+            report, rhs = real(source, est)
+            return report, rhs + 1e-6
 
-        monkeypatch.setattr(cli, "excess_logloss_identity", off_by_1e6)
+        monkeypatch.setattr(cli, "_logloss_check", off_by_1e6)
         assert run(["verify-theorem2", "--trials", "1", "--out-dir", tmp_path]) == 1
         assert run(["verify-theorem2", "--replay", tmp_path / "violation_0.json"]) == 1
+
+    def test_replay_of_infinite_kl_instance_is_vacuously_satisfied(self, tmp_path, capsys):
+        from bayesrisk.classify import LabeledSource
+        from bayesrisk.cli import _instance_payload
+        from bayesrisk.distributions import Domain, make_distribution
+
+        dom = Domain.indexed(2)
+        half, tilted = make_distribution(dom, [0.5, 0.5]), make_distribution(dom, [0.4, 0.6])
+        source = LabeledSource([0.5, 0.5], (half, tilted))
+        path = tmp_path / "instance.json"
+        est = (make_distribution(dom, [1, 0]), tilted)
+        path.write_text(json.dumps(_instance_payload(source, est, None, "KL")))
+        assert run(["verify-theorem2", "--replay", path]) == 0
+        shown = json.loads(capsys.readouterr().out)
+        assert shown["bound"] == float("inf") and shown["satisfied"] is True
+        assert "identity_gap" not in shown
 
 
 class TestLowerBounds:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -335,6 +336,23 @@ class TestEncoding:
     def test_truncated_input_is_corrupt_encoding(self, data):
         with pytest.raises(ValueError, match="corrupt encoding"):
             decode(data)
+
+    @pytest.mark.parametrize("precision", [60, 2**27])
+    def test_out_of_range_precision_is_corrupt_encoding(self, precision):
+        # One state, no symbols, the claimed precision, then a 64-bit zero stop field.
+        w = pdfa._BitWriter()
+        for value in (1, 1, precision, 1):
+            w.write_gamma(value)
+        w.write(0, 64)
+        data = w.to_bytes()
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="corrupt encoding"):
+                decode(data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_corruption_never_passes_silently(self):
         machine = two_symbol()
