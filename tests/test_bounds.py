@@ -8,6 +8,7 @@ import pytest
 from bayesrisk.bounds import (
     BoundReport,
     PerturbationBudget,
+    _project_into_budget,
     check_theorem1,
     check_theorem2,
     example1_construction,
@@ -25,6 +26,7 @@ from bayesrisk.bounds import (
 )
 from bayesrisk.classify import CostMatrix, LabeledSource
 from bayesrisk.distributions import (
+    Distribution,
     Domain,
     kl_divergence,
     l1_distance,
@@ -282,6 +284,22 @@ class TestTightnessSearch:
     def test_unknown_budget_metric_rejected(self):
         with pytest.raises(ValueError, match=r"metric must be one of 'L1', 'KL'"):
             PerturbationBudget("TV", 0.1)
+
+    def test_kl_projection_stops_at_the_budget_edge(self):
+        rng = np.random.default_rng(8)
+        dom = Domain.indexed(5)
+        for _ in range(20):
+            true_d = make_distribution(dom, rng.uniform(0.1, 1.0, 5))
+            est = make_distribution(dom, rng.uniform(0.1, 1.0, 5))
+            limit = 0.25 * kl_divergence(true_d, est)
+            projected = _project_into_budget("KL", true_d, est, limit)
+            assert kl_divergence(true_d, projected) <= limit
+            # The blend weight t of est = (1 - t) * D + t * E is bisected to 2**-50,
+            # so a step of 2**-46 further along the segment leaves the budget.
+            diff = est.mass - true_d.mass
+            i = int(np.argmax(np.abs(diff)))
+            t = (projected.mass[i] - true_d.mass[i]) / diff[i] + 2.0**-46
+            assert kl_divergence(true_d, Distribution(dom, (1.0 - t) * true_d.mass + t * est.mass)) > limit
 
     def test_two_atom_l1_reaches_analytic_ratio(self):
         rng = np.random.default_rng(42)
