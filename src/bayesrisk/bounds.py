@@ -45,6 +45,7 @@ from .classify import (
     risk,
 )
 from .distributions import Distribution, Domain, kl_divergence, l1_distance, make_distribution
+from .distributions import _exact_unit_mass, _kl_on_support
 
 BOUND_TOL = 1e-9
 EXCESS_TOL = 1e-12
@@ -317,19 +318,25 @@ def _project_into_budget(
     metric: str, true_d: Distribution, est: Distribution, limit: float
 ) -> Distribution:
     """Pull ``est`` toward ``true_d`` until the per-class divergence fits."""
+    p, q = true_d.mass, est.mass
     if metric == L1:
         distance = l1_distance(true_d, est)
         if distance <= limit:
             return est
-        t = limit / distance
-        return Distribution(true_d.domain, true_d.mass + t * (est.mass - true_d.mass))
+        # Non-negative in floats for p, q >= 0 and t = limit / distance <= 1:
+        # rounding is monotone, so q - p >= -p, t * (q - p) >= -p, and the sum >= 0.
+        return Distribution._own(true_d.domain, p + limit / distance * (q - p))
     if kl_divergence(true_d, est) <= limit:
         return est
+    support = p > 0.0
+    ps = p[support]
 
-    def blend(t: float) -> Distribution:
-        return Distribution(true_d.domain, (1.0 - t) * true_d.mass + t * est.mass)
+    def fits(t: float) -> bool:
+        blend = (1.0 - t) * p + t * q
+        return _kl_on_support(ps, _exact_unit_mass(blend, float(blend.sum()))[support]) <= limit
 
-    return blend(_bisect(lambda t: kl_divergence(true_d, blend(t)) <= limit, 1.0, 50))
+    t = _bisect(fits, 1.0, 50)
+    return Distribution._own(true_d.domain, (1.0 - t) * p + t * q)
 
 
 def random_l1_perturbation(
@@ -348,7 +355,7 @@ def random_l1_perturbation(
     if budget == 0.0 or m == 1:
         return d
     v = rng.standard_normal(m)
-    v -= v.mean()
+    v -= v.sum() / m
     norm = float(np.abs(v).sum())
     if norm == 0.0:
         return d
@@ -366,8 +373,7 @@ def support_safe_perturbation(
     """Randomly perturbed estimate with full support (finite KL guaranteed)."""
     rough = random_l1_perturbation(d, budget, rng)
     lam = float(rng.uniform(0.2 * floor, floor))
-    mass = (1.0 - lam) * rough.mass + lam / d.domain.size
-    return Distribution(d.domain, mass)
+    return Distribution._own(d.domain, (1.0 - lam) * rough.mass + lam / d.domain.size)
 
 
 def random_source(

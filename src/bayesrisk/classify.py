@@ -29,7 +29,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .distributions import Distribution, Domain
+from .distributions import Distribution, Domain, _trusted
 
 PRIOR_SUM_TOL = 1e-12
 ROW_SUM_TOL = 1e-12
@@ -49,7 +49,7 @@ class LabeledSource:
             raise ValueError("a labeled source needs at least two classes")
         if priors.shape != (len(dists),):
             raise ValueError("one prior per class distribution required")
-        if not np.all(np.isfinite(priors)) or np.any(priors <= 0.0):
+        if not np.isfinite(priors).all() or (priors <= 0.0).any():
             raise ValueError("every class prior must be positive")
         if abs(float(priors.sum()) - 1.0) > PRIOR_SUM_TOL:
             raise ValueError("class priors must sum to 1")
@@ -85,7 +85,7 @@ class LabeledSource:
         return mix
 
     def mixture_distribution(self) -> Distribution:
-        return Distribution(self.domain, self.mixture_mass)
+        return Distribution._own(self.domain, self.mixture_mass.copy())
 
     def to_dict(self) -> dict:
         return {
@@ -111,7 +111,7 @@ class CostMatrix:
         costs = np.asarray(self.costs, dtype=float).copy()
         if costs.ndim != 2 or costs.shape[0] != costs.shape[1]:
             raise ValueError("cost matrix must be square")
-        if not np.all(np.isfinite(costs)) or np.any(costs < 0.0):
+        if not np.isfinite(costs).all() or (costs < 0.0).any():
             raise ValueError("costs must be finite and non-negative")
         if float(costs.max()) <= 0.0:
             raise ValueError("cost matrix must have at least one positive entry")
@@ -148,7 +148,7 @@ def as_cost_array(cost: CostLike, k: int) -> np.ndarray:
     arr = cost.costs if isinstance(cost, CostMatrix) else np.asarray(cost, dtype=float)
     if arr.shape != (k, k):
         raise ValueError(f"cost matrix has shape {arr.shape}, expected ({k}, {k})")
-    if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
+    if not np.isfinite(arr).all() or (arr < 0.0).any():
         raise ValueError("costs must be finite and non-negative")
     return arr
 
@@ -164,7 +164,7 @@ class Classifier:
         labels = np.asarray(self.labels, dtype=int).copy()
         if labels.shape != (self.domain.size,):
             raise ValueError("one label per domain atom required")
-        if np.any(labels < 0):
+        if (labels < 0).any():
             raise ValueError("labels must be non-negative indices")
         labels.flags.writeable = False
         object.__setattr__(self, "labels", labels)
@@ -184,9 +184,9 @@ class StochasticRule:
         table = np.asarray(self.table, dtype=float).copy()
         if table.ndim != 2 or table.shape[0] != self.domain.size:
             raise ValueError("rule table must have one row per domain atom")
-        if not np.all(np.isfinite(table)) or np.any(table < 0.0):
+        if not np.isfinite(table).all() or (table < 0.0).any():
             raise ValueError("rule rows must be non-negative")
-        if np.any(np.abs(table.sum(axis=1) - 1.0) > ROW_SUM_TOL):
+        if (np.abs(table.sum(axis=1) - 1.0) > ROW_SUM_TOL).any():
             raise ValueError("every rule row must sum to 1")
         table.flags.writeable = False
         object.__setattr__(self, "table", table)
@@ -204,10 +204,13 @@ def bayes_classifier(source: LabeledSource, cost: CostLike) -> Classifier:
 
     ``labels[x] = argmin_j sum_i c[i, j] * g_i * D_i(x)``; np.argmin
     resolves ties toward the smallest label, which also covers atoms with
-    zero mixture mass (all scores zero there).
+    zero mixture mass (all scores zero there). Its labels lie in ``[0, k)``,
+    so the table is handed over without the copy and scan of ``Classifier``.
     """
     costs = as_cost_array(cost, source.k)
-    return Classifier(source.domain, np.argmin(source.weighted_mass.T @ costs, axis=1))
+    labels = np.argmin(source.weighted_mass.T @ costs, axis=1)
+    labels.flags.writeable = False
+    return _trusted(Classifier, domain=source.domain, labels=labels)
 
 
 def risk(f: Classifier, source: LabeledSource, cost: CostLike) -> float:
@@ -215,11 +218,11 @@ def risk(f: Classifier, source: LabeledSource, cost: CostLike) -> float:
     if f.domain != source.domain:
         raise ValueError("classifier and source domains differ")
     costs = as_cost_array(cost, source.k)
-    if np.any(f.labels >= source.k):
+    if (f.labels >= source.k).any():
         raise ValueError("classifier labels exceed the source's class count")
     weighted_costs = costs.take(f.labels, axis=1)
     weighted_costs *= source.weighted_mass
-    return float(np.sum(weighted_costs))
+    return float(weighted_costs.sum())
 
 
 def posterior(source: LabeledSource, atom: str) -> np.ndarray:
@@ -269,6 +272,6 @@ def logloss_risk(rule: StochasticRule, source: LabeledSource) -> float:
     w = source.weighted_mass.T
     weighted = w > 0.0
     vals = rule.table[weighted]
-    if np.any(vals == 0.0):
+    if (vals == 0.0).any():
         return math.inf
-    return max(0.0, float(-np.sum(w[weighted] * np.log2(vals))))
+    return max(0.0, float(-(w[weighted] * np.log2(vals)).sum()))

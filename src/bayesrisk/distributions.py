@@ -13,6 +13,11 @@ This is the numerical substrate for the rest of the package. Conventions:
 - Construction renormalizes exactly, so downstream code may assume unit
   mass without re-checking.
 
+The public constructors validate their input. Package code that has just
+built a fresh, finite, non-negative mass array of the right shape hands it
+to the private ``Distribution._own``, which skips the copy and those scans
+but keeps the unit-sum check and the exact renormalization.
+
 All types are immutable after construction. Every operation is a pure
 function except :func:`sample`, which consumes the caller's random
 generator.
@@ -30,6 +35,13 @@ import numpy as np
 
 SUM_TOL = 1e-12
 WEIGHT_SUM_TOL = 1e-12
+
+
+def _trusted(cls, **fields):
+    """The frozen dataclass ``cls`` holding ``fields`` as given, unchecked."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -50,7 +62,7 @@ class Domain:
         """Canonical domain ``{x0, x1, ..., x<size-1>}``."""
         if size < 1:
             raise ValueError("domain must contain at least one atom")
-        return cls(tuple(f"{prefix}{i}" for i in range(size)))
+        return _trusted(cls, atoms=tuple(f"{prefix}{i}" for i in range(size)))
 
     @cached_property
     def _positions(self) -> dict[str, int]:
@@ -70,20 +82,24 @@ class Domain:
             raise KeyError(f"atom {atom!r} is not in the domain") from None
 
 
-def _exact_unit_mass(mass: np.ndarray) -> np.ndarray:
-    """Rescale in place so the vector sums to 1.0 up to at most one ulp.
+def _exact_unit_mass(mass: np.ndarray, total: float) -> np.ndarray:
+    """Rescale ``mass``, whose sum is ``total``, in place so it sums to 1.0 up
+    to at most one ulp, and make it read-only.
 
-    After dividing by the sum, the float re-sum can still miss 1.0 by a
-    few ulp; folding the residual into the largest entry brings the sum to
-    literal 1.0 in almost all cases (and always within one ulp, far inside
-    every downstream tolerance).
+    ``total`` must lie within ``SUM_TOL`` of one. After dividing by it, the
+    float re-sum can still miss 1.0 by a few ulp; folding the residual into
+    the largest entry brings the sum to literal 1.0 in almost all cases
+    (and always within one ulp, far inside every downstream tolerance).
     """
-    mass /= float(mass.sum())
+    if abs(total - 1.0) > SUM_TOL:
+        raise ValueError(f"mass sums to {total!r}, expected 1 within {SUM_TOL}")
+    mass /= total
     for _ in range(4):
         residual = float(mass.sum()) - 1.0
         if residual == 0.0:
             break
         mass[int(np.argmax(mass))] -= residual
+    mass.flags.writeable = False
     return mass
 
 
@@ -105,16 +121,20 @@ class Distribution:
             raise ValueError(
                 f"mass vector has shape {mass.shape}, domain has {self.domain.size} atoms"
             )
-        if not np.all(np.isfinite(mass)):
-            raise ValueError("invalid mass: entries must be finite")
-        if np.any(mass < 0.0):
-            raise ValueError("invalid mass: entries must be non-negative")
-        total = float(mass.sum())
-        if abs(total - 1.0) > SUM_TOL:
-            raise ValueError(f"mass sums to {total!r}, expected 1 within {SUM_TOL}")
-        mass = _exact_unit_mass(mass)
-        mass.flags.writeable = False
-        object.__setattr__(self, "mass", mass)
+        # NaN reaches both reductions; inf or -inf makes the sum non-finite or the min < 0.
+        with np.errstate(over="ignore"):
+            total = float(mass.sum())
+        if not (math.isfinite(total) and mass.min() >= 0.0):
+            if not np.isfinite(mass).all():
+                raise ValueError("invalid mass: entries must be finite")
+            if (mass < 0.0).any():
+                raise ValueError("invalid mass: entries must be non-negative")
+        object.__setattr__(self, "mass", _exact_unit_mass(mass, total))
+
+    @classmethod
+    def _own(cls, domain: Domain, mass: np.ndarray) -> "Distribution":
+        """Take ``mass``, a fresh finite non-negative ``(domain.size,)`` array, unscanned."""
+        return _trusted(cls, domain=domain, mass=_exact_unit_mass(mass, float(mass.sum())))
 
     def prob(self, atom: str) -> float:
         return float(self.mass[self.domain.index(atom)])
@@ -142,8 +162,9 @@ def make_distribution(domain: Domain, weights: Sequence[float]) -> Distribution:
     Raises
     ------
     ValueError
-        ``"invalid mass"`` for negative, NaN, or non-finite weights (or a
-        length mismatch); ``"degenerate"`` when every weight is zero.
+        ``"invalid mass"`` for negative, NaN, or non-finite weights, a
+        length mismatch, or weights whose sum overflows; ``"degenerate"``
+        when every weight is zero.
     """
     w = np.asarray(weights, dtype=float)
     if w.shape != (domain.size,):
@@ -151,12 +172,15 @@ def make_distribution(domain: Domain, weights: Sequence[float]) -> Distribution:
             f"invalid mass: {w.shape[0] if w.ndim == 1 else w.shape} weights for "
             f"{domain.size} atoms"
         )
-    if not np.all(np.isfinite(w)) or np.any(w < 0.0):
-        raise ValueError("invalid mass: weights must be finite and non-negative")
-    total = float(w.sum())
+    with np.errstate(over="ignore"):
+        total = float(w.sum())
+    if not (math.isfinite(total) and w.min() >= 0.0):
+        if not np.isfinite(w).all() or (w < 0.0).any():
+            raise ValueError("invalid mass: weights must be finite and non-negative")
+        raise ValueError("invalid mass: weights sum overflows the float range")
     if total == 0.0:
         raise ValueError("degenerate: all weights are zero")
-    return Distribution(domain, w / total)
+    return Distribution._own(domain, w / total)
 
 
 def _require_same_domain(p: Distribution, q: Distribution) -> None:
@@ -184,11 +208,14 @@ def kl_divergence(p: Distribution, q: Distribution) -> float:
     """
     _require_same_domain(p, q)
     support = p.mass > 0.0
-    qs = q.mass[support]
-    if np.any(qs == 0.0):
+    return _kl_on_support(p.mass[support], q.mass[support])
+
+
+def _kl_on_support(ps: np.ndarray, qs: np.ndarray) -> float:
+    """:func:`kl_divergence` from the two masses gathered over ``p``'s support."""
+    if (qs == 0.0).any():
         return math.inf
-    ps = p.mass[support]
-    return max(0.0, float(np.sum(ps * np.log2(ps / qs))))
+    return max(0.0, float((ps * np.log2(ps / qs)).sum()))
 
 
 def mixture(components: Sequence[tuple[float, Distribution]]) -> Distribution:
@@ -280,4 +307,4 @@ def random_quantized(spec: QuantizedClassSpec, rng: np.random.Generator) -> Dist
     """
     shape = rng.dirichlet(np.ones(spec.domain.size))
     numerators = rng.multinomial(spec.scale, shape)
-    return Distribution(spec.domain, numerators / spec.scale)
+    return Distribution._own(spec.domain, numerators / spec.scale)

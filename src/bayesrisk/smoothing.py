@@ -122,7 +122,7 @@ def smooth(
     if d_est.domain != base.dist.domain:
         raise ValueError("estimate and base must share one domain")
     xi = params.xi
-    return Distribution(d_est.domain, (1.0 - xi) * d_est.mass + xi * base.dist.mass)
+    return Distribution._own(d_est.domain, (1.0 - xi) * d_est.mass + xi * base.dist.mass)
 
 
 def kl_certificate(params: SmoothingParams) -> float:
