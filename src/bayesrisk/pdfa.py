@@ -47,21 +47,11 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .distributions import Distribution, Domain, _trusted
+from .distributions import Distribution, Domain
 
 OVERFLOW_ATOM = "⊥"
 DEFAULT_MAX_ATOMS = 1 << 20
 DEFAULT_EMISSION_CAP = 10**6
-
-
-def _check_alphabet(alphabet: tuple[str, ...]) -> None:
-    if len(set(alphabet)) != len(alphabet):
-        raise ValueError("alphabet symbols must be unique")
-    for sym in alphabet:
-        if len(sym) != 1:
-            raise ValueError(f"alphabet symbols must be single characters, got {sym!r}")
-        if sym == OVERFLOW_ATOM:
-            raise ValueError(f"alphabet may not contain the overflow atom {OVERFLOW_ATOM!r}")
 
 
 def _log2_ceil(n: int) -> int:
@@ -88,7 +78,13 @@ class Pdfa:
         if not 1 <= self.precision <= 52:
             raise ValueError("precision must be between 1 and 52 bits")
         scale = 1 << self.precision
-        _check_alphabet(self.alphabet)
+        if len(set(self.alphabet)) != len(self.alphabet):
+            raise ValueError("alphabet symbols must be unique")
+        for sym in self.alphabet:
+            if len(sym) != 1:
+                raise ValueError(f"alphabet symbols must be single characters, got {sym!r}")
+            if sym == OVERFLOW_ATOM:
+                raise ValueError(f"alphabet may not contain the overflow atom {OVERFLOW_ATOM!r}")
         n = len(self.stops)
         if n < 1:
             raise ValueError("a machine needs at least one state")
@@ -248,7 +244,6 @@ class TruncatedStringDomain:
         cls, alphabet: Sequence[str], max_len: int, max_atoms: int = DEFAULT_MAX_ATOMS
     ) -> "TruncatedStringDomain":
         alphabet = tuple(alphabet)
-        _check_alphabet(alphabet)
         if max_len < 0:
             raise ValueError("max_len must be non-negative")
         count = cls.atom_count(len(alphabet), max_len)
@@ -262,8 +257,7 @@ class TruncatedStringDomain:
             level = [prefix + sym for prefix in level for sym in alphabet]
             atoms.extend(level)
         atoms.append(OVERFLOW_ATOM)
-        # Strings over distinct single characters other than OVERFLOW_ATOM are distinct.
-        return cls(alphabet, max_len, _trusted(Domain, atoms=tuple(atoms)))
+        return cls(alphabet, max_len, Domain(tuple(atoms)))
 
     @staticmethod
     def atom_count(alphabet_size: int, max_len: int) -> int:

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from bayesrisk.bounds import L1, _project_into_budget, random_source
 from bayesrisk.classify import Classifier, LabeledSource, StochasticRule, bayes_classifier
 from bayesrisk.distributions import Distribution, Domain, make_distribution
-from bayesrisk.pdfa import OVERFLOW_ATOM, TruncatedStringDomain
 
 D2 = Domain.indexed(2)
 NAN, INF = float("nan"), float("inf")
@@ -44,12 +43,6 @@ BAD_INPUTS = [
      [NAN, 1.0], "invalid mass: entries must be finite"),
     (lambda _, atoms: Domain(atoms), ("x0", "x0"), "atom identifiers must be unique"),
     (lambda _, atoms: Domain(atoms), (), "domain must contain at least one atom"),
-    (lambda _, alphabet: TruncatedStringDomain.build(alphabet, 0), ("a", "a"),
-     "alphabet symbols must be unique"),
-    (lambda _, alphabet: TruncatedStringDomain.build(alphabet, 2), ("a", "ab"),
-     "alphabet symbols must be single characters, got 'ab'"),
-    (lambda _, alphabet: TruncatedStringDomain.build(alphabet, 2), ("a", OVERFLOW_ATOM),
-     f"alphabet may not contain the overflow atom {OVERFLOW_ATOM!r}"),
     (Classifier, [0, -1], "labels must be non-negative indices"),
     (Classifier, [0, 1, 1], "one label per domain atom required"),
     (StochasticRule, [[1.5, -0.5], [0.5, 0.5]], "rule rows must be non-negative"),
@@ -105,13 +98,18 @@ def test_l1_pull_back_stays_non_negative(seed, m, share):
     validating constructor accepts, bit for bit."""
     rng = np.random.default_rng(seed)
     domain = Domain.indexed(m)
-    p, q = (make_distribution(domain, rng.random(m) * (rng.random(m) < 0.5) + 1e-300)
-            for _ in range(2))
+
+    def with_zero_atoms():
+        w = rng.random(m) * (rng.random(m) < 0.5)
+        w[rng.integers(m)] += 1.0
+        return make_distribution(domain, w)
+
+    p, q = with_zero_atoms(), with_zero_atoms()
     distance = float(np.abs(p.mass - q.mass).sum())
-    pulled = _project_into_budget(L1, p, q, share * distance)
+    limit = share * distance
+    pulled = _project_into_budget(L1, p, q, limit)
     if pulled is not q:
-        t = share * distance / distance
-        checked = Distribution(domain, p.mass + t * (q.mass - p.mass))
+        checked = Distribution(domain, p.mass + limit / distance * (q.mass - p.mass))
         assert pulled.mass.tobytes() == checked.mass.tobytes()
 
 
@@ -122,5 +120,3 @@ def test_trusted_objects_are_frozen_and_equal_to_validated_ones():
     for arr in (f.labels, source.class_dists[0].mass, source.mixture_distribution().mass):
         assert not arr.flags.writeable
     assert Domain.indexed(9) == Domain(tuple(f"x{i}" for i in range(9)))
-    space = TruncatedStringDomain.build(("a", "b"), 3).domain
-    assert space == Domain(space.atoms)
