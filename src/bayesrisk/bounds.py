@@ -329,11 +329,10 @@ def _project_into_budget(
     if kl_divergence(true_d, est) <= limit:
         return est
     support = p > 0.0
-    ps = p[support]
 
     def fits(t: float) -> bool:
         blend = (1.0 - t) * p + t * q
-        return _kl_on_support(ps, _exact_unit_mass(blend, float(blend.sum()))[support]) <= limit
+        return _kl_on_support(p, _exact_unit_mass(blend, float(blend.sum())), support) <= limit
 
     t = _bisect(fits, 1.0, 50)
     return Distribution._own(true_d.domain, (1.0 - t) * p + t * q)

@@ -207,14 +207,15 @@ def kl_divergence(p: Distribution, q: Distribution) -> float:
     Gibbs' inequality (float round-off is clamped at zero).
     """
     _require_same_domain(p, q)
-    support = p.mass > 0.0
-    return _kl_on_support(p.mass[support], q.mass[support])
+    return _kl_on_support(p.mass, q.mass, p.mass > 0.0)
 
 
-def _kl_on_support(ps: np.ndarray, qs: np.ndarray) -> float:
-    """:func:`kl_divergence` from the two masses gathered over ``p``'s support."""
+def _kl_on_support(p: np.ndarray, q: np.ndarray, support: np.ndarray) -> float:
+    """:func:`kl_divergence` of the mass arrays ``p`` and ``q``, ``support`` being ``p > 0``."""
+    qs = q[support]
     if (qs == 0.0).any():
         return math.inf
+    ps = p[support]
     return max(0.0, float((ps * np.log2(ps / qs)).sum()))
 
 
