@@ -232,6 +232,14 @@ class TestPipelineCommand:
         assert (tmp_path / "summary.json").read_bytes() == (GOLDEN / "pipeline_summary.json").read_bytes()
         assert (tmp_path / "report.csv").read_bytes() == (GOLDEN / "pipeline_report.csv").read_bytes()
 
+    def test_logloss_config_run_matches_golden(self, tmp_path):
+        config = DATA / "pipeline_logloss_config.json"
+        code = run(["pipeline", "--config", config, "--out-dir", tmp_path])
+        assert code == 0
+        for name in ("report.csv", "summary.json"):
+            golden = GOLDEN / f"pipeline_logloss_{name}"
+            assert (tmp_path / name).read_bytes() == golden.read_bytes()
+
     def test_pdfa_sources_end_to_end(self, tmp_path):
         code = run(
             [
