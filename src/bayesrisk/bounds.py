@@ -45,7 +45,7 @@ from .classify import (
     risk,
 )
 from .distributions import Distribution, Domain, kl_divergence, l1_distance, make_distribution
-from .distributions import _exact_unit_mass, _kl_on_support
+from .distributions import _exact_unit_mass, _kl_on_support, _trusted
 
 BOUND_TOL = 1e-9
 EXCESS_TOL = 1e-12
@@ -114,21 +114,6 @@ class BoundReport:
             raise ValueError("satisfied flag inconsistent with excess and bound")
 
 
-def _report(risk_opt: float, risk_plugin: float, bound: float, epsilon: float) -> BoundReport:
-    excess = risk_plugin - risk_opt
-    satisfied = bound == math.inf or excess <= bound + BOUND_TOL
-    slack = math.inf if bound == math.inf else bound - excess
-    return BoundReport(
-        risk_opt=risk_opt,
-        risk_plugin=risk_plugin,
-        excess=excess,
-        bound=bound,
-        satisfied=satisfied,
-        slack=slack,
-        epsilon=epsilon,
-    )
-
-
 def theorem1_bound(epsilon: float, k: int, cost: CostLike) -> float:
     """Cost-loss excess bound ``epsilon * k * max_ij c_ij``."""
     if epsilon < 0.0:
@@ -170,19 +155,25 @@ def _plugin_risk(
 
     The estimated source is a temporary, freed once its predictor is built: at
     large m its weighted mass would otherwise stay alive through the scoring.
+    ``est`` must already be checked against ``true_source``.
     """
     if cost is None:
-        return logloss_risk(plugin_rule(LabeledSource(true_source.priors, est)), true_source)
-    f_prime = bayes_classifier(LabeledSource(true_source.priors, est), cost)
+        return logloss_risk(plugin_rule(_estimated_source(true_source, est)), true_source)
+    f_prime = bayes_classifier(_estimated_source(true_source, est), cost)
     return risk(f_prime, true_source, cost)
+
+
+def _estimated_source(true_source: LabeledSource, est: Sequence[Distribution]) -> LabeledSource:
+    """The true priors with the checked estimates ``est``, handed over unchecked."""
+    return _trusted(LabeledSource, priors=true_source.priors, class_dists=tuple(est))
 
 
 def _theorem_report(
     true_source: LabeledSource,
-    est: tuple[Distribution, ...],
     cost: Optional[CostLike],
     divergences: Sequence[float],
     risk_opt: float,
+    risk_plugin: float,
 ) -> BoundReport:
     """The cost-loss bound's report from per-class L1 distances, or with
     ``cost is None`` the log-loss bound's report from per-class KLs."""
@@ -191,7 +182,10 @@ def _theorem_report(
         bound = theorem2_bound(eps, true_source.k)
     else:
         bound = theorem1_bound(eps, true_source.k, cost)
-    return _report(risk_opt, _plugin_risk(true_source, est, cost), bound, eps)
+    excess = risk_plugin - risk_opt
+    satisfied = bound == math.inf or excess <= bound + BOUND_TOL
+    slack = math.inf if bound == math.inf else bound - excess
+    return BoundReport(risk_opt, risk_plugin, excess, bound, slack, satisfied, eps)
 
 
 def check_theorem1(
@@ -206,7 +200,8 @@ def check_theorem1(
     """
     est = _check_estimates(true_source, est_dists)
     l1s = [l1_distance(d, e) for d, e in zip(true_source.class_dists, est)]
-    return _theorem_report(true_source, est, cost, l1s, _optimal_risk(true_source, cost))
+    risk_opt = _optimal_risk(true_source, cost)
+    return _theorem_report(true_source, cost, l1s, risk_opt, _plugin_risk(true_source, est, cost))
 
 
 def check_theorem2(true_source: LabeledSource, est_dists: Sequence[Distribution]) -> BoundReport:
@@ -224,10 +219,11 @@ def _logloss_check(
     """The log-loss bound's report and, when every per-class KL is finite, the
     identity's ``rhs`` from the same KLs (``None`` otherwise)."""
     kls = [kl_divergence(d, e) for d, e in zip(true_source.class_dists, est)]
-    report = _theorem_report(true_source, est, None, kls, _optimal_risk(true_source, None))
+    risk_opt = _optimal_risk(true_source, None)
+    report = _theorem_report(true_source, None, kls, risk_opt, _plugin_risk(true_source, est, None))
     if not all(math.isfinite(v) for v in kls):
         return report, None
-    est_mixture = LabeledSource(true_source.priors, est).mixture_distribution()
+    est_mixture = _estimated_source(true_source, est).mixture_distribution()
     mix_kl = kl_divergence(true_source.mixture_distribution(), est_mixture)
     return report, sum(float(g) * v for g, v in zip(true_source.priors, kls)) - mix_kl
 

@@ -84,7 +84,7 @@ class Domain:
 
 def _exact_unit_mass(mass: np.ndarray, total: float) -> np.ndarray:
     """Rescale ``mass``, whose sum is ``total``, in place so it sums to 1.0 up
-    to at most one ulp, and make it read-only.
+    to at most one ulp.
 
     ``total`` must lie within ``SUM_TOL`` of one. After dividing by it, the
     float re-sum can still miss 1.0 by a few ulp; folding the residual into
@@ -99,7 +99,6 @@ def _exact_unit_mass(mass: np.ndarray, total: float) -> np.ndarray:
         if residual == 0.0:
             break
         mass[int(np.argmax(mass))] -= residual
-    mass.flags.writeable = False
     return mass
 
 
@@ -129,12 +128,14 @@ class Distribution:
                 raise ValueError("invalid mass: entries must be finite")
             if (mass < 0.0).any():
                 raise ValueError("invalid mass: entries must be non-negative")
-        object.__setattr__(self, "mass", _exact_unit_mass(mass, total))
+        _exact_unit_mass(mass, total).flags.writeable = False
+        object.__setattr__(self, "mass", mass)
 
     @classmethod
     def _own(cls, domain: Domain, mass: np.ndarray) -> "Distribution":
         """Take ``mass``, a fresh finite non-negative ``(domain.size,)`` array, unscanned."""
-        return _trusted(cls, domain=domain, mass=_exact_unit_mass(mass, float(mass.sum())))
+        _exact_unit_mass(mass, float(mass.sum())).flags.writeable = False
+        return _trusted(cls, domain=domain, mass=mass)
 
     def prob(self, atom: str) -> float:
         return float(self.mass[self.domain.index(atom)])
@@ -195,7 +196,12 @@ def l1_distance(p: Distribution, q: Distribution) -> float:
     supports.
     """
     _require_same_domain(p, q)
-    diff = p.mass - q.mass
+    return _l1_distance(p.mass, q.mass)
+
+
+def _l1_distance(p: np.ndarray, q: np.ndarray, out=None) -> float:
+    """:func:`l1_distance` of the mass arrays ``p`` and ``q``, through the scratch row ``out``."""
+    diff = np.subtract(p, q, out=out)
     return float(np.abs(diff, out=diff).sum())
 
 
@@ -210,13 +216,19 @@ def kl_divergence(p: Distribution, q: Distribution) -> float:
     return _kl_on_support(p.mass, q.mass, p.mass > 0.0)
 
 
-def _kl_on_support(p: np.ndarray, q: np.ndarray, support: np.ndarray) -> float:
-    """:func:`kl_divergence` of the mass arrays ``p`` and ``q``, ``support`` being ``p > 0``."""
-    qs = q[support]
-    if (qs == 0.0).any():
+def _kl_on_support(p: np.ndarray, q: np.ndarray, support: np.ndarray, out=None) -> float:
+    """:func:`kl_divergence` of the mass arrays ``p`` and ``q``, ``support`` being ``p > 0``.
+    A partial support is gathered, ``q`` first so an infinite KL costs one gather; a full
+    one, whose gather would copy the same bits, is summed in the scratch row ``out``."""
+    full = bool(support.all())
+    qs = q if full else q[support]
+    if qs.min() == 0.0:  # q >= 0, so this finds a zero without a bool temporary
         return math.inf
-    ps = p[support]
-    return max(0.0, float((ps * np.log2(ps / qs)).sum()))
+    ps = p if full else p[support]
+    terms = np.divide(ps, qs, out=out if full else None)
+    np.log2(terms, out=terms)
+    terms *= ps
+    return max(0.0, float(terms.sum()))
 
 
 def mixture(components: Sequence[tuple[float, Distribution]]) -> Distribution:
@@ -240,17 +252,18 @@ def mixture(components: Sequence[tuple[float, Distribution]]) -> Distribution:
     return Distribution(domain, combined)
 
 
-def _draw_indices(mass: np.ndarray, rng: np.random.Generator, n: int) -> np.ndarray:
+def _draw_indices(mass: np.ndarray, rng: np.random.Generator, n: int, cdf=None) -> np.ndarray:
     """``n`` i.i.d. indices into ``mass``, a validated pmf, by inverse CDF.
 
     This is the arithmetic ``rng.choice(mass.size, size=n, p=mass)`` runs
     once it has validated ``p``, so it returns the same indices and leaves
     the generator in the same state, without re-checking a mass vector
     that :class:`Distribution` or the class priors have already checked.
-    The CDF is built per call on purpose: a held copy costs m floats per
-    class for the life of whatever holds it.
+    The CDF is built per call (into the scratch row ``cdf`` if given) on
+    purpose: a held copy costs m floats per class for the life of whatever
+    holds it.
     """
-    cdf = mass.cumsum()
+    cdf = np.cumsum(mass, out=cdf)
     cdf /= cdf[-1]
     return cdf.searchsorted(rng.random(n), side="right")
 

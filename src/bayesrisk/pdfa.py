@@ -47,11 +47,21 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .distributions import Distribution, Domain
+from .distributions import Distribution, Domain, _trusted
 
 OVERFLOW_ATOM = "⊥"
 DEFAULT_MAX_ATOMS = 1 << 20
 DEFAULT_EMISSION_CAP = 10**6
+
+
+def _check_alphabet(alphabet: tuple[str, ...]) -> None:
+    if len(set(alphabet)) != len(alphabet):
+        raise ValueError("alphabet symbols must be unique")
+    for sym in alphabet:
+        if len(sym) != 1:
+            raise ValueError(f"alphabet symbols must be single characters, got {sym!r}")
+        if sym == OVERFLOW_ATOM:
+            raise ValueError(f"alphabet may not contain the overflow atom {OVERFLOW_ATOM!r}")
 
 
 def _log2_ceil(n: int) -> int:
@@ -78,13 +88,7 @@ class Pdfa:
         if not 1 <= self.precision <= 52:
             raise ValueError("precision must be between 1 and 52 bits")
         scale = 1 << self.precision
-        if len(set(self.alphabet)) != len(self.alphabet):
-            raise ValueError("alphabet symbols must be unique")
-        for sym in self.alphabet:
-            if len(sym) != 1:
-                raise ValueError(f"alphabet symbols must be single characters, got {sym!r}")
-            if sym == OVERFLOW_ATOM:
-                raise ValueError(f"alphabet may not contain the overflow atom {OVERFLOW_ATOM!r}")
+        _check_alphabet(self.alphabet)
         n = len(self.stops)
         if n < 1:
             raise ValueError("a machine needs at least one state")
@@ -244,6 +248,7 @@ class TruncatedStringDomain:
         cls, alphabet: Sequence[str], max_len: int, max_atoms: int = DEFAULT_MAX_ATOMS
     ) -> "TruncatedStringDomain":
         alphabet = tuple(alphabet)
+        _check_alphabet(alphabet)
         if max_len < 0:
             raise ValueError("max_len must be non-negative")
         count = cls.atom_count(len(alphabet), max_len)
@@ -257,7 +262,8 @@ class TruncatedStringDomain:
             level = [prefix + sym for prefix in level for sym in alphabet]
             atoms.extend(level)
         atoms.append(OVERFLOW_ATOM)
-        return cls(alphabet, max_len, Domain(tuple(atoms)))
+        # Strings over distinct single characters other than OVERFLOW_ATOM are distinct.
+        return cls(alphabet, max_len, _trusted(Domain, atoms=tuple(atoms)))
 
     @staticmethod
     def atom_count(alphabet_size: int, max_len: int) -> int:

@@ -19,6 +19,11 @@ parallel; aggregation is a sequential reduction over the trial index.
 Labels and atoms are drawn by inverse CDF, rebuilt on every draw: the
 same algorithm, and so the same draws, as ``Generator.choice`` with
 ``p=``, without re-validating masses the source has already checked.
+
+A trial runs on raw arrays through the kernels the public estimator,
+divergences, classifier and risk call, writing into one workspace per
+experiment (estimates and scores ``(k, m)``, labels, a float and a bool
+row), so no trial allocates an m-sized array.
 """
 
 from __future__ import annotations
@@ -29,9 +34,10 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .bounds import BoundReport, _optimal_risk, _theorem_report
-from .classify import CostMatrix, LabeledSource
-from .distributions import Distribution, Domain, _draw_indices, kl_divergence, l1_distance
+from .bounds import BoundReport, _optimal_risk, _plugin_risk, _theorem_report
+from .classify import CostMatrix, LabeledSource, _bayes_labels, _cost_risk, as_cost_array
+from .distributions import Distribution, Domain, _draw_indices, _exact_unit_mass
+from .distributions import _kl_on_support, _l1_distance, _trusted
 from .pdfa import Pdfa, truncate_all
 
 
@@ -62,6 +68,8 @@ class TrialConfig:
             raise ValueError("trials must be at least 1")
         if self.laplace is not None and self.laplace < 0.0:
             raise ValueError("laplace weight must be non-negative")
+        if self.laplace is not None and not math.isfinite(self.laplace):
+            raise ValueError("laplace weight must be finite")
         if not self.epsilon_target > 0.0:
             raise ValueError("epsilon_target must be positive")
         if not 0.0 < self.delta_target < 1.0:
@@ -112,22 +120,36 @@ def empirical_estimator(
     if laplace < 0.0:
         raise ValueError("laplace weight must be non-negative")
     m = domain.size
-    if isinstance(samples, np.ndarray) and samples.dtype.kind == "i":
-        idx = samples
-    else:
-        idx = np.fromiter(
-            (s if isinstance(s, (int, np.integer)) else domain.index(s) for s in samples),
-            dtype=np.int64,
-        )
+    idx = np.fromiter(
+        (s if isinstance(s, (int, np.integer)) else domain.index(s) for s in samples),
+        dtype=np.int64,
+    )
     if idx.size and (idx.min() < 0 or idx.max() >= m):
         raise ValueError(f"sample index out of range: atom indices must lie in [0, {m})")
-    counts = np.bincount(idx, minlength=m)
+    return Distribution(domain, _estimate(np.empty(m), idx, float(laplace)))
+
+
+def _estimate(mass: np.ndarray, idx: np.ndarray, laplace: float) -> np.ndarray:
+    """Write the add-lambda estimate from the atom indices ``idx`` into ``mass``,
+    before the unit-sum renormalization."""
+    m = mass.size
+    mass.fill(0.0)
+    np.add.at(mass, idx, 1.0)
     denom = idx.size + laplace * m
     if denom == 0.0:
-        return Distribution(domain, np.full(m, 1.0 / m))
-    mass = counts + float(laplace)
-    mass /= denom
-    return Distribution(domain, mass)
+        mass.fill(1.0 / m)
+    else:
+        mass += laplace
+        mass /= denom
+    return mass
+
+
+class _Workspace:
+    """The m-sized buffers of one experiment's trials (see the module docstring)."""
+
+    def __init__(self, k: int, m: int) -> None:
+        self.est, self.scores = np.empty((k, m)), np.empty((k, m))
+        self.labels, self.row, self.mask = np.empty(m, np.intp), np.empty(m), np.empty(m, bool)
 
 
 def run_trial(
@@ -139,24 +161,34 @@ def run_trial(
     degenerate splits still produce a total predictor.
     """
     n = config.sample_size if sample_size is None else int(sample_size)
-    return _trial(config, rng, n, _optimal_risk(config.source, config.cost))
+    risk_opt = _optimal_risk(config.source, config.cost)
+    return _trial(config, rng, n, risk_opt, _Workspace(config.source.k, config.source.domain.size))
 
 
 def _trial(
-    config: TrialConfig, rng: np.random.Generator, n: int, risk_opt: float
+    config: TrialConfig, rng: np.random.Generator, n: int, risk_opt: float, ws: _Workspace
 ) -> TrialOutcome:
-    """:func:`run_trial` at sample size ``n``, given the true source's optimal risk."""
+    """:func:`run_trial` at sample size ``n``, given the optimal risk, on ``ws``."""
     source = config.source
-    lam = config.resolved_laplace
     counts = np.bincount(_draw_indices(source.priors, rng, n), minlength=source.k)
-    est = tuple(
-        empirical_estimator(_draw_indices(d.mass, rng, c), source.domain, lam)
-        for d, c in zip(source.class_dists, counts)
-    )
-    l1s = tuple(l1_distance(d, e) for d, e in zip(source.class_dists, est))
-    kls = tuple(kl_divergence(d, e) for d, e in zip(source.class_dists, est))
-    divergences = kls if config.log_loss_mode else l1s
-    report = _theorem_report(source, est, config.cost, divergences, risk_opt)
+    for d, c, est in zip(source.class_dists, counts, ws.est):
+        _estimate(est, _draw_indices(d.mass, rng, c, ws.row), config.resolved_laplace)
+        _exact_unit_mass(est, float(est.sum()))
+    pairs = tuple(zip((d.mass for d in source.class_dists), ws.est))
+    l1s = tuple(_l1_distance(p, q, ws.row) for p, q in pairs)
+    kls = tuple(_kl_on_support(p, q, np.greater(p, 0.0, out=ws.mask), ws.row) for p, q in pairs)
+    if config.log_loss_mode:
+        frozen = ws.est.copy()
+        frozen.flags.writeable = False
+        est = tuple(_trusted(Distribution, domain=source.domain, mass=q) for q in frozen)
+        report = _theorem_report(source, None, kls, risk_opt, _plugin_risk(source, est, None))
+    else:
+        # The estimates become their weighted masses, and the spent scores the cost gather.
+        costs = as_cost_array(config.cost, source.k)
+        ws.est *= source.priors[:, None]
+        labels = _bayes_labels(costs, ws.est, ws.scores, ws.labels, ws.row, ws.mask)
+        risk_plugin = _cost_risk(costs, labels, source.weighted_mass, ws.scores)
+        report = _theorem_report(source, config.cost, l1s, risk_opt, risk_plugin)
     return TrialOutcome(tuple(int(c) for c in counts), l1s, kls, report)
 
 
@@ -214,13 +246,14 @@ def run_pac_experiment(config: TrialConfig) -> ExperimentSummary:
     grid = config.n_grid or (config.sample_size,)
     streams = np.random.SeedSequence(config.seed).spawn(len(grid) * config.trials)
     risk_opt = _optimal_risk(config.source, config.cost)
+    ws = _Workspace(config.source.k, config.source.domain.size)
     rows = []
     per_n = []
     for gi, n in enumerate(grid):
         outcomes = []
         for t in range(config.trials):
             rng = np.random.default_rng(streams[gi * config.trials + t])
-            outcome = _trial(config, rng, n, risk_opt)
+            outcome = _trial(config, rng, n, risk_opt, ws)
             outcomes.append(outcome)
             rows.append(
                 {

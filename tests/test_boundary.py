@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from bayesrisk.bounds import L1, _project_into_budget, random_source
 from bayesrisk.classify import Classifier, LabeledSource, StochasticRule, bayes_classifier
 from bayesrisk.distributions import Distribution, Domain, make_distribution
+from bayesrisk.pdfa import OVERFLOW_ATOM, TruncatedStringDomain
+from bayesrisk.pipeline import TrialConfig, empirical_estimator
 
 D2 = Domain.indexed(2)
 NAN, INF = float("nan"), float("inf")
@@ -17,6 +19,11 @@ NAN, INF = float("nan"), float("inf")
 
 def uniform2():
     return Distribution(D2, np.array([0.5, 0.5]))
+
+
+def log_loss_trials(_, laplace):
+    source = LabeledSource(np.array([0.5, 0.5]), (uniform2(), uniform2()))
+    return TrialConfig(source, None, 10, 30, 0.1, 0.1, laplace=laplace)
 
 
 # (constructor, bad input, the whole message it raises). The messages are
@@ -51,6 +58,17 @@ BAD_INPUTS = [
      [NAN, 1.0], "every class prior must be positive"),
     (lambda _, g: LabeledSource(np.array(g), (uniform2(), uniform2())),
      [0.5, 0.6], "class priors must sum to 1"),
+    (lambda _, alphabet: TruncatedStringDomain.build(alphabet, 0), ("a", "a"),
+     "alphabet symbols must be unique"),
+    (lambda _, alphabet: TruncatedStringDomain.build(alphabet, 2), ("a", "ab"),
+     "alphabet symbols must be single characters, got 'ab'"),
+    (lambda _, alphabet: TruncatedStringDomain.build(alphabet, 2), ("a", OVERFLOW_ATOM),
+     f"alphabet may not contain the overflow atom {OVERFLOW_ATOM!r}"),
+    (lambda _, lam: empirical_estimator(["x0"], D2, lam), NAN,
+     "invalid mass: entries must be finite"),
+    (log_loss_trials, NAN, "laplace weight must be finite"),
+    (log_loss_trials, INF, "laplace weight must be finite"),
+    (log_loss_trials, -1.0, "laplace weight must be non-negative"),
 ]
 
 
@@ -120,3 +138,5 @@ def test_trusted_objects_are_frozen_and_equal_to_validated_ones():
     for arr in (f.labels, source.class_dists[0].mass, source.mixture_distribution().mass):
         assert not arr.flags.writeable
     assert Domain.indexed(9) == Domain(tuple(f"x{i}" for i in range(9)))
+    space = TruncatedStringDomain.build(("a", "b"), 3).domain
+    assert space == Domain(space.atoms)

@@ -5,12 +5,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bayesrisk.bounds import example1_construction, example2_construction, random_source
 from bayesrisk.classify import (
     CostMatrix,
     LabeledSource,
     StochasticRule,
+    _bayes_labels,
     bayes_classifier,
     logloss_risk,
     plugin_rule,
@@ -74,6 +77,34 @@ class TestBayesClassifier:
         source = two_class_source()
         with pytest.raises(ValueError, match="shape"):
             bayes_classifier(source, np.zeros((3, 3)))
+
+    @given(
+        st.integers(2, 5),
+        st.integers(1, 64),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+        st.booleans(),
+    )
+    @example(2, 4_097, 0, True, False)
+    @example(5, 4_097, 2, False, False)
+    @example(3, 131_073, 1, False, True)
+    @settings(max_examples=300, deadline=None)
+    def test_column_scan_matches_argmin(self, k, m, seed, zero_one, twin):
+        """The ``(k, m)`` scores are ``(W.T @ costs).T`` bit for bit and the scan
+        picks ``np.argmin``'s labels: a numpy or BLAS change that breaks
+        either should fail here, not in a golden."""
+        rng = np.random.default_rng(seed)
+        w = rng.random((k, m)) * rng.random((k, 1))
+        w[:, rng.random(m) < 0.25] = 0.0  # zero mixture mass: every label ties
+        if twin:
+            w[-1] = w[0]  # equal class columns tie under symmetric costs
+        costs = np.ones((k, k)) - np.eye(k) if zero_one else rng.random((k, k))
+        scores = np.empty((k, m))
+        labels = _bayes_labels(costs, w, scores, np.empty(m, np.intp), np.empty(m),
+                               np.empty(m, bool))
+        old = w.T @ costs
+        assert scores.tobytes() == np.ascontiguousarray(old.T).tobytes()
+        assert np.array_equal(labels, np.argmin(old, axis=1))
 
 
 class TestRisk:

@@ -12,6 +12,7 @@ from bayesrisk.distributions import (
     Domain,
     QuantizedClassSpec,
     _draw_indices,
+    _kl_on_support,
     kl_divergence,
     l1_distance,
     make_distribution,
@@ -138,6 +139,14 @@ class TestKlDivergence:
         q = make_distribution(dom, [0.25, 0.25, 0.5])
         assert kl_divergence(p, q) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("m", [1, 5, 64, 131_073])
+    def test_full_support_sums_in_place_what_the_gather_sums(self, m):
+        rng = np.random.default_rng(m)
+        p, q = (make_distribution(Domain.indexed(m), rng.random(m) + 1e-3).mass for _ in range(2))
+        support = np.ones(m, bool)
+        gathered = max(0.0, float((p[support] * np.log2(p[support] / q[support])).sum()))
+        assert float.hex(_kl_on_support(p, q, support, np.empty(m))) == float.hex(gathered)
+
 
 class TestMixture:
     def test_two_atom_average(self):
@@ -202,6 +211,8 @@ class TestDrawIndices:
         ours, numpy_rng = np.random.default_rng([m, n]), np.random.default_rng([m, n])
         drawn = _draw_indices(mass, ours, n)
         expected = numpy_rng.choice(m, size=n, p=mass)
+        assert np.array_equal(_draw_indices(mass, np.random.default_rng([m, n]), n, np.empty(m)),
+                              expected)
         assert np.array_equal(drawn, expected), (
             "Generator.choice(p=...) no longer draws by inverse CDF; the sampler "
             "must follow it, or the change of random stream must be declared"
