@@ -202,32 +202,28 @@ class StochasticRule:
 def bayes_classifier(source: LabeledSource, cost: CostLike) -> Classifier:
     """Pointwise cost-minimizing label table for the given source.
 
-    ``labels[x] = argmin_j sum_i c[i, j] * g_i * D_i(x)``, by a scan over
-    the rows of the ``(k, m)`` scores that moves an atom to label j only
-    where j scores strictly less than every smaller label. Ties so go to
-    the smallest label, as with ``np.argmin``, also on atoms with zero
-    mixture mass (all scores zero there). The labels lie in ``[0, k)``, so
-    the table is handed over without the copy and scan of ``Classifier``.
+    ``labels[x] = argmin_j sum_i c[i, j] * g_i * D_i(x)``; np.argmin
+    resolves ties toward the smallest label, which also covers atoms with
+    zero mixture mass (all scores zero there). Its labels lie in ``[0, k)``,
+    so the table is handed over without the copy and scan of ``Classifier``.
     """
     costs = as_cost_array(cost, source.k)
-    w, m = source.weighted_mass, source.domain.size
-    labels = np.empty(m, np.intp)
-    _bayes_labels(costs, w, np.empty_like(w), labels, np.empty(m), np.empty(m, bool))
+    labels = np.argmin(source.weighted_mass.T @ costs, axis=1)
     labels.flags.writeable = False
     return _trusted(Classifier, domain=source.domain, labels=labels)
 
 
-def _bayes_labels(costs, weighted, scores, labels, best, less) -> np.ndarray:
-    """Bayes labels of the ``(k, m)`` weighted masses under ``costs``, written into
-    ``labels`` through the buffers ``scores`` ``(k, m)``, ``best`` and ``less`` ``(m,)``."""
+def _bayes_labels(costs, weighted, scores, labels, less) -> None:
+    """Write :func:`bayes_classifier`'s labels of the ``(k, m)`` weighted masses into ``labels``
+    via the buffers ``scores`` ``(k, m)`` and ``less`` ``(m,)``. Ties go to the smallest label,
+    as with ``np.argmin``: an atom moves to label j only where j scores strictly less than the
+    running minimum, which the scan keeps in row 0."""
     np.matmul(costs.T, weighted, out=scores)
     labels.fill(0)
-    np.copyto(best, scores[0])
     for j in range(1, len(scores)):
-        np.less(scores[j], best, out=less)
+        np.less(scores[j], scores[0], out=less)
         np.copyto(labels, j, where=less)
-        np.minimum(best, scores[j], out=best)
-    return labels
+        np.minimum(scores[0], scores[j], out=scores[0])
 
 
 def risk(f: Classifier, source: LabeledSource, cost: CostLike) -> float:
@@ -241,11 +237,9 @@ def risk(f: Classifier, source: LabeledSource, cost: CostLike) -> float:
 
 
 def _cost_risk(costs, labels, weighted, out=None) -> float:
-    """:func:`risk` of labels in ``[0, k)`` on the ``(k, m)`` weighted masses, gathering
-    the costs into ``out`` if given: ``mode="clip"`` lets ``take`` write straight into it."""
-    weighted_costs = costs.take(labels, axis=1, out=out, mode="clip")
-    weighted_costs *= weighted
-    return float(weighted_costs.sum())
+    """:func:`risk` of labels in ``[0, k)`` on the ``(k, m)`` weighted masses."""
+    weighted_costs = costs.take(labels, axis=1, out=out, mode="clip")  # "clip" fills out directly
+    return float(np.multiply(weighted_costs, weighted, out=weighted_costs).sum())
 
 
 def posterior(source: LabeledSource, atom: str) -> np.ndarray:

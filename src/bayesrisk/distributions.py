@@ -200,7 +200,6 @@ def l1_distance(p: Distribution, q: Distribution) -> float:
 
 
 def _l1_distance(p: np.ndarray, q: np.ndarray, out=None) -> float:
-    """:func:`l1_distance` of the mass arrays ``p`` and ``q``, through the scratch row ``out``."""
     diff = np.subtract(p, q, out=out)
     return float(np.abs(diff, out=diff).sum())
 
@@ -217,18 +216,15 @@ def kl_divergence(p: Distribution, q: Distribution) -> float:
 
 
 def _kl_on_support(p: np.ndarray, q: np.ndarray, support: np.ndarray, out=None) -> float:
-    """:func:`kl_divergence` of the mass arrays ``p`` and ``q``, ``support`` being ``p > 0``.
-    A partial support is gathered, ``q`` first so an infinite KL costs one gather; a full
-    one, whose gather would copy the same bits, is summed in the scratch row ``out``."""
+    """:func:`kl_divergence` of the masses ``p`` and ``q``, ``support`` being ``p > 0``: a full one
+    is summed in the scratch row ``out``, a partial one gathered (``q`` first, for an inf KL)."""
     full = bool(support.all())
     qs = q if full else q[support]
     if qs.min() == 0.0:  # q >= 0, so this finds a zero without a bool temporary
         return math.inf
     ps = p if full else p[support]
     terms = np.divide(ps, qs, out=out if full else None)
-    np.log2(terms, out=terms)
-    terms *= ps
-    return max(0.0, float(terms.sum()))
+    return max(0.0, float(np.multiply(np.log2(terms, out=terms), ps, out=terms).sum()))
 
 
 def mixture(components: Sequence[tuple[float, Distribution]]) -> Distribution:
@@ -259,9 +255,8 @@ def _draw_indices(mass: np.ndarray, rng: np.random.Generator, n: int, cdf=None) 
     once it has validated ``p``, so it returns the same indices and leaves
     the generator in the same state, without re-checking a mass vector
     that :class:`Distribution` or the class priors have already checked.
-    The CDF is built per call (into the scratch row ``cdf`` if given) on
-    purpose: a held copy costs m floats per class for the life of whatever
-    holds it.
+    The CDF is built per call (into the row ``cdf`` if given) on purpose: a
+    held copy costs m floats per class for the life of whatever holds it.
     """
     cdf = np.cumsum(mass, out=cdf)
     cdf /= cdf[-1]

@@ -20,10 +20,9 @@ Labels and atoms are drawn by inverse CDF, rebuilt on every draw: the
 same algorithm, and so the same draws, as ``Generator.choice`` with
 ``p=``, without re-validating masses the source has already checked.
 
-A trial runs on raw arrays through the kernels the public estimator,
-divergences, classifier and risk call, writing into one workspace per
-experiment (estimates and scores ``(k, m)``, labels, a float and a bool
-row), so no trial allocates an m-sized array.
+A trial runs on raw arrays, through the public functions' kernels, in one
+workspace per experiment: a cost-mode trial whose classes have full
+support allocates no m-sized array.
 """
 
 from __future__ import annotations
@@ -130,26 +129,17 @@ def empirical_estimator(
 
 
 def _estimate(mass: np.ndarray, idx: np.ndarray, laplace: float) -> np.ndarray:
-    """Write the add-lambda estimate from the atom indices ``idx`` into ``mass``,
-    before the unit-sum renormalization."""
-    m = mass.size
+    """Write the add-lambda estimate of the atom indices ``idx`` into ``mass``, unnormalized."""
     mass.fill(0.0)
     np.add.at(mass, idx, 1.0)
-    denom = idx.size + laplace * m
-    if denom == 0.0:
-        mass.fill(1.0 / m)
-    else:
-        mass += laplace
-        mass /= denom
+    denom = idx.size + laplace * mass.size
+    mass += laplace if denom else 1.0  # no samples and no smoothing: uniform
+    mass /= denom or mass.size
     return mass
 
 
-class _Workspace:
-    """The m-sized buffers of one experiment's trials (see the module docstring)."""
-
-    def __init__(self, k: int, m: int) -> None:
-        self.est, self.scores = np.empty((k, m)), np.empty((k, m))
-        self.labels, self.row, self.mask = np.empty(m, np.intp), np.empty(m), np.empty(m, bool)
+def _workspace(k: int, m: int) -> tuple[np.ndarray, ...]:
+    return np.empty((k, m)), np.empty((k, m)), np.empty(m, np.intp), np.empty(m), np.empty(m, bool)
 
 
 def run_trial(
@@ -161,33 +151,33 @@ def run_trial(
     degenerate splits still produce a total predictor.
     """
     n = config.sample_size if sample_size is None else int(sample_size)
-    risk_opt = _optimal_risk(config.source, config.cost)
-    return _trial(config, rng, n, risk_opt, _Workspace(config.source.k, config.source.domain.size))
+    return _trial(config, rng, n, _optimal_risk(config.source, config.cost))
 
 
 def _trial(
-    config: TrialConfig, rng: np.random.Generator, n: int, risk_opt: float, ws: _Workspace
+    config: TrialConfig, rng: np.random.Generator, n: int, risk_opt: float, ws=None
 ) -> TrialOutcome:
-    """:func:`run_trial` at sample size ``n``, given the optimal risk, on ``ws``."""
+    """:func:`run_trial` at sample size ``n``, given the optimal risk, on the workspace ``ws``."""
     source = config.source
+    ests, scores, labels, row, mask = ws or _workspace(source.k, source.domain.size)
     counts = np.bincount(_draw_indices(source.priors, rng, n), minlength=source.k)
-    for d, c, est in zip(source.class_dists, counts, ws.est):
-        _estimate(est, _draw_indices(d.mass, rng, c, ws.row), config.resolved_laplace)
+    for d, c, est in zip(source.class_dists, counts, ests):
+        _estimate(est, _draw_indices(d.mass, rng, c, row), config.resolved_laplace)
         _exact_unit_mass(est, float(est.sum()))
-    pairs = tuple(zip((d.mass for d in source.class_dists), ws.est))
-    l1s = tuple(_l1_distance(p, q, ws.row) for p, q in pairs)
-    kls = tuple(_kl_on_support(p, q, np.greater(p, 0.0, out=ws.mask), ws.row) for p, q in pairs)
+    pairs = tuple(zip((d.mass for d in source.class_dists), ests))
+    l1s = tuple(_l1_distance(p, q, row) for p, q in pairs)
+    kls = tuple(_kl_on_support(p, q, np.greater(p, 0.0, out=mask), row) for p, q in pairs)
     if config.log_loss_mode:
-        frozen = ws.est.copy()
+        frozen = ests.view()  # the estimates' Distributions live only inside _plugin_risk
         frozen.flags.writeable = False
         est = tuple(_trusted(Distribution, domain=source.domain, mass=q) for q in frozen)
         report = _theorem_report(source, None, kls, risk_opt, _plugin_risk(source, est, None))
     else:
         # The estimates become their weighted masses, and the spent scores the cost gather.
         costs = as_cost_array(config.cost, source.k)
-        ws.est *= source.priors[:, None]
-        labels = _bayes_labels(costs, ws.est, ws.scores, ws.labels, ws.row, ws.mask)
-        risk_plugin = _cost_risk(costs, labels, source.weighted_mass, ws.scores)
+        ests *= source.priors[:, None]
+        _bayes_labels(costs, ests, scores, labels, mask)
+        risk_plugin = _cost_risk(costs, labels, source.weighted_mass, scores)
         report = _theorem_report(source, config.cost, l1s, risk_opt, risk_plugin)
     return TrialOutcome(tuple(int(c) for c in counts), l1s, kls, report)
 
@@ -246,7 +236,7 @@ def run_pac_experiment(config: TrialConfig) -> ExperimentSummary:
     grid = config.n_grid or (config.sample_size,)
     streams = np.random.SeedSequence(config.seed).spawn(len(grid) * config.trials)
     risk_opt = _optimal_risk(config.source, config.cost)
-    ws = _Workspace(config.source.k, config.source.domain.size)
+    ws = _workspace(config.source.k, config.source.domain.size)
     rows = []
     per_n = []
     for gi, n in enumerate(grid):

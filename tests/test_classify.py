@@ -90,20 +90,20 @@ class TestBayesClassifier:
     @example(3, 131_073, 1, False, True)
     @settings(max_examples=300, deadline=None)
     def test_column_scan_matches_argmin(self, k, m, seed, zero_one, twin):
-        """The ``(k, m)`` scores are ``(W.T @ costs).T`` bit for bit and the scan
-        picks ``np.argmin``'s labels: a numpy or BLAS change that breaks
-        either should fail here, not in a golden."""
+        """The ``(k, m)`` scores are ``(W.T @ costs).T`` bit for bit (row 0 ends
+        as the running minimum) and the scan picks ``np.argmin``'s labels: a
+        numpy or BLAS change that breaks either should fail here, not in a golden."""
         rng = np.random.default_rng(seed)
         w = rng.random((k, m)) * rng.random((k, 1))
         w[:, rng.random(m) < 0.25] = 0.0  # zero mixture mass: every label ties
         if twin:
             w[-1] = w[0]  # equal class columns tie under symmetric costs
         costs = np.ones((k, k)) - np.eye(k) if zero_one else rng.random((k, k))
-        scores = np.empty((k, m))
-        labels = _bayes_labels(costs, w, scores, np.empty(m, np.intp), np.empty(m),
-                               np.empty(m, bool))
-        old = w.T @ costs
-        assert scores.tobytes() == np.ascontiguousarray(old.T).tobytes()
+        scores, labels = np.empty((k, m)), np.empty(m, np.intp)
+        _bayes_labels(costs, w, scores, labels, np.empty(m, bool))
+        old = w.T @ costs  # what bayes_classifier takes np.argmin of
+        assert scores[1:].tobytes() == np.ascontiguousarray(old.T[1:]).tobytes()
+        assert scores[0].tobytes() == old.min(axis=1).tobytes()
         assert np.array_equal(labels, np.argmin(old, axis=1))
 
 

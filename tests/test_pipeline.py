@@ -17,7 +17,7 @@ from bayesrisk.pipeline import (
     config_to_dict,
     empirical_estimator,
     _trial,
-    _Workspace,
+    _workspace,
     run_pac_experiment,
     run_trial,
 )
@@ -236,7 +236,7 @@ class TestRunPacExperiment:
         returning full-width temporary, m floats, would exceed the bound."""
         config = self.wide_config(laplace)
         risk_opt = _optimal_risk(config.source, config.cost)
-        ws = _Workspace(2, self.M)
+        ws = _workspace(2, self.M)
         rng = np.random.default_rng(2)
         peak = self.traced_peak(lambda: _trial(config, rng, 1000, risk_opt, ws))
         assert peak < self.M * 8
