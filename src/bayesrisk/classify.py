@@ -239,7 +239,8 @@ def risk(f: Classifier, source: LabeledSource, cost: CostLike) -> float:
 def _cost_risk(costs, labels, weighted, out=None) -> float:
     """:func:`risk` of labels in ``[0, k)`` on the ``(k, m)`` weighted masses."""
     weighted_costs = costs.take(labels, axis=1, out=out, mode="clip")  # "clip" fills out directly
-    return float(np.multiply(weighted_costs, weighted, out=weighted_costs).sum())
+    weighted_costs *= weighted
+    return float(weighted_costs.sum())
 
 
 def posterior(source: LabeledSource, atom: str) -> np.ndarray:

@@ -224,7 +224,9 @@ def _kl_on_support(p: np.ndarray, q: np.ndarray, support: np.ndarray, out=None) 
         return math.inf
     ps = p if full else p[support]
     terms = np.divide(ps, qs, out=out if full else None)
-    return max(0.0, float(np.multiply(np.log2(terms, out=terms), ps, out=terms).sum()))
+    np.log2(terms, out=terms)
+    terms *= ps
+    return max(0.0, float(terms.sum()))
 
 
 def mixture(components: Sequence[tuple[float, Distribution]]) -> Distribution:

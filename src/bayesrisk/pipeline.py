@@ -133,8 +133,11 @@ def _estimate(mass: np.ndarray, idx: np.ndarray, laplace: float) -> np.ndarray:
     mass.fill(0.0)
     np.add.at(mass, idx, 1.0)
     denom = idx.size + laplace * mass.size
-    mass += laplace if denom else 1.0  # no samples and no smoothing: uniform
-    mass /= denom or mass.size
+    if denom == 0.0:
+        mass.fill(1.0 / mass.size)
+    else:
+        mass += laplace
+        mass /= denom
     return mass
 
 
