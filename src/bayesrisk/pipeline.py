@@ -20,9 +20,9 @@ Labels and atoms are drawn by inverse CDF, rebuilt on every draw: the
 same algorithm, and so the same draws, as ``Generator.choice`` with
 ``p=``, without re-validating masses the source has already checked.
 
-A trial runs on raw arrays, through the public functions' kernels, in one
-workspace per experiment: a cost-mode trial whose classes have full
-support allocates no m-sized array.
+A trial runs on raw arrays, through array kernels, in one workspace per
+experiment: a cost-mode trial whose classes have full support allocates
+no m-sized array.
 """
 
 from __future__ import annotations
