@@ -15,7 +15,9 @@ Checkers invert the hypothesis: the effective ``eps`` is
 ``max_i g_i * divergence_i``, the tightest budget for which the
 hypothesis holds, which makes every check as strict as possible. An
 infinite per-class KL gives an infinite bound (vacuous hypothesis,
-trivially satisfied) so randomized sweeps stay total.
+trivially satisfied) so randomized sweeps stay total. Every risk, in the
+checks, the PAC trial and the tightness search, is ``_plugin_risk`` on raw
+``(k, m)`` masses; the optimal risk is that scorer on the true classes.
 
 The two-atom constructions reproduce the matching lower bounds: the cost
 construction leaves slack exactly ``2 * gamma * max_cost`` against the
@@ -33,19 +35,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .classify import (
-    CostLike,
-    CostMatrix,
-    LabeledSource,
-    as_cost_array,
-    bayes_classifier,
-    logloss_risk,
-    plugin_rule,
-    posterior_rule,
-    risk,
-)
-from .distributions import Distribution, Domain, kl_divergence, l1_distance, make_distribution
-from .distributions import _exact_unit_mass, _kl_on_support, _trusted
+from .classify import CostLike, CostMatrix, LabeledSource, as_cost_array
+from .classify import _bayes_labels, _cost_risk, _logloss_risk, _posterior, _workspace
+from .distributions import Distribution, Domain, kl_divergence, make_distribution
+from .distributions import _exact_unit_mass, _kl_on_support, _l1_distance
 
 BOUND_TOL = 1e-9
 EXCESS_TOL = 1e-12
@@ -138,34 +131,26 @@ def _check_estimates(true_source: LabeledSource, est_dists: Sequence[Distributio
     return est
 
 
-def _optimal_risk(true_source: LabeledSource, cost: Optional[CostLike]) -> float:
-    """Risk of the optimal predictor: the Bayes classifier under ``cost``,
-    the posterior rule under log loss (``cost is None``)."""
-    if cost is None:
-        return logloss_risk(posterior_rule(true_source), true_source)
-    return risk(bayes_classifier(true_source, cost), true_source, cost)
+def _plugin_risk(priors, weighted, est, costs, ws=None) -> float:
+    """Risk, on true classes of weighted masses ``weighted``, of the Bayes classifier under the
+    cost array ``costs`` (the posterior rule under log loss if ``costs is None``) built from the
+    true ``priors`` and the ``(k, m)`` estimated masses ``est``, which become their weighted
+    masses. The rest is written into the workspace ``ws``, allocated afresh if not given."""
+    _, scores, labels, row, mask = ws or _workspace(*est.shape)
+    est *= priors[:, None]
+    if costs is None:
+        _posterior(est, scores, row, mask)
+        return _logloss_risk(scores, weighted)
+    _bayes_labels(costs, est, scores, labels, mask)
+    return _cost_risk(costs, labels, weighted, scores)
 
 
-def _plugin_risk(
-    true_source: LabeledSource, est: Sequence[Distribution], cost: Optional[CostLike]
-) -> float:
-    """Risk on ``true_source`` of the predictor built from the true priors and the
-    estimated classes ``est``: their Bayes classifier under ``cost``, their plug-in
-    rule under log loss (``cost is None``).
-
-    The estimated source is a temporary, freed once its predictor is built: at
-    large m its weighted mass would otherwise stay alive through the scoring.
-    ``est`` must already be checked against ``true_source``.
-    """
-    if cost is None:
-        return logloss_risk(plugin_rule(_estimated_source(true_source, est)), true_source)
-    f_prime = bayes_classifier(_estimated_source(true_source, est), cost)
-    return risk(f_prime, true_source, cost)
-
-
-def _estimated_source(true_source: LabeledSource, est: Sequence[Distribution]) -> LabeledSource:
-    """The true priors with the checked estimates ``est``, handed over unchecked."""
-    return _trusted(LabeledSource, priors=true_source.priors, class_dists=tuple(est))
+def _optimal_risk(source: LabeledSource, cost: Optional[CostLike], ws=None) -> float:
+    """Risk of the optimal predictor, the Bayes classifier under ``cost`` or the posterior rule
+    under log loss (``cost is None``): :func:`_plugin_risk` of the true classes themselves."""
+    est = np.stack([d.mass for d in source.class_dists], out=None if ws is None else ws[0])
+    costs = None if cost is None else as_cost_array(cost, source.k)
+    return _plugin_risk(source.priors, source.weighted_mass, est, costs, ws)
 
 
 def _theorem_report(
@@ -199,9 +184,11 @@ def check_theorem1(
     ``satisfied`` is True on every valid instance.
     """
     est = _check_estimates(true_source, est_dists)
-    l1s = [l1_distance(d, e) for d, e in zip(true_source.class_dists, est)]
-    risk_opt = _optimal_risk(true_source, cost)
-    return _theorem_report(true_source, cost, l1s, risk_opt, _plugin_risk(true_source, est, cost))
+    l1s = [_l1_distance(d.mass, e.mass) for d, e in zip(true_source.class_dists, est)]
+    costs = as_cost_array(cost, true_source.k)
+    masses = np.stack([e.mass for e in est])
+    risk_plugin = _plugin_risk(true_source.priors, true_source.weighted_mass, masses, costs)
+    return _theorem_report(true_source, cost, l1s, _optimal_risk(true_source, costs), risk_plugin)
 
 
 def check_theorem2(true_source: LabeledSource, est_dists: Sequence[Distribution]) -> BoundReport:
@@ -210,21 +197,22 @@ def check_theorem2(true_source: LabeledSource, est_dists: Sequence[Distribution]
     ``eps = max_i g_i * KL(D_i || D'_i)``; infinite per-class KL yields an
     infinite bound (the hypothesis is vacuous there).
     """
-    return _logloss_check(true_source, _check_estimates(true_source, est_dists))[0]
+    return _logloss_check(true_source, _check_estimates(true_source, est_dists), identity=False)[0]
 
 
 def _logloss_check(
-    true_source: LabeledSource, est: tuple[Distribution, ...]
+    true_source: LabeledSource, est: tuple[Distribution, ...], identity: bool = True
 ) -> tuple[BoundReport, Optional[float]]:
-    """The log-loss bound's report and, when every per-class KL is finite, the
-    identity's ``rhs`` from the same KLs (``None`` otherwise)."""
-    kls = [kl_divergence(d, e) for d, e in zip(true_source.class_dists, est)]
-    risk_opt = _optimal_risk(true_source, None)
-    report = _theorem_report(true_source, None, kls, risk_opt, _plugin_risk(true_source, est, None))
-    if not all(math.isfinite(v) for v in kls):
+    """The log-loss bound's report and, if ``identity`` is set and every per-class KL is
+    finite, the identity's ``rhs`` from the same KLs (``None`` otherwise)."""
+    kls = [_kl_on_support(d.mass, e.mass, d.mass > 0.0) for d, e in zip(true_source.class_dists, est)]
+    weighted = np.stack([e.mass for e in est])  # the scorer weights it in place
+    risk_plugin = _plugin_risk(true_source.priors, true_source.weighted_mass, weighted, None)
+    report = _theorem_report(true_source, None, kls, _optimal_risk(true_source, None), risk_plugin)
+    if not (identity and all(math.isfinite(v) for v in kls)):
         return report, None
-    est_mixture = _estimated_source(true_source, est).mixture_distribution()
-    mix_kl = kl_divergence(true_source.mixture_distribution(), est_mixture)
+    p, q = true_source.mixture_distribution().mass, weighted.sum(axis=0)  # q is made as p is
+    mix_kl = _kl_on_support(p, _exact_unit_mass(q, float(q.sum())), p > 0.0)
     return report, sum(float(g) * v for g, v in zip(true_source.priors, kls)) - mix_kl
 
 
@@ -310,28 +298,28 @@ def _bisect(fits, hi: float, steps: int) -> float:
     return lo
 
 
-def _project_into_budget(
-    metric: str, true_d: Distribution, est: Distribution, limit: float
-) -> Distribution:
-    """Pull ``est`` toward ``true_d`` until the per-class divergence fits."""
-    p, q = true_d.mass, est.mass
+def _project_into_budget(metric: str, p: np.ndarray, q: np.ndarray, limit: float) -> np.ndarray:
+    """Pull the unit mass ``q`` toward ``p`` until its divergence from ``p`` fits: ``q`` itself
+    if it already fits, else a fresh blend at unit mass."""
     if metric == L1:
-        distance = l1_distance(true_d, est)
+        distance = _l1_distance(p, q)
         if distance <= limit:
-            return est
+            return q
         # Non-negative in floats for p, q >= 0 and t = limit / distance <= 1:
         # rounding is monotone, so q - p >= -p, t * (q - p) >= -p, and the sum >= 0.
-        return Distribution._own(true_d.domain, p + limit / distance * (q - p))
-    if kl_divergence(true_d, est) <= limit:
-        return est
-    support = p > 0.0
+        blend = p + limit / distance * (q - p)
+    else:
+        support = p > 0.0
+        if _kl_on_support(p, q, support) <= limit:
+            return q
 
-    def fits(t: float) -> bool:
+        def fits(t: float) -> bool:
+            blend = (1.0 - t) * p + t * q
+            return _kl_on_support(p, _exact_unit_mass(blend, float(blend.sum())), support) <= limit
+
+        t = _bisect(fits, 1.0, 50)
         blend = (1.0 - t) * p + t * q
-        return _kl_on_support(p, _exact_unit_mass(blend, float(blend.sum())), support) <= limit
-
-    t = _bisect(fits, 1.0, 50)
-    return Distribution._own(true_d.domain, (1.0 - t) * p + t * q)
+    return _exact_unit_mass(blend, float(blend.sum()))
 
 
 def random_l1_perturbation(
@@ -355,8 +343,8 @@ def random_l1_perturbation(
     if norm == 0.0:
         return d
     v *= budget / norm
-    cand = np.clip(d.mass + v, 0.0, None)
-    return _project_into_budget(L1, d, make_distribution(d.domain, cand), budget)
+    cand = make_distribution(d.domain, np.clip(d.mass + v, 0.0, None)).mass
+    return Distribution._frozen(d.domain, _project_into_budget(L1, d.mass, cand, budget))
 
 
 def support_safe_perturbation(
@@ -543,19 +531,21 @@ def tightness_search(
         source = LabeledSource(np.full(k, 1.0 / k), dists)
         return TightnessResult(source, dists, 0.0, bound, 0.0)
 
-    def build(priors: np.ndarray, masses: np.ndarray):
-        source = LabeledSource(priors, tuple(Distribution(domain, t) for t in masses[0]))
-        est = tuple(
-            _project_into_budget(
-                budget.metric, d, Distribution(domain, e), budget.epsilon / float(g)
-            )
-            for d, e, g in zip(source.class_dists, masses[1], priors)
-        )
-        return source, est
+    costs = None if cost is None else as_cost_array(cost, k)
+
+    def unit_masses(priors: np.ndarray, masses: np.ndarray) -> np.ndarray:
+        """A copy of ``masses`` with every row at unit mass and the estimates in the budget."""
+        masses = masses.copy()
+        for row in masses.reshape(-1, m):
+            _exact_unit_mass(row, float(row.sum()))
+        for t, e, g in zip(*masses, priors):
+            e[:] = _project_into_budget(budget.metric, t, e, budget.epsilon / float(g))
+        return masses
 
     def excess(priors: np.ndarray, masses: np.ndarray) -> float:
-        source, est = build(priors, masses)
-        value = _plugin_risk(source, est, cost) - _optimal_risk(source, cost)
+        true, est = unit_masses(priors, masses)
+        weighted = true * priors[:, None]
+        value = _plugin_risk(priors, weighted, est, costs) - _plugin_risk(priors, weighted, true, costs)
         return value if math.isfinite(value) else -math.inf
 
     best_val = -math.inf
@@ -587,7 +577,9 @@ def tightness_search(
             best_val = val
             best = priors, masses
 
-    source, est = build(*best)
+    priors, (true, est) = best[0], unit_masses(*best)
+    source = LabeledSource(priors, tuple(Distribution._frozen(domain, t) for t in true))
+    est = tuple(Distribution._frozen(domain, e) for e in est)
     excess = max(best_val, 0.0)
     ratio = excess / bound if bound > 0.0 else 0.0
     return TightnessResult(source, est, excess, bound, ratio)

@@ -17,7 +17,8 @@ mixture mass (which contribute nothing to any risk) get the smallest
 label from classifiers and the uniform row from stochastic rules.
 
 Class priors are exact inputs throughout; only the class-conditional
-distributions are ever estimated.
+distributions are ever estimated. The public functions check their input,
+then run private ``(k, m)`` array kernels that ``bounds`` also calls.
 """
 
 from __future__ import annotations
@@ -77,15 +78,9 @@ class LabeledSource:
         w.flags.writeable = False
         return w
 
-    @cached_property
-    def mixture_mass(self) -> np.ndarray:
-        """Marginal atom mass ``D(x) = sum_i g_i * D_i(x)``; read-only."""
-        mix = self.weighted_mass.sum(axis=0)
-        mix.flags.writeable = False
-        return mix
-
     def mixture_distribution(self) -> Distribution:
-        return Distribution._own(self.domain, self.mixture_mass.copy())
+        """The marginal over atoms, ``D(x) = sum_i g_i * D_i(x)``."""
+        return Distribution._own(self.domain, self.weighted_mass.sum(axis=0))
 
     def to_dict(self) -> dict:
         return {
@@ -202,22 +197,25 @@ class StochasticRule:
 def bayes_classifier(source: LabeledSource, cost: CostLike) -> Classifier:
     """Pointwise cost-minimizing label table for the given source.
 
-    ``labels[x] = argmin_j sum_i c[i, j] * g_i * D_i(x)``; np.argmin
-    resolves ties toward the smallest label, which also covers atoms with
-    zero mixture mass (all scores zero there). Its labels lie in ``[0, k)``,
-    so the table is handed over without the copy and scan of ``Classifier``.
+    ``labels[x] = argmin_j sum_i c[i, j] * g_i * D_i(x)``, ties to the smallest label, which
+    also covers atoms with zero mixture mass (all scores zero there). :func:`_bayes_labels` puts
+    them in ``[0, k)``, so the table is handed over without the copy and scan of ``Classifier``.
     """
-    costs = as_cost_array(cost, source.k)
-    labels = np.argmin(source.weighted_mass.T @ costs, axis=1)
+    _, scores, labels, _, less = _workspace(source.k, source.domain.size)
+    _bayes_labels(as_cost_array(cost, source.k), source.weighted_mass, scores, labels, less)
     labels.flags.writeable = False
     return _trusted(Classifier, domain=source.domain, labels=labels)
 
 
+def _workspace(k: int, m: int) -> tuple[np.ndarray, ...]:
+    """Buffers for the kernels: estimates and scores ``(k, m)``, labels, a float and a bool row."""
+    return np.empty((k, m)), np.empty((k, m)), np.empty(m, np.intp), np.empty(m), np.empty(m, bool)
+
+
 def _bayes_labels(costs, weighted, scores, labels, less) -> None:
-    """Write :func:`bayes_classifier`'s labels of the ``(k, m)`` weighted masses into ``labels``
-    via the buffers ``scores`` ``(k, m)`` and ``less`` ``(m,)``. Ties go to the smallest label,
-    as with ``np.argmin``: an atom moves to label j only where j scores strictly less than the
-    running minimum, which the scan keeps in row 0."""
+    """Write the Bayes labels of the ``(k, m)`` weighted masses into ``labels`` via the buffers
+    ``scores`` ``(k, m)`` and ``less`` ``(m,)``. Ties go to the smallest label: an atom moves to
+    label j only where j scores strictly less than the running minimum, kept in row 0."""
     np.matmul(costs.T, weighted, out=scores)
     labels.fill(0)
     for j in range(1, len(scores)):
@@ -259,12 +257,18 @@ def posterior_rule(source: LabeledSource) -> StochasticRule:
     weight is zero, so any fixed choice is sound and this one keeps the
     table total.
     """
-    w = source.weighted_mass
-    mix = source.mixture_mass
-    table = np.full((source.domain.size, source.k), 1.0 / source.k)
-    covered = mix > 0.0
-    table[covered] = (w[:, covered] / mix[covered]).T
-    return StochasticRule(source.domain, table)
+    _, table, _, mix, covered = _workspace(source.k, source.domain.size)
+    _posterior(source.weighted_mass, table, mix, covered)
+    return StochasticRule(source.domain, table.T)
+
+
+def _posterior(weighted, table, mix, covered) -> None:
+    """Write :func:`posterior_rule`'s table, transposed to ``(k, m)``, of the ``(k, m)`` weighted
+    masses into ``table``, via the rows ``mix`` (the mixture) and ``covered`` (bool)."""
+    np.sum(weighted, axis=0, out=mix)
+    np.greater(mix, 0.0, out=covered)
+    table.fill(1.0 / len(table))
+    np.divide(weighted, mix, out=table, where=covered)
 
 
 def plugin_rule(estimated: LabeledSource) -> StochasticRule:
@@ -287,9 +291,16 @@ def logloss_risk(rule: StochasticRule, source: LabeledSource) -> float:
         raise ValueError("rule and source domains differ")
     if rule.k != source.k:
         raise ValueError("rule and source class counts differ")
-    w = source.weighted_mass.T
-    weighted = w > 0.0
-    vals = rule.table[weighted]
+    return _logloss_risk(rule.table.T, source.weighted_mass)
+
+
+def _logloss_risk(table, weighted) -> float:
+    """:func:`logloss_risk` of the ``(k, m)`` rule ``table`` on the ``(k, m)`` weighted masses.
+    Both are gathered where the weights are positive, atom by atom, as a ``StochasticRule`` lays
+    out its table, so the sum's order, and its bits, do not depend on ``table``'s layout."""
+    weighted = weighted.T
+    on = weighted > 0.0
+    vals = table.T[on]
     if (vals == 0.0).any():
         return math.inf
-    return max(0.0, float(-(w[weighted] * np.log2(vals)).sum()))
+    return max(0.0, float(-(weighted[on] * np.log2(vals)).sum()))

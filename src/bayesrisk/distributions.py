@@ -16,7 +16,8 @@ This is the numerical substrate for the rest of the package. Conventions:
 The public constructors validate their input. Package code that has just
 built a fresh, finite, non-negative mass array of the right shape hands it
 to the private ``Distribution._own``, which skips the copy and those scans
-but keeps the unit-sum check and the exact renormalization.
+but keeps the unit-sum check and the exact renormalization; a mass already
+so renormalized goes to ``Distribution._frozen``, which only freezes it.
 
 All types are immutable after construction. Every operation is a pure
 function except :func:`sample`, which consumes the caller's random
@@ -134,7 +135,12 @@ class Distribution:
     @classmethod
     def _own(cls, domain: Domain, mass: np.ndarray) -> "Distribution":
         """Take ``mass``, a fresh finite non-negative ``(domain.size,)`` array, unscanned."""
-        _exact_unit_mass(mass, float(mass.sum())).flags.writeable = False
+        return cls._frozen(domain, _exact_unit_mass(mass, float(mass.sum())))
+
+    @classmethod
+    def _frozen(cls, domain: Domain, mass: np.ndarray) -> "Distribution":
+        """Take ``mass``, already at unit mass as :func:`_exact_unit_mass` leaves it, read-only."""
+        mass.flags.writeable = False
         return _trusted(cls, domain=domain, mass=mass)
 
     def prob(self, atom: str) -> float:

@@ -20,9 +20,9 @@ Labels and atoms are drawn by inverse CDF, rebuilt on every draw: the
 same algorithm, and so the same draws, as ``Generator.choice`` with
 ``p=``, without re-validating masses the source has already checked.
 
-A trial runs on raw arrays, through array kernels, in one workspace per
-experiment: a cost-mode trial whose classes have full support allocates
-no m-sized array.
+A trial runs on raw arrays in one workspace per experiment, scored in
+either mode by ``bounds._plugin_risk``: a cost-mode trial whose classes
+have full support allocates no m-sized array.
 """
 
 from __future__ import annotations
@@ -34,9 +34,9 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .bounds import BoundReport, _optimal_risk, _plugin_risk, _theorem_report
-from .classify import CostMatrix, LabeledSource, _bayes_labels, _cost_risk, as_cost_array
+from .classify import CostMatrix, LabeledSource, _workspace, as_cost_array
 from .distributions import Distribution, Domain, _draw_indices, _exact_unit_mass
-from .distributions import _kl_on_support, _l1_distance, _trusted
+from .distributions import _kl_on_support, _l1_distance
 from .pdfa import Pdfa, truncate_all
 
 
@@ -65,10 +65,7 @@ class TrialConfig:
             raise ValueError("sample_size must be at least 1")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
-        if self.laplace is not None and self.laplace < 0.0:
-            raise ValueError("laplace weight must be non-negative")
-        if self.laplace is not None and not math.isfinite(self.laplace):
-            raise ValueError("laplace weight must be finite")
+        _check_laplace(self.resolved_laplace)
         if not self.epsilon_target > 0.0:
             raise ValueError("epsilon_target must be positive")
         if not 0.0 < self.delta_target < 1.0:
@@ -107,6 +104,13 @@ class TrialOutcome:
         return self.report.satisfied
 
 
+def _check_laplace(laplace: float) -> None:
+    if laplace < 0.0:
+        raise ValueError("laplace weight must be non-negative")
+    if not math.isfinite(laplace):
+        raise ValueError("laplace weight must be finite")
+
+
 def empirical_estimator(
     samples: Iterable, domain: Domain, laplace: float = 0.0
 ) -> Distribution:
@@ -116,8 +120,7 @@ def empirical_estimator(
     with ``laplace == 0`` and no samples the estimate defaults to uniform.
     Samples may be atom identifiers or atom indices in ``[0, m)``.
     """
-    if laplace < 0.0:
-        raise ValueError("laplace weight must be non-negative")
+    _check_laplace(laplace)
     m = domain.size
     idx = np.fromiter(
         (s if isinstance(s, (int, np.integer)) else domain.index(s) for s in samples),
@@ -141,10 +144,6 @@ def _estimate(mass: np.ndarray, idx: np.ndarray, laplace: float) -> np.ndarray:
     return mass
 
 
-def _workspace(k: int, m: int) -> tuple[np.ndarray, ...]:
-    return np.empty((k, m)), np.empty((k, m)), np.empty(m, np.intp), np.empty(m), np.empty(m, bool)
-
-
 def run_trial(
     config: TrialConfig, rng: np.random.Generator, sample_size: Optional[int] = None
 ) -> TrialOutcome:
@@ -154,15 +153,14 @@ def run_trial(
     degenerate splits still produce a total predictor.
     """
     n = config.sample_size if sample_size is None else int(sample_size)
-    return _trial(config, rng, n, _optimal_risk(config.source, config.cost))
+    ws = _workspace(config.source.k, config.source.domain.size)
+    return _trial(config, rng, n, _optimal_risk(config.source, config.cost, ws), ws)
 
 
-def _trial(
-    config: TrialConfig, rng: np.random.Generator, n: int, risk_opt: float, ws=None
-) -> TrialOutcome:
+def _trial(config: TrialConfig, rng: np.random.Generator, n: int, risk_opt: float, ws) -> TrialOutcome:
     """:func:`run_trial` at sample size ``n``, given the optimal risk, on the workspace ``ws``."""
     source = config.source
-    ests, scores, labels, row, mask = ws or _workspace(source.k, source.domain.size)
+    ests, _, _, row, mask = ws
     counts = np.bincount(_draw_indices(source.priors, rng, n), minlength=source.k)
     for d, c, est in zip(source.class_dists, counts, ests):
         _estimate(est, _draw_indices(d.mass, rng, c, row), config.resolved_laplace)
@@ -170,18 +168,9 @@ def _trial(
     pairs = tuple(zip((d.mass for d in source.class_dists), ests))
     l1s = tuple(_l1_distance(p, q, row) for p, q in pairs)
     kls = tuple(_kl_on_support(p, q, np.greater(p, 0.0, out=mask), row) for p, q in pairs)
-    if config.log_loss_mode:
-        frozen = ests.view()  # the estimates' Distributions live only inside _plugin_risk
-        frozen.flags.writeable = False
-        est = tuple(_trusted(Distribution, domain=source.domain, mass=q) for q in frozen)
-        report = _theorem_report(source, None, kls, risk_opt, _plugin_risk(source, est, None))
-    else:
-        # The estimates become their weighted masses, and the spent scores the cost gather.
-        costs = as_cost_array(config.cost, source.k)
-        ests *= source.priors[:, None]
-        _bayes_labels(costs, ests, scores, labels, mask)
-        risk_plugin = _cost_risk(costs, labels, source.weighted_mass, scores)
-        report = _theorem_report(source, config.cost, l1s, risk_opt, risk_plugin)
+    costs = None if config.cost is None else as_cost_array(config.cost, source.k)
+    risk_plugin = _plugin_risk(source.priors, source.weighted_mass, ests, costs, ws)
+    report = _theorem_report(source, config.cost, kls if costs is None else l1s, risk_opt, risk_plugin)
     return TrialOutcome(tuple(int(c) for c in counts), l1s, kls, report)
 
 
@@ -238,8 +227,8 @@ def run_pac_experiment(config: TrialConfig) -> ExperimentSummary:
         raise ValueError("at least 30 trials are needed for a meaningful delta estimate")
     grid = config.n_grid or (config.sample_size,)
     streams = np.random.SeedSequence(config.seed).spawn(len(grid) * config.trials)
-    risk_opt = _optimal_risk(config.source, config.cost)
     ws = _workspace(config.source.k, config.source.domain.size)
+    risk_opt = _optimal_risk(config.source, config.cost, ws)
     rows = []
     per_n = []
     for gi, n in enumerate(grid):

@@ -64,8 +64,9 @@ BAD_INPUTS = [
      "alphabet symbols must be single characters, got 'ab'"),
     (lambda _, alphabet: TruncatedStringDomain.build(alphabet, 2), ("a", OVERFLOW_ATOM),
      f"alphabet may not contain the overflow atom {OVERFLOW_ATOM!r}"),
-    (lambda _, lam: empirical_estimator(["x0"], D2, lam), NAN,
-     "invalid mass: entries must be finite"),
+    (lambda _, lam: empirical_estimator(["x0"], D2, lam), NAN, "laplace weight must be finite"),
+    (lambda _, lam: empirical_estimator(["x0"], D2, lam), INF, "laplace weight must be finite"),
+    (lambda _, lam: empirical_estimator(["x0"], D2, lam), -1.0, "laplace weight must be non-negative"),
     (log_loss_trials, NAN, "laplace weight must be finite"),
     (log_loss_trials, INF, "laplace weight must be finite"),
     (log_loss_trials, -1.0, "laplace weight must be non-negative"),
@@ -125,10 +126,10 @@ def test_l1_pull_back_stays_non_negative(seed, m, share):
     p, q = with_zero_atoms(), with_zero_atoms()
     distance = float(np.abs(p.mass - q.mass).sum())
     limit = share * distance
-    pulled = _project_into_budget(L1, p, q, limit)
-    if pulled is not q:
+    pulled = _project_into_budget(L1, p.mass, q.mass, limit)
+    if pulled is not q.mass:
         checked = Distribution(domain, p.mass + limit / distance * (q.mass - p.mass))
-        assert pulled.mass.tobytes() == checked.mass.tobytes()
+        assert pulled.tobytes() == checked.mass.tobytes()
 
 
 def test_trusted_objects_are_frozen_and_equal_to_validated_ones():

@@ -4,10 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from bayesrisk import bounds
 from bayesrisk.bounds import (
     BoundReport,
     PerturbationBudget,
+    _optimal_risk,
+    _plugin_risk,
     _project_into_budget,
     check_theorem1,
     check_theorem2,
@@ -24,10 +29,19 @@ from bayesrisk.bounds import (
     theorem2_bound,
     tightness_search,
 )
-from bayesrisk.classify import CostMatrix, LabeledSource
+from bayesrisk.classify import (
+    CostMatrix,
+    LabeledSource,
+    bayes_classifier,
+    logloss_risk,
+    plugin_rule,
+    posterior_rule,
+    risk,
+)
 from bayesrisk.distributions import (
     Distribution,
     Domain,
+    _kl_on_support,
     kl_divergence,
     l1_distance,
     make_distribution,
@@ -155,6 +169,17 @@ class TestExcessLoglossIdentity:
             lhs, _ = excess_logloss_identity(source, est)
             assert lhs.hex() == check_theorem2(source, est).excess.hex()
 
+    def test_only_the_identity_computes_the_mixture_kl(self, monkeypatch):
+        calls = []
+        real = bounds._kl_on_support
+        monkeypatch.setattr(bounds, "_kl_on_support", lambda *a: calls.append(a) or real(*a))
+        source, est = random_theorem2_instance(np.random.default_rng(25))
+        check_theorem2(source, est)
+        assert len(calls) == source.k
+        calls.clear()
+        excess_logloss_identity(source, est)
+        assert len(calls) == source.k + 1
+
     def test_infinite_kl_vacuous_bound_and_refused_identity(self):
         dom = Domain.indexed(2)
         d = make_distribution(dom, [0.5, 0.5])
@@ -172,6 +197,51 @@ class TestExcessLoglossIdentity:
         est = (make_distribution(dom, [1, 0]),) * 2
         with pytest.raises(ValueError, match="infinite"):
             excess_logloss_identity(source, est)
+
+
+class TestPluginScorer:
+    @given(
+        st.integers(2, 5),
+        st.integers(1, 64),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+        st.booleans(),
+    )
+    @example(2, 1, 0, True, False)
+    @example(3, 8, 1, True, True)
+    @settings(max_examples=300, deadline=None)
+    def test_scorer_matches_the_public_composition(self, k, m, seed, zero_one, twin):
+        """The array scorer gives, in float.hex, the risks of the validating public path:
+        ``risk(bayes_classifier(...))`` and ``logloss_risk(plugin_rule(...))`` on the true
+        priors with the estimates, ``bayes_classifier`` and ``posterior_rule`` on the truth."""
+        rng = np.random.default_rng(seed)
+        domain = Domain.indexed(m)
+
+        def classes(zero_share):
+            w = rng.random((k, m))
+            w[:, rng.random(m) < zero_share] = 0.0  # atoms no class of this set reaches
+            w[np.arange(k), rng.integers(m, size=k)] += 1.0
+            return [make_distribution(domain, row) for row in w]
+
+        true_dists, est_dists = classes(0.2), classes(0.3)
+        priors = rng.uniform(0.05, 1.0, k)
+        if twin:  # equal classes with equal priors: every score of the two labels ties
+            est_dists[-1], priors[-1] = est_dists[0], priors[0]
+        priors /= priors.sum()
+        source = LabeledSource(priors, tuple(true_dists))
+        estimated = LabeledSource(source.priors, tuple(est_dists))
+        costs = np.ones((k, k)) - np.eye(k) if zero_one else rng.random((k, k))
+
+        def scored(c):
+            est = np.stack([d.mass for d in est_dists])
+            return float.hex(_plugin_risk(source.priors, source.weighted_mass, est, c))
+
+        assert scored(costs) == float.hex(risk(bayes_classifier(estimated, costs), source, costs))
+        assert scored(None) == float.hex(logloss_risk(plugin_rule(estimated), source))
+        optimal = risk(bayes_classifier(source, costs), source, costs)
+        assert float.hex(_optimal_risk(source, costs)) == float.hex(optimal)
+        optimal = logloss_risk(posterior_rule(source), source)
+        assert float.hex(_optimal_risk(source, None)) == float.hex(optimal)
 
 
 class TestExampleConstructions:
@@ -292,13 +362,13 @@ class TestTightnessSearch:
             true_d = make_distribution(dom, rng.uniform(0.1, 1.0, 5))
             est = make_distribution(dom, rng.uniform(0.1, 1.0, 5))
             limit = 0.25 * kl_divergence(true_d, est)
-            projected = _project_into_budget("KL", true_d, est, limit)
-            assert kl_divergence(true_d, projected) <= limit
+            projected = _project_into_budget("KL", true_d.mass, est.mass, limit)
+            assert _kl_on_support(true_d.mass, projected, true_d.mass > 0.0) <= limit
             # The blend weight t of est = (1 - t) * D + t * E is bisected to 2**-50,
             # so a step of 2**-46 further along the segment leaves the budget.
             diff = est.mass - true_d.mass
             i = int(np.argmax(np.abs(diff)))
-            t = (projected.mass[i] - true_d.mass[i]) / diff[i] + 2.0**-46
+            t = (projected[i] - true_d.mass[i]) / diff[i] + 2.0**-46
             assert kl_divergence(true_d, Distribution(dom, (1.0 - t) * true_d.mass + t * est.mass)) > limit
 
     def test_two_atom_l1_reaches_analytic_ratio(self):

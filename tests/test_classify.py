@@ -90,9 +90,11 @@ class TestBayesClassifier:
     @example(3, 131_073, 1, False, True)
     @settings(max_examples=300, deadline=None)
     def test_column_scan_matches_argmin(self, k, m, seed, zero_one, twin):
-        """The ``(k, m)`` scores are ``(W.T @ costs).T`` bit for bit (row 0 ends
-        as the running minimum) and the scan picks ``np.argmin``'s labels: a
-        numpy or BLAS change that breaks either should fail here, not in a golden."""
+        """The column scan behind every Bayes label (``bayes_classifier``, the
+        checks, the trial, the tightness search) against ``np.argmin``, kept as
+        the reference: the ``(k, m)`` scores are ``(W.T @ costs).T`` bit for bit
+        (row 0 ends as the running minimum) and the labels are ``np.argmin``'s.
+        A numpy or BLAS change that breaks either should fail here, not in a golden."""
         rng = np.random.default_rng(seed)
         w = rng.random((k, m)) * rng.random((k, 1))
         w[:, rng.random(m) < 0.25] = 0.0  # zero mixture mass: every label ties
@@ -101,7 +103,7 @@ class TestBayesClassifier:
         costs = np.ones((k, k)) - np.eye(k) if zero_one else rng.random((k, k))
         scores, labels = np.empty((k, m)), np.empty(m, np.intp)
         _bayes_labels(costs, w, scores, labels, np.empty(m, bool))
-        old = w.T @ costs  # what bayes_classifier takes np.argmin of
+        old = w.T @ costs  # the (m, k) layout np.argmin scans
         assert scores[1:].tobytes() == np.ascontiguousarray(old.T[1:]).tobytes()
         assert scores[0].tobytes() == old.min(axis=1).tobytes()
         assert np.array_equal(labels, np.argmin(old, axis=1))
