@@ -211,7 +211,8 @@ def _logloss_check(
     report = _theorem_report(true_source, None, kls, _optimal_risk(true_source, None), risk_plugin)
     if not (identity and all(math.isfinite(v) for v in kls)):
         return report, None
-    p, q = true_source.mixture_distribution().mass, weighted.sum(axis=0)  # q is made as p is
+    # The estimated mixture q is rescaled as mixture_distribution rescales the true one, p.
+    p, q = true_source.mixture_distribution().mass, weighted.sum(axis=0)
     mix_kl = _kl_on_support(p, _exact_unit_mass(q, float(q.sum())), p > 0.0)
     return report, sum(float(g) * v for g, v in zip(true_source.priors, kls)) - mix_kl
 

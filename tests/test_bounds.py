@@ -213,7 +213,8 @@ class TestPluginScorer:
     def test_scorer_matches_the_public_composition(self, k, m, seed, zero_one, twin):
         """The array scorer gives, in float.hex, the risks of the validating public path:
         ``risk(bayes_classifier(...))`` and ``logloss_risk(plugin_rule(...))`` on the true
-        priors with the estimates, ``bayes_classifier`` and ``posterior_rule`` on the truth."""
+        priors with the estimates, ``bayes_classifier`` and ``posterior_rule`` on the truth;
+        the log loss also against its formula summed off the rule table."""
         rng = np.random.default_rng(seed)
         domain = Domain.indexed(m)
 
@@ -225,7 +226,7 @@ class TestPluginScorer:
 
         true_dists, est_dists = classes(0.2), classes(0.3)
         priors = rng.uniform(0.05, 1.0, k)
-        if twin:  # equal classes with equal priors: every score of the two labels ties
+        if twin:  # equal classes, equal priors: under zero-one costs the two labels tie
             est_dists[-1], priors[-1] = est_dists[0], priors[0]
         priors /= priors.sum()
         source = LabeledSource(priors, tuple(true_dists))
@@ -237,7 +238,15 @@ class TestPluginScorer:
             return float.hex(_plugin_risk(source.priors, source.weighted_mass, est, c))
 
         assert scored(costs) == float.hex(risk(bayes_classifier(estimated, costs), source, costs))
-        assert scored(None) == float.hex(logloss_risk(plugin_rule(estimated), source))
+        rule = plugin_rule(estimated)
+        assert scored(None) == float.hex(logloss_risk(rule, source))
+        # The log loss summed straight off the (m, k) rule table, atom by atom: the reference
+        # for the order the kernel gathers in, which the public path shares with the scorer.
+        w = source.weighted_mass.T
+        on = w > 0.0
+        vals = rule.table[on]
+        logloss = math.inf if (vals == 0.0).any() else -(w[on] * np.log2(vals)).sum()
+        assert scored(None) == float.hex(max(0.0, float(logloss)))
         optimal = risk(bayes_classifier(source, costs), source, costs)
         assert float.hex(_optimal_risk(source, costs)) == float.hex(optimal)
         optimal = logloss_risk(posterior_rule(source), source)
