@@ -37,7 +37,7 @@ import numpy as np
 
 from .classify import CostLike, CostMatrix, LabeledSource, as_cost_array
 from .classify import _bayes_labels, _cost_risk, _logloss_risk, _posterior, _workspace
-from .distributions import Distribution, Domain, kl_divergence, make_distribution
+from .distributions import Distribution, Domain, kl_divergence
 from .distributions import _exact_unit_mass, _kl_on_support, _l1_distance
 
 BOUND_TOL = 1e-9
@@ -121,14 +121,15 @@ def theorem2_bound(epsilon: float, k: int) -> float:
     return k * epsilon
 
 
-def _check_estimates(true_source: LabeledSource, est_dists: Sequence[Distribution]) -> tuple[Distribution, ...]:
+def _masses(true_source: LabeledSource, est_dists: Sequence[Distribution]) -> np.ndarray:
+    """An instance's ``(2, k, m)`` masses, the true classes in row 0 and the checked estimates in row 1."""
     est = tuple(est_dists)
     if len(est) != true_source.k:
         raise ValueError("one estimated distribution per class required")
     for d in est:
         if d.domain != true_source.domain:
             raise ValueError("estimates must live on the source's domain")
-    return est
+    return np.array([[d.mass for d in true_source.class_dists], [e.mass for e in est]])
 
 
 def _plugin_risk(priors, weighted, est, costs, ws=None) -> float:
@@ -154,23 +155,49 @@ def _optimal_risk(source: LabeledSource, cost: Optional[CostLike], ws=None) -> f
 
 
 def _theorem_report(
-    true_source: LabeledSource,
-    cost: Optional[CostLike],
-    divergences: Sequence[float],
-    risk_opt: float,
-    risk_plugin: float,
+    priors: np.ndarray, cost: Optional[CostLike], divergences, risk_opt: float, risk_plugin: float
 ) -> BoundReport:
     """The cost-loss bound's report from per-class L1 distances, or with
     ``cost is None`` the log-loss bound's report from per-class KLs."""
-    eps = max(float(g) * v for g, v in zip(true_source.priors, divergences))
+    eps = float((priors * divergences).max())
     if cost is None:
-        bound = theorem2_bound(eps, true_source.k)
+        bound = theorem2_bound(eps, len(priors))
     else:
-        bound = theorem1_bound(eps, true_source.k, cost)
+        bound = theorem1_bound(eps, len(priors), cost)
     excess = risk_plugin - risk_opt
     satisfied = bound == math.inf or excess <= bound + BOUND_TOL
     slack = math.inf if bound == math.inf else bound - excess
     return BoundReport(risk_opt, risk_plugin, excess, bound, slack, satisfied, eps)
+
+
+def _check(
+    priors: np.ndarray, masses: np.ndarray, cost: Optional[CostLike], identity: bool = False
+) -> tuple[BoundReport, Optional[float]]:
+    """The bound's report for the ``(2, k, m)`` masses of :func:`_masses` under ``cost`` (log loss
+    if ``None``), and with ``identity``, under log loss with every per-class KL finite, the
+    identity's ``rhs`` from the same KLs (``None`` otherwise)."""
+    true, est = masses
+    weighted = true * priors[:, None]
+    costs = None if cost is None else as_cost_array(cost, len(priors))
+    if cost is None:
+        divergences = np.array([_kl_on_support(p, q, p > 0.0) for p, q in zip(true, est)])
+    else:
+        divergences = _l1_distance(true, est)
+    est = est.copy()  # the scorer weights it in place
+    risk_plugin = _plugin_risk(priors, weighted, est, costs)
+    risk_opt = _plugin_risk(priors, weighted, true.copy(), costs)
+    report = _theorem_report(priors, cost, divergences, risk_opt, risk_plugin)
+    if not (identity and cost is None and np.isfinite(divergences).all()):
+        return report, None
+    # The estimated mixture q is rescaled as mixture_distribution rescales the true one, p.
+    p, q = _exact_unit_mass(np.array([weighted.sum(axis=0), est.sum(axis=0)]))
+    mix_kl = _kl_on_support(p, q, p > 0.0)
+    return report, sum((priors * divergences).tolist()) - mix_kl
+
+
+def _logloss_check(priors: np.ndarray, masses: np.ndarray) -> tuple[BoundReport, Optional[float]]:
+    """The log-loss bound's report and the identity's ``rhs``, as the sweeps and replays check them."""
+    return _check(priors, masses, None, identity=True)
 
 
 def check_theorem1(
@@ -183,12 +210,7 @@ def check_theorem1(
     ``eps * k * max_ij c_ij``. The guarantee is unconditional, so
     ``satisfied`` is True on every valid instance.
     """
-    est = _check_estimates(true_source, est_dists)
-    l1s = [_l1_distance(d.mass, e.mass) for d, e in zip(true_source.class_dists, est)]
-    costs = as_cost_array(cost, true_source.k)
-    masses = np.stack([e.mass for e in est])
-    risk_plugin = _plugin_risk(true_source.priors, true_source.weighted_mass, masses, costs)
-    return _theorem_report(true_source, cost, l1s, _optimal_risk(true_source, costs), risk_plugin)
+    return _check(true_source.priors, _masses(true_source, est_dists), cost)[0]
 
 
 def check_theorem2(true_source: LabeledSource, est_dists: Sequence[Distribution]) -> BoundReport:
@@ -197,24 +219,7 @@ def check_theorem2(true_source: LabeledSource, est_dists: Sequence[Distribution]
     ``eps = max_i g_i * KL(D_i || D'_i)``; infinite per-class KL yields an
     infinite bound (the hypothesis is vacuous there).
     """
-    return _logloss_check(true_source, _check_estimates(true_source, est_dists), identity=False)[0]
-
-
-def _logloss_check(
-    true_source: LabeledSource, est: tuple[Distribution, ...], identity: bool = True
-) -> tuple[BoundReport, Optional[float]]:
-    """The log-loss bound's report and, if ``identity`` is set and every per-class KL is
-    finite, the identity's ``rhs`` from the same KLs (``None`` otherwise)."""
-    kls = [_kl_on_support(d.mass, e.mass, d.mass > 0.0) for d, e in zip(true_source.class_dists, est)]
-    weighted = np.stack([e.mass for e in est])  # the scorer weights it in place
-    risk_plugin = _plugin_risk(true_source.priors, true_source.weighted_mass, weighted, None)
-    report = _theorem_report(true_source, None, kls, _optimal_risk(true_source, None), risk_plugin)
-    if not (identity and all(math.isfinite(v) for v in kls)):
-        return report, None
-    # The estimated mixture q is rescaled as mixture_distribution rescales the true one, p.
-    p, q = true_source.mixture_distribution().mass, weighted.sum(axis=0)
-    mix_kl = _kl_on_support(p, _exact_unit_mass(q, float(q.sum())), p > 0.0)
-    return report, sum(float(g) * v for g, v in zip(true_source.priors, kls)) - mix_kl
+    return _check(true_source.priors, _masses(true_source, est_dists), None)[0]
 
 
 def excess_logloss_identity(
@@ -227,7 +232,7 @@ def excess_logloss_identity(
     with the prior-weighted mixtures ``D, D'``. The two agree to float
     round-off whenever every per-class KL is finite.
     """
-    report, rhs = _logloss_check(true_source, _check_estimates(true_source, est_dists))
+    report, rhs = _logloss_check(true_source.priors, _masses(true_source, est_dists))
     if rhs is None:
         raise ValueError(
             "per-class KL divergence is infinite: estimate supports must cover the true class supports"
@@ -299,28 +304,66 @@ def _bisect(fits, hi: float, steps: int) -> float:
     return lo
 
 
+def _blend_back(p: np.ndarray, q: np.ndarray, t) -> np.ndarray:
+    """``p + t * (q - p)`` at unit mass, for unit masses (or rows, ``t`` a column) and ``t <= 1``.
+    Non-negative in floats: rounding is monotone, so q - p >= -p, t * (q - p) >= -p, sum >= 0."""
+    return _exact_unit_mass(p + t * (q - p))
+
+
 def _project_into_budget(metric: str, p: np.ndarray, q: np.ndarray, limit: float) -> np.ndarray:
     """Pull the unit mass ``q`` toward ``p`` until its divergence from ``p`` fits: ``q`` itself
     if it already fits, else a fresh blend at unit mass."""
     if metric == L1:
         distance = _l1_distance(p, q)
-        if distance <= limit:
-            return q
-        # Non-negative in floats for p, q >= 0 and t = limit / distance <= 1:
-        # rounding is monotone, so q - p >= -p, t * (q - p) >= -p, and the sum >= 0.
-        blend = p + limit / distance * (q - p)
-    else:
-        support = p > 0.0
-        if _kl_on_support(p, q, support) <= limit:
-            return q
+        return q if distance <= limit else _blend_back(p, q, limit / distance)
+    support = p > 0.0
+    if _kl_on_support(p, q, support) <= limit:
+        return q
 
-        def fits(t: float) -> bool:
-            blend = (1.0 - t) * p + t * q
-            return _kl_on_support(p, _exact_unit_mass(blend, float(blend.sum())), support) <= limit
-
-        t = _bisect(fits, 1.0, 50)
+    def fits(t: float) -> bool:
         blend = (1.0 - t) * p + t * q
-    return _exact_unit_mass(blend, float(blend.sum()))
+        return _kl_on_support(p, _exact_unit_mass(blend), support) <= limit
+
+    t = _bisect(fits, 1.0, 50)
+    return _exact_unit_mass((1.0 - t) * p + t * q)
+
+
+def _unit_rows(weights: np.ndarray) -> np.ndarray:
+    """:func:`make_distribution` on each row of the ``(n, m)`` weights, checked in one fused pass."""
+    totals = weights.sum(axis=1)
+    if not (weights.min() >= 0.0 and all(0.0 < total < math.inf for total in totals.tolist())):
+        raise ValueError("invalid mass: weights must be finite, non-negative and not all zero")
+    return _exact_unit_mass(weights / totals[:, None])
+
+
+def _draw_noise(rng: np.random.Generator, budget: float, row: np.ndarray) -> None:
+    """:func:`random_l1_perturbation`'s draw, into ``row``: none for a zero budget or one atom."""
+    if budget != 0.0 and len(row) != 1:
+        rng.standard_normal(out=row)
+
+
+def _perturb_rows(true: np.ndarray, budgets: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """:func:`random_l1_perturbation` of each row of the ``(n, m)`` unit masses ``true`` at its
+    budget, on its row of normal ``noise`` (zeros if not drawn; centred in place)."""
+    noise -= (noise.sum(axis=1) / true.shape[1])[:, None]
+    norms = np.abs(noise).sum(axis=1)
+    est = true.copy()
+    moved = np.flatnonzero(norms)
+    if len(moved):
+        t, limits = true[moved], budgets[moved]
+        # np.maximum(x, 0.0) is np.clip(x, 0.0, None) without its Python wrapper.
+        cand = _unit_rows(np.maximum(t + noise[moved] * (limits / norms[moved])[:, None], 0.0))
+        distance = _l1_distance(t, cand)
+        over = np.flatnonzero(distance > limits)
+        if len(over):
+            cand[over] = _blend_back(t[over], cand[over], (limits[over] / distance[over])[:, None])
+        est[moved] = cand
+    return est
+
+
+def _floor_rows(rough: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """:func:`support_safe_perturbation`'s mix of each row of ``rough`` with uniform at ``lams``."""
+    return _exact_unit_mass((1.0 - lams)[:, None] * rough + (lams / rough.shape[1])[:, None])
 
 
 def random_l1_perturbation(
@@ -335,17 +378,9 @@ def random_l1_perturbation(
     """
     if not 0.0 <= budget <= 2.0:
         raise ValueError("L1 budget must lie in [0, 2]")
-    m = d.domain.size
-    if budget == 0.0 or m == 1:
-        return d
-    v = rng.standard_normal(m)
-    v -= v.sum() / m
-    norm = float(np.abs(v).sum())
-    if norm == 0.0:
-        return d
-    v *= budget / norm
-    cand = make_distribution(d.domain, np.clip(d.mass + v, 0.0, None)).mass
-    return Distribution._frozen(d.domain, _project_into_budget(L1, d.mass, cand, budget))
+    noise = np.zeros((1, d.domain.size))
+    _draw_noise(rng, budget, noise[0])
+    return Distribution._frozen(d.domain, _perturb_rows(d.mass[None], np.array([budget]), noise)[0])
 
 
 def support_safe_perturbation(
@@ -357,22 +392,36 @@ def support_safe_perturbation(
     """Randomly perturbed estimate with full support (finite KL guaranteed)."""
     rough = random_l1_perturbation(d, budget, rng)
     lam = float(rng.uniform(0.2 * floor, floor))
-    return Distribution._own(d.domain, (1.0 - lam) * rough.mass + lam / d.domain.size)
+    return Distribution._frozen(d.domain, _floor_rows(rough.mass[None], np.array([lam]))[0])
+
+
+def _draw_source(rng: np.random.Generator, k: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`random_source`'s draws: normalized priors and ``(k, m)`` class weights off zero."""
+    priors = rng.uniform(0.05, 1.0, k)
+    priors /= priors.sum()
+    alpha = (0.3, 1.0, 3.0)[rng.integers(0, 3)]
+    return priors, rng.gamma(alpha, 1.0, (k, m)) + 1e-300
+
+
+def _as_objects(priors: np.ndarray, masses: np.ndarray) -> tuple[LabeledSource, tuple[Distribution, ...]]:
+    """The source and estimates holding the ``(2, k, m)`` unit masses, which become read-only."""
+    masses.flags.writeable = False
+    domain = Domain.indexed(masses.shape[2])
+    true, est = (tuple(Distribution._frozen(domain, row) for row in rows) for rows in masses)
+    return LabeledSource(priors, true), est
 
 
 def random_source(
     rng: np.random.Generator, k: int, m: int, domain: Optional[Domain] = None
 ) -> LabeledSource:
     """Random labeled source with priors bounded away from zero."""
-    if domain is None:
-        domain = Domain.indexed(m)
-    priors = rng.uniform(0.05, 1.0, k)
-    priors /= priors.sum()
-    alpha = float(rng.choice([0.3, 1.0, 3.0]))
-    dists = tuple(
-        make_distribution(domain, rng.gamma(alpha, 1.0, m) + 1e-300) for _ in range(k)
-    )
-    return LabeledSource(priors, dists)
+    priors, weights = _draw_source(rng, k, m)
+    if domain is not None and domain.size != m:
+        raise ValueError(f"invalid mass: {m} weights for {domain.size} atoms")
+    true = _unit_rows(weights)
+    true.flags.writeable = False
+    domain = Domain.indexed(m) if domain is None else domain
+    return LabeledSource(priors, tuple(Distribution._frozen(domain, row) for row in true))
 
 
 def random_cost(rng: np.random.Generator, k: int) -> CostMatrix:
@@ -390,29 +439,40 @@ def random_cost(rng: np.random.Generator, k: int) -> CostMatrix:
 
 
 def _random_instance(
-    rng: np.random.Generator, k_max: int, m_max: int, perturb, max_budget: float
-) -> tuple[LabeledSource, tuple[Distribution, ...]]:
-    """Draw k, then m, then the source, then per class a budget and its perturbation."""
+    rng: np.random.Generator, k_max: int, m_max: int, metric: str
+) -> tuple[np.ndarray, np.ndarray, Optional[CostMatrix]]:
+    """One instance of the metric's sweep, ``(priors, (2, k, m) masses, cost or None)``: every draw
+    first, in the public generators' order (k, m, source, per class budget, noise and under KL
+    floor weight, under L1 the cost), then the arithmetic on ``(k, m)`` blocks."""
     k = int(rng.integers(2, k_max + 1))
     m = int(rng.integers(2, m_max + 1))
-    source = random_source(rng, k, m)
-    est = tuple(
-        perturb(d, float(rng.uniform(0.0, max_budget)), rng) for d in source.class_dists
-    )
-    return source, est
+    priors, weights = _draw_source(rng, k, m)
+    budgets, noise, lams = np.empty(k), np.zeros((k, m)), np.empty(k)
+    for i in range(k):
+        budgets[i] = rng.uniform(0.0, 2.0 if metric == L1 else 1.5)
+        _draw_noise(rng, budgets[i], noise[i])
+        if metric == KL:
+            lams[i] = rng.uniform(0.2 * 0.05, 0.05)  # support_safe_perturbation's default floor
+    cost = random_cost(rng, k) if metric == L1 else None
+    masses = np.empty((2, k, m))
+    masses[0] = _unit_rows(weights)
+    masses[1] = _perturb_rows(masses[0], budgets, noise)
+    if metric == KL:
+        masses[1] = _floor_rows(masses[1], lams)
+    return priors, masses, cost
 
 
 def random_theorem1_instance(
     rng: np.random.Generator, k_max: int = 5, m_max: int = 64
 ) -> tuple[LabeledSource, tuple[Distribution, ...], CostMatrix]:
-    source, est = _random_instance(rng, k_max, m_max, random_l1_perturbation, 2.0)
-    return source, est, random_cost(rng, source.k)
+    priors, masses, cost = _random_instance(rng, k_max, m_max, L1)
+    return (*_as_objects(priors, masses), cost)
 
 
 def random_theorem2_instance(
     rng: np.random.Generator, k_max: int = 5, m_max: int = 64
 ) -> tuple[LabeledSource, tuple[Distribution, ...]]:
-    return _random_instance(rng, k_max, m_max, support_safe_perturbation, 1.5)
+    return _as_objects(*_random_instance(rng, k_max, m_max, KL)[:2])
 
 
 # ---------------------------------------------------------------------------
@@ -537,8 +597,7 @@ def tightness_search(
     def unit_masses(priors: np.ndarray, masses: np.ndarray) -> np.ndarray:
         """A copy of ``masses`` with every row at unit mass and the estimates in the budget."""
         masses = masses.copy()
-        for row in masses.reshape(-1, m):
-            _exact_unit_mass(row, float(row.sum()))
+        _exact_unit_mass(masses.reshape(-1, m))
         for t, e, g in zip(*masses, priors):
             e[:] = _project_into_budget(budget.metric, t, e, budget.epsilon / float(g))
         return masses
@@ -563,10 +622,7 @@ def tightness_search(
                 if rng.random() < 0.5
                 else np.asarray(random_source(rng, k, m, domain).priors)
             )
-            true_masses = [
-                make_distribution(domain, rng.gamma(0.6, 1.0, m) + 1e-300).mass
-                for _ in range(k)
-            ]
+            true_masses = _unit_rows(rng.gamma(0.6, 1.0, (k, m)) + 1e-300)
             if budget.metric == L1:
                 perturb, radius = random_l1_perturbation, min(budget.epsilon / priors.min(), 2.0)
             else:

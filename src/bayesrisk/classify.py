@@ -138,12 +138,15 @@ def as_cost_array(cost: CostLike, k: int) -> np.ndarray:
 
     Unlike :class:`CostMatrix`, an all-zero matrix is accepted here: risk
     evaluation and the linearity property are well defined for it even
-    though it makes every classifier trivially optimal.
+    though it makes every classifier trivially optimal. A :class:`CostMatrix`
+    checked its read-only costs when it was built, so only its shape is
+    checked here.
     """
-    arr = cost.costs if isinstance(cost, CostMatrix) else np.asarray(cost, dtype=float)
+    checked = isinstance(cost, CostMatrix)
+    arr = cost.costs if checked else np.asarray(cost, dtype=float)
     if arr.shape != (k, k):
         raise ValueError(f"cost matrix has shape {arr.shape}, expected ({k}, {k})")
-    if not np.isfinite(arr).all() or (arr < 0.0).any():
+    if not checked and (not np.isfinite(arr).all() or (arr < 0.0).any()):
         raise ValueError("costs must be finite and non-negative")
     return arr
 

@@ -23,31 +23,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bounds import (
-    BOUND_TOL,
-    KL,
-    L1,
-    BoundReport,
-    PerturbationBudget,
-    _check_estimates,
-    _logloss_check,
-    check_theorem1,
-    example1_construction,
-    example2_construction,
-    random_l1_perturbation,
-    random_theorem1_instance,
-    random_theorem2_instance,
-    tightness_search,
-)
+from .bounds import BOUND_TOL, KL, L1, BoundReport, PerturbationBudget, check_theorem1, tightness_search
+from .bounds import _as_objects, _check, _logloss_check, _masses, _random_instance
+from .bounds import example1_construction, example2_construction
 from .classify import CostMatrix, LabeledSource
-from .distributions import (
-    Distribution,
-    Domain,
-    QuantizedClassSpec,
-    kl_divergence,
-    l1_distance,
-    random_quantized,
-)
+from .distributions import Distribution, Domain, QuantizedClassSpec, kl_divergence, l1_distance
 from .pdfa import Pdfa, truncate_all
 from .pipeline import (
     TRIAL_CSV_COLUMNS,
@@ -56,7 +36,7 @@ from .pipeline import (
     config_to_dict,
     run_pac_experiment,
 )
-from .smoothing import SmoothingReport, SmoothingParams, base_mixture, verify_smoothing
+from .smoothing import SmoothingReport, SmoothingParams, _sweep, base_mixture
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -133,17 +113,18 @@ def _read_input(path, parse):
 
 
 def _instance_from_payload(data: dict):
-    """Inverse of :func:`_instance_payload`: ``(metric, source, estimates, cost)``."""
+    """Inverse of :func:`_instance_payload`, validated: ``(metric, priors, masses, cost)``."""
     metric = data.get("metric", L1)
     if metric not in (L1, KL):
         raise ValueError(f"metric must be {L1!r} or {KL!r}, got {metric!r}")
     source = LabeledSource.from_dict(data["source"])
-    est = _check_estimates(source, (Distribution.from_dict(d) for d in data["estimates"]))
-    return metric, source, est, CostMatrix(data["cost"]) if metric == L1 else None
+    masses = _masses(source, (Distribution.from_dict(d) for d in data["estimates"]))
+    return metric, source.priors, masses, CostMatrix(data["cost"]) if metric == L1 else None
 
 
-def _check_instance(metric: str, source: LabeledSource, est, cost):
-    """Check one instance as the sweeps do: ``(report, identity_gap, ok)``.
+def _check_instance(metric: str, priors, masses, cost):
+    """Check one instance, its ``(2, k, m)`` masses as ``bounds._masses`` lays them out, as the
+    sweeps do: ``(report, identity_gap, ok)``.
 
     The log-loss check also measures the gap between the two sides of the
     exact excess identity when every per-class KL is finite (``None``
@@ -151,9 +132,9 @@ def _check_instance(metric: str, source: LabeledSource, est, cost):
     within ``BOUND_TOL``.
     """
     if metric == L1:
-        report = check_theorem1(source, est, cost)
+        report = _check(priors, masses, cost)[0]
         return report, None, report.satisfied
-    report, rhs = _logloss_check(source, est)
+    report, rhs = _logloss_check(priors, masses)
     gap = None if rhs is None else abs(report.excess - rhs)
     return report, gap, report.satisfied and (gap is None or gap <= BOUND_TOL)
 
@@ -188,22 +169,17 @@ def cmd_verify(args) -> int:
     violations = 0
     worst_gap = 0.0
     for trial in range(args.trials):
-        if metric == L1:
-            source, est, cost = random_theorem1_instance(rng, args.k_max, args.m_max)
-        else:
-            source, est = random_theorem2_instance(rng, args.k_max, args.m_max)
-            cost = None
-        report, gap, ok = _check_instance(metric, source, est, cost)
-        row = [trial, source.k, source.domain.size] + report.csv_row()
+        priors, masses, cost = _random_instance(rng, args.k_max, args.m_max, metric)
+        report, gap, ok = _check_instance(metric, priors, masses, cost)
+        row = [trial, *masses.shape[1:]] + report.csv_row()
         if gap is not None:
             row.append(gap)
             worst_gap = max(worst_gap, gap)
         run.add_row(row)
         if not ok:
             violations += 1
-            run.write_instance(
-                f"violation_{trial}.json", _instance_payload(source, est, cost, metric)
-            )
+            payload = _instance_payload(*_as_objects(priors, masses), cost, metric)
+            run.write_instance(f"violation_{trial}.json", payload)
     summary = {"trials": args.trials, "violations": violations}
     if metric == KL:
         summary["worst_identity_gap"] = worst_gap
@@ -229,7 +205,7 @@ def cmd_lower_bounds(args) -> int:
         per_l1 = l1_distance(source.class_dists[0], est[0])
         slack_gap = abs(t1.slack - 2.0 * gamma * cost.max_cost)
         src2, est2 = example2_construction(args.eps_prime, gamma)
-        t2, gap, t2_ok = _check_instance(KL, src2, est2, None)
+        t2, gap, t2_ok = _check_instance(KL, src2.priors, _masses(src2, est2), None)
         per_kl = kl_divergence(src2.class_dists[0], est2[0])
         rows.append(
             {
@@ -299,16 +275,15 @@ def cmd_smooth(args) -> int:
     columns = ("trial",) + SmoothingReport.CSV_COLUMNS
     run = _Run("smooth", args.out_dir, args.seed, config, columns)
     violations = 0
-    for trial in range(args.trials):
-        true_d = random_quantized(spec, rng)
-        est = random_l1_perturbation(true_d, params.xi, rng)
-        report = verify_smoothing(true_d, est, params, base)
-        run.add_row([trial] + report.csv_row())
+    for trial, (true, est, fields) in enumerate(_sweep(spec, params, base, args.trials, rng)):
+        run.add_row([trial, *fields])
+        report = SmoothingReport(*fields)
         if not report.within or report.kl_actual > report.certificate + BOUND_TOL:
             violations += 1
+            true_d, est_d = (Distribution._frozen(spec.domain, row.copy()) for row in (true, est))
             run.write_instance(
                 f"violation_{trial}.json",
-                {"true": true_d.to_dict(), "estimate": est.to_dict(), "report": report.to_dict()},
+                {"true": true_d.to_dict(), "estimate": est_d.to_dict(), "report": report.to_dict()},
             )
     run.finish({"trials": args.trials, "violations": violations, "xi": params.xi})
     return EXIT_VIOLATION if violations else EXIT_OK

@@ -83,23 +83,26 @@ class Domain:
             raise KeyError(f"atom {atom!r} is not in the domain") from None
 
 
-def _exact_unit_mass(mass: np.ndarray, total: float) -> np.ndarray:
-    """Rescale ``mass``, whose sum is ``total``, in place so it sums to 1.0 up
-    to at most one ulp.
+def _exact_unit_mass(mass: np.ndarray) -> np.ndarray:
+    """Rescale ``mass`` in place so it sums to 1.0 up to at most one ulp: each row of a 2-D
+    ``mass`` on its own, a 1-D one being one row.
 
-    ``total`` must lie within ``SUM_TOL`` of one. After dividing by it, the
+    Each sum must lie within ``SUM_TOL`` of one. After dividing by it, the
     float re-sum can still miss 1.0 by a few ulp; folding the residual into
     the largest entry brings the sum to literal 1.0 in almost all cases
     (and always within one ulp, far inside every downstream tolerance).
     """
-    if abs(total - 1.0) > SUM_TOL:
-        raise ValueError(f"mass sums to {total!r}, expected 1 within {SUM_TOL}")
-    mass /= total
+    rows = mass if mass.ndim == 2 else mass[None]
+    totals = rows.sum(axis=1)
+    for total in totals.tolist():  # cheaper than numpy calls for the few rows of most calls
+        if abs(total - 1.0) > SUM_TOL:
+            raise ValueError(f"mass sums to {total!r}, expected 1 within {SUM_TOL}")
+    rows /= totals[:, None]
     for _ in range(4):
-        residual = float(mass.sum()) - 1.0
-        if residual == 0.0:
+        residual = rows.sum(axis=1) - 1.0
+        if not np.count_nonzero(residual):
             break
-        mass[int(np.argmax(mass))] -= residual
+        rows[np.arange(len(rows)), rows.argmax(axis=1)] -= residual
     return mass
 
 
@@ -122,20 +125,21 @@ class Distribution:
                 f"mass vector has shape {mass.shape}, domain has {self.domain.size} atoms"
             )
         # NaN reaches both reductions; inf or -inf makes the sum non-finite or the min < 0.
+        # A sum that overflows is named by the unit-sum check.
         with np.errstate(over="ignore"):
             total = float(mass.sum())
-        if not (math.isfinite(total) and mass.min() >= 0.0):
-            if not np.isfinite(mass).all():
-                raise ValueError("invalid mass: entries must be finite")
-            if (mass < 0.0).any():
-                raise ValueError("invalid mass: entries must be non-negative")
-        _exact_unit_mass(mass, total).flags.writeable = False
+            if not (math.isfinite(total) and mass.min() >= 0.0):
+                if not np.isfinite(mass).all():
+                    raise ValueError("invalid mass: entries must be finite")
+                if (mass < 0.0).any():
+                    raise ValueError("invalid mass: entries must be non-negative")
+            _exact_unit_mass(mass).flags.writeable = False
         object.__setattr__(self, "mass", mass)
 
     @classmethod
     def _own(cls, domain: Domain, mass: np.ndarray) -> "Distribution":
         """Take ``mass``, a fresh finite non-negative ``(domain.size,)`` array, unscanned."""
-        return cls._frozen(domain, _exact_unit_mass(mass, float(mass.sum())))
+        return cls._frozen(domain, _exact_unit_mass(mass))
 
     @classmethod
     def _frozen(cls, domain: Domain, mass: np.ndarray) -> "Distribution":
@@ -205,9 +209,11 @@ def l1_distance(p: Distribution, q: Distribution) -> float:
     return _l1_distance(p.mass, q.mass)
 
 
-def _l1_distance(p: np.ndarray, q: np.ndarray, out=None) -> float:
+def _l1_distance(p: np.ndarray, q: np.ndarray, out=None):
+    """:func:`l1_distance` of the masses ``p`` and ``q``; of ``(n, m)`` masses, row by row."""
     diff = np.subtract(p, q, out=out)
-    return float(np.abs(diff, out=diff).sum())
+    l1 = np.abs(diff, out=diff).sum(axis=-1)
+    return l1 if l1.ndim else float(l1)
 
 
 def kl_divergence(p: Distribution, q: Distribution) -> float:
@@ -221,18 +227,38 @@ def kl_divergence(p: Distribution, q: Distribution) -> float:
     return _kl_on_support(p.mass, q.mass, p.mass > 0.0)
 
 
-def _kl_on_support(p: np.ndarray, q: np.ndarray, support: np.ndarray, out=None) -> float:
+def _kl_on_support(p: np.ndarray, q: np.ndarray, support: np.ndarray, out=None):
     """:func:`kl_divergence` of the masses ``p`` and ``q``, ``support`` being ``p > 0``: a full one
-    is summed in the scratch row ``out``, a partial one gathered (``q`` first, for an inf KL)."""
+    is summed in the scratch row ``out``, a partial one gathered (``q`` first, for an inf KL).
+
+    Of ``(n, m)`` masses, an ``(n,)`` array: rows of one support size are gathered into one
+    ``(rows, size)`` block, so each row sums what its 1-D gather sums.
+    """
+    if p.ndim == 2:
+        sizes = support.sum(axis=1)
+        kl = np.full(len(p), math.inf)
+        for size in np.unique(sizes):
+            rows = sizes == size
+            on = support & rows[:, None]
+            ps, qs = p[on].reshape(-1, size), q[on].reshape(-1, size)
+            finite = qs.min(axis=1) > 0.0
+            sums = _kl_sum(ps[finite], qs[finite])
+            kl[np.flatnonzero(rows)[finite]] = np.where(sums > 0.0, sums, 0.0)
+        return kl
     full = bool(support.all())
     qs = q if full else q[support]
     if qs.min() == 0.0:  # q >= 0, so this finds a zero without a bool temporary
         return math.inf
     ps = p if full else p[support]
-    terms = np.divide(ps, qs, out=out if full else None)
+    return max(0.0, float(_kl_sum(ps, qs, out if full else None)))
+
+
+def _kl_sum(ps: np.ndarray, qs: np.ndarray, out=None):
+    """``sum(ps * log2(ps / qs))`` over the last axis, for ``ps`` and ``qs`` gathered with ``qs > 0``."""
+    terms = np.divide(ps, qs, out=out)
     np.log2(terms, out=terms)
     terms *= ps
-    return max(0.0, float(terms.sum()))
+    return terms.sum(axis=-1)
 
 
 def mixture(components: Sequence[tuple[float, Distribution]]) -> Distribution:
@@ -322,6 +348,9 @@ def random_quantized(spec: QuantizedClassSpec, rng: np.random.Generator) -> Dist
     Dyadic masses with denominator ``2**bits_per_atom`` are exact in binary
     floating point, so membership survives construction.
     """
-    shape = rng.dirichlet(np.ones(spec.domain.size))
-    numerators = rng.multinomial(spec.scale, shape)
-    return Distribution._own(spec.domain, numerators / spec.scale)
+    return Distribution._own(spec.domain, _draw_numerators(spec, rng) / spec.scale)
+
+
+def _draw_numerators(spec: QuantizedClassSpec, rng: np.random.Generator) -> np.ndarray:
+    """:func:`random_quantized`'s draws: a Dirichlet shape, then the numerators over it."""
+    return rng.multinomial(spec.scale, rng.dirichlet(np.ones(spec.domain.size)))

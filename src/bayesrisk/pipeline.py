@@ -164,13 +164,13 @@ def _trial(config: TrialConfig, rng: np.random.Generator, n: int, risk_opt: floa
     counts = np.bincount(_draw_indices(source.priors, rng, n), minlength=source.k)
     for d, c, est in zip(source.class_dists, counts, ests):
         _estimate(est, _draw_indices(d.mass, rng, c, row), config.resolved_laplace)
-        _exact_unit_mass(est, float(est.sum()))
+        _exact_unit_mass(est)
     pairs = tuple(zip((d.mass for d in source.class_dists), ests))
     l1s = tuple(_l1_distance(p, q, row) for p, q in pairs)
     kls = tuple(_kl_on_support(p, q, np.greater(p, 0.0, out=mask), row) for p, q in pairs)
     costs = None if config.cost is None else as_cost_array(config.cost, source.k)
     risk_plugin = _plugin_risk(source.priors, source.weighted_mass, ests, costs, ws)
-    report = _theorem_report(source, config.cost, kls if costs is None else l1s, risk_opt, risk_plugin)
+    report = _theorem_report(source.priors, config.cost, kls if costs is None else l1s, risk_opt, risk_plugin)
     return TrialOutcome(tuple(int(c) for c in counts), l1s, kls, report)
 
 

@@ -28,19 +28,18 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .bounds import report_rows
-from .distributions import (
-    Distribution,
-    QuantizedClassSpec,
-    kl_divergence,
-    l1_distance,
-)
+from .bounds import _draw_noise, _perturb_rows, report_rows
+from .distributions import Distribution, QuantizedClassSpec, _draw_numerators, _exact_unit_mass
+from .distributions import _kl_on_support, _l1_distance, _require_same_domain
 
 WITHIN_TOL = 1e-9
 HYPOTHESIS_TOL = 1e-12
 
 # Explicit class enumerations beyond this are refused rather than averaged.
 MAX_ENUMERATION = 1 << 20
+
+# Bytes of one (trials, m) float block of a smoothing sweep.
+_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -113,16 +112,22 @@ def base_mixture(
     return BaseDistribution(dist, float(dist.mass.min()))
 
 
-def smooth(
-    d_est: Distribution, params: SmoothingParams, base: BaseDistribution
-) -> Distribution:
+def smooth(d_est: Distribution, params: SmoothingParams, base: BaseDistribution) -> Distribution:
     """Mix ``(1 - xi) * d_est + xi * base``; every atom ends up >= ``xi * min_mass``."""
+    _check_base(d_est, base)
+    return Distribution._frozen(d_est.domain, _smooth_rows(d_est.mass[None], params.xi, base)[0])
+
+
+def _check_base(d_est: Distribution, base: BaseDistribution) -> None:
     if base.min_mass <= 0.0:
         raise ValueError("base provides no floor: min_mass must be positive")
     if d_est.domain != base.dist.domain:
         raise ValueError("estimate and base must share one domain")
-    xi = params.xi
-    return Distribution._own(d_est.domain, (1.0 - xi) * d_est.mass + xi * base.dist.mass)
+
+
+def _smooth_rows(est: np.ndarray, xi: float, base: BaseDistribution) -> np.ndarray:
+    """:func:`smooth`'s mixing of each row of the ``(n, m)`` masses ``est``, fresh and at unit mass."""
+    return _exact_unit_mass((1.0 - xi) * est + xi * base.dist.mass)
 
 
 def kl_certificate(params: SmoothingParams) -> float:
@@ -164,18 +169,37 @@ def verify_smoothing(
     L1 learner run at accuracy ``xi``; ``within`` records
     ``KL(true_d || smoothed) <= epsilon``.
     """
-    l1_actual = l1_distance(true_d, d_est)
-    if l1_actual > params.xi + HYPOTHESIS_TOL:
+    _require_same_domain(true_d, d_est)
+    _check_base(d_est, base)
+    return SmoothingReport(*_verify_rows(true_d.mass[None], d_est.mass[None], params, base)[0])
+
+
+def _verify_rows(true: np.ndarray, est: np.ndarray, params: SmoothingParams, base: BaseDistribution) -> list:
+    """:func:`verify_smoothing`'s report fields, as tuples, for each row pair of ``(n, m)`` unit masses."""
+    l1 = _l1_distance(true, est)
+    broken = np.flatnonzero(l1 > params.xi + HYPOTHESIS_TOL)
+    if len(broken):
         raise ValueError(
-            f"hypothesis not met: L1(true, estimate) = {l1_actual!r} exceeds xi = {params.xi!r}"
+            f"hypothesis not met: L1(true, estimate) = {float(l1[broken[0]])!r} exceeds xi = {params.xi!r}"
         )
-    smoothed = smooth(d_est, params, base)
-    kl_actual = kl_divergence(true_d, smoothed)
-    return SmoothingReport(
-        xi=params.xi,
-        l1_actual=l1_actual,
-        kl_actual=kl_actual,
-        certificate=kl_certificate(params),
-        certificate_floor=kl_certificate_from_floor(params, base),
-        within=kl_actual <= params.epsilon + WITHIN_TOL,
-    )
+    kl = _kl_on_support(true, _smooth_rows(est, params.xi, base), true > 0.0)
+    fixed = params.xi, kl_certificate(params), kl_certificate_from_floor(params, base)
+    within = (kl <= params.epsilon + WITHIN_TOL).tolist()
+    return [(fixed[0], a, b, *fixed[1:], w) for a, b, w in zip(l1.tolist(), kl.tolist(), within)]
+
+
+def _sweep(spec: QuantizedClassSpec, params: SmoothingParams, base: BaseDistribution, trials: int, rng):
+    """The smoothing sweep's trials as ``(true, estimate, report fields)``. A block of trials, at
+    most ``_BLOCK_BYTES`` per array, makes each trial's draws of :func:`random_quantized` and
+    :func:`random_l1_perturbation` at budget ``xi`` first, then its arithmetic on the whole block."""
+    m = spec.domain.size
+    per_block = max(1, _BLOCK_BYTES // (8 * m))
+    for start in range(0, trials, per_block):
+        n = min(per_block, trials - start)
+        numerators, noise = np.empty((n, m), np.int64), np.zeros((n, m))
+        for row, trial_noise in zip(numerators, noise):
+            row[:] = _draw_numerators(spec, rng)
+            _draw_noise(rng, params.xi, trial_noise)
+        true = _exact_unit_mass(numerators / spec.scale)
+        est = _perturb_rows(true, np.full(n, params.xi), noise)
+        yield from zip(true, est, _verify_rows(true, est, params, base))

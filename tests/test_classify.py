@@ -14,6 +14,7 @@ from bayesrisk.classify import (
     LabeledSource,
     StochasticRule,
     _bayes_labels,
+    as_cost_array,
     bayes_classifier,
     logloss_risk,
     plugin_rule,
@@ -45,6 +46,20 @@ class TestCostMatrix:
         c = CostMatrix.zero_one(3)
         assert c.max_cost == 1.0
         assert np.array_equal(np.diag(c.costs), np.zeros(3))
+
+    @pytest.mark.parametrize("bad", [-1.0, math.inf, math.nan])
+    def test_raw_cost_array_is_still_scanned(self, bad):
+        raw = np.array([[0.0, bad], [1.0, 0.0]])
+        with pytest.raises(ValueError, match="^costs must be finite and non-negative$"):
+            as_cost_array(raw, 2)
+        with pytest.raises(ValueError, match="^costs must be finite and non-negative$"):
+            as_cost_array(raw.tolist(), 2)
+
+    def test_cost_matrix_is_handed_over_after_its_shape_check(self):
+        c = CostMatrix(np.array([[0.0, 2.0], [1.0, 0.0]]))
+        assert as_cost_array(c, 2) is c.costs
+        with pytest.raises(ValueError, match=r"shape \(2, 2\), expected \(3, 3\)"):
+            as_cost_array(c, 3)
 
 
 class TestBayesClassifier:

@@ -122,6 +122,13 @@ class TestVerifyCommands:
         expected = (GOLDEN / "verify_theorem2_report.csv").read_bytes()
         assert (tmp_path / "report.csv").read_bytes() == expected
 
+    @pytest.mark.parametrize("command", ["verify-theorem1", "verify-theorem2"])
+    def test_smallest_shapes_pass(self, tmp_path, command):
+        argv = [command, "--trials", "40", "--k-max", "2", "--m-max", "2", "--out-dir", tmp_path]
+        assert run(argv) == 0
+        rows = (tmp_path / "report.csv").read_text().splitlines()[1:]
+        assert len(rows) == 40 and all(row.split(",")[1:3] == ["2", "2"] for row in rows)
+
     def test_replay_recomputes_instance(self, tmp_path):
         from bayesrisk.bounds import example1_construction
         from bayesrisk.cli import _instance_payload
@@ -223,6 +230,12 @@ class TestSmoothCommand:
             ["smooth", "--trials", "10", "--domain-size", "8", "--ld", "31", "--out-dir", tmp_path]
         )
         assert code == 2
+
+    # One atom draws no noise; three atoms at one bit quantize most masses to 0 or 1/2.
+    @pytest.mark.parametrize("shape", [["--domain-size", "1"], ["--domain-size", "3", "--bits", "1"]])
+    def test_edge_shapes_pass(self, tmp_path, shape):
+        assert run(["smooth", "--trials", "40", *shape, "--out-dir", tmp_path]) == 0
+        assert len((tmp_path / "report.csv").read_text().splitlines()) == 41
 
 
 class TestPipelineCommand:

@@ -1,0 +1,216 @@
+"""The row kernels behind the sweeps, and the numpy and generator facts they rest on.
+
+The sweeps make every draw of an instance (or of a block of smoothing
+trials) first, in the order the per-object generators make them, and then
+run the arithmetic on ``(rows, m)`` arrays. Both halves are bit-identical
+to the per-object path only because of the facts pinned here: a numpy or
+generator upgrade that breaks one should fail this file, not a golden.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import bayesrisk.smoothing as smoothing
+from bayesrisk.bounds import (
+    KL,
+    L1,
+    _check,
+    _floor_rows,
+    _logloss_check,
+    _masses,
+    _perturb_rows,
+    _random_instance,
+    check_theorem1,
+    check_theorem2,
+    excess_logloss_identity,
+    random_cost,
+    random_l1_perturbation,
+    random_source,
+    support_safe_perturbation,
+)
+from bayesrisk.distributions import (
+    Domain,
+    QuantizedClassSpec,
+    make_distribution,
+    random_quantized,
+)
+from bayesrisk.smoothing import SmoothingParams, base_mixture, verify_smoothing
+
+WIDTHS = range(1, 131)
+
+
+def _hex_rows(values) -> list[list[str]]:
+    return [[float.hex(float(v)) for v in np.atleast_1d(row)] for row in values]
+
+
+@pytest.mark.parametrize("m", WIDTHS)
+def test_row_reductions_equal_the_1d_ones(m):
+    """``sum(axis=1)``, ``np.abs``, ``np.log2`` and ``argmax(axis=1)`` of a C-contiguous
+    ``(N, m)`` array give, row by row, the bits of the same call on each row alone: m runs
+    over 1..130, across the 8-wide unrolling and the 128-entry block of numpy's pairwise sum."""
+    rng = np.random.default_rng(m)
+    block = rng.gamma(0.3, 1.0, (7, m)) * rng.choice([1e-300, 1e-8, 1.0, 1e8], (7, 1))
+    block[3] = block[3, 0]  # a row of ties for argmax
+    assert block.flags.c_contiguous
+    signed = block - rng.random((7, m))
+    assert _hex_rows(block.sum(axis=1)) == _hex_rows([row.sum() for row in block])
+    assert _hex_rows(signed.sum(axis=1)) == _hex_rows([row.sum() for row in signed])
+    assert _hex_rows(np.abs(signed)) == _hex_rows([np.abs(row) for row in signed])
+    assert _hex_rows(np.log2(block)) == _hex_rows([np.log2(row) for row in block])
+    assert block.argmax(axis=1).tolist() == [int(row.argmax()) for row in block]
+
+
+def test_rewritten_draws_take_what_the_old_ones_took():
+    """The sweeps draw ``alpha`` by index, the ``(k, m)`` gamma block at once and each
+    normal row into its slot; each leaves the generator where the old call did."""
+    for seed in range(200):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert float(a.choice([0.3, 1.0, 3.0])) == (0.3, 1.0, 3.0)[b.integers(0, 3)]
+        assert a.random() == b.random()
+        alpha, k, m = (0.3, 1.0, 3.0)[seed % 3], 1 + seed % 5, 1 + seed % 64
+        rows = np.array([a.gamma(alpha, 1.0, m) for _ in range(k)])
+        assert rows.tobytes() == b.gamma(alpha, 1.0, (k, m)).tobytes()
+        assert a.random() == b.random()
+        slot = np.zeros((2, m))
+        b.standard_normal(out=slot[1])
+        assert a.standard_normal(m).tobytes() == slot[1].tobytes()
+        assert a.random() == b.random()
+
+
+def _hex_fields(report) -> dict:
+    return {name: v.hex() if isinstance(v, float) else v for name, v in report.to_dict().items()}
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([L1, KL]), st.integers(2, 5), st.integers(2, 64))
+@example(0, L1, 2, 2)
+@example(1, KL, 2, 2)
+@settings(max_examples=150, deadline=None)
+def test_sweep_instance_and_report_equal_the_public_composition(seed, metric, k_max, m_max):
+    """One sweep instance, drawn first and computed as a block, is the instance the public
+    generators build class by class from the same seed, and leaves the generator where they
+    do; its check gives the public check's report, field by field in float.hex."""
+    rng = np.random.default_rng(seed)
+    priors, masses, cost = _random_instance(rng, k_max, m_max, metric)
+    ref = np.random.default_rng(seed)
+    k, m = int(ref.integers(2, k_max + 1)), int(ref.integers(2, m_max + 1))
+    source = random_source(ref, k, m)
+    if metric == L1:
+        est = tuple(random_l1_perturbation(d, float(ref.uniform(0.0, 2.0)), ref) for d in source.class_dists)
+        ref_cost = random_cost(ref, k)
+    else:
+        est = tuple(support_safe_perturbation(d, float(ref.uniform(0.0, 1.5)), ref) for d in source.class_dists)
+    assert rng.random() == ref.random()
+    assert priors.tobytes() == source.priors.tobytes()
+    assert masses.tobytes() == _masses(source, est).tobytes()
+    if metric == L1:
+        assert cost.costs.tobytes() == ref_cost.costs.tobytes()
+        assert _hex_fields(_check(priors, masses, cost)[0]) == _hex_fields(check_theorem1(source, est, ref_cost))
+    else:
+        report, rhs = _logloss_check(priors, masses)
+        assert _hex_fields(report) == _hex_fields(check_theorem2(source, est))
+        lhs, ref_rhs = excess_logloss_identity(source, est)
+        assert (report.excess.hex(), rhs.hex()) == (lhs.hex(), ref_rhs.hex())
+
+
+class _Normals:
+    """A generator stand-in that hands out one given row of normals."""
+
+    def __init__(self, row):
+        self.row = row
+
+    def standard_normal(self, out):
+        out[:] = self.row
+
+
+def _old_unit_mass(mass: np.ndarray) -> np.ndarray:
+    """The per-distribution renormalization the row kernel replaced, kept as the reference."""
+    mass /= float(mass.sum())
+    for _ in range(4):
+        residual = float(mass.sum()) - 1.0
+        if residual == 0.0:
+            break
+        mass[int(np.argmax(mass))] -= residual
+    return mass
+
+
+def _old_l1_perturbation(mass: np.ndarray, budget: float, v: np.ndarray) -> tuple[np.ndarray, bool]:
+    """The per-distribution perturbation the row kernel replaced, on the normal draw ``v``,
+    and whether it pulled the candidate back into the budget."""
+    if budget == 0.0 or len(mass) == 1:
+        return mass, False
+    v = v - v.sum() / len(mass)
+    norm = float(np.abs(v).sum())
+    if norm == 0.0:
+        return mass, False
+    v *= budget / norm
+    w = np.clip(mass + v, 0.0, None)
+    cand = _old_unit_mass(w / float(w.sum()))
+    distance = float(np.abs(mass - cand).sum())
+    if distance <= budget:
+        return cand, False
+    return _old_unit_mass(mass + budget / distance * (cand - mass)), True
+
+
+def _compare_perturbations(seed: int, m: int) -> int:
+    """Check the perturbation and floor kernels on a block of 64 rows against the public
+    per-distribution results and the old per-distribution arithmetic, row by row in bytes;
+    returns how many rows were pulled back into their budget. Row 0 has a zero budget (no
+    draw), row 1 a normal draw of zero norm once centred."""
+    rng = np.random.default_rng(seed)
+    n, domain = 64, Domain.indexed(m)
+    w = rng.random((n, m)) * (rng.random((n, m)) < 0.7)
+    w[np.arange(n), rng.integers(m, size=n)] += 0.01
+    true = [make_distribution(domain, row) for row in w]
+    budgets = rng.uniform(0.0, 2.0, n)
+    noise = rng.standard_normal((n, m))
+    budgets[0], noise[0], noise[1] = 0.0, 0.0, 0.5
+    if m == 1:
+        noise[:] = 0.0  # one atom: no draw
+    lams = rng.uniform(0.01, 0.05, n)
+    est = _perturb_rows(np.array([d.mass for d in true]), budgets, noise.copy())
+    floored = _floor_rows(est, lams)
+    pulled = 0
+    for i, d in enumerate(true):
+        public = random_l1_perturbation(d, float(budgets[i]), _Normals(noise[i]))
+        old, pulled_back = _old_l1_perturbation(d.mass.copy(), float(budgets[i]), noise[i])
+        pulled += pulled_back
+        assert est[i].tobytes() == public.mass.tobytes() == old.tobytes()
+        lam = float(lams[i])
+        assert floored[i].tobytes() == _old_unit_mass((1.0 - lam) * old + lam / m).tobytes()
+    return pulled
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 64))
+@example(0, 1)
+@example(0, 2)
+@settings(max_examples=100, deadline=None)
+def test_perturbation_rows_equal_the_per_distribution_arithmetic(seed, m):
+    _compare_perturbations(seed, m)
+
+
+def test_pull_back_branch_is_compared():
+    """Clipping and renormalizing leave a candidate within its budget but for round-off, so
+    the pull-back runs on about one row in twenty; these fixed blocks reach it."""
+    assert sum(_compare_perturbations(seed, 5) for seed in range(4)) > 0
+
+
+@pytest.mark.parametrize("m, bits", [(1, 8), (3, 1), (8, 8), (64, 2)])
+def test_smoothing_blocks_equal_the_per_trial_path(monkeypatch, m, bits):
+    """The smoothing sweep's blocks, cut small so trials straddle them, give the reports
+    of the public per-trial path from the same seed, field by field in float.hex."""
+    monkeypatch.setattr(smoothing, "_BLOCK_BYTES", 8 * m * 7)
+    spec = QuantizedClassSpec(Domain.indexed(m), bits)
+    params = SmoothingParams(0.5, spec.description_length)
+    base = base_mixture(spec)
+    rng, ref = np.random.default_rng(m), np.random.default_rng(m)
+    rows = [fields for _, _, fields in smoothing._sweep(spec, params, base, 30, rng)]
+    assert len(rows) == 30
+    for fields in rows:
+        true_d = random_quantized(spec, ref)
+        report = verify_smoothing(true_d, random_l1_perturbation(true_d, params.xi, ref), params, base)
+        assert _hex_fields(smoothing.SmoothingReport(*fields)) == _hex_fields(report)
+    assert rng.random() == ref.random()
