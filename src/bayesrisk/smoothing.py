@@ -39,7 +39,7 @@ HYPOTHESIS_TOL = 1e-12
 MAX_ENUMERATION = 1 << 20
 
 # Bytes of one (trials, m) float block of a smoothing sweep.
-_BLOCK_BYTES = 1 << 20
+_BLOCK_BYTES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -171,11 +171,12 @@ def verify_smoothing(
     """
     _require_same_domain(true_d, d_est)
     _check_base(d_est, base)
-    return SmoothingReport(*_verify_rows(true_d.mass[None], d_est.mass[None], params, base)[0])
+    return SmoothingReport(*next(_verify_rows(true_d.mass[None], d_est.mass[None], params, base)))
 
 
-def _verify_rows(true: np.ndarray, est: np.ndarray, params: SmoothingParams, base: BaseDistribution) -> list:
-    """:func:`verify_smoothing`'s report fields, as tuples, for each row pair of ``(n, m)`` unit masses."""
+def _verify_rows(true: np.ndarray, est: np.ndarray, params: SmoothingParams, base: BaseDistribution):
+    """:func:`verify_smoothing`'s report fields, a tuple made on demand, for each row pair of
+    ``(n, m)`` unit masses; the hypothesis is checked for every row before the first is made."""
     l1 = _l1_distance(true, est)
     broken = np.flatnonzero(l1 > params.xi + HYPOTHESIS_TOL)
     if len(broken):
@@ -185,7 +186,7 @@ def _verify_rows(true: np.ndarray, est: np.ndarray, params: SmoothingParams, bas
     kl = _kl_on_support(true, _smooth_rows(est, params.xi, base), true > 0.0)
     fixed = params.xi, kl_certificate(params), kl_certificate_from_floor(params, base)
     within = (kl <= params.epsilon + WITHIN_TOL).tolist()
-    return [(fixed[0], a, b, *fixed[1:], w) for a, b, w in zip(l1.tolist(), kl.tolist(), within)]
+    return ((fixed[0], a, b, *fixed[1:], w) for a, b, w in zip(l1.tolist(), kl.tolist(), within))
 
 
 def _sweep(spec: QuantizedClassSpec, params: SmoothingParams, base: BaseDistribution, trials: int, rng):
@@ -202,4 +203,5 @@ def _sweep(spec: QuantizedClassSpec, params: SmoothingParams, base: BaseDistribu
             _draw_noise(rng, params.xi, trial_noise)
         true = _exact_unit_mass(numerators / spec.scale)
         est = _perturb_rows(true, np.full(n, params.xi), noise)
+        del numerators, noise  # only the two blocks stay alive while the trials are read
         yield from zip(true, est, _verify_rows(true, est, params, base))
