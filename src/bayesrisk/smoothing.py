@@ -203,5 +203,4 @@ def _sweep(spec: QuantizedClassSpec, params: SmoothingParams, base: BaseDistribu
             _draw_noise(rng, params.xi, trial_noise)
         true = _exact_unit_mass(numerators / spec.scale)
         est = _perturb_rows(true, np.full(n, params.xi), noise)
-        del numerators, noise  # only the two blocks stay alive while the trials are read
         yield from zip(true, est, _verify_rows(true, est, params, base))
