@@ -38,7 +38,7 @@ import numpy as np
 from .classify import CostLike, CostMatrix, LabeledSource, as_cost_array
 from .classify import _bayes_labels, _cost_risk, _logloss_risk, _posterior, _workspace
 from .distributions import Distribution, Domain, kl_divergence
-from .distributions import _exact_unit_mass, _kl_on_support, _l1_distance
+from .distributions import _exact_unit_mass, _kl_on_support, _l1_distance, _trusted
 
 BOUND_TOL = 1e-9
 EXCESS_TOL = 1e-12
@@ -347,17 +347,21 @@ def _perturb_rows(true: np.ndarray, budgets: np.ndarray, noise: np.ndarray) -> n
     budget, on its row of normal ``noise`` (zeros if not drawn; centred in place)."""
     noise -= (noise.sum(axis=1) / true.shape[1])[:, None]
     norms = np.abs(noise).sum(axis=1)
+    every = bool(norms.all())  # then the rows are taken as views and the candidates are the result
+    moved = slice(None) if every else np.flatnonzero(norms)
+    if not (every or len(moved)):
+        return true.copy()
+    t, limits = true[moved], budgets[moved]
+    # np.maximum(x, 0.0) is np.clip(x, 0.0, None) without its Python wrapper.
+    cand = _unit_rows(np.maximum(t + noise[moved] * (limits / norms[moved])[:, None], 0.0))
+    distance = _l1_distance(t, cand)
+    over = np.flatnonzero(distance > limits)
+    if len(over):
+        cand[over] = _blend_back(t[over], cand[over], (limits[over] / distance[over])[:, None])
+    if every:
+        return cand
     est = true.copy()
-    moved = np.flatnonzero(norms)
-    if len(moved):
-        t, limits = true[moved], budgets[moved]
-        # np.maximum(x, 0.0) is np.clip(x, 0.0, None) without its Python wrapper.
-        cand = _unit_rows(np.maximum(t + noise[moved] * (limits / norms[moved])[:, None], 0.0))
-        distance = _l1_distance(t, cand)
-        over = np.flatnonzero(distance > limits)
-        if len(over):
-            cand[over] = _blend_back(t[over], cand[over], (limits[over] / distance[over])[:, None])
-        est[moved] = cand
+    est[moved] = cand
     return est
 
 
@@ -428,14 +432,15 @@ def random_cost(rng: np.random.Generator, k: int) -> CostMatrix:
     """Random cost matrix: 0/1, dense random, or scaled zero-diagonal."""
     kind = int(rng.integers(0, 3))
     if kind == 0:
-        return CostMatrix.zero_one(k)
-    if kind == 1:
+        c = np.ones((k, k)) - np.eye(k)
+    elif kind == 1:
         c = rng.uniform(0.0, 1.0, (k, k))
         c[0, 1] += 1.0
-        return CostMatrix(c)
-    c = rng.uniform(0.1, 5.0, (k, k))
-    np.fill_diagonal(c, 0.0)
-    return CostMatrix(c)
+    else:
+        c = rng.uniform(0.1, 5.0, (k, k))
+        np.fill_diagonal(c, 0.0)
+    c.flags.writeable = False  # finite, non-negative and with a positive entry by construction
+    return _trusted(CostMatrix, costs=c)
 
 
 def _random_instance(

@@ -94,9 +94,11 @@ def _exact_unit_mass(mass: np.ndarray) -> np.ndarray:
     """
     rows = mass if mass.ndim == 2 else mass[None]
     totals = rows.sum(axis=1)
-    for total in totals.tolist():  # cheaper than numpy calls for the few rows of most calls
+    for total in (listed := totals.tolist()):  # cheaper than numpy calls for the few rows of most calls
         if abs(total - 1.0) > SUM_TOL:
             raise ValueError(f"mass sums to {total!r}, expected 1 within {SUM_TOL}")
+    if listed.count(1.0) == len(listed):  # dividing by 1.0 and re-summing would change no bit
+        return mass
     rows /= totals[:, None]
     for _ in range(4):
         residual = rows.sum(axis=1) - 1.0
@@ -228,8 +230,8 @@ def kl_divergence(p: Distribution, q: Distribution) -> float:
 
 
 def _kl_on_support(p: np.ndarray, q: np.ndarray, support: np.ndarray, out=None):
-    """:func:`kl_divergence` of the masses ``p`` and ``q``, ``support`` being ``p > 0``: a full one
-    is summed in the scratch row ``out``, a partial one gathered (``q`` first, for an inf KL).
+    """:func:`kl_divergence` of the masses ``p`` and ``q``, ``support`` being ``p > 0`` (``None`` if all):
+    a full one is summed in the scratch row ``out``, a partial one gathered (``q`` first, for an inf KL).
 
     Of ``(n, m)`` masses, an ``(n,)`` array: rows of one support size are gathered into one
     ``(rows, size)`` block, so each row sums what its 1-D gather sums.
@@ -237,15 +239,15 @@ def _kl_on_support(p: np.ndarray, q: np.ndarray, support: np.ndarray, out=None):
     if p.ndim == 2:
         sizes = support.sum(axis=1)
         kl = np.full(len(p), math.inf)
-        for size in np.flatnonzero(np.bincount(sizes)):  # np.unique would import numpy.ma
+        for size in sorted(set(sizes.tolist())):  # np.unique would import numpy.ma
             rows = sizes == size
-            on = support & rows[:, None]
+            on = support if rows.all() else support & rows[:, None]
             ps, qs = p[on].reshape(-1, size), q[on].reshape(-1, size)
             finite = qs.min(axis=1) > 0.0
-            sums = _kl_sum(ps[finite], qs[finite])
+            sums = _kl_sum(ps, qs) if finite.all() else _kl_sum(ps[finite], qs[finite])
             kl[np.flatnonzero(rows)[finite]] = np.where(sums > 0.0, sums, 0.0)
         return kl
-    full = bool(support.all())
+    full = support is None or bool(support.all())
     qs = q if full else q[support]
     if qs.min() == 0.0:  # q >= 0, so this finds a zero without a bool temporary
         return math.inf
@@ -283,18 +285,18 @@ def mixture(components: Sequence[tuple[float, Distribution]]) -> Distribution:
 
 
 def _draw_indices(mass: np.ndarray, rng: np.random.Generator, n: int, cdf=None) -> np.ndarray:
-    """``n`` i.i.d. indices into ``mass``, a validated pmf, by inverse CDF.
+    """``n`` i.i.d. indices into ``mass``, a validated pmf, by inverse CDF: the arithmetic
+    ``rng.choice(mass.size, size=n, p=mass)`` runs once it has validated ``p``, so the same indices
+    and the same generator state after, without re-checking masses that are already checked."""
+    return _inverse_cdf(mass, rng.random(n), cdf)
 
-    This is the arithmetic ``rng.choice(mass.size, size=n, p=mass)`` runs
-    once it has validated ``p``, so it returns the same indices and leaves
-    the generator in the same state, without re-checking a mass vector
-    that :class:`Distribution` or the class priors have already checked.
-    The CDF is built per call (into the row ``cdf`` if given) on purpose: a
-    held copy costs m floats per class for the life of whatever holds it.
-    """
+
+def _inverse_cdf(mass: np.ndarray, uniforms: np.ndarray, cdf=None) -> np.ndarray:
+    """The indices :func:`_draw_indices` picks for ``uniforms`` of any shape, one call for them all. The CDF
+    is built per call (into the row ``cdf`` if given): a held one costs m floats per class."""
     cdf = np.cumsum(mass, out=cdf)
     cdf /= cdf[-1]
-    return cdf.searchsorted(rng.random(n), side="right")
+    return cdf.searchsorted(uniforms, side="right")
 
 
 def sample(d: Distribution, rng: np.random.Generator, n: int) -> list[str]:

@@ -16,9 +16,11 @@ so it must hold in 100% of trials, not merely 1 - delta of them.
 Trials draw from generators spawned deterministically off the master
 seed, so runs are reproducible and trials could be evaluated in
 parallel; aggregation is a sequential reduction over the trial index.
-Labels and atoms are drawn by inverse CDF, rebuilt on every draw: the
-same algorithm, and so the same draws, as ``Generator.choice`` with
-``p=``, without re-validating masses the source has already checked.
+Labels and atoms are drawn by inverse CDF: the same algorithm, and so the
+same draws, as ``Generator.choice`` with ``p=``, without re-validating
+masses the source has already checked. Trials run in blocks that make
+every draw first; each class's CDF is then built once per block, never
+held for the whole experiment.
 
 A trial runs on raw arrays in one workspace per experiment, scored in
 either mode by ``bounds._plugin_risk``: a cost-mode trial whose classes
@@ -35,7 +37,7 @@ import numpy as np
 
 from .bounds import BoundReport, _optimal_risk, _plugin_risk, _theorem_report
 from .classify import CostMatrix, LabeledSource, _workspace, as_cost_array
-from .distributions import Distribution, Domain, _draw_indices, _exact_unit_mass
+from .distributions import Distribution, Domain, _exact_unit_mass, _inverse_cdf
 from .distributions import _kl_on_support, _l1_distance
 from .pdfa import Pdfa, truncate_all
 
@@ -139,39 +141,61 @@ def _estimate(mass: np.ndarray, idx: np.ndarray, laplace: float) -> np.ndarray:
     if denom == 0.0:
         mass.fill(1.0 / mass.size)
     else:
-        mass += laplace
+        if laplace:  # counts are >= +0.0, so adding 0.0 would change no bit
+            mass += laplace
         mass /= denom
     return mass
 
 
-def run_trial(
-    config: TrialConfig, rng: np.random.Generator, sample_size: Optional[int] = None
-) -> TrialOutcome:
+# Most draws (trials times sample size) in a block of trials; a larger trial is a block of its own.
+_BLOCK_DRAWS = 1 << 15
+
+
+def run_trial(config: TrialConfig, rng: np.random.Generator, sample_size: Optional[int] = None) -> TrialOutcome:
     """One sample-split-estimate-classify round with exact scoring.
 
     A class that drew no samples falls back to the uniform estimate, so
     degenerate splits still produce a total predictor.
     """
     n = config.sample_size if sample_size is None else int(sample_size)
+    return next(_block(config, [rng], n, *_fixed(config)))
+
+
+def _fixed(config: TrialConfig):
+    """An experiment's workspace, optimal risk, and true class supports (``None`` where full)."""
     ws = _workspace(config.source.k, config.source.domain.size)
-    return _trial(config, rng, n, _optimal_risk(config.source, config.cost, ws), ws)
+    supports = tuple(None if d.mass.min() > 0.0 else d.mass > 0.0 for d in config.source.class_dists)
+    return ws, _optimal_risk(config.source, config.cost, ws), supports
 
 
-def _trial(config: TrialConfig, rng: np.random.Generator, n: int, risk_opt: float, ws) -> TrialOutcome:
-    """:func:`run_trial` at sample size ``n``, given the optimal risk, on the workspace ``ws``."""
-    source = config.source
-    ests, _, _, row, mask = ws
-    counts = np.bincount(_draw_indices(source.priors, rng, n), minlength=source.k)
-    for d, c, est in zip(source.class_dists, counts, ests):
-        _estimate(est, _draw_indices(d.mass, rng, c, row), config.resolved_laplace)
-        _exact_unit_mass(est)
-    pairs = tuple(zip((d.mass for d in source.class_dists), ests))
-    l1s = tuple(_l1_distance(p, q, row) for p, q in pairs)
-    kls = tuple(_kl_on_support(p, q, np.greater(p, 0.0, out=mask), row) for p, q in pairs)
+def _block(config: TrialConfig, rngs: Sequence[np.random.Generator], n: int, ws, risk_opt: float, supports):
+    """:func:`run_trial`'s outcome at sample size ``n`` for each generator of ``rngs``, given :func:`_fixed`.
+    Every draw comes first, each generator making one trial's calls in its order (labels, then class
+    0, class 1, ...) into one buffer; each class's CDF, built once in the workspace row, answers the
+    block's draws of that class. Then each trial's arithmetic runs on the workspace."""
+    source, laplace = config.source, config.resolved_laplace
+    ests, _, _, row, _ = ws
+    uniforms = np.empty((len(rngs), n))
+    for rng, trial_uniforms in zip(rngs, uniforms):
+        rng.random(out=trial_uniforms)
+    counts = np.array([np.bincount(labels, minlength=source.k) for labels in _inverse_cdf(source.priors, uniforms)])
+    flat, samples = uniforms.reshape(-1), []
+    for d, class_counts in zip(source.class_dists, counts.T):
+        ends = class_counts.cumsum()
+        for rng, start, end in zip(rngs, ends - class_counts, ends):
+            rng.random(out=flat[start:end])
+        samples.append(np.split(_inverse_cdf(d.mass, flat[: ends[-1]], row), ends[:-1]))
+    del uniforms, flat
     costs = None if config.cost is None else as_cost_array(config.cost, source.k)
-    risk_plugin = _plugin_risk(source.priors, source.weighted_mass, ests, costs, ws)
-    report = _theorem_report(source.priors, config.cost, kls if costs is None else l1s, risk_opt, risk_plugin)
-    return TrialOutcome(tuple(int(c) for c in counts), l1s, kls, report)
+    pairs = tuple(zip((d.mass for d in source.class_dists), ests, supports))
+    for t, trial_counts in enumerate(counts.tolist()):
+        for est, idx in zip(ests, samples):
+            _exact_unit_mass(_estimate(est, idx[t], laplace))
+        l1s = tuple(_l1_distance(p, q, row) for p, q, _ in pairs)
+        kls = tuple(_kl_on_support(p, q, support, row) for p, q, support in pairs)
+        risk_plugin = _plugin_risk(source.priors, source.weighted_mass, ests, costs, ws)
+        report = _theorem_report(source.priors, config.cost, kls if costs is None else l1s, risk_opt, risk_plugin)
+        yield TrialOutcome(tuple(trial_counts), l1s, kls, report)
 
 
 TRIAL_CSV_COLUMNS = (
@@ -227,16 +251,14 @@ def run_pac_experiment(config: TrialConfig) -> ExperimentSummary:
         raise ValueError("at least 30 trials are needed for a meaningful delta estimate")
     grid = config.n_grid or (config.sample_size,)
     streams = np.random.SeedSequence(config.seed).spawn(len(grid) * config.trials)
-    ws = _workspace(config.source.k, config.source.domain.size)
-    risk_opt = _optimal_risk(config.source, config.cost, ws)
+    fixed = _fixed(config)
     rows = []
     per_n = []
     for gi, n in enumerate(grid):
-        outcomes = []
-        for t in range(config.trials):
-            rng = np.random.default_rng(streams[gi * config.trials + t])
-            outcome = _trial(config, rng, n, risk_opt, ws)
-            outcomes.append(outcome)
+        point, per_block, outcomes = streams[gi * config.trials : (gi + 1) * config.trials], max(1, _BLOCK_DRAWS // n), []
+        for start in range(0, config.trials, per_block):
+            outcomes += _block(config, [np.random.default_rng(s) for s in point[start : start + per_block]], n, *fixed)
+        for t, outcome in enumerate(outcomes):
             rows.append(
                 {
                     "n": n,

@@ -197,10 +197,10 @@ def _sweep(spec: QuantizedClassSpec, params: SmoothingParams, base: BaseDistribu
     per_block = max(1, _BLOCK_BYTES // (8 * m))
     for start in range(0, trials, per_block):
         n = min(per_block, trials - start)
-        numerators, noise = np.empty((n, m), np.int64), np.zeros((n, m))
-        for row, trial_noise in zip(numerators, noise):
-            row[:] = _draw_numerators(spec, rng)
+        true, noise = np.empty((n, m)), np.zeros((n, m))
+        for row, trial_noise in zip(true, noise):
+            np.divide(_draw_numerators(spec, rng), spec.scale, out=row)
             _draw_noise(rng, params.xi, trial_noise)
-        true = _exact_unit_mass(numerators / spec.scale)
+        _exact_unit_mass(true)
         est = _perturb_rows(true, np.full(n, params.xi), noise)
         yield from zip(true, est, _verify_rows(true, est, params, base))

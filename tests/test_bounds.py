@@ -358,6 +358,32 @@ class TestRandomInstances:
             c = random_cost(rng, int(rng.integers(2, 6)))
             assert c.max_cost > 0
 
+    def test_random_cost_is_the_checked_matrix_read_only(self):
+        """Each of the three kinds equals ``CostMatrix`` of the same draws, handed over unchecked
+        but read-only, and leaves the generator where the checked path would."""
+        kinds = set()
+        for seed in range(40):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            k = 2 + seed % 4
+            cost = random_cost(rng, k)
+            kind = int(ref.integers(0, 3))
+            if kind == 0:
+                c = np.ones((k, k)) - np.eye(k)
+            elif kind == 1:
+                c = ref.uniform(0.0, 1.0, (k, k))
+                c[0, 1] += 1.0
+            else:
+                c = ref.uniform(0.1, 5.0, (k, k))
+                np.fill_diagonal(c, 0.0)
+            expected = CostMatrix(c)
+            assert type(cost) is CostMatrix
+            assert cost.costs.dtype == expected.costs.dtype and cost.costs.shape == (k, k)
+            assert cost.costs.tobytes() == expected.costs.tobytes()
+            assert not cost.costs.flags.writeable
+            assert rng.random() == ref.random()
+            kinds.add(kind)
+        assert kinds == {0, 1, 2}
+
 
 class TestTightnessSearch:
     def test_unknown_budget_metric_rejected(self):

@@ -4,11 +4,15 @@ import json
 import math
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bayesrisk.bounds import _optimal_risk, random_source
+from bayesrisk import pipeline
+from bayesrisk.bounds import random_cost, random_source
 from bayesrisk.classify import CostMatrix, LabeledSource
 from bayesrisk.distributions import Distribution, Domain, make_distribution
 from bayesrisk.pipeline import (
@@ -16,8 +20,8 @@ from bayesrisk.pipeline import (
     config_from_dict,
     config_to_dict,
     empirical_estimator,
-    _trial,
-    _workspace,
+    _block,
+    _fixed,
     run_pac_experiment,
     run_trial,
 )
@@ -225,6 +229,21 @@ class TestRunPacExperiment:
         finally:
             tracemalloc.stop()
 
+    def test_blocks_are_capped_at_large_n(self):
+        """At n = 1e5 a block holds one trial, so its buffers of n uniforms and n indices hold one
+        trial's draws at a time; without the cap they would hold 30 trials' worth, 24 MB each."""
+        n = 100_000
+        config = TrialConfig(
+            source=random_source(np.random.default_rng(4), 2, 16),
+            cost=CostMatrix.zero_one(2),
+            sample_size=n,
+            trials=30,
+            epsilon_target=0.1,
+            delta_target=0.1,
+        )
+        np.median([0.0])  # its first call imports numpy.ma, which is not the experiment's memory
+        assert self.traced_peak(lambda: run_pac_experiment(config)) < 2 * n * 8 + 200_000
+
     def test_wide_domain_peak_memory(self):
         config = self.wide_config()
         assert self.traced_peak(lambda: run_pac_experiment(config)) <= self.PEAK_CEILING
@@ -235,11 +254,65 @@ class TestRunPacExperiment:
         """A trial writes every m-sized intermediate into its workspace: a
         returning full-width temporary, m floats, would exceed the bound."""
         config = self.wide_config(laplace)
-        risk_opt = _optimal_risk(config.source, config.cost)
-        ws = _workspace(2, self.M)
+        fixed = _fixed(config)
         rng = np.random.default_rng(2)
-        peak = self.traced_peak(lambda: _trial(config, rng, 1000, risk_opt, ws))
+        peak = self.traced_peak(lambda: list(_block(config, [rng], 1000, *fixed)))
         assert peak < self.M * 8
+
+
+def _hexed(row: dict) -> dict:
+    return {key: float.hex(value) if isinstance(value, float) else value for key, value in row.items()}
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(1, 12),
+    log_loss=st.booleans(),
+    laplace=st.sampled_from([0.0, 1.0]),
+    partial=st.booleans(),
+    grid=st.lists(st.sampled_from([1, 2, 7, 40, 200]), min_size=1, max_size=3),
+    cap=st.sampled_from([64, pipeline._BLOCK_DRAWS]),
+)
+@settings(max_examples=40, deadline=None)
+def test_experiment_blocks_equal_one_trial_at_a_time(seed, m, log_loss, laplace, partial, grid, cap):
+    """The experiment's rows, its trials run in blocks, equal :func:`run_trial` on the same spawned
+    streams field by field in float.hex: both modes, laplace 0 and 1, n = 1, classes that draw
+    no samples, a true class missing atoms, and with the cap at 64, blocks that straddle the 30
+    trials (n = 7) and blocks of one trial (n above the cap)."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(2, 4))
+    source = random_source(rng, k, m)
+    if partial and m > 1:
+        weights = source.class_dists[0].mass.copy()
+        weights[::2] = 0.0
+        source = LabeledSource(source.priors, (make_distribution(source.domain, weights), *source.class_dists[1:]))
+    config = TrialConfig(
+        source=source,
+        cost=None if log_loss else random_cost(rng, k),
+        sample_size=grid[0],
+        trials=30,
+        epsilon_target=0.1,
+        delta_target=0.05,
+        seed=seed,
+        laplace=laplace,
+        n_grid=tuple(grid),
+    )
+    with mock.patch.object(pipeline, "_BLOCK_DRAWS", cap):
+        rows = run_pac_experiment(config).rows
+    streams = np.random.SeedSequence(seed).spawn(len(grid) * 30)
+    expected = []
+    for gi, n in enumerate(grid):
+        for t in range(30):
+            out = run_trial(config, np.random.default_rng(streams[gi * 30 + t]), n)
+            expected.append({
+                "n": n,
+                "trial": t,
+                **out.report.to_dict(),
+                "max_l1": max(out.l1_per_class),
+                "max_kl": max(out.kl_per_class),
+                "counts": "|".join(str(c) for c in out.counts),
+            })
+    assert [_hexed(row) for row in rows] == [_hexed(row) for row in expected]
 
 
 class TestConfigValidation:

@@ -2,9 +2,11 @@
 
 The sweeps make every draw of an instance (or of a block of smoothing
 trials) first, in the order the per-object generators make them, and then
-run the arithmetic on ``(rows, m)`` arrays. Both halves are bit-identical
-to the per-object path only because of the facts pinned here: a numpy or
-generator upgrade that breaks one should fail this file, not a golden.
+run the arithmetic on ``(rows, m)`` arrays; a block of PAC trials writes
+its draws into one buffer and answers each class's with one CDF. Both
+halves are bit-identical to the per-object path only because of the facts
+pinned here: a numpy or generator upgrade that breaks one should fail this
+file, not a golden.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ from bayesrisk.bounds import (
 )
 from bayesrisk.distributions import (
     Domain,
+    _draw_indices,
+    _inverse_cdf,
     QuantizedClassSpec,
     make_distribution,
     random_quantized,
@@ -214,3 +218,32 @@ def test_smoothing_blocks_equal_the_per_trial_path(monkeypatch, m, bits):
         report = verify_smoothing(true_d, random_l1_perturbation(true_d, params.xi, ref), params, base)
         assert _hex_fields(smoothing.SmoothingReport(*fields)) == _hex_fields(report)
     assert rng.random() == ref.random()
+
+
+@pytest.mark.parametrize("a, b", [(0, 0), (4, 4), (0, 1), (2, 9), (0, 1000), (17, 1040)])
+def test_random_into_a_view_draws_what_a_fresh_call_draws(a, b):
+    """``rng.random(out=buf[a:b])`` writes the draws of ``rng.random(b - a)`` into the view alone
+    and leaves the same next draw, an empty view drawing nothing."""
+    ours, ref = np.random.default_rng([a, b]), np.random.default_rng([a, b])
+    buf = np.full(b + 5, -1.0)
+    ours.random(out=buf[a:b])
+    assert buf[a:b].tobytes() == ref.random(b - a).tobytes()
+    assert (buf[:a] == -1.0).all() and (buf[b:] == -1.0).all()
+    assert ours.random() == ref.random()
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 70), st.lists(st.integers(0, 300), min_size=1, max_size=8))
+@example(0, 1, [0])
+@settings(max_examples=100, deadline=None)
+def test_one_searchsorted_over_a_block_equals_the_per_trial_calls(seed, m, sizes):
+    """A pmf's CDF answers the uniforms of several trials, concatenated or as rows, with the
+    indices each trial's own ``_draw_indices`` call returns, zero-mass atoms and empty draws too."""
+    rng = np.random.default_rng(seed)
+    weights = rng.random(m) * (rng.random(m) < 0.7)
+    weights[rng.integers(m)] += 0.1
+    mass = make_distribution(Domain.indexed(m), weights).mass
+    block = np.concatenate([np.random.default_rng([seed, i]).random(c) for i, c in enumerate(sizes)])
+    per_trial = [_draw_indices(mass, np.random.default_rng([seed, i]), c) for i, c in enumerate(sizes)]
+    assert _inverse_cdf(mass, block, np.empty(m)).tobytes() == np.concatenate(per_trial).tobytes()
+    rows = rng.random((3, sizes[0]))
+    assert _inverse_cdf(mass, rows).tobytes() == np.array([_inverse_cdf(mass, row) for row in rows]).tobytes()
