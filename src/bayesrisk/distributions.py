@@ -284,16 +284,12 @@ def mixture(components: Sequence[tuple[float, Distribution]]) -> Distribution:
     return Distribution(domain, combined)
 
 
-def _draw_indices(mass: np.ndarray, rng: np.random.Generator, n: int, cdf=None) -> np.ndarray:
-    """``n`` i.i.d. indices into ``mass``, a validated pmf, by inverse CDF: the arithmetic
-    ``rng.choice(mass.size, size=n, p=mass)`` runs once it has validated ``p``, so the same indices
-    and the same generator state after, without re-checking masses that are already checked."""
-    return _inverse_cdf(mass, rng.random(n), cdf)
-
-
-def _inverse_cdf(mass: np.ndarray, uniforms: np.ndarray, cdf=None) -> np.ndarray:
-    """The indices :func:`_draw_indices` picks for ``uniforms`` of any shape, one call for them all. The CDF
-    is built per call (into the row ``cdf`` if given): a held one costs m floats per class."""
+def _draw_indices(mass: np.ndarray, uniforms: np.ndarray, cdf=None) -> np.ndarray:
+    """The indices into ``mass``, a validated pmf, that ``uniforms`` of any shape pick by inverse CDF.
+    On ``rng.random(n)`` this is the arithmetic ``rng.choice(mass.size, size=n, p=mass)`` runs once
+    it has validated ``p``: the same indices and generator state, without re-checking masses already
+    checked. The CDF is built per call (into the row ``cdf`` if given), one call for many draws: a
+    held copy costs m floats per class for the life of whatever holds it."""
     cdf = np.cumsum(mass, out=cdf)
     cdf /= cdf[-1]
     return cdf.searchsorted(uniforms, side="right")
@@ -310,7 +306,7 @@ def sample(d: Distribution, rng: np.random.Generator, n: int) -> list[str]:
     if n == 0:
         return []
     atoms = d.domain.atoms
-    return [atoms[i] for i in _draw_indices(d.mass, rng, n)]
+    return [atoms[i] for i in _draw_indices(d.mass, rng.random(n))]
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ import numpy as np
 
 from .bounds import BoundReport, _optimal_risk, _plugin_risk, _theorem_report
 from .classify import CostMatrix, LabeledSource, _workspace, as_cost_array
-from .distributions import Distribution, Domain, _exact_unit_mass, _inverse_cdf
+from .distributions import Distribution, Domain, _draw_indices, _exact_unit_mass
 from .distributions import _kl_on_support, _l1_distance
 from .pdfa import Pdfa, truncate_all
 
@@ -151,7 +151,9 @@ def _estimate(mass: np.ndarray, idx: np.ndarray, laplace: float) -> np.ndarray:
 _BLOCK_DRAWS = 1 << 15
 
 
-def run_trial(config: TrialConfig, rng: np.random.Generator, sample_size: Optional[int] = None) -> TrialOutcome:
+def run_trial(
+    config: TrialConfig, rng: np.random.Generator, sample_size: Optional[int] = None
+) -> TrialOutcome:
     """One sample-split-estimate-classify round with exact scoring.
 
     A class that drew no samples falls back to the uniform estimate, so
@@ -178,13 +180,13 @@ def _block(config: TrialConfig, rngs: Sequence[np.random.Generator], n: int, ws,
     uniforms = np.empty((len(rngs), n))
     for rng, trial_uniforms in zip(rngs, uniforms):
         rng.random(out=trial_uniforms)
-    counts = np.array([np.bincount(labels, minlength=source.k) for labels in _inverse_cdf(source.priors, uniforms)])
+    counts = np.array([np.bincount(labels, minlength=source.k) for labels in _draw_indices(source.priors, uniforms)])
     flat, samples = uniforms.reshape(-1), []
     for d, class_counts in zip(source.class_dists, counts.T):
         ends = class_counts.cumsum()
         for rng, start, end in zip(rngs, ends - class_counts, ends):
             rng.random(out=flat[start:end])
-        samples.append(np.split(_inverse_cdf(d.mass, flat[: ends[-1]], row), ends[:-1]))
+        samples.append(np.split(_draw_indices(d.mass, flat[: ends[-1]], row), ends[:-1]))
     del uniforms, flat
     costs = None if config.cost is None else as_cost_array(config.cost, source.k)
     pairs = tuple(zip((d.mass for d in source.class_dists), ests, supports))
@@ -255,7 +257,9 @@ def run_pac_experiment(config: TrialConfig) -> ExperimentSummary:
     rows = []
     per_n = []
     for gi, n in enumerate(grid):
-        point, per_block, outcomes = streams[gi * config.trials : (gi + 1) * config.trials], max(1, _BLOCK_DRAWS // n), []
+        point = streams[gi * config.trials : (gi + 1) * config.trials]
+        per_block = max(1, _BLOCK_DRAWS // n)
+        outcomes = []
         for start in range(0, config.trials, per_block):
             outcomes += _block(config, [np.random.default_rng(s) for s in point[start : start + per_block]], n, *fixed)
         for t, outcome in enumerate(outcomes):

@@ -209,9 +209,9 @@ class TestDrawIndices:
     def test_matches_generator_choice_bit_for_bit(self, m, n):
         mass = masses_with_zero_atoms(m)
         ours, numpy_rng = np.random.default_rng([m, n]), np.random.default_rng([m, n])
-        drawn = _draw_indices(mass, ours, n)
+        drawn = _draw_indices(mass, ours.random(n))
         expected = numpy_rng.choice(m, size=n, p=mass)
-        assert np.array_equal(_draw_indices(mass, np.random.default_rng([m, n]), n, np.empty(m)),
+        assert np.array_equal(_draw_indices(mass, np.random.default_rng([m, n]).random(n), np.empty(m)),
                               expected)
         assert np.array_equal(drawn, expected), (
             "Generator.choice(p=...) no longer draws by inverse CDF; the sampler "

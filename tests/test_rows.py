@@ -37,7 +37,6 @@ from bayesrisk.bounds import (
 from bayesrisk.distributions import (
     Domain,
     _draw_indices,
-    _inverse_cdf,
     QuantizedClassSpec,
     make_distribution,
     random_quantized,
@@ -242,8 +241,8 @@ def test_one_searchsorted_over_a_block_equals_the_per_trial_calls(seed, m, sizes
     weights = rng.random(m) * (rng.random(m) < 0.7)
     weights[rng.integers(m)] += 0.1
     mass = make_distribution(Domain.indexed(m), weights).mass
-    block = np.concatenate([np.random.default_rng([seed, i]).random(c) for i, c in enumerate(sizes)])
-    per_trial = [_draw_indices(mass, np.random.default_rng([seed, i]), c) for i, c in enumerate(sizes)]
-    assert _inverse_cdf(mass, block, np.empty(m)).tobytes() == np.concatenate(per_trial).tobytes()
+    trials = [np.random.default_rng([seed, i]).random(c) for i, c in enumerate(sizes)]
+    per_trial = np.concatenate([_draw_indices(mass, uniforms) for uniforms in trials])
+    assert _draw_indices(mass, np.concatenate(trials), np.empty(m)).tobytes() == per_trial.tobytes()
     rows = rng.random((3, sizes[0]))
-    assert _inverse_cdf(mass, rows).tobytes() == np.array([_inverse_cdf(mass, row) for row in rows]).tobytes()
+    assert _draw_indices(mass, rows).tobytes() == np.array([_draw_indices(mass, row) for row in rows]).tobytes()
