@@ -28,9 +28,8 @@ the estimated mixture coincides with the true one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import partial
-from operator import attrgetter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -62,25 +61,26 @@ class PerturbationBudget:
 
 
 def report_rows(*excluded: str):
-    """Class decorator giving a report dataclass row forms derived from its fields.
+    """Class decorator giving a frozen report dataclass row forms derived from its fields.
 
-    ``to_dict`` maps every field to its value; ``CSV_COLUMNS`` and
-    ``csv_row`` cover every field but ``excluded``, in declaration order.
-    The names are resolved once per class, not per row.
+    ``to_dict`` maps every field to its value; ``row`` maps every field but
+    ``excluded`` to its value, in declaration order: a CSV row whose keys
+    are its columns. Both copy the instance dict, which holds exactly the
+    fields in that order: the dataclass's ``__init__`` sets them so, and a
+    frozen instance takes no other attribute.
     """
 
     def derive(cls):
-        names = tuple(f.name for f in fields(cls))
-        columns = tuple(n for n in names if n not in excluded)
-        every, csv_values = attrgetter(*names), attrgetter(*columns)
-
         def to_dict(self) -> dict:
-            return dict(zip(names, every(self)))
+            return self.__dict__.copy()
 
-        def csv_row(self) -> list:
-            return list(csv_values(self))
+        def row(self) -> dict:
+            values = self.__dict__.copy()
+            for name in excluded:
+                del values[name]
+            return values
 
-        cls.CSV_COLUMNS, cls.to_dict, cls.csv_row = columns, to_dict, csv_row
+        cls.to_dict, cls.row = to_dict, row
         return cls
 
     return derive

@@ -23,19 +23,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bounds import BOUND_TOL, KL, L1, BoundReport, PerturbationBudget, check_theorem1, tightness_search
+from .bounds import BOUND_TOL, KL, L1, PerturbationBudget, check_theorem1, tightness_search
 from .bounds import _as_objects, _check, _logloss_check, _masses, _random_instance
 from .bounds import example1_construction, example2_construction
 from .classify import CostMatrix, LabeledSource
 from .distributions import Distribution, Domain, QuantizedClassSpec, kl_divergence, l1_distance
 from .pdfa import Pdfa, truncate_all
-from .pipeline import (
-    TRIAL_CSV_COLUMNS,
-    TrialConfig,
-    _config_and_spec,
-    config_to_dict,
-    run_pac_experiment,
-)
+from .pipeline import TrialConfig, _config_and_spec, config_to_dict, run_pac_experiment
 from .smoothing import SmoothingReport, SmoothingParams, _sweep, base_mixture
 
 EXIT_OK = 0
@@ -48,21 +42,31 @@ class UsageError(Exception):
 
 
 class _Run:
-    """Collects outputs for one subcommand invocation."""
+    """Collects outputs for one subcommand invocation.
 
-    def __init__(self, subcommand: str, out_dir: str, seed, config: dict, csv_columns):
+    Rows are dicts: the first row's keys, in their order, are the CSV
+    header and the manifest's ``csv_columns``, and every later row must
+    have the same keys in the same order.
+    """
+
+    def __init__(self, subcommand: str, out_dir: str, seed, config: dict):
         self.subcommand = subcommand
         self.out = Path(out_dir)
         self.out.mkdir(parents=True, exist_ok=True)
         self.seed = seed
         self.config = config
-        self.csv_columns = list(csv_columns)
+        self.csv_columns: list[str] = []
         self.started_at = time.strftime("%Y-%m-%dT%H:%M:%S%z")
         self.rows: list[list] = []
         self.extra_outputs: list[str] = []
 
-    def add_row(self, row) -> None:
-        self.rows.append(list(row))
+    def add_row(self, row: dict) -> None:
+        keys = list(row)
+        if not self.rows:
+            self.csv_columns = keys
+        elif keys != self.csv_columns:
+            raise ValueError(f"row has columns {keys}, the first row has {self.csv_columns}")
+        self.rows.append(list(row.values()))
 
     def write_instance(self, name: str, payload: dict) -> Path:
         path = self.out / name
@@ -162,18 +166,16 @@ def cmd_verify(args) -> int:
         "m_max": args.m_max,
         "seed": args.seed,
     }
-    columns = ("trial", "k", "m") + BoundReport.CSV_COLUMNS
-    if metric == KL:
-        columns += ("identity_gap",)
-    run = _Run(args.command, args.out_dir, args.seed, config, columns)
+    run = _Run(args.command, args.out_dir, args.seed, config)
     violations = 0
     worst_gap = 0.0
     for trial in range(args.trials):
         priors, masses, cost = _random_instance(rng, args.k_max, args.m_max, metric)
         report, gap, ok = _check_instance(metric, priors, masses, cost)
-        row = [trial, *masses.shape[1:]] + report.csv_row()
+        k, m = masses.shape[1:]
+        row = {"trial": trial, "k": k, "m": m, **report.row()}
         if gap is not None:
-            row.append(gap)
+            row["identity_gap"] = gap
             worst_gap = max(worst_gap, gap)
         run.add_row(row)
         if not ok:
@@ -237,9 +239,9 @@ def cmd_lower_bounds(args) -> int:
         if not closed_form_ok:
             violations += 1
     config = {"eps_prime": args.eps_prime, "gamma": args.gamma, "grid": args.grid}
-    run = _Run("lower-bounds", args.out_dir, None, config, rows[0])
+    run = _Run("lower-bounds", args.out_dir, None, config)
     for row in rows:
-        run.add_row(row.values())
+        run.add_row(row)
     run.finish({"rows": len(gammas), "violations": violations})
     return EXIT_VIOLATION if violations else EXIT_OK
 
@@ -255,10 +257,8 @@ def cmd_smooth(args) -> int:
         bits = args.ld // m
     else:
         bits = args.bits
-    if bits < 1:
-        raise UsageError("bits per atom must be at least 1")
-    spec = QuantizedClassSpec(Domain.indexed(m), bits)
     try:
+        spec = QuantizedClassSpec(Domain.indexed(m), bits)
         params = SmoothingParams(args.epsilon, spec.description_length)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -272,12 +272,11 @@ def cmd_smooth(args) -> int:
         "trials": args.trials,
         "seed": args.seed,
     }
-    columns = ("trial",) + SmoothingReport.CSV_COLUMNS
-    run = _Run("smooth", args.out_dir, args.seed, config, columns)
+    run = _Run("smooth", args.out_dir, args.seed, config)
     violations = 0
     for trial, (true, est, fields) in enumerate(_sweep(spec, params, base, args.trials, rng)):
-        run.add_row([trial, *fields])
         report = SmoothingReport(*fields)
+        run.add_row({"trial": trial, **report.row()})
         if not report.within or report.kl_actual > report.certificate + BOUND_TOL:
             violations += 1
             true_d, est_d = (Distribution._frozen(spec.domain, row.copy()) for row in (true, est))
@@ -337,10 +336,8 @@ def cmd_pipeline(args) -> int:
         summary = run_pac_experiment(config)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    run = _Run(
-        "pipeline", args.out_dir, config.seed, config_to_dict(config, pdfa), TRIAL_CSV_COLUMNS
-    )
-    for row in summary.csv_rows():
+    run = _Run("pipeline", args.out_dir, config.seed, config_to_dict(config, pdfa))
+    for row in summary.rows:
         run.add_row(row)
     run.finish(summary.to_dict())
     all_valid = all(entry["satisfied_fraction"] == 1.0 for entry in summary.per_n)
@@ -369,11 +366,9 @@ def cmd_tightness(args) -> int:
         "iterations": args.iterations,
         "seed": args.seed,
     }
-    columns = ("metric", "epsilon", "k", "m", "excess", "bound", "ratio")
-    run = _Run("tightness", args.out_dir, args.seed, config, columns)
-    run.add_row(
-        [args.metric, args.epsilon, args.k, args.domain_size, result.excess, result.bound, result.ratio]
-    )
+    run = _Run("tightness", args.out_dir, args.seed, config)
+    searched = {"metric": args.metric, "epsilon": args.epsilon, "k": args.k, "m": args.domain_size}
+    run.add_row({**searched, "excess": result.excess, "bound": result.bound, "ratio": result.ratio})
     run.write_instance(
         "best_instance.json",
         _instance_payload(result.source, result.est_dists, cost, args.metric),

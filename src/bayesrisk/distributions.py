@@ -314,7 +314,8 @@ class QuantizedClassSpec:
     """The class of pmfs on ``domain`` whose masses are multiples of ``2**-bits_per_atom``.
 
     ``description_length`` is the bit length of the dense encoding, one
-    ``bits_per_atom``-bit numerator per atom.
+    ``bits_per_atom``-bit numerator per atom. At most 53 bits: the widest
+    at which every numerator up to ``2**bits_per_atom`` is an exact float.
     """
 
     domain: Domain
@@ -323,6 +324,8 @@ class QuantizedClassSpec:
     def __post_init__(self) -> None:
         if self.bits_per_atom < 1:
             raise ValueError("bits_per_atom must be a positive integer")
+        if self.bits_per_atom > 53:
+            raise ValueError(f"bits_per_atom must be at most 53, got {self.bits_per_atom}")
 
     @property
     def description_length(self) -> int:

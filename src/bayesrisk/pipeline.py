@@ -30,7 +30,7 @@ have full support allocates no m-sized array.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -200,23 +200,14 @@ def _block(config: TrialConfig, rngs: Sequence[np.random.Generator], n: int, ws,
         yield TrialOutcome(tuple(trial_counts), l1s, kls, report)
 
 
-TRIAL_CSV_COLUMNS = (
-    "n",
-    "trial",
-    "excess",
-    "bound",
-    "satisfied",
-    "risk_opt",
-    "risk_plugin",
-    "max_l1",
-    "max_kl",
-    "counts",
-)
-
-
 @dataclass(frozen=True)
 class ExperimentSummary:
-    """Per-trial rows plus per-sample-size aggregates."""
+    """Per-trial rows plus per-sample-size aggregates.
+
+    ``rows`` are the report's rows, one dict per trial in grid order, their
+    keys the CSV columns in order; ``per_n`` is aggregated from them.
+    ``to_dict`` is every field but ``rows``.
+    """
 
     mode: str
     n_grid: tuple[int, ...]
@@ -225,15 +216,7 @@ class ExperimentSummary:
     per_n: tuple[dict, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "n_grid": list(self.n_grid),
-            "trials": self.trials,
-            "per_n": [dict(entry) for entry in self.per_n],
-        }
-
-    def csv_rows(self) -> list[list]:
-        return [[row[col] for col in TRIAL_CSV_COLUMNS] for row in self.rows]
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "rows"}
 
 
 def _quantile(values: Sequence[float], q: float) -> float:
@@ -246,8 +229,11 @@ def _quantile(values: Sequence[float], q: float) -> float:
 def run_pac_experiment(config: TrialConfig) -> ExperimentSummary:
     """Repeat trials across the sample-size grid and aggregate.
 
-    Needs at least 30 trials per grid point for the reported violation
-    fraction (the empirical delta) to mean anything.
+    Every grid point runs first, each trial making one row; the workspace
+    is then freed, and ``per_n`` is aggregated from those rows, so the
+    report and the summary come from one source. Needs at least 30 trials
+    per grid point for the reported violation fraction (the empirical
+    delta) to mean anything.
     """
     if config.trials < 30:
         raise ValueError("at least 30 trials are needed for a meaningful delta estimate")
@@ -255,34 +241,35 @@ def run_pac_experiment(config: TrialConfig) -> ExperimentSummary:
     streams = np.random.SeedSequence(config.seed).spawn(len(grid) * config.trials)
     fixed = _fixed(config)
     rows = []
-    per_n = []
     for gi, n in enumerate(grid):
         point = streams[gi * config.trials : (gi + 1) * config.trials]
         per_block = max(1, _BLOCK_DRAWS // n)
-        outcomes = []
         for start in range(0, config.trials, per_block):
-            outcomes += _block(config, [np.random.default_rng(s) for s in point[start : start + per_block]], n, *fixed)
-        for t, outcome in enumerate(outcomes):
-            rows.append(
-                {
+            rngs = [np.random.default_rng(s) for s in point[start : start + per_block]]
+            for t, outcome in enumerate(_block(config, rngs, n, *fixed), start):
+                report = outcome.report
+                rows.append({
                     "n": n,
                     "trial": t,
-                    **outcome.report.to_dict(),
+                    "excess": report.excess,
+                    "bound": report.bound,
+                    "satisfied": report.satisfied,
+                    "risk_opt": report.risk_opt,
+                    "risk_plugin": report.risk_plugin,
                     "max_l1": max(outcome.l1_per_class),
                     "max_kl": max(outcome.kl_per_class),
                     "counts": "|".join(str(c) for c in outcome.counts),
-                }
-            )
-        excesses = [o.report.excess for o in outcomes]
-        max_l1s = [max(o.l1_per_class) for o in outcomes]
-        max_kls = [max(o.kl_per_class) for o in outcomes]
+                })
+    del fixed  # np.median's first call imports numpy.ma, which must not add to the workspace's peak
+    per_n = []
+    for gi, n in enumerate(grid):
+        point_rows = rows[gi * config.trials : (gi + 1) * config.trials]
+        excesses, max_l1s, max_kls = ([row[key] for row in point_rows] for key in ("excess", "max_l1", "max_kl"))
         per_n.append(
             {
                 "n": n,
-                "violation_fraction": float(
-                    np.mean([e > config.epsilon_target for e in excesses])
-                ),
-                "satisfied_fraction": float(np.mean([o.report.satisfied for o in outcomes])),
+                "violation_fraction": float(np.mean([e > config.epsilon_target for e in excesses])),
+                "satisfied_fraction": float(np.mean([row["satisfied"] for row in point_rows])),
                 "mean_excess": float(np.mean(excesses)),
                 "median_excess": float(np.median(excesses)),
                 "l1_q50": _quantile(max_l1s, 0.5),

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from bayesrisk.bounds import L1, _project_into_budget, random_source
 from bayesrisk.classify import Classifier, LabeledSource, StochasticRule, bayes_classifier
-from bayesrisk.distributions import Distribution, Domain, make_distribution
+from bayesrisk.distributions import Distribution, Domain, QuantizedClassSpec, make_distribution
 from bayesrisk.pdfa import OVERFLOW_ATOM, TruncatedStringDomain
 from bayesrisk.pipeline import TrialConfig, empirical_estimator
 
@@ -70,6 +70,7 @@ BAD_INPUTS = [
     (log_loss_trials, NAN, "laplace weight must be finite"),
     (log_loss_trials, INF, "laplace weight must be finite"),
     (log_loss_trials, -1.0, "laplace weight must be non-negative"),
+    (QuantizedClassSpec, 54, "bits_per_atom must be at most 53, got 54"),
 ]
 
 

@@ -470,5 +470,11 @@ class TestBoundReport:
     def test_csv_row_order(self):
         source, est, cost = example1_construction(0.1, 0.01)
         rep = check_theorem1(source, est, cost)
-        row = rep.csv_row()
-        assert row == [rep.risk_opt, rep.risk_plugin, rep.excess, rep.bound, rep.slack, rep.satisfied]
+        assert list(rep.row().items()) == [
+            ("risk_opt", rep.risk_opt),
+            ("risk_plugin", rep.risk_plugin),
+            ("excess", rep.excess),
+            ("bound", rep.bound),
+            ("slack", rep.slack),
+            ("satisfied", rep.satisfied),
+        ]

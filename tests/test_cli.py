@@ -1,11 +1,12 @@
 """CLI subcommands: exit codes, determinism, golden outputs, replay."""
 
+import csv
 import json
 from pathlib import Path
 
 import pytest
 
-from bayesrisk.cli import main
+from bayesrisk.cli import _Run, main
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -69,6 +70,7 @@ class TestExitCodes:
             pytest.param(["smooth", "--domain-size", "0"], None, id="smooth-domain-size-0"),
             pytest.param(["smooth", "--domain-size", "0", "--ld", "8"], None,
                          id="smooth-domain-size-0-with-ld"),
+            pytest.param(["smooth", "--bits", "64"], None, id="smooth-bits-64"),
         ],
     )
     def test_bad_flag_values_exit_2(self, tmp_path, argv, instance):
@@ -87,6 +89,41 @@ class TestExitCodes:
             (tmp_path / "instance.json").write_text(text)
         argv = [a.format(dir=tmp_path) for a in argv] + ["--out-dir", tmp_path / "run"]
         assert run(argv) == 2
+
+
+class TestDerivedColumns:
+    @pytest.mark.parametrize(
+        "second",
+        [
+            pytest.param({"b": 1, "a": 0}, id="reordered"),
+            pytest.param({"a": 0, "c": 1}, id="renamed"),
+            pytest.param({"a": 0}, id="missing"),
+            pytest.param({"a": 0, "b": 1, "c": 2}, id="extra"),
+        ],
+    )
+    def test_row_keys_must_match_the_first_row(self, tmp_path, second):
+        run_ = _Run("test", tmp_path, 0, {})
+        run_.add_row({"a": 0, "b": 1})
+        with pytest.raises(ValueError, match="first row"):
+            run_.add_row(second)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["verify-theorem1", "--trials", "3"], id="verify-theorem1"),
+            pytest.param(["verify-theorem2", "--trials", "3"], id="verify-theorem2"),
+            pytest.param(["lower-bounds", "--grid", "0,0.01"], id="lower-bounds"),
+            pytest.param(["smooth", "--trials", "3"], id="smooth"),
+            pytest.param(["pipeline", "--config", DATA / "pipeline_config.json"], id="pipeline"),
+            pytest.param(["tightness", "--iterations", "1"], id="tightness"),
+        ],
+    )
+    def test_manifest_columns_are_the_report_header(self, tmp_path, argv):
+        assert run([*argv, "--out-dir", tmp_path]) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        with (tmp_path / "report.csv").open(newline="") as fh:
+            header = next(csv.reader(fh))
+        assert manifest["csv_columns"] == header
 
 
 class TestVerifyCommands:

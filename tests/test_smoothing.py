@@ -199,5 +199,5 @@ class TestVerifySmoothing:
         true_d = random_quantized(spec, rng)
         report = verify_smoothing(true_d, true_d, params, base)
         data = report.to_dict()
-        assert list(data) == list(report.CSV_COLUMNS)
-        assert report.csv_row() == [data[c] for c in report.CSV_COLUMNS]
+        assert list(data) == ["xi", "l1_actual", "kl_actual", "certificate", "certificate_floor", "within"]
+        assert list(report.row().items()) == list(data.items())
