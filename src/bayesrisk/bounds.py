@@ -415,16 +415,12 @@ def _as_objects(priors: np.ndarray, masses: np.ndarray) -> tuple[LabeledSource, 
     return LabeledSource(priors, true), est
 
 
-def random_source(
-    rng: np.random.Generator, k: int, m: int, domain: Optional[Domain] = None
-) -> LabeledSource:
-    """Random labeled source with priors bounded away from zero."""
+def random_source(rng: np.random.Generator, k: int, m: int) -> LabeledSource:
+    """Random labeled source over ``Domain.indexed(m)`` with priors bounded away from zero."""
     priors, weights = _draw_source(rng, k, m)
-    if domain is not None and domain.size != m:
-        raise ValueError(f"invalid mass: {m} weights for {domain.size} atoms")
     true = _unit_rows(weights)
     true.flags.writeable = False
-    domain = Domain.indexed(m) if domain is None else domain
+    domain = Domain.indexed(m)
     return LabeledSource(priors, tuple(Distribution._frozen(domain, row) for row in true))
 
 
@@ -622,11 +618,7 @@ def tightness_search(
             priors = np.asarray(source.priors)
             masses = np.array([[d.mass for d in source.class_dists], [d.mass for d in est]])
         else:
-            priors = (
-                np.full(k, 1.0 / k)
-                if rng.random() < 0.5
-                else np.asarray(random_source(rng, k, m, domain).priors)
-            )
+            priors = np.full(k, 1.0 / k) if rng.random() < 0.5 else _draw_source(rng, k, m)[0]
             true_masses = _unit_rows(rng.gamma(0.6, 1.0, (k, m)) + 1e-300)
             if budget.metric == L1:
                 perturb, radius = random_l1_perturbation, min(budget.epsilon / priors.min(), 2.0)
@@ -639,9 +631,7 @@ def tightness_search(
             best_val = val
             best = priors, masses
 
-    priors, (true, est) = best[0], unit_masses(*best)
-    source = LabeledSource(priors, tuple(Distribution._frozen(domain, t) for t in true))
-    est = tuple(Distribution._frozen(domain, e) for e in est)
+    source, est = _as_objects(best[0], unit_masses(*best))
     excess = max(best_val, 0.0)
     ratio = excess / bound if bound > 0.0 else 0.0
     return TightnessResult(source, est, excess, bound, ratio)

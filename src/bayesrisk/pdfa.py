@@ -1,7 +1,8 @@
 """Probabilistic deterministic finite automata as string-distribution sources.
 
-A machine has one deterministic target per (state, symbol), a stop
-probability per state, and every probability is an integer multiple of
+A machine is one dense table: per state a stop probability and, per
+symbol, a ``(probability, target)`` pair, ``(0.0, 0)`` where the state has
+no transition on that symbol. Every probability is an integer multiple of
 ``2**-precision``. Generation walks from the initial state, at each state
 stopping with the stop probability or emitting a symbol and moving on.
 The probability of a string is the product of its unique path's
@@ -22,9 +23,9 @@ checkable formula and a round-trip property):
 - header, self-delimiting Elias-gamma integers: state count ``n``,
   alphabet size plus one, precision ``l``, initial state plus one, then
   each symbol's code point plus one;
-- payload, fixed-width fields per state in order: the stop numerator
-  modulo ``2**l`` (``l`` bits), then per symbol in alphabet order the
-  transition numerator (``l`` bits) and target state (``ceil(log2 n)``
+- payload, the table in fixed-width fields, state by state: the stop
+  numerator modulo ``2**l`` (``l`` bits), then per symbol in alphabet
+  order the entry's numerator (``l`` bits) and target (``ceil(log2 n)``
   bits, zero bits when ``n == 1``).
 
 The payload is decodable because numerators at each state sum to
@@ -40,9 +41,7 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -70,19 +69,20 @@ def _log2_ceil(n: int) -> int:
 
 @dataclass(frozen=True)
 class Pdfa:
-    """Quantized PDFA in canonical form (zero-probability transitions dropped).
+    """Quantized PDFA as a dense transition table.
 
-    ``transitions[q]`` is a tuple of ``(symbol, probability, target)``
-    triples in alphabet order; ``stops[q]`` is the stop probability at
-    state ``q``. Probabilities are exact dyadics with denominator
-    ``2**precision``, so float equality between machines is exact.
+    ``table[q][j]`` is the ``(probability, target)`` pair of state ``q``
+    on ``alphabet[j]``, ``(0.0, 0)`` where the machine has no transition;
+    ``stops[q]`` is the stop probability at state ``q``. Probabilities are
+    exact dyadics with denominator ``2**precision``, so float equality
+    between machines is exact.
     """
 
     alphabet: tuple[str, ...]
     precision: int
     initial: int
     stops: tuple[float, ...]
-    transitions: tuple[tuple[tuple[str, float, int], ...], ...]
+    table: tuple[tuple[tuple[float, int], ...], ...]
 
     def __post_init__(self) -> None:
         if not 1 <= self.precision <= 52:
@@ -94,28 +94,22 @@ class Pdfa:
             raise ValueError("a machine needs at least one state")
         if not 0 <= self.initial < n:
             raise ValueError("initial state out of range")
-        if len(self.transitions) != n:
-            raise ValueError("one transition table per state required")
-        order = {sym: i for i, sym in enumerate(self.alphabet)}
-        for q, (stop, trans) in enumerate(zip(self.stops, self.transitions)):
+        if len(self.table) != n:
+            raise ValueError("one table row per state required")
+        for q, (stop, row) in enumerate(zip(self.stops, self.table)):
+            if len(row) != len(self.alphabet):
+                raise ValueError(f"state {q} needs one table entry per symbol")
             total = self._numerator(stop, scale, f"stop probability of state {q}")
-            seen = []
-            for sym, prob, target in trans:
-                if sym not in order:
-                    raise ValueError(f"state {q} transitions on unknown symbol {sym!r}")
-                if not 0 <= target < n:
-                    raise ValueError(f"state {q} transition target {target} out of range")
+            for sym, (prob, target) in zip(self.alphabet, row):
                 num = self._numerator(prob, scale, f"transition {q} --{sym}-->")
-                if num == 0:
-                    raise ValueError("zero-probability transitions must be omitted")
+                # An absent transition (probability 0) targets state 0.
+                if not 0 <= target < (n if num else 1):
+                    raise ValueError(f"state {q} transition target {target} out of range")
                 if num == scale:
                     raise ValueError(
                         f"transition {q} --{sym}--> has probability 1; cap is 1 - 2**-precision"
                     )
-                seen.append(order[sym])
                 total += num
-            if seen != sorted(seen) or len(set(seen)) != len(seen):
-                raise ValueError(f"state {q} transitions must be unique and in alphabet order")
             if total != scale:
                 raise ValueError(
                     f"state {q} probabilities sum to {total}/{scale}, expected exactly 1"
@@ -138,44 +132,19 @@ class Pdfa:
     ) -> "Pdfa":
         """Construct from per-state ``(stop, {symbol: (prob, target)})`` entries."""
         alphabet = tuple(alphabet)
-        order = {sym: i for i, sym in enumerate(alphabet)}
-        stops = []
-        tables = []
-        for stop, trans in states:
+        stops, table = [], []
+        for q, (stop, trans) in enumerate(states):
+            hops = {sym: (float(p), int(to)) for sym, (p, to) in trans.items() if float(p) != 0.0}
+            unknown = hops.keys() - set(alphabet)
+            if unknown:
+                raise ValueError(f"state {q} transitions on unknown symbol {min(unknown)!r}")
             stops.append(float(stop))
-            rows = [
-                (sym, float(p), int(target))
-                for sym, (p, target) in trans.items()
-                if float(p) != 0.0
-            ]
-            rows.sort(key=lambda row: order.get(row[0], len(alphabet)))
-            tables.append(tuple(rows))
-        return cls(alphabet, precision, initial, tuple(stops), tuple(tables))
+            table.append(tuple(hops.get(sym, (0.0, 0)) for sym in alphabet))
+        return cls(alphabet, precision, initial, tuple(stops), tuple(table))
 
     @property
     def n(self) -> int:
         return len(self.stops)
-
-    @cached_property
-    def _trans_maps(self) -> tuple[dict[str, tuple[float, int]], ...]:
-        return tuple(
-            {sym: (p, target) for sym, p, target in trans} for trans in self.transitions
-        )
-
-    @cached_property
-    def _samplers(self) -> tuple[tuple[list[float], list[tuple[str, int] | None]], ...]:
-        # Per state: cumulative outcome probabilities; outcome None means stop.
-        samplers = []
-        for stop, trans in zip(self.stops, self.transitions):
-            outcomes: list[tuple[str, int] | None] = [None]
-            cum = [stop]
-            acc = stop
-            for sym, p, target in trans:
-                acc += p
-                outcomes.append((sym, target))
-                cum.append(acc)
-            samplers.append((cum, outcomes))
-        return tuple(samplers)
 
     def to_dict(self) -> dict:
         return {
@@ -186,9 +155,9 @@ class Pdfa:
             "states": [
                 {
                     "stop": stop,
-                    "trans": {sym: {"p": p, "to": target} for sym, p, target in trans},
+                    "trans": {s: {"p": p, "to": to} for s, (p, to) in zip(self.alphabet, row) if p},
                 }
-                for stop, trans in zip(self.stops, self.transitions)
+                for stop, row in zip(self.stops, self.table)
             ],
         }
 
@@ -218,15 +187,12 @@ def string_probability(a: Pdfa, s: str) -> float:
     """Probability that the machine generates ``s`` and stops: the float product along its path."""
     q = a.initial
     prob = 1.0
-    maps = a._trans_maps
-    symbols = set(a.alphabet)
     for ch in s:
-        if ch not in symbols:
+        if ch not in a.alphabet:
             raise ValueError(f"symbol outside alphabet: {ch!r}")
-        hop = maps[q].get(ch)
-        if hop is None:
+        p, q = a.table[q][a.alphabet.index(ch)]
+        if p == 0.0:
             return 0.0
-        p, q = hop[0], hop[1]
         prob *= p
     return prob * a.stops[q]
 
@@ -278,19 +244,14 @@ def _path_masses(a: Pdfa, max_len: int) -> np.ndarray:
     """Masses of all strings up to ``max_len``, level by level, then the overflow.
 
     A level holds one (state, path probability) pair per string of that
-    length. The next level multiplies each path by every symbol's
-    transition probability (0.0 and the same state where the machine has
-    no transition), so each string's mass is the float product
+    length. The next level multiplies each path by every entry of its
+    state's row of :attr:`Pdfa.table` (an absent transition's 0.0 and
+    state 0 included), so each string's mass is the float product
     ``((1.0 * p1) * p2 ...) * stop``, in the order
     :func:`string_probability` multiplies.
     """
-    size = len(a.alphabet)
-    prob = np.zeros((a.n, size))
-    target = np.repeat(np.arange(a.n)[:, None], size, axis=1)
-    for q, table in enumerate(a._trans_maps):
-        for j, sym in enumerate(a.alphabet):
-            if sym in table:
-                prob[q, j], target[q, j] = table[sym]
+    dense = np.array(a.table, dtype=float).reshape(a.n, len(a.alphabet), 2)
+    prob, target = dense[..., 0], dense[..., 1].astype(np.intp)
     stops = np.asarray(a.stops)
     states = np.array([a.initial])
     paths = np.array([1.0])
@@ -332,17 +293,26 @@ def truncate_all(
 def sample_string(
     a: Pdfa, rng: np.random.Generator, emission_cap: int = DEFAULT_EMISSION_CAP
 ) -> str:
-    """One random walk through the machine; deterministic given the generator."""
+    """One random walk through the machine; deterministic given the generator.
+
+    Each step draws one uniform ``u`` and takes the first outcome (stop,
+    then the symbols in alphabet order) whose cumulative probability
+    exceeds ``u``. The running sums are exact dyadics that end at exactly
+    1, so an absent transition, adding 0.0, is never taken.
+    """
     q = a.initial
     out: list[str] = []
-    samplers = a._samplers
     for _ in range(emission_cap):
-        cum, outcomes = samplers[q]
-        pick = outcomes[min(bisect_right(cum, rng.random()), len(outcomes) - 1)]
-        if pick is None:
+        u = rng.random()
+        acc = a.stops[q]
+        if u < acc:
             return "".join(out)
-        out.append(pick[0])
-        q = pick[1]
+        for sym, (p, target) in zip(a.alphabet, a.table[q]):
+            acc += p
+            if u < acc:
+                break
+        out.append(sym)
+        q = target
     raise RuntimeError(f"runaway generation: no stop within {emission_cap} emissions")
 
 
@@ -375,26 +345,26 @@ class _BitWriter:
 
 
 class _BitReader:
+    """Big-endian bit string read from the front: the unread bits as an int plus their count."""
+
     def __init__(self, data: bytes) -> None:
-        self.data = data
-        self.pos = 0
+        self.size = 8 * len(data)
+        self.rest = int.from_bytes(data, "big")
+        self.left = self.size
 
     def read(self, width: int) -> int:
-        if self.pos + width > 8 * len(self.data):
-            raise ValueError(f"corrupt encoding: data ends at bit {8 * len(self.data)}")
-        value = 0
-        for _ in range(width):
-            byte = self.data[self.pos >> 3]
-            value = (value << 1) | ((byte >> (7 - (self.pos & 7))) & 1)
-            self.pos += 1
+        """The next ``width`` bits, most significant first."""
+        if width > self.left:
+            raise ValueError(f"corrupt encoding: data ends at bit {self.size}")
+        self.left -= width
+        value = self.rest >> self.left
+        self.rest &= (1 << self.left) - 1
         return value
 
     def read_gamma(self) -> int:
-        zeros = 0
-        while self.read(1) == 0:
-            zeros += 1
-        rest = self.read(zeros) if zeros else 0
-        return (1 << zeros) | rest
+        # The zero run is the unread bits above the first one: width - 1 zeros, then
+        # value's width bits. With no one bit left the read runs past the end.
+        return self.read(2 * (self.left - self.rest.bit_length()) + 1)
 
 
 def _gamma_bits(value: int) -> int:
@@ -434,10 +404,9 @@ def encode(a: Pdfa) -> bytes:
         w.write_gamma(ord(sym) + 1)
     scale = 1 << a.precision
     target_bits = _log2_ceil(a.n)
-    for stop, table in zip(a.stops, a._trans_maps):
+    for stop, row in zip(a.stops, a.table):
         w.write(int(round(stop * scale)) % scale, a.precision)
-        for sym in a.alphabet:
-            p, target = table.get(sym, (0.0, 0))
+        for p, target in row:
             w.write(int(round(p * scale)), a.precision)
             w.write(target, target_bits)
     assert w.length == encoding_length(a)
@@ -456,19 +425,13 @@ def decode(data: bytes) -> Pdfa:
     alphabet = tuple(chr(r.read_gamma() - 1) for _ in range(alpha_size))
     scale = 1 << precision
     target_bits = _log2_ceil(n)
-    states = []
+    stops, table = [], []
     for q in range(n):
         stop_field = r.read(precision)
-        trans: dict[str, tuple[float, int]] = {}
-        total = 0
-        for sym in alphabet:
-            num = r.read(precision)
-            target = r.read(target_bits) if target_bits else 0
-            total += num
-            if num:
-                trans[sym] = (num / scale, target)
-        stop_num = scale - total
+        row = [(r.read(precision), r.read(target_bits)) for _ in alphabet]
+        stop_num = scale - sum(num for num, _ in row)
         if stop_num < 0 or stop_num % scale != stop_field:
             raise ValueError(f"corrupt encoding: stop field mismatch at state {q}")
-        states.append((stop_num / scale, trans))
-    return Pdfa.build(alphabet, precision, states, initial)
+        stops.append(stop_num / scale)
+        table.append(tuple((num / scale, target if num else 0) for num, target in row))
+    return Pdfa(alphabet, precision, initial, tuple(stops), tuple(table))

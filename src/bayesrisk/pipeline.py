@@ -329,13 +329,13 @@ def _config_and_spec(data: dict) -> tuple[TrialConfig, Optional[PdfaSpec]]:
         source = LabeledSource.from_dict(data)
     config = TrialConfig(
         source=source,
-        cost=CostMatrix(data["cost"]) if data.get("cost") else None,
+        cost=None if data.get("cost") is None else CostMatrix(data["cost"]),
         sample_size=int(data["sample_size"]),
         trials=int(data["trials"]),
         epsilon_target=float(data["epsilon_target"]),
         delta_target=float(data["delta_target"]),
         seed=int(data.get("seed", 0)),
         laplace=None if data.get("laplace") is None else float(data["laplace"]),
-        n_grid=tuple(data["n_grid"]) if data.get("n_grid") else None,
+        n_grid=None if data.get("n_grid") is None else tuple(data["n_grid"]),
     )
     return config, pdfa

@@ -71,6 +71,14 @@ class TestExitCodes:
             pytest.param(["smooth", "--domain-size", "0", "--ld", "8"], None,
                          id="smooth-domain-size-0-with-ld"),
             pytest.param(["smooth", "--bits", "64"], None, id="smooth-bits-64"),
+            *(
+                pytest.param(["pipeline", "--config", "{dir}/instance.json"], f"{key} {value}",
+                             id=f"config-{key}-{name}")
+                for key, value, name in [
+                    ("cost", "[]", "empty-list"), ("cost", "0", "zero"), ("cost", '""', "empty-string"),
+                    ("cost", "{}", "empty-object"), ("n_grid", "[]", "empty-list"), ("n_grid", "0", "zero"),
+                ]
+            ),
         ],
     )
     def test_bad_flag_values_exit_2(self, tmp_path, argv, instance):
@@ -79,6 +87,11 @@ class TestExitCodes:
 
         source, est, cost = example1_construction(0.1, 0.01)
         payload = _instance_payload(source, est, cost, "L1")
+        config = json.loads((DATA / "pipeline_config.json").read_text())
+        if instance is not None and instance.split()[0] in config:
+            key, value = instance.split()
+            config[key] = json.loads(value)  # only null or a missing key means "none"
+            instance = json.dumps(config)
         edits = {
             "no estimates": {k: v for k, v in payload.items() if k != "estimates"},
             "no cost": {**payload, "cost": None},

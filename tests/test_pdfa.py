@@ -3,6 +3,7 @@
 import itertools
 import math
 import tracemalloc
+from bisect import bisect_right
 from pathlib import Path
 
 import numpy as np
@@ -125,6 +126,18 @@ class TestValidation:
     def test_multichar_symbols_rejected(self):
         with pytest.raises(ValueError, match="single characters"):
             Pdfa.build(("ab",), 1, [(0.5, {"ab": (0.5, 0)})])
+
+    def test_unknown_symbol_rejected(self):
+        with pytest.raises(ValueError, match="unknown symbol 'b'"):
+            Pdfa.build(("a",), 1, [(0.5, {"b": (0.5, 0)})])
+
+    def test_direct_constructor_checks_the_table(self):
+        assert Pdfa(("a",), 1, 0, (0.5,), (((0.5, 0),),)) == geometric()
+        with pytest.raises(ValueError, match="one table entry per symbol"):
+            Pdfa(("a", "b"), 1, 0, (0.5,), (((0.5, 0),),))
+        with pytest.raises(ValueError, match="target 1 out of range"):
+            # An absent transition on "b" must target state 0.
+            Pdfa(("a", "b"), 1, 0, (0.5, 1.0), (((0.5, 1), (0.0, 1)), ((0.0, 0), (0.0, 0))))
 
 
 class TestStringProbability:
@@ -272,6 +285,33 @@ class TestSampleString:
             p = string_probability(machine, s)
             tol = 3.0 * math.sqrt(p * (1 - p) / n) + 1e-4
             assert abs(counts.get(s, 0) / n - p) <= tol
+
+    @given(small_machines(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_draws_match_a_walk_over_the_present_transitions(self, machine, seed):
+        def reference_walk(rng, cap):
+            # Per state, bisect the cumulative stop-then-transition probabilities of the
+            # transitions the machine has, one uniform per step.
+            states = machine.to_dict()["states"]
+            q, out = machine.initial, ""
+            for _ in range(cap):
+                hops = list(states[q]["trans"].items())
+                ps = [states[q]["stop"], *(hop["p"] for _, hop in hops)]
+                pick = bisect_right(list(itertools.accumulate(ps)), rng.random())
+                if pick == 0:
+                    return out
+                sym, hop = hops[pick - 1]
+                out, q = out + sym, hop["to"]
+            return "runaway"
+
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(20):
+            try:
+                drawn = sample_string(machine, ours, emission_cap=200)
+            except RuntimeError:
+                drawn = "runaway"
+            assert drawn == reference_walk(theirs, 200)
+        assert ours.random() == theirs.random()
 
     def test_runaway_generation_guard(self):
         spinning = Pdfa.build(
