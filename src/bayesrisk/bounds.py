@@ -18,6 +18,8 @@ infinite per-class KL gives an infinite bound (vacuous hypothesis,
 trivially satisfied) so randomized sweeps stay total. Every risk, in the
 checks, the PAC trial and the tightness search, is ``_plugin_risk`` on raw
 ``(k, m)`` masses; the optimal risk is that scorer on the true classes.
+Every verdict "value <= bound" is decided by ``_within``, the one place
+``BOUND_TOL`` is read.
 
 The two-atom constructions reproduce the matching lower bounds: the cost
 construction leaves slack exactly ``2 * gamma * max_cost`` against the
@@ -39,8 +41,10 @@ from .classify import _bayes_labels, _cost_risk, _logloss_risk, _posterior, _wor
 from .distributions import Distribution, Domain, kl_divergence
 from .distributions import _exact_unit_mass, _kl_on_support, _l1_distance, _trusted
 
+# Tolerance of every "value <= bound" verdict, read only by _within.
 BOUND_TOL = 1e-9
-EXCESS_TOL = 1e-12
+# Tolerance of checks exact in real arithmetic: optimality, closed forms, smoothing's hypothesis.
+EXACT_TOL = 1e-12
 
 L1 = "L1"
 KL = "KL"
@@ -100,11 +104,16 @@ class BoundReport:
     epsilon: float
 
     def __post_init__(self) -> None:
-        if not (self.excess >= -EXCESS_TOL):
+        if not (self.excess >= -EXACT_TOL):
             raise ValueError(f"negative excess {self.excess!r}: optimality violated")
-        expected = self.bound == math.inf or self.excess <= self.bound + BOUND_TOL
-        if self.satisfied != expected:
+        if self.satisfied != _within(self.excess, self.bound):
             raise ValueError("satisfied flag inconsistent with excess and bound")
+
+
+def _within(value, bound: float):
+    """The verdict ``value <= bound`` up to ``BOUND_TOL``, true for an infinite bound;
+    elementwise for an array ``value``."""
+    return bound == math.inf or value <= bound + BOUND_TOL
 
 
 def theorem1_bound(epsilon: float, k: int, cost: CostLike) -> float:
@@ -165,17 +174,13 @@ def _theorem_report(
     else:
         bound = theorem1_bound(eps, len(priors), cost)
     excess = risk_plugin - risk_opt
-    satisfied = bound == math.inf or excess <= bound + BOUND_TOL
     slack = math.inf if bound == math.inf else bound - excess
-    return BoundReport(risk_opt, risk_plugin, excess, bound, slack, satisfied, eps)
+    return BoundReport(risk_opt, risk_plugin, excess, bound, slack, _within(excess, bound), eps)
 
 
-def _check(
-    priors: np.ndarray, masses: np.ndarray, cost: Optional[CostLike], identity: bool = False
-) -> tuple[BoundReport, Optional[float]]:
+def _scored(priors, masses, cost):
     """The bound's report for the ``(2, k, m)`` masses of :func:`_masses` under ``cost`` (log loss
-    if ``None``), and with ``identity``, under log loss with every per-class KL finite, the
-    identity's ``rhs`` from the same KLs (``None`` otherwise)."""
+    if ``None``), with the per-class divergences and the weighted true and estimated masses."""
     true, est = masses
     weighted = true * priors[:, None]
     costs = None if cost is None else as_cost_array(cost, len(priors))
@@ -186,8 +191,14 @@ def _check(
     est = est.copy()  # the scorer weights it in place
     risk_plugin = _plugin_risk(priors, weighted, est, costs)
     risk_opt = _plugin_risk(priors, weighted, true.copy(), costs)
-    report = _theorem_report(priors, cost, divergences, risk_opt, risk_plugin)
-    if not (identity and cost is None and np.isfinite(divergences).all()):
+    return _theorem_report(priors, cost, divergences, risk_opt, risk_plugin), divergences, weighted, est
+
+
+def _check(priors, masses, cost) -> tuple[BoundReport, Optional[float]]:
+    """:func:`_scored`'s report, and under log loss with every per-class KL finite, the identity's
+    ``rhs`` from the same KLs (``None`` otherwise)."""
+    report, divergences, weighted, est = _scored(priors, masses, cost)
+    if not (cost is None and np.isfinite(divergences).all()):
         return report, None
     # The estimated mixture q is rescaled as mixture_distribution rescales the true one, p.
     p, q = _exact_unit_mass(np.array([weighted.sum(axis=0), est.sum(axis=0)]))
@@ -195,9 +206,14 @@ def _check(
     return report, sum((priors * divergences).tolist()) - mix_kl
 
 
-def _logloss_check(priors: np.ndarray, masses: np.ndarray) -> tuple[BoundReport, Optional[float]]:
-    """The log-loss bound's report and the identity's ``rhs``, as the sweeps and replays check them."""
-    return _check(priors, masses, None, identity=True)
+def _verdict(priors, masses, cost) -> tuple[BoundReport, Optional[float], bool]:
+    """One instance's verdict, as the sweeps, replays and ``lower-bounds`` decide it:
+    ``(report, identity_gap, ok)`` for :func:`_check`'s arguments. ``identity_gap`` is
+    ``|excess - rhs|`` where :func:`_check` gives the identity's ``rhs`` (``None`` otherwise);
+    ``ok`` needs the bound satisfied and any gap within the gate."""
+    report, rhs = _check(priors, masses, cost)
+    gap = None if rhs is None else abs(report.excess - rhs)
+    return report, gap, report.satisfied and (gap is None or _within(gap, 0.0))
 
 
 def check_theorem1(
@@ -210,7 +226,7 @@ def check_theorem1(
     ``eps * k * max_ij c_ij``. The guarantee is unconditional, so
     ``satisfied`` is True on every valid instance.
     """
-    return _check(true_source.priors, _masses(true_source, est_dists), cost)[0]
+    return _scored(true_source.priors, _masses(true_source, est_dists), cost)[0]
 
 
 def check_theorem2(true_source: LabeledSource, est_dists: Sequence[Distribution]) -> BoundReport:
@@ -219,7 +235,7 @@ def check_theorem2(true_source: LabeledSource, est_dists: Sequence[Distribution]
     ``eps = max_i g_i * KL(D_i || D'_i)``; infinite per-class KL yields an
     infinite bound (the hypothesis is vacuous there).
     """
-    return _check(true_source.priors, _masses(true_source, est_dists), None)[0]
+    return _scored(true_source.priors, _masses(true_source, est_dists), None)[0]
 
 
 def excess_logloss_identity(
@@ -232,7 +248,7 @@ def excess_logloss_identity(
     with the prior-weighted mixtures ``D, D'``. The two agree to float
     round-off whenever every per-class KL is finite.
     """
-    report, rhs = _logloss_check(true_source.priors, _masses(true_source, est_dists))
+    report, rhs = _check(true_source.priors, _masses(true_source, est_dists), None)
     if rhs is None:
         raise ValueError(
             "per-class KL divergence is infinite: estimate supports must cover the true class supports"

@@ -30,10 +30,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .distributions import Distribution, Domain, _trusted
-
-PRIOR_SUM_TOL = 1e-12
-ROW_SUM_TOL = 1e-12
+from .distributions import SUM_TOL, Distribution, Domain, _trusted
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,7 +49,8 @@ class LabeledSource:
             raise ValueError("one prior per class distribution required")
         if not np.isfinite(priors).all() or (priors <= 0.0).any():
             raise ValueError("every class prior must be positive")
-        if abs(float(priors.sum()) - 1.0) > PRIOR_SUM_TOL:
+        # Half the unit-sum tolerance: the mixture's sum carries the priors' error plus rounding.
+        if abs(float(priors.sum()) - 1.0) > SUM_TOL / 2:
             raise ValueError("class priors must sum to 1")
         domain = dists[0].domain
         for d in dists[1:]:
@@ -184,7 +182,7 @@ class StochasticRule:
             raise ValueError("rule table must have one row per domain atom")
         if not np.isfinite(table).all() or (table < 0.0).any():
             raise ValueError("rule rows must be non-negative")
-        if (np.abs(table.sum(axis=1) - 1.0) > ROW_SUM_TOL).any():
+        if (np.abs(table.sum(axis=1) - 1.0) > SUM_TOL).any():
             raise ValueError("every rule row must sum to 1")
         table.flags.writeable = False
         object.__setattr__(self, "table", table)

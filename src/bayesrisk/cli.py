@@ -23,8 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bounds import BOUND_TOL, KL, L1, PerturbationBudget, check_theorem1, tightness_search
-from .bounds import _as_objects, _check, _logloss_check, _masses, _random_instance
+from .bounds import EXACT_TOL, KL, L1, PerturbationBudget, check_theorem1, tightness_search
+from .bounds import _as_objects, _masses, _random_instance, _verdict, _within
 from .bounds import example1_construction, example2_construction
 from .classify import CostMatrix, LabeledSource
 from .distributions import Distribution, Domain, QuantizedClassSpec, kl_divergence, l1_distance
@@ -117,30 +117,14 @@ def _read_input(path, parse):
 
 
 def _instance_from_payload(data: dict):
-    """Inverse of :func:`_instance_payload`, validated: ``(metric, priors, masses, cost)``."""
+    """Inverse of :func:`_instance_payload`, validated: ``bounds._verdict``'s ``(priors, masses, cost)``,
+    ``cost`` None under KL."""
     metric = data.get("metric", L1)
     if metric not in (L1, KL):
         raise ValueError(f"metric must be {L1!r} or {KL!r}, got {metric!r}")
     source = LabeledSource.from_dict(data["source"])
     masses = _masses(source, (Distribution.from_dict(d) for d in data["estimates"]))
-    return metric, source.priors, masses, CostMatrix(data["cost"]) if metric == L1 else None
-
-
-def _check_instance(metric: str, priors, masses, cost):
-    """Check one instance, its ``(2, k, m)`` masses as ``bounds._masses`` lays them out, as the
-    sweeps do: ``(report, identity_gap, ok)``.
-
-    The log-loss check also measures the gap between the two sides of the
-    exact excess identity when every per-class KL is finite (``None``
-    otherwise and under L1); ``ok`` needs the bound satisfied and any gap
-    within ``BOUND_TOL``.
-    """
-    if metric == L1:
-        report = _check(priors, masses, cost)[0]
-        return report, None, report.satisfied
-    report, rhs = _logloss_check(priors, masses)
-    gap = None if rhs is None else abs(report.excess - rhs)
-    return report, gap, report.satisfied and (gap is None or gap <= BOUND_TOL)
+    return source.priors, masses, CostMatrix(data["cost"]) if metric == L1 else None
 
 
 def _require_positive_trials(args) -> None:
@@ -151,7 +135,7 @@ def _require_positive_trials(args) -> None:
 def cmd_verify(args) -> int:
     """Randomized sweep of one theorem (the subcommand names which), or ``--replay`` of one instance."""
     if args.replay:
-        report, gap, ok = _check_instance(*_read_input(args.replay, _instance_from_payload))
+        report, gap, ok = _verdict(*_read_input(args.replay, _instance_from_payload))
         shown = report.to_dict() if gap is None else {**report.to_dict(), "identity_gap": gap}
         print(json.dumps(shown, indent=2))
         return EXIT_OK if ok else EXIT_VIOLATION
@@ -171,7 +155,7 @@ def cmd_verify(args) -> int:
     worst_gap = 0.0
     for trial in range(args.trials):
         priors, masses, cost = _random_instance(rng, args.k_max, args.m_max, metric)
-        report, gap, ok = _check_instance(metric, priors, masses, cost)
+        report, gap, ok = _verdict(priors, masses, cost)
         k, m = masses.shape[1:]
         row = {"trial": trial, "k": k, "m": m, **report.row()}
         if gap is not None:
@@ -207,7 +191,7 @@ def cmd_lower_bounds(args) -> int:
         per_l1 = l1_distance(source.class_dists[0], est[0])
         slack_gap = abs(t1.slack - 2.0 * gamma * cost.max_cost)
         src2, est2 = example2_construction(args.eps_prime, gamma)
-        t2, gap, t2_ok = _check_instance(KL, src2.priors, _masses(src2, est2), None)
+        t2, gap, t2_ok = _verdict(src2.priors, _masses(src2, est2), None)
         per_kl = kl_divergence(src2.class_dists[0], est2[0])
         rows.append(
             {
@@ -228,15 +212,10 @@ def cmd_lower_bounds(args) -> int:
         # The printed closed forms 1/2 +- eps_prime need a strict tilt
         # (gamma > 0) to flip the plug-in classifier; the log-loss identity
         # holds for every parameter choice because the mixtures coincide.
-        closed_form_ok = abs(t1.risk_opt - (0.5 - args.eps_prime)) <= 1e-12
+        exact_gaps = [t1.risk_opt - (0.5 - args.eps_prime)]
         if gamma > 0.0:
-            closed_form_ok = (
-                closed_form_ok
-                and abs(t1.risk_plugin - (0.5 + args.eps_prime)) <= 1e-12
-                and slack_gap <= 1e-12
-            )
-        closed_form_ok = closed_form_ok and abs(t2.excess - per_kl) <= BOUND_TOL and t2_ok
-        if not closed_form_ok:
+            exact_gaps += [t1.risk_plugin - (0.5 + args.eps_prime), slack_gap]
+        if not (all(abs(g) <= EXACT_TOL for g in exact_gaps) and _within(abs(t2.excess - per_kl), 0.0) and t2_ok):
             violations += 1
     config = {"eps_prime": args.eps_prime, "gamma": args.gamma, "grid": args.grid}
     run = _Run("lower-bounds", args.out_dir, None, config)
@@ -277,7 +256,7 @@ def cmd_smooth(args) -> int:
     for trial, (true, est, fields) in enumerate(_sweep(spec, params, base, args.trials, rng)):
         report = SmoothingReport(*fields)
         run.add_row({"trial": trial, **report.row()})
-        if not report.within or report.kl_actual > report.certificate + BOUND_TOL:
+        if not (report.within and _within(report.kl_actual, report.certificate)):
             violations += 1
             true_d, est_d = (Distribution._frozen(spec.domain, row.copy()) for row in (true, est))
             run.write_instance(
@@ -374,7 +353,7 @@ def cmd_tightness(args) -> int:
         _instance_payload(result.source, result.est_dists, cost, args.metric),
     )
     run.finish({"ratio": result.ratio, "excess": result.excess, "bound": result.bound})
-    return EXIT_OK if result.ratio <= 1.0 + BOUND_TOL else EXIT_VIOLATION
+    return EXIT_OK if _within(result.ratio, 1.0) else EXIT_VIOLATION
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -34,8 +34,8 @@ from typing import Sequence
 
 import numpy as np
 
+# Tolerance of every unit-sum check: masses, mixture weights, priors (half of it) and rule rows.
 SUM_TOL = 1e-12
-WEIGHT_SUM_TOL = 1e-12
 
 
 def _trusted(cls, **fields):
@@ -43,6 +43,13 @@ def _trusted(cls, **fields):
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj
+
+
+def _json_int(value, name: str) -> int:
+    """``value`` as an integer field read from JSON: a bool or a float is refused, never rounded."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -112,7 +119,7 @@ def _exact_unit_mass(mass: np.ndarray) -> np.ndarray:
 class Distribution:
     """Probability mass function over a :class:`Domain`.
 
-    The constructor accepts near-normalized mass (sum within ``1e-12`` of
+    The constructor accepts near-normalized mass (sum within ``SUM_TOL`` of
     one) and renormalizes it exactly; use :func:`make_distribution` to
     build from arbitrary non-negative weights.
     """
@@ -270,9 +277,9 @@ def mixture(components: Sequence[tuple[float, Distribution]]) -> Distribution:
     weights = np.asarray([w for w, _ in components], dtype=float)
     if np.any(weights < 0.0) or np.any(weights > 1.0):
         raise ValueError("mixture weights must lie in [0, 1]")
-    if abs(float(weights.sum()) - 1.0) > WEIGHT_SUM_TOL:
+    if abs(float(weights.sum()) - 1.0) > SUM_TOL:
         raise ValueError(
-            f"mixture weights sum to {float(weights.sum())!r}, expected 1 within {WEIGHT_SUM_TOL}"
+            f"mixture weights sum to {float(weights.sum())!r}, expected 1 within {SUM_TOL}"
         )
     dists = [d for _, d in components]
     domain = dists[0].domain

@@ -41,12 +41,13 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .distributions import Distribution, Domain, _trusted
+from .distributions import Distribution, Domain, _json_int, _trusted
 
 OVERFLOW_ATOM = "⊥"
 DEFAULT_MAX_ATOMS = 1 << 20
@@ -167,14 +168,12 @@ class Pdfa:
     @classmethod
     def from_dict(cls, data: dict) -> "Pdfa":
         states = [
-            (
-                state["stop"],
-                {sym: (entry["p"], entry["to"]) for sym, entry in state["trans"].items()},
-            )
+            (state["stop"], {s: (e["p"], _json_int(e["to"], "target")) for s, e in state["trans"].items()})
             for state in data["states"]
         ]
-        machine = cls.build(tuple(data["alphabet"]), data["precision"], states, data["initial"])
-        if machine.n != data["n"]:
+        precision, initial = _json_int(data["precision"], "precision"), _json_int(data["initial"], "initial")
+        machine = cls.build(tuple(data["alphabet"]), precision, states, initial)
+        if machine.n != _json_int(data["n"], "n"):
             raise ValueError("state count field disagrees with the states list")
         return machine
 
@@ -422,7 +421,10 @@ def decode(data: bytes) -> Pdfa:
     if not 1 <= precision <= 52:
         raise ValueError(f"corrupt encoding: precision {precision} outside 1..52 bits")
     initial = r.read_gamma() - 1
-    alphabet = tuple(chr(r.read_gamma() - 1) for _ in range(alpha_size))
+    codes = [r.read_gamma() - 1 for _ in range(alpha_size)]
+    if codes and max(codes) > sys.maxunicode:
+        raise ValueError(f"corrupt encoding: symbol code point {max(codes):#x} outside Unicode")
+    alphabet = tuple(map(chr, codes))
     scale = 1 << precision
     target_bits = _log2_ceil(n)
     stops, table = [], []

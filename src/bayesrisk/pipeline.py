@@ -37,7 +37,7 @@ import numpy as np
 
 from .bounds import BoundReport, _optimal_risk, _plugin_risk, _theorem_report
 from .classify import CostMatrix, LabeledSource, _workspace, as_cost_array
-from .distributions import Distribution, Domain, _draw_indices, _exact_unit_mass
+from .distributions import Distribution, Domain, _draw_indices, _exact_unit_mass, _json_int
 from .distributions import _kl_on_support, _l1_distance
 from .pdfa import Pdfa, truncate_all
 
@@ -323,19 +323,19 @@ def _config_and_spec(data: dict) -> tuple[TrialConfig, Optional[PdfaSpec]]:
     if the classes are PDFA-sourced (else None), each machine parsed once."""
     pdfa = None
     if "machines" in data:
-        pdfa = tuple(Pdfa.from_dict(a) for a in data["machines"]), int(data["truncate"])
+        pdfa = tuple(Pdfa.from_dict(a) for a in data["machines"]), _json_int(data["truncate"], "truncate")
         source = LabeledSource(np.asarray(data["priors"], dtype=float), truncate_all(*pdfa))
     else:
         source = LabeledSource.from_dict(data)
     config = TrialConfig(
         source=source,
         cost=None if data.get("cost") is None else CostMatrix(data["cost"]),
-        sample_size=int(data["sample_size"]),
-        trials=int(data["trials"]),
+        sample_size=_json_int(data["sample_size"], "sample_size"),
+        trials=_json_int(data["trials"], "trials"),
         epsilon_target=float(data["epsilon_target"]),
         delta_target=float(data["delta_target"]),
-        seed=int(data.get("seed", 0)),
+        seed=_json_int(data.get("seed", 0), "seed"),
         laplace=None if data.get("laplace") is None else float(data["laplace"]),
-        n_grid=None if data.get("n_grid") is None else tuple(data["n_grid"]),
+        n_grid=None if data.get("n_grid") is None else tuple(_json_int(n, "n_grid entry") for n in data["n_grid"]),
     )
     return config, pdfa

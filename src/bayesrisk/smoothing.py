@@ -28,12 +28,9 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .bounds import _draw_noise, _perturb_rows, report_rows
+from .bounds import EXACT_TOL, _draw_noise, _perturb_rows, _within, report_rows
 from .distributions import Distribution, QuantizedClassSpec, _draw_numerators, _exact_unit_mass
 from .distributions import _kl_on_support, _l1_distance, _require_same_domain
-
-WITHIN_TOL = 1e-9
-HYPOTHESIS_TOL = 1e-12
 
 # Explicit class enumerations beyond this are refused rather than averaged.
 MAX_ENUMERATION = 1 << 20
@@ -178,14 +175,14 @@ def _verify_rows(true: np.ndarray, est: np.ndarray, params: SmoothingParams, bas
     """:func:`verify_smoothing`'s report fields, a tuple made on demand, for each row pair of
     ``(n, m)`` unit masses; the hypothesis is checked for every row before the first is made."""
     l1 = _l1_distance(true, est)
-    broken = np.flatnonzero(l1 > params.xi + HYPOTHESIS_TOL)
+    broken = np.flatnonzero(l1 > params.xi + EXACT_TOL)
     if len(broken):
         raise ValueError(
             f"hypothesis not met: L1(true, estimate) = {float(l1[broken[0]])!r} exceeds xi = {params.xi!r}"
         )
     kl = _kl_on_support(true, _smooth_rows(est, params.xi, base), true > 0.0)
     fixed = params.xi, kl_certificate(params), kl_certificate_from_floor(params, base)
-    within = (kl <= params.epsilon + WITHIN_TOL).tolist()
+    within = _within(kl, params.epsilon).tolist()
     return ((fixed[0], a, b, *fixed[1:], w) for a, b, w in zip(l1.tolist(), kl.tolist(), within))
 
 

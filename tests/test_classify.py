@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bayesrisk.bounds import example1_construction, example2_construction, random_source
+from bayesrisk.bounds import example1_construction, example2_construction, excess_logloss_identity, random_source
 from bayesrisk.classify import (
     CostMatrix,
     LabeledSource,
@@ -31,6 +31,26 @@ def two_class_source(ep=0.1):
     d0 = make_distribution(D2, [0.5 + ep, 0.5 - ep])
     d1 = make_distribution(D2, [0.5 - ep, 0.5 + ep])
     return LabeledSource(np.array([0.5, 0.5]), (d0, d1))
+
+
+class TestPriorSum:
+    """Priors must sum to 1 within half the unit-sum tolerance: the mixture's sum carries the
+    priors' error plus rounding, and must itself stay within the whole tolerance."""
+
+    @pytest.mark.parametrize("second", [0.5 - 4.99e-13, 0.5 + 4.99e-13])
+    def test_just_inside_mixes_and_checks(self, second):
+        source, est = example2_construction(0.1, 0.01)
+        source = LabeledSource(np.array([0.5, second]), source.class_dists)
+        assert 4.98e-13 < abs(float(source.priors.sum()) - 1.0) < 5e-13
+        assert float(source.mixture_distribution().mass.sum()) == pytest.approx(1.0, abs=1e-15)
+        lhs, rhs = excess_logloss_identity(source, est)
+        assert lhs == pytest.approx(rhs, abs=1e-12)
+
+    @pytest.mark.parametrize("second", [0.5 - 5e-13, 0.5 + 5e-13, 0.5 - 1e-12])
+    def test_just_outside_is_refused(self, second):
+        source = two_class_source()
+        with pytest.raises(ValueError, match="class priors must sum to 1"):
+            LabeledSource(np.array([0.5, second]), source.class_dists)
 
 
 class TestCostMatrix:

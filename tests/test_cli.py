@@ -10,6 +10,7 @@ from bayesrisk.cli import _Run, main
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
+MACHINE = (DATA / "machine_half.json").read_text()
 
 
 def run(args):
@@ -60,6 +61,8 @@ class TestExitCodes:
                          id="replay-l1-without-cost"),
             pytest.param(["verify-theorem1", "--replay", "{dir}/instance.json"], "one estimate",
                          id="replay-estimate-count"),
+            pytest.param(["verify-theorem2", "--replay", "{dir}/instance.json"], "prior sum off by 1e-12",
+                         id="replay-priors-off-by-1e-12"),
             pytest.param(["pipeline", "--config", "{dir}"], None, id="config-is-a-directory"),
             pytest.param(["verify-theorem1", "--k-max", "1"], None, id="k-max-1"),
             pytest.param(["verify-theorem2", "--m-max", "1"], None, id="m-max-1"),
@@ -77,6 +80,16 @@ class TestExitCodes:
                 for key, value, name in [
                     ("cost", "[]", "empty-list"), ("cost", "0", "zero"), ("cost", '""', "empty-string"),
                     ("cost", "{}", "empty-object"), ("n_grid", "[]", "empty-list"), ("n_grid", "0", "zero"),
+                    ("sample_size", "200.9", "float"), ("trials", "40.5", "float"), ("seed", "1.5", "float"),
+                    ("n_grid", "[100.7]", "float-entry"), ("n_grid", "[true,50]", "bool-entry"),
+                ]
+            ),
+            *(
+                pytest.param(["pipeline", "--source", f"pdfa:{{dir}}/instance.json,pdfa:{DATA / 'machine_half.json'}",
+                              "--truncate", "3", "--trials", "30"], MACHINE.replace(field, value),
+                             id=f"machine-{name}")
+                for field, value, name in [
+                    ('"initial": 0', '"initial": 0.0', "initial-float"), ('"to": 0', '"to": 0.6', "to-float"),
                 ]
             ),
         ],
@@ -96,6 +109,7 @@ class TestExitCodes:
             "no estimates": {k: v for k, v in payload.items() if k != "estimates"},
             "no cost": {**payload, "cost": None},
             "one estimate": {**payload, "estimates": payload["estimates"][:1]},
+            "prior sum off by 1e-12": {**payload, "source": {**payload["source"], "priors": [0.5, 0.5 - 1e-12]}},
         }
         if instance is not None:
             text = json.dumps(edits[instance]) if instance in edits else instance
@@ -189,15 +203,15 @@ class TestVerifyCommands:
         assert run(["verify-theorem1", "--replay", path]) == 0
 
     def test_replay_rechecks_identity_gap(self, tmp_path, monkeypatch):
-        import bayesrisk.cli as cli
+        import bayesrisk.bounds as bounds
 
-        real = cli._logloss_check
+        real = bounds._check
 
-        def off_by_1e6(source, est):
-            report, rhs = real(source, est)
+        def off_by_1e6(priors, masses, cost):
+            report, rhs = real(priors, masses, cost)
             return report, rhs + 1e-6
 
-        monkeypatch.setattr(cli, "_logloss_check", off_by_1e6)
+        monkeypatch.setattr(bounds, "_check", off_by_1e6)
         assert run(["verify-theorem2", "--trials", "1", "--out-dir", tmp_path]) == 1
         assert run(["verify-theorem2", "--replay", tmp_path / "violation_0.json"]) == 1
 

@@ -8,10 +8,17 @@ fails again.
 
 from __future__ import annotations
 
+import csv
+import sys
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 import bayesrisk.bounds as bounds
 from bayesrisk.cli import main
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.mark.parametrize(
@@ -44,3 +51,36 @@ def test_halved_bound_fails_the_run(tmp_path, monkeypatch, formula, argv):
     bound = getattr(bounds, formula)
     monkeypatch.setattr(bounds, formula, lambda *args: 0.5 * bound(*args))
     assert main([*argv, "--out-dir", str(tmp_path)]) == 1
+
+
+def _shut(value, bound):
+    """The verdict gate shut: False, elementwise for an array ``value``."""
+    return np.zeros(value.shape, bool) if isinstance(value, np.ndarray) else False
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["verify-theorem1", "--trials", "5"], id="verify-theorem1"),
+        pytest.param(["verify-theorem2", "--trials", "5"], id="verify-theorem2"),
+        pytest.param(["smooth", "--trials", "5"], id="smooth"),
+        pytest.param(["lower-bounds"], id="lower-bounds"),
+        pytest.param(["tightness", "--iterations", "1"], id="tightness-L1"),
+        pytest.param(["tightness", "--metric", "KL", "--iterations", "1"], id="tightness-KL"),
+        pytest.param(["pipeline", "--config", str(DATA / "pipeline_config.json")], id="pipeline"),
+    ],
+)
+def test_every_verdict_goes_through_the_one_gate(tmp_path, monkeypatch, argv):
+    """With ``bounds._within`` shut wherever it is imported, every subcommand's verdict fails, and so
+    does every row's ``satisfied`` or ``within`` cell."""
+    sites = [
+        module
+        for name, module in list(sys.modules.items())
+        if name.startswith("bayesrisk") and vars(module).get("_within") is bounds._within
+    ]
+    assert {module.__name__ for module in sites} >= {"bayesrisk.bounds", "bayesrisk.cli", "bayesrisk.smoothing"}
+    for module in sites:
+        monkeypatch.setattr(module, "_within", _shut)
+    assert main([*argv, "--out-dir", str(tmp_path)]) == 1
+    with (tmp_path / "report.csv").open(newline="") as fh:
+        assert {row[c] for row in csv.DictReader(fh) for c in ("satisfied", "within") if c in row} <= {"False"}

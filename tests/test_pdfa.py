@@ -1,6 +1,7 @@
 """PDFA string distributions: path probabilities, truncation, encoding."""
 
 import itertools
+import json
 import math
 import tracemalloc
 from bisect import bisect_right
@@ -138,6 +139,30 @@ class TestValidation:
         with pytest.raises(ValueError, match="target 1 out of range"):
             # An absent transition on "b" must target state 0.
             Pdfa(("a", "b"), 1, 0, (0.5, 1.0), (((0.5, 1), (0.0, 1)), ((0.0, 0), (0.0, 0))))
+
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("n",), 1.0),
+            (("n",), True),
+            (("precision",), 2.0),
+            (("initial",), 0.0),
+            (("initial",), False),
+            (("states", 0, "trans", "a", "to"), 0.6),
+            (("states", 0, "trans", "a", "to"), 0.0),
+        ],
+    )
+    def test_integer_fields_are_never_rounded(self, path, value):
+        data = json.loads((DATA / "machine_half.json").read_text())
+        Pdfa.from_dict(data)
+        *parents, key = path
+        inner = data
+        for step in parents:
+            inner = inner[step]
+        inner[key] = value
+        with pytest.raises(ValueError, match="must be an integer"):
+            Pdfa.from_dict(data)
 
 
 class TestStringProbability:
@@ -393,6 +418,15 @@ class TestEncoding:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize("code_point", [0x110000, 2**40])
+    def test_out_of_range_symbol_is_corrupt_encoding(self, code_point):
+        # One state, one symbol at the claimed code point, precision 1, initial state 0.
+        w = pdfa._BitWriter()
+        for value in (1, 2, 1, 1, code_point + 1):
+            w.write_gamma(value)
+        with pytest.raises(ValueError, match="corrupt encoding: symbol code point"):
+            decode(w.to_bytes())
 
     def test_corruption_never_passes_silently(self):
         machine = two_symbol()

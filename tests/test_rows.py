@@ -22,7 +22,6 @@ from bayesrisk.bounds import (
     L1,
     _check,
     _floor_rows,
-    _logloss_check,
     _masses,
     _perturb_rows,
     _random_instance,
@@ -113,7 +112,7 @@ def test_sweep_instance_and_report_equal_the_public_composition(seed, metric, k_
         assert cost.costs.tobytes() == ref_cost.costs.tobytes()
         assert _hex_fields(_check(priors, masses, cost)[0]) == _hex_fields(check_theorem1(source, est, ref_cost))
     else:
-        report, rhs = _logloss_check(priors, masses)
+        report, rhs = _check(priors, masses, None)
         assert _hex_fields(report) == _hex_fields(check_theorem2(source, est))
         lhs, ref_rhs = excess_logloss_identity(source, est)
         assert (report.excess.hex(), rhs.hex()) == (lhs.hex(), ref_rhs.hex())
