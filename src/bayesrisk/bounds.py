@@ -141,18 +141,26 @@ def _masses(true_source: LabeledSource, est_dists: Sequence[Distribution]) -> np
     return np.array([[d.mass for d in true_source.class_dists], [e.mass for e in est]])
 
 
-def _plugin_risk(priors, weighted, est, costs, ws=None) -> float:
+def _plugin_risk(priors, weighted, est, costs, ws=None, hits=None) -> float:
     """Risk, on true classes of weighted masses ``weighted``, of the Bayes classifier under the
     cost array ``costs`` (the posterior rule under log loss if ``costs is None``) built from the
     true ``priors`` and the ``(k, m)`` estimated masses ``est``, which become their weighted
-    masses. The rest is written into the workspace ``ws``, allocated afresh if not given."""
+    masses. The rest is written into the workspace ``ws``, allocated afresh if not given. ``hits``, each
+    class's sorted atoms outside which its estimate is zero, limits the weighting and the label scan."""
     _, scores, labels, row, mask = ws or _workspace(*est.shape)
-    est *= priors[:, None]
+    if hits is None:
+        est *= priors[:, None]
+    else:
+        for e, g, h in zip(est, priors, hits):
+            e[h] *= g
     if costs is None:
         _posterior(est, scores, row, mask)
         return _logloss_risk(scores, weighted)
-    _bayes_labels(costs, est, scores, labels, mask)
-    return _cost_risk(costs, labels, weighted, scores)
+    cols = slice(None) if hits is None else np.sort(np.concatenate(hits))
+    if hits is not None:  # the union; np.unique would import numpy.ma
+        cols = cols[np.concatenate(([True], cols[1:] != cols[:-1]))]
+    labels = _bayes_labels(costs, est, scores, labels, mask, cols)
+    return _cost_risk(costs, labels, weighted, scores, cols)
 
 
 def _optimal_risk(source: LabeledSource, cost: Optional[CostLike], ws=None) -> float:

@@ -213,16 +213,20 @@ def _workspace(k: int, m: int) -> tuple[np.ndarray, ...]:
     return np.empty((k, m)), np.empty((k, m)), np.empty(m, np.intp), np.empty(m), np.empty(m, bool)
 
 
-def _bayes_labels(costs, weighted, scores, labels, less) -> None:
-    """Write the Bayes labels of the ``(k, m)`` weighted masses into ``labels`` via the buffers
-    ``scores`` ``(k, m)`` and ``less`` ``(m,)``. Ties go to the smallest label: an atom moves to
-    label j only where j scores strictly less than the running minimum, kept in row 0."""
+def _bayes_labels(costs, weighted, scores, labels, less, cols=slice(None)) -> np.ndarray:
+    """The Bayes labels of the ``(k, m)`` weighted masses at the columns ``cols``, written into the
+    start of ``labels`` via the buffers ``scores`` ``(k, m)`` and ``less`` ``(m,)``. Ties go to the
+    smallest label: an atom moves to label j only where j scores strictly less than the running
+    minimum, kept in row 0. The product is the full one: a gathered one may differ in its bits."""
     np.matmul(costs.T, weighted, out=scores)
+    if not isinstance(cols, slice):
+        scores, labels, less = scores.take(cols, axis=1), labels[: len(cols)], less[: len(cols)]
     labels.fill(0)
     for j in range(1, len(scores)):
         np.less(scores[j], scores[0], out=less)
         np.copyto(labels, j, where=less)
         np.minimum(scores[0], scores[j], out=scores[0])
+    return labels
 
 
 def risk(f: Classifier, source: LabeledSource, cost: CostLike) -> float:
@@ -235,10 +239,15 @@ def risk(f: Classifier, source: LabeledSource, cost: CostLike) -> float:
     return _cost_risk(costs, f.labels, source.weighted_mass)
 
 
-def _cost_risk(costs, labels, weighted, out=None) -> float:
-    """:func:`risk` of labels in ``[0, k)`` on the ``(k, m)`` weighted masses."""
-    weighted_costs = costs.take(labels, axis=1, out=out, mode="clip")  # "clip" fills out directly
-    weighted_costs *= weighted
+def _cost_risk(costs, labels, weighted, out=None, cols=slice(None)) -> float:
+    """:func:`risk` of labels in ``[0, k)`` at the columns ``cols``, label 0 elsewhere, on the ``(k, m)``
+    weighted masses: whatever ``cols`` is, the array summed holds ``costs[i, label] * weighted[i, x]``."""
+    if isinstance(cols, slice):
+        weighted_costs = costs.take(labels, axis=1, out=out, mode="clip")  # "clip" fills out directly
+        weighted_costs *= weighted
+    else:
+        weighted_costs = np.multiply(costs[:, :1], weighted, out=out)
+        weighted_costs[:, cols] = costs.take(labels, axis=1) * weighted.take(cols, axis=1)
     return float(weighted_costs.sum())
 
 

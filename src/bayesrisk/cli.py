@@ -116,14 +116,14 @@ def _read_input(path, parse):
         raise UsageError(f"bad input file {path}: {exc!r}") from exc
 
 
-def _instance_from_payload(data: dict):
-    """Inverse of :func:`_instance_payload`, validated: ``bounds._verdict``'s ``(priors, masses, cost)``,
-    ``cost`` None under KL."""
-    metric = data.get("metric", L1)
-    if metric not in (L1, KL):
-        raise ValueError(f"metric must be {L1!r} or {KL!r}, got {metric!r}")
+def _instance_from_payload(data: dict, metric: str):
+    """Inverse of :func:`_instance_payload` for an instance of ``metric``, validated: ``bounds._verdict``'s
+    ``(priors, masses, cost)``, ``cost`` None under KL."""
     source = LabeledSource.from_dict(data["source"])
     masses = _masses(source, (Distribution.from_dict(d) for d in data["estimates"]))
+    stated = data.get("metric", L1)
+    if stated != metric:
+        raise ValueError(f"the instance's metric is {stated!r}; this subcommand replays {metric!r} instances")
     return source.priors, masses, CostMatrix(data["cost"]) if metric == L1 else None
 
 
@@ -134,15 +134,15 @@ def _require_positive_trials(args) -> None:
 
 def cmd_verify(args) -> int:
     """Randomized sweep of one theorem (the subcommand names which), or ``--replay`` of one instance."""
+    metric = L1 if args.command == "verify-theorem1" else KL
     if args.replay:
-        report, gap, ok = _verdict(*_read_input(args.replay, _instance_from_payload))
+        report, gap, ok = _verdict(*_read_input(args.replay, lambda data: _instance_from_payload(data, metric)))
         shown = report.to_dict() if gap is None else {**report.to_dict(), "identity_gap": gap}
         print(json.dumps(shown, indent=2))
         return EXIT_OK if ok else EXIT_VIOLATION
     _require_positive_trials(args)
     if args.k_max < 2 or args.m_max < 2:
         raise UsageError("--k-max and --m-max must be at least 2")
-    metric = L1 if args.command == "verify-theorem1" else KL
     rng = np.random.default_rng(args.seed)
     config = {
         "trials": args.trials,

@@ -46,7 +46,7 @@ def _trusted(cls, **fields):
 
 
 def _json_int(value, name: str) -> int:
-    """``value`` as an integer field read from JSON: a bool or a float is refused, never rounded."""
+    """``value`` as an integer field, from JSON or a constructor: a bool or a float is refused, never rounded."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
@@ -90,7 +90,7 @@ class Domain:
             raise KeyError(f"atom {atom!r} is not in the domain") from None
 
 
-def _exact_unit_mass(mass: np.ndarray) -> np.ndarray:
+def _exact_unit_mass(mass: np.ndarray, at=slice(None)) -> np.ndarray:
     """Rescale ``mass`` in place so it sums to 1.0 up to at most one ulp: each row of a 2-D
     ``mass`` on its own, a 1-D one being one row.
 
@@ -98,6 +98,8 @@ def _exact_unit_mass(mass: np.ndarray) -> np.ndarray:
     float re-sum can still miss 1.0 by a few ulp; folding the residual into
     the largest entry brings the sum to literal 1.0 in almost all cases
     (and always within one ulp, far inside every downstream tolerance).
+    Given the sorted atoms ``at`` of every positive entry, it divides and searches only there;
+    the sums still run over whole rows.
     """
     rows = mass if mass.ndim == 2 else mass[None]
     totals = rows.sum(axis=1)
@@ -106,12 +108,16 @@ def _exact_unit_mass(mass: np.ndarray) -> np.ndarray:
             raise ValueError(f"mass sums to {total!r}, expected 1 within {SUM_TOL}")
     if listed.count(1.0) == len(listed):  # dividing by 1.0 and re-summing would change no bit
         return mass
-    rows /= totals[:, None]
+    if isinstance(at, slice):
+        rows /= totals[:, None]
+    else:  # the zeros elsewhere would divide to zeros
+        rows[:, at] /= totals[:, None]
     for _ in range(4):
         residual = rows.sum(axis=1) - 1.0
         if not np.count_nonzero(residual):
             break
-        rows[np.arange(len(rows)), rows.argmax(axis=1)] -= residual
+        top = rows[:, at].argmax(axis=1)
+        rows[np.arange(len(rows)), top if isinstance(at, slice) else at[top]] -= residual
     return mass
 
 
@@ -218,10 +224,16 @@ def l1_distance(p: Distribution, q: Distribution) -> float:
     return _l1_distance(p.mass, q.mass)
 
 
-def _l1_distance(p: np.ndarray, q: np.ndarray, out=None):
-    """:func:`l1_distance` of the masses ``p`` and ``q``; of ``(n, m)`` masses, row by row."""
-    diff = np.subtract(p, q, out=out)
-    l1 = np.abs(diff, out=diff).sum(axis=-1)
+def _l1_distance(p: np.ndarray, q: np.ndarray, out=None, at=slice(None)):
+    """:func:`l1_distance` of the masses ``p`` and ``q``; of ``(n, m)`` masses, row by row. Outside
+    the atom set ``at`` ``q`` is zero and ``|p - q|`` is ``|p|``, so the row summed is the same."""
+    if isinstance(at, slice):
+        diff = np.subtract(p, q, out=out)
+        np.abs(diff, out=diff)
+    else:
+        diff = np.abs(p, out=out)
+        diff[at] = np.abs(p[at] - q[at])
+    l1 = diff.sum(axis=-1)
     return l1 if l1.ndim else float(l1)
 
 
@@ -236,9 +248,10 @@ def kl_divergence(p: Distribution, q: Distribution) -> float:
     return _kl_on_support(p.mass, q.mass, p.mass > 0.0)
 
 
-def _kl_on_support(p: np.ndarray, q: np.ndarray, support: np.ndarray, out=None):
+def _kl_on_support(p: np.ndarray, q: np.ndarray, support: np.ndarray, out=None, at=slice(None)):
     """:func:`kl_divergence` of the masses ``p`` and ``q``, ``support`` being ``p > 0`` (``None`` if all):
     a full one is summed in the scratch row ``out``, a partial one gathered (``q`` first, for an inf KL).
+    An array ``at``, atoms outside which ``q`` is zero and not every atom, makes a full support's KL inf.
 
     Of ``(n, m)`` masses, an ``(n,)`` array: rows of one support size are gathered into one
     ``(rows, size)`` block, so each row sums what its 1-D gather sums.
@@ -255,6 +268,8 @@ def _kl_on_support(p: np.ndarray, q: np.ndarray, support: np.ndarray, out=None):
             kl[np.flatnonzero(rows)[finite]] = np.where(sums > 0.0, sums, 0.0)
         return kl
     full = support is None or bool(support.all())
+    if full and not isinstance(at, slice):
+        return math.inf
     qs = q if full else q[support]
     if qs.min() == 0.0:  # q >= 0, so this finds a zero without a bool temporary
         return math.inf

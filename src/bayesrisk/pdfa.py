@@ -86,14 +86,14 @@ class Pdfa:
     table: tuple[tuple[tuple[float, int], ...], ...]
 
     def __post_init__(self) -> None:
-        if not 1 <= self.precision <= 52:
+        if not 1 <= _json_int(self.precision, "precision") <= 52:
             raise ValueError("precision must be between 1 and 52 bits")
         scale = 1 << self.precision
         _check_alphabet(self.alphabet)
         n = len(self.stops)
         if n < 1:
             raise ValueError("a machine needs at least one state")
-        if not 0 <= self.initial < n:
+        if not 0 <= _json_int(self.initial, "initial") < n:
             raise ValueError("initial state out of range")
         if len(self.table) != n:
             raise ValueError("one table row per state required")
@@ -104,7 +104,7 @@ class Pdfa:
             for sym, (prob, target) in zip(self.alphabet, row):
                 num = self._numerator(prob, scale, f"transition {q} --{sym}-->")
                 # An absent transition (probability 0) targets state 0.
-                if not 0 <= target < (n if num else 1):
+                if not 0 <= _json_int(target, f"transition {q} --{sym}--> target") < (n if num else 1):
                     raise ValueError(f"state {q} transition target {target} out of range")
                 if num == scale:
                     raise ValueError(
@@ -135,7 +135,8 @@ class Pdfa:
         alphabet = tuple(alphabet)
         stops, table = [], []
         for q, (stop, trans) in enumerate(states):
-            hops = {sym: (float(p), int(to)) for sym, (p, to) in trans.items() if float(p) != 0.0}
+            hops = {sym: (float(p), _json_int(to, "target")) for sym, (p, to) in trans.items()}
+            hops = {sym: hop for sym, hop in hops.items() if hop[0] != 0.0}
             unknown = hops.keys() - set(alphabet)
             if unknown:
                 raise ValueError(f"state {q} transitions on unknown symbol {min(unknown)!r}")
@@ -168,11 +169,9 @@ class Pdfa:
     @classmethod
     def from_dict(cls, data: dict) -> "Pdfa":
         states = [
-            (state["stop"], {s: (e["p"], _json_int(e["to"], "target")) for s, e in state["trans"].items()})
-            for state in data["states"]
+            (state["stop"], {s: (e["p"], e["to"]) for s, e in state["trans"].items()}) for state in data["states"]
         ]
-        precision, initial = _json_int(data["precision"], "precision"), _json_int(data["initial"], "initial")
-        machine = cls.build(tuple(data["alphabet"]), precision, states, initial)
+        machine = cls.build(tuple(data["alphabet"]), data["precision"], states, data["initial"])
         if machine.n != _json_int(data["n"], "n"):
             raise ValueError("state count field disagrees with the states list")
         return machine

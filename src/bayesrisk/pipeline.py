@@ -24,7 +24,10 @@ held for the whole experiment.
 
 A trial runs on raw arrays in one workspace per experiment, scored in
 either mode by ``bounds._plugin_risk``: a cost-mode trial whose classes
-have full support allocates no m-sized array.
+have full support allocates no m-sized array. An estimate without
+add-lambda smoothing is zero off the atoms its draws hit; with at most
+one draw per 16 atoms the kernels work only there, and every sum still
+runs over the full array, so each output keeps its bits.
 """
 
 from __future__ import annotations
@@ -63,19 +66,20 @@ class TrialConfig:
     n_grid: Optional[tuple[int, ...]] = None
 
     def __post_init__(self) -> None:
-        if self.sample_size < 1:
-            raise ValueError("sample_size must be at least 1")
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
+        for name in ("sample_size", "trials"):
+            if _json_int(getattr(self, name), name) < 1:
+                raise ValueError(f"{name} must be at least 1")
+        _json_int(self.seed, "seed")
         _check_laplace(self.resolved_laplace)
         if not self.epsilon_target > 0.0:
             raise ValueError("epsilon_target must be positive")
         if not 0.0 < self.delta_target < 1.0:
             raise ValueError("delta_target must lie in (0, 1)")
         if self.n_grid is not None:
-            if not self.n_grid or any(n < 1 for n in self.n_grid):
+            n_grid = tuple(_json_int(n, "n_grid entry") for n in self.n_grid)
+            if not n_grid or any(n < 1 for n in n_grid):
                 raise ValueError("n_grid entries must be positive")
-            object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
+            object.__setattr__(self, "n_grid", n_grid)
 
     @property
     def log_loss_mode(self) -> bool:
@@ -130,21 +134,29 @@ def empirical_estimator(
     )
     if idx.size and (idx.min() < 0 or idx.max() >= m):
         raise ValueError(f"sample index out of range: atom indices must lie in [0, {m})")
-    return Distribution(domain, _estimate(np.empty(m), idx, float(laplace)))
+    _estimate(mass := np.empty(m), idx, float(laplace))
+    return Distribution(domain, mass)
 
 
-def _estimate(mass: np.ndarray, idx: np.ndarray, laplace: float) -> np.ndarray:
-    """Write the add-lambda estimate of the atom indices ``idx`` into ``mass``, unnormalized."""
-    mass.fill(0.0)
+def _estimate(mass: np.ndarray, idx: np.ndarray, laplace: float, zero=slice(None), hit=None):
+    """Write the add-lambda estimate of the atom indices ``idx`` into ``mass``, zero outside the atom
+    set ``zero``, unnormalized. Return its atom set: without smoothing and with at most one draw per
+    16 atoms, the sorted atoms of its non-zero entries, found with the bool row ``hit``; else every
+    atom, ``slice(None)``. Fewer draws per atom pay for the hits' indexing by the passes they save."""
+    mass[zero] = 0.0
     np.add.at(mass, idx, 1.0)
     denom = idx.size + laplace * mass.size
     if denom == 0.0:
         mass.fill(1.0 / mass.size)
-    else:
+        return slice(None)
+    if laplace or 16 * idx.size > mass.size:
         if laplace:  # counts are >= +0.0, so adding 0.0 would change no bit
             mass += laplace
         mass /= denom
-    return mass
+        return slice(None)
+    at = np.flatnonzero(np.greater(mass, 0.0, out=hit))  # a bool row is cheaper to scan than floats
+    mass[at] /= denom
+    return at
 
 
 # Most draws (trials times sample size) in a block of trials; a larger trial is a block of its own.
@@ -176,7 +188,7 @@ def _block(config: TrialConfig, rngs: Sequence[np.random.Generator], n: int, ws,
     0, class 1, ...) into one buffer; each class's CDF, built once in the workspace row, answers the
     block's draws of that class. Then each trial's arithmetic runs on the workspace."""
     source, laplace = config.source, config.resolved_laplace
-    ests, _, _, row, _ = ws
+    ests, _, _, row, hit = ws
     uniforms = np.empty((len(rngs), n))
     for rng, trial_uniforms in zip(rngs, uniforms):
         rng.random(out=trial_uniforms)
@@ -190,12 +202,15 @@ def _block(config: TrialConfig, rngs: Sequence[np.random.Generator], n: int, ws,
     del uniforms, flat
     costs = None if config.cost is None else as_cost_array(config.cost, source.k)
     pairs = tuple(zip((d.mass for d in source.class_dists), ests, supports))
+    atoms = [slice(None)] * source.k  # each estimate's atom set; the workspace rows hold anything
     for t, trial_counts in enumerate(counts.tolist()):
-        for est, idx in zip(ests, samples):
-            _exact_unit_mass(_estimate(est, idx[t], laplace))
-        l1s = tuple(_l1_distance(p, q, row) for p, q, _ in pairs)
-        kls = tuple(_kl_on_support(p, q, support, row) for p, q, support in pairs)
-        risk_plugin = _plugin_risk(source.priors, source.weighted_mass, ests, costs, ws)
+        for i, (est, idx) in enumerate(zip(ests, samples)):
+            atoms[i] = _estimate(est, idx[t], laplace, atoms[i], hit)
+            _exact_unit_mass(est, atoms[i])
+        l1s = tuple(_l1_distance(p, q, row, at) for (p, q, _), at in zip(pairs, atoms))
+        kls = tuple(_kl_on_support(p, q, support, row, at) for (p, q, support), at in zip(pairs, atoms))
+        hits = None if any(isinstance(at, slice) for at in atoms) else atoms
+        risk_plugin = _plugin_risk(source.priors, source.weighted_mass, ests, costs, ws, hits)
         report = _theorem_report(source.priors, config.cost, kls if costs is None else l1s, risk_opt, risk_plugin)
         yield TrialOutcome(tuple(trial_counts), l1s, kls, report)
 
@@ -330,12 +345,12 @@ def _config_and_spec(data: dict) -> tuple[TrialConfig, Optional[PdfaSpec]]:
     config = TrialConfig(
         source=source,
         cost=None if data.get("cost") is None else CostMatrix(data["cost"]),
-        sample_size=_json_int(data["sample_size"], "sample_size"),
-        trials=_json_int(data["trials"], "trials"),
+        sample_size=data["sample_size"],
+        trials=data["trials"],
         epsilon_target=float(data["epsilon_target"]),
         delta_target=float(data["delta_target"]),
-        seed=_json_int(data.get("seed", 0), "seed"),
+        seed=data.get("seed", 0),
         laplace=None if data.get("laplace") is None else float(data["laplace"]),
-        n_grid=None if data.get("n_grid") is None else tuple(_json_int(n, "n_grid entry") for n in data["n_grid"]),
+        n_grid=None if data.get("n_grid") is None else tuple(data["n_grid"]),
     )
     return config, pdfa

@@ -63,6 +63,10 @@ class TestExitCodes:
                          id="replay-estimate-count"),
             pytest.param(["verify-theorem2", "--replay", "{dir}/instance.json"], "prior sum off by 1e-12",
                          id="replay-priors-off-by-1e-12"),
+            pytest.param(["verify-theorem2", "--replay", "{dir}/instance.json"], "an L1 instance",
+                         id="replay-l1-instance-as-theorem2"),
+            pytest.param(["verify-theorem1", "--replay", "{dir}/instance.json"], "a KL instance",
+                         id="replay-kl-instance-as-theorem1"),
             pytest.param(["pipeline", "--config", "{dir}"], None, id="config-is-a-directory"),
             pytest.param(["verify-theorem1", "--k-max", "1"], None, id="k-max-1"),
             pytest.param(["verify-theorem2", "--m-max", "1"], None, id="m-max-1"),
@@ -110,6 +114,8 @@ class TestExitCodes:
             "no cost": {**payload, "cost": None},
             "one estimate": {**payload, "estimates": payload["estimates"][:1]},
             "prior sum off by 1e-12": {**payload, "source": {**payload["source"], "priors": [0.5, 0.5 - 1e-12]}},
+            "an L1 instance": payload,
+            "a KL instance": {**payload, "metric": "KL", "cost": None},
         }
         if instance is not None:
             text = json.dumps(edits[instance]) if instance in edits else instance
@@ -201,6 +207,22 @@ class TestVerifyCommands:
         path = tmp_path / "instance.json"
         path.write_text(json.dumps(_instance_payload(source, est, cost, "L1")))
         assert run(["verify-theorem1", "--replay", path]) == 0
+
+    def test_replay_checks_only_its_own_theorem(self, tmp_path, capsys):
+        """Each subcommand replays the instances of its own theorem and names the other's in one line."""
+        from bayesrisk.bounds import example1_construction
+        from bayesrisk.cli import _instance_payload
+
+        source, est, cost = example1_construction(0.1, 0.01)
+        for metric, cost_, own, other in (("L1", cost, "verify-theorem1", "verify-theorem2"),
+                                          ("KL", None, "verify-theorem2", "verify-theorem1")):
+            path = tmp_path / f"{metric}.json"
+            path.write_text(json.dumps(_instance_payload(source, est, cost_, metric)))
+            assert run([own, "--replay", path]) == 0
+            capsys.readouterr()
+            assert run([other, "--replay", path]) == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and f"metric is {metric!r}" in err
 
     def test_replay_rechecks_identity_gap(self, tmp_path, monkeypatch):
         import bayesrisk.bounds as bounds

@@ -140,6 +140,22 @@ class TestValidation:
             # An absent transition on "b" must target state 0.
             Pdfa(("a", "b"), 1, 0, (0.5, 1.0), (((0.5, 1), (0.0, 1)), ((0.0, 0), (0.0, 0))))
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(lambda: Pdfa.build(("a",), 1, [(0.5, {"a": (0.5, 0.6)})]), id="build-target"),
+            pytest.param(lambda: Pdfa.build(("a", "b"), 1, [(0.5, {"a": (0.5, 0), "b": (0.0, 0.5)})]),
+                         id="build-absent-target"),
+            pytest.param(lambda: Pdfa.build(("a",), 1.0, [(0.5, {"a": (0.5, 0)})]), id="build-precision"),
+            pytest.param(lambda: Pdfa.build(("a",), 1, [(0.5, {"a": (0.5, 0)})], 0.0), id="build-initial"),
+            pytest.param(lambda: Pdfa(("a",), 1, 0.0, (0.5,), (((0.5, 0),),)), id="initial"),
+            pytest.param(lambda: Pdfa(("a",), True, 0, (0.5,), (((0.5, 0),),)), id="precision-bool"),
+            pytest.param(lambda: Pdfa(("a",), 1, 0, (0.5,), (((0.5, 0.0),),)), id="target"),
+        ],
+    )
+    def test_constructors_never_round_integer_fields(self, make):
+        with pytest.raises(ValueError, match="must be an integer"):
+            make()
 
     @pytest.mark.parametrize(
         "path, value",

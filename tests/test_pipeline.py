@@ -12,9 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bayesrisk import pipeline
-from bayesrisk.bounds import random_cost, random_source
+from bayesrisk.bounds import _plugin_risk, random_cost, random_source
 from bayesrisk.classify import CostMatrix, LabeledSource
-from bayesrisk.distributions import Distribution, Domain, make_distribution
+from bayesrisk.distributions import Distribution, Domain, _draw_indices, _exact_unit_mass, make_distribution
+from bayesrisk.distributions import _kl_on_support, _l1_distance
 from bayesrisk.pipeline import (
     TrialConfig,
     config_from_dict,
@@ -320,10 +321,101 @@ def test_experiment_blocks_equal_one_trial_at_a_time(seed, m, log_loss, laplace,
     assert [_hexed(row) for row in rows] == [_hexed(row) for row in expected]
 
 
+def _dense_trial(config, rng, n):
+    """One trial on every atom, the reference for the sparse path: the draws in :func:`_block`'s
+    order, the add-lambda formula (no lambda added at 0, so the counts' bits stay), and the
+    kernels on ``slice(None)``; returns the counts, L1s, KLs and plug-in risk."""
+    source, laplace = config.source, config.resolved_laplace
+    m = source.domain.size
+    counts = np.bincount(_draw_indices(source.priors, rng.random(n)), minlength=source.k)
+    est = np.empty((source.k, m))
+    for row, d, c in zip(est, source.class_dists, counts):
+        tally = np.bincount(_draw_indices(d.mass, rng.random(c)), minlength=m).astype(float)
+        denom = c + laplace * m
+        row[:] = 1.0 / m if denom == 0.0 else (tally + laplace if laplace else tally) / denom
+        _exact_unit_mass(row)
+    pairs = [(d.mass, q) for d, q in zip(source.class_dists, est)]
+    l1s = [_l1_distance(p, q) for p, q in pairs]
+    kls = [_kl_on_support(p, q, p > 0.0) for p, q in pairs]
+    costs = None if config.cost is None else config.cost.costs
+    return counts.tolist(), l1s, kls, _plugin_risk(source.priors, source.weighted_mass, est, costs)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(2, 5),
+    m=st.one_of(st.integers(1, 300), st.sampled_from([4000, 40000])),
+    grid=st.lists(st.sampled_from([1, 3, 20, 150, 2000]), min_size=1, max_size=3),
+    rare=st.booleans(),
+    peaked=st.booleans(),
+    partial=st.booleans(),
+    ties=st.booleans(),
+    log_loss=st.booleans(),
+    laplace=st.sampled_from([0.0, 0.5]),
+)
+@settings(max_examples=100, deadline=None)
+def test_sparse_trials_equal_the_dense_kernels(seed, k, m, grid, rare, peaked, partial, ties, log_loss, laplace):
+    """Each ``_block`` trial, its estimates worked only at their hit atoms where lambda is 0 and a
+    class drew at most one atom in 16, has the counts, L1s, KLs and plug-in risk in float.hex of the
+    dense kernels on the same draws: n < m and n >> m, with domains wide enough for 2,000 draws to be
+    sparse, classes that share their likeliest atoms (so their hits meet in one column), a class
+    that draws nothing (a prior of 1e-3), a true class missing atoms,
+    costs with two equal columns (ties), and several blocks of several trials on one workspace,
+    so each trial starts from the last one's atoms."""
+    rng = np.random.default_rng(seed)
+    source = random_source(rng, k, m)
+    priors, dists = source.priors.copy(), source.class_dists
+    if rare:
+        priors[0] = 1e-3
+        priors /= priors.sum()
+    if peaked:
+        weights = np.array([d.mass for d in dists])
+        weights[:, :8] += 1.0
+        dists = tuple(make_distribution(source.domain, w) for w in weights)
+    if partial and m > 1:
+        weights = dists[-1].mass.copy()
+        weights[rng.random(m) < 0.5] = 0.0
+        weights[rng.integers(m)] = 1.0
+        dists = (*dists[:-1], make_distribution(source.domain, weights))
+    source = LabeledSource(priors, dists)
+    costs = random_cost(rng, k).costs.copy()
+    if ties:
+        costs[:, 1] = costs[:, 0]
+    config = TrialConfig(
+        source=source,
+        cost=None if log_loss else CostMatrix(costs),
+        sample_size=grid[0],
+        trials=30,
+        epsilon_target=0.1,
+        delta_target=0.05,
+        laplace=laplace,
+    )
+    fixed = _fixed(config)
+    for gi, n in enumerate(grid):
+        seeds = [[seed, gi, t] for t in range(4)]
+        outcomes = _block(config, [np.random.default_rng(s) for s in seeds], n, *fixed)
+        for s, out in zip(seeds, outcomes):
+            counts, l1s, kls, risk = _dense_trial(config, np.random.default_rng(s), n)
+            assert list(out.counts) == counts
+            assert [v.hex() for v in out.l1_per_class] == [v.hex() for v in l1s]
+            assert [v.hex() for v in out.kl_per_class] == [v.hex() for v in kls]
+            assert out.report.risk_plugin.hex() == risk.hex()
+
+
 class TestConfigValidation:
     def test_rejects_bad_sample_size(self):
         with pytest.raises(ValueError):
             fixed_config(sample_size=0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("sample_size", 200.9), ("trials", 40.0), ("seed", 1.5), ("seed", True), ("n_grid", (100.7,)),
+         ("n_grid", (100, True))],
+        ids=["sample_size-float", "trials-float", "seed-float", "seed-bool", "n_grid-float-entry", "n_grid-bool-entry"],
+    )
+    def test_integer_fields_are_never_rounded(self, field, value):
+        with pytest.raises(ValueError, match="must be an integer"):
+            fixed_config(**{field: value})
 
     def test_rejects_negative_laplace(self):
         with pytest.raises(ValueError):

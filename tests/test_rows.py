@@ -245,3 +245,31 @@ def test_one_searchsorted_over_a_block_equals_the_per_trial_calls(seed, m, sizes
     assert _draw_indices(mass, np.concatenate(trials), np.empty(m)).tobytes() == per_trial.tobytes()
     rows = rng.random((3, sizes[0]))
     assert _draw_indices(mass, rows).tobytes() == np.array([_draw_indices(mass, row) for row in rows]).tobytes()
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.sampled_from(WIDTHS))
+@settings(max_examples=100, deadline=None)
+def test_zero_weight_columns_score_plus_zero_in_the_full_product(seed, k, m):
+    """A sparse trial scans labels only where some weighted estimate is positive: a column of
+    zero weights scores +0.0 in every row of the full ``costs.T @ weighted``, whatever the costs
+    (non-negative, with zeros), so its label is 0 without a scan."""
+    rng = np.random.default_rng(seed)
+    weighted = rng.random((k, m)) * (rng.random((k, m)) < 0.5)
+    weighted[:, rng.random(m) < 0.5] = 0.0
+    costs = rng.uniform(0.0, 5.0, (k, k)) * (rng.random((k, k)) < 0.7)
+    scores = np.empty((k, m))
+    np.matmul(costs.T, weighted, out=scores)
+    zero = ~weighted.any(axis=0)
+    assert {float.hex(float(v)) for v in scores[:, zero].ravel()} <= {float.hex(0.0)}
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(WIDTHS), st.integers(1, 8))
+@settings(max_examples=100, deadline=None)
+def test_argmax_over_sorted_hits_is_the_full_row_argmax(seed, m, peak):
+    """A row that is zero off its sorted positive atoms ``h`` takes its first largest entry at
+    ``h[row[h].argmax()]``, the full row's ``argmax``, ties among the largest too."""
+    rng = np.random.default_rng(seed)
+    row = rng.integers(1, peak + 1, m) * (rng.random(m) < 0.3) / 7.0
+    row[rng.integers(m)] = peak / 7.0
+    hits = np.flatnonzero(row > 0.0)
+    assert int(hits[row[hits].argmax()]) == int(row.argmax())
