@@ -39,7 +39,7 @@ import numpy as np
 from .classify import CostLike, CostMatrix, LabeledSource, as_cost_array
 from .classify import _bayes_labels, _cost_risk, _logloss_risk, _posterior, _workspace
 from .distributions import Distribution, Domain, kl_divergence
-from .distributions import _exact_unit_mass, _kl_on_support, _l1_distance, _trusted
+from .distributions import _exact_unit_mass, _kl_on_support, _l1_distance, _sorted_set, _trusted
 
 # Tolerance of every "value <= bound" verdict, read only by _within.
 BOUND_TOL = 1e-9
@@ -156,9 +156,7 @@ def _plugin_risk(priors, weighted, est, costs, ws=None, hits=None) -> float:
     if costs is None:
         _posterior(est, scores, row, mask)
         return _logloss_risk(scores, weighted)
-    cols = slice(None) if hits is None else np.sort(np.concatenate(hits))
-    if hits is not None:  # the union; np.unique would import numpy.ma
-        cols = cols[np.concatenate(([True], cols[1:] != cols[:-1]))]
+    cols = slice(None) if hits is None else _sorted_set(np.concatenate(hits))
     labels = _bayes_labels(costs, est, scores, labels, mask, cols)
     return _cost_risk(costs, labels, weighted, scores, cols)
 
@@ -208,10 +206,13 @@ def _check(priors, masses, cost) -> tuple[BoundReport, Optional[float]]:
     report, divergences, weighted, est = _scored(priors, masses, cost)
     if not (cost is None and np.isfinite(divergences).all()):
         return report, None
-    # The estimated mixture q is rescaled as mixture_distribution rescales the true one, p.
+    return report, sum((priors * divergences).tolist()) - _mixture_kl(weighted, est)
+
+
+def _mixture_kl(weighted, est) -> float:
+    """The identity's KL from the true mixture, ``weighted``'s column sums, to ``est``'s, each made unit."""
     p, q = _exact_unit_mass(np.array([weighted.sum(axis=0), est.sum(axis=0)]))
-    mix_kl = _kl_on_support(p, q, p > 0.0)
-    return report, sum((priors * divergences).tolist()) - mix_kl
+    return _kl_on_support(p, q, p > 0.0)
 
 
 def _verdict(priors, masses, cost) -> tuple[BoundReport, Optional[float], bool]:

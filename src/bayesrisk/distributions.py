@@ -81,13 +81,19 @@ class Domain:
         return len(self.atoms)
 
     def __len__(self) -> int:
-        return len(self.atoms)
+        return self.size
 
     def index(self, atom: str) -> int:
         try:
             return self._positions[atom]
         except KeyError:
             raise KeyError(f"atom {atom!r} is not in the domain") from None
+
+
+def _sorted_set(values: np.ndarray) -> np.ndarray:
+    """``np.unique`` of the non-empty 1-D ``values``, without its first call's import of numpy.ma."""
+    ordered = np.sort(values)
+    return ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
 
 
 def _exact_unit_mass(mass: np.ndarray, at=slice(None)) -> np.ndarray:

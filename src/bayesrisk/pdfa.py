@@ -43,6 +43,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -195,17 +196,14 @@ def string_probability(a: Pdfa, s: str) -> float:
     return prob * a.stops[q]
 
 
-@dataclass(frozen=True)
-class TruncatedStringDomain:
+class TruncatedStringDomain(Domain):
     """All strings of length <= max_len plus the overflow atom, as a Domain.
 
     Strings are ordered by length, then lexicographically in alphabet
-    order: the order in which :func:`truncate` lays out its masses.
+    order: the order in which :func:`truncate` lays out its masses, built
+    when ``atoms``, ``index``, ``repr`` or ``hash`` first needs them. Two
+    such domains compare by ``alphabet`` and ``max_len``, others by atoms.
     """
-
-    alphabet: tuple[str, ...]
-    max_len: int
-    domain: Domain
 
     @classmethod
     def build(
@@ -220,14 +218,29 @@ class TruncatedStringDomain:
             raise ValueError(
                 f"enumeration over limit: {count} atoms exceeds the cap of {max_atoms}"
             )
-        atoms = [""]
-        level = [""]
-        for _ in range(max_len):
-            level = [prefix + sym for prefix in level for sym in alphabet]
+        return _trusted(cls, alphabet=alphabet, max_len=max_len)
+
+    @cached_property
+    def atoms(self) -> tuple[str, ...]:
+        atoms, level = [""], [""]
+        for _ in range(self.max_len):
+            level = [prefix + sym for prefix in level for sym in self.alphabet]
             atoms.extend(level)
-        atoms.append(OVERFLOW_ATOM)
         # Strings over distinct single characters other than OVERFLOW_ATOM are distinct.
-        return cls(alphabet, max_len, _trusted(Domain, atoms=tuple(atoms)))
+        return (*atoms, OVERFLOW_ATOM)
+
+    domain = property(lambda self: self, doc="This domain: it is its own Domain.")
+
+    @property
+    def size(self) -> int:
+        return self.atom_count(len(self.alphabet), self.max_len)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, TruncatedStringDomain):  # size 2 is "" and ⊥ alone, whatever the alphabet
+            return self.size == other.size and (self.size == 2 or self.alphabet == other.alphabet)
+        return self.atoms == other.atoms if isinstance(other, Domain) else NotImplemented
+
+    __hash__ = Domain.__hash__
 
     @staticmethod
     def atom_count(alphabet_size: int, max_len: int) -> int:
@@ -244,23 +257,27 @@ def _path_masses(a: Pdfa, max_len: int) -> np.ndarray:
     A level holds one (state, path probability) pair per string of that
     length. The next level multiplies each path by every entry of its
     state's row of :attr:`Pdfa.table` (an absent transition's 0.0 and
-    state 0 included), so each string's mass is the float product
+    state 0 included), symbol ``j``'s products filling every ``width``-th
+    entry from the ``j``-th, so each string's mass is the float product
     ``((1.0 * p1) * p2 ...) * stop``, in the order
     :func:`string_probability` multiplies.
     """
-    dense = np.array(a.table, dtype=float).reshape(a.n, len(a.alphabet), 2)
-    prob, target = dense[..., 0], dense[..., 1].astype(np.intp)
-    stops = np.asarray(a.stops)
-    states = np.array([a.initial])
-    paths = np.array([1.0])
-    levels = []
+    width = len(a.alphabet)
+    prob, target = np.array(a.table, dtype=float).reshape(a.n, width, 2).T  # one row per symbol
+    target, stops = target.astype(np.intp), np.asarray(a.stops)
+    mass = np.empty(TruncatedStringDomain.atom_count(width, max_len))
+    states, paths, start = np.array([a.initial]), np.array([1.0]), 0
     for length in range(max_len + 1):
-        levels.append(paths * stops[states])
+        np.multiply(paths, stops.take(states), out=mass[start : start + len(paths)])
+        start += len(paths)
         if length < max_len:
-            paths = (paths[:, None] * prob[states]).ravel()
-            states = target[states].ravel()
-    mass = np.concatenate(levels)
-    return np.append(mass, max(0.0, 1.0 - float(np.sum(mass))))
+            grown, moved = np.empty(width * len(paths)), np.empty(width * len(paths), np.intp)
+            for j in range(width):
+                np.multiply(paths, prob[j].take(states), out=grown[j::width])
+                moved[j::width] = target[j].take(states)
+            paths, states = grown, moved
+    mass[-1] = max(0.0, 1.0 - float(np.sum(mass[:-1])))
+    return mass
 
 
 def truncate(a: Pdfa, max_len: int, max_atoms: int = DEFAULT_MAX_ATOMS) -> Distribution:
@@ -279,13 +296,8 @@ def truncate_all(
     machines: Sequence[Pdfa], max_len: int, max_atoms: int = DEFAULT_MAX_ATOMS
 ) -> tuple[Distribution, ...]:
     """:func:`truncate` every machine at ``max_len``; machines over one alphabet share one Domain."""
-    spaces: dict[tuple[str, ...], TruncatedStringDomain] = {}
-    dists = []
-    for a in machines:
-        if a.alphabet not in spaces:
-            spaces[a.alphabet] = TruncatedStringDomain.build(a.alphabet, max_len, max_atoms)
-        dists.append(Distribution(spaces[a.alphabet].domain, _path_masses(a, max_len)))
-    return tuple(dists)
+    spaces = {a.alphabet: TruncatedStringDomain.build(a.alphabet, max_len, max_atoms) for a in machines}
+    return tuple(Distribution(spaces[a.alphabet], _path_masses(a, max_len)) for a in machines)
 
 
 def sample_string(

@@ -25,9 +25,9 @@ held for the whole experiment.
 A trial runs on raw arrays in one workspace per experiment, scored in
 either mode by ``bounds._plugin_risk``: a cost-mode trial whose classes
 have full support allocates no m-sized array. An estimate without
-add-lambda smoothing is zero off the atoms its draws hit; with at most
-one draw per 16 atoms the kernels work only there, and every sum still
-runs over the full array, so each output keeps its bits.
+add-lambda smoothing is zero off the atoms its draws hit (its sorted distinct
+draws); with at most one draw per 16 atoms the kernels work only there, and
+every sum still runs over the full array, so each output keeps its bits.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import numpy as np
 from .bounds import BoundReport, _optimal_risk, _plugin_risk, _theorem_report
 from .classify import CostMatrix, LabeledSource, _workspace, as_cost_array
 from .distributions import Distribution, Domain, _draw_indices, _exact_unit_mass, _json_int
-from .distributions import _kl_on_support, _l1_distance
+from .distributions import _kl_on_support, _l1_distance, _sorted_set
 from .pdfa import Pdfa, truncate_all
 
 
@@ -124,24 +124,25 @@ def empirical_estimator(
 
     ``mass(x) = (count(x) + laplace) / (len(samples) + laplace * m)``;
     with ``laplace == 0`` and no samples the estimate defaults to uniform.
-    Samples may be atom identifiers or atom indices in ``[0, m)``.
+    Samples are the domain's atom identifiers or integer (never bool) atom indices in ``[0, m)``.
     """
     _check_laplace(laplace)
     m = domain.size
-    idx = np.fromiter(
-        (s if isinstance(s, (int, np.integer)) else domain.index(s) for s in samples),
-        dtype=np.int64,
-    )
+    try:  # Domain.index names an unknown atom in its KeyError
+        index = (domain.index(s) if isinstance(s, str) else _json_int(s, "sample atom index") for s in samples)
+        idx = np.fromiter(index, dtype=np.int64)
+    except KeyError as exc:
+        raise ValueError(f"sample {exc.args[0]}") from None
     if idx.size and (idx.min() < 0 or idx.max() >= m):
         raise ValueError(f"sample index out of range: atom indices must lie in [0, {m})")
     _estimate(mass := np.empty(m), idx, float(laplace))
     return Distribution(domain, mass)
 
 
-def _estimate(mass: np.ndarray, idx: np.ndarray, laplace: float, zero=slice(None), hit=None):
+def _estimate(mass: np.ndarray, idx: np.ndarray, laplace: float, zero=slice(None)):
     """Write the add-lambda estimate of the atom indices ``idx`` into ``mass``, zero outside the atom
     set ``zero``, unnormalized. Return its atom set: without smoothing and with at most one draw per
-    16 atoms, the sorted atoms of its non-zero entries, found with the bool row ``hit``; else every
+    16 atoms, the sorted distinct draws, which are the atoms of its non-zero entries; else every
     atom, ``slice(None)``. Fewer draws per atom pay for the hits' indexing by the passes they save."""
     mass[zero] = 0.0
     np.add.at(mass, idx, 1.0)
@@ -154,7 +155,7 @@ def _estimate(mass: np.ndarray, idx: np.ndarray, laplace: float, zero=slice(None
             mass += laplace
         mass /= denom
         return slice(None)
-    at = np.flatnonzero(np.greater(mass, 0.0, out=hit))  # a bool row is cheaper to scan than floats
+    at = _sorted_set(idx)
     mass[at] /= denom
     return at
 
@@ -188,7 +189,7 @@ def _block(config: TrialConfig, rngs: Sequence[np.random.Generator], n: int, ws,
     0, class 1, ...) into one buffer; each class's CDF, built once in the workspace row, answers the
     block's draws of that class. Then each trial's arithmetic runs on the workspace."""
     source, laplace = config.source, config.resolved_laplace
-    ests, _, _, row, hit = ws
+    ests, _, _, row, _ = ws
     uniforms = np.empty((len(rngs), n))
     for rng, trial_uniforms in zip(rngs, uniforms):
         rng.random(out=trial_uniforms)
@@ -205,7 +206,7 @@ def _block(config: TrialConfig, rngs: Sequence[np.random.Generator], n: int, ws,
     atoms = [slice(None)] * source.k  # each estimate's atom set; the workspace rows hold anything
     for t, trial_counts in enumerate(counts.tolist()):
         for i, (est, idx) in enumerate(zip(ests, samples)):
-            atoms[i] = _estimate(est, idx[t], laplace, atoms[i], hit)
+            atoms[i] = _estimate(est, idx[t], laplace, atoms[i])
             _exact_unit_mass(est, atoms[i])
         l1s = tuple(_l1_distance(p, q, row, at) for (p, q, _), at in zip(pairs, atoms))
         kls = tuple(_kl_on_support(p, q, support, row, at) for (p, q, support), at in zip(pairs, atoms))

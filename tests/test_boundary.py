@@ -71,6 +71,10 @@ BAD_INPUTS = [
     (log_loss_trials, INF, "laplace weight must be finite"),
     (log_loss_trials, -1.0, "laplace weight must be non-negative"),
     (QuantizedClassSpec, 54, "bits_per_atom must be at most 53, got 54"),
+    (lambda _, s: empirical_estimator(s, Domain.indexed(3)), [True, True, False],
+     "sample atom index must be an integer, got True"),
+    (lambda _, s: empirical_estimator(s, D2), [1.0], "sample atom index must be an integer, got 1.0"),
+    (lambda _, s: empirical_estimator(s, D2), ["x0", "x2"], "sample atom 'x2' is not in the domain"),
 ]
 
 

@@ -401,6 +401,19 @@ class TestPipelineCommand:
         domains = {id(d.domain) for d in seen[0].source.class_dists}
         assert len(domains) == 1
 
+    def test_pdfa_run_leaves_the_shared_domain_unenumerated(self, tmp_path, monkeypatch):
+        """The pipeline reads the truncated domain's size and compares it, never its 131,072 atoms."""
+        import bayesrisk.cli as cli
+
+        seen = []
+        real = cli.truncate_all
+        monkeypatch.setattr(cli, "truncate_all", lambda *args: seen.append(real(*args)) or seen[-1])
+        code = run(["pipeline", "--source", self.binary_machines(tmp_path), "--truncate", "16",
+                    "--n-grid", "20,200", "--trials", "30", "--out-dir", tmp_path / "run"])
+        assert code == 0
+        (domain,) = {id(d.domain): d.domain for d in seen[0]}.values()
+        assert domain.size == 131_072 and "atoms" not in vars(domain)
+
     def test_pdfa_manifest_is_small_and_replays_bit_for_bit(self, tmp_path):
         sources = self.binary_machines(tmp_path)
         first = tmp_path / "source_run"

@@ -53,6 +53,18 @@ def test_halved_bound_fails_the_run(tmp_path, monkeypatch, formula, argv):
     assert main([*argv, "--out-dir", str(tmp_path)]) == 1
 
 
+def test_flipped_mixture_kl_fails_the_sweep_and_its_replay(tmp_path, monkeypatch):
+    """With the identity's mixture-KL term added instead of subtracted, the identity gap of every
+    instance whose mixtures differ breaks the gate: the log-loss sweep exits 1, and so does the
+    replay of the instance it writes."""
+    mixture_kl = bounds._mixture_kl
+    monkeypatch.setattr(bounds, "_mixture_kl", lambda *args: -mixture_kl(*args))
+    assert main(["verify-theorem2", "--trials", "20", "--out-dir", str(tmp_path)]) == 1
+    violations = sorted(tmp_path.glob("violation_*.json"))
+    assert violations
+    assert main(["verify-theorem2", "--replay", str(violations[0])]) == 1
+
+
 def _shut(value, bound):
     """The verdict gate shut: False, elementwise for an array ``value``."""
     return np.zeros(value.shape, bool) if isinstance(value, np.ndarray) else False

@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bayesrisk import pdfa
-from bayesrisk.distributions import Distribution, l1_distance
+from bayesrisk.distributions import Distribution, Domain, l1_distance
 from bayesrisk.pdfa import (
     OVERFLOW_ATOM,
     Pdfa,
@@ -233,7 +233,7 @@ class TestTruncate:
 
         alphabet = (Tripwire("a"), Tripwire("b"))
         with pytest.raises(AssertionError, match="enumerated"):
-            TruncatedStringDomain.build(alphabet, 2)
+            TruncatedStringDomain.build(alphabet, 2).domain.atoms
         with pytest.raises(ValueError, match="over limit"):
             TruncatedStringDomain.build(alphabet, 8, max_atoms=100)
 
@@ -294,6 +294,41 @@ class TestTruncate:
             else:
                 assert dist > 1e-6, (n1, n2)
         assert l1_distance(truncate(two_symbol(), 8), truncate(three_state(), 8)) > 1e-6
+
+
+def eager_domain(alphabet, max_len):
+    """The plain Domain of every string up to ``max_len`` in length-then-alphabet order, then ⊥."""
+    strings = ("".join(s) for n in range(max_len + 1) for s in itertools.product(alphabet, repeat=n))
+    return Domain((*strings, OVERFLOW_ATOM))
+
+
+class TestLazyDomain:
+    """A TruncatedStringDomain builds its strings only when they are read, and is otherwise the
+    eager Domain of those strings."""
+
+    @pytest.mark.parametrize("max_len", range(7))
+    @pytest.mark.parametrize("alphabet", [("a",), ("b", "a"), ("a", "b", "c")])
+    def test_matches_the_eager_domain(self, alphabet, max_len):
+        eager = eager_domain(alphabet, max_len)
+        lazy, twin = (TruncatedStringDomain.build(alphabet, max_len) for _ in range(2))
+        assert lazy == twin and not lazy != twin
+        assert lazy.size == len(lazy) == eager.size == len(eager)
+        assert "atoms" not in vars(lazy) and "atoms" not in vars(twin)
+        assert lazy == eager and eager == lazy and not (lazy != eager or eager != lazy)
+        assert twin.atoms == eager.atoms
+        assert hash(lazy) == hash(twin) == hash(eager)
+        assert [lazy.index(atom) for atom in eager.atoms] == list(range(eager.size))
+        assert lazy.domain is lazy
+
+    def test_equal_exactly_when_the_atoms_are(self):
+        """Symbol order and length decide equality, except where the atoms are "" and ⊥ alone."""
+        keys = [(alphabet, L) for alphabet in [(), ("a",), ("b",), ("a", "b"), ("b", "a"), ("a", "b", "c")]
+                for L in range(5)]
+        for x, y in itertools.product(keys, repeat=2):
+            lazy_x, lazy_y = TruncatedStringDomain.build(*x), TruncatedStringDomain.build(*y)
+            assert (lazy_x == lazy_y) == (eager_domain(*x) == eager_domain(*y)), (x, y)
+            assert "atoms" not in vars(lazy_x) and "atoms" not in vars(lazy_y)
+        assert TruncatedStringDomain.build(("a", "b"), 3) != TruncatedStringDomain.build(("b", "a"), 3)
 
 
 class TestSampleString:

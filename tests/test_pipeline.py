@@ -72,6 +72,15 @@ class TestEmpiricalEstimator:
             with pytest.raises(ValueError, match="out of range"):
                 empirical_estimator(bad, D2, 1.0)
 
+    def test_bools_and_floats_are_not_indices(self):
+        for bad in ([True, True, False], [np.True_], [1.0], [0, 1.0]):
+            with pytest.raises(ValueError, match="sample atom index must be an integer"):
+                empirical_estimator(bad, Domain.indexed(3))
+
+    def test_unknown_atom_is_a_value_error(self):
+        with pytest.raises(ValueError, match="^sample atom 'x9' is not in the domain$"):
+            empirical_estimator(["x0", "x9"], D2)
+
     def test_counts_match_per_sample_loop(self):
         rng = np.random.default_rng(3)
         dom = Domain.indexed(7)
@@ -84,6 +93,39 @@ class TestEmpiricalEstimator:
             for samples in (idx, list(idx), [dom.atoms[i] for i in idx]):
                 est = empirical_estimator(samples, dom, lam)
                 assert np.array_equal(est.mass, Distribution(dom, expected).mass)
+
+
+class TestEstimateHits:
+    """Without smoothing and with at most one draw per 16 atoms, ``_estimate`` returns the sorted atoms
+    where its estimate is non-zero, and the estimate is the dense one bit for bit."""
+
+    M = 64
+
+    def check(self, draws, zero=slice(None), mass=None):
+        mass = np.full(self.M, 0.5) if mass is None else mass
+        idx = np.array(draws)
+        at = pipeline._estimate(mass, idx, 0.0, zero)
+        assert not isinstance(at, slice)
+        assert at.tolist() == np.flatnonzero(mass > 0.0).tolist()
+        assert mass.tobytes() == (np.bincount(idx, minlength=self.M) / len(draws)).tobytes()
+        return at, mass
+
+    @pytest.mark.parametrize(
+        "draws",
+        [[7], [7, 7, 7, 7], [M - 1], [M - 1, 0, M - 1], [40, 3, 40, 12]],
+        ids=["one-draw", "every-draw-on-one-atom", "last-atom", "last-and-first-atoms", "n-is-m-over-16"],
+    )
+    def test_hits_are_the_nonzero_atoms(self, draws):
+        self.check(draws)
+
+    def test_more_than_one_draw_per_16_atoms_is_dense(self):
+        assert pipeline._estimate(np.empty(self.M), np.arange(self.M // 16 + 1), 0.0) == slice(None)
+
+    def test_row_holding_the_last_trials_hits(self):
+        """A trial resets only the last trial's hits, so the row must hold zeros everywhere else."""
+        at, mass = self.check([self.M - 1, 2, 30])
+        at, mass = self.check([5, 5, 30], zero=at, mass=mass)
+        self.check([0, 17, 33, 33], zero=at, mass=mass)
 
 
 class TestRunTrial:
