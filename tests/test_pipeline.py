@@ -73,13 +73,10 @@ class TestEmpiricalEstimator:
                 empirical_estimator(bad, D2, 1.0)
 
     def test_bools_and_floats_are_not_indices(self):
-        for bad in ([True, True, False], [np.True_], [1.0], [0, 1.0]):
+        """Beyond the boundary table's cases: a numpy bool, and a float after a valid index."""
+        for bad in ([np.True_], [0, 1.0]):
             with pytest.raises(ValueError, match="sample atom index must be an integer"):
                 empirical_estimator(bad, Domain.indexed(3))
-
-    def test_unknown_atom_is_a_value_error(self):
-        with pytest.raises(ValueError, match="^sample atom 'x9' is not in the domain$"):
-            empirical_estimator(["x0", "x9"], D2)
 
     def test_counts_match_per_sample_loop(self):
         rng = np.random.default_rng(3)
