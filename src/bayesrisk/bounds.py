@@ -640,8 +640,7 @@ def tightness_search(
         if restart == 0 and k == 2 and m == 2:
             seed = _seed_l1_lower_bound if budget.metric == L1 else _seed_kl_lower_bound
             source, est = seed(budget.epsilon)
-            priors = np.asarray(source.priors)
-            masses = np.array([[d.mass for d in source.class_dists], [d.mass for d in est]])
+            priors, masses = source.priors, _masses(source, est)
         else:
             priors = np.full(k, 1.0 / k) if rng.random() < 0.5 else _draw_source(rng, k, m)[0]
             true_masses = _unit_rows(rng.gamma(0.6, 1.0, (k, m)) + 1e-300)

@@ -17,19 +17,17 @@ import csv
 import json
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .bounds import EXACT_TOL, KL, L1, PerturbationBudget, check_theorem1, tightness_search
+from .bounds import EXACT_TOL, KL, L1, PerturbationBudget, example1_construction, tightness_search
 from .bounds import _as_objects, _masses, _random_instance, _verdict, _within
-from .bounds import example1_construction, example2_construction
 from .classify import CostMatrix, LabeledSource
 from .distributions import Distribution, Domain, QuantizedClassSpec, kl_divergence, l1_distance
-from .pdfa import Pdfa, truncate_all
-from .pipeline import TrialConfig, _config_and_spec, config_to_dict, run_pac_experiment
+from .pdfa import Pdfa
+from .pipeline import _config_and_spec, config_to_dict, run_pac_experiment
 from .smoothing import SmoothingReport, SmoothingParams, _sweep, base_mixture
 
 EXIT_OK = 0
@@ -175,9 +173,7 @@ def cmd_verify(args) -> int:
 
 def cmd_lower_bounds(args) -> int:
     try:
-        gammas = (
-            [float(g) for g in args.grid.split(",")] if args.grid else [args.gamma]
-        )
+        gammas = [float(g) for g in args.grid.split(",")] if args.grid is not None else [args.gamma]
     except ValueError as exc:
         raise UsageError(f"bad --grid value: {exc}") from exc
     rows = []
@@ -187,12 +183,13 @@ def cmd_lower_bounds(args) -> int:
             source, est, cost = example1_construction(args.eps_prime, gamma)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
-        t1 = check_theorem1(source, est, cost)
+        # One instance under both losses: the scorer copies what it weights, so one masses array serves both.
+        masses = _masses(source, est)
+        t1, _, t1_ok = _verdict(source.priors, masses, cost)
+        t2, gap, t2_ok = _verdict(source.priors, masses, None)
         per_l1 = l1_distance(source.class_dists[0], est[0])
+        per_kl = kl_divergence(source.class_dists[0], est[0])
         slack_gap = abs(t1.slack - 2.0 * gamma * cost.max_cost)
-        src2, est2 = example2_construction(args.eps_prime, gamma)
-        t2, gap, t2_ok = _verdict(src2.priors, _masses(src2, est2), None)
-        per_kl = kl_divergence(src2.class_dists[0], est2[0])
         rows.append(
             {
                 "eps_prime": args.eps_prime,
@@ -215,7 +212,8 @@ def cmd_lower_bounds(args) -> int:
         exact_gaps = [t1.risk_opt - (0.5 - args.eps_prime)]
         if gamma > 0.0:
             exact_gaps += [t1.risk_plugin - (0.5 + args.eps_prime), slack_gap]
-        if not (all(abs(g) <= EXACT_TOL for g in exact_gaps) and _within(abs(t2.excess - per_kl), 0.0) and t2_ok):
+        exact = all(abs(g) <= EXACT_TOL for g in exact_gaps) and _within(abs(t2.excess - per_kl), 0.0)
+        if not (exact and t1_ok and t2_ok):
             violations += 1
     config = {"eps_prime": args.eps_prime, "gamma": args.gamma, "grid": args.grid}
     run = _Run("lower-bounds", args.out_dir, None, config)
@@ -280,37 +278,29 @@ def _pdfa_machines(sources: str) -> tuple[Pdfa, ...]:
 
 
 def cmd_pipeline(args) -> int:
-    pdfa = None
     if args.config:
-        config, pdfa = _read_input(args.config, _config_and_spec)
-        if args.seed is not None:
-            config = replace(config, seed=args.seed)
+        if args.truncate is not None or args.n_grid is not None:
+            raise UsageError("--truncate and --n-grid go with --source; a --config file sets its own")
+        data = _read_input(args.config, dict)
     elif args.source:
         if args.truncate is None:
             raise UsageError("--source pdfa:<file> requires --truncate")
-        pdfa = (_pdfa_machines(args.source), args.truncate)
-        k = len(pdfa[0])
-        n_grid = None
-        if args.n_grid:
-            try:
-                n_grid = tuple(int(v) for v in args.n_grid.split(","))
-            except ValueError as exc:
-                raise UsageError(f"bad --n-grid value: {exc}") from exc
         try:
-            config = TrialConfig(
-                source=LabeledSource(np.full(k, 1.0 / k), truncate_all(*pdfa)),
-                cost=CostMatrix.zero_one(k),
-                sample_size=args.sample_size,
-                trials=args.trials,
-                epsilon_target=args.epsilon,
-                delta_target=args.delta,
-                seed=args.seed if args.seed is not None else 0,
-                n_grid=n_grid,
-            )
+            n_grid = None if args.n_grid is None else [int(v) for v in args.n_grid.split(",")]
         except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+            raise UsageError(f"bad --n-grid value: {exc}") from exc
+        k = len(machines := _pdfa_machines(args.source))  # each file parsed here, so a bad one is named
+        data = {"priors": [1.0 / k] * k, "machines": [a.to_dict() for a in machines], "truncate": args.truncate,
+                "cost": CostMatrix.zero_one(k).to_list(), "sample_size": args.sample_size, "trials": args.trials,
+                "epsilon_target": args.epsilon, "delta_target": args.delta, "n_grid": n_grid}
     else:
         raise UsageError("either --config or --source is required")
+    if args.seed is not None:
+        data["seed"] = args.seed
+    try:
+        config, pdfa = _config_and_spec(data)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise UsageError(f"bad pipeline config from {args.config or args.source}: {exc!r}") from exc
     try:
         summary = run_pac_experiment(config)
     except ValueError as exc:
@@ -319,8 +309,7 @@ def cmd_pipeline(args) -> int:
     for row in summary.rows:
         run.add_row(row)
     run.finish(summary.to_dict())
-    all_valid = all(entry["satisfied_fraction"] == 1.0 for entry in summary.per_n)
-    return EXIT_OK if all_valid else EXIT_VIOLATION
+    return EXIT_OK if all(entry["satisfied_fraction"] == 1.0 for entry in summary.per_n) else EXIT_VIOLATION
 
 
 def cmd_tightness(args) -> int:
@@ -396,8 +385,9 @@ def build_parser() -> argparse.ArgumentParser:
     p4.set_defaults(func=cmd_smooth)
 
     p5 = sub.add_parser("pipeline", help="PAC sample-split-estimate-classify experiment")
-    p5.add_argument("--config", help="JSON experiment config file")
-    p5.add_argument("--source", help="comma-separated pdfa:<machine file> class sources")
+    inputs = p5.add_mutually_exclusive_group()
+    inputs.add_argument("--config", help="JSON experiment config file")
+    inputs.add_argument("--source", help="comma-separated pdfa:<machine file> class sources")
     p5.add_argument("--truncate", type=int, help="string length cutoff for pdfa sources")
     p5.add_argument("--sample-size", type=int, default=1000)
     p5.add_argument("--trials", type=int, default=100)

@@ -11,6 +11,7 @@ from bayesrisk.cli import _Run, main
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
 MACHINE = (DATA / "machine_half.json").read_text()
+PDFA_PAIR = f"pdfa:{DATA / 'machine_half.json'},pdfa:{DATA / 'machine_quarter.json'}"
 
 
 def run(args):
@@ -78,6 +79,15 @@ class TestExitCodes:
             pytest.param(["smooth", "--domain-size", "0", "--ld", "8"], None,
                          id="smooth-domain-size-0-with-ld"),
             pytest.param(["smooth", "--bits", "64"], None, id="smooth-bits-64"),
+            pytest.param(["pipeline", "--config", DATA / "pipeline_config.json", "--source", "pdfa:nonexistent.json",
+                          "--truncate", "3"], None, id="config-with-source"),
+            pytest.param(["pipeline", "--config", DATA / "pipeline_config.json", "--truncate", "3"], None,
+                         id="config-with-truncate"),
+            pytest.param(["pipeline", "--config", DATA / "pipeline_config.json", "--n-grid", "50"], None,
+                         id="config-with-n-grid"),
+            pytest.param(["pipeline", "--source", PDFA_PAIR, "--truncate", "3", "--trials", "30", "--n-grid", ""], None,
+                         id="source-empty-n-grid"),
+            pytest.param(["lower-bounds", "--grid", ""], None, id="lower-bounds-empty-grid"),
             *(
                 pytest.param(["pipeline", "--config", "{dir}/instance.json"], f"{key} {value}",
                              id=f"config-{key}-{name}")
@@ -120,7 +130,7 @@ class TestExitCodes:
         if instance is not None:
             text = json.dumps(edits[instance]) if instance in edits else instance
             (tmp_path / "instance.json").write_text(text)
-        argv = [a.format(dir=tmp_path) for a in argv] + ["--out-dir", tmp_path / "run"]
+        argv = [str(a).format(dir=tmp_path) for a in argv] + ["--out-dir", tmp_path / "run"]
         assert run(argv) == 2
 
 
@@ -236,6 +246,28 @@ class TestVerifyCommands:
         monkeypatch.setattr(bounds, "_check", off_by_1e6)
         assert run(["verify-theorem2", "--trials", "1", "--out-dir", tmp_path]) == 1
         assert run(["verify-theorem2", "--replay", tmp_path / "violation_0.json"]) == 1
+
+    @pytest.mark.parametrize("metric", ["L1", "KL"])
+    def test_replay_rechecks_the_instance_the_sweep_checked(self, metric):
+        """Written and read back, a sweep instance keeps every bit of its masses, report and gap."""
+        import numpy as np
+
+        from bayesrisk.bounds import _as_objects, _random_instance, _verdict
+        from bayesrisk.cli import _instance_from_payload, _instance_payload
+
+        def hexed(report, gap):
+            fields = {k: v.hex() if isinstance(v, float) else v for k, v in report.to_dict().items()}
+            return fields, None if gap is None else gap.hex()
+
+        rng = np.random.default_rng(3)
+        for _ in range(300):
+            priors, masses, cost = _random_instance(rng, 5, 64, metric)
+            report, gap, ok = _verdict(priors, masses, cost)
+            payload = json.loads(json.dumps(_instance_payload(*_as_objects(priors, masses), cost, metric)))
+            replayed = _instance_from_payload(payload, metric)
+            assert replayed[1].tobytes() == masses.tobytes() and replayed[0].tobytes() == priors.tobytes()
+            again, again_gap, again_ok = _verdict(*replayed)
+            assert (hexed(again, again_gap), again_ok) == (hexed(report, gap), ok)
 
     def test_replay_of_infinite_kl_instance_is_vacuously_satisfied(self, tmp_path, capsys):
         from bayesrisk.classify import LabeledSource
@@ -403,11 +435,11 @@ class TestPipelineCommand:
 
     def test_pdfa_run_leaves_the_shared_domain_unenumerated(self, tmp_path, monkeypatch):
         """The pipeline reads the truncated domain's size and compares it, never its 131,072 atoms."""
-        import bayesrisk.cli as cli
+        import bayesrisk.pipeline as pipeline
 
         seen = []
-        real = cli.truncate_all
-        monkeypatch.setattr(cli, "truncate_all", lambda *args: seen.append(real(*args)) or seen[-1])
+        real = pipeline.truncate_all
+        monkeypatch.setattr(pipeline, "truncate_all", lambda *args: seen.append(real(*args)) or seen[-1])
         code = run(["pipeline", "--source", self.binary_machines(tmp_path), "--truncate", "16",
                     "--n-grid", "20,200", "--trials", "30", "--out-dir", tmp_path / "run"])
         assert code == 0
@@ -437,6 +469,14 @@ class TestPipelineCommand:
         sources = f"{self.binary_machines(tmp_path)},pdfa:{DATA / 'machine_half.json'}"
         code = run(["pipeline", "--source", sources, "--truncate", "4", "--out-dir", tmp_path / "run"])
         assert code == 2
+
+    def test_bad_pdfa_file_is_named_in_one_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(MACHINE.replace('"initial": 0', '"initial": 0.0'))
+        sources = f"pdfa:{DATA / 'machine_half.json'},pdfa:{bad}"
+        assert run(["pipeline", "--source", sources, "--truncate", "3", "--out-dir", tmp_path / "run"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(bad) in err
 
     def test_pdfa_source_requires_truncate(self, tmp_path):
         code = run(

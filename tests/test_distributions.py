@@ -1,10 +1,11 @@
 """Distribution substrate: construction, divergences, mixtures, sampling."""
 
+import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bayesrisk.distributions import (
@@ -271,6 +272,34 @@ class TestSerialization:
         back = Distribution.from_json(d.to_json())
         assert back.domain == d.domain
         assert np.array_equal(back.mass, d.mass)
+
+    @given(st.integers(1, 64), st.integers(0, 2**32 - 1))
+    @example(9, 0)
+    @settings(max_examples=200)
+    def test_dict_round_trip_keeps_every_bit(self, m, seed):
+        rng = np.random.default_rng(seed)
+        d = make_distribution(Domain.indexed(m), rng.gamma(0.6, 1.0, m))
+        back = Distribution.from_dict(json.loads(json.dumps(d.to_dict())))
+        assert [v.hex() for v in back.mass.tolist()] == [v.hex() for v in d.mass.tolist()]
+        assert not back.mass.flags.writeable
+
+    def test_rows_left_one_ulp_off_unit_sum_read_back_unchanged(self):
+        """Construction leaves some masses one ulp off unit sum, and renormalizing one again would move
+        its bits; ``from_dict`` keeps them as written, at every m up to 64."""
+        rng = np.random.default_rng(3)
+        off = {m: 0 for m in range(1, 65)}
+        for m in off:
+            for _ in range(40):
+                d = make_distribution(Domain.indexed(m), rng.gamma(0.6, 1.0, m))
+                off[m] += float(d.mass.sum()) != 1.0
+                assert Distribution.from_dict(d.to_dict()).mass.tobytes() == d.mass.tobytes(), m
+        assert off[9] > 0 and sum(off.values()) > 40
+
+    def test_from_dict_still_renormalizes_a_mass_further_off(self):
+        back = Distribution.from_dict({"atoms": ["a", "b"], "mass": [0.25, 0.75 + 1e-13]})
+        assert back.mass.tolist() != [0.25, 0.75 + 1e-13] and abs(back.mass.sum() - 1.0) <= 2**-52
+        with pytest.raises(ValueError, match="non-negative"):
+            Distribution.from_dict({"atoms": ["a", "b"], "mass": [1.0 + 2**-52, -(2**-52)]})
 
 
 class TestQuantizedClassSpec:
