@@ -506,6 +506,12 @@ class TestTightnessCommand:
             # m > 6 draws random transfer pairs; a random restart pulls back under L1.
             pytest.param("l1", ["--metric", "L1", "--k", "2", "--domain-size", "9", "--epsilon", "0.2",
                                 "--iterations", "1", "--seed", "6"], id="l1-random-pairs"),
+            # The analytic L1 seed, then a random restart perturbed under L1.
+            pytest.param("l1_seeded", ["--k", "2", "--domain-size", "2", "--epsilon", "0.2",
+                                       "--iterations", "2", "--seed", "42"], id="l1-seeded"),
+            # A zero budget returns uniform masses without searching.
+            pytest.param("zero_budget", ["--k", "3", "--domain-size", "4", "--epsilon", "0",
+                                         "--iterations", "2", "--seed", "1"], id="zero-budget"),
         ],
     )
     def test_golden_run(self, tmp_path, name, args):
