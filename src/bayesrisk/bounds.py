@@ -38,7 +38,7 @@ import numpy as np
 
 from .classify import CostLike, CostMatrix, LabeledSource, as_cost_array
 from .classify import _bayes_labels, _cost_risk, _logloss_risk, _posterior, _workspace
-from .distributions import Distribution, Domain, kl_divergence
+from .distributions import Distribution, Domain
 from .distributions import _exact_unit_mass, _kl_on_support, _l1_distance, _sorted_set, _trusted
 
 # Tolerance of every "value <= bound" verdict, read only by _within.
@@ -265,28 +265,18 @@ def excess_logloss_identity(
     return report.excess, rhs
 
 
-def _two_atom_instance(
-    epsilon_prime: float, gamma: float
-) -> tuple[LabeledSource, tuple[Distribution, Distribution]]:
-    ok = (
-        math.isfinite(epsilon_prime)
-        and math.isfinite(gamma)
-        and epsilon_prime >= 0.0
-        and gamma >= 0.0
-        and epsilon_prime + gamma < 0.5
-    )
-    if not ok:
+def _two_atom_masses(epsilon_prime: float, gamma: float) -> tuple[np.ndarray, np.ndarray]:
+    """The two-atom, two-class instance's equal priors and ``(2, 2, 2)`` masses: the true classes put
+    ``1/2 +- epsilon_prime`` on the atoms and the estimates lean ``gamma`` the other way."""
+    if not (epsilon_prime >= 0.0 and gamma >= 0.0 and epsilon_prime + gamma < 0.5):  # false for nan and inf
         raise ValueError(
             f"parameter out of range: need epsilon_prime >= 0, gamma >= 0, "
             f"epsilon_prime + gamma < 1/2; got ({epsilon_prime!r}, {gamma!r})"
         )
-    domain = Domain(("x0", "x1"))
-    d0 = Distribution(domain, np.array([0.5 + epsilon_prime, 0.5 - epsilon_prime]))
-    d1 = Distribution(domain, np.array([0.5 - epsilon_prime, 0.5 + epsilon_prime]))
-    e0 = Distribution(domain, np.array([0.5 - gamma, 0.5 + gamma]))
-    e1 = Distribution(domain, np.array([0.5 + gamma, 0.5 - gamma]))
-    source = LabeledSource(np.array([0.5, 0.5]), (d0, d1))
-    return source, (e0, e1)
+    true, est = [0.5 + epsilon_prime, 0.5 - epsilon_prime], [0.5 - gamma, 0.5 + gamma]
+    masses = np.array([[true, true[::-1]], [est, est[::-1]]])
+    _exact_unit_mass(masses.reshape(-1, 2))
+    return np.array([0.5, 0.5]), masses
 
 
 def example1_construction(
@@ -300,8 +290,7 @@ def example1_construction(
     ``1/2 + epsilon_prime``, and the cost bound is approached within
     ``2 * gamma`` as ``gamma`` shrinks.
     """
-    source, est = _two_atom_instance(epsilon_prime, gamma)
-    return source, est, CostMatrix.zero_one(2)
+    return (*_as_objects(*_two_atom_masses(epsilon_prime, gamma)), CostMatrix.zero_one(2))
 
 
 def example2_construction(
@@ -313,7 +302,7 @@ def example2_construction(
     so the excess log-loss equals the per-class KL divergence exactly and
     the log-loss bound is met with zero slack.
     """
-    return _two_atom_instance(epsilon_prime, gamma)
+    return _as_objects(*_two_atom_masses(epsilon_prime, gamma))
 
 
 def _bisect(fits, hi: float, steps: int) -> float:
@@ -395,6 +384,34 @@ def _floor_rows(rough: np.ndarray, lams: np.ndarray) -> np.ndarray:
     return _exact_unit_mass((1.0 - lams)[:, None] * rough + (lams / rough.shape[1])[:, None])
 
 
+def _draw_moves(rng: np.random.Generator, k: int, m: int, metric: str, budget):
+    """The draws that move ``k`` classes of ``m`` atoms, ``(budgets, noise, lams)``, class by class in
+    the public generators' order: its budget ``budget()``, its noise (:func:`_draw_noise`) and under
+    KL its floor weight in ``[0.2 * 0.05, 0.05]``."""
+    budgets, noise, lams = np.empty(k), np.zeros((k, m)), np.empty(k)
+    for i in range(k):
+        budgets[i] = budget()
+        _draw_noise(rng, budgets[i], noise[i])
+        if metric == KL:
+            lams[i] = rng.uniform(0.2 * 0.05, 0.05)
+    return budgets, noise, lams
+
+
+def _moved(true: np.ndarray, metric: str, budgets, noise, lams) -> np.ndarray:
+    """The estimates of the ``(k, m)`` unit masses ``true`` on :func:`_draw_moves`' draws: each row
+    perturbed within its L1 budget and, under KL, mixed with uniform to full support."""
+    est = _perturb_rows(true, budgets, noise)
+    return _floor_rows(est, lams) if metric == KL else est
+
+
+def _perturbed(d: Distribution, budget: float, rng: np.random.Generator, metric: str) -> Distribution:
+    """:func:`_moved` of the one distribution ``d``."""
+    if not 0.0 <= budget <= 2.0:
+        raise ValueError("L1 budget must lie in [0, 2]")
+    moves = _draw_moves(rng, 1, d.domain.size, metric, lambda: budget)
+    return Distribution._frozen(d.domain, _moved(d.mass[None], metric, *moves)[0])
+
+
 def random_l1_perturbation(
     d: Distribution, budget: float, rng: np.random.Generator
 ) -> Distribution:
@@ -405,23 +422,13 @@ def random_l1_perturbation(
     the distance past the budget the result is pulled back along the
     segment toward ``d``, which scales the L1 distance linearly.
     """
-    if not 0.0 <= budget <= 2.0:
-        raise ValueError("L1 budget must lie in [0, 2]")
-    noise = np.zeros((1, d.domain.size))
-    _draw_noise(rng, budget, noise[0])
-    return Distribution._frozen(d.domain, _perturb_rows(d.mass[None], np.array([budget]), noise)[0])
+    return _perturbed(d, budget, rng, L1)
 
 
-def support_safe_perturbation(
-    d: Distribution,
-    budget: float,
-    rng: np.random.Generator,
-    floor: float = 0.05,
-) -> Distribution:
-    """Randomly perturbed estimate with full support (finite KL guaranteed)."""
-    rough = random_l1_perturbation(d, budget, rng)
-    lam = float(rng.uniform(0.2 * floor, floor))
-    return Distribution._frozen(d.domain, _floor_rows(rough.mass[None], np.array([lam]))[0])
+def support_safe_perturbation(d: Distribution, budget: float, rng: np.random.Generator) -> Distribution:
+    """Randomly perturbed estimate with full support (finite KL guaranteed): the draw of
+    :func:`random_l1_perturbation`, then a mix with uniform at a random weight in ``[0.01, 0.05]``."""
+    return _perturbed(d, budget, rng, KL)
 
 
 def _draw_source(rng: np.random.Generator, k: int, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -468,23 +475,16 @@ def _random_instance(
     rng: np.random.Generator, k_max: int, m_max: int, metric: str
 ) -> tuple[np.ndarray, np.ndarray, Optional[CostMatrix]]:
     """One instance of the metric's sweep, ``(priors, (2, k, m) masses, cost or None)``: every draw
-    first, in the public generators' order (k, m, source, per class budget, noise and under KL
-    floor weight, under L1 the cost), then the arithmetic on ``(k, m)`` blocks."""
+    first, in the public generators' order (k, m, source, :func:`_draw_moves` at a uniform budget,
+    under L1 the cost), then the arithmetic on ``(k, m)`` blocks."""
     k = int(rng.integers(2, k_max + 1))
     m = int(rng.integers(2, m_max + 1))
     priors, weights = _draw_source(rng, k, m)
-    budgets, noise, lams = np.empty(k), np.zeros((k, m)), np.empty(k)
-    for i in range(k):
-        budgets[i] = rng.uniform(0.0, 2.0 if metric == L1 else 1.5)
-        _draw_noise(rng, budgets[i], noise[i])
-        if metric == KL:
-            lams[i] = rng.uniform(0.2 * 0.05, 0.05)  # support_safe_perturbation's default floor
+    moves = _draw_moves(rng, k, m, metric, partial(rng.uniform, 0.0, 2.0 if metric == L1 else 1.5))
     cost = random_cost(rng, k) if metric == L1 else None
     masses = np.empty((2, k, m))
     masses[0] = _unit_rows(weights)
-    masses[1] = _perturb_rows(masses[0], budgets, noise)
-    if metric == KL:
-        masses[1] = _floor_rows(masses[1], lams)
+    masses[1] = _moved(masses[0], metric, *moves)
     return priors, masses, cost
 
 
@@ -565,23 +565,21 @@ def _climb(
     return best_val, best
 
 
-def _seed_l1_lower_bound(epsilon: float) -> tuple[LabeledSource, tuple[Distribution, ...]]:
-    s = min(epsilon, 0.45)
-    source, est, _ = example1_construction(0.9 * s, 0.1 * s)
-    return source, est
-
-
-def _seed_kl_lower_bound(epsilon: float) -> tuple[LabeledSource, tuple[Distribution, ...]]:
-    # Bisect the class separation until the per-class KL of the mirrored
-    # two-atom instance uses the whole per-class budget 2 * epsilon.
+def _seed_masses(metric: str, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
+    """A ``k == m == 2`` search's first start, :func:`_two_atom_masses`: under L1 at ``(0.9 s, 0.1 s)``,
+    ``s = min(epsilon, 0.45)``; under KL at tilt ``1e-3`` and the class separation, bisected, whose
+    per-class KL uses the whole per-class budget ``2 * epsilon``."""
+    if metric == L1:
+        s = min(epsilon, 0.45)
+        return _two_atom_masses(0.9 * s, 0.1 * s)
     gamma = 1e-3
 
     def fits(ep: float) -> bool:
-        src, est = example2_construction(ep, gamma)
-        return kl_divergence(src.class_dists[0], est[0]) <= 2.0 * epsilon
+        (true, _), (est, _) = _two_atom_masses(ep, gamma)[1]
+        return _kl_on_support(true, est, true > 0.0) <= 2.0 * epsilon
 
     hi = 0.5 - gamma - 1e-9
-    return example2_construction(hi if fits(hi) else _bisect(fits, hi, 60), gamma)
+    return _two_atom_masses(hi if fits(hi) else _bisect(fits, hi, 60), gamma)
 
 
 def tightness_search(
@@ -599,24 +597,23 @@ def tightness_search(
     two-atom lower-bound family, which already attains ratio
     ``(epsilon - gamma) / epsilon`` with ``gamma = epsilon / 10`` in the
     L1 metric. The returned ratio never exceeds 1 (plus float tolerance)
-    because the bound is a theorem.
+    because the bound is a theorem. Every instance is priors and ``(2, k, m)``
+    masses from its first draw on; only the best one becomes objects.
     """
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
     if budget.metric == L1 and cost is None:
         raise ValueError("the L1 metric needs a cost matrix")
-    domain = Domain.indexed(m)
     if budget.metric == L1:
         bound = theorem1_bound(budget.epsilon, k, cost)
     else:
         bound = theorem2_bound(budget.epsilon, k)
         cost = None  # log loss ignores any cost matrix
 
-    uniform = np.full(m, 1.0 / m)
     if budget.epsilon == 0.0 or bound == 0.0:
-        dists = tuple(Distribution(domain, uniform) for _ in range(k))
-        source = LabeledSource(np.full(k, 1.0 / k), dists)
-        return TightnessResult(source, dists, 0.0, bound, 0.0)
+        uniform = np.full((2, k, m), 1.0 / m)
+        _exact_unit_mass(uniform.reshape(-1, m))
+        return TightnessResult(*_as_objects(np.full(k, 1.0 / k), uniform), 0.0, bound, 0.0)
 
     costs = None if cost is None else as_cost_array(cost, k)
 
@@ -638,18 +635,15 @@ def tightness_search(
     best = None
     for restart in range(iterations):
         if restart == 0 and k == 2 and m == 2:
-            seed = _seed_l1_lower_bound if budget.metric == L1 else _seed_kl_lower_bound
-            source, est = seed(budget.epsilon)
-            priors, masses = source.priors, _masses(source, est)
+            priors, masses = _seed_masses(budget.metric, budget.epsilon)
         else:
             priors = np.full(k, 1.0 / k) if rng.random() < 0.5 else _draw_source(rng, k, m)[0]
-            true_masses = _unit_rows(rng.gamma(0.6, 1.0, (k, m)) + 1e-300)
-            if budget.metric == L1:
-                perturb, radius = random_l1_perturbation, min(budget.epsilon / priors.min(), 2.0)
-            else:
-                perturb, radius = support_safe_perturbation, 1.0
-            est_masses = [perturb(Distribution(domain, t), radius, rng).mass for t in true_masses]
-            masses = np.array([true_masses, est_masses])
+            true = _unit_rows(rng.gamma(0.6, 1.0, (k, m)) + 1e-300)
+            radius = min(budget.epsilon / priors.min(), 2.0) if budget.metric == L1 else 1.0
+            moves = _draw_moves(rng, k, m, budget.metric, lambda: radius)
+            # The estimates start from the true rows rescaled a second time. _exact_unit_mass is not
+            # idempotent (it can move a row it left one ulp off), and the recorded searches rest on it.
+            masses = np.array([true, _moved(_exact_unit_mass(true.copy()), budget.metric, *moves)])
         val, masses = _climb(masses, partial(excess, priors), budget.epsilon, rng)
         if val > best_val:
             best_val = val

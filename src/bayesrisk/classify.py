@@ -30,7 +30,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .distributions import SUM_TOL, Distribution, Domain, _trusted
+from .distributions import SUM_TOL, Distribution, Domain, _json_float, _trusted
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,7 +89,7 @@ class LabeledSource:
     @classmethod
     def from_dict(cls, data: dict) -> "LabeledSource":
         return cls(
-            np.asarray(data["priors"], dtype=float),
+            np.asarray(_json_float(data["priors"], "priors"), dtype=float),
             tuple(Distribution.from_dict(c) for c in data["classes"]),
         )
 

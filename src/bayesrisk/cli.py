@@ -22,10 +22,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bounds import EXACT_TOL, KL, L1, PerturbationBudget, example1_construction, tightness_search
-from .bounds import _as_objects, _masses, _random_instance, _verdict, _within
+from .bounds import EXACT_TOL, KL, L1, PerturbationBudget, tightness_search
+from .bounds import _as_objects, _masses, _random_instance, _two_atom_masses, _verdict, _within
 from .classify import CostMatrix, LabeledSource
-from .distributions import Distribution, Domain, QuantizedClassSpec, kl_divergence, l1_distance
+from .distributions import Distribution, Domain, QuantizedClassSpec, _json_float, _kl_on_support, _l1_distance
 from .pdfa import Pdfa
 from .pipeline import _config_and_spec, config_to_dict, run_pac_experiment
 from .smoothing import SmoothingReport, SmoothingParams, _sweep, base_mixture
@@ -122,7 +122,7 @@ def _instance_from_payload(data: dict, metric: str):
     stated = data.get("metric", L1)
     if stated != metric:
         raise ValueError(f"the instance's metric is {stated!r}; this subcommand replays {metric!r} instances")
-    return source.priors, masses, CostMatrix(data["cost"]) if metric == L1 else None
+    return source.priors, masses, CostMatrix(_json_float(data["cost"], "cost")) if metric == L1 else None
 
 
 def _require_positive_trials(args) -> None:
@@ -178,17 +178,18 @@ def cmd_lower_bounds(args) -> int:
         raise UsageError(f"bad --grid value: {exc}") from exc
     rows = []
     violations = 0
+    cost = CostMatrix.zero_one(2)
     for gamma in gammas:
         try:
-            source, est, cost = example1_construction(args.eps_prime, gamma)
+            priors, masses = _two_atom_masses(args.eps_prime, gamma)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
         # One instance under both losses: the scorer copies what it weights, so one masses array serves both.
-        masses = _masses(source, est)
-        t1, _, t1_ok = _verdict(source.priors, masses, cost)
-        t2, gap, t2_ok = _verdict(source.priors, masses, None)
-        per_l1 = l1_distance(source.class_dists[0], est[0])
-        per_kl = kl_divergence(source.class_dists[0], est[0])
+        t1, _, t1_ok = _verdict(priors, masses, cost)
+        t2, gap, t2_ok = _verdict(priors, masses, None)
+        (true, _), (est, _) = masses
+        per_l1 = _l1_distance(true, est)
+        per_kl = _kl_on_support(true, est, true > 0.0)
         slack_gap = abs(t1.slack - 2.0 * gamma * cost.max_cost)
         rows.append(
             {
@@ -279,8 +280,10 @@ def _pdfa_machines(sources: str) -> tuple[Pdfa, ...]:
 
 def cmd_pipeline(args) -> int:
     if args.config:
-        if args.truncate is not None or args.n_grid is not None:
-            raise UsageError("--truncate and --n-grid go with --source; a --config file sets its own")
+        run_flags = {"--truncate": args.truncate, "--n-grid": args.n_grid, "--sample-size": args.sample_size,
+                     "--trials": args.trials, "--epsilon": args.epsilon, "--delta": args.delta}
+        if given := [flag for flag, value in run_flags.items() if value is not None]:
+            raise UsageError(f"{', '.join(given)} go with --source; a --config file sets its own")
         data = _read_input(args.config, dict)
     elif args.source:
         if args.truncate is None:
@@ -291,8 +294,11 @@ def cmd_pipeline(args) -> int:
             raise UsageError(f"bad --n-grid value: {exc}") from exc
         k = len(machines := _pdfa_machines(args.source))  # each file parsed here, so a bad one is named
         data = {"priors": [1.0 / k] * k, "machines": [a.to_dict() for a in machines], "truncate": args.truncate,
-                "cost": CostMatrix.zero_one(k).to_list(), "sample_size": args.sample_size, "trials": args.trials,
-                "epsilon_target": args.epsilon, "delta_target": args.delta, "n_grid": n_grid}
+                "cost": CostMatrix.zero_one(k).to_list(), "n_grid": n_grid,
+                "sample_size": 1000 if args.sample_size is None else args.sample_size,
+                "trials": 100 if args.trials is None else args.trials,
+                "epsilon_target": 0.1 if args.epsilon is None else args.epsilon,
+                "delta_target": 0.05 if args.delta is None else args.delta}
     else:
         raise UsageError("either --config or --source is required")
     if args.seed is not None:
@@ -389,10 +395,10 @@ def build_parser() -> argparse.ArgumentParser:
     inputs.add_argument("--config", help="JSON experiment config file")
     inputs.add_argument("--source", help="comma-separated pdfa:<machine file> class sources")
     p5.add_argument("--truncate", type=int, help="string length cutoff for pdfa sources")
-    p5.add_argument("--sample-size", type=int, default=1000)
-    p5.add_argument("--trials", type=int, default=100)
-    p5.add_argument("--epsilon", type=float, default=0.1, help="excess risk target")
-    p5.add_argument("--delta", type=float, default=0.05, help="allowed violation fraction")
+    p5.add_argument("--sample-size", type=int, help="samples per trial (default 1000)")
+    p5.add_argument("--trials", type=int, help="trials per sample size (default 100)")
+    p5.add_argument("--epsilon", type=float, help="excess risk target (default 0.1)")
+    p5.add_argument("--delta", type=float, help="allowed violation fraction (default 0.05)")
     p5.add_argument("--n-grid", help="comma-separated sample sizes")
     p5.add_argument("--seed", type=int, default=None)
     p5.add_argument("--out-dir", default="runs/pipeline")

@@ -52,6 +52,16 @@ def _json_int(value, name: str) -> int:
     return int(value)
 
 
+def _json_float(value, name: str):
+    """``value``, a real field read from JSON, as given: an int or a float, or a list (of lists) of them.
+    A bool or a string is refused, never converted."""
+    if isinstance(value, list):
+        return [_json_float(v, name) for v in value]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name}: {value!r} is not a number")
+    return value
+
+
 @dataclass(frozen=True)
 class Domain:
     """Ordered finite sample space of uniquely named atoms."""
@@ -182,7 +192,7 @@ class Distribution:
     @classmethod
     def from_dict(cls, data: dict) -> "Distribution":
         """Inverse of :meth:`to_dict`, bit for bit: a valid mass within one ulp of unit sum is kept as written."""
-        d = cls(Domain(tuple(data["atoms"])), mass := np.array(data["mass"], dtype=float))
+        d = cls(Domain(tuple(data["atoms"])), mass := np.array(_json_float(data["mass"], "mass"), dtype=float))
         return cls._frozen(d.domain, mass) if abs(float(mass.sum()) - 1.0) <= math.ulp(1.0) else d
 
     @classmethod

@@ -48,7 +48,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .distributions import Distribution, Domain, _json_int, _trusted
+from .distributions import Distribution, Domain, _json_float, _json_int, _trusted
 
 OVERFLOW_ATOM = "⊥"
 DEFAULT_MAX_ATOMS = 1 << 20
@@ -170,7 +170,11 @@ class Pdfa:
     @classmethod
     def from_dict(cls, data: dict) -> "Pdfa":
         states = [
-            (state["stop"], {s: (e["p"], e["to"]) for s, e in state["trans"].items()}) for state in data["states"]
+            (
+                _json_float(state["stop"], "stop"),
+                {s: (_json_float(e["p"], f"transition p on {s!r}"), e["to"]) for s, e in state["trans"].items()},
+            )
+            for state in data["states"]
         ]
         machine = cls.build(tuple(data["alphabet"]), data["precision"], states, data["initial"])
         if machine.n != _json_int(data["n"], "n"):

@@ -40,7 +40,7 @@ import numpy as np
 
 from .bounds import BoundReport, _optimal_risk, _plugin_risk, _theorem_report
 from .classify import CostMatrix, LabeledSource, _workspace, as_cost_array
-from .distributions import Distribution, Domain, _draw_indices, _exact_unit_mass, _json_int
+from .distributions import Distribution, Domain, _draw_indices, _exact_unit_mass, _json_float, _json_int
 from .distributions import _kl_on_support, _l1_distance, _sorted_set
 from .pdfa import Pdfa, truncate_all
 
@@ -340,18 +340,18 @@ def _config_and_spec(data: dict) -> tuple[TrialConfig, Optional[PdfaSpec]]:
     pdfa = None
     if "machines" in data:
         pdfa = tuple(Pdfa.from_dict(a) for a in data["machines"]), _json_int(data["truncate"], "truncate")
-        source = LabeledSource(np.asarray(data["priors"], dtype=float), truncate_all(*pdfa))
+        source = LabeledSource(np.asarray(_json_float(data["priors"], "priors"), dtype=float), truncate_all(*pdfa))
     else:
         source = LabeledSource.from_dict(data)
     config = TrialConfig(
         source=source,
-        cost=None if data.get("cost") is None else CostMatrix(data["cost"]),
+        cost=None if data.get("cost") is None else CostMatrix(_json_float(data["cost"], "cost")),
         sample_size=data["sample_size"],
         trials=data["trials"],
-        epsilon_target=float(data["epsilon_target"]),
-        delta_target=float(data["delta_target"]),
+        epsilon_target=float(_json_float(data["epsilon_target"], "epsilon_target")),
+        delta_target=float(_json_float(data["delta_target"], "delta_target")),
         seed=data.get("seed", 0),
-        laplace=None if data.get("laplace") is None else float(data["laplace"]),
+        laplace=None if data.get("laplace") is None else float(_json_float(data["laplace"], "laplace")),
         n_grid=None if data.get("n_grid") is None else tuple(data["n_grid"]),
     )
     return config, pdfa

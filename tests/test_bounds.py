@@ -14,6 +14,7 @@ from bayesrisk.bounds import (
     _optimal_risk,
     _plugin_risk,
     _project_into_budget,
+    _two_atom_masses,
     check_theorem1,
     check_theorem2,
     example1_construction,
@@ -288,6 +289,22 @@ class TestExampleConstructions:
             example1_construction(-0.1, 0.01)
         with pytest.raises(ValueError, match="out of range"):
             example2_construction(0.1, -0.2)
+        for ep, gamma in [(0.25, 0.25), (math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0), (math.inf, -math.inf)]:
+            with pytest.raises(ValueError, match="out of range"):
+                _two_atom_masses(ep, gamma)
+
+    @pytest.mark.parametrize("ep, gamma", [(0.1, 0.01), (0.3, 0.0), (0.0, 0.2), (0.0, 0.0), (0.3, 0.2 - 1e-11),
+                                           (0.1, 0.3), (0.27, 0.11), (1e-9, 0.4)])
+    def test_two_atom_masses_are_the_distributions_they_describe(self, ep, gamma):
+        """The construction's arrays hold, bit for bit, the four two-atom distributions
+        ``1/2 +- epsilon_prime`` and ``1/2 -+ gamma`` built one by one."""
+        domain = Domain(("x0", "x1"))
+        true, est = [0.5 + ep, 0.5 - ep], [0.5 - gamma, 0.5 + gamma]
+        rows = [true, true[::-1], est, est[::-1]]
+        priors, masses = _two_atom_masses(ep, gamma)
+        assert priors.tolist() == [0.5, 0.5] and masses.shape == (2, 2, 2)
+        for got, row in zip(masses.reshape(-1, 2), rows):
+            assert [v.hex() for v in got.tolist()] == [v.hex() for v in Distribution(domain, np.array(row)).mass.tolist()]
 
     def test_example2_per_class_kl(self):
         source, est = example2_construction(0.1, 0.01)

@@ -68,6 +68,10 @@ class TestExitCodes:
                          id="replay-l1-instance-as-theorem2"),
             pytest.param(["verify-theorem1", "--replay", "{dir}/instance.json"], "a KL instance",
                          id="replay-kl-instance-as-theorem1"),
+            pytest.param(["verify-theorem1", "--replay", "{dir}/instance.json"], "a string mass",
+                         id="replay-string-mass"),
+            pytest.param(["verify-theorem1", "--replay", "{dir}/instance.json"], "a string cost",
+                         id="replay-string-cost"),
             pytest.param(["pipeline", "--config", "{dir}"], None, id="config-is-a-directory"),
             pytest.param(["verify-theorem1", "--k-max", "1"], None, id="k-max-1"),
             pytest.param(["verify-theorem2", "--m-max", "1"], None, id="m-max-1"),
@@ -85,6 +89,11 @@ class TestExitCodes:
                          id="config-with-truncate"),
             pytest.param(["pipeline", "--config", DATA / "pipeline_config.json", "--n-grid", "50"], None,
                          id="config-with-n-grid"),
+            *(
+                pytest.param(["pipeline", "--config", DATA / "pipeline_config.json", flag, value], None,
+                             id=f"config-with-{flag[2:]}")
+                for flag, value in [("--trials", "5"), ("--sample-size", "7"), ("--epsilon", "9"), ("--delta", "0.5")]
+            ),
             pytest.param(["pipeline", "--source", PDFA_PAIR, "--truncate", "3", "--trials", "30", "--n-grid", ""], None,
                          id="source-empty-n-grid"),
             pytest.param(["lower-bounds", "--grid", ""], None, id="lower-bounds-empty-grid"),
@@ -96,6 +105,10 @@ class TestExitCodes:
                     ("cost", "{}", "empty-object"), ("n_grid", "[]", "empty-list"), ("n_grid", "0", "zero"),
                     ("sample_size", "200.9", "float"), ("trials", "40.5", "float"), ("seed", "1.5", "float"),
                     ("n_grid", "[100.7]", "float-entry"), ("n_grid", "[true,50]", "bool-entry"),
+                    ("epsilon_target", '"0.1"', "string"), ("epsilon_target", "true", "bool"),
+                    ("laplace", "true", "bool"), ("laplace", '"2"', "string"),
+                    ("priors", '["0.4","0.6"]', "string-entries"), ("cost", '[["0","1"],["1","0"]]', "string-entries"),
+                    ("cost", "[[false,true],[true,false]]", "bool-entries"),
                 ]
             ),
             *(
@@ -104,6 +117,7 @@ class TestExitCodes:
                              id=f"machine-{name}")
                 for field, value, name in [
                     ('"initial": 0', '"initial": 0.0', "initial-float"), ('"to": 0', '"to": 0.6', "to-float"),
+                    ('"stop": 0.5', '"stop": "0.5"', "stop-string"), ('"p": 0.5', '"p": "0.5"', "p-string"),
                 ]
             ),
         ],
@@ -126,6 +140,9 @@ class TestExitCodes:
             "prior sum off by 1e-12": {**payload, "source": {**payload["source"], "priors": [0.5, 0.5 - 1e-12]}},
             "an L1 instance": payload,
             "a KL instance": {**payload, "metric": "KL", "cost": None},
+            "a string mass": {**payload, "estimates": [{**payload["estimates"][0], "mass": ["0.49", "0.51"]},
+                                                       payload["estimates"][1]]},
+            "a string cost": {**payload, "cost": [["0", "1"], ["1", "0"]]},
         }
         if instance is not None:
             text = json.dumps(edits[instance]) if instance in edits else instance

@@ -21,8 +21,10 @@ from bayesrisk.bounds import (
     KL,
     L1,
     _check,
+    _draw_moves,
     _floor_rows,
     _masses,
+    _moved,
     _perturb_rows,
     _random_instance,
     check_theorem1,
@@ -198,6 +200,23 @@ def test_pull_back_branch_is_compared():
     """Clipping and renormalizing leave a candidate within its budget but for round-off, so
     the pull-back runs on about one row in twenty; these fixed blocks reach it."""
     assert sum(_compare_perturbations(seed, 5) for seed in range(4)) > 0
+
+
+@pytest.mark.parametrize("metric", [L1, KL])
+@pytest.mark.parametrize("m", range(1, 65))
+def test_drawn_moves_equal_the_public_generators_class_by_class(metric, m):
+    """:func:`_moved` on :func:`_draw_moves`' draws for k classes is k calls of the public
+    generator on a generator of the same seed, in float.hex, and leaves it where they do;
+    a zero budget draws no noise."""
+    public = random_l1_perturbation if metric == L1 else support_safe_perturbation
+    domain = Domain.indexed(m)
+    for seed, (k, radius) in enumerate([(2, 0.0), (3, 0.3), (4, 2.0)]):
+        dists = [make_distribution(domain, w) for w in np.random.default_rng(m).gamma(0.5, 1.0, (k, m))]
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        est = _moved(np.array([d.mass for d in dists]), metric, *_draw_moves(rng, k, m, metric, lambda: radius))
+        expected = [public(d, radius, ref).mass for d in dists]
+        assert _hex_rows(est) == _hex_rows(expected)
+        assert rng.random() == ref.random()
 
 
 @pytest.mark.parametrize("m, bits", [(1, 8), (3, 1), (8, 8), (64, 2)])
