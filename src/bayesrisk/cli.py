@@ -283,7 +283,7 @@ def cmd_pipeline(args) -> int:
         run_flags = {"--truncate": args.truncate, "--n-grid": args.n_grid, "--sample-size": args.sample_size,
                      "--trials": args.trials, "--epsilon": args.epsilon, "--delta": args.delta}
         if given := [flag for flag, value in run_flags.items() if value is not None]:
-            raise UsageError(f"{', '.join(given)} go with --source; a --config file sets its own")
+            raise UsageError(f"--config takes no {', '.join(given)}: those go with --source, the file sets its own")
         data = _read_input(args.config, dict)
     elif args.source:
         if args.truncate is None:
