@@ -219,6 +219,22 @@ class TestVerifyCommands:
         expected = (GOLDEN / "verify_theorem2_report.csv").read_bytes()
         assert (tmp_path / "report.csv").read_bytes() == expected
 
+    @pytest.mark.parametrize("theorem", ["1", "2"])
+    @pytest.mark.parametrize(
+        "name, args",
+        [
+            # About ten instances of each domain size: blocks of many rows per size.
+            ("blocked", ["--trials", "600"]),
+            # Every instance has k = m = 2: one size for the whole run.
+            ("smallest", ["--trials", "200", "--k-max", "2", "--m-max", "2"]),
+        ],
+    )
+    def test_golden_sweep(self, tmp_path, theorem, name, args):
+        assert run([f"verify-theorem{theorem}", *args, "--seed", "7", "--out-dir", tmp_path]) == 0
+        for output in ("report.csv", "summary.json"):
+            expected = (GOLDEN / f"verify_theorem{theorem}_{name}_{output}").read_bytes()
+            assert (tmp_path / output).read_bytes() == expected
+
     @pytest.mark.parametrize("command", ["verify-theorem1", "verify-theorem2"])
     def test_smallest_shapes_pass(self, tmp_path, command):
         argv = [command, "--trials", "40", "--k-max", "2", "--m-max", "2", "--out-dir", tmp_path]
