@@ -15,9 +15,11 @@ Checkers invert the hypothesis: the effective ``eps`` is
 ``max_i g_i * divergence_i``, the tightest budget for which the
 hypothesis holds, which makes every check as strict as possible. An
 infinite per-class KL gives an infinite bound (vacuous hypothesis,
-trivially satisfied) so randomized sweeps stay total. Every risk, in the
-checks, the PAC trial and the tightness search, is ``_plugin_risk`` on raw
-``(k, m)`` masses; the optimal risk is that scorer on the true classes.
+trivially satisfied) so randomized sweeps stay total. A sweep makes its
+instances in blocks: every draw first, then each row kernel once per domain
+size, on the stacked rows of the block's instances of that size. Every risk,
+in the checks, the PAC trial and the tightness search, is ``_plugin_risk`` on
+raw ``(k, m)`` masses; the optimal risk is that scorer on the true classes.
 Every verdict "value <= bound" is decided by ``_within``, the one place
 ``BOUND_TOL`` is read.
 
@@ -48,6 +50,11 @@ EXACT_TOL = 1e-12
 
 L1 = "L1"
 KL = "KL"
+
+# Bytes one block of sweep instances may hold, each charged its largest class weights plus
+# _INSTANCE_BYTES for its other arrays and objects (1.1-1.7 KiB at k = m = 2 by tracemalloc).
+_BLOCK_BYTES = 1 << 20
+_INSTANCE_BYTES = 2048
 
 
 @dataclass(frozen=True)
@@ -130,15 +137,22 @@ def theorem2_bound(epsilon: float, k: int) -> float:
     return k * epsilon
 
 
-def _masses(true_source: LabeledSource, est_dists: Sequence[Distribution]) -> np.ndarray:
-    """An instance's ``(2, k, m)`` masses, the true classes in row 0 and the checked estimates in row 1."""
+def _divergences(true: np.ndarray, est: np.ndarray, metric: str) -> np.ndarray:
+    """Each row's L1 distance (``L1``) or KL (``KL``, inf off the estimate's support), of ``(n, m)`` masses."""
+    return _l1_distance(true, est) if metric == L1 else _kl_on_support(true, est, true > 0.0)
+
+
+def _as_arrays(true_source: LabeledSource, est_dists: Sequence[Distribution], metric: str):
+    """An instance's priors, ``(2, k, m)`` masses (the true classes in row 0, the checked estimates in
+    row 1) and per-class :func:`_divergences` under ``metric``: the inverse of :func:`_as_objects`."""
     est = tuple(est_dists)
     if len(est) != true_source.k:
         raise ValueError("one estimated distribution per class required")
     for d in est:
         if d.domain != true_source.domain:
             raise ValueError("estimates must live on the source's domain")
-    return np.array([[d.mass for d in true_source.class_dists], [e.mass for e in est]])
+    masses = np.array([[d.mass for d in true_source.class_dists], [e.mass for e in est]])
+    return true_source.priors, masses, _divergences(*masses, metric)
 
 
 def _plugin_risk(priors, weighted, est, costs, ws=None, hits=None) -> float:
@@ -184,26 +198,22 @@ def _theorem_report(
     return BoundReport(risk_opt, risk_plugin, excess, bound, slack, _within(excess, bound), eps)
 
 
-def _scored(priors, masses, cost):
-    """The bound's report for the ``(2, k, m)`` masses of :func:`_masses` under ``cost`` (log loss
-    if ``None``), with the per-class divergences and the weighted true and estimated masses."""
+def _scored(priors, masses, divergences, cost):
+    """The bound's report for :func:`_as_arrays`' arrays under ``cost`` (log loss if ``None``), with
+    the weighted true and estimated masses."""
     true, est = masses
     weighted = true * priors[:, None]
     costs = None if cost is None else as_cost_array(cost, len(priors))
-    if cost is None:
-        divergences = np.array([_kl_on_support(p, q, p > 0.0) for p, q in zip(true, est)])
-    else:
-        divergences = _l1_distance(true, est)
     est = est.copy()  # the scorer weights it in place
     risk_plugin = _plugin_risk(priors, weighted, est, costs)
     risk_opt = _plugin_risk(priors, weighted, true.copy(), costs)
-    return _theorem_report(priors, cost, divergences, risk_opt, risk_plugin), divergences, weighted, est
+    return _theorem_report(priors, cost, divergences, risk_opt, risk_plugin), weighted, est
 
 
-def _check(priors, masses, cost) -> tuple[BoundReport, Optional[float]]:
+def _check(priors, masses, divergences, cost) -> tuple[BoundReport, Optional[float]]:
     """:func:`_scored`'s report, and under log loss with every per-class KL finite, the identity's
     ``rhs`` from the same KLs (``None`` otherwise)."""
-    report, divergences, weighted, est = _scored(priors, masses, cost)
+    report, weighted, est = _scored(priors, masses, divergences, cost)
     if not (cost is None and np.isfinite(divergences).all()):
         return report, None
     return report, sum((priors * divergences).tolist()) - _mixture_kl(weighted, est)
@@ -215,12 +225,12 @@ def _mixture_kl(weighted, est) -> float:
     return _kl_on_support(p, q, p > 0.0)
 
 
-def _verdict(priors, masses, cost) -> tuple[BoundReport, Optional[float], bool]:
+def _verdict(priors, masses, divergences, cost) -> tuple[BoundReport, Optional[float], bool]:
     """One instance's verdict, as the sweeps, replays and ``lower-bounds`` decide it:
     ``(report, identity_gap, ok)`` for :func:`_check`'s arguments. ``identity_gap`` is
     ``|excess - rhs|`` where :func:`_check` gives the identity's ``rhs`` (``None`` otherwise);
     ``ok`` needs the bound satisfied and any gap within the gate."""
-    report, rhs = _check(priors, masses, cost)
+    report, rhs = _check(priors, masses, divergences, cost)
     gap = None if rhs is None else abs(report.excess - rhs)
     return report, gap, report.satisfied and (gap is None or _within(gap, 0.0))
 
@@ -235,7 +245,7 @@ def check_theorem1(
     ``eps * k * max_ij c_ij``. The guarantee is unconditional, so
     ``satisfied`` is True on every valid instance.
     """
-    return _scored(true_source.priors, _masses(true_source, est_dists), cost)[0]
+    return _scored(*_as_arrays(true_source, est_dists, L1), cost)[0]
 
 
 def check_theorem2(true_source: LabeledSource, est_dists: Sequence[Distribution]) -> BoundReport:
@@ -244,7 +254,7 @@ def check_theorem2(true_source: LabeledSource, est_dists: Sequence[Distribution]
     ``eps = max_i g_i * KL(D_i || D'_i)``; infinite per-class KL yields an
     infinite bound (the hypothesis is vacuous there).
     """
-    return _scored(true_source.priors, _masses(true_source, est_dists), None)[0]
+    return _scored(*_as_arrays(true_source, est_dists, KL), None)[0]
 
 
 def excess_logloss_identity(
@@ -257,7 +267,7 @@ def excess_logloss_identity(
     with the prior-weighted mixtures ``D, D'``. The two agree to float
     round-off whenever every per-class KL is finite.
     """
-    report, rhs = _check(true_source.priors, _masses(true_source, est_dists), None)
+    report, rhs = _check(*_as_arrays(true_source, est_dists, KL), None)
     if rhs is None:
         raise ValueError(
             "per-class KL divergence is infinite: estimate supports must cover the true class supports"
@@ -439,21 +449,19 @@ def _draw_source(rng: np.random.Generator, k: int, m: int) -> tuple[np.ndarray, 
     return priors, rng.gamma(alpha, 1.0, (k, m)) + 1e-300
 
 
-def _as_objects(priors: np.ndarray, masses: np.ndarray) -> tuple[LabeledSource, tuple[Distribution, ...]]:
-    """The source and estimates holding the ``(2, k, m)`` unit masses, which become read-only."""
+def _as_objects(priors: np.ndarray, masses: np.ndarray) -> tuple:
+    """The source holding the first ``(k, m)`` unit masses of the ``(n, k, m)`` ``masses`` and, for
+    ``n == 2``, the estimates holding the second, on ``Domain.indexed(m)``; ``masses`` becomes read-only."""
     masses.flags.writeable = False
     domain = Domain.indexed(masses.shape[2])
-    true, est = (tuple(Distribution._frozen(domain, row) for row in rows) for rows in masses)
-    return LabeledSource(priors, true), est
+    true, *est = (tuple(Distribution._frozen(domain, row) for row in rows) for rows in masses)
+    return LabeledSource(priors, true), *est
 
 
 def random_source(rng: np.random.Generator, k: int, m: int) -> LabeledSource:
     """Random labeled source over ``Domain.indexed(m)`` with priors bounded away from zero."""
     priors, weights = _draw_source(rng, k, m)
-    true = _unit_rows(weights)
-    true.flags.writeable = False
-    domain = Domain.indexed(m)
-    return LabeledSource(priors, tuple(Distribution._frozen(domain, row) for row in true))
+    return _as_objects(priors, _unit_rows(weights)[None])[0]
 
 
 def random_cost(rng: np.random.Generator, k: int) -> CostMatrix:
@@ -471,34 +479,42 @@ def random_cost(rng: np.random.Generator, k: int) -> CostMatrix:
     return _trusted(CostMatrix, costs=c)
 
 
-def _random_instance(
-    rng: np.random.Generator, k_max: int, m_max: int, metric: str
-) -> tuple[np.ndarray, np.ndarray, Optional[CostMatrix]]:
-    """One instance of the metric's sweep, ``(priors, (2, k, m) masses, cost or None)``: every draw
-    first, in the public generators' order (k, m, source, :func:`_draw_moves` at a uniform budget,
-    under L1 the cost), then the arithmetic on ``(k, m)`` blocks."""
-    k = int(rng.integers(2, k_max + 1))
-    m = int(rng.integers(2, m_max + 1))
-    priors, weights = _draw_source(rng, k, m)
-    moves = _draw_moves(rng, k, m, metric, partial(rng.uniform, 0.0, 2.0 if metric == L1 else 1.5))
-    cost = random_cost(rng, k) if metric == L1 else None
-    masses = np.empty((2, k, m))
-    masses[0] = _unit_rows(weights)
-    masses[1] = _moved(masses[0], metric, *moves)
-    return priors, masses, cost
+def _random_instances(rng: np.random.Generator, n: int, k_max: int, m_max: int, metric: str):
+    """The metric's sweep of ``n`` instances in trial order, each as :func:`_as_arrays` gives it plus
+    its cost (``None`` under KL). A block of instances, as many as ``_BLOCK_BYTES`` holds at ``k_max``
+    classes of ``m_max`` atoms, makes every draw first, in the public generators' order (k, m, source,
+    :func:`_draw_moves` at a uniform budget, under L1 the cost); then each row kernel runs once per
+    domain size, on the stacked rows of its instances, and keeps each row's bits."""
+    budget = partial(rng.uniform, 0.0, 2.0 if metric == L1 else 1.5)
+    per_block = max(1, _BLOCK_BYTES // (8 * k_max * m_max + _INSTANCE_BYTES))
+    for start in range(0, n, per_block):
+        drawn, sizes = [], {}
+        for _ in range(min(per_block, n - start)):
+            k, m = int(rng.integers(2, k_max + 1)), int(rng.integers(2, m_max + 1))
+            priors, weights = _draw_source(rng, k, m)
+            sizes.setdefault(m, []).append((len(drawn), weights, *_draw_moves(rng, k, m, metric, budget)))
+            drawn.append([priors, None, None, random_cost(rng, k) if metric == L1 else None])
+        for group in sizes.values():
+            order, weights, *moves = zip(*group)
+            true = _unit_rows(np.concatenate(weights))
+            masses = np.stack((true, _moved(true, metric, *map(np.concatenate, moves))))
+            cuts = np.cumsum([len(w) for w in weights[:-1]])
+            for j, *rows in zip(order, np.split(masses, cuts, axis=1), np.split(_divergences(*masses, metric), cuts)):
+                drawn[j][1:3] = rows
+        yield from map(tuple, drawn)
 
 
 def random_theorem1_instance(
     rng: np.random.Generator, k_max: int = 5, m_max: int = 64
 ) -> tuple[LabeledSource, tuple[Distribution, ...], CostMatrix]:
-    priors, masses, cost = _random_instance(rng, k_max, m_max, L1)
+    priors, masses, _, cost = next(_random_instances(rng, 1, k_max, m_max, L1))
     return (*_as_objects(priors, masses), cost)
 
 
 def random_theorem2_instance(
     rng: np.random.Generator, k_max: int = 5, m_max: int = 64
 ) -> tuple[LabeledSource, tuple[Distribution, ...]]:
-    return _as_objects(*_random_instance(rng, k_max, m_max, KL)[:2])
+    return _as_objects(*next(_random_instances(rng, 1, k_max, m_max, KL))[:2])
 
 
 # ---------------------------------------------------------------------------
@@ -546,9 +562,7 @@ def _climb(
             if m <= 6:
                 pairs = [(a, b) for a in range(m) for b in range(m) if a != b]
             else:
-                pairs = [
-                    tuple(rng.choice(m, size=2, replace=False)) for _ in range(24)
-                ]
+                pairs = [tuple(rng.choice(m, size=2, replace=False)) for _ in range(24)]
             for i in range(k):
                 for row in (1, 0):
                     for a, b in pairs:

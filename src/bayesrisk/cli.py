@@ -23,9 +23,9 @@ import numpy as np
 
 from . import __version__
 from .bounds import EXACT_TOL, KL, L1, PerturbationBudget, tightness_search
-from .bounds import _as_objects, _masses, _random_instance, _two_atom_masses, _verdict, _within
+from .bounds import _as_arrays, _as_objects, _divergences, _random_instances, _two_atom_masses, _verdict, _within
 from .classify import CostMatrix, LabeledSource
-from .distributions import Distribution, Domain, QuantizedClassSpec, _json_float, _kl_on_support, _l1_distance
+from .distributions import Distribution, Domain, QuantizedClassSpec, _json_float
 from .pdfa import Pdfa
 from .pipeline import _config_and_spec, config_to_dict, run_pac_experiment
 from .smoothing import SmoothingReport, SmoothingParams, _sweep, base_mixture
@@ -116,13 +116,13 @@ def _read_input(path, parse):
 
 def _instance_from_payload(data: dict, metric: str):
     """Inverse of :func:`_instance_payload` for an instance of ``metric``, validated: ``bounds._verdict``'s
-    ``(priors, masses, cost)``, ``cost`` None under KL."""
+    ``(priors, masses, divergences, cost)``, ``cost`` None under KL."""
     source = LabeledSource.from_dict(data["source"])
-    masses = _masses(source, (Distribution.from_dict(d) for d in data["estimates"]))
+    arrays = _as_arrays(source, (Distribution.from_dict(d) for d in data["estimates"]), metric)
     stated = data.get("metric", L1)
     if stated != metric:
         raise ValueError(f"the instance's metric is {stated!r}; this subcommand replays {metric!r} instances")
-    return source.priors, masses, CostMatrix(_json_float(data["cost"], "cost")) if metric == L1 else None
+    return *arrays, CostMatrix(_json_float(data["cost"], "cost")) if metric == L1 else None
 
 
 def _require_positive_trials(args) -> None:
@@ -131,7 +131,8 @@ def _require_positive_trials(args) -> None:
 
 
 def cmd_verify(args) -> int:
-    """Randomized sweep of one theorem (the subcommand names which), or ``--replay`` of one instance."""
+    """Randomized sweep of one theorem (the subcommand names which), its instances drawn and computed
+    in blocks by ``bounds._random_instances`` and written in trial order; or ``--replay`` of one instance."""
     metric = L1 if args.command == "verify-theorem1" else KL
     if args.replay:
         report, gap, ok = _verdict(*_read_input(args.replay, lambda data: _instance_from_payload(data, metric)))
@@ -151,9 +152,9 @@ def cmd_verify(args) -> int:
     run = _Run(args.command, args.out_dir, args.seed, config)
     violations = 0
     worst_gap = 0.0
-    for trial in range(args.trials):
-        priors, masses, cost = _random_instance(rng, args.k_max, args.m_max, metric)
-        report, gap, ok = _verdict(priors, masses, cost)
+    instances = _random_instances(rng, args.trials, args.k_max, args.m_max, metric)
+    for trial, (priors, masses, divergences, cost) in enumerate(instances):
+        report, gap, ok = _verdict(priors, masses, divergences, cost)
         k, m = masses.shape[1:]
         row = {"trial": trial, "k": k, "m": m, **report.row()}
         if gap is not None:
@@ -185,11 +186,10 @@ def cmd_lower_bounds(args) -> int:
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
         # One instance under both losses: the scorer copies what it weights, so one masses array serves both.
-        t1, _, t1_ok = _verdict(priors, masses, cost)
-        t2, gap, t2_ok = _verdict(priors, masses, None)
-        (true, _), (est, _) = masses
-        per_l1 = _l1_distance(true, est)
-        per_kl = _kl_on_support(true, est, true > 0.0)
+        l1s, kls = _divergences(*masses, L1), _divergences(*masses, KL)
+        t1, _, t1_ok = _verdict(priors, masses, l1s, cost)
+        t2, gap, t2_ok = _verdict(priors, masses, kls, None)
+        per_l1, per_kl = float(l1s[0]), float(kls[0])
         slack_gap = abs(t1.slack - 2.0 * gamma * cost.max_cost)
         rows.append(
             {
@@ -329,9 +329,7 @@ def cmd_tightness(args) -> int:
         raise UsageError(str(exc)) from exc
     rng = np.random.default_rng(args.seed)
     cost = CostMatrix.zero_one(args.k) if args.metric == L1 else None
-    result = tightness_search(
-        args.k, args.domain_size, cost, budget, args.iterations, rng
-    )
+    result = tightness_search(args.k, args.domain_size, cost, budget, args.iterations, rng)
     config = {
         "k": args.k,
         "m": args.domain_size,

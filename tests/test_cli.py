@@ -236,6 +236,24 @@ class TestVerifyCommands:
             assert (tmp_path / output).read_bytes() == expected
 
     @pytest.mark.parametrize("command", ["verify-theorem1", "verify-theorem2"])
+    def test_sweep_memory_is_held_to_its_blocks(self, tmp_path, command):
+        """A 3,000-trial sweep peaks, by tracemalloc, under three block budgets: about one block of
+        instances (some 1 MB at the default shapes) and the report's rows (0.3 MB per 1,000 trials).
+        Every instance held at once would take about 15 MB."""
+        import tracemalloc
+
+        from bayesrisk.bounds import _BLOCK_BYTES
+
+        assert run([command, "--trials", "20", "--out-dir", tmp_path]) == 0  # lazy imports first
+        tracemalloc.start()
+        try:
+            assert run([command, "--trials", "3000", "--out-dir", tmp_path]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * _BLOCK_BYTES
+
+    @pytest.mark.parametrize("command", ["verify-theorem1", "verify-theorem2"])
     def test_smallest_shapes_pass(self, tmp_path, command):
         argv = [command, "--trials", "40", "--k-max", "2", "--m-max", "2", "--out-dir", tmp_path]
         assert run(argv) == 0
@@ -272,8 +290,8 @@ class TestVerifyCommands:
 
         real = bounds._check
 
-        def off_by_1e6(priors, masses, cost):
-            report, rhs = real(priors, masses, cost)
+        def off_by_1e6(priors, masses, divergences, cost):
+            report, rhs = real(priors, masses, divergences, cost)
             return report, rhs + 1e-6
 
         monkeypatch.setattr(bounds, "_check", off_by_1e6)
@@ -285,17 +303,15 @@ class TestVerifyCommands:
         """Written and read back, a sweep instance keeps every bit of its masses, report and gap."""
         import numpy as np
 
-        from bayesrisk.bounds import _as_objects, _random_instance, _verdict
+        from bayesrisk.bounds import _as_objects, _random_instances, _verdict
         from bayesrisk.cli import _instance_from_payload, _instance_payload
 
         def hexed(report, gap):
             fields = {k: v.hex() if isinstance(v, float) else v for k, v in report.to_dict().items()}
             return fields, None if gap is None else gap.hex()
 
-        rng = np.random.default_rng(3)
-        for _ in range(300):
-            priors, masses, cost = _random_instance(rng, 5, 64, metric)
-            report, gap, ok = _verdict(priors, masses, cost)
+        for priors, masses, divergences, cost in _random_instances(np.random.default_rng(3), 300, 5, 64, metric):
+            report, gap, ok = _verdict(priors, masses, divergences, cost)
             payload = json.loads(json.dumps(_instance_payload(*_as_objects(priors, masses), cost, metric)))
             replayed = _instance_from_payload(payload, metric)
             assert replayed[1].tobytes() == masses.tobytes() and replayed[0].tobytes() == priors.tobytes()

@@ -93,10 +93,11 @@ class TestEmpiricalEstimator:
 
 
 class TestEstimateHits:
-    """Without smoothing and with at most one draw per 16 atoms, ``_estimate`` returns the sorted atoms
-    where its estimate is non-zero, and the estimate is the dense one bit for bit."""
+    """Without smoothing, with at most one draw per 16 atoms and on a domain of at least
+    ``_SPARSE_ATOMS`` atoms, ``_estimate`` returns the sorted atoms where its estimate is non-zero,
+    and the estimate is the dense one bit for bit."""
 
-    M = 64
+    M = pipeline._SPARSE_ATOMS
 
     def check(self, draws, zero=slice(None), mass=None):
         mass = np.full(self.M, 0.5) if mass is None else mass
@@ -109,7 +110,7 @@ class TestEstimateHits:
 
     @pytest.mark.parametrize(
         "draws",
-        [[7], [7, 7, 7, 7], [M - 1], [M - 1, 0, M - 1], [40, 3, 40, 12]],
+        [[7], [7, 7, 7, 7], [M - 1], [M - 1, 0, M - 1], [40, 3, 40, 12] * (M // 64)],
         ids=["one-draw", "every-draw-on-one-atom", "last-atom", "last-and-first-atoms", "n-is-m-over-16"],
     )
     def test_hits_are_the_nonzero_atoms(self, draws):
@@ -117,6 +118,9 @@ class TestEstimateHits:
 
     def test_more_than_one_draw_per_16_atoms_is_dense(self):
         assert pipeline._estimate(np.empty(self.M), np.arange(self.M // 16 + 1), 0.0) == slice(None)
+
+    def test_a_domain_below_the_break_even_is_dense(self):
+        assert pipeline._estimate(np.empty(self.M - 1), np.array([7]), 0.0) == slice(None)
 
     def test_row_holding_the_last_trials_hits(self):
         """A trial resets only the last trial's hits, so the row must hold zeros everywhere else."""
@@ -383,7 +387,7 @@ def _dense_trial(config, rng, n):
 @given(
     seed=st.integers(0, 2**32 - 1),
     k=st.integers(2, 5),
-    m=st.one_of(st.integers(1, 300), st.sampled_from([4000, 40000])),
+    m=st.one_of(st.integers(1, 300), st.sampled_from([4000, 4096, 9000, 40000])),
     grid=st.lists(st.sampled_from([1, 3, 20, 150, 2000]), min_size=1, max_size=3),
     rare=st.booleans(),
     peaked=st.booleans(),
@@ -394,10 +398,10 @@ def _dense_trial(config, rng, n):
 )
 @settings(max_examples=100, deadline=None)
 def test_sparse_trials_equal_the_dense_kernels(seed, k, m, grid, rare, peaked, partial, ties, log_loss, laplace):
-    """Each ``_block`` trial, its estimates worked only at their hit atoms where lambda is 0 and a
-    class drew at most one atom in 16, has the counts, L1s, KLs and plug-in risk in float.hex of the
-    dense kernels on the same draws: n < m and n >> m, with domains wide enough for 2,000 draws to be
-    sparse, classes that share their likeliest atoms (so their hits meet in one column), a class
+    """Each ``_block`` trial, its estimates worked only at their hit atoms where lambda is 0, a class
+    drew at most one atom in 16 and the domain has at least ``_SPARSE_ATOMS`` atoms, has the counts,
+    L1s, KLs and plug-in risk in float.hex of the dense kernels on the same draws: n < m and n >> m,
+    with domains just below and at the break-even, and wide enough for 2,000 draws to be sparse, classes that share their likeliest atoms (so their hits meet in one column), a class
     that draws nothing (a prior of 1e-3), a true class missing atoms,
     costs with two equal columns (ties), and several blocks of several trials on one workspace,
     so each trial starts from the last one's atoms."""

@@ -16,17 +16,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import bayesrisk.bounds as bounds
 import bayesrisk.smoothing as smoothing
 from bayesrisk.bounds import (
     KL,
     L1,
+    _as_arrays,
     _check,
     _draw_moves,
     _floor_rows,
-    _masses,
     _moved,
     _perturb_rows,
-    _random_instance,
+    _random_instances,
     check_theorem1,
     check_theorem2,
     excess_logloss_identity,
@@ -98,7 +99,7 @@ def test_sweep_instance_and_report_equal_the_public_composition(seed, metric, k_
     generators build class by class from the same seed, and leaves the generator where they
     do; its check gives the public check's report, field by field in float.hex."""
     rng = np.random.default_rng(seed)
-    priors, masses, cost = _random_instance(rng, k_max, m_max, metric)
+    priors, masses, divergences, cost = next(_random_instances(rng, 1, k_max, m_max, metric))
     ref = np.random.default_rng(seed)
     k, m = int(ref.integers(2, k_max + 1)), int(ref.integers(2, m_max + 1))
     source = random_source(ref, k, m)
@@ -109,12 +110,12 @@ def test_sweep_instance_and_report_equal_the_public_composition(seed, metric, k_
         est = tuple(support_safe_perturbation(d, float(ref.uniform(0.0, 1.5)), ref) for d in source.class_dists)
     assert rng.random() == ref.random()
     assert priors.tobytes() == source.priors.tobytes()
-    assert masses.tobytes() == _masses(source, est).tobytes()
+    assert masses.tobytes() == _as_arrays(source, est, metric)[1].tobytes()
     if metric == L1:
         assert cost.costs.tobytes() == ref_cost.costs.tobytes()
-        assert _hex_fields(_check(priors, masses, cost)[0]) == _hex_fields(check_theorem1(source, est, ref_cost))
+        assert _hex_fields(_check(priors, masses, divergences, cost)[0]) == _hex_fields(check_theorem1(source, est, ref_cost))
     else:
-        report, rhs = _check(priors, masses, None)
+        report, rhs = _check(priors, masses, divergences, None)
         assert _hex_fields(report) == _hex_fields(check_theorem2(source, est))
         lhs, ref_rhs = excess_logloss_identity(source, est)
         assert (report.excess.hex(), rhs.hex()) == (lhs.hex(), ref_rhs.hex())
@@ -200,6 +201,67 @@ def test_pull_back_branch_is_compared():
     """Clipping and renormalizing leave a candidate within its budget but for round-off, so
     the pull-back runs on about one row in twenty; these fixed blocks reach it."""
     assert sum(_compare_perturbations(seed, 5) for seed in range(4)) > 0
+
+
+def _reference_cost(rng: np.random.Generator, k: int) -> np.ndarray:
+    kind = int(rng.integers(0, 3))
+    if kind == 0:
+        return np.ones((k, k)) - np.eye(k)
+    if kind == 1:
+        c = rng.uniform(0.0, 1.0, (k, k))
+        c[0, 1] += 1.0
+        return c
+    c = rng.uniform(0.1, 5.0, (k, k))
+    np.fill_diagonal(c, 0.0)
+    return c
+
+
+def _reference_sweep(rng: np.random.Generator, n: int, k_max: int, m_max: int, metric: str):
+    """The sweep's instances with every draw a plain generator call, one instance after another
+    (k, m, priors, the class weights, each class's budget, noise and under KL floor weight, then
+    under L1 the cost), and each instance's arithmetic done class by class in plain numpy."""
+    for _ in range(n):
+        k, m = int(rng.integers(2, k_max + 1)), int(rng.integers(2, m_max + 1))
+        priors = rng.uniform(0.05, 1.0, k)
+        priors /= priors.sum()
+        alpha = (0.3, 1.0, 3.0)[rng.integers(0, 3)]
+        weights = rng.gamma(alpha, 1.0, (k, m)) + 1e-300
+        moves = []
+        for _ in range(k):
+            budget = float(rng.uniform(0.0, 2.0 if metric == L1 else 1.5))
+            noise = rng.standard_normal(m) if budget != 0.0 else None
+            moves.append((budget, noise, float(rng.uniform(0.2 * 0.05, 0.05)) if metric == KL else None))
+        cost = _reference_cost(rng, k) if metric == L1 else None
+        true = [_old_unit_mass(w / float(w.sum())) for w in weights]
+        est = [t if v is None else _old_l1_perturbation(t.copy(), b, v)[0] for t, (b, v, _) in zip(true, moves)]
+        if metric == L1:
+            divergences = [float(np.abs(t - e).sum()) for t, e in zip(true, est)]
+        else:
+            est = [_old_unit_mass((1.0 - lam) * e + lam / m) for e, (_, _, lam) in zip(est, moves)]
+            divergences = [max(0.0, float((t * np.log2(t / e)).sum())) for t, e in zip(true, est)]
+        yield priors, np.array([true, est]), divergences, cost
+
+
+@pytest.mark.parametrize("metric", [L1, KL])
+@pytest.mark.parametrize("k_max, m_max", [(2, 2), (5, 64)])
+@pytest.mark.parametrize("n, per_block", [(1, None), (2, None), (200, None), (200, 7)])
+def test_sweep_blocks_equal_an_independent_reference(monkeypatch, metric, k_max, m_max, n, per_block):
+    """The block generator's instances, drawn a block at a time and computed once per domain size,
+    equal the plain per-instance reference in float.hex, and leave the generator where it does;
+    ``per_block`` cuts the blocks small so instances straddle them."""
+    if per_block is not None:
+        monkeypatch.setattr(bounds, "_BLOCK_BYTES", per_block * (8 * k_max * m_max + bounds._INSTANCE_BYTES))
+    rng, ref = np.random.default_rng([n, k_max]), np.random.default_rng([n, k_max])
+    instances = list(_random_instances(rng, n, k_max, m_max, metric))
+    assert len(instances) == n
+    for (priors, masses, divergences, cost), expected in zip(instances, _reference_sweep(ref, n, k_max, m_max, metric)):
+        assert masses.shape == expected[1].shape
+        assert _hex_rows(priors) == _hex_rows(expected[0])
+        assert _hex_rows(masses.reshape(-1, masses.shape[2])) == _hex_rows(expected[1].reshape(-1, masses.shape[2]))
+        assert _hex_rows(divergences) == _hex_rows(expected[2])
+        assert (cost is None) == (expected[3] is None)
+        assert cost is None or _hex_rows(cost.costs) == _hex_rows(expected[3])
+    assert rng.random() == ref.random()
 
 
 @pytest.mark.parametrize("metric", [L1, KL])
