@@ -437,7 +437,7 @@ def random_l1_perturbation(
 
 def support_safe_perturbation(d: Distribution, budget: float, rng: np.random.Generator) -> Distribution:
     """Randomly perturbed estimate with full support (finite KL guaranteed): the draw of
-    :func:`random_l1_perturbation`, then a mix with uniform at a random weight in ``[0.01, 0.05]``."""
+    :func:`random_l1_perturbation`, then a mix with uniform at a random weight in ``[0.2 * 0.05, 0.05]``."""
     return _perturbed(d, budget, rng, KL)
 
 
