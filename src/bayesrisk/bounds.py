@@ -175,14 +175,6 @@ def _plugin_risk(priors, weighted, est, costs, ws=None, hits=None) -> float:
     return _cost_risk(costs, labels, weighted, scores, cols)
 
 
-def _optimal_risk(source: LabeledSource, cost: Optional[CostLike], ws=None) -> float:
-    """Risk of the optimal predictor, the Bayes classifier under ``cost`` or the posterior rule
-    under log loss (``cost is None``): :func:`_plugin_risk` of the true classes themselves."""
-    est = np.stack([d.mass for d in source.class_dists], out=None if ws is None else ws[0])
-    costs = None if cost is None else as_cost_array(cost, source.k)
-    return _plugin_risk(source.priors, source.weighted_mass, est, costs, ws)
-
-
 def _theorem_report(
     priors: np.ndarray, cost: Optional[CostLike], divergences, risk_opt: float, risk_plugin: float
 ) -> BoundReport:
@@ -328,28 +320,27 @@ def _bisect(fits, hi: float, steps: int) -> float:
     return lo
 
 
-def _blend_back(p: np.ndarray, q: np.ndarray, t) -> np.ndarray:
-    """``p + t * (q - p)`` at unit mass, for unit masses (or rows, ``t`` a column) and ``t <= 1``.
-    Non-negative in floats: rounding is monotone, so q - p >= -p, t * (q - p) >= -p, sum >= 0."""
-    return _exact_unit_mass(p + t * (q - p))
+def _into_budget(metric: str, true: np.ndarray, est: np.ndarray, limits: np.ndarray) -> np.ndarray:
+    """Pull each row ``q`` of the ``(n, m)`` unit masses ``est`` whose :func:`_divergences` from its row ``p``
+    of ``true`` is over its entry of ``limits`` back toward ``p``, in place and at unit mass: under L1 to
+    ``p + t * (q - p)``, ``t`` the limit over the distance (non-negative in floats: rounding is monotone, so
+    q - p >= -p, t * (q - p) >= -p, sum >= 0); under KL to ``(1 - t) * p + t * q``, ``t`` bisected in 50 steps."""
+    divergences = _divergences(true, est, metric)
+    over = np.flatnonzero(divergences > limits)
+    if metric == KL:
+        for i, limit in zip(over.tolist(), limits[over].tolist()):
+            p, q, support = true[i], est[i], true[i] > 0.0
 
+            def fits(t: float) -> bool:
+                blend = (1.0 - t) * p + t * q
+                return _kl_on_support(p, _exact_unit_mass(blend), support) <= limit
 
-def _project_into_budget(metric: str, p: np.ndarray, q: np.ndarray, limit: float) -> np.ndarray:
-    """Pull the unit mass ``q`` toward ``p`` until its divergence from ``p`` fits: ``q`` itself
-    if it already fits, else a fresh blend at unit mass."""
-    if metric == L1:
-        distance = _l1_distance(p, q)
-        return q if distance <= limit else _blend_back(p, q, limit / distance)
-    support = p > 0.0
-    if _kl_on_support(p, q, support) <= limit:
-        return q
-
-    def fits(t: float) -> bool:
-        blend = (1.0 - t) * p + t * q
-        return _kl_on_support(p, _exact_unit_mass(blend), support) <= limit
-
-    t = _bisect(fits, 1.0, 50)
-    return _exact_unit_mass((1.0 - t) * p + t * q)
+            t = _bisect(fits, 1.0, 50)
+            est[i] = _exact_unit_mass((1.0 - t) * p + t * q)
+    elif len(over):
+        p = true[over]
+        est[over] = _exact_unit_mass(p + (limits[over] / divergences[over])[:, None] * (est[over] - p))
+    return est
 
 
 def _unit_rows(weights: np.ndarray) -> np.ndarray:
@@ -378,10 +369,7 @@ def _perturb_rows(true: np.ndarray, budgets: np.ndarray, noise: np.ndarray) -> n
     t, limits = true[moved], budgets[moved]
     # np.maximum(x, 0.0) is np.clip(x, 0.0, None) without its Python wrapper.
     cand = _unit_rows(np.maximum(t + noise[moved] * (limits / norms[moved])[:, None], 0.0))
-    distance = _l1_distance(t, cand)
-    over = np.flatnonzero(distance > limits)
-    if len(over):
-        cand[over] = _blend_back(t[over], cand[over], (limits[over] / distance[over])[:, None])
+    _into_budget(L1, t, cand, limits)
     if every:
         return cand
     est = true.copy()
@@ -635,8 +623,7 @@ def tightness_search(
         """A copy of ``masses`` with every row at unit mass and the estimates in the budget."""
         masses = masses.copy()
         _exact_unit_mass(masses.reshape(-1, m))
-        for t, e, g in zip(*masses, priors):
-            e[:] = _project_into_budget(budget.metric, t, e, budget.epsilon / float(g))
+        _into_budget(budget.metric, *masses, budget.epsilon / priors)
         return masses
 
     def excess(priors: np.ndarray, masses: np.ndarray) -> float:

@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .bounds import EXACT_TOL, KL, L1, PerturbationBudget, tightness_search
 from .bounds import _as_arrays, _as_objects, _divergences, _random_instances, _two_atom_masses, _verdict, _within
-from .classify import CostMatrix, LabeledSource
+from .classify import CostMatrix, LabeledSource, as_cost_array
 from .distributions import Distribution, Domain, QuantizedClassSpec, _json_float
 from .pdfa import Pdfa
 from .pipeline import _config_and_spec, config_to_dict, run_pac_experiment
@@ -50,7 +50,10 @@ class _Run:
     def __init__(self, subcommand: str, out_dir: str, seed, config: dict):
         self.subcommand = subcommand
         self.out = Path(out_dir)
-        self.out.mkdir(parents=True, exist_ok=True)
+        try:
+            self.out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise UsageError(f"cannot create --out-dir {out_dir}: {exc.strerror}") from exc
         self.seed = seed
         self.config = config
         self.csv_columns: list[str] = []
@@ -122,7 +125,10 @@ def _instance_from_payload(data: dict, metric: str):
     stated = data.get("metric", L1)
     if stated != metric:
         raise ValueError(f"the instance's metric is {stated!r}; this subcommand replays {metric!r} instances")
-    return *arrays, CostMatrix(_json_float(data["cost"], "cost")) if metric == L1 else None
+    cost = CostMatrix(_json_float(data["cost"], "cost")) if metric == L1 else None
+    if cost is not None:
+        as_cost_array(cost, source.k)  # a cost for another class count is a bad file, not a violation
+    return *arrays, cost
 
 
 def _require_positive_trials(args) -> None:

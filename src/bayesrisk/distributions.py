@@ -78,7 +78,7 @@ class Domain:
     @classmethod
     def indexed(cls, size: int, prefix: str = "x") -> "Domain":
         """Canonical domain ``{x0, x1, ..., x<size-1>}``."""
-        if size < 1:
+        if _json_int(size, "size") < 1:
             raise ValueError("domain must contain at least one atom")
         return _trusted(cls, atoms=tuple(f"{prefix}{i}" for i in range(size)))
 
@@ -362,6 +362,7 @@ class QuantizedClassSpec:
     bits_per_atom: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "bits_per_atom", _json_int(self.bits_per_atom, "bits_per_atom"))
         if self.bits_per_atom < 1:
             raise ValueError("bits_per_atom must be a positive integer")
         if self.bits_per_atom > 53:

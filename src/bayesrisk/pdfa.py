@@ -215,7 +215,7 @@ class TruncatedStringDomain(Domain):
     ) -> "TruncatedStringDomain":
         alphabet = tuple(alphabet)
         _check_alphabet(alphabet)
-        if max_len < 0:
+        if (max_len := _json_int(max_len, "max_len")) < 0:
             raise ValueError("max_len must be non-negative")
         count = cls.atom_count(len(alphabet), max_len)
         if count > max_atoms:

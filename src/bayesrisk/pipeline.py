@@ -38,7 +38,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .bounds import BoundReport, _optimal_risk, _plugin_risk, _theorem_report
+from .bounds import BoundReport, _plugin_risk, _theorem_report
 from .classify import CostMatrix, LabeledSource, _workspace, as_cost_array
 from .distributions import Distribution, Domain, _draw_indices, _exact_unit_mass, _json_float, _json_int
 from .distributions import _kl_on_support, _l1_distance, _sorted_set
@@ -180,13 +180,17 @@ def run_trial(
 
 
 def _fixed(config: TrialConfig):
-    """An experiment's workspace, optimal risk, and true class supports (``None`` where full)."""
-    ws = _workspace(config.source.k, config.source.domain.size)
-    supports = tuple(None if d.mass.min() > 0.0 else d.mass > 0.0 for d in config.source.class_dists)
-    return ws, _optimal_risk(config.source, config.cost, ws), supports
+    """An experiment's workspace, cost array (``None`` under log loss), optimal risk (:func:`_plugin_risk` of
+    the true classes), and true class supports (``None`` where full)."""
+    source = config.source
+    ws = _workspace(source.k, source.domain.size)
+    supports = tuple(None if d.mass.min() > 0.0 else d.mass > 0.0 for d in source.class_dists)
+    true = np.stack([d.mass for d in source.class_dists], out=ws[0])
+    costs = None if config.cost is None else as_cost_array(config.cost, source.k)
+    return ws, costs, _plugin_risk(source.priors, source.weighted_mass, true, costs, ws), supports
 
 
-def _block(config: TrialConfig, rngs: Sequence[np.random.Generator], n: int, ws, risk_opt: float, supports):
+def _block(config: TrialConfig, rngs: Sequence[np.random.Generator], n: int, ws, costs, risk_opt: float, supports):
     """:func:`run_trial`'s outcome at sample size ``n`` for each generator of ``rngs``, given :func:`_fixed`.
     Every draw comes first, each generator making one trial's calls in its order (labels, then class
     0, class 1, ...) into one buffer; each class's CDF, built once in the workspace row, answers the
@@ -204,7 +208,6 @@ def _block(config: TrialConfig, rngs: Sequence[np.random.Generator], n: int, ws,
             rng.random(out=flat[start:end])
         samples.append(np.split(_draw_indices(d.mass, flat[: ends[-1]], row), ends[:-1]))
     del uniforms, flat
-    costs = None if config.cost is None else as_cost_array(config.cost, source.k)
     pairs = tuple(zip((d.mass for d in source.class_dists), ests, supports))
     atoms = [slice(None)] * source.k  # each estimate's atom set; the workspace rows hold anything
     for t, trial_counts in enumerate(counts.tolist()):

@@ -30,7 +30,7 @@ import numpy as np
 
 from .bounds import EXACT_TOL, _draw_noise, _perturb_rows, _within, report_rows
 from .distributions import Distribution, QuantizedClassSpec, _draw_numerators, _exact_unit_mass
-from .distributions import _kl_on_support, _l1_distance, _require_same_domain
+from .distributions import _json_int, _kl_on_support, _l1_distance, _require_same_domain
 
 # Explicit class enumerations beyond this are refused rather than averaged.
 MAX_ENUMERATION = 1 << 20
@@ -53,6 +53,7 @@ class SmoothingParams:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
             raise ValueError("epsilon must be positive and finite")
+        object.__setattr__(self, "description_length", _json_int(self.description_length, "description_length"))
         if self.description_length < 1:
             raise ValueError("description_length must be a positive integer")
         if not self.xi < 1.0:

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from bayesrisk.bounds import L1, _project_into_budget, random_source
+from bayesrisk.bounds import L1, _into_budget, random_source
 from bayesrisk.classify import Classifier, LabeledSource, StochasticRule, bayes_classifier
 from bayesrisk.distributions import Distribution, Domain, QuantizedClassSpec, make_distribution
 from bayesrisk.pdfa import OVERFLOW_ATOM, TruncatedStringDomain
 from bayesrisk.pipeline import TrialConfig, empirical_estimator
+from bayesrisk.smoothing import SmoothingParams
 
 D2 = Domain.indexed(2)
 NAN, INF = float("nan"), float("inf")
@@ -75,6 +76,11 @@ BAD_INPUTS = [
      "sample atom index must be an integer, got True"),
     (lambda _, s: empirical_estimator(s, D2), [1.0], "sample atom index must be an integer, got 1.0"),
     (lambda _, s: empirical_estimator(s, D2), ["x0", "x2"], "sample atom 'x2' is not in the domain"),
+    (QuantizedClassSpec, 4.0, "bits_per_atom must be an integer, got 4.0"),
+    (QuantizedClassSpec, True, "bits_per_atom must be an integer, got True"),
+    (lambda _, n: SmoothingParams(0.5, n), 2.5, "description_length must be an integer, got 2.5"),
+    (lambda _, n: TruncatedStringDomain.build(("a", "b"), n), 2.0, "max_len must be an integer, got 2.0"),
+    (lambda _, n: Domain.indexed(n), 3.0, "size must be an integer, got 3.0"),
 ]
 
 
@@ -131,8 +137,8 @@ def test_l1_pull_back_stays_non_negative(seed, m, share):
     p, q = with_zero_atoms(), with_zero_atoms()
     distance = float(np.abs(p.mass - q.mass).sum())
     limit = share * distance
-    pulled = _project_into_budget(L1, p.mass, q.mass, limit)
-    if pulled is not q.mass:
+    pulled = _into_budget(L1, p.mass[None], q.mass[None].copy(), np.array([limit]))[0]
+    if pulled.tobytes() != q.mass.tobytes():
         checked = Distribution(domain, p.mass + limit / distance * (q.mass - p.mass))
         assert pulled.tobytes() == checked.mass.tobytes()
 

@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 from bayesrisk import bounds
 from bayesrisk.bounds import (
     BoundReport,
+    KL,
+    L1,
     PerturbationBudget,
-    _optimal_risk,
+    _into_budget,
     _plugin_risk,
-    _project_into_budget,
     _two_atom_masses,
     check_theorem1,
     check_theorem2,
@@ -42,7 +43,9 @@ from bayesrisk.classify import (
 from bayesrisk.distributions import (
     Distribution,
     Domain,
+    _exact_unit_mass,
     _kl_on_support,
+    _l1_distance,
     kl_divergence,
     l1_distance,
     make_distribution,
@@ -234,8 +237,8 @@ class TestPluginScorer:
         estimated = LabeledSource(source.priors, tuple(est_dists))
         costs = np.ones((k, k)) - np.eye(k) if zero_one else rng.random((k, k))
 
-        def scored(c):
-            est = np.stack([d.mass for d in est_dists])
+        def scored(c, dists=est_dists):
+            est = np.stack([d.mass for d in dists])
             return float.hex(_plugin_risk(source.priors, source.weighted_mass, est, c))
 
         assert scored(costs) == float.hex(risk(bayes_classifier(estimated, costs), source, costs))
@@ -249,9 +252,9 @@ class TestPluginScorer:
         logloss = math.inf if (vals == 0.0).any() else -(w[on] * np.log2(vals)).sum()
         assert scored(None) == float.hex(max(0.0, float(logloss)))
         optimal = risk(bayes_classifier(source, costs), source, costs)
-        assert float.hex(_optimal_risk(source, costs)) == float.hex(optimal)
+        assert scored(costs, true_dists) == float.hex(optimal)
         optimal = logloss_risk(posterior_rule(source), source)
-        assert float.hex(_optimal_risk(source, None)) == float.hex(optimal)
+        assert scored(None, true_dists) == float.hex(optimal)
 
 
 class TestExampleConstructions:
@@ -402,6 +405,26 @@ class TestRandomInstances:
         assert kinds == {0, 1, 2}
 
 
+def _pulled_back(metric, p, q, limit):
+    """The pull-back of the unit mass ``q`` toward ``p`` one row at a time, the reference for the row
+    kernel ``_into_budget``: ``q`` itself within ``limit``, else under L1 the blend at ``limit / distance``
+    and under KL the blend at the weight a 50-step bisection finds, each at unit mass."""
+    if metric == L1:
+        distance = _l1_distance(p, q)
+        return q if distance <= limit else _exact_unit_mass(p + limit / distance * (q - p))
+    support = p > 0.0
+    if _kl_on_support(p, q, support) <= limit:
+        return q
+    lo, hi = 0.0, 1.0
+    for _ in range(50):
+        mid = 0.5 * (lo + hi)
+        if _kl_on_support(p, _exact_unit_mass((1.0 - mid) * p + mid * q), support) <= limit:
+            lo = mid
+        else:
+            hi = mid
+    return _exact_unit_mass((1.0 - lo) * p + lo * q)
+
+
 class TestTightnessSearch:
     def test_unknown_budget_metric_rejected(self):
         with pytest.raises(ValueError, match=r"metric must be one of 'L1', 'KL'"):
@@ -414,7 +437,7 @@ class TestTightnessSearch:
             true_d = make_distribution(dom, rng.uniform(0.1, 1.0, 5))
             est = make_distribution(dom, rng.uniform(0.1, 1.0, 5))
             limit = 0.25 * kl_divergence(true_d, est)
-            projected = _project_into_budget("KL", true_d.mass, est.mass, limit)
+            projected = _into_budget(KL, true_d.mass[None], est.mass[None].copy(), np.array([limit]))[0]
             assert _kl_on_support(true_d.mass, projected, true_d.mass > 0.0) <= limit
             # The blend weight t of est = (1 - t) * D + t * E is bisected to 2**-50,
             # so a step of 2**-46 further along the segment leaves the budget.
@@ -422,6 +445,29 @@ class TestTightnessSearch:
             i = int(np.argmax(np.abs(diff)))
             t = (projected[i] - true_d.mass[i]) / diff[i] + 2.0**-46
             assert kl_divergence(true_d, Distribution(dom, (1.0 - t) * true_d.mass + t * est.mass)) > limit
+
+    @given(st.sampled_from([L1, KL]), st.integers(1, 6), st.integers(1, 12), st.integers(0, 2**32 - 1))
+    @example(L1, 3, 1, 0)
+    @example(KL, 3, 1, 0)
+    @settings(max_examples=200, deadline=None)
+    def test_row_pull_back_matches_the_one_row_arithmetic(self, metric, n, m, seed):
+        """``_into_budget`` on ``(n, m)`` rows equals :func:`_pulled_back` row by row, in float.hex. Rows
+        at or within their limit keep their bits, zero limits among them; true rows have zero-mass atoms,
+        and an estimate zero where its true row is not (an infinite KL) is pulled back too."""
+        rng = np.random.default_rng(seed)
+
+        def rows():
+            w = rng.random((n, m)) * (rng.random((n, m)) < 0.6)
+            w[np.arange(n), rng.integers(m, size=n)] += 1.0
+            return _exact_unit_mass(w / w.sum(axis=1)[:, None])
+
+        true, est = rows(), rows()
+        divergences = bounds._divergences(true, est, metric)
+        shares = rng.choice([0.0, 0.3, 1.0, 2.0], size=n)  # an infinite KL gets the share itself
+        limits = shares * np.where(np.isfinite(divergences), divergences, 1.0)
+        expected = [_pulled_back(metric, p, q, limit) for p, q, limit in zip(true, est, limits.tolist())]
+        pulled = _into_budget(metric, true, est.copy(), limits)
+        assert [list(map(float.hex, row)) for row in pulled] == [list(map(float.hex, row)) for row in expected]
 
     def test_two_atom_l1_reaches_analytic_ratio(self):
         rng = np.random.default_rng(42)

@@ -72,6 +72,8 @@ class TestExitCodes:
                          id="replay-string-mass"),
             pytest.param(["verify-theorem1", "--replay", "{dir}/instance.json"], "a string cost",
                          id="replay-string-cost"),
+            pytest.param(["verify-theorem1", "--replay", "{dir}/instance.json"], "a 3x3 cost",
+                         id="replay-cost-of-another-class-count"),
             pytest.param(["pipeline", "--config", "{dir}"], None, id="config-is-a-directory"),
             pytest.param(["verify-theorem1", "--k-max", "1"], None, id="k-max-1"),
             pytest.param(["verify-theorem2", "--m-max", "1"], None, id="m-max-1"),
@@ -124,6 +126,7 @@ class TestExitCodes:
     )
     def test_bad_flag_values_exit_2(self, tmp_path, argv, instance):
         from bayesrisk.bounds import example1_construction
+        from bayesrisk.classify import CostMatrix
         from bayesrisk.cli import _instance_payload
 
         source, est, cost = example1_construction(0.1, 0.01)
@@ -143,12 +146,29 @@ class TestExitCodes:
             "a string mass": {**payload, "estimates": [{**payload["estimates"][0], "mass": ["0.49", "0.51"]},
                                                        payload["estimates"][1]]},
             "a string cost": {**payload, "cost": [["0", "1"], ["1", "0"]]},
+            "a 3x3 cost": {**payload, "cost": CostMatrix.zero_one(3).to_list()},
         }
         if instance is not None:
             text = json.dumps(edits[instance]) if instance in edits else instance
             (tmp_path / "instance.json").write_text(text)
         argv = [str(a).format(dir=tmp_path) for a in argv] + ["--out-dir", tmp_path / "run"]
         assert run(argv) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["verify-theorem1", "--trials", "5"], id="verify-theorem1"),
+            pytest.param(["smooth", "--trials", "5"], id="smooth"),
+            pytest.param(["lower-bounds"], id="lower-bounds"),
+            pytest.param(["tightness", "--iterations", "1"], id="tightness"),
+            pytest.param(["pipeline", "--config", DATA / "pipeline_config.json"], id="pipeline-config"),
+        ],
+    )
+    def test_out_dir_that_is_a_file_exits_2(self, tmp_path, capsys, argv):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert run([*argv, "--out-dir", taken]) == 2
+        assert capsys.readouterr().err == f"error: cannot create --out-dir {taken}: File exists\n"
 
 
 class TestDerivedColumns:

@@ -53,6 +53,15 @@ def test_halved_bound_fails_the_run(tmp_path, monkeypatch, formula, argv):
     assert main([*argv, "--out-dir", str(tmp_path)]) == 1
 
 
+@pytest.mark.parametrize("metric", ["L1", "KL"])
+def test_estimates_left_over_budget_fail_the_tightness_search(tmp_path, monkeypatch, metric):
+    """With the pull-back into the budget returning its rows unchanged, the search climbs past the
+    budget and its ratio exceeds 1."""
+    monkeypatch.setattr(bounds, "_into_budget", lambda _, true, est, limits: est)
+    argv = ["tightness", "--metric", metric, "--k", "2", "--domain-size", "2", "--epsilon", "0.2", "--iterations", "3"]
+    assert main([*argv, "--out-dir", str(tmp_path)]) == 1
+
+
 def test_flipped_mixture_kl_fails_the_sweep_and_its_replay(tmp_path, monkeypatch):
     """With the identity's mixture-KL term added instead of subtracted, the identity gap of every
     instance whose mixtures differ breaks the gate: the log-loss sweep exits 1, and so does the
