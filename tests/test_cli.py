@@ -468,6 +468,16 @@ class TestPipelineCommand:
             GOLDEN / "pipeline_pdfa_summary.json"
         ).read_bytes()
 
+    def test_sparse_pdfa_sources_match_golden(self, tmp_path):
+        """Two binary machines truncated at 14 give 32,768 atoms, and no class draws more than 500, one
+        per 64 atoms, whose hits fall on few of numpy's 128-atom leaves: every trial's estimates are
+        worked only at their hit atoms."""
+        code = run(["pipeline", "--source", self.binary_machines(tmp_path), "--truncate", "14",
+                    "--n-grid", "20,100,500", "--trials", "30", "--seed", "11", "--out-dir", tmp_path / "run"])
+        assert code == 0
+        for name in ("report.csv", "summary.json"):
+            assert (tmp_path / "run" / name).read_bytes() == (GOLDEN / f"pipeline_pdfa_sparse_{name}").read_bytes()
+
     @staticmethod
     def binary_machines(tmp_path):
         from bayesrisk.pdfa import Pdfa
