@@ -155,12 +155,13 @@ def _as_arrays(true_source: LabeledSource, est_dists: Sequence[Distribution], me
     return true_source.priors, masses, _divergences(*masses, metric)
 
 
-def _plugin_risk(priors, weighted, est, costs, ws=None, hits=None) -> float:
+def _plugin_risk(priors, weighted, est, costs, ws=None, hits=None, base=None) -> float:
     """Risk, on true classes of weighted masses ``weighted``, of the Bayes classifier under the
     cost array ``costs`` (the posterior rule under log loss if ``costs is None``) built from the
     true ``priors`` and the ``(k, m)`` estimated masses ``est``, which become their weighted
     masses. The rest is written into the workspace ``ws``, allocated afresh if not given. ``hits``, each
-    class's sorted atoms outside which its estimate is zero, limits the weighting and the label scan."""
+    class's sorted atoms outside which its estimate is zero, limits the weighting and the label scan, and
+    the cost risk's sum to their leaves, given ``base`` as :func:`_cost_risk` takes it."""
     _, scores, labels, row, mask = ws or _workspace(*est.shape)
     if hits is None:
         est *= priors[:, None]
@@ -172,7 +173,7 @@ def _plugin_risk(priors, weighted, est, costs, ws=None, hits=None) -> float:
         return _logloss_risk(scores, weighted)
     cols = slice(None) if hits is None else _sorted_set(np.concatenate(hits))
     labels = _bayes_labels(costs, est, scores, labels, mask, cols)
-    return _cost_risk(costs, labels, weighted, scores, cols)
+    return _cost_risk(costs, labels, weighted, scores, cols, base)
 
 
 def _theorem_report(

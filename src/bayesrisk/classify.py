@@ -30,7 +30,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .distributions import SUM_TOL, Distribution, Domain, _json_float, _trusted
+from .distributions import SUM_TOL, Distribution, Domain, _json_float, _leaf_sums, _on_leaves, _trusted, _tree_sum
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,16 +239,34 @@ def risk(f: Classifier, source: LabeledSource, cost: CostLike) -> float:
     return _cost_risk(costs, f.labels, source.weighted_mass)
 
 
-def _cost_risk(costs, labels, weighted, out=None, cols=slice(None)) -> float:
+def _cost_risk(costs, labels, weighted, out=None, cols=slice(None), base=None) -> float:
     """:func:`risk` of labels in ``[0, k)`` at the columns ``cols``, label 0 elsewhere, on the ``(k, m)``
-    weighted masses: whatever ``cols`` is, the array summed holds ``costs[i, label] * weighted[i, x]``."""
+    weighted masses: the sum of ``costs[i, label] * weighted[i, x]`` over the flattened array. Outside
+    ``cols`` it is ``costs[:, :1] * weighted``, whose leaf sums (:func:`_leaf_sums`) are ``base``, so only
+    the leaves of ``cols`` are summed afresh."""
     if isinstance(cols, slice):
         weighted_costs = costs.take(labels, axis=1, out=out, mode="clip")  # "clip" fills out directly
         weighted_costs *= weighted
-    else:
-        weighted_costs = np.multiply(costs[:, :1], weighted, out=out)
-        weighted_costs[:, cols] = costs.take(labels, axis=1) * weighted.take(cols, axis=1)
-    return float(weighted_costs.sum())
+        return float(weighted_costs.sum())
+    k, m = weighted.shape
+    hits = (np.arange(0, k * m, m)[:, None] + cols).ravel()
+    at_hits = (costs.take(labels, axis=1) * weighted.take(cols, axis=1)).ravel()
+    flat = weighted.reshape(-1)
+
+    def on_leaves(starts, length):
+        values = _on_leaves(flat, starts, length)
+        values *= costs[starts // m, 0][:, None]
+        for i in np.flatnonzero(starts // m != (starts + length - 1) // m):  # a leaf across a class's end
+            index = starts[i] + np.arange(length)
+            values[i] = costs[index // m, 0] * flat[index]
+        near = slice(*hits.searchsorted([starts[0], starts[-1] + length]))  # the hits from the first leaf to the last
+        leaf = starts.searchsorted(hits[near], "right") - 1
+        offset = hits[near] - starts[leaf]
+        on = offset < length  # the hits on these leaves
+        values[leaf[on], offset[on]] = at_hits[near][on]
+        return values
+
+    return _tree_sum(_leaf_sums(k * m, on_leaves, hits, base.copy()))
 
 
 def posterior(source: LabeledSource, atom: str) -> np.ndarray:

@@ -183,7 +183,8 @@ def cmd_lower_bounds(args) -> int:
         gammas = [float(g) for g in args.grid.split(",")] if args.grid is not None else [args.gamma]
     except ValueError as exc:
         raise UsageError(f"bad --grid value: {exc}") from exc
-    rows = []
+    config = {"eps_prime": args.eps_prime, "gamma": args.gamma, "grid": args.grid}
+    run = _Run("lower-bounds", args.out_dir, None, config)
     violations = 0
     cost = CostMatrix.zero_one(2)
     for gamma in gammas:
@@ -197,7 +198,7 @@ def cmd_lower_bounds(args) -> int:
         t2, gap, t2_ok = _verdict(priors, masses, kls, None)
         per_l1, per_kl = float(l1s[0]), float(kls[0])
         slack_gap = abs(t1.slack - 2.0 * gamma * cost.max_cost)
-        rows.append(
+        run.add_row(
             {
                 "eps_prime": args.eps_prime,
                 "gamma": gamma,
@@ -222,10 +223,6 @@ def cmd_lower_bounds(args) -> int:
         exact = all(abs(g) <= EXACT_TOL for g in exact_gaps) and _within(abs(t2.excess - per_kl), 0.0)
         if not (exact and t1_ok and t2_ok):
             violations += 1
-    config = {"eps_prime": args.eps_prime, "gamma": args.gamma, "grid": args.grid}
-    run = _Run("lower-bounds", args.out_dir, None, config)
-    for row in rows:
-        run.add_row(row)
     run.finish({"rows": len(gammas), "violations": violations})
     return EXIT_VIOLATION if violations else EXIT_OK
 
@@ -313,11 +310,11 @@ def cmd_pipeline(args) -> int:
         config, pdfa = _config_and_spec(data)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"bad pipeline config from {args.config or args.source}: {exc!r}") from exc
+    run = _Run("pipeline", args.out_dir, config.seed, config_to_dict(config, pdfa))
     try:
         summary = run_pac_experiment(config)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    run = _Run("pipeline", args.out_dir, config.seed, config_to_dict(config, pdfa))
     for row in summary.rows:
         run.add_row(row)
     run.finish(summary.to_dict())
@@ -335,7 +332,6 @@ def cmd_tightness(args) -> int:
         raise UsageError(str(exc)) from exc
     rng = np.random.default_rng(args.seed)
     cost = CostMatrix.zero_one(args.k) if args.metric == L1 else None
-    result = tightness_search(args.k, args.domain_size, cost, budget, args.iterations, rng)
     config = {
         "k": args.k,
         "m": args.domain_size,
@@ -345,6 +341,7 @@ def cmd_tightness(args) -> int:
         "seed": args.seed,
     }
     run = _Run("tightness", args.out_dir, args.seed, config)
+    result = tightness_search(args.k, args.domain_size, cost, budget, args.iterations, rng)
     searched = {"metric": args.metric, "epsilon": args.epsilon, "k": args.k, "m": args.domain_size}
     run.add_row({**searched, "excess": result.excess, "bound": result.bound, "ratio": result.ratio})
     run.write_instance(

@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache, partial
 from typing import Sequence
 
 import numpy as np
@@ -106,6 +106,59 @@ def _sorted_set(values: np.ndarray) -> np.ndarray:
     return ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
 
 
+# numpy sums a float row of more than _LEAF entries as the sum of its first n // 2 entries, rounded down to
+# a multiple of _LANES, plus the sum of the rest; a leaf, a row of at most _LEAF, it sums in _LANES
+# interleaved accumulators (Higham, Accuracy and Stability of Numerical Algorithms, section 4.2).
+_LEAF, _LANES = 128, 8
+
+
+@lru_cache(maxsize=16)  # an experiment sums rows of two lengths, m and k * m
+def _pairwise_tree(n: int, built=None):
+    """numpy's summation tree of a float row of length ``n``: its height, and its leaves' starts, lengths
+    and slots in a perfect binary tree of that height, summed pairwise level by level. A subtree less tall
+    than its level takes the left half below it; the free slots hold 0.0, which adds no bit to any sum of
+    numpy's, never -0.0 (its sums start from 0.0). Subtrees are built once each into ``built``, not kept."""
+    built = {} if built is None else built
+    if n <= _LEAF:
+        built[n] = 0, np.zeros(1, int), np.array([n]), np.zeros(1, int)
+    elif n not in built:
+        half = n // 2 // _LANES * _LANES
+        (left, *lows), (right, *highs) = (_pairwise_tree.__wrapped__(size, built) for size in (half, n - half))
+        height = max(left, right) + 1
+        offsets = np.array([[half], [0], [1 << height - 1]])
+        built[n] = height, *(np.concatenate(pair) for pair in zip(lows, highs + offsets))
+    return built[n]
+
+
+def _leaf_sums(n: int, entries, at=None, out=None) -> np.ndarray:
+    """numpy's sums of the leaves of a length-``n`` float row that hold the sorted atoms ``at`` (every leaf if
+    ``None``), written at their slots into ``out`` (zeros if ``None``), which is returned. ``entries`` is the
+    row, or gives it on 64 leaves of one length at a time as ``entries(starts, length)``, a leaf a row."""
+    height, starts, lengths, slots = _pairwise_tree(n)
+    leaves = np.zeros(len(starts), bool)
+    leaves[slice(None) if at is None else starts.searchsorted(at, "right") - 1] = True
+    leaves = leaves.nonzero()[0]
+    out = np.zeros(1 << height) if out is None else out
+    entries = entries if callable(entries) else partial(_on_leaves, entries)
+    for length in set(lengths[leaves].tolist()):
+        group = leaves[lengths[leaves] == length]
+        for part in (group[i : i + 64] for i in range(0, len(group), 64)):
+            out[slots[part]] = entries(starts[part], length).sum(axis=1)
+    return out
+
+
+def _tree_sum(sums: np.ndarray) -> float:
+    """numpy's sum of the row whose leaf sums, at their slots, are ``sums``."""
+    while len(sums) > 1:
+        sums = sums[::2] + sums[1::2]
+    return float(sums[0])
+
+
+def _on_leaves(row: np.ndarray, starts: np.ndarray, length: int) -> np.ndarray:
+    """The contiguous 1-D ``row`` on the runs of ``length`` atoms at ``starts``, a run a row."""
+    return np.ndarray((row.size - length + 1, length), row.dtype, row, 0, row.strides * 2)[starts]
+
+
 def _exact_unit_mass(mass: np.ndarray, at=slice(None)) -> np.ndarray:
     """Rescale ``mass`` in place so it sums to 1.0 up to at most one ulp: each row of a 2-D
     ``mass`` on its own, a 1-D one being one row.
@@ -114,11 +167,16 @@ def _exact_unit_mass(mass: np.ndarray, at=slice(None)) -> np.ndarray:
     by a few ulp; folding the residual into the largest entry leaves it at 1.0 or, for about 6.5% of
     random gamma-weighted rows at m = 2-64, one ulp off. A second call rescales such a row and moves
     its bits, so a reader of written masses keeps them (:meth:`Distribution.from_dict`), never re-runs this.
-    Given the sorted atoms ``at`` of every positive entry, it divides and searches only there;
-    the sums still run over whole rows.
+    Given the sorted atoms ``at`` of every positive entry of a 1-D ``mass``, it divides, searches and
+    sums only there: every other leaf of numpy's summation tree sums to zero.
     """
     rows = mass if mass.ndim == 2 else mass[None]
-    totals = rows.sum(axis=1)
+    if isinstance(at, slice):
+        row_sums = lambda _: rows.sum(axis=1)
+    else:  # off ``at`` every leaf of numpy's summation tree sums to zero; a leaf is summed again once changed
+        sums = np.zeros(1 << _pairwise_tree(mass.size)[0])
+        row_sums = lambda changed: np.array([_tree_sum(_leaf_sums(mass.size, mass, changed, sums))])
+    totals = row_sums(at)
     for total in (listed := totals.tolist()):  # cheaper than numpy calls for the few rows of most calls
         if abs(total - 1.0) > SUM_TOL:
             raise ValueError(f"mass sums to {total!r}, expected 1 within {SUM_TOL}")
@@ -128,12 +186,14 @@ def _exact_unit_mass(mass: np.ndarray, at=slice(None)) -> np.ndarray:
         rows /= totals[:, None]
     else:  # the zeros elsewhere would divide to zeros
         rows[:, at] /= totals[:, None]
+    changed = at
     for _ in range(4):
-        residual = rows.sum(axis=1) - 1.0
+        residual = row_sums(changed) - 1.0
         if not np.count_nonzero(residual):
             break
         top = rows[:, at].argmax(axis=1)
-        rows[np.arange(len(rows)), top if isinstance(at, slice) else at[top]] -= residual
+        changed = top if isinstance(at, slice) else at[top]
+        rows[np.arange(len(rows)), changed] -= residual
     return mass
 
 
@@ -242,15 +302,15 @@ def l1_distance(p: Distribution, q: Distribution) -> float:
     return _l1_distance(p.mass, q.mass)
 
 
-def _l1_distance(p: np.ndarray, q: np.ndarray, out=None, at=slice(None)):
+def _l1_distance(p: np.ndarray, q: np.ndarray, out=None, at=slice(None), base=None):
     """:func:`l1_distance` of the masses ``p`` and ``q``; of ``(n, m)`` masses, row by row. Outside
-    the atom set ``at`` ``q`` is zero and ``|p - q|`` is ``|p|``, so the row summed is the same."""
-    if isinstance(at, slice):
-        diff = np.subtract(p, q, out=out)
-        np.abs(diff, out=diff)
-    else:
-        diff = np.abs(p, out=out)
-        diff[at] = np.abs(p[at] - q[at])
+    the atom set ``at`` of a 1-D ``q`` it is zero and ``|p - q|`` is ``p``, whose leaf sums
+    (:func:`_leaf_sums`) are ``base``, so only ``at``'s leaves are summed afresh."""
+    if not isinstance(at, slice):
+        on_leaves = lambda starts, length: np.abs(_on_leaves(p, starts, length) - _on_leaves(q, starts, length))
+        return _tree_sum(_leaf_sums(p.size, on_leaves, at, base.copy()))
+    diff = np.subtract(p, q, out=out)
+    np.abs(diff, out=diff)
     l1 = diff.sum(axis=-1)
     return l1 if l1.ndim else float(l1)
 
@@ -266,10 +326,11 @@ def kl_divergence(p: Distribution, q: Distribution) -> float:
     return _kl_on_support(p.mass, q.mass, p.mass > 0.0)
 
 
-def _kl_on_support(p: np.ndarray, q: np.ndarray, support: np.ndarray, out=None, at=slice(None)):
+def _kl_on_support(p: np.ndarray, q: np.ndarray, support: np.ndarray, out=None, at=slice(None), size=None):
     """:func:`kl_divergence` of the masses ``p`` and ``q``, ``support`` being ``p > 0`` (``None`` if all):
     a full one is summed in the scratch row ``out``, a partial one gathered (``q`` first, for an inf KL).
-    An array ``at``, atoms outside which ``q`` is zero and not every atom, makes a full support's KL inf.
+    An array ``at``, atoms outside which ``q`` is zero, with fewer atoms than the support's ``size``, makes
+    the KL inf unread: some atom of the support has ``q = 0``.
 
     Of ``(n, m)`` masses, an ``(n,)`` array: rows of one support size are gathered into one
     ``(rows, size)`` block, so each row sums what its 1-D gather sums.
@@ -285,9 +346,9 @@ def _kl_on_support(p: np.ndarray, q: np.ndarray, support: np.ndarray, out=None, 
             sums = _kl_sum(ps, qs) if finite.all() else _kl_sum(ps[finite], qs[finite])
             kl[np.flatnonzero(rows)[finite]] = np.where(sums > 0.0, sums, 0.0)
         return kl
-    full = support is None or bool(support.all())
-    if full and not isinstance(at, slice):
+    if not isinstance(at, slice) and size > len(at):
         return math.inf
+    full = support is None or bool(support.all())
     qs = q if full else q[support]
     if qs.min() == 0.0:  # q >= 0, so this finds a zero without a bool temporary
         return math.inf

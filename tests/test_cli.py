@@ -164,7 +164,12 @@ class TestExitCodes:
             pytest.param(["pipeline", "--config", DATA / "pipeline_config.json"], id="pipeline-config"),
         ],
     )
-    def test_out_dir_that_is_a_file_exits_2(self, tmp_path, capsys, argv):
+    def test_out_dir_that_is_a_file_exits_2(self, tmp_path, capsys, monkeypatch, argv):
+        """The out-dir is made before any work: a run that would search or run an experiment first fails."""
+        import bayesrisk.cli as cli
+
+        for work in ("run_pac_experiment", "tightness_search"):
+            monkeypatch.setattr(cli, work, lambda *args, work=work: pytest.fail(f"{work} ran before --out-dir"))
         taken = tmp_path / "taken"
         taken.write_text("")
         assert run([*argv, "--out-dir", taken]) == 2

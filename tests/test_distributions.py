@@ -14,6 +14,9 @@ from bayesrisk.distributions import (
     QuantizedClassSpec,
     _draw_indices,
     _kl_on_support,
+    _leaf_sums,
+    _pairwise_tree,
+    _tree_sum,
     kl_divergence,
     l1_distance,
     make_distribution,
@@ -317,3 +320,62 @@ class TestQuantizedClassSpec:
         rng = np.random.default_rng(5)
         for _ in range(50):
             assert spec.contains(random_quantized(spec, rng))
+
+
+# Lengths around numpy's leaf of 128 and its 8 accumulators, powers of two and their neighbours, and the
+# wide domains of the PDFA workloads and memory tests.
+TREE_LENGTHS = [1, 7, 8, 9, 127, 128, 129, 4_095, 4_096, 40_000, 131_071, 131_072, 131_073, 262_144]
+HITS = ["none", "one", "leaf-edges", "every-leaf"]
+
+
+def _hit_atoms(kind: str, n: int, rng) -> np.ndarray:
+    """Sorted distinct atoms of a length-``n`` row: none, one, each leaf's first and last, or one in every leaf."""
+    _, starts, lengths, _ = _pairwise_tree(n)
+    if kind == "none":
+        return np.zeros(0, int)
+    if kind == "one":
+        return rng.integers(n, size=1)
+    if kind == "leaf-edges":
+        return np.unique(np.concatenate((starts, starts + lengths - 1)))
+    return starts + rng.integers(lengths)
+
+
+def _base_leaf_sums(row: np.ndarray) -> np.ndarray:
+    return _leaf_sums(row.size, row)
+
+
+def check_tree_sums(n: int, kind: str, rng) -> None:
+    """The kernel against ``ndarray.sum`` in float.hex at length ``n``: on a 1-D row, on the second row of a
+    ``(2, n)`` array summed along its rows, and on that array flattened. Each is a base row with the atoms
+    of ``kind`` changed, summed from the base's leaf sums, and the same row zero off those atoms, summed
+    from zero leaf sums; only the leaves holding those atoms are summed afresh."""
+    base = rng.random((2, n)) * 2.0 ** rng.integers(-20, 20, (2, n))
+    cases = [
+        (base[0], _hit_atoms(kind, n, rng), lambda row: row.sum()),
+        (base[1], _hit_atoms(kind, n, rng), lambda row: np.stack((base[0], row)).sum(axis=1)[1]),
+        (base.reshape(-1), _hit_atoms(kind, 2 * n, rng), lambda row: row.reshape(2, n).sum()),
+    ]
+    for before, at, numpy_sum in cases:
+        after, alone = before.copy(), np.zeros_like(before)
+        after[at] = alone[at] = rng.random(len(at))
+        from_base = _leaf_sums(after.size, after, at, _base_leaf_sums(before))
+        from_zero = _leaf_sums(alone.size, alone, at)
+        assert _tree_sum(from_base).hex() == float(numpy_sum(after)).hex()
+        assert _tree_sum(from_zero).hex() == float(numpy_sum(alone)).hex()
+
+
+class TestPairwiseTree:
+    """numpy's float sum rebuilt from leaf sums: the kernel of sparse PAC trials."""
+
+    @pytest.mark.parametrize("kind", HITS)
+    @pytest.mark.parametrize("n", TREE_LENGTHS)
+    def test_sums_equal_numpy_sums(self, n, kind):
+        check_tree_sums(n, kind, np.random.default_rng([n, HITS.index(kind)]))
+
+    @given(n=st.integers(1, 300_000), kind=st.sampled_from(HITS), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_sums_equal_numpy_sums_at_random_lengths(self, n, kind, seed):
+        try:
+            check_tree_sums(n, kind, np.random.default_rng(seed))
+        finally:
+            _pairwise_tree.cache_clear()  # a tree per random length would outlive the test

@@ -16,6 +16,8 @@ import numpy as np
 import pytest
 
 import bayesrisk.bounds as bounds
+import bayesrisk.distributions as distributions
+import bayesrisk.pipeline as pipeline
 from bayesrisk.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -105,3 +107,41 @@ def test_every_verdict_goes_through_the_one_gate(tmp_path, monkeypatch, argv):
     assert main([*argv, "--out-dir", str(tmp_path)]) == 1
     with (tmp_path / "report.csv").open(newline="") as fh:
         assert {row[c] for row in csv.DictReader(fh) for c in ("satisfied", "within") if c in row} <= {"False"}
+
+
+@pytest.fixture
+def tree_mutation(request, monkeypatch):
+    """The summation-tree kernel broken one way: numpy's split rounded to no multiple of 8 (trees rebuilt
+    under it, and dropped afterwards), or every base leaf sum of a sparse trial moved over by one leaf."""
+    import test_distributions
+
+    if request.param == "split-not-rounded-to-8":
+        monkeypatch.setattr(distributions, "_LANES", 1)
+        distributions._pairwise_tree.cache_clear()
+        request.addfinalizer(distributions._pairwise_tree.cache_clear)
+    else:
+        for module, name in ((test_distributions, "_base_leaf_sums"), (pipeline, "_leaf_sums")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args, real=real: np.roll(real(*args), 1))
+    return request.param
+
+
+@pytest.mark.parametrize("tree_mutation", ["split-not-rounded-to-8", "base-shifted-by-a-leaf"], indirect=True)
+def test_bit_identity_checks_fail_with_a_broken_tree(tmp_path, tree_mutation):
+    """The checks that pin sparse trials to numpy's sums fail when the tree is wrong: the kernel's property
+    test, the sparse-against-dense differential test on 40,000 atoms, and the sparse PDFA golden. The golden's
+    domain, 32,768 atoms, and its flattened (2, 32,768) cost array have power-of-two lengths, whose every
+    split is already a multiple of 8, so it can only see the shifted leaves."""
+    import test_cli
+    import test_distributions
+    import test_pipeline
+
+    with pytest.raises(AssertionError):
+        test_distributions.check_tree_sums(4_095, "every-leaf", np.random.default_rng(0))
+    example = dict(seed=1, k=2, m=40_000, grid=[150], rare=False, peaked=True, partial=False, ties=False,
+                   log_loss=False, laplace=0.0)
+    with pytest.raises(AssertionError):
+        test_pipeline.test_sparse_trials_equal_the_dense_kernels.hypothesis.inner_test(**example)
+    if tree_mutation == "base-shifted-by-a-leaf":
+        with pytest.raises(AssertionError):
+            test_cli.TestPipelineCommand().test_sparse_pdfa_sources_match_golden(tmp_path)
