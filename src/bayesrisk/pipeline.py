@@ -165,8 +165,8 @@ def _estimate(mass: np.ndarray, idx: np.ndarray, laplace: float, zero=slice(None
 
 # Most draws (trials times sample size) in a block of trials; a larger trial is a block of its own.
 _BLOCK_DRAWS = 1 << 15
-# Fewest atoms at which an estimate goes sparse: a trial at k = 2-3, n = 10 took 1.2-2x the dense one at
-# 4,096-16,384 atoms, 0.7x at 32,768 and 0.3x at 131,072 (timed on pipeline._block, BENCH_pr20.json).
+# Fewest atoms at which an estimate goes sparse: a trial at k = 2-3, n = 10 took 1.1-1.9x the dense one at
+# 4,096-16,384 atoms, 0.8x at 32,768 and 0.3x at 131,072 (timed on pipeline._block).
 _SPARSE_ATOMS = 32768
 
 
