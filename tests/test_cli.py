@@ -483,6 +483,15 @@ class TestPipelineCommand:
         for name in ("report.csv", "summary.json"):
             assert (tmp_path / "run" / name).read_bytes() == (GOLDEN / f"pipeline_pdfa_sparse_{name}").read_bytes()
 
+    def test_wide_pdfa_sources_match_golden(self, tmp_path):
+        """The same machines truncated at 16 give 131,072 atoms, on few enough of whose 128-atom leaves the
+        hits fall for every sum of every trial to be rebuilt from numpy's leaf sums."""
+        code = run(["pipeline", "--source", self.binary_machines(tmp_path), "--truncate", "16",
+                    "--n-grid", "20,100,500", "--trials", "30", "--seed", "11", "--out-dir", tmp_path / "run"])
+        assert code == 0
+        for name in ("report.csv", "summary.json"):
+            assert (tmp_path / "run" / name).read_bytes() == (GOLDEN / f"pipeline_pdfa_wide_{name}").read_bytes()
+
     @staticmethod
     def binary_machines(tmp_path):
         from bayesrisk.pdfa import Pdfa
