@@ -30,7 +30,8 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .distributions import SUM_TOL, Distribution, Domain, _json_float, _leaf_sums, _on_leaves, _trusted, _tree_sum
+from .distributions import SUM_TOL, Distribution, Domain, _json_float, _trusted
+from .distributions import _few_leaves, _leaf_sums, _on_leaves, _tree_sum
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,16 +243,21 @@ def risk(f: Classifier, source: LabeledSource, cost: CostLike) -> float:
 def _cost_risk(costs, labels, weighted, out=None, cols=slice(None), base=None) -> float:
     """:func:`risk` of labels in ``[0, k)`` at the columns ``cols``, label 0 elsewhere, on the ``(k, m)``
     weighted masses: the sum of ``costs[i, label] * weighted[i, x]`` over the flattened array. Outside
-    ``cols`` it is ``costs[:, :1] * weighted``, whose leaf sums (:func:`_leaf_sums`) are ``base``, so only
-    the leaves of ``cols`` are summed afresh."""
+    ``cols`` it is ``costs[:, :1] * weighted``, whose leaf sums (:func:`_leaf_sums`) are ``base``: only the
+    leaves of ``cols`` are summed afresh if :func:`_few_leaves` finds them few, else the array summed is the same."""
     if isinstance(cols, slice):
         weighted_costs = costs.take(labels, axis=1, out=out, mode="clip")  # "clip" fills out directly
         weighted_costs *= weighted
         return float(weighted_costs.sum())
     k, m = weighted.shape
+    at_cols = costs.take(labels, axis=1) * weighted.take(cols, axis=1)
     hits = (np.arange(0, k * m, m)[:, None] + cols).ravel()
-    at_hits = (costs.take(labels, axis=1) * weighted.take(cols, axis=1)).ravel()
-    flat = weighted.reshape(-1)
+    leaves = _few_leaves(k * m, hits)
+    if leaves is None:
+        weighted_costs = np.multiply(costs[:, :1], weighted, out=out)
+        weighted_costs[:, cols] = at_cols
+        return float(weighted_costs.sum())
+    at_hits, flat = at_cols.ravel(), weighted.reshape(-1)
 
     def on_leaves(starts, length):
         values = _on_leaves(flat, starts, length)
@@ -266,7 +272,7 @@ def _cost_risk(costs, labels, weighted, out=None, cols=slice(None), base=None) -
         values[leaf[on], offset[on]] = at_hits[near][on]
         return values
 
-    return _tree_sum(_leaf_sums(k * m, on_leaves, hits, base.copy()))
+    return _tree_sum(_leaf_sums(k * m, on_leaves, leaves, base.copy()))
 
 
 def posterior(source: LabeledSource, atom: str) -> np.ndarray:

@@ -130,14 +130,32 @@ def _pairwise_tree(n: int, built=None):
     return built[n]
 
 
-def _leaf_sums(n: int, entries, at=None, out=None) -> np.ndarray:
-    """numpy's sums of the leaves of a length-``n`` float row that hold the sorted atoms ``at`` (every leaf if
-    ``None``), written at their slots into ``out`` (zeros if ``None``), which is returned. ``entries`` is the
-    row, or gives it on 64 leaves of one length at a time as ``entries(starts, length)``, a leaf a row."""
+# A sum rebuilt from leaf sums costs about what a full pass over _TREE_ATOMS atoms costs, plus _LEAF_PASSES
+# atoms of a full pass for each atom of the leaves it sums afresh (from the unit-mass, L1 and cost-risk sums
+# of 32,768-262,144 entries, timed tree against full pass; table in BENCH_pr20.json).
+_TREE_ATOMS, _LEAF_PASSES = 1 << 16, 6
+
+
+def _few_leaves(n: int, atoms: np.ndarray):
+    """The leaves of numpy's summation tree of a length-``n`` row that hold the sorted ``atoms``, each once, if
+    summing them afresh costs less than a full pass over the row; else ``None``, found first from the
+    ``_LEAF``-atom blocks the atoms meet, as a leaf meets at most two."""
+    most = (n - _TREE_ATOMS) // (_LEAF_PASSES * _LEAF)
+    if most < 1 or np.count_nonzero((blocks := atoms // _LEAF)[1:] != blocks[:-1]) >= 2 * most:
+        return None
+    starts = _pairwise_tree(n)[1]
+    held = np.zeros(len(starts), bool)
+    held[starts.searchsorted(atoms, "right") - 1] = True
+    leaves = held.nonzero()[0]
+    return leaves if len(leaves) <= most else None
+
+
+def _leaf_sums(n: int, entries, leaves=None, out=None) -> np.ndarray:
+    """numpy's sums of the ``leaves`` (every leaf if ``None``) of a length-``n`` float row, written at their
+    slots into ``out`` (zeros if ``None``), which is returned. ``entries`` is the row, or gives it on 64
+    leaves of one length at a time as ``entries(starts, length)``, a leaf a row."""
     height, starts, lengths, slots = _pairwise_tree(n)
-    leaves = np.zeros(len(starts), bool)
-    leaves[slice(None) if at is None else starts.searchsorted(at, "right") - 1] = True
-    leaves = leaves.nonzero()[0]
+    leaves = np.arange(len(starts)) if leaves is None else leaves
     out = np.zeros(1 << height) if out is None else out
     entries = entries if callable(entries) else partial(_on_leaves, entries)
     for length in set(lengths[leaves].tolist()):
@@ -167,16 +185,18 @@ def _exact_unit_mass(mass: np.ndarray, at=slice(None)) -> np.ndarray:
     by a few ulp; folding the residual into the largest entry leaves it at 1.0 or, for about 6.5% of
     random gamma-weighted rows at m = 2-64, one ulp off. A second call rescales such a row and moves
     its bits, so a reader of written masses keeps them (:meth:`Distribution.from_dict`), never re-runs this.
-    Given the sorted atoms ``at`` of every positive entry of a 1-D ``mass``, it divides, searches and
-    sums only there: every other leaf of numpy's summation tree sums to zero.
+    Given the sorted atoms ``at`` of every positive entry of a 1-D ``mass``, it divides and searches only
+    there, and sums only their leaves of numpy's summation tree when :func:`_few_leaves` finds them few:
+    every other leaf sums to zero.
     """
     rows = mass if mass.ndim == 2 else mass[None]
-    if isinstance(at, slice):
+    leaves = None if isinstance(at, slice) else _few_leaves(mass.size, at)
+    if leaves is None:
         row_sums = lambda _: rows.sum(axis=1)
-    else:  # off ``at`` every leaf of numpy's summation tree sums to zero; a leaf is summed again once changed
+    else:  # a leaf is summed again once changed
         sums = np.zeros(1 << _pairwise_tree(mass.size)[0])
         row_sums = lambda changed: np.array([_tree_sum(_leaf_sums(mass.size, mass, changed, sums))])
-    totals = row_sums(at)
+    totals = row_sums(leaves)
     for total in (listed := totals.tolist()):  # cheaper than numpy calls for the few rows of most calls
         if abs(total - 1.0) > SUM_TOL:
             raise ValueError(f"mass sums to {total!r}, expected 1 within {SUM_TOL}")
@@ -186,14 +206,15 @@ def _exact_unit_mass(mass: np.ndarray, at=slice(None)) -> np.ndarray:
         rows /= totals[:, None]
     else:  # the zeros elsewhere would divide to zeros
         rows[:, at] /= totals[:, None]
-    changed = at
+    changed = leaves
     for _ in range(4):
         residual = row_sums(changed) - 1.0
         if not np.count_nonzero(residual):
             break
         top = rows[:, at].argmax(axis=1)
-        changed = top if isinstance(at, slice) else at[top]
-        rows[np.arange(len(rows)), changed] -= residual
+        top = top if isinstance(at, slice) else at[top]
+        rows[np.arange(len(rows)), top] -= residual
+        changed = None if leaves is None else _few_leaves(mass.size, top)  # one leaf, never too many
     return mass
 
 
@@ -305,12 +326,18 @@ def l1_distance(p: Distribution, q: Distribution) -> float:
 def _l1_distance(p: np.ndarray, q: np.ndarray, out=None, at=slice(None), base=None):
     """:func:`l1_distance` of the masses ``p`` and ``q``; of ``(n, m)`` masses, row by row. Outside
     the atom set ``at`` of a 1-D ``q`` it is zero and ``|p - q|`` is ``p``, whose leaf sums
-    (:func:`_leaf_sums`) are ``base``, so only ``at``'s leaves are summed afresh."""
-    if not isinstance(at, slice):
+    (:func:`_leaf_sums`) are ``base``: only ``at``'s leaves are summed afresh if :func:`_few_leaves` finds them
+    few, else the row summed is the same."""
+    leaves = None if isinstance(at, slice) else _few_leaves(p.size, at)
+    if leaves is not None:
         on_leaves = lambda starts, length: np.abs(_on_leaves(p, starts, length) - _on_leaves(q, starts, length))
-        return _tree_sum(_leaf_sums(p.size, on_leaves, at, base.copy()))
-    diff = np.subtract(p, q, out=out)
-    np.abs(diff, out=diff)
+        return _tree_sum(_leaf_sums(p.size, on_leaves, leaves, base.copy()))
+    if isinstance(at, slice):
+        diff = np.subtract(p, q, out=out)
+        np.abs(diff, out=diff)
+    else:
+        diff = np.abs(p, out=out)
+        diff[at] = np.abs(p[at] - q[at])
     l1 = diff.sum(axis=-1)
     return l1 if l1.ndim else float(l1)
 

@@ -26,9 +26,10 @@ A trial runs on raw arrays in one workspace per experiment, scored in
 either mode by ``bounds._plugin_risk``: a cost-mode trial whose classes
 have full support allocates no m-sized array. An estimate without
 add-lambda smoothing is zero off the atoms its draws hit (its sorted distinct
-draws). On a wide domain whose hits fall on few of numpy's 128-atom leaves the
-kernels work only there, and each sum is rebuilt from leaf sums of numpy's
-summation tree (``distributions._leaf_sums``), so each output keeps its bits.
+draws); with at most one draw per 16 of 4,096 or more atoms the kernels work
+only there. Each sum runs over the full array, or, on a wide domain whose hits
+fall on few of numpy's 128-atom leaves, is rebuilt from the leaf sums of numpy's
+summation tree (``distributions._few_leaves``), so each output keeps its bits.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import numpy as np
 from .bounds import BoundReport, _plugin_risk, _theorem_report
 from .classify import CostMatrix, LabeledSource, _workspace, as_cost_array
 from .distributions import Distribution, Domain, _draw_indices, _exact_unit_mass, _json_float, _json_int
-from .distributions import _LEAF, _kl_on_support, _l1_distance, _leaf_sums, _sorted_set
+from .distributions import _kl_on_support, _l1_distance, _leaf_sums, _sorted_set
 from .pdfa import Pdfa, truncate_all
 
 
@@ -142,32 +143,32 @@ def empirical_estimator(
 
 def _estimate(mass: np.ndarray, idx: np.ndarray, laplace: float, zero=slice(None)):
     """Write the add-lambda estimate of the atom indices ``idx`` into ``mass``, zero outside the atom
-    set ``zero``, unnormalized. Return its atom set: without smoothing, with at most one draw per 16 of
-    ``_SPARSE_ATOMS`` or more atoms and with hits in at most an eighth of the 128-atom blocks (numpy's
-    leaves, for a power-of-two size), the sorted distinct draws, which are the atoms of its non-zero
-    entries; else every atom, ``slice(None)``. Only then do the leaves summed afresh cost less than the
-    full passes they save."""
+    set ``zero``, unnormalized. Return its atom set: without smoothing and with at most one draw per
+    16 of ``_SPARSE_ATOMS`` or more atoms, the sorted distinct draws, which are the atoms of its non-zero
+    entries; else every atom, ``slice(None)``. Only then do the hits' indexing pay for the passes saved;
+    a sum over the estimate's row is rebuilt from the leaves of its hits only where they are few enough
+    (``distributions._few_leaves``)."""
     mass[zero] = 0.0
     np.add.at(mass, idx, 1.0)
     denom = idx.size + laplace * mass.size
     if denom == 0.0:
         mass.fill(1.0 / mass.size)
         return slice(None)
-    at = None if laplace or mass.size < _SPARSE_ATOMS or 16 * idx.size > mass.size else _sorted_set(idx)
-    if at is None or 8 * (np.count_nonzero(np.diff(at // _LEAF)) + 1) > mass.size // _LEAF:
+    if laplace or mass.size < _SPARSE_ATOMS or 16 * idx.size > mass.size:
         if laplace:  # counts are >= +0.0, so adding 0.0 would change no bit
             mass += laplace
         mass /= denom
         return slice(None)
+    at = _sorted_set(idx)
     mass[at] /= denom
     return at
 
 
 # Most draws (trials times sample size) in a block of trials; a larger trial is a block of its own.
 _BLOCK_DRAWS = 1 << 15
-# Fewest atoms at which an estimate goes sparse: a trial at k = 2-3, n = 10 took 1.1-1.9x the dense one at
-# 4,096-16,384 atoms, 0.8x at 32,768 and 0.3x at 131,072 (timed on pipeline._block).
-_SPARSE_ATOMS = 32768
+# Fewest atoms at which an estimate goes sparse: a trial at k = 2-3, n = 10-100 took 1.1-1.3x the dense
+# one at 1,024 atoms, about as long at 4,096 and 0.7-0.9x at 8,192 (timed on pipeline._block).
+_SPARSE_ATOMS = 4096
 
 
 def run_trial(
@@ -185,16 +186,18 @@ def run_trial(
 def _fixed(config: TrialConfig):
     """An experiment's workspace, cost array (``None`` under log loss), optimal risk (:func:`_plugin_risk` of
     the true classes), per class its mass, support (``None`` if full), support size and leaf sums, and the
-    leaf sums of the label-0 weighted costs: what a sparse trial's sums start from."""
+    leaf sums of the label-0 weighted costs: what a sparse trial's sums start from, taken only if an
+    estimate can go sparse (``None`` else)."""
     source, m = config.source, config.source.domain.size
     ws = _workspace(source.k, m)
+    sparse = not config.resolved_laplace and m >= _SPARSE_ATOMS
     classes = tuple((d.mass, None if d.mass.min() > 0.0 else d.mass > 0.0, np.count_nonzero(d.mass),
-                     _leaf_sums(m, d.mass)) for d in source.class_dists)
+                     _leaf_sums(m, d.mass) if sparse else None) for d in source.class_dists)
     true = np.stack([d.mass for d in source.class_dists], out=ws[0])
     costs = None if config.cost is None else as_cost_array(config.cost, source.k)
     risk_opt = _plugin_risk(source.priors, source.weighted_mass, true, costs, ws)
-    label_0 = None if costs is None else np.multiply(costs[:, :1], source.weighted_mass, out=ws[1]).reshape(-1)
-    return ws, costs, risk_opt, classes, None if label_0 is None else _leaf_sums(label_0.size, label_0)
+    label_0 = None if costs is None or not sparse else np.multiply(costs[:, :1], source.weighted_mass, out=ws[1])
+    return ws, costs, risk_opt, classes, None if label_0 is None else _leaf_sums(label_0.size, label_0.reshape(-1))
 
 
 def _block(config: TrialConfig, rngs: Sequence[np.random.Generator], n: int, ws, costs, risk_opt, classes, costs_base):

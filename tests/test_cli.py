@@ -475,8 +475,8 @@ class TestPipelineCommand:
 
     def test_sparse_pdfa_sources_match_golden(self, tmp_path):
         """Two binary machines truncated at 14 give 32,768 atoms, and no class draws more than 500, one
-        per 64 atoms, whose hits fall on few of numpy's 128-atom leaves: every trial's estimates are
-        worked only at their hit atoms."""
+        per 64 atoms: every trial's estimates are worked only at their hit atoms, and its sums, of rows
+        too short to be rebuilt from leaf sums, take the full pass."""
         code = run(["pipeline", "--source", self.binary_machines(tmp_path), "--truncate", "14",
                     "--n-grid", "20,100,500", "--trials", "30", "--seed", "11", "--out-dir", tmp_path / "run"])
         assert code == 0

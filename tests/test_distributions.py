@@ -8,11 +8,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import bayesrisk.distributions as distributions
 from bayesrisk.distributions import (
     Distribution,
     Domain,
     QuantizedClassSpec,
     _draw_indices,
+    _few_leaves,
     _kl_on_support,
     _leaf_sums,
     _pairwise_tree,
@@ -344,6 +346,11 @@ def _base_leaf_sums(row: np.ndarray) -> np.ndarray:
     return _leaf_sums(row.size, row)
 
 
+def _leaves(n: int, atoms: np.ndarray) -> np.ndarray:
+    """The leaves that hold ``atoms``, each once: the last leaf starting at or before each."""
+    return np.unique(_pairwise_tree(n)[1].searchsorted(atoms, "right") - 1)
+
+
 def check_tree_sums(n: int, kind: str, rng) -> None:
     """The kernel against ``ndarray.sum`` in float.hex at length ``n``: on a 1-D row, on the second row of a
     ``(2, n)`` array summed along its rows, and on that array flattened. Each is a base row with the atoms
@@ -358,8 +365,8 @@ def check_tree_sums(n: int, kind: str, rng) -> None:
     for before, at, numpy_sum in cases:
         after, alone = before.copy(), np.zeros_like(before)
         after[at] = alone[at] = rng.random(len(at))
-        from_base = _leaf_sums(after.size, after, at, _base_leaf_sums(before))
-        from_zero = _leaf_sums(alone.size, alone, at)
+        from_base = _leaf_sums(after.size, after, _leaves(after.size, at), _base_leaf_sums(before))
+        from_zero = _leaf_sums(alone.size, alone, _leaves(alone.size, at))
         assert _tree_sum(from_base).hex() == float(numpy_sum(after)).hex()
         assert _tree_sum(from_zero).hex() == float(numpy_sum(alone)).hex()
 
@@ -379,3 +386,14 @@ class TestPairwiseTree:
             check_tree_sums(n, kind, np.random.default_rng(seed))
         finally:
             _pairwise_tree.cache_clear()  # a tree per random length would outlive the test
+
+    def test_few_leaves_are_those_cheaper_than_a_full_pass(self):
+        """Below ``_TREE_ATOMS`` atoms, or with more leaves to sum afresh than their cost allows, a sum takes
+        the full pass; else it gets the leaves of its atoms, each once."""
+        n = 131_072
+        starts = _pairwise_tree(n)[1]
+        most = (n - distributions._TREE_ATOMS) // (distributions._LEAF_PASSES * distributions._LEAF)
+        assert _few_leaves(distributions._TREE_ATOMS - 1, np.array([0])) is None
+        assert _few_leaves(n, np.array([0, 1, 200])).tolist() == [0, 1]
+        assert _few_leaves(n, starts[:most] + 5).tolist() == list(range(most))
+        assert _few_leaves(n, starts[: most + 1]) is None

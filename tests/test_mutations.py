@@ -129,8 +129,8 @@ def tree_mutation(request, monkeypatch):
 @pytest.mark.parametrize("tree_mutation", ["split-not-rounded-to-8", "base-shifted-by-a-leaf"], indirect=True)
 def test_bit_identity_checks_fail_with_a_broken_tree(tmp_path, tree_mutation):
     """The checks that pin sparse trials to numpy's sums fail when the tree is wrong: the kernel's property
-    test, the sparse-against-dense differential test on 40,000 atoms, and the sparse PDFA golden. The golden's
-    domain, 32,768 atoms, and its flattened (2, 32,768) cost array have power-of-two lengths, whose every
+    test, the sparse-against-dense differential test on 131,073 atoms, and the PDFA golden on 131,072 atoms.
+    The golden's domain and its flattened (2, 131,072) cost array have power-of-two lengths, whose every
     split is already a multiple of 8, so it can only see the shifted leaves."""
     import test_cli
     import test_distributions
@@ -138,10 +138,10 @@ def test_bit_identity_checks_fail_with_a_broken_tree(tmp_path, tree_mutation):
 
     with pytest.raises(AssertionError):
         test_distributions.check_tree_sums(4_095, "every-leaf", np.random.default_rng(0))
-    example = dict(seed=1, k=2, m=40_000, grid=[150], rare=False, peaked=True, partial=False, ties=False,
+    example = dict(seed=1, k=2, m=131_073, grid=[150], rare=False, peaked=True, partial=False, ties=False,
                    log_loss=False, laplace=0.0)
     with pytest.raises(AssertionError):
         test_pipeline.test_sparse_trials_equal_the_dense_kernels.hypothesis.inner_test(**example)
     if tree_mutation == "base-shifted-by-a-leaf":
         with pytest.raises(AssertionError):
-            test_cli.TestPipelineCommand().test_sparse_pdfa_sources_match_golden(tmp_path)
+            test_cli.TestPipelineCommand().test_wide_pdfa_sources_match_golden(tmp_path)
