@@ -328,13 +328,12 @@ def _l1_distance(p: np.ndarray, q: np.ndarray, out=None, at=slice(None), base=No
     the atom set ``at`` of a 1-D ``q`` it is zero and ``|p - q|`` is ``p``, whose leaf sums
     (:func:`_leaf_sums`) are ``base``: only ``at``'s leaves are summed afresh if :func:`_few_leaves` finds them
     few, else the row summed is the same."""
-    leaves = None if isinstance(at, slice) else _few_leaves(p.size, at)
-    if leaves is not None:
-        on_leaves = lambda starts, length: np.abs(_on_leaves(p, starts, length) - _on_leaves(q, starts, length))
-        return _tree_sum(_leaf_sums(p.size, on_leaves, leaves, base.copy()))
     if isinstance(at, slice):
         diff = np.subtract(p, q, out=out)
         np.abs(diff, out=diff)
+    elif (leaves := _few_leaves(p.size, at)) is not None:
+        on_leaves = lambda starts, length: np.abs(_on_leaves(p, starts, length) - _on_leaves(q, starts, length))
+        return _tree_sum(_leaf_sums(p.size, on_leaves, leaves, base.copy()))
     else:
         diff = np.abs(p, out=out)
         diff[at] = np.abs(p[at] - q[at])
