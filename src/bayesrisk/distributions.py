@@ -131,8 +131,8 @@ def _pairwise_tree(n: int, built=None):
 
 
 # A sum rebuilt from leaf sums costs about what a full pass over _TREE_ATOMS atoms costs, plus _LEAF_PASSES
-# atoms of a full pass for each atom of the leaves it sums afresh (from the unit-mass, L1 and cost-risk sums
-# of 32,768-262,144 entries, timed tree against full pass; table in BENCH_pr20.json).
+# atoms of a full pass for each atom of the leaves it sums afresh (the unit-mass, L1 and cost-risk sums of
+# 32,768-262,144 entries, each timed rebuilt against full pass on a 2-CPU VM).
 _TREE_ATOMS, _LEAF_PASSES = 1 << 16, 6
 
 

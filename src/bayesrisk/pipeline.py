@@ -167,8 +167,7 @@ def _estimate(mass: np.ndarray, idx: np.ndarray, laplace: float, zero=slice(None
 # Most draws (trials times sample size) in a block of trials; a larger trial is a block of its own.
 _BLOCK_DRAWS = 1 << 15
 # Fewest atoms at which an estimate goes sparse: a trial at k = 2-3, n = 10-100 took 1.2-1.5x the dense
-# one at 1,024-2,048 atoms, about as long at 4,096 and 0.8-0.9x at 8,192 (timed on pipeline._block; table
-# in BENCH_pr20.json).
+# one at 1,024-2,048 atoms, about as long at 4,096 and 0.8-0.9x at 8,192 (timed on pipeline._block, 2-CPU VM).
 _SPARSE_ATOMS = 4096
 
 
