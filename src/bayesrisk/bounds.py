@@ -41,7 +41,7 @@ import numpy as np
 from .classify import CostLike, CostMatrix, LabeledSource, as_cost_array
 from .classify import _bayes_labels, _cost_risk, _logloss_risk, _posterior, _workspace
 from .distributions import Distribution, Domain
-from .distributions import _exact_unit_mass, _kl_on_support, _l1_distance, _sorted_set, _trusted
+from .distributions import _exact_unit_mass, _kl_on_support, _l1_distance, _sorted_set, _trusted, _unit_rows
 
 # Tolerance of every "value <= bound" verdict, read only by _within.
 BOUND_TOL = 1e-9
@@ -344,14 +344,6 @@ def _into_budget(metric: str, true: np.ndarray, est: np.ndarray, limits: np.ndar
     return est
 
 
-def _unit_rows(weights: np.ndarray) -> np.ndarray:
-    """:func:`make_distribution` on each row of the ``(n, m)`` weights, checked in one fused pass."""
-    totals = weights.sum(axis=1)
-    if not (weights.min() >= 0.0 and all(0.0 < total < math.inf for total in totals.tolist())):
-        raise ValueError("invalid mass: weights must be finite, non-negative and not all zero")
-    return _exact_unit_mass(weights / totals[:, None])
-
-
 def _draw_noise(rng: np.random.Generator, budget: float, row: np.ndarray) -> None:
     """:func:`random_l1_perturbation`'s draw, into ``row``: none for a zero budget or one atom."""
     if budget != 0.0 and len(row) != 1:
@@ -464,8 +456,8 @@ def random_cost(rng: np.random.Generator, k: int) -> CostMatrix:
     else:
         c = rng.uniform(0.1, 5.0, (k, k))
         np.fill_diagonal(c, 0.0)
-    c.flags.writeable = False  # finite, non-negative and with a positive entry by construction
-    return _trusted(CostMatrix, costs=c)
+    c.flags.writeable = False
+    return _trusted(CostMatrix, costs=c)  # unchecked: valid by construction, and a sweep makes one per instance
 
 
 def _random_instances(rng: np.random.Generator, n: int, k_max: int, m_max: int, metric: str):

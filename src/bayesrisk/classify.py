@@ -30,7 +30,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .distributions import SUM_TOL, Distribution, Domain, _json_float, _trusted
+from .distributions import SUM_TOL, Distribution, Domain, _json_float
 from .distributions import _few_leaves, _leaf_sums, _on_leaves, _tree_sum
 
 
@@ -79,7 +79,7 @@ class LabeledSource:
 
     def mixture_distribution(self) -> Distribution:
         """The marginal over atoms, ``D(x) = sum_i g_i * D_i(x)``."""
-        return Distribution._own(self.domain, self.weighted_mass.sum(axis=0))
+        return Distribution(self.domain, self.weighted_mass.sum(axis=0))
 
     def to_dict(self) -> dict:
         return {
@@ -200,13 +200,11 @@ def bayes_classifier(source: LabeledSource, cost: CostLike) -> Classifier:
     """Pointwise cost-minimizing label table for the given source.
 
     ``labels[x] = argmin_j sum_i c[i, j] * g_i * D_i(x)``, ties to the smallest label, which
-    also covers atoms with zero mixture mass (all scores zero there). :func:`_bayes_labels` puts
-    them in ``[0, k)``, so the table is handed over without the copy and scan of ``Classifier``.
+    also covers atoms with zero mixture mass (all scores zero there).
     """
     _, scores, labels, _, less = _workspace(source.k, source.domain.size)
-    _bayes_labels(as_cost_array(cost, source.k), source.weighted_mass, scores, labels, less)
-    labels.flags.writeable = False
-    return _trusted(Classifier, domain=source.domain, labels=labels)
+    labels = _bayes_labels(as_cost_array(cost, source.k), source.weighted_mass, scores, labels, less)
+    return Classifier(source.domain, labels)
 
 
 def _workspace(k: int, m: int) -> tuple[np.ndarray, ...]:

@@ -13,11 +13,10 @@ This is the numerical substrate for the rest of the package. Conventions:
 - Construction renormalizes exactly, so downstream code may assume unit
   mass without re-checking.
 
-The public constructors validate their input. Package code that has just
-built a fresh, finite, non-negative mass array of the right shape hands it
-to the private ``Distribution._own``, which skips the copy and those scans
-but keeps the unit-sum check and the exact renormalization; a mass already
-so renormalized goes to ``Distribution._frozen``, which only freezes it.
+The public constructors validate their input. Weights become unit masses in
+one place, :func:`_unit_rows`, row by row; a mass that
+:func:`_exact_unit_mass` has already produced goes to the private
+``Distribution._frozen``, which only freezes it.
 
 All types are immutable after construction. Every operation is a pure
 function except :func:`sample`, which consumes the caller's random
@@ -78,9 +77,7 @@ class Domain:
     @classmethod
     def indexed(cls, size: int, prefix: str = "x") -> "Domain":
         """Canonical domain ``{x0, x1, ..., x<size-1>}``."""
-        if _json_int(size, "size") < 1:
-            raise ValueError("domain must contain at least one atom")
-        return _trusted(cls, atoms=tuple(f"{prefix}{i}" for i in range(size)))
+        return cls(tuple(f"{prefix}{i}" for i in range(_json_int(size, "size"))))
 
     @cached_property
     def _positions(self) -> dict[str, int]:
@@ -249,13 +246,9 @@ class Distribution:
         object.__setattr__(self, "mass", mass)
 
     @classmethod
-    def _own(cls, domain: Domain, mass: np.ndarray) -> "Distribution":
-        """Take ``mass``, a fresh finite non-negative ``(domain.size,)`` array, unscanned."""
-        return cls._frozen(domain, _exact_unit_mass(mass))
-
-    @classmethod
     def _frozen(cls, domain: Domain, mass: np.ndarray) -> "Distribution":
         """Take ``mass``, already at unit mass as :func:`_exact_unit_mass` leaves it, read-only."""
+        # Unchecked: the constructor would rescale a row left one ulp off and move its bits.
         mass.flags.writeable = False
         return _trusted(cls, domain=domain, mass=mass)
 
@@ -291,21 +284,22 @@ def make_distribution(domain: Domain, weights: Sequence[float]) -> Distribution:
         length mismatch, or weights whose sum overflows; ``"degenerate"``
         when every weight is zero.
     """
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (domain.size,):
-        raise ValueError(
-            f"invalid mass: {w.shape[0] if w.ndim == 1 else w.shape} weights for "
-            f"{domain.size} atoms"
-        )
+    if (w := np.asarray(weights, dtype=float)).shape != (domain.size,):
+        raise ValueError(f"invalid mass: {w.shape[0] if w.ndim == 1 else w.shape} weights for {domain.size} atoms")
+    return Distribution._frozen(domain, _unit_rows(w[None])[0])
+
+
+def _unit_rows(weights: np.ndarray) -> np.ndarray:
+    """Each row of the ``(n, m)`` weights over its sum, fresh and made unit by :func:`_exact_unit_mass`:
+    the one weight normalizer, checked in one fused pass and raising :func:`make_distribution`'s messages."""
     with np.errstate(over="ignore"):
-        total = float(w.sum())
-    if not (math.isfinite(total) and w.min() >= 0.0):
-        if not np.isfinite(w).all() or (w < 0.0).any():
+        totals = weights.sum(axis=1)
+    if not (weights.min() >= 0.0 and all(0.0 < total < math.inf for total in totals.tolist())):
+        if not np.isfinite(weights).all() or (weights < 0.0).any():
             raise ValueError("invalid mass: weights must be finite and non-negative")
-        raise ValueError("invalid mass: weights sum overflows the float range")
-    if total == 0.0:
-        raise ValueError("degenerate: all weights are zero")
-    return Distribution._own(domain, w / total)
+        raise ValueError("degenerate: all weights are zero" if totals.min() == 0.0 else
+                         "invalid mass: weights sum overflows the float range")
+    return _exact_unit_mass(weights / totals[:, None])
 
 
 def _require_same_domain(p: Distribution, q: Distribution) -> None:
@@ -477,7 +471,7 @@ def random_quantized(spec: QuantizedClassSpec, rng: np.random.Generator) -> Dist
     Dyadic masses with denominator ``2**bits_per_atom`` are exact in binary
     floating point, so membership survives construction.
     """
-    return Distribution._own(spec.domain, _draw_numerators(spec, rng) / spec.scale)
+    return Distribution(spec.domain, _draw_numerators(spec, rng) / spec.scale)
 
 
 def _draw_numerators(spec: QuantizedClassSpec, rng: np.random.Generator) -> np.ndarray:

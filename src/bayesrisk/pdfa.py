@@ -222,7 +222,7 @@ class TruncatedStringDomain(Domain):
             raise ValueError(
                 f"enumeration over limit: {count} atoms exceeds the cap of {max_atoms}"
             )
-        return _trusted(cls, alphabet=alphabet, max_len=max_len)
+        return _trusted(cls, alphabet=alphabet, max_len=max_len)  # unchecked: checking would enumerate its atoms
 
     @cached_property
     def atoms(self) -> tuple[str, ...]:

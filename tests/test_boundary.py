@@ -117,7 +117,6 @@ def test_owning_path_matches_the_validating_constructor(weights, scale):
     assume(total > 0.0)
     domain = Domain.indexed(w.size)
     expected = _masses(lambda: Distribution(domain, w / total))
-    assert _masses(lambda: Distribution._own(domain, w / total)) == expected
     assert _masses(lambda: make_distribution(domain, w)) == expected
 
 
