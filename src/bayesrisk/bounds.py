@@ -40,7 +40,7 @@ import numpy as np
 
 from .classify import CostLike, CostMatrix, LabeledSource, as_cost_array
 from .classify import _bayes_labels, _cost_risk, _logloss_risk, _posterior, _workspace
-from .distributions import Distribution, Domain
+from .distributions import Distribution, Domain, _json_float, _json_int
 from .distributions import _exact_unit_mass, _kl_on_support, _l1_distance, _sorted_set, _trusted, _unit_rows
 
 # Tolerance of every "value <= bound" verdict, read only by _within.
@@ -67,7 +67,7 @@ class PerturbationBudget:
     def __post_init__(self) -> None:
         if self.metric not in (L1, KL):
             raise ValueError(f"metric must be one of {L1!r}, {KL!r}")
-        if not math.isfinite(self.epsilon) or self.epsilon < 0.0:
+        if not math.isfinite(_json_float(self.epsilon, "budget epsilon")) or self.epsilon < 0.0:
             raise ValueError("budget epsilon must be finite and non-negative")
 
 
@@ -125,14 +125,14 @@ def _within(value, bound: float):
 
 def theorem1_bound(epsilon: float, k: int, cost: CostLike) -> float:
     """Cost-loss excess bound ``epsilon * k * max_ij c_ij``."""
-    if epsilon < 0.0:
+    if not epsilon >= 0.0:
         raise ValueError("epsilon must be non-negative")
     return epsilon * k * float(as_cost_array(cost, k).max())
 
 
 def theorem2_bound(epsilon: float, k: int) -> float:
     """Log-loss excess bound ``k * epsilon`` (bits)."""
-    if epsilon < 0.0:
+    if not epsilon >= 0.0:
         raise ValueError("epsilon must be non-negative")
     return k * epsilon
 
@@ -397,7 +397,7 @@ def _moved(true: np.ndarray, metric: str, budgets, noise, lams) -> np.ndarray:
 
 def _perturbed(d: Distribution, budget: float, rng: np.random.Generator, metric: str) -> Distribution:
     """:func:`_moved` of the one distribution ``d``."""
-    if not 0.0 <= budget <= 2.0:
+    if not 0.0 <= _json_float(budget, "L1 budget") <= 2.0:
         raise ValueError("L1 budget must lie in [0, 2]")
     moves = _draw_moves(rng, 1, d.domain.size, metric, lambda: budget)
     return Distribution._frozen(d.domain, _moved(d.mass[None], metric, *moves)[0])
@@ -441,6 +441,8 @@ def _as_objects(priors: np.ndarray, masses: np.ndarray) -> tuple:
 
 def random_source(rng: np.random.Generator, k: int, m: int) -> LabeledSource:
     """Random labeled source over ``Domain.indexed(m)`` with priors bounded away from zero."""
+    if k < 2 or m < 1:
+        raise ValueError("k must be at least 2 and m at least 1")
     priors, weights = _draw_source(rng, k, m)
     return _as_objects(priors, _unit_rows(weights)[None])[0]
 
@@ -466,6 +468,8 @@ def _random_instances(rng: np.random.Generator, n: int, k_max: int, m_max: int, 
     classes of ``m_max`` atoms, makes every draw first, in the public generators' order (k, m, source,
     :func:`_draw_moves` at a uniform budget, under L1 the cost); then each row kernel runs once per
     domain size, on the stacked rows of its instances, and keeps each row's bits."""
+    if k_max < 2 or m_max < 2:
+        raise ValueError("k_max and m_max must be at least 2")
     budget = partial(rng.uniform, 0.0, 2.0 if metric == L1 else 1.5)
     per_block = max(1, _BLOCK_BYTES // (8 * k_max * m_max + _INSTANCE_BYTES))
     for start in range(0, n, per_block):
@@ -595,8 +599,10 @@ def tightness_search(
     because the bound is a theorem. Every instance is priors and ``(2, k, m)``
     masses from its first draw on; only the best one becomes objects.
     """
-    if iterations < 1:
+    if _json_int(iterations, "iterations") < 1:
         raise ValueError("iterations must be at least 1")
+    if k < 2 or m < 1:
+        raise ValueError("k must be at least 2 and m at least 1")
     if budget.metric == L1 and cost is None:
         raise ValueError("the L1 metric needs a cost matrix")
     if budget.metric == L1:

@@ -103,8 +103,8 @@ class CostMatrix:
 
     def __post_init__(self) -> None:
         costs = np.asarray(self.costs, dtype=float).copy()
-        if costs.ndim != 2 or costs.shape[0] != costs.shape[1]:
-            raise ValueError("cost matrix must be square")
+        if costs.ndim != 2 or costs.shape[0] != costs.shape[1] or not costs.size:
+            raise ValueError("cost matrix must be square and non-empty")
         if not np.isfinite(costs).all() or (costs < 0.0).any():
             raise ValueError("costs must be finite and non-negative")
         if float(costs.max()) <= 0.0:

@@ -56,7 +56,7 @@ def _json_float(value, name: str):
     A bool or a string is refused, never converted."""
     if isinstance(value, list):
         return [_json_float(v, name) for v in value]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ValueError(f"{name}: {value!r} is not a number")
     return value
 
@@ -422,7 +422,7 @@ def sample(d: Distribution, rng: np.random.Generator, n: int) -> list[str]:
     Atoms are drawn by inverse CDF, the same algorithm and the same draws
     as ``rng.choice(m, size=n, p=d.mass)``.
     """
-    if n < 0:
+    if _json_int(n, "sample count") < 0:
         raise ValueError("sample count must be non-negative")
     if n == 0:
         return []

@@ -73,9 +73,9 @@ class TrialConfig:
                 raise ValueError(f"{name} must be at least 1")
         _json_int(self.seed, "seed")
         _check_laplace(self.resolved_laplace)
-        if not self.epsilon_target > 0.0:
+        if not _json_float(self.epsilon_target, "epsilon_target") > 0.0:
             raise ValueError("epsilon_target must be positive")
-        if not 0.0 < self.delta_target < 1.0:
+        if not 0.0 < _json_float(self.delta_target, "delta_target") < 1.0:
             raise ValueError("delta_target must lie in (0, 1)")
         if self.n_grid is not None:
             n_grid = tuple(_json_int(n, "n_grid entry") for n in self.n_grid)
@@ -90,7 +90,7 @@ class TrialConfig:
     @property
     def resolved_laplace(self) -> float:
         if self.laplace is not None:
-            return float(self.laplace)
+            return float(_json_float(self.laplace, "laplace"))
         return 1.0 if self.log_loss_mode else 0.0
 
 
@@ -128,7 +128,7 @@ def empirical_estimator(
     with ``laplace == 0`` and no samples the estimate defaults to uniform.
     Samples are the domain's atom identifiers or integer (never bool) atom indices in ``[0, m)``.
     """
-    _check_laplace(laplace)
+    _check_laplace(_json_float(laplace, "laplace"))
     m = domain.size
     try:  # Domain.index names an unknown atom in its KeyError
         index = (domain.index(s) if isinstance(s, str) else _json_int(s, "sample atom index") for s in samples)

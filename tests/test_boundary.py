@@ -1,18 +1,22 @@
 """The validating boundary: every public constructor rejects bad input with a named message."""
 
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from bayesrisk.bounds import L1, _into_budget, random_source
-from bayesrisk.classify import Classifier, LabeledSource, StochasticRule, bayes_classifier
-from bayesrisk.distributions import Distribution, Domain, QuantizedClassSpec, make_distribution
-from bayesrisk.pdfa import OVERFLOW_ATOM, TruncatedStringDomain
-from bayesrisk.pipeline import TrialConfig, empirical_estimator
-from bayesrisk.smoothing import SmoothingParams
+from bayesrisk import bounds
+from bayesrisk.bounds import KL, L1, PerturbationBudget, _into_budget, random_source
+from bayesrisk.classify import Classifier, CostMatrix, LabeledSource, StochasticRule, bayes_classifier
+from bayesrisk.classify import logloss_risk, risk
+from bayesrisk.cli import main
+from bayesrisk.distributions import Distribution, Domain, QuantizedClassSpec, make_distribution, mixture, sample
+from bayesrisk.pdfa import OVERFLOW_ATOM, Pdfa, TruncatedStringDomain, _BitWriter
+from bayesrisk.pipeline import TrialConfig, empirical_estimator, run_trial
+from bayesrisk.smoothing import BaseDistribution, SmoothingParams, base_mixture, kl_certificate_from_floor, smooth
 
 D2 = Domain.indexed(2)
 NAN, INF = float("nan"), float("inf")
@@ -151,3 +155,167 @@ def test_trusted_objects_are_frozen_and_equal_to_validated_ones():
     assert Domain.indexed(9) == Domain(tuple(f"x{i}" for i in range(9)))
     space = TruncatedStringDomain.build(("a", "b"), 3).domain
     assert space == Domain(space.atoms)
+
+
+D3 = Domain.indexed(3)
+ZERO_ONE = CostMatrix.zero_one(2)
+HALF_MACHINE = Path(__file__).parent / "data" / "machine_half.json"
+
+
+def source2():
+    return LabeledSource(np.array([0.5, 0.5]), (uniform2(), uniform2()))
+
+
+def uniform3():
+    return Distribution(D3, np.full(3, 1 / 3))
+
+
+def one_state(**fields):
+    return Pdfa(**{"alphabet": ("a",), "precision": 1, "initial": 0, "stops": (1.0,), "table": (((0.0, 0),),),
+                   **fields})
+
+
+def search(k=2, m=2, cost=ZERO_ONE, budget=(L1, 0.1), iterations=1):
+    return bounds.tightness_search(k, m, cost, PerturbationBudget(*budget), iterations, np.random.default_rng(0))
+
+
+# (call, the whole message it raises) for public input that once ended as NaN or a numpy error, or
+# whose named error no other test raises.
+NAMED_ERRORS = [
+    pytest.param(lambda: bounds.theorem1_bound(-0.1, 2, ZERO_ONE), "epsilon must be non-negative", id="theorem1-neg"),
+    pytest.param(lambda: bounds.theorem1_bound(NAN, 2, ZERO_ONE), "epsilon must be non-negative", id="theorem1-nan"),
+    pytest.param(lambda: bounds.theorem2_bound(NAN, 2), "epsilon must be non-negative", id="theorem2-nan"),
+    pytest.param(lambda: bounds.check_theorem1(source2(), (uniform3(), uniform3()), ZERO_ONE),
+                 "estimates must live on the source's domain", id="estimates-off-domain"),
+    pytest.param(lambda: search(iterations=0), "iterations must be at least 1", id="search-iterations-0"),
+    pytest.param(lambda: search(iterations=2.5), "iterations must be an integer, got 2.5", id="search-iterations-float"),
+    pytest.param(lambda: search(iterations=True), "iterations must be an integer, got True", id="search-iterations-bool"),
+    pytest.param(lambda: search(cost=None), "the L1 metric needs a cost matrix", id="search-no-cost"),
+    pytest.param(lambda: search(k=1, cost=None, budget=(KL, 0.1)), "k must be at least 2 and m at least 1",
+                 id="search-k-1"),
+    pytest.param(lambda: search(m=0), "k must be at least 2 and m at least 1", id="search-m-0"),
+    pytest.param(lambda: random_source(np.random.default_rng(0), 2, 0), "k must be at least 2 and m at least 1",
+                 id="random-source-m-0"),
+    pytest.param(lambda: random_source(np.random.default_rng(0), 1, 2), "k must be at least 2 and m at least 1",
+                 id="random-source-k-1"),
+    pytest.param(lambda: bounds.random_theorem1_instance(np.random.default_rng(0), k_max=1),
+                 "k_max and m_max must be at least 2", id="theorem1-instance-k-max-1"),
+    pytest.param(lambda: bounds.random_theorem2_instance(np.random.default_rng(0), m_max=1),
+                 "k_max and m_max must be at least 2", id="theorem2-instance-m-max-1"),
+    pytest.param(lambda: PerturbationBudget(L1, True), "budget epsilon: True is not a number", id="budget-epsilon-bool"),
+    pytest.param(lambda: bounds.random_l1_perturbation(uniform2(), True, np.random.default_rng(0)),
+                 "L1 budget: True is not a number", id="l1-perturbation-bool"),
+    pytest.param(lambda: bounds.support_safe_perturbation(uniform2(), True, np.random.default_rng(0)),
+                 "L1 budget: True is not a number", id="support-safe-perturbation-bool"),
+    pytest.param(lambda: LabeledSource(np.array([1.0]), (uniform2(),)), "a labeled source needs at least two classes",
+                 id="source-one-class"),
+    pytest.param(lambda: LabeledSource(np.array([0.2, 0.3, 0.5]), (uniform2(), uniform2())),
+                 "one prior per class distribution required", id="source-prior-count"),
+    pytest.param(lambda: StochasticRule(D2, np.full((3, 2), 0.5)), "rule table must have one row per domain atom",
+                 id="rule-rows"),
+    pytest.param(lambda: CostMatrix(np.zeros((0, 0))), "cost matrix must be square and non-empty", id="cost-empty"),
+    pytest.param(lambda: CostMatrix(np.zeros((2, 3))), "cost matrix must be square and non-empty", id="cost-2x3"),
+    pytest.param(lambda: risk(Classifier(D3, [0, 0, 0]), source2(), ZERO_ONE), "classifier and source domains differ",
+                 id="risk-domain"),
+    pytest.param(lambda: risk(Classifier(D2, [0, 2]), source2(), ZERO_ONE),
+                 "classifier labels exceed the source's class count", id="risk-labels"),
+    pytest.param(lambda: logloss_risk(StochasticRule(D3, np.full((3, 2), 0.5)), source2()),
+                 "rule and source domains differ", id="logloss-domain"),
+    pytest.param(lambda: logloss_risk(StochasticRule(D2, np.full((2, 3), 1 / 3)), source2()),
+                 "rule and source class counts differ", id="logloss-classes"),
+    pytest.param(lambda: Domain.indexed(0), "domain must contain at least one atom", id="indexed-0"),
+    pytest.param(lambda: mixture([]), "mixture needs at least one component", id="mixture-empty"),
+    pytest.param(lambda: mixture([(1.5, uniform2()), (-0.5, uniform2())]), "mixture weights must lie in [0, 1]",
+                 id="mixture-weights"),
+    pytest.param(lambda: sample(uniform2(), np.random.default_rng(0), -1), "sample count must be non-negative",
+                 id="sample-negative"),
+    pytest.param(lambda: sample(uniform2(), np.random.default_rng(0), True), "sample count must be an integer, got True",
+                 id="sample-bool"),
+    pytest.param(lambda: sample(uniform2(), np.random.default_rng(0), 2.0), "sample count must be an integer, got 2.0",
+                 id="sample-float"),
+    pytest.param(lambda: QuantizedClassSpec(D2, 0), "bits_per_atom must be a positive integer", id="bits-0"),
+    pytest.param(lambda: one_state(precision=0), "precision must be between 1 and 52 bits", id="pdfa-precision"),
+    pytest.param(lambda: one_state(stops=(), table=()), "a machine needs at least one state", id="pdfa-no-state"),
+    pytest.param(lambda: one_state(initial=1), "initial state out of range", id="pdfa-initial"),
+    pytest.param(lambda: one_state(table=()), "one table row per state required", id="pdfa-rows"),
+    pytest.param(lambda: Pdfa.from_dict({**one_state().to_dict(), "n": 2}),
+                 "state count field disagrees with the states list", id="pdfa-n"),
+    pytest.param(lambda: TruncatedStringDomain.build(("a",), -1), "max_len must be non-negative", id="max-len-negative"),
+    pytest.param(lambda: _BitWriter().write_gamma(0), "Elias gamma encodes positive integers only", id="gamma-0"),
+    pytest.param(lambda: TrialConfig(source2(), None, 10, 30, 0.0, 0.1), "epsilon_target must be positive",
+                 id="epsilon-target-0"),
+    pytest.param(lambda: TrialConfig(source2(), None, 10, 30, True, 0.1), "epsilon_target: True is not a number",
+                 id="epsilon-target-bool"),
+    pytest.param(lambda: TrialConfig(source2(), None, 10, 30, 0.1, True), "delta_target: True is not a number",
+                 id="delta-target-bool"),
+    pytest.param(lambda: TrialConfig(source2(), None, 10, 30, 0.1, 0.1, laplace=True), "laplace: True is not a number",
+                 id="trial-laplace-bool"),
+    pytest.param(lambda: empirical_estimator(["x0"], D2, True), "laplace: True is not a number",
+                 id="estimator-laplace-bool"),
+    pytest.param(lambda: SmoothingParams(0.5, 0), "description_length must be a positive integer",
+                 id="description-length-0"),
+    pytest.param(lambda: BaseDistribution(uniform2(), NAN), "min_mass must be finite and non-negative",
+                 id="min-mass-nan"),
+    pytest.param(lambda: BaseDistribution(uniform2(), 0.6), "min_mass certificate exceeds an actual atom mass",
+                 id="min-mass-over"),
+    pytest.param(lambda: base_mixture([]), "explicit class must contain at least one distribution", id="base-empty"),
+    pytest.param(lambda: base_mixture([uniform2(), uniform3()]), "class members must share one domain",
+                 id="base-domains"),
+    pytest.param(lambda: smooth(uniform3(), SmoothingParams(0.5, 8), BaseDistribution(uniform2(), 0.5)),
+                 "estimate and base must share one domain", id="smooth-domains"),
+    pytest.param(lambda: kl_certificate_from_floor(SmoothingParams(0.5, 8), BaseDistribution(uniform2(), 0.0)),
+                 "base provides no floor: min_mass must be positive", id="certificate-no-floor"),
+]
+
+
+@pytest.mark.parametrize("call, message", NAMED_ERRORS)
+def test_named_error(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_an_empty_cost_matrix_is_refused_as_not_square():
+    with pytest.raises(ValueError, match="cost matrix must be square"):
+        CostMatrix(np.zeros((0, 0)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda rng: bounds.tightness_search(1, 2, None, PerturbationBudget(KL, 0.1), 1, rng),
+    lambda rng: bounds.tightness_search(2, 0, ZERO_ONE, PerturbationBudget(L1, 0.1), 1, rng),
+    lambda rng: bounds.tightness_search(2, 2, ZERO_ONE, PerturbationBudget(L1, 0.1), 2.5, rng),
+    lambda rng: random_source(rng, 2, 0),
+    lambda rng: bounds.random_theorem1_instance(rng, k_max=1),
+])
+def test_bad_sizes_are_refused_before_the_first_draw(call):
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError):
+        call(rng)
+    assert rng.bit_generator.state == state
+
+
+def test_an_infinite_epsilon_stays_legal():
+    assert bounds.theorem1_bound(INF, 2, ZERO_ONE) == INF
+    assert bounds.theorem2_bound(INF, 2) == INF
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["pipeline", "--source", "file:machine.json", "--truncate", "3"],
+                 "unsupported source 'file:machine.json'; expected pdfa:<machine file>", id="pipeline-source-kind"),
+    pytest.param(["pipeline", "--source", f"pdfa:{HALF_MACHINE}", "--truncate", "3"],
+                 "need at least two pdfa sources to form a labeled source", id="pipeline-one-source"),
+    pytest.param(["pipeline", "--source", f"pdfa:{HALF_MACHINE},pdfa:{HALF_MACHINE}", "--truncate", "3",
+                  "--trials", "10"], "at least 30 trials are needed for a meaningful delta estimate",
+                 id="pipeline-10-trials"),
+    pytest.param(["tightness", "--iterations", "0"], "--iterations must be at least 1", id="tightness-iterations-0"),
+])
+def test_cli_usage_error_names_its_input(tmp_path, capsys, argv, message):
+    assert main([*argv, "--out-dir", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_public_members_no_other_test_reads():
+    assert CostMatrix.zero_one(3).k == 3
+    outcome = run_trial(TrialConfig(source2(), ZERO_ONE, 10, 30, 0.1, 0.1), np.random.default_rng(0))
+    assert outcome.satisfied is outcome.report.satisfied is True
+    assert not QuantizedClassSpec(D2, 4).contains(uniform3())
