@@ -274,11 +274,6 @@ def test_named_error(call, message):
         call()
 
 
-def test_an_empty_cost_matrix_is_refused_as_not_square():
-    with pytest.raises(ValueError, match="cost matrix must be square"):
-        CostMatrix(np.zeros((0, 0)))
-
-
 @pytest.mark.parametrize("call", [
     lambda rng: bounds.tightness_search(1, 2, None, PerturbationBudget(KL, 0.1), 1, rng),
     lambda rng: bounds.tightness_search(2, 0, ZERO_ONE, PerturbationBudget(L1, 0.1), 1, rng),
