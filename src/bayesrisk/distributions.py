@@ -52,8 +52,8 @@ def _json_int(value, name: str) -> int:
 
 
 def _json_float(value, name: str):
-    """``value``, a real field read from JSON, as given: an int or a float, or a list (of lists) of them.
-    A bool or a string is refused, never converted."""
+    """``value``, a real field from JSON or a real argument, as given: an int or a float (numpy's too), or a
+    list (of lists) of them. A bool or a string is refused, never converted."""
     if isinstance(value, list):
         return [_json_float(v, name) for v in value]
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
