@@ -4,6 +4,7 @@ import csv
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bayesrisk.cli import _Run, main
@@ -491,6 +492,25 @@ class TestPipelineCommand:
         assert code == 0
         for name in ("report.csv", "summary.json"):
             assert (tmp_path / "run" / name).read_bytes() == (GOLDEN / f"pipeline_pdfa_wide_{name}").read_bytes()
+
+    def test_random_cost_sparse_source_matches_golden(self, tmp_path):
+        """Four classes of a random source on 8,192 plain atoms under random costs that are not zero-one,
+        at sample sizes of at most 512: no class draws more than one atom in 16, so every trial whose
+        classes all drew scores its labels at the hits only, and its cost products round, as the
+        PDFA goldens' zero-one products on two classes never do."""
+        from bayesrisk.bounds import random_source
+
+        rng = np.random.default_rng(8)
+        source = random_source(rng, 4, 8192)
+        cost = rng.uniform(0.1, 5.0, (4, 4))
+        np.fill_diagonal(cost, 0.0)
+        config = {**source.to_dict(), "cost": cost.tolist(), "sample_size": 512, "trials": 30,
+                  "epsilon_target": 0.1, "delta_target": 0.05, "seed": 3, "n_grid": [20, 100, 512]}
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        assert run(["pipeline", "--config", tmp_path / "config.json", "--out-dir", tmp_path / "run"]) == 0
+        for name in ("report.csv", "summary.json"):
+            golden = GOLDEN / f"pipeline_random_cost_sparse_{name}"
+            assert (tmp_path / "run" / name).read_bytes() == golden.read_bytes()
 
     @staticmethod
     def binary_machines(tmp_path):
