@@ -216,16 +216,24 @@ def _bayes_labels(costs, weighted, scores, labels, less, cols=slice(None)) -> np
     """The Bayes labels of the ``(k, m)`` weighted masses at the columns ``cols``, written into the
     start of ``labels`` via the buffers ``scores`` ``(k, m)`` and ``less`` ``(m,)``. Ties go to the
     smallest label: an atom moves to label j only where j scores strictly less than the running
-    minimum, kept in row 0. The product is the full one: a gathered one may differ in its bits."""
-    np.matmul(costs.T, weighted, out=scores)
-    if not isinstance(cols, slice):
-        scores, labels, less = scores.take(cols, axis=1), labels[: len(cols)], less[: len(cols)]
+    minimum, kept in row 0. At an index array ``cols`` only those columns are multiplied."""
+    if isinstance(cols, slice):
+        np.matmul(costs.T, weighted, out=scores)
+    else:
+        scores, labels, less = _gathered_scores(costs, weighted, cols), labels[: len(cols)], less[: len(cols)]
     labels.fill(0)
     for j in range(1, len(scores)):
         np.less(scores[j], scores[0], out=less)
         np.copyto(labels, j, where=less)
         np.minimum(scores[0], scores[j], out=scores[0])
     return labels
+
+
+def _gathered_scores(costs, weighted, cols) -> np.ndarray:
+    """``costs.T @ weighted`` at the sorted columns ``cols``, in the full product's bits (test_classify pins it):
+    a lone column, whose product takes another BLAS kernel, is multiplied beside one more (1 if it is 0, else 0)."""
+    pair = cols if len(cols) != 1 else [cols[0], int(cols[0] == 0)]
+    return np.matmul(costs.T, weighted.take(pair, axis=1))[:, : len(cols)]
 
 
 def risk(f: Classifier, source: LabeledSource, cost: CostLike) -> float:

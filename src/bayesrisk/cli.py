@@ -3,7 +3,8 @@
 Every verification suite is a subcommand. Runs are deterministic given
 --seed; each run writes report.csv, summary.json, and manifest.json into
 --out-dir, and the manifest (resolved flags, seed, version, CSV column
-order) suffices to reproduce the run bit for bit.
+order) suffices to reproduce the run bit for bit on the Python, numpy
+and BLAS build it records.
 
 Exit codes: 0 success / no violations, 1 a bound or identity was
 violated (a falsification event, which indicates an implementation bug
@@ -15,6 +16,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
+import platform
 import sys
 import time
 from pathlib import Path
@@ -83,12 +86,15 @@ class _Run:
             writer.writerows(self.rows)
         summary_path = self.out / "summary.json"
         summary_path.write_text(json.dumps(summary, indent=2))
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]  # the floats of a run depend on it
         manifest = {
             "subcommand": self.subcommand,
             "config": self.config,
             "seed": self.seed,
             "version": __version__,
             "csv_columns": self.csv_columns,
+            "environment": {"python": platform.python_version(), "numpy": np.__version__, "cpu_count": os.cpu_count(),
+                            "blas": {key: blas.get(key) for key in ("name", "version", "openblas configuration")}},
             "started_at": self.started_at,
             "finished_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
             "outputs": {
@@ -149,12 +155,7 @@ def cmd_verify(args) -> int:
     if args.k_max < 2 or args.m_max < 2:
         raise UsageError("--k-max and --m-max must be at least 2")
     rng = np.random.default_rng(args.seed)
-    config = {
-        "trials": args.trials,
-        "k_max": args.k_max,
-        "m_max": args.m_max,
-        "seed": args.seed,
-    }
+    config = {"trials": args.trials, "k_max": args.k_max, "m_max": args.m_max, "seed": args.seed}
     run = _Run(args.command, args.out_dir, args.seed, config)
     violations = 0
     worst_gap = 0.0
@@ -245,14 +246,8 @@ def cmd_smooth(args) -> int:
         raise UsageError(str(exc)) from exc
     base = base_mixture(spec)
     rng = np.random.default_rng(args.seed)
-    config = {
-        "epsilon": args.epsilon,
-        "domain_size": m,
-        "bits": bits,
-        "description_length": spec.description_length,
-        "trials": args.trials,
-        "seed": args.seed,
-    }
+    config = {"epsilon": args.epsilon, "domain_size": m, "bits": bits,
+              "description_length": spec.description_length, "trials": args.trials, "seed": args.seed}
     run = _Run("smooth", args.out_dir, args.seed, config)
     violations = 0
     for trial, (true, est, fields) in enumerate(_sweep(spec, params, base, args.trials, rng)):
