@@ -3,8 +3,7 @@
 Every verification suite is a subcommand. Runs are deterministic given
 --seed; each run writes report.csv, summary.json, and manifest.json into
 --out-dir, and the manifest (resolved flags, seed, version, CSV column
-order) suffices to reproduce the run bit for bit on the Python, numpy
-and BLAS build it records.
+order, environment) suffices to reproduce the run bit for bit.
 
 Exit codes: 0 success / no violations, 1 a bound or identity was
 violated (a falsification event, which indicates an implementation bug
@@ -155,7 +154,12 @@ def cmd_verify(args) -> int:
     if args.k_max < 2 or args.m_max < 2:
         raise UsageError("--k-max and --m-max must be at least 2")
     rng = np.random.default_rng(args.seed)
-    config = {"trials": args.trials, "k_max": args.k_max, "m_max": args.m_max, "seed": args.seed}
+    config = {
+        "trials": args.trials,
+        "k_max": args.k_max,
+        "m_max": args.m_max,
+        "seed": args.seed,
+    }
     run = _Run(args.command, args.out_dir, args.seed, config)
     violations = 0
     worst_gap = 0.0
@@ -246,8 +250,14 @@ def cmd_smooth(args) -> int:
         raise UsageError(str(exc)) from exc
     base = base_mixture(spec)
     rng = np.random.default_rng(args.seed)
-    config = {"epsilon": args.epsilon, "domain_size": m, "bits": bits,
-              "description_length": spec.description_length, "trials": args.trials, "seed": args.seed}
+    config = {
+        "epsilon": args.epsilon,
+        "domain_size": m,
+        "bits": bits,
+        "description_length": spec.description_length,
+        "trials": args.trials,
+        "seed": args.seed,
+    }
     run = _Run("smooth", args.out_dir, args.seed, config)
     violations = 0
     for trial, (true, est, fields) in enumerate(_sweep(spec, params, base, args.trials, rng)):

@@ -27,11 +27,10 @@ either mode by ``bounds._plugin_risk``: a cost-mode trial whose classes
 have full support allocates no m-sized array. An estimate without
 add-lambda smoothing is zero off the atoms its draws hit (its sorted distinct
 draws); with at most one draw per 16 of 4,096 or more atoms the kernels work
-only there. The Bayes labels' cost product multiplies only the hit columns, a
-lone one beside a second (``classify._bayes_labels``), in the full product's
-bits. Each sum runs over the full array, or, on a wide domain whose hits fall
-on few of numpy's 128-atom leaves, is rebuilt from the leaf sums of numpy's
-summation tree (``distributions._few_leaves``), so each output keeps its bits.
+only there, the Bayes labels' cost product too (``classify._gathered_scores``).
+Each sum runs over the full array, or, on a wide domain whose hits fall on few
+of numpy's 128-atom leaves, is rebuilt from the leaf sums of numpy's summation
+tree (``distributions._few_leaves``), so each output keeps its bits.
 """
 
 from __future__ import annotations

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bayesrisk import classify
 from bayesrisk.bounds import example1_construction, example2_construction, excess_logloss_identity, random_source
 from bayesrisk.classify import (
     CostMatrix,
@@ -142,6 +143,42 @@ class TestBayesClassifier:
         assert scores[1:].tobytes() == np.ascontiguousarray(old.T[1:]).tobytes()
         assert scores[0].tobytes() == old.min(axis=1).tobytes()
         assert np.array_equal(labels, np.argmin(old, axis=1))
+
+
+def hexes(a):
+    return [v.hex() for v in np.asarray(a, dtype=float).ravel().tolist()]
+
+
+def gathered_probe(rng, k, m, n_cols):
+    """One probe of a sparse trial's gathered cost product: weights with a quarter of their columns zero,
+    costs random or (3 in 10) zero-one, scaled by 10^U(-9, 9), and ``n_cols`` sorted distinct columns,
+    atom 0 in a quarter of the lone ones. ``np.matmul(costs.T, w.take(cols, axis=1))`` (at two or more
+    columns) and ``classify._gathered_scores`` (which pads a lone column) must equal the full product's
+    columns in float.hex."""
+    w = rng.random((k, m)) * rng.random((k, 1))
+    w[:, rng.random(m) < 0.25] = 0.0
+    costs = np.ones((k, k)) - np.eye(k) if rng.random() < 0.3 else rng.random((k, k))
+    costs *= 10.0 ** rng.uniform(-9.0, 9.0)
+    cols = np.sort(rng.choice(m, n_cols, replace=False))
+    if n_cols == 1 and rng.random() < 0.25:
+        cols[0] = 0
+    full = hexes((costs.T @ w)[:, cols])
+    if n_cols > 1:
+        assert hexes(np.matmul(costs.T, w.take(cols, axis=1))) == full
+    assert hexes(classify._gathered_scores(costs, w, cols)) == full
+
+
+@pytest.mark.parametrize("m", [4_096, 131_072])
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_gathered_product_keeps_the_full_products_bits(k, m):
+    """A sparse trial multiplies only its hit columns. On each domain width the pipeline goes sparse at,
+    30 gathers of 2 to 3,000 columns (log-uniform, both ends included) and 30 lone columns, each padded,
+    equal the full product bit for bit. An unpadded lone column takes another BLAS kernel, which missed
+    in about one probe in six at k = 4-5 (test_mutations checks that this test sees it)."""
+    rng = np.random.default_rng([k, m])
+    counts = [2, 3_000, *np.exp(rng.uniform(math.log(2), math.log(3_001), 28)).astype(int)]
+    for n_cols in [*counts, *[1] * 30]:
+        gathered_probe(rng, k, m, int(n_cols))
 
 
 class TestRisk:

@@ -222,6 +222,22 @@ class TestVerifyCommands:
         assert manifest["seed"] == 42
         assert manifest["csv_columns"][0] == "trial"
 
+    def test_manifest_records_the_environment(self, tmp_path):
+        """The Python, numpy and BLAS build and the CPU count a run's floats and timings depend on."""
+        import os
+        import platform
+
+        assert run(["verify-theorem1", "--trials", "3", "--out-dir", tmp_path]) == 0
+        environment = json.loads((tmp_path / "manifest.json").read_text())["environment"]
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert environment == {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "cpu_count": os.cpu_count(),
+            "blas": {key: blas[key] for key in ("name", "version", "openblas configuration")},
+        }
+        assert all(isinstance(value, str) and value for value in environment["blas"].values())
+
     def test_theorem2_small_sweep_passes(self, tmp_path):
         assert run(["verify-theorem2", "--trials", "25", "--out-dir", tmp_path]) == 0
         summary = json.loads((tmp_path / "summary.json").read_text())

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import bayesrisk.bounds as bounds
+import bayesrisk.classify as classify
 import bayesrisk.distributions as distributions
 import bayesrisk.pipeline as pipeline
 from bayesrisk.cli import main
@@ -145,3 +146,18 @@ def test_bit_identity_checks_fail_with_a_broken_tree(tmp_path, tree_mutation):
     if tree_mutation == "base-shifted-by-a-leaf":
         with pytest.raises(AssertionError):
             test_cli.TestPipelineCommand().test_wide_pdfa_sources_match_golden(tmp_path)
+
+
+def test_a_lone_hit_column_multiplied_alone_fails_the_gathered_product_pin(monkeypatch):
+    """With the pad removed from the gathered cost product, so that a lone hit column is multiplied alone,
+    the float.hex pin fails: at a fixed probe (k = 4, 4,096 atoms) that passes padded, and over its lone
+    columns at k = 4 and 5."""
+    import test_classify
+
+    test_classify.gathered_probe(np.random.default_rng(0), 4, 4_096, 1)
+    monkeypatch.setattr(classify, "_gathered_scores", lambda costs, w, cols: np.matmul(costs.T, w.take(cols, axis=1)))
+    with pytest.raises(AssertionError):
+        test_classify.gathered_probe(np.random.default_rng(0), 4, 4_096, 1)
+    for k in (4, 5):
+        with pytest.raises(AssertionError):
+            test_classify.test_gathered_product_keeps_the_full_products_bits(k, 4_096)

@@ -15,7 +15,7 @@ from bayesrisk import distributions, pipeline
 from bayesrisk.bounds import _plugin_risk, random_cost, random_source
 from bayesrisk.classify import CostMatrix, LabeledSource
 from bayesrisk.distributions import Distribution, Domain, _draw_indices, _exact_unit_mass, make_distribution
-from bayesrisk.distributions import _kl_on_support, _l1_distance
+from bayesrisk.distributions import _kl_on_support, _l1_distance, _leaf_sums
 from bayesrisk.pipeline import (
     TrialConfig,
     config_from_dict,
@@ -468,6 +468,26 @@ def test_sparse_trials_equal_the_dense_kernels(seed, k, m, grid, rare, peaked, p
             assert [v.hex() for v in out.l1_per_class] == [v.hex() for v in l1s]
             assert [v.hex() for v in out.kl_per_class] == [v.hex() for v in kls]
             assert out.report.risk_plugin.hex() == risk.hex()
+
+
+@pytest.mark.parametrize("m", [8_192, 131_072])
+@pytest.mark.parametrize("atom", [0, 4_000])
+@pytest.mark.parametrize("k", [4, 5])
+def test_a_lone_hit_column_scores_as_the_dense_kernels(k, atom, m):
+    """Every class's estimate all on one atom, so a trial's Bayes labels are scored on one column, padded
+    with column 1 at atom 0 and column 0 elsewhere: ``_plugin_risk`` at those hits (its sum rebuilt from
+    leaf sums on 131,072 atoms) equals in float.hex its dense call on the same estimates. Random costs,
+    column 0 raised so the hit's label is not 0: scores taken from the pad column would show."""
+    rng = np.random.default_rng([k, atom, m])
+    source = random_source(rng, k, m)
+    costs = rng.random((k, k))
+    costs[:, 0] += 1.0
+    est = np.zeros((k, m))
+    est[:, atom] = 1.0
+    base = _leaf_sums(k * m, (costs[:, :1] * source.weighted_mass).reshape(-1))
+    sparse = _plugin_risk(source.priors, source.weighted_mass, est.copy(), costs, hits=[np.array([atom])] * k,
+                          base=base)
+    assert sparse.hex() == _plugin_risk(source.priors, source.weighted_mass, est, costs).hex()
 
 
 class TestConfigValidation:
