@@ -174,7 +174,7 @@ def test_gathered_product_keeps_the_full_products_bits(k, m):
     """A sparse trial multiplies only its hit columns. On each domain width the pipeline goes sparse at,
     30 gathers of 2 to 3,000 columns (log-uniform, both ends included) and 30 lone columns, each padded,
     equal the full product bit for bit. An unpadded lone column takes another BLAS kernel, which missed
-    in about one probe in six at k = 4-5 (test_mutations checks that this test sees it)."""
+    in 73 of 240 probes at k = 4-5 with OpenBLAS 0.3.31 (test_mutations checks that this test sees it)."""
     rng = np.random.default_rng([k, m])
     counts = [2, 3_000, *np.exp(rng.uniform(math.log(2), math.log(3_001), 28)).astype(int)]
     for n_cols in [*counts, *[1] * 30]:
