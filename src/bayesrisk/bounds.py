@@ -41,7 +41,7 @@ import numpy as np
 from .classify import CostLike, CostMatrix, LabeledSource, as_cost_array
 from .classify import _bayes_labels, _cost_risk, _logloss_risk, _posterior, _workspace
 from .distributions import Distribution, Domain, _json_float, _json_int
-from .distributions import _exact_unit_mass, _kl_on_support, _l1_distance, _sorted_set, _trusted, _unit_rows
+from .distributions import _exact_unit_mass, _kl_on_support, _l1_distance, _trusted, _unit_rows
 
 # Tolerance of every "value <= bound" verdict, read only by _within.
 BOUND_TOL = 1e-9
@@ -155,25 +155,17 @@ def _as_arrays(true_source: LabeledSource, est_dists: Sequence[Distribution], me
     return true_source.priors, masses, _divergences(*masses, metric)
 
 
-def _plugin_risk(priors, weighted, est, costs, ws=None, hits=None, base=None) -> float:
+def _plugin_risk(priors, weighted, est, costs, ws=None) -> float:
     """Risk, on true classes of weighted masses ``weighted``, of the Bayes classifier under the
     cost array ``costs`` (the posterior rule under log loss if ``costs is None``) built from the
     true ``priors`` and the ``(k, m)`` estimated masses ``est``, which become their weighted
-    masses. The rest is written into the workspace ``ws``, allocated afresh if not given. ``hits``, each
-    class's sorted atoms outside which its estimate is zero, limits the weighting and the label scan, and
-    the cost risk's sum to their leaves, given ``base`` as :func:`_cost_risk` takes it."""
+    masses. The rest is written into the workspace ``ws``, allocated afresh if not given."""
     _, scores, labels, row, mask = ws or _workspace(*est.shape)
-    if hits is None:
-        est *= priors[:, None]
-    else:
-        for e, g, h in zip(est, priors, hits):
-            e[h] *= g
+    est *= priors[:, None]
     if costs is None:
         _posterior(est, scores, row, mask)
         return _logloss_risk(scores, weighted)
-    cols = slice(None) if hits is None else _sorted_set(np.concatenate(hits))
-    labels = _bayes_labels(costs, est, scores, labels, mask, cols)
-    return _cost_risk(costs, labels, weighted, scores, cols, base)
+    return _cost_risk(costs, _bayes_labels(costs, est, scores, labels, mask), weighted, scores)
 
 
 def _theorem_report(
@@ -463,30 +455,35 @@ def random_cost(rng: np.random.Generator, k: int) -> CostMatrix:
 
 
 def _random_instances(rng: np.random.Generator, n: int, k_max: int, m_max: int, metric: str):
-    """The metric's sweep of ``n`` instances in trial order, each as :func:`_as_arrays` gives it plus
-    its cost (``None`` under KL). A block of instances, as many as ``_BLOCK_BYTES`` holds at ``k_max``
-    classes of ``m_max`` atoms, makes every draw first, in the public generators' order (k, m, source,
-    :func:`_draw_moves` at a uniform budget, under L1 the cost); then each row kernel runs once per
+    """The metric's sweep of ``n`` instances in trial order, each as :func:`_as_arrays` gives it plus its cost
+    (``None`` under KL), its sizes checked at the call. A block of instances, as many as ``_BLOCK_BYTES`` holds
+    at ``k_max`` classes of ``m_max`` atoms, makes every draw first, in the public generators' order (k, m,
+    source, :func:`_draw_moves` at a uniform budget, under L1 the cost); then each row kernel runs once per
     domain size, on the stacked rows of its instances, and keeps each row's bits."""
     if k_max < 2 or m_max < 2:
         raise ValueError("k_max and m_max must be at least 2")
     budget = partial(rng.uniform, 0.0, 2.0 if metric == L1 else 1.5)
     per_block = max(1, _BLOCK_BYTES // (8 * k_max * m_max + _INSTANCE_BYTES))
-    for start in range(0, n, per_block):
-        drawn, sizes = [], {}
-        for _ in range(min(per_block, n - start)):
-            k, m = int(rng.integers(2, k_max + 1)), int(rng.integers(2, m_max + 1))
-            priors, weights = _draw_source(rng, k, m)
-            sizes.setdefault(m, []).append((len(drawn), weights, *_draw_moves(rng, k, m, metric, budget)))
-            drawn.append([priors, None, None, random_cost(rng, k) if metric == L1 else None])
-        for group in sizes.values():
-            order, weights, *moves = zip(*group)
-            true = _unit_rows(np.concatenate(weights))
-            masses = np.stack((true, _moved(true, metric, *map(np.concatenate, moves))))
-            cuts = np.cumsum([len(w) for w in weights[:-1]])
-            for j, *rows in zip(order, np.split(masses, cuts, axis=1), np.split(_divergences(*masses, metric), cuts)):
-                drawn[j][1:3] = rows
-        yield from map(tuple, drawn)
+
+    def blocks():
+        for start in range(0, n, per_block):
+            drawn, sizes = [], {}
+            for _ in range(min(per_block, n - start)):
+                k, m = int(rng.integers(2, k_max + 1)), int(rng.integers(2, m_max + 1))
+                priors, weights = _draw_source(rng, k, m)
+                sizes.setdefault(m, []).append((len(drawn), weights, *_draw_moves(rng, k, m, metric, budget)))
+                drawn.append([priors, None, None, random_cost(rng, k) if metric == L1 else None])
+            for group in sizes.values():
+                order, weights, *moves = zip(*group)
+                true = _unit_rows(np.concatenate(weights))
+                masses = np.stack((true, _moved(true, metric, *map(np.concatenate, moves))))
+                cuts = np.cumsum([len(w) for w in weights[:-1]])
+                divergences = np.split(_divergences(*masses, metric), cuts)
+                for j, *rows in zip(order, np.split(masses, cuts, axis=1), divergences):
+                    drawn[j][1:3] = rows
+            yield from map(tuple, drawn)
+
+    return blocks()
 
 
 def random_theorem1_instance(
@@ -581,6 +578,14 @@ def _seed_masses(metric: str, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
     return _two_atom_masses(hi if fits(hi) else _bisect(fits, hi, 60), gamma)
 
 
+def _check_search(k: int, m: int, iterations: int) -> None:
+    """:func:`tightness_search`'s checks of its sizes, which the CLI also runs before it makes its out-dir."""
+    if _json_int(iterations, "iterations") < 1:
+        raise ValueError("iterations must be at least 1")
+    if k < 2 or m < 1:
+        raise ValueError("k must be at least 2 and m at least 1")
+
+
 def tightness_search(
     k: int,
     m: int,
@@ -599,10 +604,7 @@ def tightness_search(
     because the bound is a theorem. Every instance is priors and ``(2, k, m)``
     masses from its first draw on; only the best one becomes objects.
     """
-    if _json_int(iterations, "iterations") < 1:
-        raise ValueError("iterations must be at least 1")
-    if k < 2 or m < 1:
-        raise ValueError("k must be at least 2 and m at least 1")
+    _check_search(k, m, iterations)
     if budget.metric == L1 and cost is None:
         raise ValueError("the L1 metric needs a cost matrix")
     if budget.metric == L1:

@@ -31,7 +31,6 @@ from typing import Sequence, Union
 import numpy as np
 
 from .distributions import SUM_TOL, Distribution, Domain, _json_float
-from .distributions import _few_leaves, _leaf_sums, _on_leaves, _tree_sum
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,15 +211,11 @@ def _workspace(k: int, m: int) -> tuple[np.ndarray, ...]:
     return np.empty((k, m)), np.empty((k, m)), np.empty(m, np.intp), np.empty(m), np.empty(m, bool)
 
 
-def _bayes_labels(costs, weighted, scores, labels, less, cols=slice(None)) -> np.ndarray:
-    """The Bayes labels of the ``(k, m)`` weighted masses at the columns ``cols``, written into the
-    start of ``labels`` via the buffers ``scores`` ``(k, m)`` and ``less`` ``(m,)``. Ties go to the
-    smallest label: an atom moves to label j only where j scores strictly less than the running
-    minimum, kept in row 0. At an index array ``cols`` only those columns are multiplied."""
-    if isinstance(cols, slice):
-        np.matmul(costs.T, weighted, out=scores)
-    else:
-        scores, labels, less = _gathered_scores(costs, weighted, cols), labels[: len(cols)], less[: len(cols)]
+def _bayes_labels(costs, weighted, scores, labels, less) -> np.ndarray:
+    """The Bayes labels of the ``(k, m)`` weighted masses, written into ``labels`` via the buffers ``scores``
+    ``(k, m)`` (``None`` for a batch's few columns: :func:`_gathered_scores` multiplies them) and ``less`` ``(m,)``.
+    Ties go to the smallest label: an atom moves to label j only where j scores strictly less than row 0's minimum."""
+    scores = _gathered_scores(costs, weighted) if scores is None else np.matmul(costs.T, weighted, out=scores)
     labels.fill(0)
     for j in range(1, len(scores)):
         np.less(scores[j], scores[0], out=less)
@@ -229,11 +224,11 @@ def _bayes_labels(costs, weighted, scores, labels, less, cols=slice(None)) -> np
     return labels
 
 
-def _gathered_scores(costs, weighted, cols) -> np.ndarray:
-    """``costs.T @ weighted`` at the sorted columns ``cols``, in the full product's bits (test_classify pins it):
-    a lone column, whose product takes another BLAS kernel, is multiplied beside one more (1 if it is 0, else 0)."""
-    pair = cols if len(cols) != 1 else [cols[0], int(cols[0] == 0)]
-    return np.matmul(costs.T, weighted.take(pair, axis=1))[:, : len(cols)]
+def _gathered_scores(costs, weighted) -> np.ndarray:
+    """``costs.T @ weighted`` at a batch of sparse trials' hit columns, in the full product's bits (test_classify
+    pins it): a lone column, whose product takes another BLAS kernel, is multiplied beside a zero column."""
+    lone = weighted.shape[1] == 1
+    return np.matmul(costs.T, np.pad(weighted, ((0, 0), (0, 1))) if lone else weighted)[:, : weighted.shape[1]]
 
 
 def risk(f: Classifier, source: LabeledSource, cost: CostLike) -> float:
@@ -246,39 +241,12 @@ def risk(f: Classifier, source: LabeledSource, cost: CostLike) -> float:
     return _cost_risk(costs, f.labels, source.weighted_mass)
 
 
-def _cost_risk(costs, labels, weighted, out=None, cols=slice(None), base=None) -> float:
-    """:func:`risk` of labels in ``[0, k)`` at the columns ``cols``, label 0 elsewhere, on the ``(k, m)``
-    weighted masses: the sum of ``costs[i, label] * weighted[i, x]`` over the flattened array. Outside
-    ``cols`` it is ``costs[:, :1] * weighted``, whose leaf sums (:func:`_leaf_sums`) are ``base``: only the
-    leaves of ``cols`` are summed afresh if :func:`_few_leaves` finds them few, else the array summed is the same."""
-    if isinstance(cols, slice):
-        weighted_costs = costs.take(labels, axis=1, out=out, mode="clip")  # "clip" fills out directly
-        weighted_costs *= weighted
-        return float(weighted_costs.sum())
-    k, m = weighted.shape
-    at_cols = costs.take(labels, axis=1) * weighted.take(cols, axis=1)
-    hits = (np.arange(0, k * m, m)[:, None] + cols).ravel()
-    leaves = _few_leaves(k * m, hits)
-    if leaves is None:
-        weighted_costs = np.multiply(costs[:, :1], weighted, out=out)
-        weighted_costs[:, cols] = at_cols
-        return float(weighted_costs.sum())
-    at_hits, flat = at_cols.ravel(), weighted.reshape(-1)
-
-    def on_leaves(starts, length):
-        values = _on_leaves(flat, starts, length)
-        values *= costs[starts // m, 0][:, None]
-        for i in np.flatnonzero(starts // m != (starts + length - 1) // m):  # a leaf across a class's end
-            index = starts[i] + np.arange(length)
-            values[i] = costs[index // m, 0] * flat[index]
-        near = slice(*hits.searchsorted([starts[0], starts[-1] + length]))  # the hits from the first leaf to the last
-        leaf = starts.searchsorted(hits[near], "right") - 1
-        offset = hits[near] - starts[leaf]
-        on = offset < length  # the hits on these leaves
-        values[leaf[on], offset[on]] = at_hits[near][on]
-        return values
-
-    return _tree_sum(_leaf_sums(k * m, on_leaves, leaves, base.copy()))
+def _cost_risk(costs, labels, weighted, out=None) -> float:
+    """:func:`risk` of labels in ``[0, k)`` on the ``(k, m)`` weighted masses: the sum of
+    ``costs[i, label] * weighted[i, x]`` over the flattened array, written into ``out`` if given."""
+    weighted_costs = costs.take(labels, axis=1, out=out, mode="clip")  # "clip" fills out directly
+    weighted_costs *= weighted
+    return float(weighted_costs.sum())
 
 
 def posterior(source: LabeledSource, atom: str) -> np.ndarray:

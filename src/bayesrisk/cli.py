@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bounds import EXACT_TOL, KL, L1, PerturbationBudget, tightness_search
+from .bounds import EXACT_TOL, KL, L1, PerturbationBudget, _check_search, tightness_search
 from .bounds import _as_arrays, _as_objects, _divergences, _random_instances, _two_atom_masses, _verdict, _within
 from .classify import CostMatrix, LabeledSource, as_cost_array
 from .distributions import Distribution, Domain, QuantizedClassSpec, _json_float
@@ -151,9 +151,11 @@ def cmd_verify(args) -> int:
         print(json.dumps(shown, indent=2))
         return EXIT_OK if ok else EXIT_VIOLATION
     _require_positive_trials(args)
-    if args.k_max < 2 or args.m_max < 2:
-        raise UsageError("--k-max and --m-max must be at least 2")
     rng = np.random.default_rng(args.seed)
+    try:
+        instances = _random_instances(rng, args.trials, args.k_max, args.m_max, metric)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     config = {
         "trials": args.trials,
         "k_max": args.k_max,
@@ -163,7 +165,6 @@ def cmd_verify(args) -> int:
     run = _Run(args.command, args.out_dir, args.seed, config)
     violations = 0
     worst_gap = 0.0
-    instances = _random_instances(rng, args.trials, args.k_max, args.m_max, metric)
     for trial, (priors, masses, divergences, cost) in enumerate(instances):
         report, gap, ok = _verdict(priors, masses, divergences, cost)
         k, m = masses.shape[1:]
@@ -327,11 +328,8 @@ def cmd_pipeline(args) -> int:
 
 
 def cmd_tightness(args) -> int:
-    if args.iterations < 1:
-        raise UsageError("--iterations must be at least 1")
-    if args.k < 2 or args.domain_size < 1:
-        raise UsageError("--k must be at least 2 and --domain-size at least 1")
     try:
+        _check_search(args.k, args.domain_size, args.iterations)
         budget = PerturbationBudget(args.metric, args.epsilon)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc

@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -131,42 +131,36 @@ def _pairwise_tree(n: int, built=None):
 # atoms of a full pass for each atom of the leaves it sums afresh (the unit-mass, L1 and cost-risk sums of
 # 32,768-262,144 entries, each timed rebuilt against full pass on a 2-CPU VM).
 _TREE_ATOMS, _LEAF_PASSES = 1 << 16, 6
+# Most floats in an array of a batch of sparse sums, leaf matrices and slot rows alike (chosen in CHANGES.md).
+_BATCH_FLOATS = 1 << 14
 
 
-def _few_leaves(n: int, atoms: np.ndarray):
-    """The leaves of numpy's summation tree of a length-``n`` row that hold the sorted ``atoms``, each once, if
-    summing them afresh costs less than a full pass over the row; else ``None``, found first from the
-    ``_LEAF``-atom blocks the atoms meet, as a leaf meets at most two."""
+def _few_leaves(n: int, atoms: np.ndarray) -> bool:
+    """Whether summing afresh the leaves of a length-``n`` row that hold the sorted ``atoms`` costs less than a
+    full pass over it; found first from the ``_LEAF``-atom blocks the atoms meet, as a leaf meets at most two."""
     most = (n - _TREE_ATOMS) // (_LEAF_PASSES * _LEAF)
     if most < 1 or np.count_nonzero((blocks := atoms // _LEAF)[1:] != blocks[:-1]) >= 2 * most:
-        return None
-    starts = _pairwise_tree(n)[1]
-    held = np.zeros(len(starts), bool)
-    held[starts.searchsorted(atoms, "right") - 1] = True
-    leaves = held.nonzero()[0]
-    return leaves if len(leaves) <= most else None
+        return False
+    leaves = _pairwise_tree(n)[1].searchsorted(atoms, "right")
+    return np.count_nonzero(leaves[1:] != leaves[:-1]) < most
 
 
-def _leaf_sums(n: int, entries, leaves=None, out=None) -> np.ndarray:
-    """numpy's sums of the ``leaves`` (every leaf if ``None``) of a length-``n`` float row, written at their
-    slots into ``out`` (zeros if ``None``), which is returned. ``entries`` is the row, or gives it on 64
-    leaves of one length at a time as ``entries(starts, length)``, a leaf a row."""
-    height, starts, lengths, slots = _pairwise_tree(n)
+def _leaf_sums(n: int, row: np.ndarray, leaves=None, out=None) -> np.ndarray:
+    """numpy's sums of the ``leaves`` (every leaf if ``None``) of the length-``n`` float ``row``, written at
+    their slots into ``out`` (zeros if ``None``), which is returned."""
+    height, starts = _pairwise_tree(n)[:2]
     leaves = np.arange(len(starts)) if leaves is None else leaves
     out = np.zeros(1 << height) if out is None else out
-    entries = entries if callable(entries) else partial(_on_leaves, entries)
-    for length in set(lengths[leaves].tolist()):
-        group = leaves[lengths[leaves] == length]
-        for part in (group[i : i + 64] for i in range(0, len(group), 64)):
-            out[slots[part]] = entries(starts[part], length).sum(axis=1)
+    none = np.zeros(len(leaves) + 1, np.intp)  # the plan of a row changed nowhere
+    _patched_sums(n, (none[1:], leaves, none, none[:0]), none[:0], out[None], lambda _, *at: _on_leaves(row, *at))
     return out
 
 
-def _tree_sum(sums: np.ndarray) -> float:
-    """numpy's sum of the row whose leaf sums, at their slots, are ``sums``."""
-    while len(sums) > 1:
-        sums = sums[::2] + sums[1::2]
-    return float(sums[0])
+def _tree_sum(sums: np.ndarray):
+    """numpy's sum of the row whose leaf sums, at their slots, are ``sums``; of a 2-D ``sums``, each row's."""
+    while sums.shape[-1] > 1:
+        sums = sums[..., ::2] + sums[..., 1::2]
+    return float(sums[0]) if sums.ndim == 1 else sums[:, 0]
 
 
 def _on_leaves(row: np.ndarray, starts: np.ndarray, length: int) -> np.ndarray:
@@ -174,7 +168,41 @@ def _on_leaves(row: np.ndarray, starts: np.ndarray, length: int) -> np.ndarray:
     return np.ndarray((row.size - length + 1, length), row.dtype, row, 0, row.strides * 2)[starts]
 
 
-def _exact_unit_mass(mass: np.ndarray, at=slice(None)) -> np.ndarray:
+def _leaf_plan(n: int, rows: np.ndarray, atoms: np.ndarray):
+    """The leaves of length-``n`` rows that hold ``atoms``, sorted within each of their non-decreasing ``rows``: the
+    row and leaf of each (row, leaf) pair, each pair's first atom and then the atom count, each atom's offset."""
+    starts = _pairwise_tree(n)[1]
+    leaf = starts.searchsorted(atoms, "right") - 1
+    first = np.flatnonzero(np.diff(rows * len(starts) + leaf, prepend=-1))
+    return rows[first], leaf[first], np.append(first, len(atoms)), atoms - starts[leaf]
+
+
+def _patched_sums(n: int, plan, values: np.ndarray, out: np.ndarray, background=None, chosen=None) -> np.ndarray:
+    """numpy's sums of length-``n`` rows that are ``background(rows, starts, length)`` (zero if ``None``) but at
+    the atoms of a :func:`_leaf_plan`, where they are ``values``: the plan's leaves (or those of its pairs ``chosen``)
+    are summed afresh into the slot rows ``out``, at most ``_BATCH_FLOATS`` entries at a time, and joined."""
+    rows, leaves, bounds, offsets = plan
+    _, starts, lengths, slots = _pairwise_tree(n)
+    if chosen is not None or ((size := lengths[leaves])[1:] < size[:-1]).any():  # pairs in runs of one length
+        pairs = np.arange(len(leaves)) if chosen is None else chosen
+        pairs = pairs[np.argsort(lengths[leaves[pairs]], kind="stable")]
+        count = bounds[pairs + 1] - bounds[pairs]
+        hit = np.arange(count.sum()) + np.repeat(bounds[pairs] - count.cumsum() + count, count)
+        rows, leaves, bounds = rows[pairs], leaves[pairs], np.concatenate(([0], count.cumsum()))
+        offsets, values = offsets[hit], values[hit]
+        del hit
+    size = lengths[leaves]
+    cuts = sorted({*range(0, len(size), _BATCH_FLOATS // _LEAF), *(np.flatnonzero(size[1:] != size[:-1]) + 1)})
+    for p0, p1 in zip(cuts, [*cuts[1:], len(size)]):
+        cut, leaf, length = bounds[p0 : p1 + 1], leaves[p0:p1], int(size[p0])  # the atoms from cut[0] to cut[-1]
+        on_leaves = np.zeros((p1 - p0, length)) if background is None else background(rows[p0:p1], starts[leaf], length)
+        on_leaves[np.arange(p1 - p0).repeat(cut[1:] - cut[:-1]), offsets[cut[0] : cut[-1]]] = values[cut[0] : cut[-1]]
+        out[rows[p0:p1], slots[leaf]] = on_leaves.sum(axis=1)
+        del on_leaves  # else two matrices would be alive as the next one is made
+    return _tree_sum(out)
+
+
+def _exact_unit_mass(mass: np.ndarray) -> np.ndarray:
     """Rescale ``mass`` in place so it sums to 1.0 up to at most one ulp: each row of a 2-D
     ``mass`` on its own, a 1-D one being one row.
 
@@ -182,37 +210,25 @@ def _exact_unit_mass(mass: np.ndarray, at=slice(None)) -> np.ndarray:
     by a few ulp; folding the residual into the largest entry leaves it at 1.0 or, for about 6.5% of
     random gamma-weighted rows at m = 2-64, one ulp off. A second call rescales such a row and moves
     its bits, so a reader of written masses keeps them (:meth:`Distribution.from_dict`), never re-runs this.
-    Given the sorted atoms ``at`` of every positive entry of a 1-D ``mass``, it divides and searches only
-    there, and sums only their leaves of numpy's summation tree when :func:`_few_leaves` finds them few:
-    every other leaf sums to zero.
     """
     rows = mass if mass.ndim == 2 else mass[None]
-    leaves = None if isinstance(at, slice) else _few_leaves(mass.size, at)
-    if leaves is None:
-        row_sums = lambda _: rows.sum(axis=1)
-    else:  # a leaf is summed again once changed
-        sums = np.zeros(1 << _pairwise_tree(mass.size)[0])
-        row_sums = lambda changed: np.array([_tree_sum(_leaf_sums(mass.size, mass, changed, sums))])
-    totals = row_sums(leaves)
+    if _unit_sums(totals := rows.sum(axis=1)):  # dividing by 1.0 and re-summing would change no bit
+        return mass
+    rows /= totals[:, None]
+    for _ in range(4):
+        residual = rows.sum(axis=1) - 1.0
+        if not np.count_nonzero(residual):
+            break
+        rows[np.arange(len(rows)), rows.argmax(axis=1)] -= residual
+    return mass
+
+
+def _unit_sums(totals: np.ndarray) -> bool:
+    """Whether the row sums ``totals`` are all exactly 1.0; a ``ValueError`` if one lies further than ``SUM_TOL``."""
     for total in (listed := totals.tolist()):  # cheaper than numpy calls for the few rows of most calls
         if abs(total - 1.0) > SUM_TOL:
             raise ValueError(f"mass sums to {total!r}, expected 1 within {SUM_TOL}")
-    if listed.count(1.0) == len(listed):  # dividing by 1.0 and re-summing would change no bit
-        return mass
-    if isinstance(at, slice):
-        rows /= totals[:, None]
-    else:  # the zeros elsewhere would divide to zeros
-        rows[:, at] /= totals[:, None]
-    changed = leaves
-    for _ in range(4):
-        residual = row_sums(changed) - 1.0
-        if not np.count_nonzero(residual):
-            break
-        top = rows[:, at].argmax(axis=1)
-        top = top if isinstance(at, slice) else at[top]
-        rows[np.arange(len(rows)), top] -= residual
-        changed = None if leaves is None else _few_leaves(mass.size, top)  # one leaf, never too many
-    return mass
+    return listed.count(1.0) == len(listed)
 
 
 @dataclass(frozen=True, eq=False)
@@ -317,20 +333,10 @@ def l1_distance(p: Distribution, q: Distribution) -> float:
     return _l1_distance(p.mass, q.mass)
 
 
-def _l1_distance(p: np.ndarray, q: np.ndarray, out=None, at=slice(None), base=None):
-    """:func:`l1_distance` of the masses ``p`` and ``q``; of ``(n, m)`` masses, row by row. Outside
-    the atom set ``at`` of a 1-D ``q`` it is zero and ``|p - q|`` is ``p``, whose leaf sums
-    (:func:`_leaf_sums`) are ``base``: only ``at``'s leaves are summed afresh if :func:`_few_leaves` finds them
-    few, else the row summed is the same."""
-    if isinstance(at, slice):
-        diff = np.subtract(p, q, out=out)
-        np.abs(diff, out=diff)
-    elif (leaves := _few_leaves(p.size, at)) is not None:
-        on_leaves = lambda starts, length: np.abs(_on_leaves(p, starts, length) - _on_leaves(q, starts, length))
-        return _tree_sum(_leaf_sums(p.size, on_leaves, leaves, base.copy()))
-    else:
-        diff = np.abs(p, out=out)
-        diff[at] = np.abs(p[at] - q[at])
+def _l1_distance(p: np.ndarray, q: np.ndarray, out=None):
+    """:func:`l1_distance` of the masses ``p`` and ``q``; of ``(n, m)`` masses, row by row."""
+    diff = np.subtract(p, q, out=out)
+    np.abs(diff, out=diff)
     l1 = diff.sum(axis=-1)
     return l1 if l1.ndim else float(l1)
 
@@ -346,11 +352,9 @@ def kl_divergence(p: Distribution, q: Distribution) -> float:
     return _kl_on_support(p.mass, q.mass, p.mass > 0.0)
 
 
-def _kl_on_support(p: np.ndarray, q: np.ndarray, support: np.ndarray, out=None, at=slice(None), size=None):
+def _kl_on_support(p: np.ndarray, q: np.ndarray, support: np.ndarray, out=None):
     """:func:`kl_divergence` of the masses ``p`` and ``q``, ``support`` being ``p > 0`` (``None`` if all):
     a full one is summed in the scratch row ``out``, a partial one gathered (``q`` first, for an inf KL).
-    An array ``at``, atoms outside which ``q`` is zero, with fewer atoms than the support's ``size``, makes
-    the KL inf unread: some atom of the support has ``q = 0``.
 
     Of ``(n, m)`` masses, an ``(n,)`` array: rows of one support size are gathered into one
     ``(rows, size)`` block, so each row sums what its 1-D gather sums.
@@ -366,8 +370,6 @@ def _kl_on_support(p: np.ndarray, q: np.ndarray, support: np.ndarray, out=None, 
             sums = _kl_sum(ps, qs) if finite.all() else _kl_sum(ps[finite], qs[finite])
             kl[np.flatnonzero(rows)[finite]] = np.where(sums > 0.0, sums, 0.0)
         return kl
-    if not isinstance(at, slice) and size > len(at):
-        return math.inf
     full = support is None or bool(support.all())
     qs = q if full else q[support]
     if qs.min() == 0.0:  # q >= 0, so this finds a zero without a bool temporary

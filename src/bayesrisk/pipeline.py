@@ -24,13 +24,13 @@ held for the whole experiment.
 
 A trial runs on raw arrays in one workspace per experiment, scored in
 either mode by ``bounds._plugin_risk``: a cost-mode trial whose classes
-have full support allocates no m-sized array. An estimate without
-add-lambda smoothing is zero off the atoms its draws hit (its sorted distinct
-draws); with at most one draw per 16 of 4,096 or more atoms the kernels work
-only there, the Bayes labels' cost product too (``classify._gathered_scores``).
-Each sum runs over the full array, or, on a wide domain whose hits fall on few
-of numpy's 128-atom leaves, is rebuilt from the leaf sums of numpy's summation
-tree (``distributions._few_leaves``), so each output keeps its bits.
+have full support allocates no m-sized array. A cost-mode trial whose every
+estimate is sparse (no add-lambda smoothing, at most one draw per 16 atoms),
+its hits on so few of numpy's 128-atom leaves that summing those afresh beats
+a full pass (``distributions._few_leaves``), joins a batch (``_sparse_batch``):
+its sums are rebuilt from leaf sums in one tree pass per batch, its Bayes labels
+come from one cost product, and ``distributions._BATCH_FLOATS`` caps each batch
+array. Each output keeps its bits (``test_sparse_trials_equal_the_dense_kernels``).
 """
 
 from __future__ import annotations
@@ -42,9 +42,10 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .bounds import BoundReport, _plugin_risk, _theorem_report
-from .classify import CostMatrix, LabeledSource, _workspace, as_cost_array
-from .distributions import Distribution, Domain, _draw_indices, _exact_unit_mass, _json_float, _json_int
-from .distributions import _kl_on_support, _l1_distance, _leaf_sums, _sorted_set
+from .classify import CostMatrix, LabeledSource, _bayes_labels, _workspace, as_cost_array
+from .distributions import _BATCH_FLOATS, Distribution, Domain, _draw_indices, _exact_unit_mass, _few_leaves
+from .distributions import _json_float, _json_int, _kl_on_support, _l1_distance, _leaf_plan, _leaf_sums, _on_leaves
+from .distributions import _pairwise_tree, _patched_sums, _sorted_set, _unit_sums
 from .pdfa import Pdfa, truncate_all
 
 
@@ -146,9 +147,7 @@ def _estimate(mass: np.ndarray, idx: np.ndarray, laplace: float, zero=slice(None
     """Write the add-lambda estimate of the atom indices ``idx`` into ``mass``, zero outside the atom
     set ``zero``, unnormalized. Return its atom set: without smoothing and with at most one draw per
     16 of ``_SPARSE_ATOMS`` or more atoms, the sorted distinct draws, which are the atoms of its non-zero
-    entries; else every atom, ``slice(None)``. Only then do the hits' indexing pay for the passes saved;
-    a sum over the estimate's row is rebuilt from the leaves of its hits only where they are few enough
-    (``distributions._few_leaves``)."""
+    entries; else every atom, ``slice(None)``. Only then do the hits' indexing pay for the passes saved."""
     mass[zero] = 0.0
     np.add.at(mass, idx, 1.0)
     denom = idx.size + laplace * mass.size
@@ -185,19 +184,19 @@ def run_trial(
 
 
 def _fixed(config: TrialConfig):
-    """An experiment's workspace, cost array (``None`` under log loss), optimal risk (:func:`_plugin_risk` of
-    the true classes), per class its mass, support (``None`` if full), support size and leaf sums, and the
-    leaf sums of the label-0 weighted costs: what a sparse trial's sums start from, taken only if an
-    estimate can go sparse (``None`` else)."""
+    """An experiment's workspace, cost array (``None`` under log loss), optimal risk (:func:`_plugin_risk` of the
+    true classes), per class its mass, support (``None`` if full), support size and leaf sums, and the leaf sums of
+    the flattened label-0 weighted costs: what a batch's sums start from, taken only in cost mode if an estimate
+    can go sparse (``None`` else)."""
     source, m = config.source, config.source.domain.size
     ws = _workspace(source.k, m)
-    sparse = not config.resolved_laplace and m >= _SPARSE_ATOMS
+    costs = None if config.cost is None else as_cost_array(config.cost, source.k)
+    sparse = costs is not None and not config.resolved_laplace and m >= _SPARSE_ATOMS
     classes = tuple((d.mass, None if d.mass.min() > 0.0 else d.mass > 0.0, np.count_nonzero(d.mass),
                      _leaf_sums(m, d.mass) if sparse else None) for d in source.class_dists)
     true = np.stack([d.mass for d in source.class_dists], out=ws[0])
-    costs = None if config.cost is None else as_cost_array(config.cost, source.k)
     risk_opt = _plugin_risk(source.priors, source.weighted_mass, true, costs, ws)
-    label_0 = None if costs is None or not sparse else np.multiply(costs[:, :1], source.weighted_mass, out=ws[1])
+    label_0 = np.multiply(costs[:, :1], source.weighted_mass, out=ws[1]) if sparse else None
     return ws, costs, risk_opt, classes, None if label_0 is None else _leaf_sums(label_0.size, label_0.reshape(-1))
 
 
@@ -205,32 +204,103 @@ def _block(config: TrialConfig, rngs: Sequence[np.random.Generator], n: int, ws,
     """:func:`run_trial`'s outcome at sample size ``n`` for each generator of ``rngs``, given :func:`_fixed`.
     Every draw comes first, each generator making one trial's calls in its order (labels, then class
     0, class 1, ...) into one buffer; each class's CDF, built once in the workspace row, answers the
-    block's draws of that class. Then each trial's arithmetic runs on the workspace."""
+    block's draws of that class. Then each trial's estimates are made on the workspace. A cost-mode trial whose
+    every estimate is sparse on few leaves (``distributions._few_leaves``) joins the trials before it in a batch
+    (:func:`_sparse_batch`) while its arrays fit ``_BATCH_FLOATS``; any other runs the kernels on every atom."""
     source, laplace = config.source, config.resolved_laplace
-    ests, _, _, row, _ = ws
+    (k, m), (ests, _, _, row, _) = (source.k, source.domain.size), ws
     uniforms = np.empty((len(rngs), n))
     for rng, trial_uniforms in zip(rngs, uniforms):
         rng.random(out=trial_uniforms)
-    counts = np.array([np.bincount(labels, minlength=source.k) for labels in _draw_indices(source.priors, uniforms)])
+    counts = np.array([np.bincount(labels, minlength=k) for labels in _draw_indices(source.priors, uniforms)])
     flat, samples = uniforms.reshape(-1), []
     for d, class_counts in zip(source.class_dists, counts.T):
         ends = class_counts.cumsum()
         for rng, start, end in zip(rngs, ends - class_counts, ends):
             rng.random(out=flat[start:end])
         samples.append(np.split(_draw_indices(d.mass, flat[: ends[-1]], row), ends[:-1]))
-    del uniforms, flat
-    atoms = [slice(None)] * source.k  # each estimate's atom set; the workspace rows hold anything
+    del uniforms, flat, trial_uniforms  # the loop's last view would keep the draws' buffer alive
+    atoms = [slice(None)] * k  # each estimate's atom set; the workspace rows hold anything
+    slots, batch, used = max(k << _pairwise_tree(m)[0], 1 << _pairwise_tree(k * m)[0]), [], 0  # a trial's slot rows
     for t, trial_counts in enumerate(counts.tolist()):
         for i, (est, idx) in enumerate(zip(ests, samples)):
             atoms[i] = _estimate(est, idx[t], laplace, atoms[i])
-            _exact_unit_mass(est, atoms[i])
-        l1s = tuple(_l1_distance(p, q, row, at, base) for (p, _, _, base), q, at in zip(classes, ests, atoms))
-        kls = tuple(_kl_on_support(p, q, support, row, at, size)
-                    for (p, support, size, _), q, at in zip(classes, ests, atoms))
-        hits = None if any(isinstance(at, slice) for at in atoms) else atoms
-        risk_plugin = _plugin_risk(source.priors, source.weighted_mass, ests, costs, ws, hits, costs_base)
+        sparse = costs_base is not None and all(not isinstance(at, slice) and _few_leaves(m, at) for at in atoms)
+        charge = max(slots, k * sum(at.size for at in atoms)) if sparse else math.inf  # or its product's columns
+        if batch and used + charge > _BATCH_FLOATS:  # a dense trial, or one the batch has no room for, ends it
+            yield from _sparse_batch(config, batch, costs, risk_opt, classes, costs_base)
+            batch, used = [], 0
+        if sparse:
+            batch.append((trial_counts, [(at, est[at]) for at, est in zip(atoms, ests)]))
+            used += charge
+            continue
+        _exact_unit_mass(ests)
+        l1s = tuple(_l1_distance(p, q, row) for (p, *_), q in zip(classes, ests))
+        kls = tuple(_kl_on_support(p, q, support, row) for (p, support, *_), q in zip(classes, ests))
+        risk_plugin = _plugin_risk(source.priors, source.weighted_mass, ests, costs, ws)
         report = _theorem_report(source.priors, config.cost, kls if costs is None else l1s, risk_opt, risk_plugin)
         yield TrialOutcome(tuple(trial_counts), l1s, kls, report)
+    yield from _sparse_batch(config, batch, costs, risk_opt, classes, costs_base) if batch else ()
+
+
+def _sparse_batch(config: TrialConfig, batch, costs, risk_opt, classes, costs_base) -> list[TrialOutcome]:
+    """The outcomes of a ``batch`` of cost-mode trials, each its split sizes and, per class, its estimate's atom
+    set (:func:`_estimate`'s) and entries there, on few leaves. Each sum, the unit masses, the L1s and the risks
+    (from one cost product), is numpy's over the full row, rebuilt in lockstep (``distributions._patched_sums``)."""
+    source, trials, (k, m) = config.source, len(batch), (config.source.k, config.source.domain.size)
+    estimates = [hits[i] for i in range(k) for _, hits in batch]  # a row per class and trial, class by class
+    atom, q = (np.concatenate(part) for part in zip(*estimates))
+    bounds = np.cumsum([0, *(at.size for at, _ in estimates)])  # each row's hits
+    row = np.arange(k * trials).repeat(bounds[1:] - bounds[:-1])
+    plan, width = _leaf_plan(m, row, atom), 1 << _pairwise_tree(m)[0]
+    totals = _patched_sums(m, plan, q, sums := np.zeros((k * trials, width)))
+    if not _unit_sums(totals):  # as _exact_unit_mass, each changed leaf summed afresh
+        chosen = np.flatnonzero(totals[plan[0]] != 1.0)
+        q /= totals[row]
+        for _ in range(4):
+            residual = _patched_sums(m, plan, q, sums, chosen=chosen) - 1.0
+            if not len(off := np.flatnonzero(residual)):
+                break
+            top = np.array([bounds[r] + q[bounds[r] : bounds[r + 1]].argmax() for r in off])
+            q[top] -= residual[off]
+            chosen = plan[2].searchsorted(top, "right") - 1
+    true, ends = [p for p, *_ in classes], bounds[::trials]  # each class's hits
+    diff = np.concatenate([p[atom[lo:hi]] for p, lo, hi in zip(true, ends[:-1], ends[1:])]) - q
+    sums.reshape(k, trials, width)[:] = np.array([base for *_, base in classes])[:, None]
+
+    def true_on_leaves(rows, starts, length):  # the rows run class by class
+        of = rows // trials
+        return np.concatenate([_on_leaves(true[i], starts[of == i], length) for i in range(of[0], of[-1] + 1)])
+
+    l1s = _patched_sums(m, plan, np.abs(diff, out=diff), sums, true_on_leaves).reshape(k, trials)
+    kls = [math.inf if size > hi - lo else _kl_on_support(p[atom[lo:hi]], q[lo:hi], None)  # q is 0 off the hits
+           for (p, _, size, _), lo, hi in zip([c for c in classes for _ in range(trials)], bounds[:-1], bounds[1:])]
+    union = _sorted_set(columns := row % trials * m + atom)  # each trial's hit columns, as trial * m + atom
+    weighted = np.zeros((k, len(union)))
+    weighted[row // trials, union.searchsorted(columns)] = source.priors[row // trials] * q
+    labels = _bayes_labels(costs, weighted, None, np.empty(len(union), np.intp), np.empty(len(union), bool))
+    del atom, q, row, plan, diff, columns, sums, weighted  # before the risks' arrays are made
+    trial, atom = np.divmod(union, m)
+    cols = np.bincount(trial, minlength=trials)  # the risks' hits: trial by trial, class by class, atom by atom
+    order = np.arange(len(union)) + (k - 1) * (cols.cumsum() - cols)[trial] + np.outer(range(k), cols[trial])
+    flat_atoms, entries = np.empty(k * len(union), np.intp), np.empty(k * len(union))
+    flat_atoms[order] = np.arange(0, k * m, m)[:, None] + atom
+    entries[order] = costs.take(labels, axis=1) * source.weighted_mass.take(atom, axis=1)
+    plan = _leaf_plan(k * m, np.arange(trials).repeat(k * cols), flat_atoms)
+    del labels, trial, atom, order, flat_atoms
+
+    def label_0(_, starts, length, flat=source.weighted_mass.reshape(-1)):  # costs[:, :1] * weighted, on leaves
+        on_leaves = _on_leaves(flat, starts, length)
+        on_leaves *= costs[starts // m, 0][:, None]
+        for i in np.flatnonzero(starts // m != (starts + length - 1) // m):  # a leaf across a class's end
+            index = starts[i] + np.arange(length)
+            on_leaves[i] = costs[index // m, 0] * flat[index]
+        return on_leaves
+
+    risks = _patched_sums(k * m, plan, entries, np.repeat(costs_base[None], trials, 0), label_0)
+    return [TrialOutcome(tuple(trial_counts), tuple(l1s[:, t].tolist()), tuple(kls[t::trials]),
+                         _theorem_report(source.priors, config.cost, l1s[:, t], risk_opt, float(risks[t])))
+            for t, (trial_counts, _) in enumerate(batch)]
 
 
 @dataclass(frozen=True)

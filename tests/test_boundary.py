@@ -302,11 +302,27 @@ def test_an_infinite_epsilon_stays_legal():
     pytest.param(["pipeline", "--source", f"pdfa:{HALF_MACHINE},pdfa:{HALF_MACHINE}", "--truncate", "3",
                   "--trials", "10"], "at least 30 trials are needed for a meaningful delta estimate",
                  id="pipeline-10-trials"),
-    pytest.param(["tightness", "--iterations", "0"], "--iterations must be at least 1", id="tightness-iterations-0"),
+    pytest.param(["tightness", "--iterations", "0"], "iterations must be at least 1", id="tightness-iterations-0"),
 ])
 def test_cli_usage_error_names_its_input(tmp_path, capsys, argv, message):
     assert main([*argv, "--out-dir", str(tmp_path / "run")]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["verify-theorem1", "--k-max", "1"], "k_max and m_max must be at least 2", id="theorem1-k-max-1"),
+    pytest.param(["verify-theorem2", "--m-max", "1"], "k_max and m_max must be at least 2", id="theorem2-m-max-1"),
+    pytest.param(["tightness", "--iterations", "0"], "iterations must be at least 1", id="tightness-iterations-0"),
+    pytest.param(["tightness", "--k", "1"], "k must be at least 2 and m at least 1", id="tightness-k-1"),
+    pytest.param(["tightness", "--domain-size", "0"], "k must be at least 2 and m at least 1",
+                 id="tightness-domain-size-0"),
+])
+def test_cli_size_flags_are_checked_by_the_library_before_the_out_dir(tmp_path, capsys, argv, message):
+    """The sweeps' and the tightness search's size flags are refused by the library's own checks, whose message
+    the usage error carries, before the command makes its out-dir."""
+    assert main([*argv, "--out-dir", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "run").exists()
 
 
 def test_public_members_no_other_test_reads():

@@ -149,36 +149,43 @@ def hexes(a):
     return [v.hex() for v in np.asarray(a, dtype=float).ravel().tolist()]
 
 
-def gathered_probe(rng, k, m, n_cols):
-    """One probe of a sparse trial's gathered cost product: weights with a quarter of their columns zero,
-    costs random or (3 in 10) zero-one, scaled by 10^U(-9, 9), and ``n_cols`` sorted distinct columns,
-    atom 0 in a quarter of the lone ones. ``np.matmul(costs.T, w.take(cols, axis=1))`` (at two or more
-    columns) and ``classify._gathered_scores`` (which pads a lone column) must equal the full product's
-    columns in float.hex."""
+def batch_probe(rng, k, m, sizes):
+    """One probe of the cost product of a batch of sparse trials: weights with a quarter of their columns zero,
+    costs random or (3 in 10) zero-one, scaled by 10^U(-9, 9), and for trial t ``sizes[t]`` sorted distinct
+    columns, atom 0 in a quarter of the lone ones. ``classify._gathered_scores`` of the trials' columns side by
+    side (a batch of one lone column padded with a zero one) must equal in float.hex each trial's own product,
+    which pads a lone column with column 1 if it is atom 0, else column 0, and that the full product's columns."""
     w = rng.random((k, m)) * rng.random((k, 1))
     w[:, rng.random(m) < 0.25] = 0.0
     costs = np.ones((k, k)) - np.eye(k) if rng.random() < 0.3 else rng.random((k, k))
     costs *= 10.0 ** rng.uniform(-9.0, 9.0)
-    cols = np.sort(rng.choice(m, n_cols, replace=False))
-    if n_cols == 1 and rng.random() < 0.25:
-        cols[0] = 0
-    full = hexes((costs.T @ w)[:, cols])
-    if n_cols > 1:
-        assert hexes(np.matmul(costs.T, w.take(cols, axis=1))) == full
-    assert hexes(classify._gathered_scores(costs, w, cols)) == full
+    trials = [np.sort(rng.choice(m, size, replace=False)) for size in sizes]
+    for cols in trials:
+        if len(cols) == 1 and rng.random() < 0.25:
+            cols[0] = 0
+    full = costs.T @ w
+    batch = classify._gathered_scores(costs, np.concatenate([w.take(cols, axis=1) for cols in trials], axis=1))
+    for cols, start in zip(trials, np.cumsum([0, *sizes])):
+        own = np.matmul(costs.T, w.take(cols if len(cols) > 1 else [cols[0], int(cols[0] == 0)], axis=1))
+        assert hexes(own[:, : len(cols)]) == hexes(full[:, cols])
+        assert hexes(batch[:, start : start + len(cols)]) == hexes(full[:, cols])
 
 
 @pytest.mark.parametrize("m", [4_096, 131_072])
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_gathered_product_keeps_the_full_products_bits(k, m):
-    """A sparse trial multiplies only its hit columns. On each domain width the pipeline goes sparse at,
-    30 gathers of 2 to 3,000 columns (log-uniform, both ends included) and 30 lone columns, each padded,
-    equal the full product bit for bit. An unpadded lone column takes another BLAS kernel, which missed
+    """A batch of sparse trials multiplies its trials' hit columns in one product. On each domain width the
+    pipeline goes sparse at, 12 batches of 1 to 40 trials, each trial of 1 to 3,000 columns (log-uniform, both
+    ends included, at most 6,000 in a batch), and 12 batches of one lone column, padded, equal each trial's own
+    product and the full product bit for bit. An unpadded lone column takes another BLAS kernel, which missed
     in 73 of 240 probes at k = 4-5 with OpenBLAS 0.3.31 (test_mutations checks that this test sees it)."""
     rng = np.random.default_rng([k, m])
-    counts = [2, 3_000, *np.exp(rng.uniform(math.log(2), math.log(3_001), 28)).astype(int)]
-    for n_cols in [*counts, *[1] * 30]:
-        gathered_probe(rng, k, m, int(n_cols))
+    shapes = [[3_000], [1, 3_000, 1], [2] * 40]
+    for trials in rng.integers(1, 41, 9):
+        top = math.log(min(3_000, 6_000 // trials) + 1)
+        shapes.append(np.exp(rng.uniform(0.0, top, trials)).astype(int).tolist())
+    for sizes in [*shapes, *[[1]] * 12]:
+        batch_probe(rng, k, m, sizes)
 
 
 class TestRisk:

@@ -16,8 +16,11 @@ from bayesrisk.distributions import (
     _draw_indices,
     _few_leaves,
     _kl_on_support,
+    _leaf_plan,
     _leaf_sums,
+    _on_leaves,
     _pairwise_tree,
+    _patched_sums,
     _tree_sum,
     kl_divergence,
     l1_distance,
@@ -371,29 +374,49 @@ def check_tree_sums(n: int, kind: str, rng) -> None:
         assert _tree_sum(from_zero).hex() == float(numpy_sum(alone)).hex()
 
 
+def check_tree_rows(n: int, kind: str, rng, rows: int = 3) -> None:
+    """The batch kernel against ``ndarray.sum`` in float.hex at length ``n``: ``rows`` base rows, each with atoms
+    of ``kind`` changed, summed in one 2-D tree pass from the base rows' leaf sums, and the same rows zero off
+    those atoms, from zero leaf sums; only the leaves holding those atoms are summed afresh."""
+    base = rng.random((rows, n)) * 2.0 ** rng.integers(-20, 20, (rows, n))
+    hits = [_hit_atoms(kind, n, rng) for _ in range(rows)]
+    after, alone = base.copy(), np.zeros_like(base)
+    for row, at in enumerate(hits):
+        after[row, at] = alone[row, at] = rng.random(len(at))
+    row_of, atoms = np.repeat(np.arange(rows), [len(at) for at in hits]), np.concatenate(hits)
+    plan, flat = _leaf_plan(n, row_of, atoms), base.reshape(-1)
+    from_base = _patched_sums(n, plan, after[row_of, atoms], np.stack([_base_leaf_sums(row) for row in base]),
+                              lambda of, starts, length: _on_leaves(flat, of * n + starts, length))
+    from_zero = _patched_sums(n, plan, after[row_of, atoms], np.zeros((rows, 1 << _pairwise_tree(n)[0])))
+    for sums, rebuilt in ((after, from_base), (alone, from_zero)):
+        assert [v.hex() for v in rebuilt.tolist()] == [float(row.sum()).hex() for row in sums]
+
+
 class TestPairwiseTree:
-    """numpy's float sum rebuilt from leaf sums: the kernel of sparse PAC trials."""
+    """numpy's float sum rebuilt from leaf sums: the kernel of sparse PAC trials, one row or a batch of rows."""
 
     @pytest.mark.parametrize("kind", HITS)
     @pytest.mark.parametrize("n", TREE_LENGTHS)
     def test_sums_equal_numpy_sums(self, n, kind):
         check_tree_sums(n, kind, np.random.default_rng([n, HITS.index(kind)]))
+        check_tree_rows(n, kind, np.random.default_rng([n, HITS.index(kind), 2]))
 
     @given(n=st.integers(1, 300_000), kind=st.sampled_from(HITS), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_sums_equal_numpy_sums_at_random_lengths(self, n, kind, seed):
         try:
             check_tree_sums(n, kind, np.random.default_rng(seed))
+            check_tree_rows(n, kind, np.random.default_rng([seed, 2]))
         finally:
             _pairwise_tree.cache_clear()  # a tree per random length would outlive the test
 
     def test_few_leaves_are_those_cheaper_than_a_full_pass(self):
         """Below ``_TREE_ATOMS`` atoms, or with more leaves to sum afresh than their cost allows, a sum takes
-        the full pass; else it gets the leaves of its atoms, each once."""
+        the full pass; else its leaves are few, each leaf counted once however many of its atoms are hit."""
         n = 131_072
         starts = _pairwise_tree(n)[1]
         most = (n - distributions._TREE_ATOMS) // (distributions._LEAF_PASSES * distributions._LEAF)
-        assert _few_leaves(distributions._TREE_ATOMS - 1, np.array([0])) is None
-        assert _few_leaves(n, np.array([0, 1, 200])).tolist() == [0, 1]
-        assert _few_leaves(n, starts[:most] + 5).tolist() == list(range(most))
-        assert _few_leaves(n, starts[: most + 1]) is None
+        assert not _few_leaves(distributions._TREE_ATOMS - 1, np.array([0]))
+        assert _few_leaves(n, np.array([0, 1, 200]))
+        assert _few_leaves(n, np.sort(np.concatenate((starts[:most] + 5, starts[:most] + 6))))
+        assert not _few_leaves(n, starts[: most + 1])

@@ -130,7 +130,7 @@ def tree_mutation(request, monkeypatch):
 @pytest.mark.parametrize("tree_mutation", ["split-not-rounded-to-8", "base-shifted-by-a-leaf"], indirect=True)
 def test_bit_identity_checks_fail_with_a_broken_tree(tmp_path, tree_mutation):
     """The checks that pin sparse trials to numpy's sums fail when the tree is wrong: the kernel's property
-    test, the sparse-against-dense differential test on 131,073 atoms, and the PDFA golden on 131,072 atoms.
+    tests on one row and on a batch of rows, the sparse-against-dense differential test on 131,073 atoms, and the PDFA golden on 131,072 atoms.
     The golden's domain and its flattened (2, 131,072) cost array have power-of-two lengths, whose every
     split is already a multiple of 8, so it can only see the shifted leaves."""
     import test_cli
@@ -139,8 +139,10 @@ def test_bit_identity_checks_fail_with_a_broken_tree(tmp_path, tree_mutation):
 
     with pytest.raises(AssertionError):
         test_distributions.check_tree_sums(4_095, "every-leaf", np.random.default_rng(0))
+    with pytest.raises(AssertionError):
+        test_distributions.check_tree_rows(4_095, "every-leaf", np.random.default_rng(0))
     example = dict(seed=1, k=2, m=131_073, grid=[150], rare=False, peaked=True, partial=False, ties=False,
-                   log_loss=False, laplace=0.0)
+                   log_loss=False, laplace=0.0, trials=4, cap="default")
     with pytest.raises(AssertionError):
         test_pipeline.test_sparse_trials_equal_the_dense_kernels.hypothesis.inner_test(**example)
     if tree_mutation == "base-shifted-by-a-leaf":
@@ -149,15 +151,15 @@ def test_bit_identity_checks_fail_with_a_broken_tree(tmp_path, tree_mutation):
 
 
 def test_a_lone_hit_column_multiplied_alone_fails_the_gathered_product_pin(monkeypatch):
-    """With the pad removed from the gathered cost product, so that a lone hit column is multiplied alone,
-    the float.hex pin fails: at a fixed probe (k = 4, 4,096 atoms) that passes padded, and over its lone
+    """With the pad removed from the batch cost product, so that a batch of one lone hit column is multiplied
+    alone, the float.hex pin fails: at a fixed probe (k = 4, 4,096 atoms) that passes padded, and over its lone
     columns at k = 4 and 5."""
     import test_classify
 
-    test_classify.gathered_probe(np.random.default_rng(0), 4, 4_096, 1)
-    monkeypatch.setattr(classify, "_gathered_scores", lambda costs, w, cols: np.matmul(costs.T, w.take(cols, axis=1)))
+    test_classify.batch_probe(np.random.default_rng(0), 4, 4_096, [1])
+    monkeypatch.setattr(classify, "_gathered_scores", lambda costs, w: np.matmul(costs.T, w))
     with pytest.raises(AssertionError):
-        test_classify.gathered_probe(np.random.default_rng(0), 4, 4_096, 1)
+        test_classify.batch_probe(np.random.default_rng(0), 4, 4_096, [1])
     for k in (4, 5):
         with pytest.raises(AssertionError):
             test_classify.test_gathered_product_keeps_the_full_products_bits(k, 4_096)

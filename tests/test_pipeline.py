@@ -15,7 +15,7 @@ from bayesrisk import distributions, pipeline
 from bayesrisk.bounds import _plugin_risk, random_cost, random_source
 from bayesrisk.classify import CostMatrix, LabeledSource
 from bayesrisk.distributions import Distribution, Domain, _draw_indices, _exact_unit_mass, make_distribution
-from bayesrisk.distributions import _kl_on_support, _l1_distance, _leaf_sums
+from bayesrisk.distributions import _kl_on_support, _l1_distance
 from bayesrisk.pipeline import (
     TrialConfig,
     config_from_dict,
@@ -305,21 +305,38 @@ class TestRunPacExperiment:
         assert peak < self.M * 8
 
 
+    def peaked_config(self):
+        """The wide config with nine tenths of each class on its first 512 atoms: draws that fall on few leaves."""
+        config = self.wide_config()
+        weights = np.array([d.mass for d in config.source.class_dists])
+        weights[:, :512] += 9.0 / 512
+        source = LabeledSource(config.source.priors, tuple(make_distribution(d.domain, w) for d, w in
+                                                           zip(config.source.class_dists, weights)))
+        return TrialConfig(**{**vars(config), "source": source})
+
     def test_sparse_trial_allocates_no_full_width_array(self, monkeypatch):
         """A trial whose draws fall on few of numpy's leaves sums those leaves afresh, 64 at a time: no
         returning temporary is as large as m floats."""
         trees, tree_sum = [], distributions._tree_sum
         monkeypatch.setattr(distributions, "_tree_sum", lambda sums: trees.append(len(sums)) or tree_sum(sums))
-        config = self.wide_config()
-        weights = np.array([d.mass for d in config.source.class_dists])
-        weights[:, :512] += 9.0 / 512  # nine tenths of each class on its first 512 atoms
-        source = LabeledSource(config.source.priors, tuple(make_distribution(d.domain, w) for d, w in
-                                                           zip(config.source.class_dists, weights)))
-        config = TrialConfig(**{**vars(config), "source": source})
+        config = self.peaked_config()
         fixed, atom_sets, estimate = _fixed(config), [], pipeline._estimate
         monkeypatch.setattr(pipeline, "_estimate", lambda *args: atom_sets.append(estimate(*args)) or atom_sets[-1])
         peak = self.traced_peak(lambda: list(_block(config, [np.random.default_rng(2)], 1000, *fixed)))
         assert atom_sets and not any(isinstance(at, slice) for at in atom_sets) and trees
+        assert peak < self.M * 8
+
+    def test_sparse_block_allocates_no_full_width_array(self, monkeypatch):
+        """A block of 30 such trials, worked in batches, holds no more than one m-float array would: the batches'
+        arrays are capped by ``_BATCH_FLOATS``, their leaf matrices too, and the block's draws are freed once
+        they are split."""
+        batches, sparse_batch = [], pipeline._sparse_batch
+        monkeypatch.setattr(pipeline, "_sparse_batch", lambda config, batch, *fixed: batches.append(len(batch))
+                            or sparse_batch(config, batch, *fixed))
+        config = self.peaked_config()
+        fixed, rngs = _fixed(config), [np.random.default_rng([2, t]) for t in range(30)]
+        peak = self.traced_peak(lambda: list(_block(config, rngs, 1000, *fixed)))
+        assert sum(batches) == 30 and max(batches) > 1
         assert peak < self.M * 8
 
 
@@ -402,6 +419,26 @@ def _dense_trial(config, rng, n):
     return counts.tolist(), l1s, kls, _plugin_risk(source.priors, source.weighted_mass, est, costs)
 
 
+def check_block_against_dense(config, seeds, n, cap=pipeline._BATCH_FLOATS):
+    """Each ``_block`` trial on the generators of ``seeds``, with the batches capped at ``cap`` floats, has the
+    counts, L1s, KLs and plug-in risk in float.hex of the dense kernels on the same draws. Returns the sizes of
+    the batches of sparse trials."""
+    batches, sparse_batch = [], pipeline._sparse_batch
+    spy = lambda config, batch, *fixed: batches.append(len(batch)) or sparse_batch(config, batch, *fixed)
+    with mock.patch.object(pipeline, "_BATCH_FLOATS", cap), mock.patch.object(pipeline, "_sparse_batch", spy):
+        outcomes = list(_block(config, [np.random.default_rng(s) for s in seeds], n, *_fixed(config)))
+    for s, out in zip(seeds, outcomes, strict=True):
+        counts, l1s, kls, risk = _dense_trial(config, np.random.default_rng(s), n)
+        assert list(out.counts) == counts
+        assert [v.hex() for v in out.l1_per_class] == [v.hex() for v in l1s]
+        assert [v.hex() for v in out.kl_per_class] == [v.hex() for v in kls]
+        assert out.report.risk_plugin.hex() == risk.hex()
+    return [size for size in batches if size]
+
+
+CAPS = {"one": 1, "default": pipeline._BATCH_FLOATS, "block": 1 << 40}
+
+
 @given(
     seed=st.integers(0, 2**32 - 1),
     k=st.integers(2, 5),
@@ -413,15 +450,25 @@ def _dense_trial(config, rng, n):
     ties=st.booleans(),
     log_loss=st.booleans(),
     laplace=st.sampled_from([0.0, 0.5]),
+    trials=st.just(4),
+    cap=st.sampled_from(sorted(CAPS)),
 )
 @settings(max_examples=100, deadline=None)
-# The domains of a PDFA truncated at 16, 2**17 atoms and one more, in every run, as each takes 0.2-0.7 s: the
-# first rebuilds its sums from leaf sums, the second at n = 20 only.
+# The domains of a PDFA truncated at 16, 2**17 atoms and one more, in every run, as each takes 0.2-1.2 s: sparse
+# trials are batched only where their hits fall on few of numpy's leaves, on domains this wide. The batches hold
+# a trial each (cap "one"), up to a whole block (cap "block") and, at n = 1,000, 30 trials at the default cap.
 @example(seed=1, k=2, m=131_073, grid=[150], rare=False, peaked=True, partial=False, ties=False, log_loss=False,
-         laplace=0.0)
+         laplace=0.0, trials=4, cap="default")
 @example(seed=2, k=3, m=131_072, grid=[20, 2000], rare=True, peaked=True, partial=True, ties=True, log_loss=False,
-         laplace=0.0)
-def test_sparse_trials_equal_the_dense_kernels(seed, k, m, grid, rare, peaked, partial, ties, log_loss, laplace):
+         laplace=0.0, trials=4, cap="default")
+@example(seed=3, k=4, m=131_073, grid=[100], rare=False, peaked=True, partial=True, ties=False, log_loss=False,
+         laplace=0.0, trials=4, cap="one")
+@example(seed=4, k=2, m=131_072, grid=[100], rare=False, peaked=False, partial=False, ties=False, log_loss=False,
+         laplace=0.0, trials=30, cap="block")
+@example(seed=5, k=2, m=131_072, grid=[1000], rare=False, peaked=True, partial=False, ties=True, log_loss=False,
+         laplace=0.0, trials=30, cap="default")
+def test_sparse_trials_equal_the_dense_kernels(seed, k, m, grid, rare, peaked, partial, ties, log_loss, laplace,
+                                               trials, cap):
     """Each ``_block`` trial, its estimates worked only at their hit atoms where lambda is 0, a class
     drew at most one atom in 16 and the domain has at least ``_SPARSE_ATOMS`` atoms, has the counts,
     L1s, KLs and plug-in risk in float.hex of the dense kernels on the same draws: n < m and n >> m,
@@ -429,7 +476,7 @@ def test_sparse_trials_equal_the_dense_kernels(seed, k, m, grid, rare, peaked, p
     classes that share their likeliest atoms (so their hits meet in one column), a class
     that draws nothing (a prior of 1e-3), a true class missing atoms,
     costs with two equal columns (ties), and several blocks of several trials on one workspace,
-    so each trial starts from the last one's atoms."""
+    so each trial starts from the last one's atoms; batches of one trial, of several and of a whole block."""
     rng = np.random.default_rng(seed)
     source = random_source(rng, k, m)
     priors, dists = source.priors.copy(), source.class_dists
@@ -458,36 +505,41 @@ def test_sparse_trials_equal_the_dense_kernels(seed, k, m, grid, rare, peaked, p
         delta_target=0.05,
         laplace=laplace,
     )
-    fixed = _fixed(config)
     for gi, n in enumerate(grid):
-        seeds = [[seed, gi, t] for t in range(4)]
-        outcomes = _block(config, [np.random.default_rng(s) for s in seeds], n, *fixed)
-        for s, out in zip(seeds, outcomes):
-            counts, l1s, kls, risk = _dense_trial(config, np.random.default_rng(s), n)
-            assert list(out.counts) == counts
-            assert [v.hex() for v in out.l1_per_class] == [v.hex() for v in l1s]
-            assert [v.hex() for v in out.kl_per_class] == [v.hex() for v in kls]
-            assert out.report.risk_plugin.hex() == risk.hex()
+        check_block_against_dense(config, [[seed, gi, t] for t in range(trials)], n, CAPS[cap])
+
+
+def test_a_block_mixes_batched_and_dense_trials():
+    """On 131,072 atoms a class spread evenly draws about 85 atoms at n = 170 and equal priors, on about as many
+    leaves as a rebuilt sum may take: a trial is batched or runs dense by that count, and a batch ends at each
+    dense trial, in one block whose every trial equals the dense kernels (15 of 30 batched, in 7 batches)."""
+    rng = np.random.default_rng(6)
+    source = LabeledSource(np.array([0.5, 0.5]), random_source(rng, 2, 131_072).class_dists)
+    config = TrialConfig(source=source, cost=random_cost(rng, 2), sample_size=170, trials=30, epsilon_target=0.1,
+                         delta_target=0.05)
+    batches = check_block_against_dense(config, [[6, t] for t in range(30)], 170)
+    assert 0 < sum(batches) < 30 and len(batches) > 1
 
 
 @pytest.mark.parametrize("m", [8_192, 131_072])
 @pytest.mark.parametrize("atom", [0, 4_000])
 @pytest.mark.parametrize("k", [4, 5])
 def test_a_lone_hit_column_scores_as_the_dense_kernels(k, atom, m):
-    """Every class's estimate all on one atom, so a trial's Bayes labels are scored on one column, padded
-    with column 1 at atom 0 and column 0 elsewhere: ``_plugin_risk`` at those hits (its sum rebuilt from
-    leaf sums on 131,072 atoms) equals in float.hex its dense call on the same estimates. Random costs,
-    column 0 raised so the hit's label is not 0: scores taken from the pad column would show."""
+    """Every class's estimate all on one atom, so a batch of one trial is scored on one column, padded with a
+    zero column: its plug-in risk from ``_sparse_batch`` (the risk rebuilt from leaf sums) equals in float.hex
+    the dense ``_plugin_risk`` of the same estimates. Random costs, column 0 raised so the hit's label is not 0:
+    scores taken from the pad column would show."""
     rng = np.random.default_rng([k, atom, m])
     source = random_source(rng, k, m)
     costs = rng.random((k, k))
     costs[:, 0] += 1.0
+    config = TrialConfig(source=source, cost=CostMatrix(costs), sample_size=1, trials=30, epsilon_target=0.1,
+                         delta_target=0.05)
+    hits = [(np.array([atom]), np.array([1.0]))] * k
+    (outcome,) = pipeline._sparse_batch(config, [((1,) * k, hits)], *_fixed(config)[1:])
     est = np.zeros((k, m))
     est[:, atom] = 1.0
-    base = _leaf_sums(k * m, (costs[:, :1] * source.weighted_mass).reshape(-1))
-    sparse = _plugin_risk(source.priors, source.weighted_mass, est.copy(), costs, hits=[np.array([atom])] * k,
-                          base=base)
-    assert sparse.hex() == _plugin_risk(source.priors, source.weighted_mass, est, costs).hex()
+    assert outcome.report.risk_plugin.hex() == _plugin_risk(source.priors, source.weighted_mass, est, costs).hex()
 
 
 class TestConfigValidation:
