@@ -131,8 +131,8 @@ def _pairwise_tree(n: int, built=None):
 # atoms of a full pass for each atom of the leaves it sums afresh (the unit-mass, L1 and cost-risk sums of
 # 32,768-262,144 entries, each timed rebuilt against full pass on a 2-CPU VM).
 _TREE_ATOMS, _LEAF_PASSES = 1 << 16, 6
-# Most floats in an array of a batch of sparse sums, leaf matrices and slot rows alike (chosen in CHANGES.md).
-_BATCH_FLOATS = 1 << 14
+# Most floats in a leaf matrix of _patched_sums (pipeline._BATCH_FLOATS bounds the other arrays of a batch).
+_LEAF_FLOATS = 1 << 14
 
 
 def _few_leaves(n: int, atoms: np.ndarray) -> bool:
@@ -180,7 +180,7 @@ def _leaf_plan(n: int, rows: np.ndarray, atoms: np.ndarray):
 def _patched_sums(n: int, plan, values: np.ndarray, out: np.ndarray, background=None, chosen=None) -> np.ndarray:
     """numpy's sums of length-``n`` rows that are ``background(rows, starts, length)`` (zero if ``None``) but at
     the atoms of a :func:`_leaf_plan`, where they are ``values``: the plan's leaves (or those of its pairs ``chosen``)
-    are summed afresh into the slot rows ``out``, at most ``_BATCH_FLOATS`` entries at a time, and joined."""
+    are summed afresh into the slot rows ``out``, at most ``_LEAF_FLOATS`` entries at a time, and joined."""
     rows, leaves, bounds, offsets = plan
     _, starts, lengths, slots = _pairwise_tree(n)
     if chosen is not None or ((size := lengths[leaves])[1:] < size[:-1]).any():  # pairs in runs of one length
@@ -190,9 +190,8 @@ def _patched_sums(n: int, plan, values: np.ndarray, out: np.ndarray, background=
         hit = np.arange(count.sum()) + np.repeat(bounds[pairs] - count.cumsum() + count, count)
         rows, leaves, bounds = rows[pairs], leaves[pairs], np.concatenate(([0], count.cumsum()))
         offsets, values = offsets[hit], values[hit]
-        del hit
     size = lengths[leaves]
-    cuts = sorted({*range(0, len(size), _BATCH_FLOATS // _LEAF), *(np.flatnonzero(size[1:] != size[:-1]) + 1)})
+    cuts = sorted({*range(0, len(size), _LEAF_FLOATS // _LEAF), *(np.flatnonzero(size[1:] != size[:-1]) + 1)})
     for p0, p1 in zip(cuts, [*cuts[1:], len(size)]):
         cut, leaf, length = bounds[p0 : p1 + 1], leaves[p0:p1], int(size[p0])  # the atoms from cut[0] to cut[-1]
         on_leaves = np.zeros((p1 - p0, length)) if background is None else background(rows[p0:p1], starts[leaf], length)

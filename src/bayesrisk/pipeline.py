@@ -29,7 +29,7 @@ estimate is sparse (no add-lambda smoothing, at most one draw per 16 atoms),
 its hits on so few of numpy's 128-atom leaves that summing those afresh beats
 a full pass (``distributions._few_leaves``), joins a batch (``_sparse_batch``):
 its sums are rebuilt from leaf sums in one tree pass per batch, its Bayes labels
-come from one cost product, and ``distributions._BATCH_FLOATS`` caps each batch
+come from one cost product, and ``_BATCH_FLOATS`` caps each batch
 array. Each output keeps its bits (``test_sparse_trials_equal_the_dense_kernels``).
 """
 
@@ -43,7 +43,7 @@ import numpy as np
 
 from .bounds import BoundReport, _plugin_risk, _theorem_report
 from .classify import CostMatrix, LabeledSource, _bayes_labels, _workspace, as_cost_array
-from .distributions import _BATCH_FLOATS, Distribution, Domain, _draw_indices, _exact_unit_mass, _few_leaves
+from .distributions import Distribution, Domain, _draw_indices, _exact_unit_mass, _few_leaves
 from .distributions import _json_float, _json_int, _kl_on_support, _l1_distance, _leaf_plan, _leaf_sums, _on_leaves
 from .distributions import _pairwise_tree, _patched_sums, _sorted_set, _unit_sums
 from .pdfa import Pdfa, truncate_all
@@ -169,6 +169,8 @@ _BLOCK_DRAWS = 1 << 15
 # Fewest atoms at which an estimate goes sparse: a trial at k = 2-3, n = 10-100 took 1.2-1.5x the dense
 # one at 1,024-2,048 atoms, about as long at 4,096 and 0.8-0.9x at 8,192 (timed on pipeline._block, 2-CPU VM).
 _SPARSE_ATOMS = 4096
+# Most floats in a batch's slot rows, or in its arrays of hits (about 8 of k floats a hit); table in CHANGES.md.
+_BATCH_FLOATS = 1 << 15
 
 
 def run_trial(
@@ -204,9 +206,8 @@ def _block(config: TrialConfig, rngs: Sequence[np.random.Generator], n: int, ws,
     """:func:`run_trial`'s outcome at sample size ``n`` for each generator of ``rngs``, given :func:`_fixed`.
     Every draw comes first, each generator making one trial's calls in its order (labels, then class
     0, class 1, ...) into one buffer; each class's CDF, built once in the workspace row, answers the
-    block's draws of that class. Then each trial's estimates are made on the workspace. A cost-mode trial whose
-    every estimate is sparse on few leaves (``distributions._few_leaves``) joins the trials before it in a batch
-    (:func:`_sparse_batch`) while its arrays fit ``_BATCH_FLOATS``; any other runs the kernels on every atom."""
+    block's draws of that class. Then each trial's estimates are made on the workspace; a cost-mode trial with
+    every estimate sparse on few leaves joins a batch (:func:`_sparse_batch`), any other runs on every atom."""
     source, laplace = config.source, config.resolved_laplace
     (k, m), (ests, _, _, row, _) = (source.k, source.domain.size), ws
     uniforms = np.empty((len(rngs), n))
@@ -226,7 +227,7 @@ def _block(config: TrialConfig, rngs: Sequence[np.random.Generator], n: int, ws,
         for i, (est, idx) in enumerate(zip(ests, samples)):
             atoms[i] = _estimate(est, idx[t], laplace, atoms[i])
         sparse = costs_base is not None and all(not isinstance(at, slice) and _few_leaves(m, at) for at in atoms)
-        charge = max(slots, k * sum(at.size for at in atoms)) if sparse else math.inf  # or its product's columns
+        charge = max(slots, 8 * k * sum(at.size for at in atoms)) if sparse else math.inf  # or its hits' arrays
         if batch and used + charge > _BATCH_FLOATS:  # a dense trial, or one the batch has no room for, ends it
             yield from _sparse_batch(config, batch, costs, risk_opt, classes, costs_base)
             batch, used = [], 0

@@ -130,8 +130,8 @@ def tree_mutation(request, monkeypatch):
 @pytest.mark.parametrize("tree_mutation", ["split-not-rounded-to-8", "base-shifted-by-a-leaf"], indirect=True)
 def test_bit_identity_checks_fail_with_a_broken_tree(tmp_path, tree_mutation):
     """The checks that pin sparse trials to numpy's sums fail when the tree is wrong: the kernel's property
-    tests on one row and on a batch of rows, the sparse-against-dense differential test on 131,073 atoms, and the PDFA golden on 131,072 atoms.
-    The golden's domain and its flattened (2, 131,072) cost array have power-of-two lengths, whose every
+    tests on one row and on a batch of rows, the sparse-against-dense differential test on 131,073 atoms, and
+    the PDFA golden on 131,072 atoms. The golden's domain and its flattened (2, 131,072) cost array have power-of-two lengths, whose every
     split is already a multiple of 8, so it can only see the shifted leaves."""
     import test_cli
     import test_distributions

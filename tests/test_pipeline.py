@@ -328,8 +328,8 @@ class TestRunPacExperiment:
 
     def test_sparse_block_allocates_no_full_width_array(self, monkeypatch):
         """A block of 30 such trials, worked in batches, holds no more than one m-float array would: the batches'
-        arrays are capped by ``_BATCH_FLOATS``, their leaf matrices too, and the block's draws are freed once
-        they are split."""
+        arrays are capped by ``_BATCH_FLOATS``, their leaf matrices by ``distributions._LEAF_FLOATS``, and the
+        block's uniform draws are freed once they are turned into atoms."""
         batches, sparse_batch = [], pipeline._sparse_batch
         monkeypatch.setattr(pipeline, "_sparse_batch", lambda config, batch, *fixed: batches.append(len(batch))
                             or sparse_batch(config, batch, *fixed))
