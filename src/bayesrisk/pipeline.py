@@ -29,8 +29,8 @@ estimate is sparse (no add-lambda smoothing, at most one draw per 16 atoms),
 its hits on so few of numpy's 128-atom leaves that summing those afresh beats
 a full pass (``distributions._few_leaves``), joins a batch (``_sparse_batch``):
 its sums are rebuilt from leaf sums in one tree pass per batch, its Bayes labels
-come from one cost product, and ``_BATCH_FLOATS`` caps each batch
-array. Each output keeps its bits (``test_sparse_trials_equal_the_dense_kernels``).
+come from one cost product, and ``_BATCH_FLOATS`` caps each batch array. Each
+output keeps its bits (``test_sparse_trials_equal_the_dense_kernels``).
 """
 
 from __future__ import annotations

@@ -315,8 +315,8 @@ class TestRunPacExperiment:
         return TrialConfig(**{**vars(config), "source": source})
 
     def test_sparse_trial_allocates_no_full_width_array(self, monkeypatch):
-        """A trial whose draws fall on few of numpy's leaves sums those leaves afresh, 64 at a time: no
-        returning temporary is as large as m floats."""
+        """A trial whose draws fall on few of numpy's leaves sums those leaves afresh, at most
+        ``distributions._LEAF_FLOATS`` floats at a time: no returning temporary is as large as m floats."""
         trees, tree_sum = [], distributions._tree_sum
         monkeypatch.setattr(distributions, "_tree_sum", lambda sums: trees.append(len(sums)) or tree_sum(sums))
         config = self.peaked_config()
