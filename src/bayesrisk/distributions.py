@@ -156,11 +156,11 @@ def _leaf_sums(n: int, row: np.ndarray, leaves=None, out=None) -> np.ndarray:
     return out
 
 
-def _tree_sum(sums: np.ndarray):
-    """numpy's sum of the row whose leaf sums, at their slots, are ``sums``; of a 2-D ``sums``, each row's."""
+def _tree_sum(sums: np.ndarray) -> np.ndarray:
+    """numpy's sum of each row whose leaf sums, at their slots, are the last axis of ``sums``."""
     while sums.shape[-1] > 1:
         sums = sums[..., ::2] + sums[..., 1::2]
-    return float(sums[0]) if sums.ndim == 1 else sums[:, 0]
+    return sums[..., 0]
 
 
 def _on_leaves(row: np.ndarray, starts: np.ndarray, length: int) -> np.ndarray:

@@ -370,8 +370,8 @@ def check_tree_sums(n: int, kind: str, rng) -> None:
         after[at] = alone[at] = rng.random(len(at))
         from_base = _leaf_sums(after.size, after, _leaves(after.size, at), _base_leaf_sums(before))
         from_zero = _leaf_sums(alone.size, alone, _leaves(alone.size, at))
-        assert _tree_sum(from_base).hex() == float(numpy_sum(after)).hex()
-        assert _tree_sum(from_zero).hex() == float(numpy_sum(alone)).hex()
+        assert float(_tree_sum(from_base)).hex() == float(numpy_sum(after)).hex()
+        assert float(_tree_sum(from_zero)).hex() == float(numpy_sum(alone)).hex()
 
 
 def check_tree_rows(n: int, kind: str, rng, rows: int = 3) -> None:

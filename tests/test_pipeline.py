@@ -419,21 +419,21 @@ def _dense_trial(config, rng, n):
     return counts.tolist(), l1s, kls, _plugin_risk(source.priors, source.weighted_mass, est, costs)
 
 
-def check_block_against_dense(config, seeds, n, cap=pipeline._BATCH_FLOATS):
-    """Each ``_block`` trial on the generators of ``seeds``, with the batches capped at ``cap`` floats, has the
-    counts, L1s, KLs and plug-in risk in float.hex of the dense kernels on the same draws. Returns the sizes of
-    the batches of sparse trials."""
+def check_block_against_dense(config, fixed, seeds, n, cap=pipeline._BATCH_FLOATS):
+    """Each ``_block`` trial on the generators of ``seeds``, run on :func:`_fixed`'s ``fixed`` with the batches
+    capped at ``cap`` floats, has the counts, L1s, KLs and plug-in risk in float.hex of the dense kernels on the
+    same draws. Returns the sizes of the batches of sparse trials."""
     batches, sparse_batch = [], pipeline._sparse_batch
     spy = lambda config, batch, *fixed: batches.append(len(batch)) or sparse_batch(config, batch, *fixed)
     with mock.patch.object(pipeline, "_BATCH_FLOATS", cap), mock.patch.object(pipeline, "_sparse_batch", spy):
-        outcomes = list(_block(config, [np.random.default_rng(s) for s in seeds], n, *_fixed(config)))
+        outcomes = list(_block(config, [np.random.default_rng(s) for s in seeds], n, *fixed))
     for s, out in zip(seeds, outcomes, strict=True):
         counts, l1s, kls, risk = _dense_trial(config, np.random.default_rng(s), n)
         assert list(out.counts) == counts
         assert [v.hex() for v in out.l1_per_class] == [v.hex() for v in l1s]
         assert [v.hex() for v in out.kl_per_class] == [v.hex() for v in kls]
         assert out.report.risk_plugin.hex() == risk.hex()
-    return [size for size in batches if size]
+    return batches
 
 
 CAPS = {"one": 1, "default": pipeline._BATCH_FLOATS, "block": 1 << 40}
@@ -505,8 +505,9 @@ def test_sparse_trials_equal_the_dense_kernels(seed, k, m, grid, rare, peaked, p
         delta_target=0.05,
         laplace=laplace,
     )
+    fixed = _fixed(config)
     for gi, n in enumerate(grid):
-        check_block_against_dense(config, [[seed, gi, t] for t in range(trials)], n, CAPS[cap])
+        check_block_against_dense(config, fixed, [[seed, gi, t] for t in range(trials)], n, CAPS[cap])
 
 
 def test_a_block_mixes_batched_and_dense_trials():
@@ -517,7 +518,7 @@ def test_a_block_mixes_batched_and_dense_trials():
     source = LabeledSource(np.array([0.5, 0.5]), random_source(rng, 2, 131_072).class_dists)
     config = TrialConfig(source=source, cost=random_cost(rng, 2), sample_size=170, trials=30, epsilon_target=0.1,
                          delta_target=0.05)
-    batches = check_block_against_dense(config, [[6, t] for t in range(30)], 170)
+    batches = check_block_against_dense(config, _fixed(config), [[6, t] for t in range(30)], 170)
     assert 0 < sum(batches) < 30 and len(batches) > 1
 
 
