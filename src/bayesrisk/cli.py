@@ -2,8 +2,9 @@
 
 Every verification suite is a subcommand. Runs are deterministic given
 --seed; each run writes report.csv, summary.json, and manifest.json into
---out-dir, and the manifest (resolved flags, seed, version, CSV column
-order, environment) suffices to reproduce the run bit for bit.
+--out-dir. The manifest (as config the input the command parsed: its flags
+as resolved, or pipeline's config dict; seed, version, CSV column order,
+environment) suffices to reproduce the run bit for bit.
 
 Exit codes: 0 success / no violations, 1 a bound or identity was
 violated (a falsification event, which indicates an implementation bug
@@ -29,7 +30,7 @@ from .bounds import _as_arrays, _as_objects, _divergences, _random_instances, _t
 from .classify import CostMatrix, LabeledSource, as_cost_array
 from .distributions import Distribution, Domain, QuantizedClassSpec, _json_float
 from .pdfa import Pdfa
-from .pipeline import _config_and_spec, config_to_dict, run_pac_experiment
+from .pipeline import config_from_dict, run_pac_experiment
 from .smoothing import SmoothingReport, SmoothingParams, _sweep, base_mixture
 
 EXIT_OK = 0
@@ -136,6 +137,11 @@ def _instance_from_payload(data: dict, metric: str):
     return *arrays, cost
 
 
+def _flags(args) -> dict:
+    """Every flag as argparse resolved it, but the output directory: a flag command's manifest config."""
+    return {key: value for key, value in vars(args).items() if key not in ("command", "func", "out_dir")}
+
+
 def _require_positive_trials(args) -> None:
     if args.trials < 1:
         raise UsageError("--trials must be at least 1")
@@ -156,13 +162,7 @@ def cmd_verify(args) -> int:
         instances = _random_instances(rng, args.trials, args.k_max, args.m_max, metric)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    config = {
-        "trials": args.trials,
-        "k_max": args.k_max,
-        "m_max": args.m_max,
-        "seed": args.seed,
-    }
-    run = _Run(args.command, args.out_dir, args.seed, config)
+    run = _Run(args.command, args.out_dir, args.seed, _flags(args))
     violations = 0
     worst_gap = 0.0
     for trial, (priors, masses, divergences, cost) in enumerate(instances):
@@ -189,8 +189,7 @@ def cmd_lower_bounds(args) -> int:
         gammas = [float(g) for g in args.grid.split(",")] if args.grid is not None else [args.gamma]
     except ValueError as exc:
         raise UsageError(f"bad --grid value: {exc}") from exc
-    config = {"eps_prime": args.eps_prime, "gamma": args.gamma, "grid": args.grid}
-    run = _Run("lower-bounds", args.out_dir, None, config)
+    run = _Run(args.command, args.out_dir, None, _flags(args))
     violations = 0
     cost = CostMatrix.zero_one(2)
     for gamma in gammas:
@@ -241,25 +240,15 @@ def cmd_smooth(args) -> int:
     if args.ld is not None:
         if args.ld % m != 0:
             raise UsageError("--ld must be divisible by --domain-size")
-        bits = args.ld // m
-    else:
-        bits = args.bits
+        args.bits = args.ld // m  # so the manifest records the bits the run used
     try:
-        spec = QuantizedClassSpec(Domain.indexed(m), bits)
+        spec = QuantizedClassSpec(Domain.indexed(m), args.bits)
         params = SmoothingParams(args.epsilon, spec.description_length)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     base = base_mixture(spec)
     rng = np.random.default_rng(args.seed)
-    config = {
-        "epsilon": args.epsilon,
-        "domain_size": m,
-        "bits": bits,
-        "description_length": spec.description_length,
-        "trials": args.trials,
-        "seed": args.seed,
-    }
-    run = _Run("smooth", args.out_dir, args.seed, config)
+    run = _Run(args.command, args.out_dir, args.seed, _flags(args))
     violations = 0
     for trial, (true, est, fields) in enumerate(_sweep(spec, params, base, args.trials, rng)):
         report = SmoothingReport(*fields)
@@ -313,10 +302,10 @@ def cmd_pipeline(args) -> int:
     if args.seed is not None:
         data["seed"] = args.seed
     try:
-        config, pdfa = _config_and_spec(data)
+        config = config_from_dict(data)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"bad pipeline config from {args.config or args.source}: {exc!r}") from exc
-    run = _Run("pipeline", args.out_dir, config.seed, config_to_dict(config, pdfa))
+    run = _Run(args.command, args.out_dir, config.seed, data)
     try:
         summary = run_pac_experiment(config)
     except ValueError as exc:
@@ -335,15 +324,7 @@ def cmd_tightness(args) -> int:
         raise UsageError(str(exc)) from exc
     rng = np.random.default_rng(args.seed)
     cost = CostMatrix.zero_one(args.k) if args.metric == L1 else None
-    config = {
-        "k": args.k,
-        "m": args.domain_size,
-        "metric": args.metric,
-        "epsilon": args.epsilon,
-        "iterations": args.iterations,
-        "seed": args.seed,
-    }
-    run = _Run("tightness", args.out_dir, args.seed, config)
+    run = _Run(args.command, args.out_dir, args.seed, _flags(args))
     result = tightness_search(args.k, args.domain_size, cost, budget, args.iterations, rng)
     searched = {"metric": args.metric, "epsilon": args.epsilon, "k": args.k, "m": args.domain_size}
     run.add_row({**searched, "excess": result.excess, "bound": result.bound, "ratio": result.ratio})

@@ -386,27 +386,10 @@ def run_pac_experiment(config: TrialConfig) -> ExperimentSummary:
     return ExperimentSummary(mode, tuple(grid), config.trials, tuple(rows), tuple(per_n))
 
 
-PdfaSpec = tuple[tuple[Pdfa, ...], int]
-
-
-def config_to_dict(config: TrialConfig, pdfa: Optional[PdfaSpec] = None) -> dict:
-    """JSON form of the config; :func:`config_from_dict` reads it back bit for bit.
-
-    ``pdfa = (machines, max_len)`` says the class distributions are
-    ``truncate_all(machines, max_len)``: the machines and ``truncate`` then
-    stand in for the class masses, whose count grows exponentially with
-    ``max_len``.
-    """
-    if pdfa is None:
-        source = config.source.to_dict()
-    else:
-        source = {
-            "priors": [float(g) for g in config.source.priors],
-            "machines": [a.to_dict() for a in pdfa[0]],
-            "truncate": pdfa[1],
-        }
+def config_to_dict(config: TrialConfig) -> dict:
+    """JSON form of the config, every class mass written out; :func:`config_from_dict` reads it back bit for bit."""
     return {
-        **source,
+        **config.source.to_dict(),
         "cost": config.cost.to_list() if config.cost is not None else None,
         "sample_size": config.sample_size,
         "trials": config.trials,
@@ -419,19 +402,15 @@ def config_to_dict(config: TrialConfig, pdfa: Optional[PdfaSpec] = None) -> dict
 
 
 def config_from_dict(data: dict) -> TrialConfig:
-    return _config_and_spec(data)[0]
-
-
-def _config_and_spec(data: dict) -> tuple[TrialConfig, Optional[PdfaSpec]]:
-    """The config of a :func:`config_to_dict` dict, plus its ``(machines, max_len)``
-    if the classes are PDFA-sourced (else None), each machine parsed once."""
-    pdfa = None
+    """The config of a :func:`config_to_dict` dict, or of one whose classes are PDFA-sourced: ``machines`` and
+    ``truncate`` in place of the class masses, which ``truncate_all`` then makes, each machine parsed once."""
     if "machines" in data:
-        pdfa = tuple(Pdfa.from_dict(a) for a in data["machines"]), _json_int(data["truncate"], "truncate")
-        source = LabeledSource(np.asarray(_json_float(data["priors"], "priors"), dtype=float), truncate_all(*pdfa))
+        machines = tuple(Pdfa.from_dict(a) for a in data["machines"])
+        classes = truncate_all(machines, _json_int(data["truncate"], "truncate"))
+        source = LabeledSource(np.asarray(_json_float(data["priors"], "priors"), dtype=float), classes)
     else:
         source = LabeledSource.from_dict(data)
-    config = TrialConfig(
+    return TrialConfig(
         source=source,
         cost=None if data.get("cost") is None else CostMatrix(_json_float(data["cost"], "cost")),
         sample_size=data["sample_size"],
@@ -442,4 +421,3 @@ def _config_and_spec(data: dict) -> tuple[TrialConfig, Optional[PdfaSpec]]:
         laplace=None if data.get("laplace") is None else float(_json_float(data["laplace"], "laplace")),
         n_grid=None if data.get("n_grid") is None else tuple(data["n_grid"]),
     )
-    return config, pdfa
