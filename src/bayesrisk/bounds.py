@@ -71,36 +71,28 @@ class PerturbationBudget:
             raise ValueError("budget epsilon must be finite and non-negative")
 
 
-def report_rows(*excluded: str):
-    """Class decorator giving a frozen report dataclass row forms derived from its fields.
+class ReportRows:
+    """A frozen report dataclass's row forms: ``to_dict`` maps every field to its value, ``row`` every field but
+    those ``not_in_row`` names, in declaration order (a CSV row whose keys are its columns). Both copy the instance
+    dict, which holds exactly the fields in that order: ``__init__`` sets them so, and a frozen one takes no other."""
 
-    ``to_dict`` maps every field to its value; ``row`` maps every field but
-    ``excluded`` to its value, in declaration order: a CSV row whose keys
-    are its columns. Both copy the instance dict, which holds exactly the
-    fields in that order: the dataclass's ``__init__`` sets them so, and a
-    frozen instance takes no other attribute.
-    """
+    not_in_row = ()
 
-    def derive(cls):
-        def to_dict(self) -> dict:
-            return self.__dict__.copy()
+    def to_dict(self) -> dict:
+        return self.__dict__.copy()
 
-        def row(self) -> dict:
-            values = self.__dict__.copy()
-            for name in excluded:
-                del values[name]
-            return values
-
-        cls.to_dict, cls.row = to_dict, row
-        return cls
-
-    return derive
+    def row(self) -> dict:
+        values = self.__dict__.copy()
+        for name in self.not_in_row:
+            del values[name]
+        return values
 
 
-@report_rows("epsilon")
 @dataclass(frozen=True)
-class BoundReport:
+class BoundReport(ReportRows):
     """Exact risks of the optimal and plug-in predictors against one bound."""
+
+    not_in_row = ("epsilon",)
 
     risk_opt: float
     risk_plugin: float
@@ -347,18 +339,12 @@ def _perturb_rows(true: np.ndarray, budgets: np.ndarray, noise: np.ndarray) -> n
     budget, on its row of normal ``noise`` (zeros if not drawn; centred in place)."""
     noise -= (noise.sum(axis=1) / true.shape[1])[:, None]
     norms = np.abs(noise).sum(axis=1)
-    every = bool(norms.all())  # then the rows are taken as views and the candidates are the result
-    moved = slice(None) if every else np.flatnonzero(norms)
-    if not (every or len(moved)):
-        return true.copy()
-    t, limits = true[moved], budgets[moved]
-    # np.maximum(x, 0.0) is np.clip(x, 0.0, None) without its Python wrapper.
-    cand = _unit_rows(np.maximum(t + noise[moved] * (limits / norms[moved])[:, None], 0.0))
-    _into_budget(L1, t, cand, limits)
-    if every:
-        return cand
-    est = true.copy()
-    est[moved] = cand
+    est, moved = true.copy(), np.flatnonzero(norms)
+    if len(moved):  # _unit_rows refuses an empty block
+        t, limits = true[moved], budgets[moved]
+        # np.maximum(x, 0.0) is np.clip(x, 0.0, None) without its Python wrapper.
+        cand = _unit_rows(np.maximum(t + noise[moved] * (limits / norms[moved])[:, None], 0.0))
+        est[moved] = _into_budget(L1, t, cand, limits)
     return est
 
 

@@ -28,7 +28,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .bounds import EXACT_TOL, _draw_noise, _perturb_rows, _within, report_rows
+from .bounds import EXACT_TOL, ReportRows, _draw_noise, _perturb_rows, _within
 from .distributions import Distribution, QuantizedClassSpec, _draw_numerators, _exact_unit_mass
 from .distributions import _json_int, _kl_on_support, _l1_distance, _require_same_domain
 
@@ -142,9 +142,8 @@ def kl_certificate_from_floor(params: SmoothingParams, base: BaseDistribution) -
     return 3.0 * xi * (1.0 - math.log2(xi * base.min_mass))
 
 
-@report_rows()
 @dataclass(frozen=True)
-class SmoothingReport:
+class SmoothingReport(ReportRows):
     """One verification row: achieved divergences against the certificate."""
 
     xi: float
