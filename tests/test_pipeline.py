@@ -442,7 +442,7 @@ CAPS = {"one": 1, "default": pipeline._BATCH_FLOATS, "block": 1 << 40}
 @given(
     seed=st.integers(0, 2**32 - 1),
     k=st.integers(2, 5),
-    m=st.one_of(st.integers(1, 300), st.sampled_from([4000, 4096, 9000, 40000])),
+    m=st.one_of(st.integers(1, 300), st.sampled_from([4000, 4096, 9000, 40000, 81_920])),
     grid=st.lists(st.sampled_from([1, 3, 20, 150, 2000]), min_size=1, max_size=3),
     rare=st.booleans(),
     peaked=st.booleans(),
@@ -473,10 +473,11 @@ def test_sparse_trials_equal_the_dense_kernels(seed, k, m, grid, rare, peaked, p
     drew at most one atom in 16 and the domain has at least ``_SPARSE_ATOMS`` atoms, has the counts,
     L1s, KLs and plug-in risk in float.hex of the dense kernels on the same draws: n < m and n >> m,
     with domains just below and at the break-even, and wide enough for 2,000 draws to be sparse,
-    classes that share their likeliest atoms (so their hits meet in one column), a class
-    that draws nothing (a prior of 1e-3), a true class missing atoms,
-    costs with two equal columns (ties), and several blocks of several trials on one workspace,
-    so each trial starts from the last one's atoms; batches of one trial, of several and of a whole block."""
+    one (81,920 atoms) wide enough for a generated peaked case at small n to be batched, classes that
+    share their likeliest atoms (so their hits meet in one column), a class that draws nothing (a prior
+    of 1e-3), a true class missing atoms, costs with two equal columns (ties), and several blocks of
+    several trials on one workspace, so each trial starts from the last one's atoms; batches of one
+    trial, of several and of a whole block."""
     rng = np.random.default_rng(seed)
     source = random_source(rng, k, m)
     priors, dists = source.priors.copy(), source.class_dists
