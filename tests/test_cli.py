@@ -211,6 +211,29 @@ class TestDerivedColumns:
             header = next(csv.reader(fh))
         assert manifest["csv_columns"] == header
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["verify-theorem1", "--trials", "20", "--seed", "3", "--k-max", "3", "--m-max", "8"],
+                         id="verify-theorem1"),
+            pytest.param(["verify-theorem2", "--trials", "20", "--seed", "4", "--k-max", "4", "--m-max", "6"],
+                         id="verify-theorem2"),
+            pytest.param(["lower-bounds", "--eps-prime", "0.2", "--grid", "0.001,0.01"], id="lower-bounds"),
+            pytest.param(["smooth", "--trials", "20", "--seed", "5", "--domain-size", "4", "--ld", "24"], id="smooth"),
+            pytest.param(["tightness", "--k", "2", "--domain-size", "2", "--metric", "KL", "--epsilon", "0.1",
+                          "--iterations", "1", "--seed", "6"], id="tightness"),
+        ],
+    )
+    def test_flag_manifest_replays_its_run(self, tmp_path, argv):
+        """A flag command's manifest config, each non-null key given back as its flag, reruns the run bit for bit."""
+        code = run([*argv, "--out-dir", tmp_path / "first"])
+        config = json.loads((tmp_path / "first" / "manifest.json").read_text())["config"]
+        flags = [arg for key, value in config.items() if value is not None
+                 for arg in (f"--{key.replace('_', '-')}", value)]
+        assert run([argv[0], *flags, "--out-dir", tmp_path / "again"]) == code
+        for name in ("report.csv", "summary.json"):
+            assert (tmp_path / "again" / name).read_bytes() == (tmp_path / "first" / name).read_bytes()
+
 
 class TestVerifyCommands:
     def test_theorem1_small_sweep_passes(self, tmp_path):
