@@ -1,13 +1,21 @@
-"""An exact referee for theorem 1 (the cost-loss bound), independent of ``bayesrisk``.
+"""An exact referee for theorems 1 and 2, independent of ``bayesrisk``.
 
 Every finite float is a dyadic rational, so reading an instance's float priors,
 masses and costs as :class:`fractions.Fraction` loses nothing, and every sum,
-product and comparison below is exact. The referee shares no code with the
-package: it recomputes the Bayes labels, the cost risks, the per-class L1
-distances and the bound from the inputs alone.
+product and comparison of theorem 1 (the cost-loss bound) below is exact.
+Theorem 2 (the log-loss bound) needs logarithms: it is computed in
+:mod:`decimal` at ``PREC`` digits from the floats read exactly
+(``Decimal(float)``), with a bound on the rounding error, and its verdict is
+undecided where that error could reach the bound. The referee shares no code
+with the package: it recomputes the Bayes labels, the risks, the per-class
+divergences and the bounds from the inputs alone.
 """
 
+import math
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
+
+PREC = 50
 
 
 def _exact(values):
@@ -45,6 +53,65 @@ def theorem1(priors, true, est, costs):
     return excess, bound, plugin
 
 
-def verdict(excess, bound):
-    """``"satisfied"`` if the exact ``excess`` is at most ``bound``, else ``"violated"``: no tolerance."""
-    return "satisfied" if excess <= bound else "violated"
+def _unit(row):
+    """The float ``row`` read exactly, then scaled to unit sum."""
+    row = [Decimal(x) for x in row]
+    total = sum(row)
+    return [x / total for x in row]
+
+
+def _nats(terms, depth):
+    """``(sum of -w * ln(r), error)`` over the pairs ``(w, r)`` of ``terms``, ``+inf`` if some ``r`` is 0 at
+    ``w > 0``. ``error`` bounds the sum's rounding error to first order, twice over: each ``w`` and ``r`` is
+    taken as made in at most ``depth`` roundings, and every rounding (``ln`` and each sum's additions too)
+    as off by one unit in the last of ``PREC`` digits."""
+    total = spread = size = Decimal(0)
+    count = 0
+    for w, r in terms:
+        if not w:
+            continue
+        if not r:
+            return Decimal("Infinity"), Decimal(0)
+        ln = r.ln()
+        total -= w * ln
+        spread += w * (depth + 2 * abs(ln))
+        size += abs(w * ln)
+        count += 1
+    return total, 2 * Decimal(10) ** (1 - PREC) * (spread + (count + depth) * size)
+
+
+def theorem2(priors, true, est):
+    """The ``(excess, bound, radius)`` in bits of a theorem-2 instance, read from its floats: the excess log
+    loss of the plug-in posterior rule (from the estimates and the true priors; uniform at an atom where no
+    estimate has mass) over the Bayes posterior, the bound ``k * max_i g_i * KL(D_i || D'_i)``, and a bound
+    on the rounding error of ``bound - excess``. Each class row is first scaled to unit sum: a float row sums
+    to 1 only within a few ulps, and the theorem (through Gibbs' inequality) needs unit rows. Read raw,
+    ``_two_atom_masses(0.1, 1e-6)``'s estimates sum to ``1 + 2**-54``, and their excess passes the bound by
+    about 1e-16."""
+    with localcontext(Context(prec=PREC)):
+        g = [Decimal(x) for x in priors]
+        p, q = [_unit(row) for row in true], [_unit(row) for row in est]
+        k, m = len(g), len(p[0])
+        depth = 4 * (m + k + 4)
+        mix, est_mix = ([sum(gi * row[x] for gi, row in zip(g, rows)) for x in range(m)] for rows in (p, q))
+        # at each atom of positive weight, the estimated posterior g_i q_i / est_mix over the true g_i p_i / mix
+        ratios = ((gi * pi[x], qi[x] * mix[x] / (pi[x] * est_mix[x]) if est_mix[x] else mix[x] / (k * gi * pi[x]))
+                  for gi, pi, qi in zip(g, p, q) for x in range(m) if pi[x])
+        excess, excess_error = _nats(ratios, depth)
+        kls = [_nats(((a, b / a) for a, b in zip(pi, qi) if a), depth) for pi, qi in zip(p, q)]
+        ln2 = Decimal(2).ln()
+        bound = k * max(gi * kl for gi, (kl, _) in zip(g, kls)) / ln2
+        if bound.is_infinite():
+            return excess / ln2, bound, Decimal(0)
+        rounding = 4 * Decimal(10) ** (1 - PREC) * (bound + abs(excess))  # the divisions by ln 2 and the slack
+        return excess / ln2, bound, (excess_error + k * sum(gi * e for gi, (_, e) in zip(g, kls))) / ln2 + rounding
+
+
+def verdict(excess, bound, radius=0):
+    """``"satisfied"`` if ``excess <= bound`` holds however far within ``radius`` the computed slack
+    ``bound - excess`` is from the true one, ``"violated"`` if it holds for none, ``"undecided"`` else.
+    Theorem 1's exact values take radius 0: no tolerance. An infinite bound is satisfied."""
+    if bound == math.inf:
+        return "satisfied"
+    slack = bound - excess
+    return "satisfied" if slack >= radius else "violated" if slack < -radius else "undecided"

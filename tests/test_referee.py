@@ -1,5 +1,7 @@
-"""Theorem 1 against an exact referee: the float report agrees with rational arithmetic on the same floats."""
+"""Theorems 1 and 2 against an exact referee: the float report agrees with rational arithmetic (theorem 1), or
+with 50-digit decimal arithmetic wherever it can decide (theorem 2), on the same floats."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -58,3 +60,29 @@ def test_referee_breaks_ties_toward_the_smallest_label():
     half = Fraction(1, 2)
     assert referee.bayes_labels([half, half], [[half, half], [half, half]], [[0, 1], [1, 0]]) == [0, 0]
     assert referee.bayes_labels([half, half], [[1, 0], [0, 1]], [[0, 1], [1, 0]]) == [0, 1]
+
+
+@pytest.mark.parametrize("gamma", (1e-6, 1e-3, 1e-2))
+def test_log_loss_construction_has_zero_slack_and_half_its_bound_fails(gamma):
+    """The log-loss construction meets its bound exactly, so no decided verdict may call it violated; its
+    excess, the per-class KL, is twice half the bound."""
+    source, est = bounds.example2_construction(0.1, gamma)
+    true, est = [d.mass for d in source.class_dists], [d.mass for d in est]
+    excess, bound, radius = referee.theorem2(source.priors, true, est)
+    assert referee.verdict(excess, bound, radius) in ("undecided", "satisfied")
+    assert referee.verdict(excess, bound / 2, radius) == "violated"
+
+
+def test_random_log_loss_verdicts_and_identity_equal_the_referee():
+    """Every decided verdict is the float one, and the identity's right-hand side is the exact excess."""
+    decided = 0
+    for priors, masses, _, _ in bounds._random_instances(np.random.default_rng(0), 50, 5, 64, bounds.KL):
+        excess, bound, radius = referee.theorem2(priors, *masses)
+        source, est = bounds._as_objects(priors, masses.copy())
+        exact = referee.verdict(excess, bound, radius)
+        if exact != "undecided":
+            assert bounds.check_theorem2(source, est).satisfied == (exact == "satisfied")
+            decided += 1
+        _, rhs = bounds.excess_logloss_identity(source, est)
+        assert abs(Decimal(rhs) - excess) <= Decimal("1e-12") * abs(excess)
+    assert decided == 50
