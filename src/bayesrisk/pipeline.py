@@ -166,8 +166,9 @@ def _estimate(mass: np.ndarray, idx: np.ndarray, laplace: float, zero=slice(None
 
 # Most draws (trials times sample size) in a block of trials; a larger trial is a block of its own.
 _BLOCK_DRAWS = 1 << 15
-# Fewest atoms at which an estimate goes sparse: a trial at k = 2-3, n = 10-100 took 1.2-1.5x the dense
-# one at 1,024-2,048 atoms, about as long at 4,096 and 0.8-0.9x at 8,192 (timed on pipeline._block, 2-CPU VM).
+# Fewest atoms at which an estimate goes sparse. Below 66,304 atoms no trial is batched, so that saves only the
+# zero fill and the divide: a dense 30-trial _block (k = 2-3, n = 20-100) took 0.89-0.99x the sparse one's time
+# at 4,096 atoms, 0.95-1.07x at 8,192, 1.11-1.18x at 32,768 and 1.03-1.45x at 65,536 (medians of 7, 2-CPU VM).
 _SPARSE_ATOMS = 4096
 # Most floats in a batch's slot rows, or in its arrays of hits (about 8 of k floats a hit); table in CHANGES.md.
 _BATCH_FLOATS = 1 << 15
