@@ -87,7 +87,7 @@ def theorem2(priors, true, est):
     on the rounding error of ``bound - excess``. Each class row is first scaled to unit sum: a float row sums
     to 1 only within a few ulps, and the theorem (through Gibbs' inequality) needs unit rows. Read raw,
     ``_two_atom_masses(0.1, 1e-6)``'s estimates sum to ``1 + 2**-54``, and their excess passes the bound by
-    about 1e-16."""
+    8.0e-17."""
     with localcontext(Context(prec=PREC)):
         g = [Decimal(x) for x in priors]
         p, q = [_unit(row) for row in true], [_unit(row) for row in est]
