@@ -36,7 +36,7 @@ output keeps its bits (``test_sparse_trials_equal_the_dense_kernels``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -74,10 +74,13 @@ class TrialConfig:
             if _json_int(getattr(self, name), name) < 1:
                 raise ValueError(f"{name} must be at least 1")
         _json_int(self.seed, "seed")
+        for name in ("laplace", "epsilon_target", "delta_target"):  # the reals, as floats; laplace may be unset
+            if name != "laplace" or self.laplace is not None:
+                object.__setattr__(self, name, float(_json_float(getattr(self, name), name)))
         _check_laplace(self.resolved_laplace)
-        if not _json_float(self.epsilon_target, "epsilon_target") > 0.0:
+        if not self.epsilon_target > 0.0:
             raise ValueError("epsilon_target must be positive")
-        if not 0.0 < _json_float(self.delta_target, "delta_target") < 1.0:
+        if not 0.0 < self.delta_target < 1.0:
             raise ValueError("delta_target must lie in (0, 1)")
         if self.n_grid is not None:
             n_grid = tuple(_json_int(n, "n_grid entry") for n in self.n_grid)
@@ -92,7 +95,7 @@ class TrialConfig:
     @property
     def resolved_laplace(self) -> float:
         if self.laplace is not None:
-            return float(_json_float(self.laplace, "laplace"))
+            return self.laplace
         return 1.0 if self.log_loss_mode else 0.0
 
 
@@ -387,18 +390,17 @@ def run_pac_experiment(config: TrialConfig) -> ExperimentSummary:
     return ExperimentSummary(mode, tuple(grid), config.trials, tuple(rows), tuple(per_n))
 
 
+# TrialConfig's fields after the source and the cost, which have JSON forms of their own: its settings.
+_SETTINGS = tuple(f for f in fields(TrialConfig) if f.name not in ("source", "cost"))
+
+
 def config_to_dict(config: TrialConfig) -> dict:
     """JSON form of the config, every class mass written out; :func:`config_from_dict` reads it back bit for bit."""
+    settings = ((f.name, getattr(config, f.name)) for f in _SETTINGS)
     return {
         **config.source.to_dict(),
         "cost": config.cost.to_list() if config.cost is not None else None,
-        "sample_size": config.sample_size,
-        "trials": config.trials,
-        "epsilon_target": config.epsilon_target,
-        "delta_target": config.delta_target,
-        "seed": config.seed,
-        "laplace": config.laplace,
-        "n_grid": list(config.n_grid) if config.n_grid else None,
+        **{name: list(value) if isinstance(value, tuple) else value for name, value in settings},
     }
 
 
@@ -411,14 +413,6 @@ def config_from_dict(data: dict) -> TrialConfig:
         source = LabeledSource(np.asarray(_json_float(data["priors"], "priors"), dtype=float), classes)
     else:
         source = LabeledSource.from_dict(data)
-    return TrialConfig(
-        source=source,
-        cost=None if data.get("cost") is None else CostMatrix(_json_float(data["cost"], "cost")),
-        sample_size=data["sample_size"],
-        trials=data["trials"],
-        epsilon_target=float(_json_float(data["epsilon_target"], "epsilon_target")),
-        delta_target=float(_json_float(data["delta_target"], "delta_target")),
-        seed=data.get("seed", 0),
-        laplace=None if data.get("laplace") is None else float(_json_float(data["laplace"], "laplace")),
-        n_grid=None if data.get("n_grid") is None else tuple(data["n_grid"]),
-    )
+    cost = None if data.get("cost") is None else CostMatrix(_json_float(data["cost"], "cost"))
+    settings = {f.name: data[f.name] for f in _SETTINGS if f.name in data or f.default is MISSING}
+    return TrialConfig(source, cost, **settings)
