@@ -75,9 +75,9 @@ class Domain:
             raise ValueError("atom identifiers must be unique")
 
     @classmethod
-    def indexed(cls, size: int, prefix: str = "x") -> "Domain":
+    def indexed(cls, size: int) -> "Domain":
         """Canonical domain ``{x0, x1, ..., x<size-1>}``."""
-        return cls(tuple(f"{prefix}{i}" for i in range(_json_int(size, "size"))))
+        return cls(tuple(f"x{i}" for i in range(_json_int(size, "size"))))
 
     @cached_property
     def _positions(self) -> dict[str, int]:

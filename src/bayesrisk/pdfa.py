@@ -210,17 +210,15 @@ class TruncatedStringDomain(Domain):
     """
 
     @classmethod
-    def build(
-        cls, alphabet: Sequence[str], max_len: int, max_atoms: int = DEFAULT_MAX_ATOMS
-    ) -> "TruncatedStringDomain":
+    def build(cls, alphabet: Sequence[str], max_len: int) -> "TruncatedStringDomain":
         alphabet = tuple(alphabet)
         _check_alphabet(alphabet)
         if (max_len := _json_int(max_len, "max_len")) < 0:
             raise ValueError("max_len must be non-negative")
         count = cls.atom_count(len(alphabet), max_len)
-        if count > max_atoms:
+        if count > DEFAULT_MAX_ATOMS:
             raise ValueError(
-                f"enumeration over limit: {count} atoms exceeds the cap of {max_atoms}"
+                f"enumeration over limit: {count} atoms exceeds the cap of {DEFAULT_MAX_ATOMS}"
             )
         return _trusted(cls, alphabet=alphabet, max_len=max_len)  # unchecked: checking would enumerate its atoms
 
@@ -284,7 +282,7 @@ def _path_masses(a: Pdfa, max_len: int) -> np.ndarray:
     return mass
 
 
-def truncate(a: Pdfa, max_len: int, max_atoms: int = DEFAULT_MAX_ATOMS) -> Distribution:
+def truncate(a: Pdfa, max_len: int) -> Distribution:
     """Float-faithful distribution over strings of length <= max_len plus overflow mass.
 
     Each short string starts from its path product, bit for bit what
@@ -293,20 +291,16 @@ def truncate(a: Pdfa, max_len: int, max_atoms: int = DEFAULT_MAX_ATOMS) -> Distr
     vector to unit mass. Two machines truncated at the same length can be
     compared with any divergence.
     """
-    return truncate_all((a,), max_len, max_atoms)[0]
+    return truncate_all((a,), max_len)[0]
 
 
-def truncate_all(
-    machines: Sequence[Pdfa], max_len: int, max_atoms: int = DEFAULT_MAX_ATOMS
-) -> tuple[Distribution, ...]:
+def truncate_all(machines: Sequence[Pdfa], max_len: int) -> tuple[Distribution, ...]:
     """:func:`truncate` every machine at ``max_len``; machines over one alphabet share one Domain."""
-    spaces = {a.alphabet: TruncatedStringDomain.build(a.alphabet, max_len, max_atoms) for a in machines}
+    spaces = {a.alphabet: TruncatedStringDomain.build(a.alphabet, max_len) for a in machines}
     return tuple(Distribution(spaces[a.alphabet], _path_masses(a, max_len)) for a in machines)
 
 
-def sample_string(
-    a: Pdfa, rng: np.random.Generator, emission_cap: int = DEFAULT_EMISSION_CAP
-) -> str:
+def sample_string(a: Pdfa, rng: np.random.Generator) -> str:
     """One random walk through the machine; deterministic given the generator.
 
     Each step draws one uniform ``u`` and takes the first outcome (stop,
@@ -316,7 +310,7 @@ def sample_string(
     """
     q = a.initial
     out: list[str] = []
-    for _ in range(emission_cap):
+    for _ in range(DEFAULT_EMISSION_CAP):
         u = rng.random()
         acc = a.stops[q]
         if u < acc:
@@ -327,7 +321,7 @@ def sample_string(
                 break
         out.append(sym)
         q = target
-    raise RuntimeError(f"runaway generation: no stop within {emission_cap} emissions")
+    raise RuntimeError(f"runaway generation: no stop within {DEFAULT_EMISSION_CAP} emissions")
 
 
 # ---------------------------------------------------------------------------

@@ -78,10 +78,7 @@ class BaseDistribution:
             raise ValueError("min_mass certificate exceeds an actual atom mass")
 
 
-def base_mixture(
-    source: Union[QuantizedClassSpec, Sequence[Distribution]],
-    max_enumeration: int = MAX_ENUMERATION,
-) -> BaseDistribution:
+def base_mixture(source: Union[QuantizedClassSpec, Sequence[Distribution]]) -> BaseDistribution:
     """Unweighted mixture of a distribution class, with its mass floor.
 
     For a :class:`QuantizedClassSpec` the full class is permutation
@@ -97,9 +94,9 @@ def base_mixture(
     members = list(source)
     if not members:
         raise ValueError("explicit class must contain at least one distribution")
-    if len(members) > max_enumeration:
+    if len(members) > MAX_ENUMERATION:
         raise ValueError(
-            f"enumeration infeasible: {len(members)} members exceeds {max_enumeration}"
+            f"enumeration infeasible: {len(members)} members exceeds {MAX_ENUMERATION}"
         )
     domain = members[0].domain
     for d in members[1:]:

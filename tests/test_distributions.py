@@ -120,7 +120,7 @@ class TestL1Distance:
 
     def test_domain_mismatch(self):
         p = make_distribution(D2, [1, 1])
-        q = make_distribution(Domain.indexed(2, prefix="y"), [1, 1])
+        q = make_distribution(Domain(("y0", "y1")), [1, 1])
         with pytest.raises(ValueError, match="different domains"):
             l1_distance(p, q)
 

@@ -6,6 +6,7 @@ import math
 import tracemalloc
 from bisect import bisect_right
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -234,15 +235,16 @@ class TestTruncate:
         alphabet = (Tripwire("a"), Tripwire("b"))
         with pytest.raises(AssertionError, match="enumerated"):
             TruncatedStringDomain.build(alphabet, 2).domain.atoms
+        monkeypatch.setattr(pdfa, "DEFAULT_MAX_ATOMS", 100)
         with pytest.raises(ValueError, match="over limit"):
-            TruncatedStringDomain.build(alphabet, 8, max_atoms=100)
+            TruncatedStringDomain.build(alphabet, 8)
 
         def no_masses(*args):
             raise AssertionError("masses computed")
 
         monkeypatch.setattr(pdfa, "_path_masses", no_masses)
         with pytest.raises(ValueError, match="over limit"):
-            truncate(two_symbol(), 8, max_atoms=100)
+            truncate(two_symbol(), 8)
 
     @given(small_machines(), st.integers(0, 6))
     @settings(max_examples=150, deadline=None)
@@ -362,6 +364,7 @@ class TestSampleString:
             tol = 3.0 * math.sqrt(p * (1 - p) / n) + 1e-4
             assert abs(counts.get(s, 0) / n - p) <= tol
 
+    @mock.patch.object(pdfa, "DEFAULT_EMISSION_CAP", 200)
     @given(small_machines(), st.integers(0, 2**32 - 1))
     @settings(max_examples=150, deadline=None)
     def test_draws_match_a_walk_over_the_present_transitions(self, machine, seed):
@@ -383,18 +386,19 @@ class TestSampleString:
         ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
         for _ in range(20):
             try:
-                drawn = sample_string(machine, ours, emission_cap=200)
+                drawn = sample_string(machine, ours)
             except RuntimeError:
                 drawn = "runaway"
             assert drawn == reference_walk(theirs, 200)
         assert ours.random() == theirs.random()
 
-    def test_runaway_generation_guard(self):
+    def test_runaway_generation_guard(self, monkeypatch):
         spinning = Pdfa.build(
             ("a", "b"), 1, [(0.0, {"a": (0.5, 0), "b": (0.5, 0)})]
         )
+        monkeypatch.setattr(pdfa, "DEFAULT_EMISSION_CAP", 1000)
         with pytest.raises(RuntimeError, match="runaway"):
-            sample_string(spinning, np.random.default_rng(0), emission_cap=1000)
+            sample_string(spinning, np.random.default_rng(0))
 
 
 DATA = Path(__file__).parent / "data"

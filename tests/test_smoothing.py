@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from bayesrisk import smoothing
 from bayesrisk.bounds import random_l1_perturbation
 from bayesrisk.distributions import (
     Domain,
@@ -60,11 +61,12 @@ class TestBaseMixture:
         with pytest.raises(ValueError, match="no floor"):
             smooth(make_distribution(dom, [1, 1]), params, base)
 
-    def test_enumeration_cap(self):
+    def test_enumeration_cap(self, monkeypatch):
         dom = Domain.indexed(2)
         members = [make_distribution(dom, [1, 1])] * 10
+        monkeypatch.setattr(smoothing, "MAX_ENUMERATION", 5)
         with pytest.raises(ValueError, match="enumeration infeasible"):
-            base_mixture(members, max_enumeration=5)
+            base_mixture(members)
 
 
 class TestSmooth:
