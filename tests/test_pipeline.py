@@ -1,5 +1,6 @@
 """Sample-split-estimate-classify trials and the experiment harness."""
 
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -511,6 +512,33 @@ def test_sparse_trials_equal_the_dense_kernels(seed, k, m, grid, rare, peaked, p
         check_block_against_dense(config, fixed, [[seed, gi, t] for t in range(trials)], n, CAPS[cap])
 
 
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(2, 5),
+    m=st.sampled_from([81_920, 131_072]),
+    ties=st.booleans(),
+    cap=st.sampled_from(sorted(CAPS)),
+)
+@settings(max_examples=8, deadline=None, derandomize=True)
+def test_peaked_sparse_trials_are_batched_and_equal_the_dense_kernels(seed, k, m, ties, cap):
+    """The same check on cases that reach ``_sparse_batch`` in every run: cost mode, laplace 0, domains wide
+    enough for sparse hits to fall on few leaves, and each class's mass mostly on its first 8 atoms, so that at
+    n = 20 and n = 150 every block batches at least one trial."""
+    rng = np.random.default_rng(seed)
+    source = random_source(rng, k, m)
+    weights = np.array([d.mass for d in source.class_dists])
+    weights[:, :8] += 1.0
+    source = LabeledSource(source.priors, tuple(make_distribution(source.domain, w) for w in weights))
+    costs = random_cost(rng, k).costs.copy()
+    if ties:
+        costs[:, 1] = costs[:, 0]
+    config = TrialConfig(source=source, cost=CostMatrix(costs), sample_size=20, trials=30, epsilon_target=0.1,
+                         delta_target=0.05, laplace=0.0)
+    fixed = _fixed(config)
+    for n in (20, 150):
+        assert sum(check_block_against_dense(config, fixed, [[seed, n, t] for t in range(4)], n, CAPS[cap])) >= 1
+
+
 def test_a_block_mixes_batched_and_dense_trials():
     """On 131,072 atoms a class spread evenly draws about 85 atoms at n = 170 and equal priors, on about as many
     leaves as a rebuilt sum may take: a trial is batched or runs dense by that count, and a batch ends at each
@@ -590,3 +618,33 @@ class TestConfigValidation:
         back = config_to_dict(config_from_dict(data))
         assert back == data
         assert list(back) == list(data)
+
+    @given(
+        epsilon=st.one_of(st.integers(1, 5), st.floats(1e-6, 5.0), st.builds(np.int64, st.integers(1, 5)),
+                          st.builds(np.float64, st.floats(1e-6, 5.0)), st.builds(np.float32, st.floats(1e-3, 5.0))),
+        delta=st.one_of(st.floats(1e-6, 0.999), st.builds(np.float64, st.floats(1e-6, 0.999))),
+        laplace=st.sampled_from([None, 0, 0.5, np.float64(0.5)]),
+        n_grid=st.one_of(st.none(), st.lists(st.integers(1, 10**4), min_size=1, max_size=4).map(tuple)),
+        seed=st.integers(0, 2**63 - 1),
+        log_loss=st.booleans(),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_derived_schema_round_trips_every_setting(self, epsilon, delta, laplace, n_grid, seed, log_loss):
+        """``config_to_dict`` writes the source, the cost, then every other field in field order, as JSON values;
+        ``config_from_dict`` gives back each of them. The reals are floats from construction on, whatever real
+        type they were given as, and a set ``laplace`` is the resolved one."""
+        config = fixed_config(epsilon_target=epsilon, delta_target=delta, laplace=laplace, n_grid=n_grid,
+                              seed=seed, cost=None if log_loss else CostMatrix.zero_one(3))
+        data = config_to_dict(config)
+        settings = [f.name for f in dataclasses.fields(TrialConfig)][2:]
+        assert list(data) == [*config.source.to_dict(), "cost", *settings]
+        back = config_from_dict(json.loads(json.dumps(data)))
+        for name in settings:
+            value = getattr(config, name)
+            assert getattr(back, name) == value and type(getattr(back, name)) is type(value)
+        assert all(type(c.epsilon_target) is type(c.delta_target) is float for c in (config, back))
+        assert config.epsilon_target == float(epsilon) and config.delta_target == float(delta)
+        assert np.array_equal(back.source.priors, config.source.priors) and back.log_loss_mode == log_loss
+        if laplace is not None:
+            assert back.resolved_laplace == config.resolved_laplace == laplace
+            assert type(back.laplace) is float
