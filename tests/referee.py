@@ -1,12 +1,12 @@
-"""An exact referee for theorems 1 and 2, independent of ``bayesrisk``.
+"""An exact referee for theorems 1 and 2 and the smoothing certificate, independent of ``bayesrisk``.
 
 Every finite float is a dyadic rational, so reading an instance's float priors,
 masses and costs as :class:`fractions.Fraction` loses nothing, and every sum,
 product and comparison of theorem 1 (the cost-loss bound) below is exact.
-Theorem 2 (the log-loss bound) needs logarithms: it is computed in
-:mod:`decimal` at ``PREC`` digits from the floats read exactly
-(``Decimal(float)``), with a bound on the rounding error, and its verdict is
-undecided where that error could reach the bound. The referee shares no code
+Theorem 2 (the log-loss bound) and the smoothing certificate need logarithms:
+they are computed in :mod:`decimal` at ``PREC`` digits from the floats read
+exactly (``Decimal(float)``), with a bound on the rounding error, and a verdict
+is undecided where that error could reach the bound. The referee shares no code
 with the package: it recomputes the Bayes labels, the risks, the per-class
 divergences and the bounds from the inputs alone.
 """
@@ -105,6 +105,25 @@ def theorem2(priors, true, est):
             return excess / ln2, bound, Decimal(0)
         rounding = 4 * Decimal(10) ** (1 - PREC) * (bound + abs(excess))  # the divisions by ln 2 and the slack
         return excess / ln2, bound, (excess_error + k * sum(gi * e for gi, (_, e) in zip(g, kls))) / ln2 + rounding
+
+
+def smoothing(true, est, xi, description_length, min_mass):
+    """The ``(kl, certificate, floor certificate, radius)`` in bits of a smoothing trial over the uniform base,
+    read from its floats: ``KL(p || s)`` of the true row ``p`` against the smoothed estimate
+    ``s = (1 - xi) * q + xi / m``, both scaled to unit sum, the certificate ``3 xi (1 + L - log2 xi)`` of the
+    description length ``L``, its floor variant ``3 xi (1 - log2(xi * min_mass))``, and a bound on the rounding
+    error of the slack ``certificate - kl`` of either."""
+    with localcontext(Context(prec=PREC)):
+        xi, m = Decimal(xi), len(true)
+        p, s = _unit(true), _unit([(1 - xi) * Decimal(q) + xi / m for q in est])
+        kl, kl_error = _nats(((a, b / a) for a, b in zip(p, s) if a), 4 * (m + 4))
+        ln2 = Decimal(2).ln()
+        kl /= ln2
+        certificate = 3 * xi * (1 + description_length - xi.ln() / ln2)
+        floor = 3 * xi * (1 - (xi * Decimal(min_mass)).ln() / ln2)
+        # every term of either certificate is positive, so each of its few roundings is within an ulp of it
+        rounding = 8 * Decimal(10) ** (1 - PREC) * (kl + certificate + floor)
+        return kl, certificate, floor, kl_error / ln2 + rounding
 
 
 def verdict(excess, bound, radius=0):
