@@ -70,11 +70,11 @@ class TrialConfig:
     n_grid: Optional[tuple[int, ...]] = None
 
     def __post_init__(self) -> None:
-        for name in ("sample_size", "trials"):
-            if _json_int(getattr(self, name), name) < 1:
+        for name in ("sample_size", "trials", "seed"):  # the integers, as Python ints
+            object.__setattr__(self, name, _json_int(getattr(self, name), name))
+            if name != "seed" and getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
-        _json_int(self.seed, "seed")
-        for name in ("laplace", "epsilon_target", "delta_target"):  # the reals, as floats; laplace may be unset
+        for name in ("laplace", "epsilon_target", "delta_target"):  # the reals, as Python floats; laplace may be unset
             if name != "laplace" or self.laplace is not None:
                 object.__setattr__(self, name, float(_json_float(getattr(self, name), name)))
         _check_laplace(self.resolved_laplace)

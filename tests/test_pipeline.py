@@ -625,14 +625,14 @@ class TestConfigValidation:
         delta=st.one_of(st.floats(1e-6, 0.999), st.builds(np.float64, st.floats(1e-6, 0.999))),
         laplace=st.sampled_from([None, 0, 0.5, np.float64(0.5)]),
         n_grid=st.one_of(st.none(), st.lists(st.integers(1, 10**4), min_size=1, max_size=4).map(tuple)),
-        seed=st.integers(0, 2**63 - 1),
+        seed=st.one_of(st.integers(0, 2**63 - 1), st.builds(np.int64, st.integers(0, 2**63 - 1))),
         log_loss=st.booleans(),
     )
     @settings(max_examples=50, deadline=None)
     def test_derived_schema_round_trips_every_setting(self, epsilon, delta, laplace, n_grid, seed, log_loss):
         """``config_to_dict`` writes the source, the cost, then every other field in field order, as JSON values;
-        ``config_from_dict`` gives back each of them. The reals are floats from construction on, whatever real
-        type they were given as, and a set ``laplace`` is the resolved one."""
+        ``config_from_dict`` gives back each of them. The reals are floats and the seed an int from construction
+        on, whatever number type they were given as, and a set ``laplace`` is the resolved one."""
         config = fixed_config(epsilon_target=epsilon, delta_target=delta, laplace=laplace, n_grid=n_grid,
                               seed=seed, cost=None if log_loss else CostMatrix.zero_one(3))
         data = config_to_dict(config)
@@ -643,6 +643,7 @@ class TestConfigValidation:
             value = getattr(config, name)
             assert getattr(back, name) == value and type(getattr(back, name)) is type(value)
         assert all(type(c.epsilon_target) is type(c.delta_target) is float for c in (config, back))
+        assert type(config.seed) is int and config.seed == seed
         assert config.epsilon_target == float(epsilon) and config.delta_target == float(delta)
         assert np.array_equal(back.source.priors, config.source.priors) and back.log_loss_mode == log_loss
         if laplace is not None:
