@@ -142,6 +142,10 @@ def _flags(args) -> dict:
     return {key: value for key, value in vars(args).items() if key not in ("command", "func", "out_dir")}
 
 
+def _int_list(text: str) -> list[int]:
+    return [int(v) for v in text.split(",")]
+
+
 def _require_positive_trials(args) -> None:
     if args.trials < 1:
         raise UsageError("--trials must be at least 1")
@@ -189,14 +193,14 @@ def cmd_lower_bounds(args) -> int:
         gammas = [float(g) for g in args.grid.split(",")] if args.grid is not None else [args.gamma]
     except ValueError as exc:
         raise UsageError(f"bad --grid value: {exc}") from exc
+    try:
+        instances = [_two_atom_masses(args.eps_prime, gamma) for gamma in gammas]
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     run = _Run(args.command, args.out_dir, None, _flags(args))
     violations = 0
     cost = CostMatrix.zero_one(2)
-    for gamma in gammas:
-        try:
-            priors, masses = _two_atom_masses(args.eps_prime, gamma)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+    for gamma, (priors, masses) in zip(gammas, instances):
         # One instance under both losses: the scorer copies what it weights, so one masses array serves both.
         l1s, kls = _divergences(*masses, L1), _divergences(*masses, KL)
         t1, _, t1_ok = _verdict(priors, masses, l1s, cost)
@@ -276,27 +280,24 @@ def _pdfa_machines(sources: str) -> tuple[Pdfa, ...]:
     return tuple(machines)
 
 
+# The flags that go with --source, each by its argparse dest (its config key), and the default a --source run
+# takes: a --config file sets its own.
+_SOURCE_DEFAULTS = {"truncate": None, "n_grid": None, "sample_size": 1000, "trials": 100, "epsilon_target": 0.1,
+                    "delta_target": 0.05}
+
+
 def cmd_pipeline(args) -> int:
+    given = {name: getattr(args, name) for name in _SOURCE_DEFAULTS if getattr(args, name) is not None}
     if args.config:
-        run_flags = {"--truncate": args.truncate, "--n-grid": args.n_grid, "--sample-size": args.sample_size,
-                     "--trials": args.trials, "--epsilon": args.epsilon, "--delta": args.delta}
-        if given := [flag for flag, value in run_flags.items() if value is not None]:
-            raise UsageError(f"--config takes no {', '.join(given)}: those go with --source, the file sets its own")
+        if given:
+            raise UsageError(f"the --config file sets its own {', '.join(given)}: give those flags with --source")
         data = _read_input(args.config, dict)
     elif args.source:
         if args.truncate is None:
             raise UsageError("--source pdfa:<file> requires --truncate")
-        try:
-            n_grid = None if args.n_grid is None else [int(v) for v in args.n_grid.split(",")]
-        except ValueError as exc:
-            raise UsageError(f"bad --n-grid value: {exc}") from exc
         k = len(machines := _pdfa_machines(args.source))  # each file parsed here, so a bad one is named
         data = {"priors": [1.0 / k] * k, "machines": [a.to_dict() for a in machines], "truncate": args.truncate,
-                "cost": CostMatrix.zero_one(k).to_list(), "n_grid": n_grid,
-                "sample_size": 1000 if args.sample_size is None else args.sample_size,
-                "trials": 100 if args.trials is None else args.trials,
-                "epsilon_target": 0.1 if args.epsilon is None else args.epsilon,
-                "delta_target": 0.05 if args.delta is None else args.delta}
+                "cost": CostMatrix.zero_one(k).to_list(), **_SOURCE_DEFAULTS, **given}  # a key keeps its first place
     else:
         raise UsageError("either --config or --source is required")
     if args.seed is not None:
@@ -306,10 +307,7 @@ def cmd_pipeline(args) -> int:
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"bad pipeline config from {args.config or args.source}: {exc!r}") from exc
     run = _Run(args.command, args.out_dir, config.seed, data)
-    try:
-        summary = run_pac_experiment(config)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    summary = run_pac_experiment(config)
     for row in summary.rows:
         run.add_row(row)
     run.finish(summary.to_dict())
@@ -382,9 +380,9 @@ def build_parser() -> argparse.ArgumentParser:
     p5.add_argument("--truncate", type=int, help="string length cutoff for pdfa sources")
     p5.add_argument("--sample-size", type=int, help="samples per trial (default 1000)")
     p5.add_argument("--trials", type=int, help="trials per sample size (default 100)")
-    p5.add_argument("--epsilon", type=float, help="excess risk target (default 0.1)")
-    p5.add_argument("--delta", type=float, help="allowed violation fraction (default 0.05)")
-    p5.add_argument("--n-grid", help="comma-separated sample sizes")
+    p5.add_argument("--epsilon", dest="epsilon_target", type=float, help="excess risk target (default 0.1)")
+    p5.add_argument("--delta", dest="delta_target", type=float, help="allowed violation fraction (default 0.05)")
+    p5.add_argument("--n-grid", type=_int_list, help="comma-separated sample sizes")
     p5.add_argument("--seed", type=int, default=None)
     p5.add_argument("--out-dir", default="runs/pipeline")
     p5.set_defaults(func=cmd_pipeline)

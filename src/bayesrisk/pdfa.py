@@ -246,8 +246,6 @@ class TruncatedStringDomain(Domain):
 
     @staticmethod
     def atom_count(alphabet_size: int, max_len: int) -> int:
-        if alphabet_size == 0:
-            return 2
         if alphabet_size == 1:
             return max_len + 2
         return (alphabet_size ** (max_len + 1) - 1) // (alphabet_size - 1) + 1

@@ -72,8 +72,10 @@ class TrialConfig:
     def __post_init__(self) -> None:
         for name in ("sample_size", "trials", "seed"):  # the integers, as Python ints
             object.__setattr__(self, name, _json_int(getattr(self, name), name))
-            if name != "seed" and getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
+        if self.sample_size < 1:
+            raise ValueError("sample_size must be at least 1")
+        if self.trials < 30:  # fewer per grid point leave the violation fraction (the empirical delta) meaningless
+            raise ValueError("at least 30 trials are needed for a meaningful delta estimate")
         for name in ("laplace", "epsilon_target", "delta_target"):  # the reals, as Python floats; laplace may be unset
             if name != "laplace" or self.laplace is not None:
                 object.__setattr__(self, name, float(_json_float(getattr(self, name), name)))
@@ -339,12 +341,10 @@ def run_pac_experiment(config: TrialConfig) -> ExperimentSummary:
 
     Every grid point runs first, each trial making one row; the workspace
     is then freed, and ``per_n`` is aggregated from those rows, so the
-    report and the summary come from one source. Needs at least 30 trials
-    per grid point for the reported violation fraction (the empirical
-    delta) to mean anything.
+    report and the summary come from one source. The config has been
+    checked when it was built, its floor of 30 trials per grid point
+    included, so this checks no input.
     """
-    if config.trials < 30:
-        raise ValueError("at least 30 trials are needed for a meaningful delta estimate")
     grid = config.n_grid or (config.sample_size,)
     streams = np.random.SeedSequence(config.seed).spawn(len(grid) * config.trials)
     fixed = _fixed(config)

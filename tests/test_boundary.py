@@ -160,6 +160,8 @@ def test_trusted_objects_are_frozen_and_equal_to_validated_ones():
 D3 = Domain.indexed(3)
 ZERO_ONE = CostMatrix.zero_one(2)
 HALF_MACHINE = Path(__file__).parent / "data" / "machine_half.json"
+QUARTER_MACHINE = HALF_MACHINE.with_name("machine_quarter.json")
+PIPELINE_CONFIG = HALF_MACHINE.with_name("pipeline_config.json")
 
 
 def source2():
@@ -300,8 +302,16 @@ def test_an_infinite_epsilon_stays_legal():
     pytest.param(["pipeline", "--source", f"pdfa:{HALF_MACHINE}", "--truncate", "3"],
                  "need at least two pdfa sources to form a labeled source", id="pipeline-one-source"),
     pytest.param(["pipeline", "--source", f"pdfa:{HALF_MACHINE},pdfa:{HALF_MACHINE}", "--truncate", "3",
-                  "--trials", "10"], "at least 30 trials are needed for a meaningful delta estimate",
+                  "--trials", "10"], f"bad pipeline config from pdfa:{HALF_MACHINE},pdfa:{HALF_MACHINE}: "
+                 "ValueError('at least 30 trials are needed for a meaningful delta estimate')",
                  id="pipeline-10-trials"),
+    *(pytest.param(["pipeline", "--config", str(PIPELINE_CONFIG), *flags],
+                   f"the --config file sets its own {named}: give those flags with --source",
+                   id=f"pipeline-config-with-{'-and-'.join(f[2:] for f in flags[::2])}")
+      for flags, named in [(["--truncate", "3"], "truncate"), (["--n-grid", "50"], "n_grid"),
+                           (["--sample-size", "7"], "sample_size"), (["--trials", "40"], "trials"),
+                           (["--epsilon", "0.2"], "epsilon_target"), (["--delta", "0.5"], "delta_target"),
+                           (["--delta", "0.5", "--trials", "40"], "trials, delta_target")]),
     pytest.param(["tightness", "--iterations", "0"], "iterations must be at least 1", id="tightness-iterations-0"),
 ])
 def test_cli_usage_error_names_its_input(tmp_path, capsys, argv, message):
@@ -316,10 +326,16 @@ def test_cli_usage_error_names_its_input(tmp_path, capsys, argv, message):
     pytest.param(["tightness", "--k", "1"], "k must be at least 2 and m at least 1", id="tightness-k-1"),
     pytest.param(["tightness", "--domain-size", "0"], "k must be at least 2 and m at least 1",
                  id="tightness-domain-size-0"),
+    pytest.param(["pipeline", "--source", f"pdfa:{HALF_MACHINE},pdfa:{QUARTER_MACHINE}", "--truncate", "3",
+                  "--trials", "10"], f"bad pipeline config from pdfa:{HALF_MACHINE},pdfa:{QUARTER_MACHINE}: "
+                 "ValueError('at least 30 trials are needed for a meaningful delta estimate')",
+                 id="pipeline-10-trials"),
+    pytest.param(["lower-bounds", "--grid", "0.01,0.6"], "parameter out of range: need epsilon_prime >= 0, "
+                 "gamma >= 0, epsilon_prime + gamma < 1/2; got (0.1, 0.6)", id="lower-bounds-gamma-0.6"),
 ])
 def test_cli_size_flags_are_checked_by_the_library_before_the_out_dir(tmp_path, capsys, argv, message):
-    """The sweeps' and the tightness search's size flags are refused by the library's own checks, whose message
-    the usage error carries, before the command makes its out-dir."""
+    """The sweeps', the tightness search's and the pipeline's size flags, and the lower-bounds grid, are refused
+    by the library's own checks, whose message the usage error carries, before the command makes its out-dir."""
     assert main([*argv, "--out-dir", str(tmp_path / "run")]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "run").exists()

@@ -503,6 +503,27 @@ class TestPipelineCommand:
         assert summary["mode"] == "cost"
         assert summary["per_n"][0]["satisfied_fraction"] == 1.0
 
+    def test_every_setting_flag_is_recorded_and_used(self, tmp_path):
+        """A ``--source`` run given every setting flag records each value under its config key, in the order a
+        run on the defaults writes, and runs with it: the summary's grid and trials, one row per trial and grid
+        point, and the violation fraction taken at the given epsilon."""
+        code = run(["pipeline", "--source", PDFA_PAIR, "--truncate", "4", "--sample-size", "70", "--trials", "31",
+                    "--epsilon", "0.25", "--delta", "0.2", "--n-grid", "20,40", "--seed", "5", "--out-dir", tmp_path])
+        assert code == 0
+        config = json.loads((tmp_path / "manifest.json").read_text())["config"]
+        settings = {"truncate": 4, "cost": [[0.0, 1.0], [1.0, 0.0]], "n_grid": [20, 40], "sample_size": 70,
+                    "trials": 31, "epsilon_target": 0.25, "delta_target": 0.2, "seed": 5}
+        assert list(config) == ["priors", "machines", *settings]
+        assert {key: config[key] for key in settings} == settings
+        assert type(config["epsilon_target"]) is type(config["delta_target"]) is float
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["n_grid"] == [20, 40] and summary["trials"] == 31
+        with (tmp_path / "report.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 31 * 2 and [int(row["n"]) for row in rows] == [20] * 31 + [40] * 31
+        for entry, point in zip(summary["per_n"], (rows[:31], rows[31:])):
+            assert entry["violation_fraction"] == np.mean([float(row["excess"]) > 0.25 for row in point])
+
     def test_pdfa_sources_match_golden(self, tmp_path):
         sources = f"pdfa:{DATA / 'machine_half.json'},pdfa:{DATA / 'machine_quarter.json'}"
         code = run(["pipeline", "--source", sources, "--truncate", "8", "--n-grid", "50,200",

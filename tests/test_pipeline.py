@@ -230,9 +230,8 @@ class TestRunPacExperiment:
         assert a.rows == b.rows
 
     def test_trials_floor_enforced(self):
-        config = fixed_config(trials=10)
         with pytest.raises(ValueError, match="30 trials"):
-            run_pac_experiment(config)
+            fixed_config(trials=10)
 
     # Peak traced bytes of the run below, above its starting size. The code
     # before the per-trial temporaries were trimmed peaked at 10,694,741
