@@ -143,7 +143,10 @@ def _flags(args) -> dict:
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(v) for v in text.split(",")]
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
 
 
 def _require_positive_trials(args) -> None:
@@ -292,9 +295,7 @@ def cmd_pipeline(args) -> int:
         if given:
             raise UsageError(f"the --config file sets its own {', '.join(given)}: give those flags with --source")
         data = _read_input(args.config, dict)
-    elif args.source:
-        if args.truncate is None:
-            raise UsageError("--source pdfa:<file> requires --truncate")
+    elif args.source:  # config_from_dict refuses a missing --truncate as the config's truncate
         k = len(machines := _pdfa_machines(args.source))  # each file parsed here, so a bad one is named
         data = {"priors": [1.0 / k] * k, "machines": [a.to_dict() for a in machines], "truncate": args.truncate,
                 "cost": CostMatrix.zero_one(k).to_list(), **_SOURCE_DEFAULTS, **given}  # a key keeps its first place

@@ -76,6 +76,8 @@ class TrialConfig:
             raise ValueError("sample_size must be at least 1")
         if self.trials < 30:  # fewer per grid point leave the violation fraction (the empirical delta) meaningless
             raise ValueError("at least 30 trials are needed for a meaningful delta estimate")
+        if self.cost is not None:  # a cost for another class count is refused here, not in the run
+            as_cost_array(self.cost, self.source.k)
         for name in ("laplace", "epsilon_target", "delta_target"):  # the reals, as Python floats; laplace may be unset
             if name != "laplace" or self.laplace is not None:
                 object.__setattr__(self, name, float(_json_float(getattr(self, name), name)))
@@ -198,7 +200,7 @@ def _fixed(config: TrialConfig):
     can go sparse (``None`` else)."""
     source, m = config.source, config.source.domain.size
     ws = _workspace(source.k, m)
-    costs = None if config.cost is None else as_cost_array(config.cost, source.k)
+    costs = None if config.cost is None else config.cost.costs  # its shape checked with the config
     sparse = costs is not None and not config.resolved_laplace and m >= _SPARSE_ATOMS
     classes = tuple((d.mass, None if d.mass.min() > 0.0 else d.mass > 0.0, np.count_nonzero(d.mass),
                      _leaf_sums(m, d.mass) if sparse else None) for d in source.class_dists)

@@ -252,6 +252,8 @@ NAMED_ERRORS = [
                  id="delta-target-bool"),
     pytest.param(lambda: TrialConfig(source2(), None, 10, 30, 0.1, 0.1, laplace=True), "laplace: True is not a number",
                  id="trial-laplace-bool"),
+    pytest.param(lambda: TrialConfig(source2(), CostMatrix.zero_one(3), 10, 30, 0.1, 0.1),
+                 "cost matrix has shape (3, 3), expected (2, 2)", id="trial-cost-3x3"),
     pytest.param(lambda: empirical_estimator(["x0"], D2, True), "laplace: True is not a number",
                  id="estimator-laplace-bool"),
     pytest.param(lambda: SmoothingParams(0.5, 0), "description_length must be a positive integer",
@@ -305,13 +307,10 @@ def test_an_infinite_epsilon_stays_legal():
                   "--trials", "10"], f"bad pipeline config from pdfa:{HALF_MACHINE},pdfa:{HALF_MACHINE}: "
                  "ValueError('at least 30 trials are needed for a meaningful delta estimate')",
                  id="pipeline-10-trials"),
-    *(pytest.param(["pipeline", "--config", str(PIPELINE_CONFIG), *flags],
-                   f"the --config file sets its own {named}: give those flags with --source",
-                   id=f"pipeline-config-with-{'-and-'.join(f[2:] for f in flags[::2])}")
-      for flags, named in [(["--truncate", "3"], "truncate"), (["--n-grid", "50"], "n_grid"),
-                           (["--sample-size", "7"], "sample_size"), (["--trials", "40"], "trials"),
-                           (["--epsilon", "0.2"], "epsilon_target"), (["--delta", "0.5"], "delta_target"),
-                           (["--delta", "0.5", "--trials", "40"], "trials, delta_target")]),
+    pytest.param(["pipeline", "--config", str(PIPELINE_CONFIG), "--delta", "0.5", "--epsilon", "0.2", "--trials", "40",
+                  "--sample-size", "7", "--n-grid", "50", "--truncate", "3"],
+                 "the --config file sets its own truncate, n_grid, sample_size, trials, epsilon_target, delta_target: "
+                 "give those flags with --source", id="pipeline-config-with-every-setting"),
     pytest.param(["tightness", "--iterations", "0"], "iterations must be at least 1", id="tightness-iterations-0"),
 ])
 def test_cli_usage_error_names_its_input(tmp_path, capsys, argv, message):
@@ -330,6 +329,9 @@ def test_cli_usage_error_names_its_input(tmp_path, capsys, argv, message):
                   "--trials", "10"], f"bad pipeline config from pdfa:{HALF_MACHINE},pdfa:{QUARTER_MACHINE}: "
                  "ValueError('at least 30 trials are needed for a meaningful delta estimate')",
                  id="pipeline-10-trials"),
+    pytest.param(["pipeline", "--source", f"pdfa:{HALF_MACHINE},pdfa:{QUARTER_MACHINE}"],
+                 f"bad pipeline config from pdfa:{HALF_MACHINE},pdfa:{QUARTER_MACHINE}: "
+                 "ValueError('truncate must be an integer, got None')", id="pipeline-no-truncate"),
     pytest.param(["lower-bounds", "--grid", "0.01,0.6"], "parameter out of range: need epsilon_prime >= 0, "
                  "gamma >= 0, epsilon_prime + gamma < 1/2; got (0.1, 0.6)", id="lower-bounds-gamma-0.6"),
 ])
@@ -338,6 +340,15 @@ def test_cli_size_flags_are_checked_by_the_library_before_the_out_dir(tmp_path, 
     by the library's own checks, whose message the usage error carries, before the command makes its out-dir."""
     assert main([*argv, "--out-dir", str(tmp_path / "run")]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("grid", ["", "5,x"])
+def test_a_bad_n_grid_is_refused_by_the_parser(tmp_path, capsys, grid):
+    argv = ["pipeline", "--source", f"pdfa:{HALF_MACHINE},pdfa:{QUARTER_MACHINE}", "--truncate", "3", "--n-grid", grid]
+    assert main([*argv, "--out-dir", str(tmp_path / "run")]) == 2
+    message = f"error: argument --n-grid: expected comma-separated integers, got {grid!r}\n"
+    assert capsys.readouterr().err.endswith(message)
     assert not (tmp_path / "run").exists()
 
 

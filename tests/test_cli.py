@@ -112,6 +112,7 @@ class TestExitCodes:
                     ("laplace", "true", "bool"), ("laplace", '"2"', "string"),
                     ("priors", '["0.4","0.6"]', "string-entries"), ("cost", '[["0","1"],["1","0"]]', "string-entries"),
                     ("cost", "[[false,true],[true,false]]", "bool-entries"),
+                    ("cost", "[[0,1,1],[1,0,1],[1,1,0]]", "3x3"),
                 ]
             ),
             *(
@@ -154,6 +155,7 @@ class TestExitCodes:
             (tmp_path / "instance.json").write_text(text)
         argv = [str(a).format(dir=tmp_path) for a in argv] + ["--out-dir", tmp_path / "run"]
         assert run(argv) == 2
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize(
         "argv",
