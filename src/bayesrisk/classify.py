@@ -30,7 +30,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .distributions import SUM_TOL, Distribution, Domain, _json_float
+from .distributions import SUM_TOL, Distribution, Domain, _json_float, _on_leaves
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,9 +206,10 @@ def bayes_classifier(source: LabeledSource, cost: CostLike) -> Classifier:
     return Classifier(source.domain, labels)
 
 
-def _workspace(k: int, m: int) -> tuple[np.ndarray, ...]:
-    """Buffers for the kernels: estimates and scores ``(k, m)``, labels, a float and a bool row."""
-    return np.empty((k, m)), np.empty((k, m)), np.empty(m, np.intp), np.empty(m), np.empty(m, bool)
+def _workspace(k: int, m: int, row=None) -> tuple[np.ndarray, ...]:
+    """Buffers for the kernels: estimates and scores ``(k, m)``, labels, a float row (``row`` if given), a bool row."""
+    row = np.empty(m) if row is None else row
+    return np.empty((k, m)), np.empty((k, m)), np.empty(m, np.intp), row, np.empty(m, bool)
 
 
 def _bayes_labels(costs, weighted, scores, labels, less) -> np.ndarray:
@@ -247,6 +248,39 @@ def _cost_risk(costs, labels, weighted, out=None) -> float:
     weighted_costs = costs.take(labels, axis=1, out=out, mode="clip")  # "clip" fills out directly
     weighted_costs *= weighted
     return float(weighted_costs.sum())
+
+
+def _cost_leaves(masses, priors, costs, bayes=True):
+    """A background of ``distributions._patched_sums``: the flattened ``(k, m)`` entries ``costs[i, label] *
+    weighted[i, x]`` of :func:`_cost_risk` on its leaves, in their bits, ``weighted[i]`` being ``masses[i] *
+    priors[i]`` and ``label`` the Bayes label of ``weighted`` at ``x`` (0 if not ``bayes``). The leaves' columns
+    are gathered from the class masses, only of each leaf's own class for label 0, and a leaf across a class's end
+    on its own: no array is longer than the leaves asked for, times k."""
+    k, m = len(masses), masses[0].size
+
+    def labels(weighted):
+        size = weighted.shape[1]
+        return _bayes_labels(costs, weighted, None, np.empty(size, np.intp), np.empty(size, bool)) if bayes else 0
+
+    def on_leaves(_, starts, length):
+        (of, at), count = np.divmod(starts, m), len(starts)
+        at, entries = np.minimum(at, m - length), np.empty((count, length))  # a leaf across a class's end is redone
+        if bayes:
+            weighted = np.empty((k, count, length))
+            for w, mass, prior in zip(weighted, masses, priors):
+                np.multiply(_on_leaves(mass, at, length), prior, out=w)
+            label = labels(weighted.reshape(k, -1)).reshape(count, length)
+            np.multiply(costs[of[:, None], label], weighted[of, np.arange(count)], out=entries)
+        for i in [] if bayes else set(of.tolist()):
+            own = of == i
+            entries[own] = _on_leaves(masses[i], at[own], length) * priors[i] * costs[i, 0]
+        for p in np.flatnonzero(starts % m > m - length):
+            rows, atoms = np.divmod(starts[p] + np.arange(length), m)
+            weighted = np.stack([mass[atoms] * prior for mass, prior in zip(masses, priors)])
+            entries[p] = costs[rows, labels(weighted)] * weighted[rows, np.arange(length)]
+        return entries
+
+    return on_leaves
 
 
 def posterior(source: LabeledSource, atom: str) -> np.ndarray:

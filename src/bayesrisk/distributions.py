@@ -145,14 +145,16 @@ def _few_leaves(n: int, atoms: np.ndarray) -> bool:
     return np.count_nonzero(leaves[1:] != leaves[:-1]) < most
 
 
-def _leaf_sums(n: int, row: np.ndarray, leaves=None, out=None) -> np.ndarray:
-    """numpy's sums of the ``leaves`` (every leaf if ``None``) of the length-``n`` float ``row``, written at
-    their slots into ``out`` (zeros if ``None``), which is returned."""
+def _leaf_sums(n: int, row, leaves=None, out=None) -> np.ndarray:
+    """numpy's sums of the ``leaves`` (every leaf if ``None``) of the length-``n`` float ``row``, or of the row
+    that the :func:`_patched_sums` background ``row`` makes leaf by leaf, written at their slots into ``out``
+    (zeros if ``None``), which is returned."""
     height, starts = _pairwise_tree(n)[:2]
     leaves = np.arange(len(starts)) if leaves is None else leaves
     out = np.zeros(1 << height) if out is None else out
     none = np.zeros(len(leaves) + 1, np.intp)  # the plan of a row changed nowhere
-    _patched_sums(n, (none[1:], leaves, none, none[:0]), none[:0], out[None], lambda _, *at: _on_leaves(row, *at))
+    background = row if callable(row) else lambda _, *at: _on_leaves(row, *at)
+    _patched_sums(n, (none[1:], leaves, none, none[:0]), none[:0], out[None], background)
     return out
 
 

@@ -42,10 +42,10 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .bounds import BoundReport, _plugin_risk, _theorem_report
-from .classify import CostMatrix, LabeledSource, _bayes_labels, _workspace, as_cost_array
+from .classify import CostMatrix, LabeledSource, _bayes_labels, _cost_leaves, _workspace, as_cost_array
 from .distributions import Distribution, Domain, _draw_indices, _exact_unit_mass, _few_leaves
 from .distributions import _json_float, _json_int, _kl_on_support, _l1_distance, _leaf_plan, _leaf_sums, _on_leaves
-from .distributions import _pairwise_tree, _patched_sums, _sorted_set, _unit_sums
+from .distributions import _pairwise_tree, _patched_sums, _sorted_set, _tree_sum, _unit_sums
 from .pdfa import Pdfa, truncate_all
 
 
@@ -146,29 +146,33 @@ def empirical_estimator(
         raise ValueError(f"sample {exc.args[0]}") from None
     if idx.size and (idx.min() < 0 or idx.max() >= m):
         raise ValueError(f"sample index out of range: atom indices must lie in [0, {m})")
-    _estimate(mass := np.empty(m), idx, float(laplace))
+    _add_lambda(mass := np.empty(m), idx, float(laplace))
     return Distribution(domain, mass)
 
 
-def _estimate(mass: np.ndarray, idx: np.ndarray, laplace: float, zero=slice(None)):
-    """Write the add-lambda estimate of the atom indices ``idx`` into ``mass``, zero outside the atom
-    set ``zero``, unnormalized. Return its atom set: without smoothing and with at most one draw per
-    16 of ``_SPARSE_ATOMS`` or more atoms, the sorted distinct draws, which are the atoms of its non-zero
-    entries; else every atom, ``slice(None)``. Only then do the hits' indexing pay for the passes saved."""
-    mass[zero] = 0.0
+def _add_lambda(mass: np.ndarray, idx: np.ndarray, laplace: float) -> None:
+    """Write the add-lambda estimate of the atom indices ``idx`` into ``mass``, unnormalized."""
+    mass.fill(0.0)
     np.add.at(mass, idx, 1.0)
     denom = idx.size + laplace * mass.size
     if denom == 0.0:
         mass.fill(1.0 / mass.size)
-        return slice(None)
-    if laplace or mass.size < _SPARSE_ATOMS or 16 * idx.size > mass.size:
-        if laplace:  # counts are >= +0.0, so adding 0.0 would change no bit
-            mass += laplace
-        mass /= denom
-        return slice(None)
-    at = _sorted_set(idx)
-    mass[at] /= denom
-    return at
+        return
+    if laplace:  # counts are >= +0.0, so adding 0.0 would change no bit
+        mass += laplace
+    mass /= denom
+
+
+def _estimate(idx: np.ndarray, m: int, laplace: float):
+    """The add-lambda estimate of the atom indices ``idx`` over ``m`` atoms where it is sparse: without smoothing
+    and with at most one draw per 16 of ``_SPARSE_ATOMS`` or more atoms, its non-zero entries' atoms (the sorted
+    distinct draws) and those entries, each draw count over n, in :func:`_add_lambda`'s bits; else ``None``. Only
+    then do the hits' indexing pay for the passes saved."""
+    if laplace or m < _SPARSE_ATOMS or not 0 < 16 * idx.size <= m:
+        return None
+    draws = np.sort(idx)
+    first = np.flatnonzero(np.diff(draws, prepend=-1))
+    return draws[first], np.diff(first, append=idx.size) / idx.size
 
 
 # Most draws (trials times sample size) in a block of trials; a larger trial is a block of its own.
@@ -194,30 +198,36 @@ def run_trial(
 
 
 def _fixed(config: TrialConfig):
-    """An experiment's workspace, cost array (``None`` under log loss), optimal risk (:func:`_plugin_risk` of the
-    true classes), per class its mass, support (``None`` if full), support size and leaf sums, and the leaf sums of
-    the flattened label-0 weighted costs: what a batch's sums start from, taken only in cost mode if an estimate
-    can go sparse (``None`` else)."""
-    source, m = config.source, config.source.domain.size
-    ws = _workspace(source.k, m)
+    """An experiment's workspace (a list, at first holding only its float row, every block's CDF row), cost array
+    (``None`` under log loss), optimal risk (:func:`_plugin_risk` of the true classes), per class its mass, support
+    (``None`` if full), support size and leaf sums, and the leaf sums of the flattened label-0 weighted costs: what
+    a batch's sums start from, taken only in cost mode if an estimate can go sparse (``None`` else). Then the
+    optimal risk and those sums are built leaf by leaf (``classify._cost_leaves``), and the rest of the workspace
+    and the source's weighted masses wait for the first dense trial."""
+    source, (k, m) = config.source, (config.source.k, config.source.domain.size)
     costs = None if config.cost is None else config.cost.costs  # its shape checked with the config
     sparse = costs is not None and not config.resolved_laplace and m >= _SPARSE_ATOMS
-    classes = tuple((d.mass, None if d.mass.min() > 0.0 else d.mass > 0.0, np.count_nonzero(d.mass),
-                     _leaf_sums(m, d.mass) if sparse else None) for d in source.class_dists)
-    true = np.stack([d.mass for d in source.class_dists], out=ws[0])
-    risk_opt = _plugin_risk(source.priors, source.weighted_mass, true, costs, ws)
-    label_0 = np.multiply(costs[:, :1], source.weighted_mass, out=ws[1]) if sparse else None
-    return ws, costs, risk_opt, classes, None if label_0 is None else _leaf_sums(label_0.size, label_0.reshape(-1))
+    masses = [d.mass for d in source.class_dists]
+    classes = tuple((p, None if p.min() > 0.0 else p > 0.0, np.count_nonzero(p), _leaf_sums(m, p) if sparse else None)
+                    for p in masses)
+    if not sparse:
+        ws = list(_workspace(k, m))
+        risk_opt = _plugin_risk(source.priors, source.weighted_mass, np.stack(masses, out=ws[0]), costs, ws)
+        return ws, costs, risk_opt, classes, None
+    risk_opt = float(_tree_sum(_leaf_sums(k * m, _cost_leaves(masses, source.priors, costs))))
+    base = _leaf_sums(k * m, _cost_leaves(masses, source.priors, costs, False))
+    return [None, None, None, np.empty(m), None], costs, risk_opt, classes, base
 
 
 def _block(config: TrialConfig, rngs: Sequence[np.random.Generator], n: int, ws, costs, risk_opt, classes, costs_base):
     """:func:`run_trial`'s outcome at sample size ``n`` for each generator of ``rngs``, given :func:`_fixed`.
     Every draw comes first, each generator making one trial's calls in its order (labels, then class
-    0, class 1, ...) into one buffer; each class's CDF, built once in the workspace row, answers the
-    block's draws of that class. Then each trial's estimates are made on the workspace; a cost-mode trial with
-    every estimate sparse on few leaves joins a batch (:func:`_sparse_batch`), any other runs on every atom."""
+    0, class 1, ...) into one buffer; each class's CDF, built once in the CDF row, answers the block's
+    draws of that class. Then a cost-mode trial with every estimate sparse on few leaves joins a batch
+    (:func:`_sparse_batch`); any other writes its estimates into the workspace, the first one making it, and runs
+    on every atom."""
     source, laplace = config.source, config.resolved_laplace
-    (k, m), (ests, _, _, row, _) = (source.k, source.domain.size), ws
+    k, m = source.k, source.domain.size
     uniforms = np.empty((len(rngs), n))
     for rng, trial_uniforms in zip(rngs, uniforms):
         rng.random(out=trial_uniforms)
@@ -227,22 +237,25 @@ def _block(config: TrialConfig, rngs: Sequence[np.random.Generator], n: int, ws,
         ends = class_counts.cumsum()
         for rng, start, end in zip(rngs, ends - class_counts, ends):
             rng.random(out=flat[start:end])
-        samples.append(np.split(_draw_indices(d.mass, flat[: ends[-1]], row), ends[:-1]))
+        samples.append(np.split(_draw_indices(d.mass, flat[: ends[-1]], ws[3]), ends[:-1]))
     del uniforms, flat, trial_uniforms  # the loop's last view would keep the draws' buffer alive
-    atoms = [slice(None)] * k  # each estimate's atom set; the workspace rows hold anything
     slots, batch, used = max(k << _pairwise_tree(m)[0], 1 << _pairwise_tree(k * m)[0]), [], 0  # a trial's slot rows
     for t, trial_counts in enumerate(counts.tolist()):
-        for i, (est, idx) in enumerate(zip(ests, samples)):
-            atoms[i] = _estimate(est, idx[t], laplace, atoms[i])
-        sparse = costs_base is not None and all(not isinstance(at, slice) and _few_leaves(m, at) for at in atoms)
-        charge = max(slots, 8 * k * sum(at.size for at in atoms)) if sparse else math.inf  # or its hits' arrays
+        hits = [_estimate(idx[t], m, laplace) for idx in samples] if costs_base is not None else [None]
+        sparse = all(hit is not None and _few_leaves(m, hit[0]) for hit in hits)
+        charge = max(slots, 8 * k * sum(at.size for at, _ in hits)) if sparse else math.inf  # or its hits' arrays
         if batch and used + charge > _BATCH_FLOATS:  # a dense trial, or one the batch has no room for, ends it
             yield from _sparse_batch(config, batch, costs, risk_opt, classes, costs_base)
             batch, used = [], 0
         if sparse:
-            batch.append((trial_counts, [(at, est[at]) for at, est in zip(atoms, ests)]))
+            batch.append((trial_counts, hits))
             used += charge
             continue
+        if ws[0] is None:  # the first dense trial makes the workspace around the CDF row
+            ws[:] = _workspace(k, m, ws[3])
+        ests, _, _, row, _ = ws
+        for est, idx in zip(ests, samples):
+            _add_lambda(est, idx[t], laplace)
         _exact_unit_mass(ests)
         l1s = tuple(_l1_distance(p, q, row) for (p, *_), q in zip(classes, ests))
         kls = tuple(_kl_on_support(p, q, support, row) for (p, support, *_), q in zip(classes, ests))
@@ -294,18 +307,10 @@ def _sparse_batch(config: TrialConfig, batch, costs, risk_opt, classes, costs_ba
     order = np.arange(len(union)) + (k - 1) * (cols.cumsum() - cols)[trial] + np.outer(range(k), cols[trial])
     flat_atoms, entries = np.empty(k * len(union), np.intp), np.empty(k * len(union))
     flat_atoms[order] = np.arange(0, k * m, m)[:, None] + atom
-    entries[order] = costs.take(labels, axis=1) * source.weighted_mass.take(atom, axis=1)
+    entries[order] = costs.take(labels, axis=1) * (np.stack([p[atom] for p in true]) * source.priors[:, None])
     plan = _leaf_plan(k * m, np.arange(trials).repeat(k * cols), flat_atoms)
     del labels, trial, atom, order, flat_atoms
-
-    def label_0(_, starts, length, flat=source.weighted_mass.reshape(-1)):  # costs[:, :1] * weighted, on leaves
-        on_leaves = _on_leaves(flat, starts, length)
-        on_leaves *= costs[starts // m, 0][:, None]
-        for i in np.flatnonzero(starts // m != (starts + length - 1) // m):  # a leaf across a class's end
-            index = starts[i] + np.arange(length)
-            on_leaves[i] = costs[index // m, 0] * flat[index]
-        return on_leaves
-
+    label_0 = _cost_leaves(true, source.priors, costs, False)
     risks = _patched_sums(k * m, plan, entries, np.repeat(costs_base[None], trials, 0), label_0)
     return [TrialOutcome(tuple(trial_counts), tuple(l1s[:, t].tolist()), tuple(kls[t::trials]),
                          _theorem_report(source.priors, config.cost, l1s[:, t], risk_opt, float(risks[t])))
@@ -341,8 +346,8 @@ def _quantile(values: Sequence[float], q: float) -> float:
 def run_pac_experiment(config: TrialConfig) -> ExperimentSummary:
     """Repeat trials across the sample-size grid and aggregate.
 
-    Every grid point runs first, each trial making one row; the workspace
-    is then freed, and ``per_n`` is aggregated from those rows, so the
+    Every grid point runs first, each trial making one row; the CDF row
+    and any workspace are then freed, and ``per_n`` is aggregated from those rows, so the
     report and the summary come from one source. The config has been
     checked when it was built, its floor of 30 trials per grid point
     included, so this checks no input.

@@ -150,6 +150,22 @@ def test_bit_identity_checks_fail_with_a_broken_tree(tmp_path, tree_mutation):
             test_cli.TestPipelineCommand().test_wide_pdfa_sources_match_golden(tmp_path)
 
 
+def test_a_chunk_labelled_one_column_at_a_time_fails_the_gathered_product_pin(monkeypatch):
+    """With a leaf chunk's Bayes labels taken from unpadded one-column products, the scores of
+    ``classify._cost_leaves`` that the optimal risk rests on leave the full product's bits: the pin's probe of the
+    widest chunk (16,384 columns of 131,072 atoms) fails at k = 4 and 5, though it passes as one product."""
+    import test_classify
+
+    probe = dict(m=131_072, sizes=[distributions._LEAF_FLOATS])
+    for k in (4, 5):
+        test_classify.batch_probe(np.random.default_rng(k), k, **probe)
+    columns = lambda costs, w: [np.matmul(costs.T, w[:, j : j + 1]) for j in range(w.shape[1])]
+    monkeypatch.setattr(classify, "_gathered_scores", lambda costs, w: np.concatenate(columns(costs, w), axis=1))
+    for k in (4, 5):
+        with pytest.raises(AssertionError):
+            test_classify.batch_probe(np.random.default_rng(k), k, **probe)
+
+
 def test_a_lone_hit_column_multiplied_alone_fails_the_gathered_product_pin(monkeypatch):
     """With the pad removed from the batch cost product, so that a batch of one lone hit column is multiplied
     alone, the float.hex pin fails: at a fixed probe (k = 4, 4,096 atoms) that passes padded, and over its lone

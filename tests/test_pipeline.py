@@ -16,7 +16,7 @@ from bayesrisk import distributions, pipeline
 from bayesrisk.bounds import _plugin_risk, random_cost, random_source
 from bayesrisk.classify import CostMatrix, LabeledSource
 from bayesrisk.distributions import Distribution, Domain, _draw_indices, _exact_unit_mass, make_distribution
-from bayesrisk.distributions import _kl_on_support, _l1_distance
+from bayesrisk.distributions import _kl_on_support, _l1_distance, _leaf_sums
 from bayesrisk.pipeline import (
     TrialConfig,
     config_from_dict,
@@ -95,19 +95,20 @@ class TestEmpiricalEstimator:
 
 class TestEstimateHits:
     """Without smoothing, with at most one draw per 16 atoms and on a domain of at least
-    ``_SPARSE_ATOMS`` atoms, ``_estimate`` returns the sorted atoms where its estimate is non-zero,
-    and the estimate is the dense one bit for bit."""
+    ``_SPARSE_ATOMS`` atoms, ``_estimate`` returns the sorted atoms where the estimate is non-zero
+    and its entries there, which are the dense estimate's (``_add_lambda``'s) bit for bit."""
 
     M = pipeline._SPARSE_ATOMS
 
-    def check(self, draws, zero=slice(None), mass=None):
+    def check(self, draws, mass=None):
         mass = np.full(self.M, 0.5) if mass is None else mass
         idx = np.array(draws)
-        at = pipeline._estimate(mass, idx, 0.0, zero)
-        assert not isinstance(at, slice)
+        at, entries = pipeline._estimate(idx, self.M, 0.0)
+        pipeline._add_lambda(mass, idx, 0.0)
         assert at.tolist() == np.flatnonzero(mass > 0.0).tolist()
+        assert entries.tobytes() == mass[at].tobytes()
         assert mass.tobytes() == (np.bincount(idx, minlength=self.M) / len(draws)).tobytes()
-        return at, mass
+        return mass
 
     @pytest.mark.parametrize(
         "draws",
@@ -118,16 +119,17 @@ class TestEstimateHits:
         self.check(draws)
 
     def test_more_than_one_draw_per_16_atoms_is_dense(self):
-        assert pipeline._estimate(np.empty(self.M), np.arange(self.M // 16 + 1), 0.0) == slice(None)
+        assert pipeline._estimate(np.arange(self.M // 16 + 1), self.M, 0.0) is None
 
     def test_a_domain_below_the_break_even_is_dense(self):
-        assert pipeline._estimate(np.empty(self.M - 1), np.array([7]), 0.0) == slice(None)
+        assert pipeline._estimate(np.array([7]), self.M - 1, 0.0) is None
 
     def test_row_holding_the_last_trials_hits(self):
-        """A trial resets only the last trial's hits, so the row must hold zeros everywhere else."""
-        at, mass = self.check([self.M - 1, 2, 30])
-        at, mass = self.check([5, 5, 30], zero=at, mass=mass)
-        self.check([0, 17, 33, 33], zero=at, mass=mass)
+        """A dense trial writes its estimates over the last trial's in the workspace rows, so a row must hold
+        zeros off this trial's draws."""
+        mass = self.check([self.M - 1, 2, 30])
+        mass = self.check([5, 5, 30], mass=mass)
+        self.check([0, 17, 33, 33], mass=mass)
 
 
 class TestRunTrial:
@@ -297,9 +299,13 @@ class TestRunPacExperiment:
     @pytest.mark.parametrize("laplace", [0.0, 1.0])
     def test_trial_allocates_no_full_width_array(self, laplace):
         """A trial writes every m-sized intermediate into its workspace: a
-        returning full-width temporary, m floats, would exceed the bound."""
+        returning full-width temporary, m floats, would exceed the bound.
+        Without smoothing the first dense trial makes the workspace, so the
+        block measured is one after a block that made it."""
         config = self.wide_config(laplace)
         fixed = _fixed(config)
+        list(_block(config, [np.random.default_rng(1)], 1000, *fixed))
+        assert fixed[0][0] is not None
         rng = np.random.default_rng(2)
         peak = self.traced_peak(lambda: list(_block(config, [rng], 1000, *fixed)))
         assert peak < self.M * 8
@@ -323,7 +329,7 @@ class TestRunPacExperiment:
         fixed, atom_sets, estimate = _fixed(config), [], pipeline._estimate
         monkeypatch.setattr(pipeline, "_estimate", lambda *args: atom_sets.append(estimate(*args)) or atom_sets[-1])
         peak = self.traced_peak(lambda: list(_block(config, [np.random.default_rng(2)], 1000, *fixed)))
-        assert atom_sets and not any(isinstance(at, slice) for at in atom_sets) and trees
+        assert atom_sets and not any(at is None for at in atom_sets) and trees
         assert peak < self.M * 8
 
     def test_sparse_block_allocates_no_full_width_array(self, monkeypatch):
@@ -338,6 +344,14 @@ class TestRunPacExperiment:
         peak = self.traced_peak(lambda: list(_block(config, rngs, 1000, *fixed)))
         assert sum(batches) == 30 and max(batches) > 1
         assert peak < self.M * 8
+
+    def test_sparse_experiment_holds_no_full_width_workspace(self):
+        """An experiment whose every trial is batched builds its optimal risk and base sums leaf by leaf and never
+        makes the dense workspace: its peak stays under two m-float arrays (the one CDF row and the leaf matrices),
+        where the workspace alone is 5.25, and the source's weighted masses are never made."""
+        config = self.peaked_config()
+        assert self.traced_peak(lambda: run_pac_experiment(config)) < 2 * self.M * 8
+        assert "weighted_mass" not in config.source.__dict__
 
 
 def _hexed(row: dict) -> list:
@@ -548,6 +562,34 @@ def test_a_block_mixes_batched_and_dense_trials():
                          delta_target=0.05)
     batches = check_block_against_dense(config, _fixed(config), [[6, t] for t in range(30)], 170)
     assert 0 < sum(batches) < 30 and len(batches) > 1
+
+
+@pytest.mark.parametrize("m", [4_096, 65_537, 131_072, 131_073])
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_leaf_built_sums_equal_the_full_width_ones(k, m):
+    """Where an estimate can go sparse, ``_fixed`` builds the optimal risk and the label-0 base leaf sums leaf by
+    leaf; they equal in float.hex the full-width ``_plugin_risk`` of the true classes and the leaf sums of the
+    flattened ``costs[:, :1] * weighted_mass``. Random, zero-one and tied costs (two equal columns), each scaled
+    by 10^U(-9, 9), with the last class missing about half the atoms; at 65,537 and 131,073 atoms leaves lie
+    across a class's end of the flattened ``(k, m)`` array."""
+    rng = np.random.default_rng([k, m])
+    source = random_source(rng, k, m)
+    weights = source.class_dists[-1].mass.copy()
+    weights[rng.random(m) < 0.5] = 0.0
+    source = LabeledSource(source.priors, (*source.class_dists[:-1], make_distribution(source.domain, weights)))
+    for kind in ("random", "zero-one", "tied"):
+        costs = np.ones((k, k)) - np.eye(k) if kind == "zero-one" else rng.random((k, k))
+        if kind == "tied":
+            costs[:, 1] = costs[:, 0]
+        costs *= 10.0 ** rng.uniform(-9.0, 9.0)
+        config = TrialConfig(source=source, cost=CostMatrix(costs), sample_size=1, trials=30, epsilon_target=0.1,
+                             delta_target=0.05)
+        _, _, risk_opt, _, base = _fixed(config)
+        true = np.array([d.mass for d in source.class_dists])
+        assert risk_opt.hex() == _plugin_risk(source.priors, source.weighted_mass, true, costs).hex()
+        label_0 = costs[:, :1] * source.weighted_mass
+        assert [v.hex() for v in base.tolist()] == [v.hex() for v in _leaf_sums(label_0.size, label_0.reshape(-1))
+                                                    .tolist()]
 
 
 @pytest.mark.parametrize("m", [8_192, 131_072])
