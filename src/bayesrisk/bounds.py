@@ -314,7 +314,8 @@ def _into_budget(metric: str, true: np.ndarray, est: np.ndarray, limits: np.ndar
     over = np.flatnonzero(divergences > limits)
     if metric == KL:
         for i, limit in zip(over.tolist(), limits[over].tolist()):
-            p, q, support = true[i], est[i], true[i] > 0.0
+            p, q = true[i], est[i]
+            support = None if p.min() > 0.0 else p > 0.0  # a full support is not re-checked at each step
 
             def fits(t: float) -> bool:
                 blend = (1.0 - t) * p + t * q
@@ -516,9 +517,12 @@ def _climb(
     """Coordinate hill climbing with step halving (20 levels from 0.1 * budget).
 
     ``masses`` is a (2, k, m) array, the true classes in row 0 and the raw
-    estimates in row 1; ``excess`` scores such an array.
+    estimates in row 1; ``excess(masses, i, projected)`` scores such an array
+    and returns it projected, redoing only class ``i`` of the projection
+    ``projected`` of a move's start (every class if ``projected`` is None).
+    Returns the best score and the best array projected.
     """
-    best_val = excess(masses)
+    best_val, best_projected = excess(masses, slice(None), None)
     best = masses
     _, k, m = masses.shape
     for level in range(20):
@@ -537,14 +541,13 @@ def _climb(
                         trial = best.copy()
                         if not _transfer(trial[row, i], a, b, step):
                             continue
-                        val = excess(trial)
+                        val, projected = excess(trial, slice(i, i + 1), best_projected)
                         if val > best_val + 1e-15:
-                            best_val = val
-                            best = trial
+                            best_val, best, best_projected = val, trial, projected
                             accepted = True
             if not accepted:
                 break
-    return best_val, best
+    return best_val, best_projected
 
 
 def _seed_masses(metric: str, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
@@ -606,18 +609,17 @@ def tightness_search(
 
     costs = None if cost is None else as_cost_array(cost, k)
 
-    def unit_masses(priors: np.ndarray, masses: np.ndarray) -> np.ndarray:
-        """A copy of ``masses`` with every row at unit mass and the estimates in the budget."""
-        masses = masses.copy()
-        _exact_unit_mass(masses.reshape(-1, m))
-        _into_budget(budget.metric, *masses, budget.epsilon / priors)
-        return masses
-
-    def excess(priors: np.ndarray, masses: np.ndarray) -> float:
-        true, est = unit_masses(priors, masses)
+    def excess(priors: np.ndarray, masses: np.ndarray, classes, projected) -> tuple[float, np.ndarray]:
+        """The excess risk of ``masses`` with every row at unit mass and the estimates in the budget, and that
+        projection: a copy of ``projected`` with the ``classes`` redone (each class's rows project on their own)."""
+        true, est = projected = (masses if projected is None else projected).copy()
+        changed = projected[:, classes]
+        changed[:] = masses[:, classes]
+        _exact_unit_mass(changed.reshape(-1, m))
+        _into_budget(budget.metric, *changed, budget.epsilon / priors[classes])
         weighted = true * priors[:, None]
-        value = _plugin_risk(priors, weighted, est, costs) - _plugin_risk(priors, weighted, true, costs)
-        return value if math.isfinite(value) else -math.inf
+        value = _plugin_risk(priors, weighted, est.copy(), costs) - _plugin_risk(priors, weighted, true.copy(), costs)
+        return value if math.isfinite(value) else -math.inf, projected
 
     best_val = -math.inf
     best = None
@@ -632,12 +634,12 @@ def tightness_search(
             # The estimates start from the true rows rescaled a second time. _exact_unit_mass is not
             # idempotent (it can move a row it left one ulp off), and the recorded searches rest on it.
             masses = np.array([true, _moved(_exact_unit_mass(true.copy()), budget.metric, *moves)])
-        val, masses = _climb(masses, partial(excess, priors), budget.epsilon, rng)
+        val, projected = _climb(masses, partial(excess, priors), budget.epsilon, rng)
         if val > best_val:
             best_val = val
-            best = priors, masses
+            best = priors, projected
 
-    source, est = _as_objects(best[0], unit_masses(*best))
+    source, est = _as_objects(*best)
     excess = max(best_val, 0.0)
     ratio = excess / bound if bound > 0.0 else 0.0
     return TightnessResult(source, est, excess, bound, ratio)
