@@ -271,9 +271,10 @@ def _cost_leaves(masses, priors, costs, bayes=True):
                 np.multiply(_on_leaves(mass, at, length), prior, out=w)
             label = labels(weighted.reshape(k, -1)).reshape(count, length)
             np.multiply(costs[of[:, None], label], weighted[of, np.arange(count)], out=entries)
-        for i in [] if bayes else set(of.tolist()):
-            own = of == i
-            entries[own] = _on_leaves(masses[i], at[own], length) * priors[i] * costs[i, 0]
+        else:
+            for i in set(of.tolist()):
+                own = of == i
+                entries[own] = _on_leaves(masses[i], at[own], length) * priors[i] * costs[i, 0]
         for p in np.flatnonzero(starts % m > m - length):
             rows, atoms = np.divmod(starts[p] + np.arange(length), m)
             weighted = np.stack([mass[atoms] * prior for mass, prior in zip(masses, priors)])

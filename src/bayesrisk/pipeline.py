@@ -19,18 +19,22 @@ parallel; aggregation is a sequential reduction over the trial index.
 Labels and atoms are drawn by inverse CDF: the same algorithm, and so the
 same draws, as ``Generator.choice`` with ``p=``, without re-validating
 masses the source has already checked. Trials run in blocks that make
-every draw first; each class's CDF is then built once per block, never
-held for the whole experiment.
+every draw first; each class's CDF is then built once per block, in the
+experiment's one CDF row, never held for the whole experiment.
 
-A trial runs on raw arrays in one workspace per experiment, scored in
-either mode by ``bounds._plugin_risk``: a cost-mode trial whose classes
-have full support allocates no m-sized array. A cost-mode trial whose every
-estimate is sparse (no add-lambda smoothing, at most one draw per 16 atoms),
-its hits on so few of numpy's 128-atom leaves that summing those afresh beats
-a full pass (``distributions._few_leaves``), joins a batch (``_sparse_batch``):
-its sums are rebuilt from leaf sums in one tree pass per batch, its Bayes labels
-come from one cost product, and ``_BATCH_FLOATS`` caps each batch array. Each
-output keeps its bits (``test_sparse_trials_equal_the_dense_kernels``).
+A trial on every atom runs on raw arrays in one workspace per experiment,
+scored in either mode by ``bounds._plugin_risk``: a cost-mode trial whose
+classes have full support allocates no m-sized array. A cost-mode trial whose
+every estimate is sparse (no add-lambda smoothing, at most one draw per 16
+atoms), its hits on so few of numpy's 128-atom leaves that summing those afresh
+beats a full pass (``distributions._few_leaves``), joins a batch
+(``_sparse_batch``): its sums are rebuilt from leaf sums in one tree pass per
+batch, its Bayes labels come from one cost product, and ``_BATCH_FLOATS`` caps
+each batch array. Where trials can be batched, the optimal risk and the base
+sums are built leaf by leaf, and the workspace waits for the first trial on
+every atom, so a run whose every trial is batched holds no m-sized array but
+the class masses and the CDF row. Each output keeps its bits
+(``test_sparse_trials_equal_the_dense_kernels``).
 """
 
 from __future__ import annotations
