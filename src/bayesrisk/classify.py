@@ -264,7 +264,8 @@ def _cost_leaves(masses, priors, costs, bayes=True):
 
     def on_leaves(_, starts, length):
         (of, at), count = np.divmod(starts, m), len(starts)
-        at, entries = np.minimum(at, m - length), np.empty((count, length))  # a leaf across a class's end is redone
+        across = np.flatnonzero(at > m - length)  # its atoms end class ``of`` and start the next: redone below
+        at, entries = np.minimum(at, m - length), np.empty((count, length))
         if bayes:
             weighted = np.empty((k, count, length))
             for w, mass, prior in zip(weighted, masses, priors):
@@ -275,7 +276,7 @@ def _cost_leaves(masses, priors, costs, bayes=True):
             for i in set(of.tolist()):
                 own = of == i
                 entries[own] = _on_leaves(masses[i], at[own], length) * priors[i] * costs[i, 0]
-        for p in np.flatnonzero(starts % m > m - length):
+        for p in across:
             rows, atoms = np.divmod(starts[p] + np.arange(length), m)
             weighted = np.stack([mass[atoms] * prior for mass, prior in zip(masses, priors)])
             entries[p] = costs[rows, labels(weighted)] * weighted[rows, np.arange(length)]

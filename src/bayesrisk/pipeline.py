@@ -244,8 +244,9 @@ def _block(config: TrialConfig, rngs: Sequence[np.random.Generator], n: int, ws,
         samples.append(np.split(_draw_indices(d.mass, flat[: ends[-1]], ws[3]), ends[:-1]))
     del uniforms, flat, trial_uniforms  # the loop's last view would keep the draws' buffer alive
     slots, batch, used = max(k << _pairwise_tree(m)[0], 1 << _pairwise_tree(k * m)[0]), [], 0  # a trial's slot rows
+    dirty = [slice(None)] * k  # where each workspace row may be non-zero
     for t, trial_counts in enumerate(counts.tolist()):
-        hits = [_estimate(idx[t], m, laplace) for idx in samples] if costs_base is not None else [None]
+        hits = [_estimate(idx[t], m, laplace) for idx in samples] if costs_base is not None else [None] * k
         sparse = all(hit is not None and _few_leaves(m, hit[0]) for hit in hits)
         charge = max(slots, 8 * k * sum(at.size for at, _ in hits)) if sparse else math.inf  # or its hits' arrays
         if batch and used + charge > _BATCH_FLOATS:  # a dense trial, or one the batch has no room for, ends it
@@ -258,8 +259,13 @@ def _block(config: TrialConfig, rngs: Sequence[np.random.Generator], n: int, ws,
         if ws[0] is None:  # the first dense trial makes the workspace around the CDF row
             ws[:] = _workspace(k, m, ws[3])
         ests, _, _, row, _ = ws
-        for est, idx in zip(ests, samples):
-            _add_lambda(est, idx[t], laplace)
+        for i, (est, idx, hit) in enumerate(zip(ests, samples, hits)):
+            if hit is None:
+                _add_lambda(est, idx[t], laplace)
+            else:  # a sparse estimate on too many leaves: its entries are written, not counted again
+                est[dirty[i]] = 0.0
+                est[hit[0]] = hit[1]
+            dirty[i] = slice(None) if hit is None else hit[0]
         _exact_unit_mass(ests)
         l1s = tuple(_l1_distance(p, q, row) for (p, *_), q in zip(classes, ests))
         kls = tuple(_kl_on_support(p, q, support, row) for (p, support, *_), q in zip(classes, ests))
