@@ -275,7 +275,10 @@ def _cost_leaves(masses, priors, costs, bayes=True):
         else:
             for i in set(of.tolist()):
                 own = of == i
-                entries[own] = _on_leaves(masses[i], at[own], length) * priors[i] * costs[i, 0]
+                on_class = _on_leaves(masses[i], at[own], length)
+                on_class *= priors[i]
+                on_class *= costs[i, 0]
+                entries[own] = on_class
         for p in across:
             rows, atoms = np.divmod(starts[p] + np.arange(length), m)
             weighted = np.stack([mass[atoms] * prior for mass, prior in zip(masses, priors)])
