@@ -129,6 +129,11 @@ def theorem2_bound(epsilon: float, k: int) -> float:
     return k * epsilon
 
 
+def _bound(epsilon: float, k: int, cost: Optional[CostLike]) -> float:
+    """The cost-loss bound under ``cost``, or with ``cost is None`` the log-loss bound."""
+    return theorem2_bound(epsilon, k) if cost is None else theorem1_bound(epsilon, k, cost)
+
+
 def _divergences(true: np.ndarray, est: np.ndarray, metric: str) -> np.ndarray:
     """Each row's L1 distance (``L1``) or KL (``KL``, inf off the estimate's support), of ``(n, m)`` masses."""
     return _l1_distance(true, est) if metric == L1 else _kl_on_support(true, est, true > 0.0)
@@ -166,10 +171,7 @@ def _theorem_report(
     """The cost-loss bound's report from per-class L1 distances, or with
     ``cost is None`` the log-loss bound's report from per-class KLs."""
     eps = float((priors * divergences).max())
-    if cost is None:
-        bound = theorem2_bound(eps, len(priors))
-    else:
-        bound = theorem1_bound(eps, len(priors), cost)
+    bound = _bound(eps, len(priors), cost)
     excess = risk_plugin - risk_opt
     slack = math.inf if bound == math.inf else bound - excess
     return BoundReport(risk_opt, risk_plugin, excess, bound, slack, _within(excess, bound), eps)
@@ -596,11 +598,9 @@ def tightness_search(
     _check_search(k, m, iterations)
     if budget.metric == L1 and cost is None:
         raise ValueError("the L1 metric needs a cost matrix")
-    if budget.metric == L1:
-        bound = theorem1_bound(budget.epsilon, k, cost)
-    else:
-        bound = theorem2_bound(budget.epsilon, k)
+    if budget.metric != L1:
         cost = None  # log loss ignores any cost matrix
+    bound = _bound(budget.epsilon, k, cost)
 
     if budget.epsilon == 0.0 or bound == 0.0:
         uniform = np.full((2, k, m), 1.0 / m)

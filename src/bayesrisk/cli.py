@@ -6,9 +6,10 @@ Every verification suite is a subcommand. Runs are deterministic given
 as resolved, or pipeline's config dict; seed, version, CSV column order,
 environment) suffices to reproduce the run bit for bit.
 
-Exit codes: 0 success / no violations, 1 a bound or identity was
-violated (a falsification event, which indicates an implementation bug
-and is serialized for one-command replay), 2 usage or config error.
+Exit codes: 0 success / no violations, 1 a bound or identity was violated (a
+falsification event, which indicates an implementation bug and is serialized
+for one-command replay), 2 usage or config error. ``_Run.finish`` decides a run's
+code from its rows' verdicts; ``--replay`` and ``main``'s usage errors decide theirs.
 """
 
 from __future__ import annotations
@@ -45,9 +46,10 @@ class UsageError(Exception):
 class _Run:
     """Collects outputs for one subcommand invocation.
 
-    Rows are dicts: the first row's keys, in their order, are the CSV
-    header and the manifest's ``csv_columns``, and every later row must
-    have the same keys in the same order.
+    Rows are dicts, each added with its verdict: the first row's keys, in
+    their order, are the CSV header and the manifest's ``csv_columns``, and
+    every later row must have the same keys in the same order. ``violations``
+    counts the failed rows, and ``finish`` returns 1 if there are any, else 0.
     """
 
     def __init__(self, subcommand: str, out_dir: str, seed, config: dict):
@@ -62,23 +64,24 @@ class _Run:
         self.csv_columns: list[str] = []
         self.started_at = time.strftime("%Y-%m-%dT%H:%M:%S%z")
         self.rows: list[list] = []
+        self.violations = 0
         self.extra_outputs: list[str] = []
 
-    def add_row(self, row: dict) -> None:
+    def add_row(self, row: dict, ok: bool) -> None:
         keys = list(row)
         if not self.rows:
             self.csv_columns = keys
         elif keys != self.csv_columns:
             raise ValueError(f"row has columns {keys}, the first row has {self.csv_columns}")
         self.rows.append(list(row.values()))
+        self.violations += not ok
 
-    def write_instance(self, name: str, payload: dict) -> Path:
+    def write_instance(self, name: str, payload: dict) -> None:
         path = self.out / name
         path.write_text(json.dumps(payload, indent=2))
         self.extra_outputs.append(str(path))
-        return path
 
-    def finish(self, summary: dict) -> None:
+    def finish(self, summary: dict) -> int:
         report_path = self.out / "report.csv"
         with report_path.open("w", newline="") as fh:
             writer = csv.writer(fh)
@@ -104,6 +107,7 @@ class _Run:
             },
         }
         (self.out / "manifest.json").write_text(json.dumps(manifest, indent=2))
+        return EXIT_VIOLATION if self.violations else EXIT_OK
 
 
 def _instance_payload(source: LabeledSource, est_dists, cost, metric: str) -> dict:
@@ -149,6 +153,14 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
 
 
+def _checked(call, *args):
+    """``call(*args)``, a library ValueError from it being bad input: a UsageError with its message."""
+    try:
+        return call(*args)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def _require_positive_trials(args) -> None:
     if args.trials < 1:
         raise UsageError("--trials must be at least 1")
@@ -165,12 +177,8 @@ def cmd_verify(args) -> int:
         return EXIT_OK if ok else EXIT_VIOLATION
     _require_positive_trials(args)
     rng = np.random.default_rng(args.seed)
-    try:
-        instances = _random_instances(rng, args.trials, args.k_max, args.m_max, metric)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    instances = _checked(_random_instances, rng, args.trials, args.k_max, args.m_max, metric)
     run = _Run(args.command, args.out_dir, args.seed, _flags(args))
-    violations = 0
     worst_gap = 0.0
     for trial, (priors, masses, divergences, cost) in enumerate(instances):
         report, gap, ok = _verdict(priors, masses, divergences, cost)
@@ -179,16 +187,14 @@ def cmd_verify(args) -> int:
         if gap is not None:
             row["identity_gap"] = gap
             worst_gap = max(worst_gap, gap)
-        run.add_row(row)
+        run.add_row(row, ok)
         if not ok:
-            violations += 1
             payload = _instance_payload(*_as_objects(priors, masses), cost, metric)
             run.write_instance(f"violation_{trial}.json", payload)
-    summary = {"trials": args.trials, "violations": violations}
+    summary = {"trials": args.trials, "violations": run.violations}
     if metric == KL:
         summary["worst_identity_gap"] = worst_gap
-    run.finish(summary)
-    return EXIT_VIOLATION if violations else EXIT_OK
+    return run.finish(summary)
 
 
 def cmd_lower_bounds(args) -> int:
@@ -196,12 +202,8 @@ def cmd_lower_bounds(args) -> int:
         gammas = [float(g) for g in args.grid.split(",")] if args.grid is not None else [args.gamma]
     except ValueError as exc:
         raise UsageError(f"bad --grid value: {exc}") from exc
-    try:
-        instances = [_two_atom_masses(args.eps_prime, gamma) for gamma in gammas]
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    instances = [_checked(_two_atom_masses, args.eps_prime, gamma) for gamma in gammas]
     run = _Run(args.command, args.out_dir, None, _flags(args))
-    violations = 0
     cost = CostMatrix.zero_one(2)
     for gamma, (priors, masses) in zip(gammas, instances):
         # One instance under both losses: the scorer copies what it weights, so one masses array serves both.
@@ -210,6 +212,13 @@ def cmd_lower_bounds(args) -> int:
         t2, gap, t2_ok = _verdict(priors, masses, kls, None)
         per_l1, per_kl = float(l1s[0]), float(kls[0])
         slack_gap = abs(t1.slack - 2.0 * gamma * cost.max_cost)
+        # The printed closed forms 1/2 +- eps_prime need a strict tilt
+        # (gamma > 0) to flip the plug-in classifier; the log-loss identity
+        # holds for every parameter choice because the mixtures coincide.
+        exact_gaps = [t1.risk_opt - (0.5 - args.eps_prime)]
+        if gamma > 0.0:
+            exact_gaps += [t1.risk_plugin - (0.5 + args.eps_prime), slack_gap]
+        exact = all(abs(g) <= EXACT_TOL for g in exact_gaps) and _within(abs(t2.excess - per_kl), 0.0)
         run.add_row(
             {
                 "eps_prime": args.eps_prime,
@@ -224,19 +233,10 @@ def cmd_lower_bounds(args) -> int:
                 "per_class_kl": per_kl,
                 "t2_excess": t2.excess,
                 "identity_gap": gap,
-            }
+            },
+            exact and t1_ok and t2_ok,
         )
-        # The printed closed forms 1/2 +- eps_prime need a strict tilt
-        # (gamma > 0) to flip the plug-in classifier; the log-loss identity
-        # holds for every parameter choice because the mixtures coincide.
-        exact_gaps = [t1.risk_opt - (0.5 - args.eps_prime)]
-        if gamma > 0.0:
-            exact_gaps += [t1.risk_plugin - (0.5 + args.eps_prime), slack_gap]
-        exact = all(abs(g) <= EXACT_TOL for g in exact_gaps) and _within(abs(t2.excess - per_kl), 0.0)
-        if not (exact and t1_ok and t2_ok):
-            violations += 1
-    run.finish({"rows": len(gammas), "violations": violations})
-    return EXIT_VIOLATION if violations else EXIT_OK
+    return run.finish({"rows": len(gammas), "violations": run.violations})
 
 
 def cmd_smooth(args) -> int:
@@ -248,27 +248,22 @@ def cmd_smooth(args) -> int:
         if args.ld % m != 0:
             raise UsageError("--ld must be divisible by --domain-size")
         args.bits = args.ld // m  # so the manifest records the bits the run used
-    try:
-        spec = QuantizedClassSpec(Domain.indexed(m), args.bits)
-        params = SmoothingParams(args.epsilon, spec.description_length)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    spec = _checked(QuantizedClassSpec, Domain.indexed(m), args.bits)
+    params = _checked(SmoothingParams, args.epsilon, spec.description_length)
     base = base_mixture(spec)
     rng = np.random.default_rng(args.seed)
     run = _Run(args.command, args.out_dir, args.seed, _flags(args))
-    violations = 0
     for trial, (true, est, fields) in enumerate(_sweep(spec, params, base, args.trials, rng)):
         report = SmoothingReport(*fields)
-        run.add_row({"trial": trial, **report.row()})
-        if not (report.within and _within(report.kl_actual, report.certificate)):
-            violations += 1
+        ok = report.within and _within(report.kl_actual, report.certificate)
+        run.add_row({"trial": trial, **report.row()}, ok)
+        if not ok:
             true_d, est_d = (Distribution._frozen(spec.domain, row.copy()) for row in (true, est))
             run.write_instance(
                 f"violation_{trial}.json",
                 {"true": true_d.to_dict(), "estimate": est_d.to_dict(), "report": report.to_dict()},
             )
-    run.finish({"trials": args.trials, "violations": violations, "xi": params.xi})
-    return EXIT_VIOLATION if violations else EXIT_OK
+    return run.finish({"trials": args.trials, "violations": run.violations, "xi": params.xi})
 
 
 def _pdfa_machines(sources: str) -> tuple[Pdfa, ...]:
@@ -310,29 +305,25 @@ def cmd_pipeline(args) -> int:
     run = _Run(args.command, args.out_dir, config.seed, data)
     summary = run_pac_experiment(config)
     for row in summary.rows:
-        run.add_row(row)
-    run.finish(summary.to_dict())
-    return EXIT_OK if all(entry["satisfied_fraction"] == 1.0 for entry in summary.per_n) else EXIT_VIOLATION
+        run.add_row(row, row["satisfied"])
+    return run.finish(summary.to_dict())
 
 
 def cmd_tightness(args) -> int:
-    try:
-        _check_search(args.k, args.domain_size, args.iterations)
-        budget = PerturbationBudget(args.metric, args.epsilon)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    _checked(_check_search, args.k, args.domain_size, args.iterations)
+    budget = _checked(PerturbationBudget, args.metric, args.epsilon)
     rng = np.random.default_rng(args.seed)
     cost = CostMatrix.zero_one(args.k) if args.metric == L1 else None
     run = _Run(args.command, args.out_dir, args.seed, _flags(args))
     result = tightness_search(args.k, args.domain_size, cost, budget, args.iterations, rng)
     searched = {"metric": args.metric, "epsilon": args.epsilon, "k": args.k, "m": args.domain_size}
-    run.add_row({**searched, "excess": result.excess, "bound": result.bound, "ratio": result.ratio})
+    run.add_row({**searched, "excess": result.excess, "bound": result.bound, "ratio": result.ratio},
+                _within(result.ratio, 1.0))
     run.write_instance(
         "best_instance.json",
         _instance_payload(result.source, result.est_dists, cost, args.metric),
     )
-    run.finish({"ratio": result.ratio, "excess": result.excess, "bound": result.bound})
-    return EXIT_OK if _within(result.ratio, 1.0) else EXIT_VIOLATION
+    return run.finish({"ratio": result.ratio, "excess": result.excess, "bound": result.bound})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -343,8 +334,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def seed(text: str) -> int:  # every --seed's type: numpy refuses a negative seed deep in a run
+        if (value := int(text)) < 0:
+            raise argparse.ArgumentTypeError(f"a seed must be non-negative, got {value}")
+        return value
+
     def common(p, default_out, trials_default=10000):
-        p.add_argument("--seed", type=int, default=42, help="master random seed")
+        p.add_argument("--seed", type=seed, default=42, help="master random seed")
         p.add_argument("--trials", type=int, default=trials_default, help="number of randomized instances")
         p.add_argument("--out-dir", default=default_out, help="directory for report.csv, summary.json, manifest.json")
 
@@ -384,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p5.add_argument("--epsilon", dest="epsilon_target", type=float, help="excess risk target (default 0.1)")
     p5.add_argument("--delta", dest="delta_target", type=float, help="allowed violation fraction (default 0.05)")
     p5.add_argument("--n-grid", type=_int_list, help="comma-separated sample sizes")
-    p5.add_argument("--seed", type=int, default=None)
+    p5.add_argument("--seed", type=seed, default=None)
     p5.add_argument("--out-dir", default="runs/pipeline")
     p5.set_defaults(func=cmd_pipeline)
 
@@ -394,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p6.add_argument("--metric", default=L1, choices=(L1, KL))
     p6.add_argument("--epsilon", type=float, default=0.2, help="perturbation budget")
     p6.add_argument("--iterations", type=int, default=20, help="random restarts")
-    p6.add_argument("--seed", type=int, default=42)
+    p6.add_argument("--seed", type=seed, default=42)
     p6.add_argument("--out-dir", default="runs/tightness")
     p6.set_defaults(func=cmd_tightness)
 
@@ -414,9 +410,5 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
 
-def entry_point() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    entry_point()
+    sys.exit(main())

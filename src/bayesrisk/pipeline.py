@@ -76,6 +76,8 @@ class TrialConfig:
     def __post_init__(self) -> None:
         for name in ("sample_size", "trials", "seed"):  # the integers, as Python ints
             object.__setattr__(self, name, _json_int(getattr(self, name), name))
+        if self.seed < 0:  # numpy seeds no generator from it
+            raise ValueError("seed must be non-negative")
         if self.sample_size < 1:
             raise ValueError("sample_size must be at least 1")
         if self.trials < 30:  # fewer per grid point leave the violation fraction (the empirical delta) meaningless

@@ -1,5 +1,6 @@
 """The validating boundary: every public constructor rejects bad input with a named message."""
 
+import json
 import re
 from pathlib import Path
 
@@ -252,6 +253,8 @@ NAMED_ERRORS = [
                  id="delta-target-bool"),
     pytest.param(lambda: TrialConfig(source2(), None, 10, 30, 0.1, 0.1, laplace=True), "laplace: True is not a number",
                  id="trial-laplace-bool"),
+    pytest.param(lambda: TrialConfig(source2(), None, 10, 30, 0.1, 0.1, seed=-1), "seed must be non-negative",
+                 id="trial-seed-negative"),
     pytest.param(lambda: TrialConfig(source2(), CostMatrix.zero_one(3), 10, 30, 0.1, 0.1),
                  "cost matrix has shape (3, 3), expected (2, 2)", id="trial-cost-3x3"),
     pytest.param(lambda: empirical_estimator(["x0"], D2, True), "laplace: True is not a number",
@@ -349,6 +352,30 @@ def test_a_bad_n_grid_is_refused_by_the_parser(tmp_path, capsys, grid):
     assert main([*argv, "--out-dir", str(tmp_path / "run")]) == 2
     message = f"error: argument --n-grid: expected comma-separated integers, got {grid!r}\n"
     assert capsys.readouterr().err.endswith(message)
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["verify-theorem1", "--trials", "5"], id="verify-theorem1"),
+    pytest.param(["verify-theorem2", "--trials", "5"], id="verify-theorem2"),
+    pytest.param(["smooth", "--trials", "5"], id="smooth"),
+    pytest.param(["tightness", "--iterations", "1"], id="tightness"),
+    pytest.param(["pipeline", "--config", str(PIPELINE_CONFIG)], id="pipeline"),
+])
+def test_a_negative_seed_flag_is_refused_by_the_parser(tmp_path, capsys, argv):
+    """numpy seeds no generator from a negative seed: each --seed refuses one before the command makes its
+    out-dir, as bad input, not as a falsification."""
+    assert main([*argv, "--seed", "-1", "--out-dir", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err.endswith("error: argument --seed: a seed must be non-negative, got -1\n")
+    assert not (tmp_path / "run").exists()
+
+
+def test_a_negative_seed_in_a_config_file_is_refused_before_the_out_dir(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**json.loads(PIPELINE_CONFIG.read_text()), "seed": -1}))
+    assert main(["pipeline", "--config", str(config), "--out-dir", str(tmp_path / "run")]) == 2
+    message = f"error: bad pipeline config from {config}: ValueError('seed must be non-negative')\n"
+    assert capsys.readouterr().err == message
     assert not (tmp_path / "run").exists()
 
 

@@ -178,6 +178,14 @@ class TestExitCodes:
         assert run([*argv, "--out-dir", taken]) == 2
         assert capsys.readouterr().err == f"error: cannot create --out-dir {taken}: File exists\n"
 
+    @pytest.mark.parametrize("verdicts, code", [([True, True], 0), ([True, False, True, False], 1), ([], 0)])
+    def test_a_run_exits_1_if_any_row_failed(self, tmp_path, verdicts, code):
+        run_ = _Run("test", tmp_path, 0, {})
+        for i, ok in enumerate(verdicts):
+            run_.add_row({"a": i}, ok)
+        assert run_.violations == verdicts.count(False)
+        assert run_.finish({}) == code
+
 
 class TestDerivedColumns:
     @pytest.mark.parametrize(
@@ -191,9 +199,9 @@ class TestDerivedColumns:
     )
     def test_row_keys_must_match_the_first_row(self, tmp_path, second):
         run_ = _Run("test", tmp_path, 0, {})
-        run_.add_row({"a": 0, "b": 1})
+        run_.add_row({"a": 0, "b": 1}, True)
         with pytest.raises(ValueError, match="first row"):
-            run_.add_row(second)
+            run_.add_row(second, True)
 
     @pytest.mark.parametrize(
         "argv",

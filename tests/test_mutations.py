@@ -56,6 +56,17 @@ def test_halved_bound_fails_the_run(tmp_path, monkeypatch, formula, argv):
     assert main([*argv, "--out-dir", str(tmp_path)]) == 1
 
 
+def test_lower_bounds_instances_off_their_stated_eps_prime_fail_the_run(tmp_path, monkeypatch):
+    """With each instance built at eps' + 1e-6 while its row states eps', both theorem verdicts still hold and the
+    slack law does not depend on eps': only the closed forms risk_opt = 1/2 - eps' and risk_plugin = 1/2 + eps'
+    can fail the run, and they do."""
+    import bayesrisk.cli as cli
+
+    build = cli._two_atom_masses
+    monkeypatch.setattr(cli, "_two_atom_masses", lambda eps_prime, gamma: build(eps_prime + 1e-6, gamma))
+    assert main(["lower-bounds", "--out-dir", str(tmp_path)]) == 1
+
+
 @pytest.mark.parametrize("metric", ["L1", "KL"])
 def test_estimates_left_over_budget_fail_the_tightness_search(tmp_path, monkeypatch, metric):
     """With the pull-back into the budget returning its rows unchanged, the search climbs past the
