@@ -16,10 +16,12 @@ Checkers invert the hypothesis: the effective ``eps`` is
 hypothesis holds, which makes every check as strict as possible. An
 infinite per-class KL gives an infinite bound (vacuous hypothesis,
 trivially satisfied) so randomized sweeps stay total. A sweep makes its
-instances in blocks: every draw first, then each row kernel once per domain
-size, on the stacked rows of the block's instances of that size. Every risk,
-in the checks, the PAC trial and the tightness search, is ``_plugin_risk`` on
-raw ``(k, m)`` masses; the optimal risk is that scorer on the true classes.
+instances in blocks: every draw first, then each row kernel once per block,
+on the block's class rows zero-padded to one width, each cut at its length
+(``distributions._ragged_sums``). Every risk, in the checks, the sweeps, the
+PAC trial and the tightness search, is ``_plugin_risk`` on raw ``(k, m)``
+masses, a stack of them at once; the optimal risk is that scorer on the true
+classes, and a check scores both predictors of its instances together.
 Every verdict "value <= bound" is decided by ``_within``, the one place
 ``BOUND_TOL`` is read.
 
@@ -34,6 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from itertools import groupby
 from typing import Optional, Sequence
 
 import numpy as np
@@ -41,7 +44,7 @@ import numpy as np
 from .classify import CostLike, CostMatrix, LabeledSource, as_cost_array
 from .classify import _bayes_labels, _cost_risk, _logloss_risk, _posterior, _workspace
 from .distributions import Distribution, Domain, _json_float, _json_int
-from .distributions import _exact_unit_mass, _kl_on_support, _l1_distance, _trusted, _unit_rows
+from .distributions import _exact_unit_mass, _kl_on_support, _l1_distance, _ragged_sums, _trusted, _unit_rows
 
 # Tolerance of every "value <= bound" verdict, read only by _within.
 BOUND_TOL = 1e-9
@@ -51,10 +54,11 @@ EXACT_TOL = 1e-12
 L1 = "L1"
 KL = "KL"
 
-# Bytes one block of sweep instances may hold, each charged its largest class weights plus
-# _INSTANCE_BYTES for its other arrays and objects (1.1-1.7 KiB at k = m = 2 by tracemalloc).
+# Bytes one block of sweep instances may hold, each charged _ROW_COPIES of its class rows at their widest (the
+# padded arrays of generation and scoring alive at once: 8.6 at k <= 5, m <= 64, 13.9 when every instance shares
+# one class count, by tracemalloc) plus _INSTANCE_BYTES for its draws and objects.
 _BLOCK_BYTES = 1 << 20
-_INSTANCE_BYTES = 2048
+_ROW_COPIES, _INSTANCE_BYTES = 14, 2048
 
 
 @dataclass(frozen=True)
@@ -134,9 +138,10 @@ def _bound(epsilon: float, k: int, cost: Optional[CostLike]) -> float:
     return theorem2_bound(epsilon, k) if cost is None else theorem1_bound(epsilon, k, cost)
 
 
-def _divergences(true: np.ndarray, est: np.ndarray, metric: str) -> np.ndarray:
-    """Each row's L1 distance (``L1``) or KL (``KL``, inf off the estimate's support), of ``(n, m)`` masses."""
-    return _l1_distance(true, est) if metric == L1 else _kl_on_support(true, est, true > 0.0)
+def _divergences(true: np.ndarray, est: np.ndarray, metric: str, lengths=None) -> np.ndarray:
+    """Each row's L1 distance (``L1``) or KL (``KL``, inf off the estimate's support), of ``(n, m)`` masses, each
+    row cut at its entry of ``lengths`` (whole if ``None``) and zero past it."""
+    return _l1_distance(true, est, lengths=lengths) if metric == L1 else _kl_on_support(true, est, true > 0.0)
 
 
 def _as_arrays(true_source: LabeledSource, est_dists: Sequence[Distribution], metric: str):
@@ -152,17 +157,18 @@ def _as_arrays(true_source: LabeledSource, est_dists: Sequence[Distribution], me
     return true_source.priors, masses, _divergences(*masses, metric)
 
 
-def _plugin_risk(priors, weighted, est, costs, ws=None) -> float:
-    """Risk, on true classes of weighted masses ``weighted``, of the Bayes classifier under the
-    cost array ``costs`` (the posterior rule under log loss if ``costs is None``) built from the
-    true ``priors`` and the ``(k, m)`` estimated masses ``est``, which become their weighted
-    masses. The rest is written into the workspace ``ws``, allocated afresh if not given."""
-    _, scores, labels, row, mask = ws or _workspace(*est.shape)
-    est *= priors[:, None]
+def _plugin_risk(weighted, scored, costs, ws=None, lengths=None) -> np.ndarray:
+    """Risks, on true classes of weighted masses ``weighted``, of the Bayes classifiers under the cost arrays
+    ``costs`` (the posterior rules under log loss if ``costs is None``) built from the weighted masses ``scored``
+    (estimates times the true priors): one per ``(k, m)`` instance of the ``(..., k, m)`` ``scored``, to which
+    ``weighted`` and ``costs`` ``(..., k, k)`` broadcast, its rows cut at its entry of ``lengths`` (whole if
+    ``None``) and zero past it. The workspace ``ws`` (scores, labels, float row, bool row) is allocated if not given;
+    the float row is the label scan's integer row."""
+    scores, labels, row, mask = ws or _workspace(*scored.shape)
     if costs is None:
-        _posterior(est, scores, row, mask)
+        _posterior(scored, scores, row, mask)
         return _logloss_risk(scores, weighted)
-    return _cost_risk(costs, _bayes_labels(costs, est, scores, labels, mask), weighted, scores)
+    return _cost_risk(costs, _bayes_labels(costs, scored, scores, labels, row.view(np.intp)), weighted, scores, lengths)
 
 
 def _theorem_report(
@@ -177,41 +183,59 @@ def _theorem_report(
     return BoundReport(risk_opt, risk_plugin, excess, bound, slack, _within(excess, bound), eps)
 
 
-def _scored(priors, masses, divergences, cost):
-    """The bound's report for :func:`_as_arrays`' arrays under ``cost`` (log loss if ``None``), with
-    the weighted true and estimated masses."""
-    true, est = masses
-    weighted = true * priors[:, None]
-    costs = None if cost is None else as_cost_array(cost, len(priors))
-    est = est.copy()  # the scorer weights it in place
-    risk_plugin = _plugin_risk(priors, weighted, est, costs)
-    risk_opt = _plugin_risk(priors, weighted, true.copy(), costs)
-    return _theorem_report(priors, cost, divergences, risk_opt, risk_plugin), weighted, est
+def _checks(priors, masses, divergences, costs, ks, lengths=None, identity=True) -> list:
+    """Each instance's bound report under its cost in ``costs`` (log loss if ``None``) and, under log loss with
+    every per-class KL finite (and ``identity``), the identity's ``rhs`` from the same KLs (``None`` otherwise):
+    ``(report, rhs)`` for instances whose rows run one after another in ``priors``, ``divergences`` and the
+    ``(2, rows, width)`` ``masses`` (true classes, then estimates), ascending by class count ``ks``, each cut at
+    its entry of ``lengths`` (whole if ``None``) and zero past it. The optimal and plug-in predictors of the
+    instances of one class count are scored together, and the mixture KLs of all at once."""
+    risks, mixtures, first, row = [], [], 0, 0
+    for k, run in groupby(ks):
+        count = len(list(run))
+        rows, run = slice(row, row + count * k), slice(first, first + count)
+        scored = (masses[:, rows] * priors[rows, None]).reshape(2, count, k, -1)
+        group = None if costs[0] is None else np.array([as_cost_array(c, k) for c in costs[run]])
+        risks.append(_plugin_risk(scored[0], scored, group, lengths=None if lengths is None else lengths[run]))
+        if group is None:
+            mixtures.append(scored.sum(axis=-2))
+        first, row = first + count, row + count * k
+    (risk_opt, risk_plugin), kls = np.concatenate(risks, axis=1).tolist(), [None] * len(ks)
+    if costs[0] is None and identity:
+        kls = _mixture_kl(np.concatenate(mixtures, axis=1), lengths).tolist()
+    checks, row = [], 0
+    for k, cost, opt, plugin, kl in zip(ks, costs, risk_opt, risk_plugin, kls):
+        g, d = priors[row : row + k], divergences[row : row + k]
+        rhs = sum((g * d).tolist()) - kl if kl is not None and np.isfinite(d).all() else None
+        checks.append((_theorem_report(g, cost, d, opt, plugin), rhs))
+        row += k
+    return checks
 
 
-def _check(priors, masses, divergences, cost) -> tuple[BoundReport, Optional[float]]:
-    """:func:`_scored`'s report, and under log loss with every per-class KL finite, the identity's
-    ``rhs`` from the same KLs (``None`` otherwise)."""
-    report, weighted, est = _scored(priors, masses, divergences, cost)
-    if not (cost is None and np.isfinite(divergences).all()):
-        return report, None
-    return report, sum((priors * divergences).tolist()) - _mixture_kl(weighted, est)
+def _check(priors, masses, divergences, cost, identity=True) -> tuple[BoundReport, Optional[float]]:
+    """:func:`_checks` of the one instance of :func:`_as_arrays`' arrays."""
+    return _checks(priors, masses, divergences, [cost], [len(priors)], identity=identity)[0]
 
 
-def _mixture_kl(weighted, est) -> float:
-    """The identity's KL from the true mixture, ``weighted``'s column sums, to ``est``'s, each made unit."""
-    p, q = _exact_unit_mass(np.array([weighted.sum(axis=0), est.sum(axis=0)]))
+def _mixture_kl(mixtures, lengths=None) -> np.ndarray:
+    """The identity's KL from each true mixture to its estimated one, the rows of the ``(2, n, m)`` ``mixtures``
+    (the classes' weighted sums), each made unit and cut at its entry of ``lengths`` (whole if ``None``)."""
+    rows = mixtures.reshape(-1, mixtures.shape[-1])
+    p, q = _exact_unit_mass(rows, None if lengths is None else np.tile(lengths, 2)).reshape(mixtures.shape)
     return _kl_on_support(p, q, p > 0.0)
 
 
-def _verdict(priors, masses, divergences, cost) -> tuple[BoundReport, Optional[float], bool]:
-    """One instance's verdict, as the sweeps, replays and ``lower-bounds`` decide it:
-    ``(report, identity_gap, ok)`` for :func:`_check`'s arguments. ``identity_gap`` is
-    ``|excess - rhs|`` where :func:`_check` gives the identity's ``rhs`` (``None`` otherwise);
-    ``ok`` needs the bound satisfied and any gap within the gate."""
-    report, rhs = _check(priors, masses, divergences, cost)
+def _gate(report: BoundReport, rhs: Optional[float]) -> tuple[BoundReport, Optional[float], bool]:
+    """A check's verdict, as the sweeps, replays and ``lower-bounds`` decide it: ``(report, identity_gap, ok)``,
+    ``identity_gap`` being ``|excess - rhs|`` where there is an ``rhs`` (``None`` otherwise); ``ok`` needs the bound
+    satisfied and any gap within the gate."""
     gap = None if rhs is None else abs(report.excess - rhs)
     return report, gap, report.satisfied and (gap is None or _within(gap, 0.0))
+
+
+def _verdict(priors, masses, divergences, cost) -> tuple[BoundReport, Optional[float], bool]:
+    """One instance's :func:`_gate` for :func:`_check`'s arguments."""
+    return _gate(*_check(priors, masses, divergences, cost))
 
 
 def check_theorem1(
@@ -224,7 +248,7 @@ def check_theorem1(
     ``eps * k * max_ij c_ij``. The guarantee is unconditional, so
     ``satisfied`` is True on every valid instance.
     """
-    return _scored(*_as_arrays(true_source, est_dists, L1), cost)[0]
+    return _check(*_as_arrays(true_source, est_dists, L1), cost)[0]
 
 
 def check_theorem2(true_source: LabeledSource, est_dists: Sequence[Distribution]) -> BoundReport:
@@ -233,7 +257,7 @@ def check_theorem2(true_source: LabeledSource, est_dists: Sequence[Distribution]
     ``eps = max_i g_i * KL(D_i || D'_i)``; infinite per-class KL yields an
     infinite bound (the hypothesis is vacuous there).
     """
-    return _scored(*_as_arrays(true_source, est_dists, KL), None)[0]
+    return _check(*_as_arrays(true_source, est_dists, KL), None, identity=False)[0]
 
 
 def excess_logloss_identity(
@@ -307,12 +331,13 @@ def _bisect(fits, hi: float, steps: int) -> float:
     return lo
 
 
-def _into_budget(metric: str, true: np.ndarray, est: np.ndarray, limits: np.ndarray) -> np.ndarray:
+def _into_budget(metric: str, true: np.ndarray, est: np.ndarray, limits: np.ndarray, lengths=None) -> np.ndarray:
     """Pull each row ``q`` of the ``(n, m)`` unit masses ``est`` whose :func:`_divergences` from its row ``p``
     of ``true`` is over its entry of ``limits`` back toward ``p``, in place and at unit mass: under L1 to
     ``p + t * (q - p)``, ``t`` the limit over the distance (non-negative in floats: rounding is monotone, so
-    q - p >= -p, t * (q - p) >= -p, sum >= 0); under KL to ``(1 - t) * p + t * q``, ``t`` bisected in 50 steps."""
-    divergences = _divergences(true, est, metric)
+    q - p >= -p, t * (q - p) >= -p, sum >= 0), rows cut at ``lengths`` as :func:`_divergences` cuts them; under KL
+    to ``(1 - t) * p + t * q``, ``t`` bisected in 50 steps, on whole rows."""
+    divergences = _divergences(true, est, metric, lengths)
     over = np.flatnonzero(divergences > limits)
     if metric == KL:
         for i, limit in zip(over.tolist(), limits[over].tolist()):
@@ -327,7 +352,8 @@ def _into_budget(metric: str, true: np.ndarray, est: np.ndarray, limits: np.ndar
             est[i] = _exact_unit_mass((1.0 - t) * p + t * q)
     elif len(over):
         p = true[over]
-        est[over] = _exact_unit_mass(p + (limits[over] / divergences[over])[:, None] * (est[over] - p))
+        blend = p + (limits[over] / divergences[over])[:, None] * (est[over] - p)
+        est[over] = _exact_unit_mass(blend, None if lengths is None else lengths[over])
     return est
 
 
@@ -337,23 +363,31 @@ def _draw_noise(rng: np.random.Generator, budget: float, row: np.ndarray) -> Non
         rng.standard_normal(out=row)
 
 
-def _perturb_rows(true: np.ndarray, budgets: np.ndarray, noise: np.ndarray) -> np.ndarray:
-    """:func:`random_l1_perturbation` of each row of the ``(n, m)`` unit masses ``true`` at its
-    budget, on its row of normal ``noise`` (zeros if not drawn; centred in place)."""
-    noise -= (noise.sum(axis=1) / true.shape[1])[:, None]
-    norms = np.abs(noise).sum(axis=1)
+def _perturb_rows(true: np.ndarray, budgets: np.ndarray, noise: np.ndarray, lengths=None) -> np.ndarray:
+    """:func:`random_l1_perturbation` of each row of the ``(n, m)`` unit masses ``true`` at its budget, on its row
+    of normal ``noise`` (zeros if not drawn; centred in place), each cut at its entry of ``lengths`` (whole if
+    ``None``) and zero past it."""
+    on = 1.0 if lengths is None else np.arange(true.shape[1]) < lengths[:, None]  # keeps the zeros past the cut
+    noise -= (_ragged_sums(noise, lengths) / (true.shape[1] if lengths is None else lengths))[:, None] * on
+    norms = _ragged_sums(np.abs(noise), lengths)
     est, moved = true.copy(), np.flatnonzero(norms)
     if len(moved):  # _unit_rows refuses an empty block
-        t, limits = true[moved], budgets[moved]
+        t, limits, cut = true[moved], budgets[moved], None if lengths is None else lengths[moved]
+        cand = noise[moved]
+        cand *= (limits / norms[moved])[:, None]
+        cand += t
         # np.maximum(x, 0.0) is np.clip(x, 0.0, None) without its Python wrapper.
-        cand = _unit_rows(np.maximum(t + noise[moved] * (limits / norms[moved])[:, None], 0.0))
-        est[moved] = _into_budget(L1, t, cand, limits)
+        cand = _unit_rows(np.maximum(cand, 0.0, out=cand), cut)
+        est[moved] = _into_budget(L1, t, cand, limits, cut)
     return est
 
 
-def _floor_rows(rough: np.ndarray, lams: np.ndarray) -> np.ndarray:
-    """:func:`support_safe_perturbation`'s mix of each row of ``rough`` with uniform at ``lams``."""
-    return _exact_unit_mass((1.0 - lams)[:, None] * rough + (lams / rough.shape[1])[:, None])
+def _floor_rows(rough: np.ndarray, lams: np.ndarray, lengths=None) -> np.ndarray:
+    """:func:`support_safe_perturbation`'s mix of each row of ``rough`` with uniform at ``lams``, rows cut at
+    ``lengths`` as :func:`_perturb_rows` cuts them."""
+    on = 1.0 if lengths is None else np.arange(rough.shape[1]) < lengths[:, None]
+    floor = (lams / (rough.shape[1] if lengths is None else lengths))[:, None] * on
+    return _exact_unit_mass((1.0 - lams)[:, None] * rough + floor, lengths)
 
 
 def _draw_moves(rng: np.random.Generator, k: int, m: int, metric: str, budget):
@@ -369,11 +403,12 @@ def _draw_moves(rng: np.random.Generator, k: int, m: int, metric: str, budget):
     return budgets, noise, lams
 
 
-def _moved(true: np.ndarray, metric: str, budgets, noise, lams) -> np.ndarray:
+def _moved(true: np.ndarray, metric: str, budgets, noise, lams, lengths=None) -> np.ndarray:
     """The estimates of the ``(k, m)`` unit masses ``true`` on :func:`_draw_moves`' draws: each row
-    perturbed within its L1 budget and, under KL, mixed with uniform to full support."""
-    est = _perturb_rows(true, budgets, noise)
-    return _floor_rows(est, lams) if metric == KL else est
+    perturbed within its L1 budget and, under KL, mixed with uniform to full support; rows cut at
+    ``lengths`` as :func:`_perturb_rows` cuts them."""
+    est = _perturb_rows(true, budgets, noise, lengths)
+    return _floor_rows(est, lams, lengths) if metric == KL else est
 
 
 def _perturbed(d: Distribution, budget: float, rng: np.random.Generator, metric: str) -> Distribution:
@@ -444,33 +479,47 @@ def random_cost(rng: np.random.Generator, k: int) -> CostMatrix:
 
 
 def _random_instances(rng: np.random.Generator, n: int, k_max: int, m_max: int, metric: str):
-    """The metric's sweep of ``n`` instances in trial order, each as :func:`_as_arrays` gives it plus its cost
-    (``None`` under KL), its sizes checked at the call. A block of instances, as many as ``_BLOCK_BYTES`` holds
-    at ``k_max`` classes of ``m_max`` atoms, makes every draw first, in the public generators' order (k, m,
-    source, :func:`_draw_moves` at a uniform budget, under L1 the cost); then each row kernel runs once per
-    domain size, on the stacked rows of its instances, and keeps each row's bits."""
+    """:func:`_theorem_sweep`'s instances, without their verdicts."""
+    return (instance for instance, _ in _theorem_sweep(rng, n, k_max, m_max, metric))
+
+
+def _theorem_sweep(rng: np.random.Generator, n: int, k_max: int, m_max: int, metric: str):
+    """The metric's sweep of ``n`` instances in trial order, each an ``(instance, verdict)`` pair: the instance as
+    :func:`_as_arrays` gives it plus its cost (``None`` under KL), and its :func:`_gate`; its sizes checked at the
+    call. A block of instances, as many as ``_BLOCK_BYTES`` holds (each charged as the comment there says, at
+    ``m_max`` atoms), makes every draw first, in the public generators' order (k, m, source, :func:`_draw_moves` at
+    a uniform budget, under L1 the cost). Its class rows, by class count and zero-padded to the widest, then go
+    through each row kernel once, each cut at its instance's atom count, and are checked at once (:func:`_checks`);
+    every row keeps the bits its instance's own arrays give it."""
     if k_max < 2 or m_max < 2:
         raise ValueError("k_max and m_max must be at least 2")
     budget = partial(rng.uniform, 0.0, 2.0 if metric == L1 else 1.5)
-    per_block = max(1, _BLOCK_BYTES // (8 * k_max * m_max + _INSTANCE_BYTES))
 
     def blocks():
-        for start in range(0, n, per_block):
-            drawn, sizes = [], {}
-            for _ in range(min(per_block, n - start)):
-                k, m = int(rng.integers(2, k_max + 1)), int(rng.integers(2, m_max + 1))
-                priors, weights = _draw_source(rng, k, m)
-                sizes.setdefault(m, []).append((len(drawn), weights, *_draw_moves(rng, k, m, metric, budget)))
-                drawn.append([priors, None, None, random_cost(rng, k) if metric == L1 else None])
-            for group in sizes.values():
-                order, weights, *moves = zip(*group)
-                true = _unit_rows(np.concatenate(weights))
-                masses = np.stack((true, _moved(true, metric, *map(np.concatenate, moves))))
-                cuts = np.cumsum([len(w) for w in weights[:-1]])
-                divergences = np.split(_divergences(*masses, metric), cuts)
-                for j, *rows in zip(order, np.split(masses, cuts, axis=1), divergences):
-                    drawn[j][1:3] = rows
-            yield from map(tuple, drawn)
+        drawn, held = [], 0
+        for trial in range(n):
+            k, m = int(rng.integers(2, k_max + 1)), int(rng.integers(2, m_max + 1))
+            drawn.append((*_draw_source(rng, k, m), *_draw_moves(rng, k, m, metric, budget),
+                          random_cost(rng, k) if metric == L1 else None))
+            held += _ROW_COPIES * 8 * k * m_max + _INSTANCE_BYTES
+            if held < _BLOCK_BYTES and trial < n - 1:
+                continue
+            order = sorted(range(len(drawn)), key=lambda i: len(drawn[i][0]))  # a class count's rows are one slab
+            priors, weights, budgets, noise, lams, costs = zip(*(drawn[i] for i in order))
+            drawn, held = [], 0  # the next block's
+            ks, ms = [len(g) for g in priors], np.array([w.shape[1] for w in weights])
+            ends, lengths = np.cumsum(ks).tolist(), np.repeat(ms, ks)
+            masses = np.zeros((2, len(lengths), ms.max()))  # the weights and the noise, then the true and moved rows
+            for w, v, end, k, m in zip(weights, noise, ends, ks, ms.tolist()):
+                masses[0, end - k : end, :m], masses[1, end - k : end, :m] = w, v
+            del weights, noise  # held in masses now
+            masses[0] = _unit_rows(masses[0], lengths)
+            masses[1] = _moved(masses[0], metric, np.concatenate(budgets), masses[1], np.concatenate(lams), lengths)
+            divergences = _divergences(*masses, metric, lengths)
+            checks = _checks(np.concatenate(priors), masses, divergences, costs, ks, ms)
+            for j in np.argsort(order).tolist():
+                rows = slice(ends[j] - ks[j], ends[j])
+                yield (priors[j], masses[:, rows, : ms[j]], divergences[rows], costs[j]), _gate(*checks[j])
 
     return blocks()
 
@@ -612,13 +661,14 @@ def tightness_search(
     def excess(priors: np.ndarray, masses: np.ndarray, classes, projected) -> tuple[float, np.ndarray]:
         """The excess risk of ``masses`` with every row at unit mass and the estimates in the budget, and that
         projection: a copy of ``projected`` with the ``classes`` redone (each class's rows project on their own)."""
-        true, est = projected = (masses if projected is None else projected).copy()
+        projected = (masses if projected is None else projected).copy()
         changed = projected[:, classes]
         changed[:] = masses[:, classes]
         _exact_unit_mass(changed.reshape(-1, m))
         _into_budget(budget.metric, *changed, budget.epsilon / priors[classes])
-        weighted = true * priors[:, None]
-        value = _plugin_risk(priors, weighted, est.copy(), costs) - _plugin_risk(priors, weighted, true.copy(), costs)
+        scored = projected * priors[:, None]
+        risk_opt, risk_plugin = _plugin_risk(scored[0], scored, costs).tolist()
+        value = risk_plugin - risk_opt
         return value if math.isfinite(value) else -math.inf, projected
 
     best_val = -math.inf

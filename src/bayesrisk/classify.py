@@ -23,14 +23,13 @@ then run private ``(k, m)`` array kernels that ``bounds`` also calls.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence, Union
 
 import numpy as np
 
-from .distributions import SUM_TOL, Distribution, Domain, _json_float, _on_leaves
+from .distributions import SUM_TOL, Distribution, Domain, _json_float, _on_leaves, _run_sums
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,27 +200,35 @@ def bayes_classifier(source: LabeledSource, cost: CostLike) -> Classifier:
     ``labels[x] = argmin_j sum_i c[i, j] * g_i * D_i(x)``, ties to the smallest label, which
     also covers atoms with zero mixture mass (all scores zero there).
     """
-    _, scores, labels, _, less = _workspace(source.k, source.domain.size)
-    labels = _bayes_labels(as_cost_array(cost, source.k), source.weighted_mass, scores, labels, less)
+    scores, labels, row, _ = _workspace(source.k, source.domain.size)
+    labels = _bayes_labels(as_cost_array(cost, source.k), source.weighted_mass, scores, labels, row.view(np.intp))
     return Classifier(source.domain, labels)
 
 
-def _workspace(k: int, m: int, row=None) -> tuple[np.ndarray, ...]:
-    """Buffers for the kernels: estimates and scores ``(k, m)``, labels, a float row (``row`` if given), a bool row."""
-    row = np.empty(m) if row is None else row
-    return np.empty((k, m)), np.empty((k, m)), np.empty(m, np.intp), row, np.empty(m, bool)
+def _workspace(*shape: int, row=None) -> tuple[np.ndarray, ...]:
+    """Buffers for the kernels of ``(..., k, m)`` masses: scores of that shape, then labels, a float row (``row`` if
+    given) and a bool row, each of that shape without its ``k``."""
+    rows = shape[:-2] + shape[-1:]
+    row = np.empty(rows) if row is None else row
+    return np.empty(shape), np.empty(rows, np.intp), row, np.empty(rows, bool)
 
 
 def _bayes_labels(costs, weighted, scores, labels, less) -> np.ndarray:
-    """The Bayes labels of the ``(k, m)`` weighted masses, written into ``labels`` via the buffers ``scores``
-    ``(k, m)`` (``None`` for a batch's few columns: :func:`_gathered_scores` multiplies them) and ``less`` ``(m,)``.
-    Ties go to the smallest label: an atom moves to label j only where j scores strictly less than row 0's minimum."""
-    scores = _gathered_scores(costs, weighted) if scores is None else np.matmul(costs.T, weighted, out=scores)
+    """The Bayes labels of the ``(..., k, m)`` weighted masses under the ``(..., k, k)`` costs, one product a stack,
+    written into ``labels`` via the buffers ``scores`` (``None`` for a batch's few columns: :func:`_gathered_scores`
+    multiplies them) and ``less`` ``(..., m)``, integers. Ties go to the smallest label: an atom moves to label j
+    only where j scores strictly less than row 0's minimum, and every label is below j then, so the move is the
+    branch-free ``max(labels, j * less)``, with no temporary."""
+    if scores is None:
+        scores = _gathered_scores(costs, weighted)
+    else:
+        np.matmul(np.swapaxes(costs, -1, -2), weighted, out=scores)
     labels.fill(0)
-    for j in range(1, len(scores)):
-        np.less(scores[j], scores[0], out=less)
-        np.copyto(labels, j, where=less)
-        np.minimum(scores[0], scores[j], out=scores[0])
+    for j in range(1, scores.shape[-2]):
+        np.less(scores[..., j, :], scores[..., 0, :], out=less)
+        less *= j
+        np.maximum(labels, less, out=labels)
+        np.minimum(scores[..., 0, :], scores[..., j, :], out=scores[..., 0, :])
     return labels
 
 
@@ -239,15 +246,29 @@ def risk(f: Classifier, source: LabeledSource, cost: CostLike) -> float:
     costs = as_cost_array(cost, source.k)
     if (f.labels >= source.k).any():
         raise ValueError("classifier labels exceed the source's class count")
-    return _cost_risk(costs, f.labels, source.weighted_mass)
+    return float(_cost_risk(costs, f.labels, source.weighted_mass))
 
 
-def _cost_risk(costs, labels, weighted, out=None) -> float:
-    """:func:`risk` of labels in ``[0, k)`` on the ``(k, m)`` weighted masses: the sum of
-    ``costs[i, label] * weighted[i, x]`` over the flattened array, written into ``out`` if given."""
-    weighted_costs = costs.take(labels, axis=1, out=out, mode="clip")  # "clip" fills out directly
+def _cost_risk(costs, labels, weighted, out=None, lengths=None) -> np.ndarray:
+    """:func:`risk` of labels in ``[0, k)`` on ``(k, m)`` weighted masses, one per instance of the ``(..., k, m)``
+    ``weighted`` (``costs`` ``(..., k, k)`` and ``labels`` ``(..., m)`` broadcast to it): the sum of ``costs[i,
+    label] * weighted[i, x]`` over the flattened instance, its rows cut at its entry of ``lengths`` (whole if
+    ``None``), one run of :func:`_run_sums`. The entries are written into ``out`` (a stack's must be given, and its
+    labels become flat indices into the costs, one take a class)."""
+    if labels.ndim == 1:
+        weighted_costs = costs.take(labels, axis=1, out=out, mode="clip")  # "clip" fills out directly
+    else:
+        k, weighted_costs = costs.shape[-1], out
+        labels += np.arange(0, costs.size, k * k).reshape(costs.shape[:-2] + (1,))
+        for i in range(k):
+            costs.reshape(-1).take(labels, out=weighted_costs[..., i, :], mode="clip")
+            labels += k
     weighted_costs *= weighted
-    return float(weighted_costs.sum())
+    if lengths is None:
+        return weighted_costs.reshape(*weighted_costs.shape[:-2], -1).sum(axis=-1)
+    k, width = weighted_costs.shape[-2:]
+    cut = np.broadcast_to(np.arange(width) < lengths[:, None, None], weighted_costs.shape)
+    return _run_sums(weighted_costs[cut], np.broadcast_to(k * lengths, weighted_costs.shape[:-2]))
 
 
 def _cost_leaves(masses, priors, costs, bayes=True):
@@ -260,7 +281,7 @@ def _cost_leaves(masses, priors, costs, bayes=True):
 
     def labels(weighted):
         size = weighted.shape[1]
-        return _bayes_labels(costs, weighted, None, np.empty(size, np.intp), np.empty(size, bool)) if bayes else 0
+        return _bayes_labels(costs, weighted, None, np.empty(size, np.intp), np.empty(size, np.intp)) if bayes else 0
 
     def on_leaves(_, starts, length):
         (of, at), count = np.divmod(starts, m), len(starts)
@@ -304,18 +325,18 @@ def posterior_rule(source: LabeledSource) -> StochasticRule:
     weight is zero, so any fixed choice is sound and this one keeps the
     table total.
     """
-    _, table, _, mix, covered = _workspace(source.k, source.domain.size)
+    table, _, mix, covered = _workspace(source.k, source.domain.size)
     _posterior(source.weighted_mass, table, mix, covered)
     return StochasticRule(source.domain, table.T)
 
 
 def _posterior(weighted, table, mix, covered) -> None:
-    """Write :func:`posterior_rule`'s table, transposed to ``(k, m)``, of the ``(k, m)`` weighted
-    masses into ``table``, via the rows ``mix`` (the mixture) and ``covered`` (bool)."""
-    np.sum(weighted, axis=0, out=mix)
+    """Write :func:`posterior_rule`'s table, transposed to ``(k, m)``, of each instance of the ``(..., k, m)``
+    weighted masses into ``table``, via the rows ``mix`` (the mixtures) and ``covered`` (bool), ``(..., m)``."""
+    np.sum(weighted, axis=-2, out=mix)
     np.greater(mix, 0.0, out=covered)
-    table.fill(1.0 / len(table))
-    np.divide(weighted, mix, out=table, where=covered)
+    table.fill(1.0 / table.shape[-2])
+    np.divide(weighted, mix[..., None, :], out=table, where=covered[..., None, :])
 
 
 def plugin_rule(estimated: LabeledSource) -> StochasticRule:
@@ -338,16 +359,21 @@ def logloss_risk(rule: StochasticRule, source: LabeledSource) -> float:
         raise ValueError("rule and source domains differ")
     if rule.k != source.k:
         raise ValueError("rule and source class counts differ")
-    return _logloss_risk(rule.table.T, source.weighted_mass)
+    return float(_logloss_risk(rule.table.T, source.weighted_mass))
 
 
-def _logloss_risk(table, weighted) -> float:
-    """:func:`logloss_risk` of the ``(k, m)`` rule ``table`` on the ``(k, m)`` weighted masses.
-    Both are gathered where the weights are positive, atom by atom, as a ``StochasticRule`` lays
-    out its table, so the sum's order, and its bits, do not depend on ``table``'s layout."""
-    weighted = weighted.T
+def _logloss_risk(table, weighted) -> np.ndarray:
+    """:func:`logloss_risk` of ``(k, m)`` rule tables on ``(k, m)`` weighted masses, one per instance of the
+    ``(..., k, m)`` ``table`` (``weighted`` broadcast to it; zero where an instance is padded). Both are gathered
+    where the weights are positive, atom by atom, as a ``StochasticRule`` lays out its table, so the sum's order,
+    and its bits, do not depend on ``table``'s layout; an instance's terms are one run of :func:`_run_sums`. A zero
+    of the rule there makes a term, and so the risk, infinite."""
+    weighted, table = np.swapaxes(weighted, -1, -2), np.swapaxes(table, -1, -2)
     on = weighted > 0.0
-    vals = table.T[on]
-    if (vals == 0.0).any():
-        return math.inf
-    return max(0.0, float(-(weighted[on] * np.log2(vals)).sum()))
+    terms, weights = table[np.broadcast_to(on, table.shape)], weighted[on]
+    with np.errstate(divide="ignore"):
+        np.log2(terms, out=terms)
+    terms.reshape(-1, len(weights))[:] *= weights
+    counts = np.broadcast_to(np.count_nonzero(on, axis=(-2, -1)), table.shape[:-2])
+    risks = -_run_sums(terms, counts)
+    return np.where(risks > 0.0, risks, 0.0)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import platform
@@ -27,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .bounds import EXACT_TOL, KL, L1, PerturbationBudget, _check_search, tightness_search
-from .bounds import _as_arrays, _as_objects, _divergences, _random_instances, _two_atom_masses, _verdict, _within
+from .bounds import _as_arrays, _as_objects, _divergences, _theorem_sweep, _two_atom_masses, _verdict, _within
 from .classify import CostMatrix, LabeledSource, as_cost_array
 from .distributions import Distribution, Domain, QuantizedClassSpec, _json_float
 from .pdfa import Pdfa
@@ -167,8 +168,8 @@ def _require_positive_trials(args) -> None:
 
 
 def cmd_verify(args) -> int:
-    """Randomized sweep of one theorem (the subcommand names which), its instances drawn and computed
-    in blocks by ``bounds._random_instances`` and written in trial order; or ``--replay`` of one instance."""
+    """Randomized sweep of one theorem (the subcommand names which), its instances drawn, computed and checked
+    in blocks by ``bounds._theorem_sweep`` and written in trial order; or ``--replay`` of one instance."""
     metric = L1 if args.command == "verify-theorem1" else KL
     if args.replay:
         report, gap, ok = _verdict(*_read_input(args.replay, lambda data: _instance_from_payload(data, metric)))
@@ -177,11 +178,10 @@ def cmd_verify(args) -> int:
         return EXIT_OK if ok else EXIT_VIOLATION
     _require_positive_trials(args)
     rng = np.random.default_rng(args.seed)
-    instances = _checked(_random_instances, rng, args.trials, args.k_max, args.m_max, metric)
+    instances = _checked(_theorem_sweep, rng, args.trials, args.k_max, args.m_max, metric)
     run = _Run(args.command, args.out_dir, args.seed, _flags(args))
     worst_gap = 0.0
-    for trial, (priors, masses, divergences, cost) in enumerate(instances):
-        report, gap, ok = _verdict(priors, masses, divergences, cost)
+    for trial, ((priors, masses, _, cost), (report, gap, ok)) in enumerate(instances):
         k, m = masses.shape[1:]
         row = {"trial": trial, "k": k, "m": m, **report.row()}
         if gap is not None:
@@ -326,6 +326,7 @@ def cmd_tightness(args) -> int:
     return run.finish({"ratio": result.ratio, "excess": result.excess, "bound": result.bound})
 
 
+@functools.lru_cache(maxsize=None)  # built once a process: argparse keeps no state between parses
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bayesrisk",

@@ -127,6 +127,25 @@ def _pairwise_tree(n: int, built=None):
     return built[n]
 
 
+def _ragged_sums(values: np.ndarray, lengths=None) -> np.ndarray:
+    """numpy's sum of each row of the 2-D ``values`` cut at its entry of ``lengths`` (each whole if ``None``), bit
+    for bit, whatever lies past the cut: a masked reduction hands numpy's summation loop each row's unmasked prefix
+    as one run, which it sums from 0.0 in the pairwise tree of that run's length, as it sums the 1-D prefix."""
+    if lengths is None:
+        return values.sum(axis=1)
+    return values.sum(axis=1, where=np.arange(values.shape[1]) < lengths[:, None])
+
+
+def _run_sums(flat: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """numpy's sum of each run of ``counts`` consecutive entries of the 1-D ``flat``, in an array of the counts'
+    shape: runs of one length as the rows of one matrix, others as the zero-padded rows of :func:`_ragged_sums`."""
+    if (counts == counts.flat[0]).all():
+        return flat.reshape(*counts.shape, int(counts.flat[0])).sum(axis=-1)
+    rows = np.zeros((counts.size, counts.max()))
+    rows[np.arange(rows.shape[1]) < counts.reshape(-1, 1)] = flat
+    return _ragged_sums(rows, counts.reshape(-1)).reshape(counts.shape)
+
+
 # A sum rebuilt from leaf sums costs about what a full pass over _TREE_ATOMS atoms costs, plus _LEAF_PASSES
 # atoms of a full pass for each atom of the leaves it sums afresh (the unit-mass, L1 and cost-risk sums of
 # 32,768-262,144 entries, each timed rebuilt against full pass on a 2-CPU VM).
@@ -175,7 +194,8 @@ def _leaf_plan(n: int, rows: np.ndarray, atoms: np.ndarray):
     row and leaf of each (row, leaf) pair, each pair's first atom and then the atom count, each atom's offset."""
     starts = _pairwise_tree(n)[1]
     leaf = starts.searchsorted(atoms, "right") - 1
-    first = np.flatnonzero(np.diff(rows * len(starts) + leaf, prepend=-1))
+    pair = rows * len(starts) + leaf
+    first = np.flatnonzero(np.concatenate((pair[:1] >= 0, pair[1:] != pair[:-1])))  # pairs are non-negative
     return rows[first], leaf[first], np.append(first, len(atoms)), atoms - starts[leaf]
 
 
@@ -203,9 +223,9 @@ def _patched_sums(n: int, plan, values: np.ndarray, out: np.ndarray, background=
     return _tree_sum(out)
 
 
-def _exact_unit_mass(mass: np.ndarray) -> np.ndarray:
+def _exact_unit_mass(mass: np.ndarray, lengths=None) -> np.ndarray:
     """Rescale ``mass`` in place so it sums to 1.0 up to at most one ulp: each row of a 2-D
-    ``mass`` on its own, a 1-D one being one row.
+    ``mass`` on its own, cut at its entry of ``lengths`` (whole if ``None``) and zero past it, a 1-D one being one row.
 
     Each sum must lie within ``SUM_TOL`` of one. After dividing by it, the float re-sum can miss 1.0
     by a few ulp; folding the residual into the largest entry leaves it at 1.0 or, for about 6.5% of
@@ -213,11 +233,11 @@ def _exact_unit_mass(mass: np.ndarray) -> np.ndarray:
     its bits, so a reader of written masses keeps them (:meth:`Distribution.from_dict`), never re-runs this.
     """
     rows = mass if mass.ndim == 2 else mass[None]
-    if _unit_sums(totals := rows.sum(axis=1)):  # dividing by 1.0 and re-summing would change no bit
+    if _unit_sums(totals := _ragged_sums(rows, lengths)):  # dividing by 1.0 and re-summing would change no bit
         return mass
     rows /= totals[:, None]
     for _ in range(4):
-        residual = rows.sum(axis=1) - 1.0
+        residual = _ragged_sums(rows, lengths) - 1.0
         if not np.count_nonzero(residual):
             break
         rows[np.arange(len(rows)), rows.argmax(axis=1)] -= residual
@@ -306,17 +326,18 @@ def make_distribution(domain: Domain, weights: Sequence[float]) -> Distribution:
     return Distribution._frozen(domain, _unit_rows(w[None])[0])
 
 
-def _unit_rows(weights: np.ndarray) -> np.ndarray:
-    """Each row of the ``(n, m)`` weights over its sum, fresh and made unit by :func:`_exact_unit_mass`:
-    the one weight normalizer, checked in one fused pass and raising :func:`make_distribution`'s messages."""
+def _unit_rows(weights: np.ndarray, lengths=None) -> np.ndarray:
+    """Each row of the ``(n, m)`` weights (cut at ``lengths`` as :func:`_exact_unit_mass` cuts them) over its sum,
+    fresh and made unit by :func:`_exact_unit_mass`: the one weight normalizer, checked in one fused pass and
+    raising :func:`make_distribution`'s messages."""
     with np.errstate(over="ignore"):
-        totals = weights.sum(axis=1)
+        totals = _ragged_sums(weights, lengths)
     if not (weights.min() >= 0.0 and all(0.0 < total < math.inf for total in totals.tolist())):
         if not np.isfinite(weights).all() or (weights < 0.0).any():
             raise ValueError("invalid mass: weights must be finite and non-negative")
         raise ValueError("degenerate: all weights are zero" if totals.min() == 0.0 else
                          "invalid mass: weights sum overflows the float range")
-    return _exact_unit_mass(weights / totals[:, None])
+    return _exact_unit_mass(weights / totals[:, None], lengths)
 
 
 def _require_same_domain(p: Distribution, q: Distribution) -> None:
@@ -334,11 +355,12 @@ def l1_distance(p: Distribution, q: Distribution) -> float:
     return _l1_distance(p.mass, q.mass)
 
 
-def _l1_distance(p: np.ndarray, q: np.ndarray, out=None):
-    """:func:`l1_distance` of the masses ``p`` and ``q``; of ``(n, m)`` masses, row by row."""
+def _l1_distance(p: np.ndarray, q: np.ndarray, out=None, lengths=None):
+    """:func:`l1_distance` of the masses ``p`` and ``q``; of ``(n, m)`` masses, row by row, each cut at its entry
+    of ``lengths`` (whole if ``None``)."""
     diff = np.subtract(p, q, out=out)
     np.abs(diff, out=diff)
-    l1 = diff.sum(axis=-1)
+    l1 = diff.sum(axis=-1) if lengths is None else _ragged_sums(diff, lengths)
     return l1 if l1.ndim else float(l1)
 
 
@@ -357,34 +379,30 @@ def _kl_on_support(p: np.ndarray, q: np.ndarray, support: np.ndarray, out=None):
     """:func:`kl_divergence` of the masses ``p`` and ``q``, ``support`` being ``p > 0`` (``None`` if all):
     a full one is summed in the scratch row ``out``, a partial one gathered (``q`` first, for an inf KL).
 
-    Of ``(n, m)`` masses, an ``(n,)`` array: rows of one support size are gathered into one
-    ``(rows, size)`` block, so each row sums what its 1-D gather sums.
+    Of ``(n, m)`` masses, an ``(n,)`` array: each row's support is gathered into one run of a flat array, so
+    each row sums (:func:`_run_sums`) what its 1-D gather sums.
     """
     if p.ndim == 2:
-        sizes = support.sum(axis=1)
-        kl = np.full(len(p), math.inf)
-        for size in sorted(set(sizes.tolist())):  # np.unique would import numpy.ma
-            rows = sizes == size
-            on = support if rows.all() else support & rows[:, None]
-            ps, qs = p[on].reshape(-1, size), q[on].reshape(-1, size)
-            finite = qs.min(axis=1) > 0.0
-            sums = _kl_sum(ps, qs) if finite.all() else _kl_sum(ps[finite], qs[finite])
-            kl[np.flatnonzero(rows)[finite]] = np.where(sums > 0.0, sums, 0.0)
+        qs = q[support]
+        with np.errstate(divide="ignore"):  # a zero of q on the support: that row's KL is inf
+            sums = _run_sums(_kl_terms(p[support], qs), np.count_nonzero(support, axis=1))
+        kl = np.where(sums > 0.0, sums, 0.0)
+        kl[np.count_nonzero(support & (q == 0.0), axis=1) > 0] = math.inf
         return kl
     full = support is None or bool(support.all())
     qs = q if full else q[support]
     if qs.min() == 0.0:  # q >= 0, so this finds a zero without a bool temporary
         return math.inf
     ps = p if full else p[support]
-    return max(0.0, float(_kl_sum(ps, qs, out if full else None)))
+    return max(0.0, float(_kl_terms(ps, qs, out if full else None).sum()))
 
 
-def _kl_sum(ps: np.ndarray, qs: np.ndarray, out=None):
-    """``sum(ps * log2(ps / qs))`` over the last axis, for ``ps`` and ``qs`` gathered with ``qs > 0``."""
+def _kl_terms(ps: np.ndarray, qs: np.ndarray, out=None) -> np.ndarray:
+    """The terms ``ps * log2(ps / qs)`` of ``ps`` and ``qs`` gathered on the support (written into ``out`` if given)."""
     terms = np.divide(ps, qs, out=out)
     np.log2(terms, out=terms)
     terms *= ps
-    return terms.sum(axis=-1)
+    return terms
 
 
 def mixture(components: Sequence[tuple[float, Distribution]]) -> Distribution:

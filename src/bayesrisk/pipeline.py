@@ -177,8 +177,8 @@ def _estimate(idx: np.ndarray, m: int, laplace: float):
     if laplace or m < _SPARSE_ATOMS or not 0 < 16 * idx.size <= m:
         return None
     draws = np.sort(idx)
-    first = np.flatnonzero(np.diff(draws, prepend=-1))
-    return draws[first], np.diff(first, append=idx.size) / idx.size
+    first = np.flatnonzero(np.concatenate(([True], draws[1:] != draws[:-1])))  # idx is not empty
+    return draws[first], (np.append(first[1:], idx.size) - first) / idx.size
 
 
 # Most draws (trials times sample size) in a block of trials; a larger trial is a block of its own.
@@ -217,8 +217,8 @@ def _fixed(config: TrialConfig):
     classes = tuple((p, None if p.min() > 0.0 else p > 0.0, np.count_nonzero(p), _leaf_sums(m, p) if sparse else None)
                     for p in masses)
     if not sparse:
-        ws = list(_workspace(k, m))
-        risk_opt = _plugin_risk(source.priors, source.weighted_mass, np.stack(masses, out=ws[0]), costs, ws)
+        ws = [np.empty((k, m)), *_workspace(k, m)]
+        risk_opt = float(_plugin_risk(source.weighted_mass, source.weighted_mass, costs, ws[1:]))
         return ws, costs, risk_opt, classes, None
     risk_opt = float(_tree_sum(_leaf_sums(k * m, _cost_leaves(masses, source.priors, costs))))
     base = _leaf_sums(k * m, _cost_leaves(masses, source.priors, costs, False))
@@ -259,7 +259,7 @@ def _block(config: TrialConfig, rngs: Sequence[np.random.Generator], n: int, ws,
             used += charge
             continue
         if ws[0] is None:  # the first dense trial makes the workspace around the CDF row
-            ws[:] = _workspace(k, m, ws[3])
+            ws[:] = np.empty((k, m)), *_workspace(k, m, row=ws[3])
         ests, _, _, row, _ = ws
         for i, (est, idx, hit) in enumerate(zip(ests, samples, hits)):
             if hit is None:
@@ -271,7 +271,8 @@ def _block(config: TrialConfig, rngs: Sequence[np.random.Generator], n: int, ws,
         _exact_unit_mass(ests)
         l1s = tuple(_l1_distance(p, q, row) for (p, *_), q in zip(classes, ests))
         kls = tuple(_kl_on_support(p, q, support, row) for (p, support, *_), q in zip(classes, ests))
-        risk_plugin = _plugin_risk(source.priors, source.weighted_mass, ests, costs, ws)
+        ests *= source.priors[:, None]
+        risk_plugin = float(_plugin_risk(source.weighted_mass, ests, costs, ws[1:]))
         report = _theorem_report(source.priors, config.cost, kls if costs is None else l1s, risk_opt, risk_plugin)
         yield TrialOutcome(tuple(trial_counts), l1s, kls, report)
     yield from _sparse_batch(config, batch, costs, risk_opt, classes, costs_base) if batch else ()
@@ -312,7 +313,7 @@ def _sparse_batch(config: TrialConfig, batch, costs, risk_opt, classes, costs_ba
     union = _sorted_set(columns := row % trials * m + atom)  # each trial's hit columns, as trial * m + atom
     weighted = np.zeros((k, len(union)))
     weighted[row // trials, union.searchsorted(columns)] = source.priors[row // trials] * q
-    labels = _bayes_labels(costs, weighted, None, np.empty(len(union), np.intp), np.empty(len(union), bool))
+    labels = _bayes_labels(costs, weighted, None, np.empty(len(union), np.intp), np.empty(len(union), np.intp))
     del atom, q, row, plan, diff, columns, sums, weighted  # before the risks' arrays are made
     trial, atom = np.divmod(union, m)
     cols = np.bincount(trial, minlength=trials)  # the risks' hits: trial by trial, class by class, atom by atom

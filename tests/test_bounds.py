@@ -239,7 +239,7 @@ class TestPluginScorer:
 
         def scored(c, dists=est_dists):
             est = np.stack([d.mass for d in dists])
-            return float.hex(_plugin_risk(source.priors, source.weighted_mass, est, c))
+            return float.hex(float(_plugin_risk(source.weighted_mass, est * source.priors[:, None], c)))
 
         assert scored(costs) == float.hex(risk(bayes_classifier(estimated, costs), source, costs))
         rule = plugin_rule(estimated)

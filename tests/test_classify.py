@@ -138,7 +138,7 @@ class TestBayesClassifier:
             w[-1] = w[0]  # equal class columns tie under symmetric costs
         costs = np.ones((k, k)) - np.eye(k) if zero_one else rng.random((k, k))
         scores, labels = np.empty((k, m)), np.empty(m, np.intp)
-        _bayes_labels(costs, w, scores, labels, np.empty(m, bool))
+        _bayes_labels(costs, w, scores, labels, np.empty(m, np.intp))
         old = w.T @ costs  # the (m, k) layout np.argmin scans
         assert scores[1:].tobytes() == np.ascontiguousarray(old.T[1:]).tobytes()
         assert scores[0].tobytes() == old.min(axis=1).tobytes()
@@ -188,6 +188,28 @@ def test_gathered_product_keeps_the_full_products_bits(k, m):
         shapes.append(np.exp(rng.uniform(0.0, top, trials)).astype(int).tolist())
     for sizes in [*shapes, *[[1]] * 12, [min(m, distributions._LEAF_FLOATS)]]:
         batch_probe(rng, k, m, sizes)
+
+
+@pytest.mark.parametrize("count", [1, 3, 40])
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_stacked_padded_product_keeps_each_instances_bits(k, count):
+    """A sweep block scores the instances of one class count at once: one ``(count, k, k) @ (2, count, k, 64)``
+    product (true classes and estimates), each instance's m of 2-64 atoms zero-padded to 64 columns. It must equal
+    in float.hex each instance's own unpadded 2-D product, as the per-instance scorer makes it: weights with a
+    quarter of their columns zero, costs random or (3 in 10) zero-one, scaled by 10^U(-9, 9), 20 blocks a shape."""
+    rng = np.random.default_rng([k, count])
+    for _ in range(20):
+        ms = rng.integers(2, 65, count)
+        weighted = rng.random((2, count, k, 64)) * rng.random((2, count, k, 1))
+        weighted[rng.random(weighted.shape) < 0.25] = 0.0
+        weighted = np.where(np.arange(64) < ms[:, None, None], weighted, 0.0)
+        costs = np.array([np.ones((k, k)) - np.eye(k) if rng.random() < 0.3 else rng.random((k, k))
+                          for _ in range(count)]) * 10.0 ** rng.uniform(-9.0, 9.0, (count, 1, 1))
+        stacked = np.matmul(np.swapaxes(costs, -1, -2), weighted)
+        for n, m in enumerate(ms.tolist()):
+            for side in range(2):
+                own = np.matmul(costs[n].T, np.ascontiguousarray(weighted[side, n, :, :m]))
+                assert hexes(stacked[side, n, :, :m]) == hexes(own)
 
 
 class TestRisk:

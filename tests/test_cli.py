@@ -363,30 +363,30 @@ class TestVerifyCommands:
     def test_replay_rechecks_identity_gap(self, tmp_path, monkeypatch):
         import bayesrisk.bounds as bounds
 
-        real = bounds._check
+        real = bounds._checks
 
-        def off_by_1e6(priors, masses, divergences, cost):
-            report, rhs = real(priors, masses, divergences, cost)
-            return report, rhs + 1e-6
+        def off_by_1e6(*args, **kwargs):  # the sweep's blocks and the replay's one instance alike
+            return [(report, None if rhs is None else rhs + 1e-6) for report, rhs in real(*args, **kwargs)]
 
-        monkeypatch.setattr(bounds, "_check", off_by_1e6)
+        monkeypatch.setattr(bounds, "_checks", off_by_1e6)
         assert run(["verify-theorem2", "--trials", "1", "--out-dir", tmp_path]) == 1
         assert run(["verify-theorem2", "--replay", tmp_path / "violation_0.json"]) == 1
 
     @pytest.mark.parametrize("metric", ["L1", "KL"])
     def test_replay_rechecks_the_instance_the_sweep_checked(self, metric):
-        """Written and read back, a sweep instance keeps every bit of its masses, report and gap."""
+        """Written and read back, a sweep instance keeps every bit of its masses, and its one-instance replay
+        gives the report and gap its block gave it."""
         import numpy as np
 
-        from bayesrisk.bounds import _as_objects, _random_instances, _verdict
+        from bayesrisk.bounds import _as_objects, _theorem_sweep, _verdict
         from bayesrisk.cli import _instance_from_payload, _instance_payload
 
         def hexed(report, gap):
             fields = {k: v.hex() if isinstance(v, float) else v for k, v in report.to_dict().items()}
             return fields, None if gap is None else gap.hex()
 
-        for priors, masses, divergences, cost in _random_instances(np.random.default_rng(3), 300, 5, 64, metric):
-            report, gap, ok = _verdict(priors, masses, divergences, cost)
+        swept = _theorem_sweep(np.random.default_rng(3), 300, 5, 64, metric)
+        for (priors, masses, _, cost), (report, gap, ok) in swept:
             payload = json.loads(json.dumps(_instance_payload(*_as_objects(priors, masses), cost, metric)))
             replayed = _instance_from_payload(payload, metric)
             assert replayed[1].tobytes() == masses.tobytes() and replayed[0].tobytes() == priors.tobytes()

@@ -430,7 +430,7 @@ def _dense_trial(config, rng, n):
     l1s = [_l1_distance(p, q) for p, q in pairs]
     kls = [_kl_on_support(p, q, p > 0.0) for p, q in pairs]
     costs = None if config.cost is None else config.cost.costs
-    return counts.tolist(), l1s, kls, _plugin_risk(source.priors, source.weighted_mass, est, costs)
+    return counts.tolist(), l1s, kls, float(_plugin_risk(source.weighted_mass, est * source.priors[:, None], costs))
 
 
 def check_block_against_dense(config, fixed, seeds, n, cap=pipeline._BATCH_FLOATS):
@@ -586,7 +586,7 @@ def test_leaf_built_sums_equal_the_full_width_ones(k, m):
                              delta_target=0.05)
         _, _, risk_opt, _, base = _fixed(config)
         true = np.array([d.mass for d in source.class_dists])
-        assert risk_opt.hex() == _plugin_risk(source.priors, source.weighted_mass, true, costs).hex()
+        assert risk_opt.hex() == float(_plugin_risk(source.weighted_mass, true * source.priors[:, None], costs)).hex()
         label_0 = costs[:, :1] * source.weighted_mass
         assert [v.hex() for v in base.tolist()] == [v.hex() for v in _leaf_sums(label_0.size, label_0.reshape(-1))
                                                     .tolist()]
@@ -610,7 +610,8 @@ def test_a_lone_hit_column_scores_as_the_dense_kernels(k, atom, m):
     (outcome,) = pipeline._sparse_batch(config, [((1,) * k, hits)], *_fixed(config)[1:])
     est = np.zeros((k, m))
     est[:, atom] = 1.0
-    assert outcome.report.risk_plugin.hex() == _plugin_risk(source.priors, source.weighted_mass, est, costs).hex()
+    assert outcome.report.risk_plugin.hex() == float(_plugin_risk(source.weighted_mass, est * source.priors[:, None],
+                                                                  costs)).hex()
 
 
 class TestConfigValidation:

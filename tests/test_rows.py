@@ -11,23 +11,28 @@ file, not a golden.
 
 from __future__ import annotations
 
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bayesrisk.bounds as bounds
+import bayesrisk.distributions as distributions
 import bayesrisk.smoothing as smoothing
 from bayesrisk.bounds import (
+    BOUND_TOL,
     KL,
     L1,
     _as_arrays,
-    _check,
     _draw_moves,
     _floor_rows,
     _moved,
     _perturb_rows,
-    _random_instances,
+    _theorem_sweep,
+    _verdict,
     check_theorem1,
     check_theorem2,
     excess_logloss_identity,
@@ -36,6 +41,7 @@ from bayesrisk.bounds import (
     random_source,
     support_safe_perturbation,
 )
+from bayesrisk.classify import CostMatrix
 from bayesrisk.distributions import (
     Domain,
     _draw_indices,
@@ -90,35 +96,68 @@ def _hex_fields(report) -> dict:
     return {name: v.hex() if isinstance(v, float) else v for name, v in report.to_dict().items()}
 
 
+def _hex_verdict(verdict) -> tuple:
+    report, gap, ok = verdict
+    return _hex_fields(report), None if gap is None else gap.hex(), ok
+
+
+def check_ragged_sums(rng: np.random.Generator) -> None:
+    """``distributions._ragged_sums`` of rows of every length 1 to 1,024, in shuffled order, each cut out of a
+    1,100-wide row whose entries past the cut are nan, inf, -inf or 1e300, equals in float.hex numpy's sum of the
+    1-D prefix: signed terms of 10^U(-5, 5), a tenth of them 0.0 and a twentieth -0.0, and a sixteenth of the rows
+    each all -0.0, holding an inf, holding inf and -inf (a nan sum), or holding a nan."""
+    lengths = rng.permutation(np.arange(1, 1025))
+    values = rng.standard_normal((1024, 1100)) * 10.0 ** rng.uniform(-5.0, 5.0, (1024, 1100))
+    values[rng.random(values.shape) < 0.1] = 0.0
+    values[rng.random(values.shape) < 0.05] = -0.0
+    rows = rng.permutation(1024)
+    values[rows[:64]] = -0.0
+    for kind, row in zip(np.arange(192) // 64, rows[64:256]):
+        at = rng.integers(0, lengths[row], 2)
+        values[row, at] = ([math.inf] * 2, [math.inf, -math.inf], [math.nan] * 2)[kind]
+    past = np.arange(1100) >= lengths[:, None]
+    values[past] = rng.choice([math.nan, math.inf, -math.inf, 1e300], np.count_nonzero(past))
+    with np.errstate(invalid="ignore", over="ignore"):
+        sums = distributions._ragged_sums(values, lengths)
+        expected = [float.hex(float(np.sum(row[:n]))) for row, n in zip(values, lengths.tolist())]
+    assert [float.hex(float(s)) for s in sums] == expected
+
+
+def test_ragged_sums_equal_numpys_sums_at_every_length():
+    check_ragged_sums(np.random.default_rng(0))
+
+
 @given(st.integers(0, 2**32 - 1), st.sampled_from([L1, KL]), st.integers(2, 5), st.integers(2, 64))
 @example(0, L1, 2, 2)
 @example(1, KL, 2, 2)
 @settings(max_examples=150, deadline=None)
 def test_sweep_instance_and_report_equal_the_public_composition(seed, metric, k_max, m_max):
-    """One sweep instance, drawn first and computed as a block, is the instance the public
-    generators build class by class from the same seed, and leaves the generator where they
-    do; its check gives the public check's report, field by field in float.hex."""
+    """Three sweep instances, drawn first and computed in blocks of one or two (the budget of two instances of two
+    classes), are the instances the public generators build class by class from the same seed, one after another,
+    and leave the generator where they do; each block verdict has the public check's report, field by field in
+    float.hex, and under log loss the gap of the public identity's two sides."""
     rng = np.random.default_rng(seed)
-    priors, masses, divergences, cost = next(_random_instances(rng, 1, k_max, m_max, metric))
+    with mock.patch.object(bounds, "_BLOCK_BYTES", 2 * (bounds._ROW_COPIES * 8 * 2 * m_max + bounds._INSTANCE_BYTES)):
+        swept = list(_theorem_sweep(rng, 3, k_max, m_max, metric))
     ref = np.random.default_rng(seed)
-    k, m = int(ref.integers(2, k_max + 1)), int(ref.integers(2, m_max + 1))
-    source = random_source(ref, k, m)
-    if metric == L1:
-        est = tuple(random_l1_perturbation(d, float(ref.uniform(0.0, 2.0)), ref) for d in source.class_dists)
-        ref_cost = random_cost(ref, k)
-    else:
-        est = tuple(support_safe_perturbation(d, float(ref.uniform(0.0, 1.5)), ref) for d in source.class_dists)
+    for (priors, masses, _, cost), (report, gap, ok) in swept:
+        k, m = int(ref.integers(2, k_max + 1)), int(ref.integers(2, m_max + 1))
+        source = random_source(ref, k, m)
+        if metric == L1:
+            est = tuple(random_l1_perturbation(d, float(ref.uniform(0.0, 2.0)), ref) for d in source.class_dists)
+            ref_cost = random_cost(ref, k)
+            public, ref_gap = check_theorem1(source, est, ref_cost), None
+            assert cost.costs.tobytes() == ref_cost.costs.tobytes()
+        else:
+            est = tuple(support_safe_perturbation(d, float(ref.uniform(0.0, 1.5)), ref) for d in source.class_dists)
+            public, (lhs, rhs) = check_theorem2(source, est), excess_logloss_identity(source, est)
+            ref_gap = abs(lhs - rhs)
+            assert report.excess.hex() == lhs.hex()
+        assert priors.tobytes() == source.priors.tobytes()
+        assert masses.tobytes() == _as_arrays(source, est, metric)[1].tobytes()
+        assert _hex_verdict((report, gap, ok)) == _hex_verdict((public, ref_gap, ok))
+        assert ok == (public.satisfied and (ref_gap is None or ref_gap <= BOUND_TOL))
     assert rng.random() == ref.random()
-    assert priors.tobytes() == source.priors.tobytes()
-    assert masses.tobytes() == _as_arrays(source, est, metric)[1].tobytes()
-    if metric == L1:
-        assert cost.costs.tobytes() == ref_cost.costs.tobytes()
-        assert _hex_fields(_check(priors, masses, divergences, cost)[0]) == _hex_fields(check_theorem1(source, est, ref_cost))
-    else:
-        report, rhs = _check(priors, masses, divergences, None)
-        assert _hex_fields(report) == _hex_fields(check_theorem2(source, est))
-        lhs, ref_rhs = excess_logloss_identity(source, est)
-        assert (report.excess.hex(), rhs.hex()) == (lhs.hex(), ref_rhs.hex())
 
 
 class _Normals:
@@ -246,21 +285,27 @@ def _reference_sweep(rng: np.random.Generator, n: int, k_max: int, m_max: int, m
 @pytest.mark.parametrize("k_max, m_max", [(2, 2), (5, 64)])
 @pytest.mark.parametrize("n, per_block", [(1, None), (2, None), (200, None), (200, 7)])
 def test_sweep_blocks_equal_an_independent_reference(monkeypatch, metric, k_max, m_max, n, per_block):
-    """The block generator's instances, drawn a block at a time and computed once per domain size,
-    equal the plain per-instance reference in float.hex, and leave the generator where it does;
-    ``per_block`` cuts the blocks small so instances straddle them."""
+    """The block generator's instances, drawn a block at a time and computed once per block on padded
+    rows, equal the plain per-instance reference in float.hex, and leave the generator where it does;
+    each block verdict equals, field by field, the one-instance verdict of the reference's instance.
+    ``per_block`` cuts the blocks small (that many instances of ``k_max`` classes) so instances straddle them."""
     if per_block is not None:
-        monkeypatch.setattr(bounds, "_BLOCK_BYTES", per_block * (8 * k_max * m_max + bounds._INSTANCE_BYTES))
+        charge = bounds._ROW_COPIES * 8 * k_max * m_max + bounds._INSTANCE_BYTES
+        monkeypatch.setattr(bounds, "_BLOCK_BYTES", per_block * charge)
     rng, ref = np.random.default_rng([n, k_max]), np.random.default_rng([n, k_max])
-    instances = list(_random_instances(rng, n, k_max, m_max, metric))
-    assert len(instances) == n
-    for (priors, masses, divergences, cost), expected in zip(instances, _reference_sweep(ref, n, k_max, m_max, metric)):
+    swept = list(_theorem_sweep(rng, n, k_max, m_max, metric))
+    assert len(swept) == n
+    for ((priors, masses, divergences, cost), verdict), expected in zip(swept, _reference_sweep(ref, n, k_max, m_max,
+                                                                                             metric)):
         assert masses.shape == expected[1].shape
         assert _hex_rows(priors) == _hex_rows(expected[0])
         assert _hex_rows(masses.reshape(-1, masses.shape[2])) == _hex_rows(expected[1].reshape(-1, masses.shape[2]))
         assert _hex_rows(divergences) == _hex_rows(expected[2])
         assert (cost is None) == (expected[3] is None)
         assert cost is None or _hex_rows(cost.costs) == _hex_rows(expected[3])
+        ref_cost = None if expected[3] is None else CostMatrix(expected[3])
+        own = _verdict(expected[0], expected[1], np.array(expected[2]), ref_cost)
+        assert _hex_verdict(verdict) == _hex_verdict(own)
     assert rng.random() == ref.random()
 
 
