@@ -16,12 +16,10 @@ Checkers invert the hypothesis: the effective ``eps`` is
 hypothesis holds, which makes every check as strict as possible. An
 infinite per-class KL gives an infinite bound (vacuous hypothesis,
 trivially satisfied) so randomized sweeps stay total. A sweep makes its
-instances in blocks: every draw first, then each row kernel once per block,
-on the block's class rows zero-padded to one width, each cut at its length
-(``distributions._ragged_sums``). Every risk, in the checks, the sweeps, the
-PAC trial and the tightness search, is ``_plugin_risk`` on raw ``(k, m)``
-masses, a stack of them at once; the optimal risk is that scorer on the true
-classes, and a check scores both predictors of its instances together.
+instances in blocks: every draw first, then each row kernel once per block, on
+its class rows zero-padded to one width and cut at their lengths. Every risk,
+in the checks, the PAC trial and the tightness search, is ``_plugin_risk`` on
+raw ``(k, m)`` masses, stacked; the optimal risk is that scorer on the true classes.
 Every verdict "value <= bound" is decided by ``_within``, the one place
 ``BOUND_TOL`` is read.
 
@@ -54,9 +52,8 @@ EXACT_TOL = 1e-12
 L1 = "L1"
 KL = "KL"
 
-# Bytes one block of sweep instances may hold, each charged _ROW_COPIES of its class rows at their widest (the
-# padded arrays of generation and scoring alive at once: 8.6 at k <= 5, m <= 64, 13.9 when every instance shares
-# one class count, by tracemalloc) plus _INSTANCE_BYTES for its draws and objects.
+# Bytes one block of sweep instances may hold, each charged _ROW_COPIES of its class rows at m_max atoms (by
+# tracemalloc, 8.6 at k <= 5, m <= 64, and 13.9 if every instance has k = 2) plus _INSTANCE_BYTES for the rest.
 _BLOCK_BYTES = 1 << 20
 _ROW_COPIES, _INSTANCE_BYTES = 14, 2048
 
@@ -139,8 +136,7 @@ def _bound(epsilon: float, k: int, cost: Optional[CostLike]) -> float:
 
 
 def _divergences(true: np.ndarray, est: np.ndarray, metric: str, lengths=None) -> np.ndarray:
-    """Each row's L1 distance (``L1``) or KL (``KL``, inf off the estimate's support), of ``(n, m)`` masses, each
-    row cut at its entry of ``lengths`` (whole if ``None``) and zero past it."""
+    """Each row's L1 (``L1``) or KL (``KL``, inf off the estimate's support) of ``(n, m)`` masses cut at ``lengths``."""
     return _l1_distance(true, est, lengths=lengths) if metric == L1 else _kl_on_support(true, est, true > 0.0)
 
 
@@ -159,11 +155,9 @@ def _as_arrays(true_source: LabeledSource, est_dists: Sequence[Distribution], me
 
 def _plugin_risk(weighted, scored, costs, ws=None, lengths=None) -> np.ndarray:
     """Risks, on true classes of weighted masses ``weighted``, of the Bayes classifiers under the cost arrays
-    ``costs`` (the posterior rules under log loss if ``costs is None``) built from the weighted masses ``scored``
-    (estimates times the true priors): one per ``(k, m)`` instance of the ``(..., k, m)`` ``scored``, to which
-    ``weighted`` and ``costs`` ``(..., k, k)`` broadcast, its rows cut at its entry of ``lengths`` (whole if
-    ``None``) and zero past it. The workspace ``ws`` (scores, labels, float row, bool row) is allocated if not given;
-    the float row is the label scan's integer row."""
+    ``costs`` (posterior rules if ``None``) of the weighted estimates ``scored``: one per ``(k, m)`` instance of the
+    stacked ``scored``, to which ``weighted`` and ``costs`` broadcast, its rows cut at ``lengths`` (whole if
+    ``None``). ``ws`` is a :func:`_workspace` of ``scored``'s shape, allocated if not given."""
     scores, labels, row, mask = ws or _workspace(*scored.shape)
     if costs is None:
         _posterior(scored, scores, row, mask)
@@ -171,9 +165,7 @@ def _plugin_risk(weighted, scored, costs, ws=None, lengths=None) -> np.ndarray:
     return _cost_risk(costs, _bayes_labels(costs, scored, scores, labels, row.view(np.intp)), weighted, scores, lengths)
 
 
-def _theorem_report(
-    priors: np.ndarray, cost: Optional[CostLike], divergences, risk_opt: float, risk_plugin: float
-) -> BoundReport:
+def _theorem_report(priors, cost: Optional[CostLike], divergences, risk_opt: float, risk_plugin: float) -> BoundReport:
     """The cost-loss bound's report from per-class L1 distances, or with
     ``cost is None`` the log-loss bound's report from per-class KLs."""
     eps = float((priors * divergences).max())
@@ -184,15 +176,12 @@ def _theorem_report(
 
 
 def _checks(priors, masses, divergences, costs, ks, lengths=None, identity=True) -> list:
-    """Each instance's bound report under its cost in ``costs`` (log loss if ``None``) and, under log loss with
-    every per-class KL finite (and ``identity``), the identity's ``rhs`` from the same KLs (``None`` otherwise):
-    ``(report, rhs)`` for instances whose rows run one after another in ``priors``, ``divergences`` and the
-    ``(2, rows, width)`` ``masses`` (true classes, then estimates), ascending by class count ``ks``, each cut at
-    its entry of ``lengths`` (whole if ``None``) and zero past it. The optimal and plug-in predictors of the
-    instances of one class count are scored together, and the mixture KLs of all at once."""
+    """``(report, rhs)`` of each instance under its cost in ``costs`` (log loss if ``None``), ``rhs`` the identity's
+    from the same KLs under log loss (if ``identity`` and every KL is finite, else ``None``); the instances' rows run
+    in turn, by class count ``ks``, through ``priors``, ``divergences`` and the ``(2, rows, width)`` ``masses`` (true
+    classes, then estimates), cut at ``lengths``. Both predictors of one class count are scored together."""
     risks, mixtures, first, row = [], [], 0, 0
-    for k, run in groupby(ks):
-        count = len(list(run))
+    for k, count in [(k, len(list(run))) for k, run in groupby(ks)]:
         rows, run = slice(row, row + count * k), slice(first, first + count)
         scored = (masses[:, rows] * priors[rows, None]).reshape(2, count, k, -1)
         group = None if costs[0] is None else np.array([as_cost_array(c, k) for c in costs[run]])
@@ -225,17 +214,11 @@ def _mixture_kl(mixtures, lengths=None) -> np.ndarray:
     return _kl_on_support(p, q, p > 0.0)
 
 
-def _gate(report: BoundReport, rhs: Optional[float]) -> tuple[BoundReport, Optional[float], bool]:
-    """A check's verdict, as the sweeps, replays and ``lower-bounds`` decide it: ``(report, identity_gap, ok)``,
-    ``identity_gap`` being ``|excess - rhs|`` where there is an ``rhs`` (``None`` otherwise); ``ok`` needs the bound
-    satisfied and any gap within the gate."""
+def _verdict(report: BoundReport, rhs: Optional[float]) -> tuple[BoundReport, Optional[float], bool]:
+    """A check's verdict, as the sweeps, replays and ``lower-bounds`` decide it: ``(report, |excess - rhs|, ok)``
+    (the gap ``None`` without ``rhs``), ``ok`` needing the bound satisfied and any gap within the gate."""
     gap = None if rhs is None else abs(report.excess - rhs)
     return report, gap, report.satisfied and (gap is None or _within(gap, 0.0))
-
-
-def _verdict(priors, masses, divergences, cost) -> tuple[BoundReport, Optional[float], bool]:
-    """One instance's :func:`_gate` for :func:`_check`'s arguments."""
-    return _gate(*_check(priors, masses, divergences, cost))
 
 
 def check_theorem1(
@@ -335,8 +318,8 @@ def _into_budget(metric: str, true: np.ndarray, est: np.ndarray, limits: np.ndar
     """Pull each row ``q`` of the ``(n, m)`` unit masses ``est`` whose :func:`_divergences` from its row ``p``
     of ``true`` is over its entry of ``limits`` back toward ``p``, in place and at unit mass: under L1 to
     ``p + t * (q - p)``, ``t`` the limit over the distance (non-negative in floats: rounding is monotone, so
-    q - p >= -p, t * (q - p) >= -p, sum >= 0), rows cut at ``lengths`` as :func:`_divergences` cuts them; under KL
-    to ``(1 - t) * p + t * q``, ``t`` bisected in 50 steps, on whole rows."""
+    q - p >= -p, t * (q - p) >= -p, sum >= 0), rows cut at ``lengths``; under KL to ``(1 - t) * p + t * q``, ``t``
+    bisected in 50 steps, on whole rows."""
     divergences = _divergences(true, est, metric, lengths)
     over = np.flatnonzero(divergences > limits)
     if metric == KL:
@@ -351,9 +334,8 @@ def _into_budget(metric: str, true: np.ndarray, est: np.ndarray, limits: np.ndar
             t = _bisect(fits, 1.0, 50)
             est[i] = _exact_unit_mass((1.0 - t) * p + t * q)
     elif len(over):
-        p = true[over]
-        blend = p + (limits[over] / divergences[over])[:, None] * (est[over] - p)
-        est[over] = _exact_unit_mass(blend, None if lengths is None else lengths[over])
+        p, cut = true[over], None if lengths is None else lengths[over]
+        est[over] = _exact_unit_mass(p + (limits[over] / divergences[over])[:, None] * (est[over] - p), cut)
     return est
 
 
@@ -365,8 +347,7 @@ def _draw_noise(rng: np.random.Generator, budget: float, row: np.ndarray) -> Non
 
 def _perturb_rows(true: np.ndarray, budgets: np.ndarray, noise: np.ndarray, lengths=None) -> np.ndarray:
     """:func:`random_l1_perturbation` of each row of the ``(n, m)`` unit masses ``true`` at its budget, on its row
-    of normal ``noise`` (zeros if not drawn; centred in place), each cut at its entry of ``lengths`` (whole if
-    ``None``) and zero past it."""
+    of normal ``noise`` (zeros if not drawn; centred in place), rows cut at ``lengths`` (whole if ``None``)."""
     on = 1.0 if lengths is None else np.arange(true.shape[1]) < lengths[:, None]  # keeps the zeros past the cut
     noise -= (_ragged_sums(noise, lengths) / (true.shape[1] if lengths is None else lengths))[:, None] * on
     norms = _ragged_sums(np.abs(noise), lengths)
@@ -383,8 +364,7 @@ def _perturb_rows(true: np.ndarray, budgets: np.ndarray, noise: np.ndarray, leng
 
 
 def _floor_rows(rough: np.ndarray, lams: np.ndarray, lengths=None) -> np.ndarray:
-    """:func:`support_safe_perturbation`'s mix of each row of ``rough`` with uniform at ``lams``, rows cut at
-    ``lengths`` as :func:`_perturb_rows` cuts them."""
+    """:func:`support_safe_perturbation`'s mix of each row of ``rough`` with uniform at ``lams``, cut at ``lengths``."""
     on = 1.0 if lengths is None else np.arange(rough.shape[1]) < lengths[:, None]
     floor = (lams / (rough.shape[1] if lengths is None else lengths))[:, None] * on
     return _exact_unit_mass((1.0 - lams)[:, None] * rough + floor, lengths)
@@ -404,9 +384,8 @@ def _draw_moves(rng: np.random.Generator, k: int, m: int, metric: str, budget):
 
 
 def _moved(true: np.ndarray, metric: str, budgets, noise, lams, lengths=None) -> np.ndarray:
-    """The estimates of the ``(k, m)`` unit masses ``true`` on :func:`_draw_moves`' draws: each row
-    perturbed within its L1 budget and, under KL, mixed with uniform to full support; rows cut at
-    ``lengths`` as :func:`_perturb_rows` cuts them."""
+    """The estimates of the ``(k, m)`` unit masses ``true`` (cut at ``lengths``) on :func:`_draw_moves`' draws: each
+    row perturbed within its L1 budget and, under KL, mixed with uniform to full support."""
     est = _perturb_rows(true, budgets, noise, lengths)
     return _floor_rows(est, lams, lengths) if metric == KL else est
 
@@ -478,19 +457,12 @@ def random_cost(rng: np.random.Generator, k: int) -> CostMatrix:
     return _trusted(CostMatrix, costs=c)  # unchecked: valid by construction, and a sweep makes one per instance
 
 
-def _random_instances(rng: np.random.Generator, n: int, k_max: int, m_max: int, metric: str):
-    """:func:`_theorem_sweep`'s instances, without their verdicts."""
-    return (instance for instance, _ in _theorem_sweep(rng, n, k_max, m_max, metric))
-
-
 def _theorem_sweep(rng: np.random.Generator, n: int, k_max: int, m_max: int, metric: str):
-    """The metric's sweep of ``n`` instances in trial order, each an ``(instance, verdict)`` pair: the instance as
-    :func:`_as_arrays` gives it plus its cost (``None`` under KL), and its :func:`_gate`; its sizes checked at the
-    call. A block of instances, as many as ``_BLOCK_BYTES`` holds (each charged as the comment there says, at
-    ``m_max`` atoms), makes every draw first, in the public generators' order (k, m, source, :func:`_draw_moves` at
-    a uniform budget, under L1 the cost). Its class rows, by class count and zero-padded to the widest, then go
-    through each row kernel once, each cut at its instance's atom count, and are checked at once (:func:`_checks`);
-    every row keeps the bits its instance's own arrays give it."""
+    """The metric's sweep of ``n`` instances in trial order, each its :func:`_as_arrays` arrays and cost (``None``
+    under KL) with its :func:`_verdict`; sizes checked at the call. A block, as many instances as ``_BLOCK_BYTES``
+    holds, makes every draw first, in the public generators' order (k, m, source, :func:`_draw_moves` at a uniform
+    budget, under L1 the cost); its class rows, by class count, zero-padded and cut at their lengths, then go
+    through each row kernel and :func:`_checks` once, and keep the bits their instances' own arrays give them."""
     if k_max < 2 or m_max < 2:
         raise ValueError("k_max and m_max must be at least 2")
     budget = partial(rng.uniform, 0.0, 2.0 if metric == L1 else 1.5)
@@ -519,7 +491,7 @@ def _theorem_sweep(rng: np.random.Generator, n: int, k_max: int, m_max: int, met
             checks = _checks(np.concatenate(priors), masses, divergences, costs, ks, ms)
             for j in np.argsort(order).tolist():
                 rows = slice(ends[j] - ks[j], ends[j])
-                yield (priors[j], masses[:, rows, : ms[j]], divergences[rows], costs[j]), _gate(*checks[j])
+                yield (priors[j], masses[:, rows, : ms[j]], divergences[rows], costs[j]), _verdict(*checks[j])
 
     return blocks()
 
@@ -527,14 +499,14 @@ def _theorem_sweep(rng: np.random.Generator, n: int, k_max: int, m_max: int, met
 def random_theorem1_instance(
     rng: np.random.Generator, k_max: int = 5, m_max: int = 64
 ) -> tuple[LabeledSource, tuple[Distribution, ...], CostMatrix]:
-    priors, masses, _, cost = next(_random_instances(rng, 1, k_max, m_max, L1))
+    (priors, masses, _, cost), _ = next(_theorem_sweep(rng, 1, k_max, m_max, L1))
     return (*_as_objects(priors, masses), cost)
 
 
 def random_theorem2_instance(
     rng: np.random.Generator, k_max: int = 5, m_max: int = 64
 ) -> tuple[LabeledSource, tuple[Distribution, ...]]:
-    return _as_objects(*next(_random_instances(rng, 1, k_max, m_max, KL))[:2])
+    return _as_objects(*next(_theorem_sweep(rng, 1, k_max, m_max, KL))[0][:2])
 
 
 # ---------------------------------------------------------------------------

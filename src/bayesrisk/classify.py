@@ -214,15 +214,12 @@ def _workspace(*shape: int, row=None) -> tuple[np.ndarray, ...]:
 
 
 def _bayes_labels(costs, weighted, scores, labels, less) -> np.ndarray:
-    """The Bayes labels of the ``(..., k, m)`` weighted masses under the ``(..., k, k)`` costs, one product a stack,
-    written into ``labels`` via the buffers ``scores`` (``None`` for a batch's few columns: :func:`_gathered_scores`
-    multiplies them) and ``less`` ``(..., m)``, integers. Ties go to the smallest label: an atom moves to label j
-    only where j scores strictly less than row 0's minimum, and every label is below j then, so the move is the
-    branch-free ``max(labels, j * less)``, with no temporary."""
-    if scores is None:
-        scores = _gathered_scores(costs, weighted)
-    else:
-        np.matmul(np.swapaxes(costs, -1, -2), weighted, out=scores)
+    """The Bayes labels of the ``(..., k, m)`` weighted masses under the ``(..., k, k)`` costs, written into ``labels``
+    via the buffers ``scores`` (``None`` for a batch's few columns: :func:`_gathered_scores` multiplies them) and
+    ``less`` ``(..., m)``, integers. Ties go to the smallest label: an atom moves to label j only where j scores
+    strictly less than row 0's minimum, and every label is below j then, so the move is ``max(labels, j * less)``."""
+    scores = _gathered_scores(costs, weighted) if scores is None else np.matmul(
+        costs.swapaxes(-1, -2), weighted, out=scores)
     labels.fill(0)
     for j in range(1, scores.shape[-2]):
         np.less(scores[..., j, :], scores[..., 0, :], out=less)
@@ -250,11 +247,10 @@ def risk(f: Classifier, source: LabeledSource, cost: CostLike) -> float:
 
 
 def _cost_risk(costs, labels, weighted, out=None, lengths=None) -> np.ndarray:
-    """:func:`risk` of labels in ``[0, k)`` on ``(k, m)`` weighted masses, one per instance of the ``(..., k, m)``
-    ``weighted`` (``costs`` ``(..., k, k)`` and ``labels`` ``(..., m)`` broadcast to it): the sum of ``costs[i,
-    label] * weighted[i, x]`` over the flattened instance, its rows cut at its entry of ``lengths`` (whole if
-    ``None``), one run of :func:`_run_sums`. The entries are written into ``out`` (a stack's must be given, and its
-    labels become flat indices into the costs, one take a class)."""
+    """:func:`risk` of labels in ``[0, k)``, one per instance of the ``(..., k, m)`` weighted masses (``costs`` and
+    ``labels`` broadcast to them): the sum of ``costs[i, label] * weighted[i, x]`` over the flattened instance, its
+    rows cut at ``lengths`` (whole if ``None``). The terms are written into ``out``, which a stack must give: its
+    labels then become flat indices into the costs in place, one take a class."""
     if labels.ndim == 1:
         weighted_costs = costs.take(labels, axis=1, out=out, mode="clip")  # "clip" fills out directly
     else:
@@ -363,11 +359,10 @@ def logloss_risk(rule: StochasticRule, source: LabeledSource) -> float:
 
 
 def _logloss_risk(table, weighted) -> np.ndarray:
-    """:func:`logloss_risk` of ``(k, m)`` rule tables on ``(k, m)`` weighted masses, one per instance of the
-    ``(..., k, m)`` ``table`` (``weighted`` broadcast to it; zero where an instance is padded). Both are gathered
-    where the weights are positive, atom by atom, as a ``StochasticRule`` lays out its table, so the sum's order,
-    and its bits, do not depend on ``table``'s layout; an instance's terms are one run of :func:`_run_sums`. A zero
-    of the rule there makes a term, and so the risk, infinite."""
+    """:func:`logloss_risk` of ``(k, m)`` rule tables on weighted masses, one per instance of the ``(..., k, m)``
+    ``table`` (``weighted`` broadcast to it, zero where padded). Both are gathered where the weights are positive,
+    atom by atom, as a ``StochasticRule`` lays out its table, so the sum's order, and its bits, do not depend on
+    ``table``'s layout; a zero of the rule there makes a term, and the risk, infinite."""
     weighted, table = np.swapaxes(weighted, -1, -2), np.swapaxes(table, -1, -2)
     on = weighted > 0.0
     terms, weights = table[np.broadcast_to(on, table.shape)], weighted[on]

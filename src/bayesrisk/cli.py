@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .bounds import EXACT_TOL, KL, L1, PerturbationBudget, _check_search, tightness_search
-from .bounds import _as_arrays, _as_objects, _divergences, _theorem_sweep, _two_atom_masses, _verdict, _within
+from .bounds import _as_arrays, _as_objects, _check, _divergences, _theorem_sweep, _two_atom_masses, _verdict, _within
 from .classify import CostMatrix, LabeledSource, as_cost_array
 from .distributions import Distribution, Domain, QuantizedClassSpec, _json_float
 from .pdfa import Pdfa
@@ -129,7 +129,7 @@ def _read_input(path, parse):
 
 
 def _instance_from_payload(data: dict, metric: str):
-    """Inverse of :func:`_instance_payload` for an instance of ``metric``, validated: ``bounds._verdict``'s
+    """Inverse of :func:`_instance_payload` for an instance of ``metric``, validated: ``bounds._check``'s
     ``(priors, masses, divergences, cost)``, ``cost`` None under KL."""
     source = LabeledSource.from_dict(data["source"])
     arrays = _as_arrays(source, (Distribution.from_dict(d) for d in data["estimates"]), metric)
@@ -172,7 +172,8 @@ def cmd_verify(args) -> int:
     in blocks by ``bounds._theorem_sweep`` and written in trial order; or ``--replay`` of one instance."""
     metric = L1 if args.command == "verify-theorem1" else KL
     if args.replay:
-        report, gap, ok = _verdict(*_read_input(args.replay, lambda data: _instance_from_payload(data, metric)))
+        instance = _read_input(args.replay, lambda data: _instance_from_payload(data, metric))
+        report, gap, ok = _verdict(*_check(*instance))
         shown = report.to_dict() if gap is None else {**report.to_dict(), "identity_gap": gap}
         print(json.dumps(shown, indent=2))
         return EXIT_OK if ok else EXIT_VIOLATION
@@ -208,8 +209,8 @@ def cmd_lower_bounds(args) -> int:
     for gamma, (priors, masses) in zip(gammas, instances):
         # One instance under both losses: the scorer copies what it weights, so one masses array serves both.
         l1s, kls = _divergences(*masses, L1), _divergences(*masses, KL)
-        t1, _, t1_ok = _verdict(priors, masses, l1s, cost)
-        t2, gap, t2_ok = _verdict(priors, masses, kls, None)
+        t1, _, t1_ok = _verdict(*_check(priors, masses, l1s, cost))
+        t2, gap, t2_ok = _verdict(*_check(priors, masses, kls, None))
         per_l1, per_kl = float(l1s[0]), float(kls[0])
         slack_gap = abs(t1.slack - 2.0 * gamma * cost.max_cost)
         # The printed closed forms 1/2 +- eps_prime need a strict tilt

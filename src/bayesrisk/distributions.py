@@ -327,9 +327,9 @@ def make_distribution(domain: Domain, weights: Sequence[float]) -> Distribution:
 
 
 def _unit_rows(weights: np.ndarray, lengths=None) -> np.ndarray:
-    """Each row of the ``(n, m)`` weights (cut at ``lengths`` as :func:`_exact_unit_mass` cuts them) over its sum,
-    fresh and made unit by :func:`_exact_unit_mass`: the one weight normalizer, checked in one fused pass and
-    raising :func:`make_distribution`'s messages."""
+    """Each row of the ``(n, m)`` weights over its sum (cut at ``lengths``), fresh and made unit by
+    :func:`_exact_unit_mass`: the one weight normalizer, checked in one fused pass, with the messages of
+    :func:`make_distribution`."""
     with np.errstate(over="ignore"):
         totals = _ragged_sums(weights, lengths)
     if not (weights.min() >= 0.0 and all(0.0 < total < math.inf for total in totals.tolist())):
@@ -356,8 +356,7 @@ def l1_distance(p: Distribution, q: Distribution) -> float:
 
 
 def _l1_distance(p: np.ndarray, q: np.ndarray, out=None, lengths=None):
-    """:func:`l1_distance` of the masses ``p`` and ``q``; of ``(n, m)`` masses, row by row, each cut at its entry
-    of ``lengths`` (whole if ``None``)."""
+    """:func:`l1_distance` of the masses ``p`` and ``q``; of ``(n, m)`` masses, row by row, cut at ``lengths``."""
     diff = np.subtract(p, q, out=out)
     np.abs(diff, out=diff)
     l1 = diff.sum(axis=-1) if lengths is None else _ragged_sums(diff, lengths)

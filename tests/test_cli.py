@@ -378,7 +378,7 @@ class TestVerifyCommands:
         gives the report and gap its block gave it."""
         import numpy as np
 
-        from bayesrisk.bounds import _as_objects, _theorem_sweep, _verdict
+        from bayesrisk.bounds import _as_objects, _check, _theorem_sweep, _verdict
         from bayesrisk.cli import _instance_from_payload, _instance_payload
 
         def hexed(report, gap):
@@ -390,7 +390,7 @@ class TestVerifyCommands:
             payload = json.loads(json.dumps(_instance_payload(*_as_objects(priors, masses), cost, metric)))
             replayed = _instance_from_payload(payload, metric)
             assert replayed[1].tobytes() == masses.tobytes() and replayed[0].tobytes() == priors.tobytes()
-            again, again_gap, again_ok = _verdict(*replayed)
+            again, again_gap, again_ok = _verdict(*_check(*replayed))
             assert (hexed(again, again_gap), again_ok) == (hexed(report, gap), ok)
 
     def test_replay_of_infinite_kl_instance_is_vacuously_satisfied(self, tmp_path, capsys):

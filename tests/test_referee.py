@@ -49,7 +49,7 @@ def test_the_referee_can_fail(gamma, scale):
 def test_random_sweep_verdicts_equal_the_exact_ones():
     checked = 0
     for scale in SCALES:
-        for priors, masses, _, cost in bounds._random_instances(np.random.default_rng(0), 50, 5, 64, bounds.L1):
+        for (priors, masses, _, cost), _ in bounds._theorem_sweep(np.random.default_rng(0), 50, 5, 64, bounds.L1):
             costs = cost.costs * scale
             excess, bound, _ = referee.theorem1(priors, *masses, costs)
             assert float_report(priors, masses, costs).satisfied == (referee.verdict(excess, bound) == "satisfied")
@@ -77,7 +77,7 @@ def test_log_loss_construction_has_zero_slack_and_half_its_bound_fails(gamma):
 def test_random_log_loss_verdicts_and_identity_equal_the_referee():
     """Every decided verdict is the float one, and the identity's right-hand side is the exact excess."""
     decided = 0
-    for priors, masses, _, _ in bounds._random_instances(np.random.default_rng(0), 50, 5, 64, bounds.KL):
+    for (priors, masses, _, _), _ in bounds._theorem_sweep(np.random.default_rng(0), 50, 5, 64, bounds.KL):
         excess, bound, radius = referee.theorem2(priors, *masses)
         source, est = bounds._as_objects(priors, masses.copy())
         exact = referee.verdict(excess, bound, radius)

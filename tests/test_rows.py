@@ -32,6 +32,7 @@ from bayesrisk.bounds import (
     _moved,
     _perturb_rows,
     _theorem_sweep,
+    _check,
     _verdict,
     check_theorem1,
     check_theorem2,
@@ -304,7 +305,7 @@ def test_sweep_blocks_equal_an_independent_reference(monkeypatch, metric, k_max,
         assert (cost is None) == (expected[3] is None)
         assert cost is None or _hex_rows(cost.costs) == _hex_rows(expected[3])
         ref_cost = None if expected[3] is None else CostMatrix(expected[3])
-        own = _verdict(expected[0], expected[1], np.array(expected[2]), ref_cost)
+        own = _verdict(*_check(expected[0], expected[1], np.array(expected[2]), ref_cost))
         assert _hex_verdict(verdict) == _hex_verdict(own)
     assert rng.random() == ref.random()
 
