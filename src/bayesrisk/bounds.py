@@ -52,10 +52,10 @@ EXACT_TOL = 1e-12
 L1 = "L1"
 KL = "KL"
 
-# Bytes one block of sweep instances may hold, each charged _ROW_COPIES of its class rows at m_max atoms (by
-# tracemalloc, 8.6 at k <= 5, m <= 64, and 13.9 if every instance has k = 2) plus _INSTANCE_BYTES for the rest.
+# Bytes one block of sweep instances may hold, each charged _ROW_COPIES of its class rows at m_max atoms plus
+# _INSTANCE_BYTES (by tracemalloc, 8.0-9.3 copies and 2-2.5 KiB at k_max = 2-10, m_max = 2-200).
 _BLOCK_BYTES = 1 << 20
-_ROW_COPIES, _INSTANCE_BYTES = 14, 2048
+_ROW_COPIES, _INSTANCE_BYTES = 10, 2560
 
 
 @dataclass(frozen=True)
@@ -179,9 +179,11 @@ def _checks(priors, masses, divergences, costs, ks, lengths=None, identity=True)
     """``(report, rhs)`` of each instance under its cost in ``costs`` (log loss if ``None``), ``rhs`` the identity's
     from the same KLs under log loss (if ``identity`` and every KL is finite, else ``None``); the instances' rows run
     in turn, by class count ``ks``, through ``priors``, ``divergences`` and the ``(2, rows, width)`` ``masses`` (true
-    classes, then estimates), cut at ``lengths``. Both predictors of one class count are scored together."""
-    risks, mixtures, first, row = [], [], 0, 0
-    for k, count in [(k, len(list(run))) for k, run in groupby(ks)]:
+    classes, then estimates), cut at ``lengths``. Both predictors of one class count are scored together, a quarter
+    of the instances at most at once, so that scoring holds less than generation whatever the class counts."""
+    risks, mixtures, first, row, most = [], [], 0, 0, -(-len(ks) // 4)
+    runs = [(k, len(list(run))) for k, run in groupby(ks)]
+    for k, count in [(k, min(most, n - start)) for k, n in runs for start in range(0, n, most)]:
         rows, run = slice(row, row + count * k), slice(first, first + count)
         scored = (masses[:, rows] * priors[rows, None]).reshape(2, count, k, -1)
         group = None if costs[0] is None else np.array([as_cost_array(c, k) for c in costs[run]])
