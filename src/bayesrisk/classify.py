@@ -243,22 +243,20 @@ def risk(f: Classifier, source: LabeledSource, cost: CostLike) -> float:
     costs = as_cost_array(cost, source.k)
     if (f.labels >= source.k).any():
         raise ValueError("classifier labels exceed the source's class count")
-    return float(_cost_risk(costs, f.labels, source.weighted_mass))
+    return float(_cost_risk(costs, f.labels.copy(), source.weighted_mass))
 
 
 def _cost_risk(costs, labels, weighted, out=None, lengths=None) -> np.ndarray:
     """:func:`risk` of labels in ``[0, k)``, one per instance of the ``(..., k, m)`` weighted masses (``costs`` and
     ``labels`` broadcast to them): the sum of ``costs[i, label] * weighted[i, x]`` over the flattened instance, its
-    rows cut at ``lengths`` (whole if ``None``). The terms are written into ``out``, which a stack must give: its
-    labels then become flat indices into the costs in place, one take a class."""
-    if labels.ndim == 1:
-        weighted_costs = costs.take(labels, axis=1, out=out, mode="clip")  # "clip" fills out directly
-    else:
-        k, weighted_costs = costs.shape[-1], out
-        labels += np.arange(0, costs.size, k * k).reshape(costs.shape[:-2] + (1,))
-        for i in range(k):
-            costs.reshape(-1).take(labels, out=weighted_costs[..., i, :], mode="clip")
-            labels += k
+    rows cut at ``lengths`` (whole if ``None``). The terms are written into ``out`` (allocated if not given), one
+    take a class from the flattened costs, with ``labels`` made flat indices into them in place."""
+    k = costs.shape[-1]
+    weighted_costs = np.empty(labels.shape[:-1] + weighted.shape[-2:]) if out is None else out
+    labels += np.arange(0, costs.size, k * k).reshape(costs.shape[:-2] + (1,))
+    for i in range(k):
+        costs.reshape(-1).take(labels, out=weighted_costs[..., i, :], mode="clip")  # "clip" fills out directly
+        labels += k
     weighted_costs *= weighted
     if lengths is None:
         return weighted_costs.reshape(*weighted_costs.shape[:-2], -1).sum(axis=-1)
