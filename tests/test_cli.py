@@ -302,6 +302,8 @@ class TestVerifyCommands:
             ("blocked", ["--trials", "600"]),
             # Every instance has k = m = 2: one size for the whole run.
             ("smallest", ["--trials", "200", "--k-max", "2", "--m-max", "2"]),
+            # Rows up to 300 atoms: past numpy's 128-entry leaf, where a cut row's sum splits.
+            ("long", ["--trials", "300", "--k-max", "9", "--m-max", "300"]),
         ],
     )
     def test_golden_sweep(self, tmp_path, theorem, name, args):
