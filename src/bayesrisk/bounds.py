@@ -17,7 +17,7 @@ hypothesis holds, which makes every check as strict as possible. An
 infinite per-class KL gives an infinite bound (vacuous hypothesis,
 trivially satisfied) so randomized sweeps stay total. A sweep makes its
 instances in blocks: every draw first, then each row kernel once per block, on
-its class rows zero-padded to one width and cut at their lengths. Every risk,
+its class rows zero-padded to one width and cut by one prefix mask. Every risk,
 in the checks, the PAC trial and the tightness search, is ``_plugin_risk`` on
 raw ``(k, m)`` masses, stacked; the optimal risk is that scorer on the true classes.
 Every verdict "value <= bound" is decided by ``_within``, the one place
@@ -135,9 +135,9 @@ def _bound(epsilon: float, k: int, cost: Optional[CostLike]) -> float:
     return theorem2_bound(epsilon, k) if cost is None else theorem1_bound(epsilon, k, cost)
 
 
-def _divergences(true: np.ndarray, est: np.ndarray, metric: str, lengths=None) -> np.ndarray:
-    """Each row's L1 (``L1``) or KL (``KL``, inf off the estimate's support) of ``(n, m)`` masses cut at ``lengths``."""
-    return _l1_distance(true, est, lengths=lengths) if metric == L1 else _kl_on_support(true, est, true > 0.0)
+def _divergences(true: np.ndarray, est: np.ndarray, metric: str, on=True) -> np.ndarray:
+    """Each row's L1 (``L1``) or KL (``KL``, inf off the estimate's support) of ``(n, m)`` masses on the mask ``on``."""
+    return _l1_distance(true, est, on=on) if metric == L1 else _kl_on_support(true, est, true > 0.0)
 
 
 def _as_arrays(true_source: LabeledSource, est_dists: Sequence[Distribution], metric: str):
@@ -153,16 +153,16 @@ def _as_arrays(true_source: LabeledSource, est_dists: Sequence[Distribution], me
     return true_source.priors, masses, _divergences(*masses, metric)
 
 
-def _plugin_risk(weighted, scored, costs, ws=None, lengths=None) -> np.ndarray:
+def _plugin_risk(weighted, scored, costs, ws=None, on=True) -> np.ndarray:
     """Risks, on true classes of weighted masses ``weighted``, of the Bayes classifiers under the cost arrays
     ``costs`` (posterior rules if ``None``) of the weighted estimates ``scored``: one per ``(k, m)`` instance of the
-    stacked ``scored``, to which ``weighted`` and ``costs`` broadcast, its rows cut at ``lengths`` (whole if
-    ``None``). ``ws`` is a :func:`_workspace` of ``scored``'s shape, allocated if not given."""
+    stacked ``scored``, to which ``weighted``, ``costs`` and the rows' prefix mask ``on`` (``True``: whole rows)
+    broadcast. ``ws`` is a :func:`_workspace` of ``scored``'s shape, allocated if not given."""
     scores, labels, row, mask = ws or _workspace(*scored.shape)
     if costs is None:
         _posterior(scored, scores, row, mask)
         return _logloss_risk(scores, weighted)
-    return _cost_risk(costs, _bayes_labels(costs, scored, scores, labels, row.view(np.intp)), weighted, scores, lengths)
+    return _cost_risk(costs, _bayes_labels(costs, scored, scores, labels, row.view(np.intp)), weighted, scores, on)
 
 
 def _theorem_report(priors, cost: Optional[CostLike], divergences, risk_opt: float, risk_plugin: float) -> BoundReport:
@@ -175,25 +175,25 @@ def _theorem_report(priors, cost: Optional[CostLike], divergences, risk_opt: flo
     return BoundReport(risk_opt, risk_plugin, excess, bound, slack, _within(excess, bound), eps)
 
 
-def _checks(priors, masses, divergences, costs, ks, lengths=None, identity=True) -> list:
+def _checks(priors, masses, divergences, costs, ks, on=True, identity=True) -> list:
     """``(report, rhs)`` of each instance under its cost in ``costs`` (log loss if ``None``), ``rhs`` the identity's
     from the same KLs under log loss (if ``identity`` and every KL is finite, else ``None``); the instances' rows run
     in turn, by class count ``ks``, through ``priors``, ``divergences`` and the ``(2, rows, width)`` ``masses`` (true
-    classes, then estimates), cut at ``lengths``. Both predictors of one class count are scored together, a quarter
-    of the instances at most at once, so that scoring holds less than generation whatever the class counts."""
+    classes, then estimates), on the rows' prefix mask ``on``. Both predictors of one class count are scored together,
+    a quarter of the instances at most at once, so that scoring holds less than generation whatever the class counts."""
     risks, mixtures, first, row, most = [], [], 0, 0, -(-len(ks) // 4)
     runs = [(k, len(list(run))) for k, run in groupby(ks)]
     for k, count in [(k, min(most, n - start)) for k, n in runs for start in range(0, n, most)]:
         rows, run = slice(row, row + count * k), slice(first, first + count)
         scored = (masses[:, rows] * priors[rows, None]).reshape(2, count, k, -1)
         group = None if costs[0] is None else np.array([as_cost_array(c, k) for c in costs[run]])
-        risks.append(_plugin_risk(scored[0], scored, group, lengths=None if lengths is None else lengths[run]))
+        risks.append(_plugin_risk(scored[0], scored, group, on=on if on is True else on[rows].reshape(count, k, -1)))
         if group is None:
             mixtures.append(scored.sum(axis=-2))
         first, row = first + count, row + count * k
     (risk_opt, risk_plugin), kls = np.concatenate(risks, axis=1).tolist(), [None] * len(ks)
     if costs[0] is None and identity:
-        kls = _mixture_kl(np.concatenate(mixtures, axis=1), lengths).tolist()
+        kls = _mixture_kl(np.concatenate(mixtures, axis=1), on if on is True else on[np.cumsum(ks) - ks]).tolist()
     checks, row = [], 0
     for k, cost, opt, plugin, kl in zip(ks, costs, risk_opt, risk_plugin, kls):
         g, d = priors[row : row + k], divergences[row : row + k]
@@ -208,11 +208,11 @@ def _check(priors, masses, divergences, cost, identity=True) -> tuple[BoundRepor
     return _checks(priors, masses, divergences, [cost], [len(priors)], identity=identity)[0]
 
 
-def _mixture_kl(mixtures, lengths=None) -> np.ndarray:
+def _mixture_kl(mixtures, on=True) -> np.ndarray:
     """The identity's KL from each true mixture to its estimated one, the rows of the ``(2, n, m)`` ``mixtures``
-    (the classes' weighted sums), each made unit and cut at its entry of ``lengths`` (whole if ``None``)."""
+    (the classes' weighted sums), each made unit on its row of the ``(n, m)`` prefix mask ``on`` (``True``: whole)."""
     rows = mixtures.reshape(-1, mixtures.shape[-1])
-    p, q = _exact_unit_mass(rows, None if lengths is None else np.tile(lengths, 2)).reshape(mixtures.shape)
+    p, q = _exact_unit_mass(rows, np.broadcast_to(on, mixtures.shape).reshape(rows.shape)).reshape(mixtures.shape)
     return _kl_on_support(p, q, p > 0.0)
 
 
@@ -316,13 +316,13 @@ def _bisect(fits, hi: float, steps: int) -> float:
     return lo
 
 
-def _into_budget(metric: str, true: np.ndarray, est: np.ndarray, limits: np.ndarray, lengths=None) -> np.ndarray:
+def _into_budget(metric: str, true: np.ndarray, est: np.ndarray, limits: np.ndarray, on=True) -> np.ndarray:
     """Pull each row ``q`` of the ``(n, m)`` unit masses ``est`` whose :func:`_divergences` from its row ``p``
     of ``true`` is over its entry of ``limits`` back toward ``p``, in place and at unit mass: under L1 to
     ``p + t * (q - p)``, ``t`` the limit over the distance (non-negative in floats: rounding is monotone, so
-    q - p >= -p, t * (q - p) >= -p, sum >= 0), rows cut at ``lengths``; under KL to ``(1 - t) * p + t * q``, ``t``
-    bisected in 50 steps, on whole rows."""
-    divergences = _divergences(true, est, metric, lengths)
+    q - p >= -p, t * (q - p) >= -p, sum >= 0), rows on the prefix mask ``on``; under KL to ``(1 - t) * p + t * q``,
+    ``t`` bisected in 50 steps, on whole rows."""
+    divergences = _divergences(true, est, metric, on)
     over = np.flatnonzero(divergences > limits)
     if metric == KL:
         for i, limit in zip(over.tolist(), limits[over].tolist()):
@@ -336,7 +336,7 @@ def _into_budget(metric: str, true: np.ndarray, est: np.ndarray, limits: np.ndar
             t = _bisect(fits, 1.0, 50)
             est[i] = _exact_unit_mass((1.0 - t) * p + t * q)
     elif len(over):
-        p, cut = true[over], None if lengths is None else lengths[over]
+        p, cut = true[over], on if on is True else on[over]
         est[over] = _exact_unit_mass(p + (limits[over] / divergences[over])[:, None] * (est[over] - p), cut)
     return est
 
@@ -347,15 +347,15 @@ def _draw_noise(rng: np.random.Generator, budget: float, row: np.ndarray) -> Non
         rng.standard_normal(out=row)
 
 
-def _perturb_rows(true: np.ndarray, budgets: np.ndarray, noise: np.ndarray, lengths=None) -> np.ndarray:
+def _perturb_rows(true: np.ndarray, budgets: np.ndarray, noise: np.ndarray, on=True) -> np.ndarray:
     """:func:`random_l1_perturbation` of each row of the ``(n, m)`` unit masses ``true`` at its budget, on its row
-    of normal ``noise`` (zeros if not drawn; centred in place), rows cut at ``lengths`` (whole if ``None``)."""
-    on = 1.0 if lengths is None else np.arange(true.shape[1]) < lengths[:, None]  # keeps the zeros past the cut
-    noise -= (_ragged_sums(noise, lengths) / (true.shape[1] if lengths is None else lengths))[:, None] * on
-    norms = _ragged_sums(np.abs(noise), lengths)
+    of normal ``noise`` (zeros if not drawn; centred in place), rows on the prefix mask ``on`` (``True``: whole)."""
+    sizes = np.count_nonzero(np.broadcast_to(on, true.shape), axis=1)
+    noise -= (_ragged_sums(noise, on) / sizes)[:, None] * on  # the mask keeps the zeros past the cut
+    norms = _ragged_sums(np.abs(noise), on)
     est, moved = true.copy(), np.flatnonzero(norms)
     if len(moved):  # _unit_rows refuses an empty block
-        t, limits, cut = true[moved], budgets[moved], None if lengths is None else lengths[moved]
+        t, limits, cut = true[moved], budgets[moved], on if on is True else on[moved]
         cand = noise[moved]
         cand *= (limits / norms[moved])[:, None]
         cand += t
@@ -365,11 +365,10 @@ def _perturb_rows(true: np.ndarray, budgets: np.ndarray, noise: np.ndarray, leng
     return est
 
 
-def _floor_rows(rough: np.ndarray, lams: np.ndarray, lengths=None) -> np.ndarray:
-    """:func:`support_safe_perturbation`'s mix of each row of ``rough`` with uniform at ``lams``, cut at ``lengths``."""
-    on = 1.0 if lengths is None else np.arange(rough.shape[1]) < lengths[:, None]
-    floor = (lams / (rough.shape[1] if lengths is None else lengths))[:, None] * on
-    return _exact_unit_mass((1.0 - lams)[:, None] * rough + floor, lengths)
+def _floor_rows(rough: np.ndarray, lams: np.ndarray, on=True) -> np.ndarray:
+    """:func:`support_safe_perturbation`'s mix of each row of ``rough`` with uniform at ``lams``, on the mask ``on``."""
+    floor = (lams / np.count_nonzero(np.broadcast_to(on, rough.shape), axis=1))[:, None] * on
+    return _exact_unit_mass((1.0 - lams)[:, None] * rough + floor, on)
 
 
 def _draw_moves(rng: np.random.Generator, k: int, m: int, metric: str, budget):
@@ -385,11 +384,11 @@ def _draw_moves(rng: np.random.Generator, k: int, m: int, metric: str, budget):
     return budgets, noise, lams
 
 
-def _moved(true: np.ndarray, metric: str, budgets, noise, lams, lengths=None) -> np.ndarray:
-    """The estimates of the ``(k, m)`` unit masses ``true`` (cut at ``lengths``) on :func:`_draw_moves`' draws: each
-    row perturbed within its L1 budget and, under KL, mixed with uniform to full support."""
-    est = _perturb_rows(true, budgets, noise, lengths)
-    return _floor_rows(est, lams, lengths) if metric == KL else est
+def _moved(true: np.ndarray, metric: str, budgets, noise, lams, on=True) -> np.ndarray:
+    """The estimates of the ``(k, m)`` unit masses ``true`` (on the prefix mask ``on``) on :func:`_draw_moves`' draws:
+    each row perturbed within its L1 budget and, under KL, mixed with uniform to full support."""
+    est = _perturb_rows(true, budgets, noise, on)
+    return _floor_rows(est, lams, on) if metric == KL else est
 
 
 def _perturbed(d: Distribution, budget: float, rng: np.random.Generator, metric: str) -> Distribution:
@@ -463,7 +462,7 @@ def _theorem_sweep(rng: np.random.Generator, n: int, k_max: int, m_max: int, met
     """The metric's sweep of ``n`` instances in trial order, each its :func:`_as_arrays` arrays and cost (``None``
     under KL) with its :func:`_verdict`; sizes checked at the call. A block, as many instances as ``_BLOCK_BYTES``
     holds, makes every draw first, in the public generators' order (k, m, source, :func:`_draw_moves` at a uniform
-    budget, under L1 the cost); its class rows, by class count, zero-padded and cut at their lengths, then go
+    budget, under L1 the cost); its class rows, by class count, zero-padded and cut by one prefix mask, then go
     through each row kernel and :func:`_checks` once, and keep the bits their instances' own arrays give them."""
     if k_max < 2 or m_max < 2:
         raise ValueError("k_max and m_max must be at least 2")
@@ -481,16 +480,17 @@ def _theorem_sweep(rng: np.random.Generator, n: int, k_max: int, m_max: int, met
             order = sorted(range(len(drawn)), key=lambda i: len(drawn[i][0]))  # a class count's rows are one slab
             priors, weights, budgets, noise, lams, costs = zip(*(drawn[i] for i in order))
             drawn, held = [], 0  # the next block's
-            ks, ms = [len(g) for g in priors], np.array([w.shape[1] for w in weights])
-            ends, lengths = np.cumsum(ks).tolist(), np.repeat(ms, ks)
-            masses = np.zeros((2, len(lengths), ms.max()))  # the weights and the noise, then the true and moved rows
-            for w, v, end, k, m in zip(weights, noise, ends, ks, ms.tolist()):
+            ks, ms = [len(g) for g in priors], [w.shape[1] for w in weights]
+            ends = np.cumsum(ks).tolist()
+            on = np.arange(max(ms)) < np.repeat(ms, ks)[:, None]  # each class row's prefix: its instance's atoms
+            masses = np.zeros((2, *on.shape))  # the weights and the noise, then the true and moved rows
+            for w, v, end, k, m in zip(weights, noise, ends, ks, ms):
                 masses[0, end - k : end, :m], masses[1, end - k : end, :m] = w, v
             del weights, noise  # held in masses now
-            masses[0] = _unit_rows(masses[0], lengths)
-            masses[1] = _moved(masses[0], metric, np.concatenate(budgets), masses[1], np.concatenate(lams), lengths)
-            divergences = _divergences(*masses, metric, lengths)
-            checks = _checks(np.concatenate(priors), masses, divergences, costs, ks, ms)
+            masses[0] = _unit_rows(masses[0], on)
+            masses[1] = _moved(masses[0], metric, np.concatenate(budgets), masses[1], np.concatenate(lams), on)
+            divergences = _divergences(*masses, metric, on)
+            checks = _checks(np.concatenate(priors), masses, divergences, costs, ks, on)
             for j in np.argsort(order).tolist():
                 rows = slice(ends[j] - ks[j], ends[j])
                 yield (priors[j], masses[:, rows, : ms[j]], divergences[rows], costs[j]), _verdict(*checks[j])

@@ -246,11 +246,11 @@ def risk(f: Classifier, source: LabeledSource, cost: CostLike) -> float:
     return float(_cost_risk(costs, f.labels.copy(), source.weighted_mass))
 
 
-def _cost_risk(costs, labels, weighted, out=None, lengths=None) -> np.ndarray:
+def _cost_risk(costs, labels, weighted, out=None, on=True) -> np.ndarray:
     """:func:`risk` of labels in ``[0, k)``, one per instance of the ``(..., k, m)`` weighted masses (``costs`` and
     ``labels`` broadcast to them): the sum of ``costs[i, label] * weighted[i, x]`` over the flattened instance, its
-    rows cut at ``lengths`` (whole if ``None``). The terms are written into ``out`` (allocated if not given), one
-    take a class from the flattened costs, with ``labels`` made flat indices into them in place."""
+    rows on their prefixes of the mask ``on`` (``True``: whole rows). The terms are written into ``out`` (allocated if
+    not given), one take a class from the flattened costs, with ``labels`` made flat indices into them in place."""
     k = costs.shape[-1]
     weighted_costs = np.empty(labels.shape[:-1] + weighted.shape[-2:]) if out is None else out
     labels += np.arange(0, costs.size, k * k).reshape(costs.shape[:-2] + (1,))
@@ -258,11 +258,10 @@ def _cost_risk(costs, labels, weighted, out=None, lengths=None) -> np.ndarray:
         costs.reshape(-1).take(labels, out=weighted_costs[..., i, :], mode="clip")  # "clip" fills out directly
         labels += k
     weighted_costs *= weighted
-    if lengths is None:
+    if on is True:  # summed in place: a gather would copy every term of a wide PAC trial
         return weighted_costs.reshape(*weighted_costs.shape[:-2], -1).sum(axis=-1)
-    k, width = weighted_costs.shape[-2:]
-    cut = np.broadcast_to(np.arange(width) < lengths[:, None, None], weighted_costs.shape)
-    return _run_sums(weighted_costs[cut], np.broadcast_to(k * lengths, weighted_costs.shape[:-2]))
+    cut = np.broadcast_to(on, weighted_costs.shape)
+    return _run_sums(weighted_costs[cut], np.count_nonzero(cut, axis=(-2, -1)))
 
 
 def _cost_leaves(masses, priors, costs, bayes=True):

@@ -127,13 +127,11 @@ def _pairwise_tree(n: int, built=None):
     return built[n]
 
 
-def _ragged_sums(values: np.ndarray, lengths=None) -> np.ndarray:
-    """numpy's sum of each row of the 2-D ``values`` cut at its entry of ``lengths`` (each whole if ``None``), bit
-    for bit, whatever lies past the cut: a masked reduction hands numpy's summation loop each row's unmasked prefix
-    as one run, which it sums from 0.0 in the pairwise tree of that run's length, as it sums the 1-D prefix."""
-    if lengths is None:
-        return values.sum(axis=1)
-    return values.sum(axis=1, where=np.arange(values.shape[1]) < lengths[:, None])
+def _ragged_sums(values: np.ndarray, on=True) -> np.ndarray:
+    """numpy's sum of each row of the 2-D ``values`` on its prefix of the mask ``on`` (``True``: whole rows), bit for
+    bit, whatever lies past the prefix: a masked reduction hands numpy's summation loop each row's unmasked prefix as
+    one run, which it sums from 0.0 in the pairwise tree of that run's length, as it sums the 1-D prefix."""
+    return values.sum(axis=1, where=on)
 
 
 def _run_sums(flat: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -142,8 +140,8 @@ def _run_sums(flat: np.ndarray, counts: np.ndarray) -> np.ndarray:
     if (counts == counts.flat[0]).all():
         return flat.reshape(*counts.shape, int(counts.flat[0])).sum(axis=-1)
     rows = np.zeros((counts.size, counts.max()))
-    rows[np.arange(rows.shape[1]) < counts.reshape(-1, 1)] = flat
-    return _ragged_sums(rows, counts.reshape(-1)).reshape(counts.shape)
+    rows[on := np.arange(rows.shape[1]) < counts.reshape(-1, 1)] = flat
+    return _ragged_sums(rows, on).reshape(counts.shape)
 
 
 # A sum rebuilt from leaf sums costs about what a full pass over _TREE_ATOMS atoms costs, plus _LEAF_PASSES
@@ -223,9 +221,9 @@ def _patched_sums(n: int, plan, values: np.ndarray, out: np.ndarray, background=
     return _tree_sum(out)
 
 
-def _exact_unit_mass(mass: np.ndarray, lengths=None) -> np.ndarray:
+def _exact_unit_mass(mass: np.ndarray, on=True) -> np.ndarray:
     """Rescale ``mass`` in place so it sums to 1.0 up to at most one ulp: each row of a 2-D
-    ``mass`` on its own, cut at its entry of ``lengths`` (whole if ``None``) and zero past it, a 1-D one being one row.
+    ``mass`` on its own, on its prefix of the mask ``on`` and zero past it, a 1-D one being one row.
 
     Each sum must lie within ``SUM_TOL`` of one. After dividing by it, the float re-sum can miss 1.0
     by a few ulp; folding the residual into the largest entry leaves it at 1.0 or, for about 6.5% of
@@ -233,11 +231,11 @@ def _exact_unit_mass(mass: np.ndarray, lengths=None) -> np.ndarray:
     its bits, so a reader of written masses keeps them (:meth:`Distribution.from_dict`), never re-runs this.
     """
     rows = mass if mass.ndim == 2 else mass[None]
-    if _unit_sums(totals := _ragged_sums(rows, lengths)):  # dividing by 1.0 and re-summing would change no bit
+    if _unit_sums(totals := _ragged_sums(rows, on)):  # dividing by 1.0 and re-summing would change no bit
         return mass
     rows /= totals[:, None]
     for _ in range(4):
-        residual = _ragged_sums(rows, lengths) - 1.0
+        residual = _ragged_sums(rows, on) - 1.0
         if not np.count_nonzero(residual):
             break
         rows[np.arange(len(rows)), rows.argmax(axis=1)] -= residual
@@ -326,18 +324,18 @@ def make_distribution(domain: Domain, weights: Sequence[float]) -> Distribution:
     return Distribution._frozen(domain, _unit_rows(w[None])[0])
 
 
-def _unit_rows(weights: np.ndarray, lengths=None) -> np.ndarray:
-    """Each row of the ``(n, m)`` weights over its sum (cut at ``lengths``), fresh and made unit by
+def _unit_rows(weights: np.ndarray, on=True) -> np.ndarray:
+    """Each row of the ``(n, m)`` weights over its sum (on its prefix of the mask ``on``), fresh and made unit by
     :func:`_exact_unit_mass`: the one weight normalizer, checked in one fused pass, with the messages of
     :func:`make_distribution`."""
     with np.errstate(over="ignore"):
-        totals = _ragged_sums(weights, lengths)
+        totals = _ragged_sums(weights, on)
     if not (weights.min() >= 0.0 and all(0.0 < total < math.inf for total in totals.tolist())):
         if not np.isfinite(weights).all() or (weights < 0.0).any():
             raise ValueError("invalid mass: weights must be finite and non-negative")
         raise ValueError("degenerate: all weights are zero" if totals.min() == 0.0 else
                          "invalid mass: weights sum overflows the float range")
-    return _exact_unit_mass(weights / totals[:, None], lengths)
+    return _exact_unit_mass(weights / totals[:, None], on)
 
 
 def _require_same_domain(p: Distribution, q: Distribution) -> None:
@@ -355,11 +353,11 @@ def l1_distance(p: Distribution, q: Distribution) -> float:
     return _l1_distance(p.mass, q.mass)
 
 
-def _l1_distance(p: np.ndarray, q: np.ndarray, out=None, lengths=None):
-    """:func:`l1_distance` of the masses ``p`` and ``q``; of ``(n, m)`` masses, row by row, cut at ``lengths``."""
+def _l1_distance(p: np.ndarray, q: np.ndarray, out=None, on=True):
+    """:func:`l1_distance` of the masses ``p`` and ``q``; of ``(n, m)`` masses, row by row, on the mask ``on``."""
     diff = np.subtract(p, q, out=out)
     np.abs(diff, out=diff)
-    l1 = diff.sum(axis=-1) if lengths is None else _ragged_sums(diff, lengths)
+    l1 = diff.sum(axis=-1, where=on)
     return l1 if l1.ndim else float(l1)
 
 

@@ -71,7 +71,7 @@ def test_lower_bounds_instances_off_their_stated_eps_prime_fail_the_run(tmp_path
 def test_estimates_left_over_budget_fail_the_tightness_search(tmp_path, monkeypatch, metric):
     """With the pull-back into the budget returning its rows unchanged, the search climbs past the
     budget and its ratio exceeds 1."""
-    monkeypatch.setattr(bounds, "_into_budget", lambda _, true, est, limits, lengths=None: est)
+    monkeypatch.setattr(bounds, "_into_budget", lambda _, true, est, limits, on=True: est)
     argv = ["tightness", "--metric", metric, "--k", "2", "--domain-size", "2", "--epsilon", "0.2", "--iterations", "3"]
     assert main([*argv, "--out-dir", str(tmp_path)]) == 1
 
@@ -161,25 +161,28 @@ def test_bit_identity_checks_fail_with_a_broken_tree(tmp_path, tree_mutation):
             test_cli.TestPipelineCommand().test_wide_pdfa_sources_match_golden(tmp_path)
 
 
-def _tail_folded_into_the_lanes(values, lengths, real=distributions._ragged_sums):
-    """Each row summed over its zero-padded length rounded up to a multiple of 8: its last n % 8 entries join the
+def _tail_folded_into_the_lanes(values, on=True, real=distributions._ragged_sums):
+    """Each row summed over its zero-padded prefix rounded up to a multiple of 8: its last n % 8 entries join the
     8 lanes instead of following them in order."""
-    cut = np.where(np.arange(values.shape[1]) < lengths[:, None], values, 0.0)
-    return real(np.pad(cut, ((0, 0), (0, 7))), -(-lengths // 8) * 8)
+    lengths = np.count_nonzero(np.broadcast_to(on, values.shape), axis=1)
+    padded = np.pad(np.where(on, values, 0.0), ((0, 0), (0, 7)))
+    return real(padded, np.arange(padded.shape[1]) < (-(-lengths // 8) * 8)[:, None])
 
 
-def _split_not_rounded_to_8(values, lengths, real=distributions._ragged_sums):
+def _split_not_rounded_to_8(values, on=True, real=distributions._ragged_sums):
     """Each row of more than 128 entries summed as its first n // 2 entries plus the rest, not split at n // 2
     rounded down to a multiple of 8."""
+    lengths = np.count_nonzero(np.broadcast_to(on, values.shape), axis=1)
     halves = np.where(lengths > 128, lengths // 2, lengths)
-    return real(values, halves) + np.array([row[h:n].sum() for row, h, n in zip(values, halves, lengths)])
+    head = real(values, np.arange(values.shape[1]) < halves[:, None])
+    return head + np.array([row[h:n].sum() for row, h, n in zip(values, halves, lengths)])
 
 
 @pytest.mark.parametrize("broken", [_tail_folded_into_the_lanes, _split_not_rounded_to_8])
 def test_a_broken_ragged_sum_fails_its_pin(tmp_path, monkeypatch, broken):
     """The pin of ``distributions._ragged_sums`` at every length 1-1,024 fails with the kernel broken either way
     numpy's summation order can be missed: a row's tail folded into the lanes, or a long row split off a multiple
-    of 8. With the tail folded, a sweep's golden report fails as well."""
+    of 8. Either way both theorems' blocked and long-row sweep goldens fail as well."""
     import test_cli
     import test_rows
 
@@ -188,9 +191,11 @@ def test_a_broken_ragged_sum_fails_its_pin(tmp_path, monkeypatch, broken):
         monkeypatch.setattr(module, "_ragged_sums", broken)
     with pytest.raises(AssertionError):
         test_rows.check_ragged_sums(np.random.default_rng(0))
-    if broken is _tail_folded_into_the_lanes:
-        with pytest.raises(AssertionError):
-            test_cli.TestVerifyCommands().test_golden_sweep(tmp_path, 1, "blocked", ["--trials", "600"])
+    long_rows = ["--trials", "300", "--k-max", "9", "--m-max", "300"]
+    for theorem in ("1", "2"):
+        for name, args in (("blocked", ["--trials", "600"]), ("long", long_rows)):
+            with pytest.raises(AssertionError):
+                test_cli.TestVerifyCommands().test_golden_sweep(tmp_path, theorem, name, args)
 
 
 def test_a_chunk_labelled_one_column_at_a_time_fails_the_gathered_product_pin(monkeypatch):
