@@ -118,16 +118,16 @@ def _within(value, bound: float):
 
 def theorem1_bound(epsilon: float, k: int, cost: CostLike) -> float:
     """Cost-loss excess bound ``epsilon * k * max_ij c_ij``."""
-    if not epsilon >= 0.0:
+    if not _json_float(epsilon, "epsilon") >= 0.0:
         raise ValueError("epsilon must be non-negative")
-    return epsilon * k * float(as_cost_array(cost, k).max())
+    return epsilon * _json_int(k, "k") * float(as_cost_array(cost, k).max())
 
 
 def theorem2_bound(epsilon: float, k: int) -> float:
     """Log-loss excess bound ``k * epsilon`` (bits)."""
-    if not epsilon >= 0.0:
+    if not _json_float(epsilon, "epsilon") >= 0.0:
         raise ValueError("epsilon must be non-negative")
-    return k * epsilon
+    return _json_int(k, "k") * epsilon
 
 
 def _bound(epsilon: float, k: int, cost: Optional[CostLike]) -> float:
@@ -266,6 +266,7 @@ def excess_logloss_identity(
 def _two_atom_masses(epsilon_prime: float, gamma: float) -> tuple[np.ndarray, np.ndarray]:
     """The two-atom, two-class instance's equal priors and ``(2, 2, 2)`` masses: the true classes put
     ``1/2 +- epsilon_prime`` on the atoms and the estimates lean ``gamma`` the other way."""
+    _json_float(epsilon_prime, "epsilon_prime"), _json_float(gamma, "gamma")
     if not (epsilon_prime >= 0.0 and gamma >= 0.0 and epsilon_prime + gamma < 0.5):  # false for nan and inf
         raise ValueError(
             f"parameter out of range: need epsilon_prime >= 0, gamma >= 0, "
@@ -437,7 +438,7 @@ def _as_objects(priors: np.ndarray, masses: np.ndarray) -> tuple:
 
 def random_source(rng: np.random.Generator, k: int, m: int) -> LabeledSource:
     """Random labeled source over ``Domain.indexed(m)`` with priors bounded away from zero."""
-    if k < 2 or m < 1:
+    if _json_int(k, "k") < 2 or _json_int(m, "m") < 1:
         raise ValueError("k must be at least 2 and m at least 1")
     priors, weights = _draw_source(rng, k, m)
     return _as_objects(priors, _unit_rows(weights)[None])[0]
@@ -464,7 +465,7 @@ def _theorem_sweep(rng: np.random.Generator, n: int, k_max: int, m_max: int, met
     holds, makes every draw first, in the public generators' order (k, m, source, :func:`_draw_moves` at a uniform
     budget, under L1 the cost); its class rows, by class count, zero-padded and cut by one prefix mask, then go
     through each row kernel and :func:`_checks` once, and keep the bits their instances' own arrays give them."""
-    if k_max < 2 or m_max < 2:
+    if _json_int(k_max, "k_max") < 2 or _json_int(m_max, "m_max") < 2:
         raise ValueError("k_max and m_max must be at least 2")
     budget = partial(rng.uniform, 0.0, 2.0 if metric == L1 else 1.5)
 
@@ -596,7 +597,7 @@ def _check_search(k: int, m: int, iterations: int) -> None:
     """:func:`tightness_search`'s checks of its sizes, which the CLI also runs before it makes its out-dir."""
     if _json_int(iterations, "iterations") < 1:
         raise ValueError("iterations must be at least 1")
-    if k < 2 or m < 1:
+    if _json_int(k, "k") < 2 or _json_int(m, "m") < 1:
         raise ValueError("k must be at least 2 and m at least 1")
 
 

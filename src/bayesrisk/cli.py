@@ -33,7 +33,7 @@ from .classify import CostMatrix, LabeledSource, as_cost_array
 from .distributions import Distribution, Domain, QuantizedClassSpec, _json_float
 from .pdfa import Pdfa
 from .pipeline import config_from_dict, run_pac_experiment
-from .smoothing import SmoothingReport, SmoothingParams, _sweep, base_mixture
+from .smoothing import SmoothingReport, SmoothingParams, _sweep, base_mixture, kl_certificate, kl_certificate_from_floor
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -252,6 +252,7 @@ def cmd_smooth(args) -> int:
     spec = _checked(QuantizedClassSpec, Domain.indexed(m), args.bits)
     params = _checked(SmoothingParams, args.epsilon, spec.description_length)
     base = base_mixture(spec)
+    _checked(kl_certificate, params), _checked(kl_certificate_from_floor, params, base)  # before the out-dir is made
     rng = np.random.default_rng(args.seed)
     run = _Run(args.command, args.out_dir, args.seed, _flags(args))
     for trial, (true, est, fields) in enumerate(_sweep(spec, params, base, args.trials, rng)):

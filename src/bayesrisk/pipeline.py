@@ -199,7 +199,8 @@ def run_trial(
     A class that drew no samples falls back to the uniform estimate, so
     degenerate splits still produce a total predictor.
     """
-    n = config.sample_size if sample_size is None else int(sample_size)
+    if (n := _json_int(config.sample_size if sample_size is None else sample_size, "sample_size")) < 1:
+        raise ValueError("sample_size must be at least 1")
     return next(_block(config, [rng], n, *_fixed(config)))
 
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from .bounds import EXACT_TOL, ReportRows, _draw_noise, _perturb_rows, _within
 from .distributions import Distribution, QuantizedClassSpec, _draw_numerators, _exact_unit_mass
-from .distributions import _json_int, _kl_on_support, _l1_distance, _require_same_domain
+from .distributions import _json_float, _json_int, _kl_on_support, _l1_distance, _require_same_domain
 
 # Explicit class enumerations beyond this are refused rather than averaged.
 MAX_ENUMERATION = 1 << 20
@@ -51,13 +51,15 @@ class SmoothingParams:
     description_length: int
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
+        if not (math.isfinite(_json_float(self.epsilon, "epsilon")) and self.epsilon > 0.0):
             raise ValueError("epsilon must be positive and finite")
         object.__setattr__(self, "description_length", _json_int(self.description_length, "description_length"))
         if self.description_length < 1:
             raise ValueError("description_length must be a positive integer")
         if not self.xi < 1.0:
             raise ValueError("xi = epsilon**2 / (12 * description_length) must stay below 1")
+        if self.xi == 0.0:  # log2(xi) of the certificate has no value
+            raise ValueError(f"epsilon {self.epsilon!r} is too small: xi = epsilon**2 / (12 * description_length) is 0")
 
     @property
     def xi(self) -> float:
@@ -135,8 +137,9 @@ def kl_certificate_from_floor(params: SmoothingParams, base: BaseDistribution) -
     """Tighter certificate using the actual floor: ``3 * xi * (1 - log2(xi * min_mass))``."""
     if base.min_mass <= 0.0:
         raise ValueError("base provides no floor: min_mass must be positive")
-    xi = params.xi
-    return 3.0 * xi * (1.0 - math.log2(xi * base.min_mass))
+    if (floor := params.xi * base.min_mass) == 0.0:
+        raise ValueError(f"xi * min_mass underflows to 0 (xi = {params.xi!r}): the floor certificate has no value")
+    return 3.0 * params.xi * (1.0 - math.log2(floor))
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from bayesrisk.distributions import Distribution, Domain, QuantizedClassSpec, ma
 from bayesrisk.pdfa import OVERFLOW_ATOM, Pdfa, TruncatedStringDomain, _BitWriter
 from bayesrisk.pipeline import TrialConfig, empirical_estimator, run_trial
 from bayesrisk.smoothing import BaseDistribution, SmoothingParams, base_mixture, kl_certificate_from_floor, smooth
+from bayesrisk.smoothing import verify_smoothing
 
 D2 = Domain.indexed(2)
 NAN, INF = float("nan"), float("inf")
@@ -173,6 +174,14 @@ def uniform3():
     return Distribution(D3, np.full(3, 1 / 3))
 
 
+def uniform8():
+    return Distribution(Domain.indexed(8), np.full(8, 1 / 8))
+
+
+def pac_config():
+    return TrialConfig(source2(), ZERO_ONE, 10, 30, 0.1, 0.1)
+
+
 def one_state(**fields):
     return Pdfa(**{"alphabet": ("a",), "precision": 1, "initial": 0, "stops": (1.0,), "table": (((0.0, 0),),),
                    **fields})
@@ -272,6 +281,43 @@ NAMED_ERRORS = [
                  "estimate and base must share one domain", id="smooth-domains"),
     pytest.param(lambda: kl_certificate_from_floor(SmoothingParams(0.5, 8), BaseDistribution(uniform2(), 0.0)),
                  "base provides no floor: min_mass must be positive", id="certificate-no-floor"),
+    pytest.param(lambda: SmoothingParams(1e-300, 64),
+                 "epsilon 1e-300 is too small: xi = epsilon**2 / (12 * description_length) is 0", id="xi-0"),
+    pytest.param(lambda: kl_certificate_from_floor(SmoothingParams(1e-160, 64), BaseDistribution(uniform8(), 0.125)),
+                 "xi * min_mass underflows to 0 (xi = 1.5e-323): the floor certificate has no value",
+                 id="certificate-floor-0"),
+    pytest.param(lambda: verify_smoothing(uniform8(), uniform8(), SmoothingParams(1e-160, 64),
+                                          BaseDistribution(uniform8(), 0.125)),
+                 "xi * min_mass underflows to 0 (xi = 1.5e-323): the floor certificate has no value",
+                 id="verify-smoothing-floor-0"),
+    pytest.param(lambda: SmoothingParams(True, 8), "epsilon: True is not a number", id="smoothing-epsilon-bool"),
+    pytest.param(lambda: SmoothingParams("0.5", 8), "epsilon: '0.5' is not a number", id="smoothing-epsilon-str"),
+    pytest.param(lambda: run_trial(pac_config(), np.random.default_rng(0), 2.7),
+                 "sample_size must be an integer, got 2.7", id="run-trial-size-float"),
+    pytest.param(lambda: run_trial(pac_config(), np.random.default_rng(0), 0), "sample_size must be at least 1",
+                 id="run-trial-size-0"),
+    pytest.param(lambda: run_trial(pac_config(), np.random.default_rng(0), -5), "sample_size must be at least 1",
+                 id="run-trial-size-negative"),
+    pytest.param(lambda: random_source(np.random.default_rng(0), 2, 3.0), "m must be an integer, got 3.0",
+                 id="random-source-m-float"),
+    pytest.param(lambda: random_source(np.random.default_rng(0), "2", 3), "k must be an integer, got '2'",
+                 id="random-source-k-str"),
+    pytest.param(lambda: bounds.random_theorem1_instance(np.random.default_rng(0), k_max=2.5),
+                 "k_max must be an integer, got 2.5", id="theorem1-instance-k-max-float"),
+    pytest.param(lambda: bounds.random_theorem2_instance(np.random.default_rng(0), m_max="64"),
+                 "m_max must be an integer, got '64'", id="theorem2-instance-m-max-str"),
+    pytest.param(lambda: search(k=2.0), "k must be an integer, got 2.0", id="search-k-float"),
+    pytest.param(lambda: search(m="2"), "m must be an integer, got '2'", id="search-m-str"),
+    pytest.param(lambda: bounds.theorem1_bound("0.1", 2, ZERO_ONE), "epsilon: '0.1' is not a number",
+                 id="theorem1-epsilon-str"),
+    pytest.param(lambda: bounds.theorem1_bound(0.1, "2", ZERO_ONE), "k must be an integer, got '2'",
+                 id="theorem1-k-str"),
+    pytest.param(lambda: bounds.theorem2_bound(True, 2), "epsilon: True is not a number", id="theorem2-epsilon-bool"),
+    pytest.param(lambda: bounds.theorem2_bound(0.1, 2.5), "k must be an integer, got 2.5", id="theorem2-k-float"),
+    pytest.param(lambda: bounds.example1_construction("0.1", 0.01), "epsilon_prime: '0.1' is not a number",
+                 id="example1-epsilon-prime-str"),
+    pytest.param(lambda: bounds.example2_construction(0.1, "0.01"), "gamma: '0.01' is not a number",
+                 id="example2-gamma-str"),
 ]
 
 

@@ -475,6 +475,16 @@ class TestSmoothCommand:
         )
         assert code == 2
 
+    # At 1e-300 xi itself is 0.0; at 1e-160 xi is 1.5e-323 and xi * min_mass is 0.0. Neither has a certificate.
+    @pytest.mark.parametrize("epsilon", ["1e-300", "1e-160"])
+    def test_epsilon_too_small_for_a_certificate_is_usage_error(self, tmp_path, capsys, epsilon):
+        out = tmp_path / "out"
+        assert run(["smooth", "--trials", "10", "--epsilon", epsilon, "--out-dir", out]) == 2
+        assert "error: " in capsys.readouterr().err and not out.exists()
+
+    def test_smallest_epsilon_with_a_certificate_passes(self, tmp_path):
+        assert run(["smooth", "--trials", "10", "--epsilon", "1e-155", "--out-dir", tmp_path]) == 0
+
     # One atom draws no noise; three atoms at one bit quantize most masses to 0 or 1/2.
     @pytest.mark.parametrize("shape", [["--domain-size", "1"], ["--domain-size", "3", "--bits", "1"]])
     def test_edge_shapes_pass(self, tmp_path, shape):

@@ -105,9 +105,9 @@ def _hex_verdict(verdict) -> tuple:
 def check_ragged_sums(rng: np.random.Generator) -> None:
     """``distributions._ragged_sums`` of rows of every length 1 to 1,024, in shuffled order, each cut by its prefix
     mask out of a 1,100-wide row whose entries past the cut are nan, inf, -inf or 1e300, equals in float.hex numpy's
-    sum of the 1-D prefix, and of whole rows (``True`` or an all-true mask) numpy's row sums: signed terms of
-    10^U(-5, 5), a tenth of them 0.0 and a twentieth -0.0, and a sixteenth of the rows each all -0.0, holding an inf,
-    holding inf and -inf (a nan sum), or holding a nan."""
+    sum of the 1-D prefix, and of the rows zeroed past the cut, whole (``True`` or an all-true mask), numpy's row
+    sums: signed terms of 10^U(-5, 5), a tenth of them 0.0 and a twentieth -0.0, and a sixteenth of the rows each all
+    -0.0, holding an inf, holding inf and -inf (a nan sum), or holding a nan."""
     lengths = rng.permutation(np.arange(1, 1025))
     values = rng.standard_normal((1024, 1100)) * 10.0 ** rng.uniform(-5.0, 5.0, (1024, 1100))
     values[rng.random(values.shape) < 0.1] = 0.0
@@ -122,9 +122,10 @@ def check_ragged_sums(rng: np.random.Generator) -> None:
     with np.errstate(invalid="ignore", over="ignore"):
         sums = distributions._ragged_sums(values, on)
         expected = [float.hex(float(np.sum(row[:n]))) for row, n in zip(values, lengths.tolist())]
-        whole = [float.hex(float(s)) for s in values.sum(axis=1)]
-        for mask in (True, np.ones_like(on)):  # whole rows, by numpy's default or by a mask
-            assert [float.hex(float(s)) for s in distributions._ragged_sums(values, mask)] == whole
+        clean = np.where(on, values, 0.0)  # whole rows without the garbage, whose sums would be nan
+        whole = [float.hex(float(s)) for s in clean.sum(axis=1)]
+        for mask in (True, np.ones_like(on)):  # by numpy's default or by a mask
+            assert [float.hex(float(s)) for s in distributions._ragged_sums(clean, mask)] == whole
     assert [float.hex(float(s)) for s in sums] == expected
 
 

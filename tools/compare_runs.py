@@ -1,0 +1,67 @@
+"""Run the CLI's reference commands on two checkouts and compare what they write, byte for byte.
+
+    python tools/compare_runs.py PARENT CHANGE
+
+Each command runs in a fresh ``python -m bayesrisk.cli`` process per checkout, with ``PYTHONPATH=<checkout>/src``
+and the checkout as its working directory. A case matches when the exit codes, ``report.csv``, ``summary.json``,
+every other ``*.json`` written but the manifest, and the manifest's ``config`` and ``csv_columns`` are the same.
+It prints one line per case and exits 1 if any case differs. Only the standard library is used.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+LONG_ROWS = ["--trials", "300", "--k-max", "9", "--m-max", "300", "--seed", "7"]
+MACHINES = "pdfa:tests/data/machine_half.json,pdfa:tests/data/machine_quarter.json"
+CASES = [
+    *([f"verify-theorem{t}", "--trials", "300", "--seed", seed] for t in "12" for seed in ("1", "42")),
+    *([f"verify-theorem{t}", *LONG_ROWS] for t in "12"),
+    ["lower-bounds"],
+    ["lower-bounds", "--grid", "0,0.01,0.1,0.3"],
+    ["smooth", "--trials", "300"],
+    ["tightness"],
+    ["tightness", "--metric", "KL", "--k", "3", "--domain-size", "8", "--epsilon", "0.05", "--iterations", "1"],
+    ["pipeline", "--config", "tests/data/pipeline_config.json"],
+    ["pipeline", "--config", "tests/data/pipeline_logloss_config.json"],
+    ["pipeline", "--source", MACHINES, "--truncate", "6"],
+]
+
+
+def outputs(checkout: Path, argv: list, out: Path) -> dict:
+    """The exit code of ``argv`` run in ``checkout`` and the compared parts of what it writes to ``out``, by name."""
+    command = [sys.executable, "-m", "bayesrisk.cli", *argv, "--out-dir", str(out)]
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+    done = subprocess.run(command, cwd=checkout, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    found = {"exit code": done.returncode}
+    for path in sorted(out.glob("*")):
+        if path.name == "manifest.json":
+            manifest = json.loads(path.read_text())
+            found["manifest config and csv_columns"] = manifest["config"], manifest["csv_columns"]
+        elif path.name == "report.csv" or path.suffix == ".json":
+            found[path.name] = path.read_bytes()
+    return found
+
+
+def main(argv: list) -> int:
+    if len(argv) != 2:
+        print("usage: python tools/compare_runs.py PARENT CHANGE", file=sys.stderr)
+        return 2
+    checkouts = [Path(c).resolve() for c in argv]
+    differing = 0
+    with tempfile.TemporaryDirectory() as scratch:
+        for case, args in enumerate(CASES):
+            parent, change = (outputs(c, args, Path(scratch, f"{case}-{side}")) for side, c in enumerate(checkouts))
+            names = [name for name in {**parent, **change} if parent.get(name) != change.get(name)]
+            differing += bool(names)
+            verdict = f"DIFFER ({', '.join(names)})" if names else f"same ({len(parent)} compared)"
+            print(f"{' '.join(args)}: {verdict}", flush=True)
+    print(f"{len(CASES)} cases, {differing} differing")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
