@@ -20,8 +20,10 @@ instances in blocks: every draw first, then each row kernel once per block, on
 its class rows zero-padded to one width and cut by one prefix mask. Every risk,
 in the checks, the PAC trial and the tightness search, is ``_plugin_risk`` on
 raw ``(k, m)`` masses, stacked; the optimal risk is that scorer on the true classes.
-Every verdict "value <= bound" is decided by ``_within``, the one place
-``BOUND_TOL`` is read.
+A block's checks are columns (``_checks``), their excess, bound, slack and verdict
+from ``_bound_columns`` alone; report objects are built from their rows only for a
+violation, a replay and the public checks. Every verdict "value <= bound" is
+decided by ``_within``, the one place ``BOUND_TOL`` is read.
 
 The two-atom constructions reproduce the matching lower bounds: the cost
 construction leaves slack exactly ``2 * gamma * max_cost`` against the
@@ -32,7 +34,7 @@ the estimated mixture coincides with the true one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 from itertools import groupby
 from typing import Optional, Sequence
@@ -73,20 +75,22 @@ class PerturbationBudget:
 
 
 class ReportRows:
-    """A frozen report dataclass's row forms: ``to_dict`` maps every field to its value, ``row`` every field but
-    those ``not_in_row`` names, in declaration order (a CSV row whose keys are its columns). Both copy the instance
-    dict, which holds exactly the fields in that order: ``__init__`` sets them so, and a frozen one takes no other."""
+    """A frozen report dataclass's row forms: its CSV ``columns``, every field but those ``not_in_row``; the report of
+    a row of columns; and ``to_dict``, every field to its value (the instance dict, in declaration order)."""
 
     not_in_row = ()
 
+    @classmethod
+    def columns(cls) -> list:
+        return [f.name for f in fields(cls) if f.name not in cls.not_in_row]
+
+    @classmethod
+    def from_columns(cls, columns: dict, j: int):
+        """Row ``j`` of ``columns``, arrays holding every field but those whose one float every row holds."""
+        return cls(*(c if isinstance(c, float) else c[j].item() for c in (columns[f.name] for f in fields(cls))))
+
     def to_dict(self) -> dict:
         return self.__dict__.copy()
-
-    def row(self) -> dict:
-        values = self.__dict__.copy()
-        for name in self.not_in_row:
-            del values[name]
-        return values
 
 
 @dataclass(frozen=True)
@@ -110,29 +114,25 @@ class BoundReport(ReportRows):
             raise ValueError("satisfied flag inconsistent with excess and bound")
 
 
-def _within(value, bound: float):
+def _within(value, bound):
     """The verdict ``value <= bound`` up to ``BOUND_TOL``, true for an infinite bound;
-    elementwise for an array ``value``."""
-    return bound == math.inf or value <= bound + BOUND_TOL
+    elementwise for an array ``value`` or ``bound``."""
+    return (bound == math.inf) | (value <= bound + BOUND_TOL)
 
 
 def theorem1_bound(epsilon: float, k: int, cost: CostLike) -> float:
-    """Cost-loss excess bound ``epsilon * k * max_ij c_ij``."""
-    if not _json_float(epsilon, "epsilon") >= 0.0:
-        raise ValueError("epsilon must be non-negative")
-    return epsilon * _json_int(k, "k") * float(as_cost_array(cost, k).max())
+    """Cost-loss excess bound ``epsilon * k * max_ij c_ij``, the log-loss bound times the largest cost; elementwise for
+    a block of instances of ``k`` classes: an array of budgets and the ``(n, k, k)`` stack of their cost arrays, each
+    checked by ``as_cost_array`` where it was stacked."""
+    bound = theorem2_bound(epsilon, k)
+    return bound * (cost.max(axis=(1, 2)) if isinstance(epsilon, np.ndarray) else float(as_cost_array(cost, k).max()))
 
 
 def theorem2_bound(epsilon: float, k: int) -> float:
-    """Log-loss excess bound ``k * epsilon`` (bits)."""
-    if not _json_float(epsilon, "epsilon") >= 0.0:
+    """Log-loss excess bound ``k * epsilon`` (bits); elementwise for an array of budgets."""
+    if not np.all((epsilon if isinstance(epsilon, np.ndarray) else _json_float(epsilon, "epsilon")) >= 0.0):
         raise ValueError("epsilon must be non-negative")
     return _json_int(k, "k") * epsilon
-
-
-def _bound(epsilon: float, k: int, cost: Optional[CostLike]) -> float:
-    """The cost-loss bound under ``cost``, or with ``cost is None`` the log-loss bound."""
-    return theorem2_bound(epsilon, k) if cost is None else theorem1_bound(epsilon, k, cost)
 
 
 def _divergences(true: np.ndarray, est: np.ndarray, metric: str, on=True) -> np.ndarray:
@@ -165,22 +165,27 @@ def _plugin_risk(weighted, scored, costs, ws=None, on=True) -> np.ndarray:
     return _cost_risk(costs, _bayes_labels(costs, scored, scores, labels, row.view(np.intp)), weighted, scores, on)
 
 
-def _theorem_report(priors, cost: Optional[CostLike], divergences, risk_opt: float, risk_plugin: float) -> BoundReport:
-    """The cost-loss bound's report from per-class L1 distances, or with
-    ``cost is None`` the log-loss bound's report from per-class KLs."""
-    eps = float((priors * divergences).max())
-    bound = _bound(eps, len(priors), cost)
+def _bound_columns(risk_opt, risk_plugin, eps, bound) -> dict:
+    """The :class:`BoundReport` fields, as columns, of instances with optimal and plug-in risks ``risk_opt`` and
+    ``risk_plugin``, effective budgets ``eps`` and bounds ``bound``. An excess below ``-EXACT_TOL`` (or nan) is the
+    report's ``ValueError``."""
     excess = risk_plugin - risk_opt
-    slack = math.inf if bound == math.inf else bound - excess
-    return BoundReport(risk_opt, risk_plugin, excess, bound, slack, _within(excess, bound), eps)
+    if not (optimal := excess >= -EXACT_TOL).all():
+        raise ValueError(f"negative excess {float(excess[~optimal][0])!r}: optimality violated")
+    with np.errstate(invalid="ignore"):  # inf - inf: an infinite bound's slack is inf whatever the excess
+        slack = np.where(bound == math.inf, math.inf, bound - excess)
+    return {"risk_opt": risk_opt, "risk_plugin": risk_plugin, "excess": excess, "bound": bound, "slack": slack,
+            "satisfied": _within(excess, bound), "epsilon": eps}
 
 
-def _checks(priors, masses, divergences, costs, ks, on=True, identity=True) -> list:
-    """``(report, rhs)`` of each instance under its cost in ``costs`` (log loss if ``None``), ``rhs`` the identity's
-    from the same KLs under log loss (if ``identity`` and every KL is finite, else ``None``); the instances' rows run
-    in turn, by class count ``ks``, through ``priors``, ``divergences`` and the ``(2, rows, width)`` ``masses`` (true
-    classes, then estimates), on the rows' prefix mask ``on``. Both predictors of one class count are scored together,
-    a quarter of the instances at most at once, so that scoring holds less than generation whatever the class counts."""
+def _checks(priors, masses, divergences, costs, ks, on=True, identity=True) -> dict:
+    """The instances' checks under their ``costs`` (log loss if ``None``), as columns: :func:`_bound_columns`', then
+    the identity's ``rhs`` under log loss and its ``identity_gap`` (``None`` without ``identity`` or for an infinite
+    KL) and ``ok``. The instances' rows run in turn, by class count ``ks``, through ``priors``, ``divergences`` and
+    the ``(2, rows, width)`` ``masses`` (true classes, then estimates), on the rows' prefix mask ``on``. Both
+    predictors of one class count, a quarter of the instances at most, are scored at once, and bounded at once."""
+    starts, weighted = np.cumsum(ks) - ks, priors * divergences
+    eps, limits = np.maximum.reduceat(weighted, starts), np.empty(len(ks))
     risks, mixtures, first, row, most = [], [], 0, 0, -(-len(ks) // 4)
     runs = [(k, len(list(run))) for k, run in groupby(ks)]
     for k, count in [(k, min(most, n - start)) for k, n in runs for start in range(0, n, most)]:
@@ -190,22 +195,25 @@ def _checks(priors, masses, divergences, costs, ks, on=True, identity=True) -> l
         risks.append(_plugin_risk(scored[0], scored, group, on=on if on is True else on[rows].reshape(count, k, -1)))
         if group is None:
             mixtures.append(scored.sum(axis=-2))
+        limits[run] = theorem2_bound(eps[run], k) if group is None else theorem1_bound(eps[run], k, group)
         first, row = first + count, row + count * k
-    (risk_opt, risk_plugin), kls = np.concatenate(risks, axis=1).tolist(), [None] * len(ks)
+    columns = _bound_columns(*np.concatenate(risks, axis=1), eps, limits)
+    rhs = np.full(len(ks), math.nan)
     if costs[0] is None and identity:
-        kls = _mixture_kl(np.concatenate(mixtures, axis=1), on if on is True else on[np.cumsum(ks) - ks]).tolist()
-    checks, row = [], 0
-    for k, cost, opt, plugin, kl in zip(ks, costs, risk_opt, risk_plugin, kls):
-        g, d = priors[row : row + k], divergences[row : row + k]
-        rhs = sum((g * d).tolist()) - kl if kl is not None and np.isfinite(d).all() else None
-        checks.append((_theorem_report(g, cost, d, opt, plugin), rhs))
-        row += k
-    return checks
+        kls = _mixture_kl(np.concatenate(mixtures, axis=1), on if on is True else on[starts])
+        flat = weighted.tolist()  # Python's sum, left to right, of each instance's terms, as its own check takes it
+        sums = np.array([sum(flat[a : a + k]) for a, k in zip(starts.tolist(), ks)])
+        np.subtract(sums, kls, out=rhs, where=np.logical_and.reduceat(np.isfinite(divergences), starts))
+    gap, has = np.abs(columns["excess"] - rhs), ~np.isnan(rhs)
+    ok = columns["satisfied"] & (~has | _within(gap, 0.0))
+    return {**columns, "rhs": np.where(has, rhs, None), "identity_gap": np.where(has, gap, None), "ok": ok}
 
 
-def _check(priors, masses, divergences, cost, identity=True) -> tuple[BoundReport, Optional[float]]:
-    """:func:`_checks` of the one instance of :func:`_as_arrays`' arrays."""
-    return _checks(priors, masses, divergences, [cost], [len(priors)], identity=identity)[0]
+def _check(priors, masses, divergences, cost, identity=True) -> tuple:
+    """The one instance of :func:`_as_arrays`' arrays checked, as the sweeps, replays and ``lower-bounds`` decide it:
+    ``(report, rhs, identity_gap, ok)`` from its :func:`_checks` row."""
+    columns = _checks(priors, masses, divergences, [cost], [len(priors)], identity=identity)
+    return BoundReport.from_columns(columns, 0), *(columns[name].tolist()[0] for name in ("rhs", "identity_gap", "ok"))
 
 
 def _mixture_kl(mixtures, on=True) -> np.ndarray:
@@ -214,13 +222,6 @@ def _mixture_kl(mixtures, on=True) -> np.ndarray:
     rows = mixtures.reshape(-1, mixtures.shape[-1])
     p, q = _exact_unit_mass(rows, np.broadcast_to(on, mixtures.shape).reshape(rows.shape)).reshape(mixtures.shape)
     return _kl_on_support(p, q, p > 0.0)
-
-
-def _verdict(report: BoundReport, rhs: Optional[float]) -> tuple[BoundReport, Optional[float], bool]:
-    """A check's verdict, as the sweeps, replays and ``lower-bounds`` decide it: ``(report, |excess - rhs|, ok)``
-    (the gap ``None`` without ``rhs``), ``ok`` needing the bound satisfied and any gap within the gate."""
-    gap = None if rhs is None else abs(report.excess - rhs)
-    return report, gap, report.satisfied and (gap is None or _within(gap, 0.0))
 
 
 def check_theorem1(
@@ -255,7 +256,7 @@ def excess_logloss_identity(
     with the prior-weighted mixtures ``D, D'``. The two agree to float
     round-off whenever every per-class KL is finite.
     """
-    report, rhs = _check(*_as_arrays(true_source, est_dists, KL), None)
+    report, rhs, *_ = _check(*_as_arrays(true_source, est_dists, KL), None)
     if rhs is None:
         raise ValueError(
             "per-class KL divergence is infinite: estimate supports must cover the true class supports"
@@ -460,11 +461,9 @@ def random_cost(rng: np.random.Generator, k: int) -> CostMatrix:
 
 
 def _theorem_sweep(rng: np.random.Generator, n: int, k_max: int, m_max: int, metric: str):
-    """The metric's sweep of ``n`` instances in trial order, each its :func:`_as_arrays` arrays and cost (``None``
-    under KL) with its :func:`_verdict`; sizes checked at the call. A block, as many instances as ``_BLOCK_BYTES``
-    holds, makes every draw first, in the public generators' order (k, m, source, :func:`_draw_moves` at a uniform
-    budget, under L1 the cost); its class rows, by class count, zero-padded and cut by one prefix mask, then go
-    through each row kernel and :func:`_checks` once, and keep the bits their instances' own arrays give them."""
+    """The metric's sweep of ``n`` instances, a :func:`_sweep_block` at a time in trial order; sizes checked at the
+    call. A block, as many instances as ``_BLOCK_BYTES`` holds, makes every draw first, in the public generators'
+    order (k, m, source, :func:`_draw_moves` at a uniform budget, under L1 the cost)."""
     if _json_int(k_max, "k_max") < 2 or _json_int(m_max, "m_max") < 2:
         raise ValueError("k_max and m_max must be at least 2")
     budget = partial(rng.uniform, 0.0, 2.0 if metric == L1 else 1.5)
@@ -476,40 +475,52 @@ def _theorem_sweep(rng: np.random.Generator, n: int, k_max: int, m_max: int, met
             drawn.append((*_draw_source(rng, k, m), *_draw_moves(rng, k, m, metric, budget),
                           random_cost(rng, k) if metric == L1 else None))
             held += _ROW_COPIES * 8 * k * m_max + _INSTANCE_BYTES
-            if held < _BLOCK_BYTES and trial < n - 1:
-                continue
-            order = sorted(range(len(drawn)), key=lambda i: len(drawn[i][0]))  # a class count's rows are one slab
-            priors, weights, budgets, noise, lams, costs = zip(*(drawn[i] for i in order))
-            drawn, held = [], 0  # the next block's
-            ks, ms = [len(g) for g in priors], [w.shape[1] for w in weights]
-            ends = np.cumsum(ks).tolist()
-            on = np.arange(max(ms)) < np.repeat(ms, ks)[:, None]  # each class row's prefix: its instance's atoms
-            masses = np.zeros((2, *on.shape))  # the weights and the noise, then the true and moved rows
-            for w, v, end, k, m in zip(weights, noise, ends, ks, ms):
-                masses[0, end - k : end, :m], masses[1, end - k : end, :m] = w, v
-            del weights, noise  # held in masses now
-            masses[0] = _unit_rows(masses[0], on)
-            masses[1] = _moved(masses[0], metric, np.concatenate(budgets), masses[1], np.concatenate(lams), on)
-            divergences = _divergences(*masses, metric, on)
-            checks = _checks(np.concatenate(priors), masses, divergences, costs, ks, on)
-            for j in np.argsort(order).tolist():
-                rows = slice(ends[j] - ks[j], ends[j])
-                yield (priors[j], masses[:, rows, : ms[j]], divergences[rows], costs[j]), _verdict(*checks[j])
+            if held >= _BLOCK_BYTES or trial == n - 1:
+                yield _sweep_block(drawn, metric)
+                held = 0  # _sweep_block emptied drawn
 
     return blocks()
+
+
+def _sweep_block(drawn: list, metric: str) -> tuple:
+    """A block's ``drawn`` instances checked (and ``drawn`` emptied): their ``k``, ``m`` and :func:`_checks` columns in
+    the order drawn, and the function giving instance ``j``'s :func:`_as_arrays` arrays and cost. Its class rows, by
+    class count, zero-padded and cut by one prefix mask, go through each kernel once and keep their own bits."""
+    order = sorted(range(len(drawn)), key=lambda i: len(drawn[i][0]))  # a class count's rows are one slab
+    priors, weights, budgets, noise, lams, costs = zip(*(drawn[i] for i in order))
+    drawn.clear()
+    ks, ms = [len(g) for g in priors], [w.shape[1] for w in weights]
+    ends = np.cumsum(ks).tolist()
+    on = np.arange(max(ms)) < np.repeat(ms, ks)[:, None]  # each class row's prefix: its instance's atoms
+    masses = np.zeros((2, *on.shape))  # the weights and the noise, then the true and moved rows
+    for w, v, end, k, m in zip(weights, noise, ends, ks, ms):
+        masses[0, end - k : end, :m], masses[1, end - k : end, :m] = w, v
+    del weights, noise  # held in masses now
+    masses[0] = _unit_rows(masses[0], on)
+    masses[1] = _moved(masses[0], metric, np.concatenate(budgets), masses[1], np.concatenate(lams), on)
+    divergences = _divergences(*masses, metric, on)
+    checks = _checks(np.concatenate(priors), masses, divergences, costs, ks, on)
+    at = (back := np.argsort(order)).tolist()
+
+    def instance(j: int) -> tuple:
+        i = at[j]
+        rows = slice(ends[i] - ks[i], ends[i])
+        return priors[i], masses[:, rows, : ms[i]], divergences[rows], costs[i]
+
+    return {name: np.asarray(column)[back] for name, column in {"k": ks, "m": ms, **checks}.items()}, instance
 
 
 def random_theorem1_instance(
     rng: np.random.Generator, k_max: int = 5, m_max: int = 64
 ) -> tuple[LabeledSource, tuple[Distribution, ...], CostMatrix]:
-    (priors, masses, _, cost), _ = next(_theorem_sweep(rng, 1, k_max, m_max, L1))
+    priors, masses, _, cost = next(_theorem_sweep(rng, 1, k_max, m_max, L1))[1](0)
     return (*_as_objects(priors, masses), cost)
 
 
 def random_theorem2_instance(
     rng: np.random.Generator, k_max: int = 5, m_max: int = 64
 ) -> tuple[LabeledSource, tuple[Distribution, ...]]:
-    return _as_objects(*next(_theorem_sweep(rng, 1, k_max, m_max, KL))[0][:2])
+    return _as_objects(*next(_theorem_sweep(rng, 1, k_max, m_max, KL))[1](0)[:2])
 
 
 # ---------------------------------------------------------------------------
@@ -624,7 +635,7 @@ def tightness_search(
         raise ValueError("the L1 metric needs a cost matrix")
     if budget.metric != L1:
         cost = None  # log loss ignores any cost matrix
-    bound = _bound(budget.epsilon, k, cost)
+    bound = theorem2_bound(budget.epsilon, k) if cost is None else theorem1_bound(budget.epsilon, k, cost)
 
     if budget.epsilon == 0.0 or bound == 0.0:
         uniform = np.full((2, k, m), 1.0 / m)

@@ -6,6 +6,10 @@ Every verification suite is a subcommand. Runs are deterministic given
 as resolved, or pipeline's config dict; seed, version, CSV column order,
 environment) suffices to reproduce the run bit for bit.
 
+Every row reaches report.csv through ``_Run.add_rows``, a block of rows given
+as columns with their verdicts: the sweeps add one block of their checks at a
+time, and ``_Run.add_row`` adds a block of one row.
+
 Exit codes: 0 success / no violations, 1 a bound or identity was violated (a
 falsification event, which indicates an implementation bug and is serialized
 for one-command replay), 2 usage or config error. ``_Run.finish`` decides a run's
@@ -22,13 +26,14 @@ import os
 import platform
 import sys
 import time
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .bounds import EXACT_TOL, KL, L1, PerturbationBudget, _check_search, tightness_search
-from .bounds import _as_arrays, _as_objects, _check, _divergences, _theorem_sweep, _two_atom_masses, _verdict, _within
+from .bounds import EXACT_TOL, KL, L1, BoundReport, PerturbationBudget, _check_search, tightness_search
+from .bounds import _as_arrays, _as_objects, _check, _divergences, _theorem_sweep, _two_atom_masses, _within
 from .classify import CostMatrix, LabeledSource, as_cost_array
 from .distributions import Distribution, Domain, QuantizedClassSpec, _json_float
 from .pdfa import Pdfa
@@ -47,10 +52,11 @@ class UsageError(Exception):
 class _Run:
     """Collects outputs for one subcommand invocation.
 
-    Rows are dicts, each added with its verdict: the first row's keys, in
-    their order, are the CSV header and the manifest's ``csv_columns``, and
-    every later row must have the same keys in the same order. ``violations``
-    counts the failed rows, and ``finish`` returns 1 if there are any, else 0.
+    Rows come in blocks, each a dict of columns with the rows' verdicts: the
+    first block's keys, in their order, are the CSV header and the manifest's
+    ``csv_columns``, and every later block must have the same keys in the same
+    order. ``violations`` counts the failed rows, and ``finish`` returns 1 if
+    there are any, else 0.
     """
 
     def __init__(self, subcommand: str, out_dir: str, seed, config: dict):
@@ -68,14 +74,21 @@ class _Run:
         self.violations = 0
         self.extra_outputs: list[str] = []
 
-    def add_row(self, row: dict, ok: bool) -> None:
-        keys = list(row)
+    def add_rows(self, columns: dict, ok) -> None:
+        """Add a block of rows: each column a list, range or 1-D array of the rows' values, or a float that every
+        row holds, turned to text once (``str``, the text ``csv.writer`` writes for a float); ``ok`` the verdicts."""
+        keys = list(columns)
         if not self.rows:
             self.csv_columns = keys
         elif keys != self.csv_columns:
             raise ValueError(f"row has columns {keys}, the first row has {self.csv_columns}")
-        self.rows.append(list(row.values()))
-        self.violations += not ok
+        cells = [repeat(str(v)) if isinstance(v, float) else v.tolist() if isinstance(v, np.ndarray) else v
+                 for v in columns.values()]
+        self.rows.extend(zip(*cells))
+        self.violations += len(ok) - int(np.count_nonzero(ok))
+
+    def add_row(self, row: dict, ok: bool) -> None:
+        self.add_rows({key: [value] for key, value in row.items()}, [ok])
 
     def write_instance(self, name: str, payload: dict) -> None:
         path = self.out / name
@@ -173,7 +186,7 @@ def cmd_verify(args) -> int:
     metric = L1 if args.command == "verify-theorem1" else KL
     if args.replay:
         instance = _read_input(args.replay, lambda data: _instance_from_payload(data, metric))
-        report, gap, ok = _verdict(*_check(*instance))
+        report, _, gap, ok = _check(*instance)
         shown = report.to_dict() if gap is None else {**report.to_dict(), "identity_gap": gap}
         print(json.dumps(shown, indent=2))
         return EXIT_OK if ok else EXIT_VIOLATION
@@ -181,17 +194,17 @@ def cmd_verify(args) -> int:
     rng = np.random.default_rng(args.seed)
     instances = _checked(_theorem_sweep, rng, args.trials, args.k_max, args.m_max, metric)
     run = _Run(args.command, args.out_dir, args.seed, _flags(args))
-    worst_gap = 0.0
-    for trial, ((priors, masses, _, cost), (report, gap, ok)) in enumerate(instances):
-        k, m = masses.shape[1:]
-        row = {"trial": trial, "k": k, "m": m, **report.row()}
-        if gap is not None:
-            row["identity_gap"] = gap
-            worst_gap = max(worst_gap, gap)
-        run.add_row(row, ok)
-        if not ok:
+    worst_gap, done = 0.0, 0
+    for columns, instance in instances:
+        ok, names = columns["ok"], ["k", "m", *BoundReport.columns(), *["identity_gap"] * (metric == KL)]
+        run.add_rows({"trial": range(done, done + len(ok)), **{name: columns[name] for name in names}}, ok)
+        if metric == KL:
+            worst_gap = max([worst_gap, *(gap for gap in columns["identity_gap"].tolist() if gap is not None)])
+        for j in np.flatnonzero(~ok).tolist():
+            priors, masses, _, cost = instance(j)
             payload = _instance_payload(*_as_objects(priors, masses), cost, metric)
-            run.write_instance(f"violation_{trial}.json", payload)
+            run.write_instance(f"violation_{done + j}.json", payload)
+        done += len(ok)
     summary = {"trials": args.trials, "violations": run.violations}
     if metric == KL:
         summary["worst_identity_gap"] = worst_gap
@@ -209,8 +222,8 @@ def cmd_lower_bounds(args) -> int:
     for gamma, (priors, masses) in zip(gammas, instances):
         # One instance under both losses: the scorer copies what it weights, so one masses array serves both.
         l1s, kls = _divergences(*masses, L1), _divergences(*masses, KL)
-        t1, _, t1_ok = _verdict(*_check(priors, masses, l1s, cost))
-        t2, gap, t2_ok = _verdict(*_check(priors, masses, kls, None))
+        t1, _, _, t1_ok = _check(priors, masses, l1s, cost)
+        t2, _, gap, t2_ok = _check(priors, masses, kls, None)
         per_l1, per_kl = float(l1s[0]), float(kls[0])
         slack_gap = abs(t1.slack - 2.0 * gamma * cost.max_cost)
         # The printed closed forms 1/2 +- eps_prime need a strict tilt
@@ -254,17 +267,16 @@ def cmd_smooth(args) -> int:
     base = base_mixture(spec)
     _checked(kl_certificate, params), _checked(kl_certificate_from_floor, params, base)  # before the out-dir is made
     rng = np.random.default_rng(args.seed)
-    run = _Run(args.command, args.out_dir, args.seed, _flags(args))
-    for trial, (true, est, fields) in enumerate(_sweep(spec, params, base, args.trials, rng)):
-        report = SmoothingReport(*fields)
-        ok = report.within and _within(report.kl_actual, report.certificate)
-        run.add_row({"trial": trial, **report.row()}, ok)
-        if not ok:
-            true_d, est_d = (Distribution._frozen(spec.domain, row.copy()) for row in (true, est))
-            run.write_instance(
-                f"violation_{trial}.json",
-                {"true": true_d.to_dict(), "estimate": est_d.to_dict(), "report": report.to_dict()},
-            )
+    run, done = _Run(args.command, args.out_dir, args.seed, _flags(args)), 0
+    for true, est, columns in _sweep(spec, params, base, args.trials, rng):
+        ok = columns["within"] & _within(columns["kl_actual"], columns["certificate"])
+        run.add_rows({"trial": range(done, done + len(ok)), **columns}, ok)
+        for j in np.flatnonzero(~ok).tolist():
+            true_d, est_d = (Distribution._frozen(spec.domain, rows[j].copy()) for rows in (true, est))
+            report = SmoothingReport.from_columns(columns, j).to_dict()
+            run.write_instance(f"violation_{done + j}.json",
+                               {"true": true_d.to_dict(), "estimate": est_d.to_dict(), "report": report})
+        done += len(ok)
     return run.finish({"trials": args.trials, "violations": run.violations, "xi": params.xi})
 
 

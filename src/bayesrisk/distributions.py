@@ -234,11 +234,18 @@ def _exact_unit_mass(mass: np.ndarray, on=True) -> np.ndarray:
     if _unit_sums(totals := _ragged_sums(rows, on)):  # dividing by 1.0 and re-summing would change no bit
         return mass
     rows /= totals[:, None]
+    index, residual = np.arange(len(rows)), _ragged_sums(rows, on) - 1.0  # the rows still off and their residuals
     for _ in range(4):
-        residual = _ragged_sums(rows, on) - 1.0
-        if not np.count_nonzero(residual):
+        if not len(off := np.flatnonzero(residual)):
             break
-        rows[np.arange(len(rows)), rows.argmax(axis=1)] -= residual
+        # Only rows still off (the others would subtract 0.0), through a view if one run: no wide row is copied.
+        index, residual = index[off], residual[off]
+        at = slice(index[0], index[-1] + 1) if index[-1] - index[0] < len(index) else index
+        live = rows[at]
+        live[np.arange(len(live)), live.argmax(axis=1)] -= residual
+        if not isinstance(at, slice):
+            rows[at] = live
+        residual = _ragged_sums(live, on if on is True else on[at]) - 1.0
     return mass
 
 
@@ -493,5 +500,7 @@ def random_quantized(spec: QuantizedClassSpec, rng: np.random.Generator) -> Dist
 
 
 def _draw_numerators(spec: QuantizedClassSpec, rng: np.random.Generator) -> np.ndarray:
-    """:func:`random_quantized`'s draws: a Dirichlet shape, then the numerators over it."""
-    return rng.multinomial(spec.scale, rng.dirichlet(np.ones(spec.domain.size)))
+    """:func:`random_quantized`'s draws: ``rng.dirichlet(np.ones(m))``, bit for bit without its checks (at alpha 1 it
+    scales ``standard_exponential(m)`` by one over the sum taken in sequence), then the numerators over it."""
+    g = rng.standard_exponential(spec.domain.size)
+    return rng.multinomial(spec.scale, g * (1.0 / g.cumsum()[-1]))

@@ -45,7 +45,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .bounds import BoundReport, _plugin_risk, _theorem_report
+from .bounds import BoundReport, _bound_columns, _plugin_risk, theorem1_bound, theorem2_bound
 from .classify import CostMatrix, LabeledSource, _bayes_labels, _cost_leaves, _workspace, as_cost_array
 from .distributions import Distribution, Domain, _draw_indices, _exact_unit_mass, _few_leaves
 from .distributions import _json_float, _json_int, _kl_on_support, _l1_distance, _leaf_plan, _leaf_sums, _on_leaves
@@ -274,8 +274,8 @@ def _block(config: TrialConfig, rngs: Sequence[np.random.Generator], n: int, ws,
         kls = tuple(_kl_on_support(p, q, support, row) for (p, support, *_), q in zip(classes, ests))
         ests *= source.priors[:, None]
         risk_plugin = float(_plugin_risk(source.weighted_mass, ests, costs, ws[1:]))
-        report = _theorem_report(source.priors, config.cost, kls if costs is None else l1s, risk_opt, risk_plugin)
-        yield TrialOutcome(tuple(trial_counts), l1s, kls, report)
+        report = _trial_reports(config, costs, np.array([kls if costs is None else l1s]).T, risk_opt, [risk_plugin])
+        yield TrialOutcome(tuple(trial_counts), l1s, kls, report[0])
     yield from _sparse_batch(config, batch, costs, risk_opt, classes, costs_base) if batch else ()
 
 
@@ -326,9 +326,18 @@ def _sparse_batch(config: TrialConfig, batch, costs, risk_opt, classes, costs_ba
     del labels, trial, atom, order, flat_atoms
     label_0 = _cost_leaves(true, source.priors, costs, False)
     risks = _patched_sums(k * m, plan, entries, np.repeat(costs_base[None], trials, 0), label_0)
-    return [TrialOutcome(tuple(trial_counts), tuple(l1s[:, t].tolist()), tuple(kls[t::trials]),
-                         _theorem_report(source.priors, config.cost, l1s[:, t], risk_opt, float(risks[t])))
+    reports = _trial_reports(config, costs, l1s, risk_opt, risks)
+    return [TrialOutcome(tuple(trial_counts), tuple(l1s[:, t].tolist()), tuple(kls[t::trials]), reports[t])
             for t, (trial_counts, _) in enumerate(batch)]
+
+
+def _trial_reports(config: TrialConfig, costs, divergences: np.ndarray, risk_opt: float, risk_plugin) -> list:
+    """The report of each trial, a column of the ``(k, trials)`` per-class ``divergences``, from its plug-in risk in
+    ``risk_plugin``: the cost bound under the cost array ``costs``, or the log-loss bound if ``None``."""
+    eps, risks, k = (config.source.priors[:, None] * divergences).max(axis=0), np.asarray(risk_plugin), config.source.k
+    bound = theorem2_bound(eps, k) if costs is None else theorem1_bound(eps, k, costs[None])
+    columns = _bound_columns(np.full(len(risks), risk_opt), risks, eps, bound)
+    return [BoundReport.from_columns(columns, t) for t in range(len(risks))]
 
 
 @dataclass(frozen=True)

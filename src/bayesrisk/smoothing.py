@@ -168,12 +168,13 @@ def verify_smoothing(
     """
     _require_same_domain(true_d, d_est)
     _check_base(d_est, base)
-    return SmoothingReport(*next(_verify_rows(true_d.mass[None], d_est.mass[None], params, base)))
+    return SmoothingReport.from_columns(_verify_rows(true_d.mass[None], d_est.mass[None], params, base), 0)
 
 
-def _verify_rows(true: np.ndarray, est: np.ndarray, params: SmoothingParams, base: BaseDistribution):
-    """:func:`verify_smoothing`'s report fields, a tuple made on demand, for each row pair of
-    ``(n, m)`` unit masses; the hypothesis is checked for every row before the first is made."""
+def _verify_rows(true: np.ndarray, est: np.ndarray, params: SmoothingParams, base: BaseDistribution) -> dict:
+    """:func:`verify_smoothing`'s report fields for the row pairs of ``(n, m)`` unit masses, as columns: a float
+    where every row holds one value (``xi`` and the certificates), else an array; the hypothesis is checked for
+    every row first."""
     l1 = _l1_distance(true, est)
     broken = np.flatnonzero(l1 > params.xi + EXACT_TOL)
     if len(broken):
@@ -181,15 +182,15 @@ def _verify_rows(true: np.ndarray, est: np.ndarray, params: SmoothingParams, bas
             f"hypothesis not met: L1(true, estimate) = {float(l1[broken[0]])!r} exceeds xi = {params.xi!r}"
         )
     kl = _kl_on_support(true, _smooth_rows(est, params.xi, base), true > 0.0)
-    fixed = params.xi, kl_certificate(params), kl_certificate_from_floor(params, base)
-    within = _within(kl, params.epsilon).tolist()
-    return ((fixed[0], a, b, *fixed[1:], w) for a, b, w in zip(l1.tolist(), kl.tolist(), within))
+    return {"xi": params.xi, "l1_actual": l1, "kl_actual": kl, "certificate": kl_certificate(params),
+            "certificate_floor": kl_certificate_from_floor(params, base), "within": _within(kl, params.epsilon)}
 
 
 def _sweep(spec: QuantizedClassSpec, params: SmoothingParams, base: BaseDistribution, trials: int, rng):
-    """The smoothing sweep's trials as ``(true, estimate, report fields)``. A block of trials, at
-    most ``_BLOCK_BYTES`` per array, makes each trial's draws of :func:`random_quantized` and
-    :func:`random_l1_perturbation` at budget ``xi`` first, then its arithmetic on the whole block."""
+    """The smoothing sweep's trials a block at a time, each block ``(true, estimates, columns)``: its ``(n, m)``
+    masses and :func:`_verify_rows`' columns. A block of trials, at most ``_BLOCK_BYTES`` per array, makes each
+    trial's draws of :func:`random_quantized` and :func:`random_l1_perturbation` at budget ``xi`` first, then its
+    arithmetic on the whole block."""
     m = spec.domain.size
     per_block = max(1, _BLOCK_BYTES // (8 * m))
     for start in range(0, trials, per_block):
@@ -200,4 +201,4 @@ def _sweep(spec: QuantizedClassSpec, params: SmoothingParams, base: BaseDistribu
             _draw_noise(rng, params.xi, trial_noise)
         _exact_unit_mass(true)
         est = _perturb_rows(true, np.full(n, params.xi), noise)
-        yield from zip(true, est, _verify_rows(true, est, params, base))
+        yield true, est, _verify_rows(true, est, params, base)

@@ -533,7 +533,7 @@ class TestBoundReport:
     def test_csv_row_order(self):
         source, est, cost = example1_construction(0.1, 0.01)
         rep = check_theorem1(source, est, cost)
-        assert list(rep.row().items()) == [
+        assert [(name, rep.to_dict()[name]) for name in rep.columns()] == [
             ("risk_opt", rep.risk_opt),
             ("risk_plugin", rep.risk_plugin),
             ("excess", rep.excess),

@@ -204,6 +204,32 @@ class TestDerivedColumns:
             run_.add_row(second, True)
 
     @pytest.mark.parametrize(
+        "second",
+        [
+            pytest.param({"b": [1], "a": [0]}, id="reordered"),
+            pytest.param({"a": [0], "c": [1]}, id="renamed"),
+            pytest.param({"a": [0]}, id="missing"),
+            pytest.param({"a": [0], "b": 1.0, "c": [2]}, id="extra"),
+        ],
+    )
+    def test_block_keys_must_match_the_first_block(self, tmp_path, second):
+        run_ = _Run("test", tmp_path, 0, {})
+        run_.add_rows({"a": range(2), "b": 0.5}, [True, True])
+        with pytest.raises(ValueError, match="first row"):
+            run_.add_rows(second, [True])
+
+    @pytest.mark.parametrize("value", [5e-324, 1e-300, 0.1 + 0.2, 1e16, -0.0, float("inf")])
+    def test_a_constant_column_is_the_text_csv_writes(self, tmp_path, value):
+        """A float column given once for a block is written in every row as ``csv.writer`` writes that float."""
+        run_ = _Run("test", tmp_path, 0, {})
+        run_.add_rows({"trial": range(3), "constant": value, "per_row": np.full(3, value), "listed": [value] * 3},
+                      [True] * 3)
+        assert run_.finish({}) == 0
+        with (tmp_path / "report.csv").open(newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [row[1:] for row in rows] == [[str(value)] * 3] * 3 and str(value) == repr(value)
+
+    @pytest.mark.parametrize(
         "argv",
         [
             pytest.param(["verify-theorem1", "--trials", "3"], id="verify-theorem1"),
@@ -365,12 +391,12 @@ class TestVerifyCommands:
     def test_replay_rechecks_identity_gap(self, tmp_path, monkeypatch):
         import bayesrisk.bounds as bounds
 
-        real = bounds._checks
+        real = bounds._mixture_kl
 
-        def off_by_1e6(*args, **kwargs):  # the sweep's blocks and the replay's one instance alike
-            return [(report, None if rhs is None else rhs + 1e-6) for report, rhs in real(*args, **kwargs)]
+        def off_by_1e6(*args, **kwargs):  # the sweep's blocks and the replay's one instance alike: rhs - 1e-6
+            return real(*args, **kwargs) + 1e-6
 
-        monkeypatch.setattr(bounds, "_checks", off_by_1e6)
+        monkeypatch.setattr(bounds, "_mixture_kl", off_by_1e6)
         assert run(["verify-theorem2", "--trials", "1", "--out-dir", tmp_path]) == 1
         assert run(["verify-theorem2", "--replay", tmp_path / "violation_0.json"]) == 1
 
@@ -380,19 +406,20 @@ class TestVerifyCommands:
         gives the report and gap its block gave it."""
         import numpy as np
 
-        from bayesrisk.bounds import _as_objects, _check, _theorem_sweep, _verdict
+        from bayesrisk.bounds import _as_objects, _check, _theorem_sweep
         from bayesrisk.cli import _instance_from_payload, _instance_payload
+        from test_rows import swept, verdict
 
         def hexed(report, gap):
             fields = {k: v.hex() if isinstance(v, float) else v for k, v in report.to_dict().items()}
             return fields, None if gap is None else gap.hex()
 
-        swept = _theorem_sweep(np.random.default_rng(3), 300, 5, 64, metric)
-        for (priors, masses, _, cost), (report, gap, ok) in swept:
+        for (priors, masses, _, cost), (report, gap, ok) in swept(_theorem_sweep(np.random.default_rng(3), 300, 5, 64,
+                                                                                  metric)):
             payload = json.loads(json.dumps(_instance_payload(*_as_objects(priors, masses), cost, metric)))
             replayed = _instance_from_payload(payload, metric)
             assert replayed[1].tobytes() == masses.tobytes() and replayed[0].tobytes() == priors.tobytes()
-            again, again_gap, again_ok = _verdict(*_check(*replayed))
+            again, again_gap, again_ok = verdict(_check(*replayed))
             assert (hexed(again, again_gap), again_ok) == (hexed(report, gap), ok)
 
     def test_replay_of_infinite_kl_instance_is_vacuously_satisfied(self, tmp_path, capsys):

@@ -9,6 +9,8 @@ fails again.
 from __future__ import annotations
 
 import csv
+import json
+import math
 import sys
 from pathlib import Path
 
@@ -19,6 +21,7 @@ import bayesrisk.bounds as bounds
 import bayesrisk.classify as classify
 import bayesrisk.distributions as distributions
 import bayesrisk.pipeline as pipeline
+import bayesrisk.smoothing as smoothing
 from bayesrisk.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -35,6 +38,70 @@ def test_sweep_and_replay_go_through_the_one_bound(tmp_path, monkeypatch, comman
     violations = sorted(tmp_path.glob("violation_*.json"))
     assert violations
     assert main([command, "--replay", str(violations[0])]) == 1
+
+
+@pytest.mark.parametrize("metric", ["L1", "KL"])
+def test_one_negative_excess_in_a_block_raises(monkeypatch, metric):
+    """With the two risks of one instance of a block swapped, the one of the largest excess in the first class
+    count that has any, that instance's excess is negative, and the block's checks raise the report's error."""
+    real, swapped = bounds._plugin_risk, []
+
+    def swap_one(*args, **kwargs):
+        risks = real(*args, **kwargs)
+        if not swapped and (risks[1] - risks[0]).max() > 1e-9:
+            swapped.append(j := int(np.argmax(risks[1] - risks[0])))
+            risks[:, j] = risks[::-1, j].copy()
+        return risks
+
+    monkeypatch.setattr(bounds, "_plugin_risk", swap_one)
+    with pytest.raises(ValueError, match=r"^negative excess -.*: optimality violated$"):
+        list(bounds._theorem_sweep(np.random.default_rng(1), 200, 5, 64, metric))
+    assert len(swapped) == 1
+
+
+def _violation_alone(tmp_path, monkeypatch, argv, since, name, column, match, patched) -> tuple[dict, list]:
+    """``argv`` run clean, then with the function ``name``, a ``(module, attribute)`` pair, patched to
+    ``patched(its value, value)``, ``value`` the ``match`` entry of the clean row of the largest ``column`` from trial
+    ``since`` on: that row and the violation files the patched run wrote, after it exited 1 with one violation."""
+    module, attribute = name
+    assert main([*argv, "--out-dir", str(tmp_path / "clean")]) == 0
+    with (tmp_path / "clean" / "report.csv").open(newline="") as fh:
+        worst = max(list(csv.DictReader(fh))[since:], key=lambda row: float(row[column]))
+    real = getattr(module, attribute)
+    monkeypatch.setattr(module, attribute, lambda *args: patched(real(*args), float(worst[match])))
+    assert main([*argv, "--out-dir", str(tmp_path / "broken")]) == 1
+    assert json.loads((tmp_path / "broken" / "summary.json").read_text())["violations"] == 1
+    monkeypatch.undo()
+    return worst, sorted(path.name for path in (tmp_path / "broken").glob("violation_*.json"))
+
+
+@pytest.mark.parametrize("command, formula", [("verify-theorem1", "theorem1_bound"),
+                                              ("verify-theorem2", "theorem2_bound")])
+def test_one_violating_instance_writes_its_own_trial(tmp_path, monkeypatch, capsys, command, formula):
+    """With the bound of the instance of the largest excess from trial 100 on (past the first block) set to 0.0, the
+    sweep exits 1 and writes that trial's instance alone, whose replay gives that trial's row."""
+    argv = [command, "--trials", "300", "--seed", "5"]
+    worst, written = _violation_alone(tmp_path, monkeypatch, argv, 100, (bounds, formula), "excess", "bound",
+                                      lambda bound, value: np.where(bound == value, 0.0, bound))
+    assert written == [f"violation_{worst['trial']}.json"]
+    capsys.readouterr()
+    assert main([command, "--replay", str(tmp_path / "broken" / written[0])]) == 0
+    shown = json.loads(capsys.readouterr().out)
+    assert {key: repr(shown[key]) for key in ("risk_opt", "risk_plugin", "bound")} == {
+        key: worst[key] for key in ("risk_opt", "risk_plugin", "bound")}
+
+
+def test_one_violating_smoothing_trial_writes_its_own_trial(tmp_path, monkeypatch):
+    """With the KL of the trial of the largest KL from trial 512 on (the third block) made infinite, the run exits 1 and
+    writes that trial alone, its report holding that trial's row."""
+    argv = ["smooth", "--trials", "600", "--seed", "5"]
+    worst, written = _violation_alone(tmp_path, monkeypatch, argv, 512, (smoothing, "_kl_on_support"), "kl_actual",
+                                      "kl_actual", lambda kl, value: np.where(kl == value, math.inf, kl))
+    assert written == [f"violation_{worst['trial']}.json"]
+    report = json.loads((tmp_path / "broken" / written[0]).read_text())["report"]
+    assert report["kl_actual"] == math.inf and not report["within"]
+    assert {key: repr(report[key]) for key in ("xi", "l1_actual", "certificate")} == {
+        key: worst[key] for key in ("xi", "l1_actual", "certificate")}
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ import pytest
 
 import referee
 from bayesrisk import bounds, smoothing
+from test_rows import smoothed, swept
 from bayesrisk.classify import CostMatrix
 from bayesrisk.distributions import Domain, QuantizedClassSpec
 
@@ -49,7 +50,8 @@ def test_the_referee_can_fail(gamma, scale):
 def test_random_sweep_verdicts_equal_the_exact_ones():
     checked = 0
     for scale in SCALES:
-        for (priors, masses, _, cost), _ in bounds._theorem_sweep(np.random.default_rng(0), 50, 5, 64, bounds.L1):
+        blocks = bounds._theorem_sweep(np.random.default_rng(0), 50, 5, 64, bounds.L1)
+        for (priors, masses, _, cost), _ in swept(blocks):
             costs = cost.costs * scale
             excess, bound, _ = referee.theorem1(priors, *masses, costs)
             assert float_report(priors, masses, costs).satisfied == (referee.verdict(excess, bound) == "satisfied")
@@ -77,7 +79,7 @@ def test_log_loss_construction_has_zero_slack_and_half_its_bound_fails(gamma):
 def test_random_log_loss_verdicts_and_identity_equal_the_referee():
     """Every decided verdict is the float one, and the identity's right-hand side is the exact excess."""
     decided = 0
-    for (priors, masses, _, _), _ in bounds._theorem_sweep(np.random.default_rng(0), 50, 5, 64, bounds.KL):
+    for (priors, masses, _, _), _ in swept(bounds._theorem_sweep(np.random.default_rng(0), 50, 5, 64, bounds.KL)):
         excess, bound, radius = referee.theorem2(priors, *masses)
         source, est = bounds._as_objects(priors, masses.copy())
         exact = referee.verdict(excess, bound, radius)
@@ -100,8 +102,7 @@ def test_smoothing_verdicts_equal_the_referee(m):
     params = smoothing.SmoothingParams(0.5, spec.description_length)
     base = smoothing.base_mixture(spec)
     decided = 0
-    for true, est, fields in smoothing._sweep(spec, params, base, 25, np.random.default_rng(m)):
-        report = smoothing.SmoothingReport(*fields)
+    for true, est, report in smoothed(smoothing._sweep(spec, params, base, 25, np.random.default_rng(m))):
         kl, certificate, floor, radius = referee.smoothing(true, est, params.xi, spec.description_length,
                                                            base.min_mass)
         for exact_bound, float_bound in ((certificate, report.certificate), (floor, report.certificate_floor)):

@@ -33,7 +33,6 @@ from bayesrisk.bounds import (
     _perturb_rows,
     _theorem_sweep,
     _check,
-    _verdict,
     check_theorem1,
     check_theorem2,
     excess_logloss_identity,
@@ -102,6 +101,31 @@ def _hex_verdict(verdict) -> tuple:
     return _hex_fields(report), None if gap is None else gap.hex(), ok
 
 
+def swept(blocks):
+    """A theorem sweep's instances one by one, each its arrays and verdict ``(report, identity_gap, ok)``, the report
+    built from its row of the block's columns, whose ``k`` and ``m`` are its masses' shape."""
+    for columns, instance in blocks:
+        gaps, oks = columns["identity_gap"].tolist(), columns["ok"].tolist()
+        for j in range(len(oks)):
+            report, arrays = bounds.BoundReport.from_columns(columns, j), instance(j)
+            assert (int(columns["k"][j]), int(columns["m"][j])) == arrays[1].shape[1:]
+            yield arrays, (report, gaps[j], oks[j])
+
+
+def verdict(check) -> tuple:
+    """``(report, identity_gap, ok)`` of a one-instance ``_check``."""
+    report, _, gap, ok = check
+    return report, gap, ok
+
+
+def smoothed(blocks):
+    """A smoothing sweep's trials one by one, each ``(true, estimate, report)``, the report built from its row of
+    the block's columns."""
+    for true, est, columns in blocks:
+        for j in range(len(true)):
+            yield true[j], est[j], smoothing.SmoothingReport.from_columns(columns, j)
+
+
 def check_ragged_sums(rng: np.random.Generator) -> None:
     """``distributions._ragged_sums`` of rows of every length 1 to 1,024, in shuffled order, each cut by its prefix
     mask out of a 1,100-wide row whose entries past the cut are nan, inf, -inf or 1e300, equals in float.hex numpy's
@@ -144,9 +168,9 @@ def test_sweep_instance_and_report_equal_the_public_composition(seed, metric, k_
     float.hex, and under log loss the gap of the public identity's two sides."""
     rng = np.random.default_rng(seed)
     with mock.patch.object(bounds, "_BLOCK_BYTES", 2 * (bounds._ROW_COPIES * 8 * 2 * m_max + bounds._INSTANCE_BYTES)):
-        swept = list(_theorem_sweep(rng, 3, k_max, m_max, metric))
+        instances = list(swept(_theorem_sweep(rng, 3, k_max, m_max, metric)))
     ref = np.random.default_rng(seed)
-    for (priors, masses, _, cost), (report, gap, ok) in swept:
+    for (priors, masses, _, cost), (report, gap, ok) in instances:
         k, m = int(ref.integers(2, k_max + 1)), int(ref.integers(2, m_max + 1))
         source = random_source(ref, k, m)
         if metric == L1:
@@ -299,10 +323,11 @@ def test_sweep_blocks_equal_an_independent_reference(monkeypatch, metric, k_max,
         charge = bounds._ROW_COPIES * 8 * k_max * m_max + bounds._INSTANCE_BYTES
         monkeypatch.setattr(bounds, "_BLOCK_BYTES", per_block * charge)
     rng, ref = np.random.default_rng([n, k_max]), np.random.default_rng([n, k_max])
-    swept = list(_theorem_sweep(rng, n, k_max, m_max, metric))
-    assert len(swept) == n
-    for ((priors, masses, divergences, cost), verdict), expected in zip(swept, _reference_sweep(ref, n, k_max, m_max,
-                                                                                             metric)):
+    instances = list(swept(_theorem_sweep(rng, n, k_max, m_max, metric)))
+    assert len(instances) == n
+    for ((priors, masses, divergences, cost), block_verdict), expected in zip(instances,
+                                                                              _reference_sweep(ref, n, k_max, m_max,
+                                                                                               metric)):
         assert masses.shape == expected[1].shape
         assert _hex_rows(priors) == _hex_rows(expected[0])
         assert _hex_rows(masses.reshape(-1, masses.shape[2])) == _hex_rows(expected[1].reshape(-1, masses.shape[2]))
@@ -310,8 +335,8 @@ def test_sweep_blocks_equal_an_independent_reference(monkeypatch, metric, k_max,
         assert (cost is None) == (expected[3] is None)
         assert cost is None or _hex_rows(cost.costs) == _hex_rows(expected[3])
         ref_cost = None if expected[3] is None else CostMatrix(expected[3])
-        own = _verdict(*_check(expected[0], expected[1], np.array(expected[2]), ref_cost))
-        assert _hex_verdict(verdict) == _hex_verdict(own)
+        own = verdict(_check(expected[0], expected[1], np.array(expected[2]), ref_cost))
+        assert _hex_verdict(block_verdict) == _hex_verdict(own)
     assert rng.random() == ref.random()
 
 
@@ -341,13 +366,81 @@ def test_smoothing_blocks_equal_the_per_trial_path(monkeypatch, m, bits):
     params = SmoothingParams(0.5, spec.description_length)
     base = base_mixture(spec)
     rng, ref = np.random.default_rng(m), np.random.default_rng(m)
-    rows = [fields for _, _, fields in smoothing._sweep(spec, params, base, 30, rng)]
+    rows = [report for _, _, report in smoothed(smoothing._sweep(spec, params, base, 30, rng))]
     assert len(rows) == 30
-    for fields in rows:
+    for row in rows:
         true_d = random_quantized(spec, ref)
         report = verify_smoothing(true_d, random_l1_perturbation(true_d, params.xi, ref), params, base)
-        assert _hex_fields(smoothing.SmoothingReport(*fields)) == _hex_fields(report)
+        assert _hex_fields(row) == _hex_fields(report)
     assert rng.random() == ref.random()
+
+
+class _Recording:
+    """A generator stand-in that hands every call to ``rng`` and keeps the probabilities each ``multinomial`` got."""
+
+    def __init__(self, rng):
+        self.rng, self.shapes = rng, []
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+    def multinomial(self, n, pvals):
+        self.shapes.append(pvals.copy())
+        return self.rng.multinomial(n, pvals)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 8, 9, 64, 129, 4096])
+def test_drawn_numerators_are_the_dirichlet_draws(m):
+    """``distributions._draw_numerators`` gives, bit for bit, the numerators of
+    ``rng.multinomial(scale, rng.dirichlet(np.ones(m)))``, over the very shape ``dirichlet`` draws (a shape an ulp
+    off would mostly give the same numerators), and leaves the generator in the same state."""
+    spec = QuantizedClassSpec(Domain.indexed(m), 8)
+    for seed in range(12):
+        ours, ref = _Recording(np.random.default_rng([seed, m])), np.random.default_rng([seed, m])
+        for _ in range(3):
+            drawn = distributions._draw_numerators(spec, ours)
+            shape = ref.dirichlet(np.ones(m))
+            assert ours.shapes[-1].tobytes() == shape.tobytes()
+            assert drawn.tobytes() == ref.multinomial(spec.scale, shape).tobytes()
+        assert ours.rng.bit_generator.state == ref.bit_generator.state
+
+
+def _unit_passes(row: np.ndarray) -> int:
+    """How many residual passes ``_old_unit_mass`` makes on ``row``."""
+    row = row / float(row.sum())
+    for passes in range(4):
+        if (residual := float(row.sum()) - 1.0) == 0.0:
+            return passes
+        row[int(np.argmax(row))] -= residual
+    return 4
+
+
+@pytest.mark.parametrize("contiguous", [False, True])
+def test_unit_mass_of_a_block_equals_each_row_alone(contiguous):
+    """``_exact_unit_mass`` of a block of rows on a prefix mask, zero past each cut, gives each row the bits that
+    row gets alone as a 1-D array, and that the per-distribution loop gives it, rows that need 0, 1, 2, 3 and 4
+    residual passes among them; the rows still off after the first pass are scattered over the block (patched through
+    a copy) or, ``contiguous``, one run of it (patched through a view)."""
+    rng = np.random.default_rng(11)
+    found = {passes: [] for passes in range(5)}
+    while min(len(rows) for rows in found.values()) < 2:
+        m = int(rng.integers(1, 300))
+        row = rng.gamma(0.3, 1.0, m) + 1e-300
+        row /= row.sum()
+        if len(rows := found[_unit_passes(row)]) < 2:
+            rows.append(row)
+    chosen = [row for passes in range(5) for row in found[passes]]
+    order = range(10) if contiguous else [2, 0, 4, 6, 1, 8, 3, 5, 7, 9]  # the rows on 0 passes between the others
+    rows = [chosen[i] for i in order]
+    lengths = [len(row) for row in rows]
+    on = np.arange(max(lengths)) < np.array(lengths)[:, None]
+    block = np.zeros(on.shape)
+    block[on] = np.concatenate(rows)
+    distributions._exact_unit_mass(block, on)
+    for got, row, n in zip(block, rows, lengths):
+        alone = distributions._exact_unit_mass(row.copy())
+        assert _hex_rows([got[:n]]) == _hex_rows([alone]) == _hex_rows([_old_unit_mass(row.copy())])
+        assert not got[n:].any()
 
 
 @pytest.mark.parametrize("a, b", [(0, 0), (4, 4), (0, 1), (2, 9), (0, 1000), (17, 1040)])

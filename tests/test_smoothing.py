@@ -202,4 +202,4 @@ class TestVerifySmoothing:
         report = verify_smoothing(true_d, true_d, params, base)
         data = report.to_dict()
         assert list(data) == ["xi", "l1_actual", "kl_actual", "certificate", "certificate_floor", "within"]
-        assert list(report.row().items()) == list(data.items())
+        assert [(name, data[name]) for name in report.columns()] == list(data.items())

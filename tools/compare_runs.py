@@ -23,6 +23,10 @@ CASES = [
     ["lower-bounds"],
     ["lower-bounds", "--grid", "0,0.01,0.1,0.3"],
     ["smooth", "--trials", "300"],
+    ["smooth", "--domain-size", "1"],  # one atom: a one-entry draw and no noise
+    ["smooth", "--domain-size", "300", "--bits", "12", "--trials", "200"],  # a block of 6 trials
+    ["smooth", "--ld", "64", "--domain-size", "8"],
+    ["verify-theorem2", "--seed", "42"],  # the 10k default sweep
     ["tightness"],
     ["tightness", "--metric", "KL", "--k", "3", "--domain-size", "8", "--epsilon", "0.05", "--iterations", "1"],
     ["pipeline", "--config", "tests/data/pipeline_config.json"],
