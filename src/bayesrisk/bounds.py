@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import partial
-from itertools import groupby
+from itertools import groupby, repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -75,8 +75,8 @@ class PerturbationBudget:
 
 
 class ReportRows:
-    """A frozen report dataclass's row forms: its CSV ``columns``, every field but those ``not_in_row``; the report of
-    a row of columns; and ``to_dict``, every field to its value (the instance dict, in declaration order)."""
+    """A frozen report dataclass's row forms: its CSV ``columns``, every field but those ``not_in_row``; the reports of
+    rows of columns; and ``to_dict``, every field to its value (the instance dict, in declaration order)."""
 
     not_in_row = ()
 
@@ -85,9 +85,11 @@ class ReportRows:
         return [f.name for f in fields(cls) if f.name not in cls.not_in_row]
 
     @classmethod
-    def from_columns(cls, columns: dict, j: int):
-        """Row ``j`` of ``columns``, arrays holding every field but those whose one float every row holds."""
-        return cls(*(c if isinstance(c, float) else c[j].item() for c in (columns[f.name] for f in fields(cls))))
+    def from_columns(cls, columns: dict, rows=slice(None)) -> list:
+        """The reports of the ``rows`` of ``columns``, arrays holding every field but those whose one float every row
+        holds; the rows are built from the arrays' ``tolist``, as the CSV's are."""
+        values = [columns[f.name] for f in fields(cls)]
+        return [cls(*row) for row in zip(*(repeat(v) if isinstance(v, float) else v[rows].tolist() for v in values))]
 
     def to_dict(self) -> dict:
         return self.__dict__.copy()
@@ -213,7 +215,7 @@ def _check(priors, masses, divergences, cost, identity=True) -> tuple:
     """The one instance of :func:`_as_arrays`' arrays checked, as the sweeps, replays and ``lower-bounds`` decide it:
     ``(report, rhs, identity_gap, ok)`` from its :func:`_checks` row."""
     columns = _checks(priors, masses, divergences, [cost], [len(priors)], identity=identity)
-    return BoundReport.from_columns(columns, 0), *(columns[name].tolist()[0] for name in ("rhs", "identity_gap", "ok"))
+    return *BoundReport.from_columns(columns), *(columns[name].tolist()[0] for name in ("rhs", "identity_gap", "ok"))
 
 
 def _mixture_kl(mixtures, on=True) -> np.ndarray:

@@ -273,7 +273,7 @@ def cmd_smooth(args) -> int:
         run.add_rows({"trial": range(done, done + len(ok)), **columns}, ok)
         for j in np.flatnonzero(~ok).tolist():
             true_d, est_d = (Distribution._frozen(spec.domain, rows[j].copy()) for rows in (true, est))
-            report = SmoothingReport.from_columns(columns, j).to_dict()
+            report = SmoothingReport.from_columns(columns, [j])[0].to_dict()
             run.write_instance(f"violation_{done + j}.json",
                                {"true": true_d.to_dict(), "estimate": est_d.to_dict(), "report": report})
         done += len(ok)

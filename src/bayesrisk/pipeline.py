@@ -232,7 +232,7 @@ def _block(config: TrialConfig, rngs: Sequence[np.random.Generator], n: int, ws,
     0, class 1, ...) into one buffer; each class's CDF, built once in the CDF row, answers the block's
     draws of that class. Then a cost-mode trial with every estimate sparse on few leaves joins a batch
     (:func:`_sparse_batch`); any other writes its estimates into the workspace, the first one making it, and runs
-    on every atom."""
+    on every atom, its report made with those of the run of such trials it ends (:func:`_outcomes`)."""
     source, laplace = config.source, config.resolved_laplace
     k, m = source.k, source.domain.size
     uniforms = np.empty((len(rngs), n))
@@ -247,7 +247,7 @@ def _block(config: TrialConfig, rngs: Sequence[np.random.Generator], n: int, ws,
         samples.append(np.split(_draw_indices(d.mass, flat[: ends[-1]], ws[3]), ends[:-1]))
     del uniforms, flat, trial_uniforms  # the loop's last view would keep the draws' buffer alive
     slots, batch, used = max(k << _pairwise_tree(m)[0], 1 << _pairwise_tree(k * m)[0]), [], 0  # a trial's slot rows
-    dirty = [slice(None)] * k  # where each workspace row may be non-zero
+    dirty, dense = [slice(None)] * k, []  # where each workspace row may be non-zero; the run of dense trials
     for t, trial_counts in enumerate(counts.tolist()):
         hits = [_estimate(idx[t], m, laplace) for idx in samples] if costs_base is not None else [None] * k
         sparse = all(hit is not None and _few_leaves(m, hit[0]) for hit in hits)
@@ -256,6 +256,8 @@ def _block(config: TrialConfig, rngs: Sequence[np.random.Generator], n: int, ws,
             yield from _sparse_batch(config, batch, costs, risk_opt, classes, costs_base)
             batch, used = [], 0
         if sparse:
+            yield from _outcomes(config, costs, risk_opt, *zip(*dense)) if dense else ()  # a batch follows them
+            dense = []
             batch.append((trial_counts, hits))
             used += charge
             continue
@@ -273,9 +275,8 @@ def _block(config: TrialConfig, rngs: Sequence[np.random.Generator], n: int, ws,
         l1s = tuple(_l1_distance(p, q, row) for (p, *_), q in zip(classes, ests))
         kls = tuple(_kl_on_support(p, q, support, row) for (p, support, *_), q in zip(classes, ests))
         ests *= source.priors[:, None]
-        risk_plugin = float(_plugin_risk(source.weighted_mass, ests, costs, ws[1:]))
-        report = _trial_reports(config, costs, np.array([kls if costs is None else l1s]).T, risk_opt, [risk_plugin])
-        yield TrialOutcome(tuple(trial_counts), l1s, kls, report[0])
+        dense.append((tuple(trial_counts), l1s, kls, float(_plugin_risk(source.weighted_mass, ests, costs, ws[1:]))))
+    yield from _outcomes(config, costs, risk_opt, *zip(*dense)) if dense else ()
     yield from _sparse_batch(config, batch, costs, risk_opt, classes, costs_base) if batch else ()
 
 
@@ -326,18 +327,19 @@ def _sparse_batch(config: TrialConfig, batch, costs, risk_opt, classes, costs_ba
     del labels, trial, atom, order, flat_atoms
     label_0 = _cost_leaves(true, source.priors, costs, False)
     risks = _patched_sums(k * m, plan, entries, np.repeat(costs_base[None], trials, 0), label_0)
-    reports = _trial_reports(config, costs, l1s, risk_opt, risks)
-    return [TrialOutcome(tuple(trial_counts), tuple(l1s[:, t].tolist()), tuple(kls[t::trials]), reports[t])
-            for t, (trial_counts, _) in enumerate(batch)]
+    return _outcomes(config, costs, risk_opt, [tuple(counts) for counts, _ in batch],
+                     [tuple(l1s[:, t].tolist()) for t in range(trials)], [tuple(kls[t::trials]) for t in range(trials)],
+                     risks)
 
 
-def _trial_reports(config: TrialConfig, costs, divergences: np.ndarray, risk_opt: float, risk_plugin) -> list:
-    """The report of each trial, a column of the ``(k, trials)`` per-class ``divergences``, from its plug-in risk in
-    ``risk_plugin``: the cost bound under the cost array ``costs``, or the log-loss bound if ``None``."""
-    eps, risks, k = (config.source.priors[:, None] * divergences).max(axis=0), np.asarray(risk_plugin), config.source.k
+def _outcomes(config: TrialConfig, costs, risk_opt: float, counts, l1s, kls, risks) -> list[TrialOutcome]:
+    """The outcomes of trials from their split sizes, per-class L1s and KLs and plug-in ``risks``, their reports made
+    at once: under the cost bound with the cost array ``costs``, or the log-loss bound if ``None``."""
+    k, divergences = config.source.k, np.array(kls if costs is None else l1s).T
+    eps, risks = (config.source.priors[:, None] * divergences).max(axis=0), np.asarray(risks)
     bound = theorem2_bound(eps, k) if costs is None else theorem1_bound(eps, k, costs[None])
-    columns = _bound_columns(np.full(len(risks), risk_opt), risks, eps, bound)
-    return [BoundReport.from_columns(columns, t) for t in range(len(risks))]
+    reports = BoundReport.from_columns(_bound_columns(np.full(len(risks), risk_opt), risks, eps, bound))
+    return [TrialOutcome(*outcome) for outcome in zip(counts, l1s, kls, reports)]
 
 
 @dataclass(frozen=True)

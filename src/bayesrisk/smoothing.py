@@ -168,7 +168,7 @@ def verify_smoothing(
     """
     _require_same_domain(true_d, d_est)
     _check_base(d_est, base)
-    return SmoothingReport.from_columns(_verify_rows(true_d.mass[None], d_est.mass[None], params, base), 0)
+    return SmoothingReport.from_columns(_verify_rows(true_d.mass[None], d_est.mass[None], params, base))[0]
 
 
 def _verify_rows(true: np.ndarray, est: np.ndarray, params: SmoothingParams, base: BaseDistribution) -> dict:

@@ -106,8 +106,8 @@ def swept(blocks):
     built from its row of the block's columns, whose ``k`` and ``m`` are its masses' shape."""
     for columns, instance in blocks:
         gaps, oks = columns["identity_gap"].tolist(), columns["ok"].tolist()
-        for j in range(len(oks)):
-            report, arrays = bounds.BoundReport.from_columns(columns, j), instance(j)
+        for j, report in enumerate(bounds.BoundReport.from_columns(columns)):
+            arrays = instance(j)
             assert (int(columns["k"][j]), int(columns["m"][j])) == arrays[1].shape[1:]
             yield arrays, (report, gaps[j], oks[j])
 
@@ -122,8 +122,7 @@ def smoothed(blocks):
     """A smoothing sweep's trials one by one, each ``(true, estimate, report)``, the report built from its row of
     the block's columns."""
     for true, est, columns in blocks:
-        for j in range(len(true)):
-            yield true[j], est[j], smoothing.SmoothingReport.from_columns(columns, j)
+        yield from zip(true, est, smoothing.SmoothingReport.from_columns(columns))
 
 
 def check_ragged_sums(rng: np.random.Generator) -> None:
