@@ -43,8 +43,8 @@ import numpy as np
 
 from .classify import CostLike, CostMatrix, LabeledSource, as_cost_array
 from .classify import _bayes_labels, _cost_risk, _logloss_risk, _posterior, _workspace
-from .distributions import Distribution, Domain, _json_float, _json_int
-from .distributions import _exact_unit_mass, _kl_on_support, _l1_distance, _ragged_sums, _trusted, _unit_rows
+from .distributions import Distribution, Domain, _Draws, _exact_unit_mass, _json_float, _json_int, _kl_on_support
+from .distributions import _l1_distance, _ragged_sums, _scaled, _trusted, _unit_rows
 
 # Tolerance of every "value <= bound" verdict, read only by _within.
 BOUND_TOL = 1e-9
@@ -193,7 +193,7 @@ def _checks(priors, masses, divergences, costs, ks, on=True, identity=True) -> d
     for k, count in [(k, min(most, n - start)) for k, n in runs for start in range(0, n, most)]:
         rows, run = slice(row, row + count * k), slice(first, first + count)
         scored = (masses[:, rows] * priors[rows, None]).reshape(2, count, k, -1)
-        group = None if costs[0] is None else np.array([as_cost_array(c, k) for c in costs[run]])
+        group = None if costs[0] is None else np.array(costs[run])
         risks.append(_plugin_risk(scored[0], scored, group, on=on if on is True else on[rows].reshape(count, k, -1)))
         if group is None:
             mixtures.append(scored.sum(axis=-2))
@@ -214,6 +214,7 @@ def _checks(priors, masses, divergences, costs, ks, on=True, identity=True) -> d
 def _check(priors, masses, divergences, cost, identity=True) -> tuple:
     """The one instance of :func:`_as_arrays`' arrays checked, as the sweeps, replays and ``lower-bounds`` decide it:
     ``(report, rhs, identity_gap, ok)`` from its :func:`_checks` row."""
+    cost = None if cost is None else as_cost_array(cost, len(priors))
     columns = _checks(priors, masses, divergences, [cost], [len(priors)], identity=identity)
     return *BoundReport.from_columns(columns), *(columns[name].tolist()[0] for name in ("rhs", "identity_gap", "ok"))
 
@@ -345,12 +346,6 @@ def _into_budget(metric: str, true: np.ndarray, est: np.ndarray, limits: np.ndar
     return est
 
 
-def _draw_noise(rng: np.random.Generator, budget: float, row: np.ndarray) -> None:
-    """:func:`random_l1_perturbation`'s draw, into ``row``: none for a zero budget or one atom."""
-    if budget != 0.0 and len(row) != 1:
-        rng.standard_normal(out=row)
-
-
 def _perturb_rows(true: np.ndarray, budgets: np.ndarray, noise: np.ndarray, on=True) -> np.ndarray:
     """:func:`random_l1_perturbation` of each row of the ``(n, m)`` unit masses ``true`` at its budget, on its row
     of normal ``noise`` (zeros if not drawn; centred in place), rows on the prefix mask ``on`` (``True``: whole)."""
@@ -375,32 +370,21 @@ def _floor_rows(rough: np.ndarray, lams: np.ndarray, on=True) -> np.ndarray:
     return _exact_unit_mass((1.0 - lams)[:, None] * rough + floor, on)
 
 
-def _draw_moves(rng: np.random.Generator, k: int, m: int, metric: str, budget):
-    """The draws that move ``k`` classes of ``m`` atoms, ``(budgets, noise, lams)``, class by class in
-    the public generators' order: its budget ``budget()``, its noise (:func:`_draw_noise`) and under
-    KL its floor weight in ``[0.2 * 0.05, 0.05]``."""
-    budgets, noise, lams = np.empty(k), np.zeros((k, m)), np.empty(k)
-    for i in range(k):
-        budgets[i] = budget()
-        _draw_noise(rng, budgets[i], noise[i])
-        if metric == KL:
-            lams[i] = rng.uniform(0.2 * 0.05, 0.05)
-    return budgets, noise, lams
-
-
 def _moved(true: np.ndarray, metric: str, budgets, noise, lams, on=True) -> np.ndarray:
-    """The estimates of the ``(k, m)`` unit masses ``true`` (on the prefix mask ``on``) on :func:`_draw_moves`' draws:
-    each row perturbed within its L1 budget and, under KL, mixed with uniform to full support."""
+    """The estimates of the ``(k, m)`` unit masses ``true`` (on the prefix mask ``on``) on the draws of
+    :meth:`_Draws.moves`: each row perturbed within its L1 budget and, under KL, mixed with uniform to full support
+    at its floor weight, the raw ``lams`` on ``[0.2 * 0.05, 0.05]``."""
     est = _perturb_rows(true, budgets, noise, on)
-    return _floor_rows(est, lams, on) if metric == KL else est
+    return _floor_rows(est, _scaled(lams, 0.2 * 0.05, 0.05), on) if metric == KL else est
 
 
 def _perturbed(d: Distribution, budget: float, rng: np.random.Generator, metric: str) -> Distribution:
     """:func:`_moved` of the one distribution ``d``."""
     if not 0.0 <= _json_float(budget, "L1 budget") <= 2.0:
         raise ValueError("L1 budget must lie in [0, 2]")
-    moves = _draw_moves(rng, 1, d.domain.size, metric, lambda: budget)
-    return Distribution._frozen(d.domain, _moved(d.mass[None], metric, *moves)[0])
+    (draws := _Draws(rng, m := d.domain.size)).moves(1, m, budget, metric == KL)
+    est = _moved(d.mass[None], metric, np.array(draws.budgets), draws.flat[1:], draws.lams)
+    return Distribution._frozen(d.domain, est[0])
 
 
 def random_l1_perturbation(
@@ -422,14 +406,6 @@ def support_safe_perturbation(d: Distribution, budget: float, rng: np.random.Gen
     return _perturbed(d, budget, rng, KL)
 
 
-def _draw_source(rng: np.random.Generator, k: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`random_source`'s draws: normalized priors and ``(k, m)`` class weights off zero."""
-    priors = rng.uniform(0.05, 1.0, k)
-    priors /= priors.sum()
-    alpha = (0.3, 1.0, 3.0)[rng.integers(0, 3)]
-    return priors, rng.gamma(alpha, 1.0, (k, m)) + 1e-300
-
-
 def _as_objects(priors: np.ndarray, masses: np.ndarray) -> tuple:
     """The source holding the first ``(k, m)`` unit masses of the ``(n, k, m)`` ``masses`` and, for
     ``n == 2``, the estimates holding the second, on ``Domain.indexed(m)``; ``masses`` becomes read-only."""
@@ -443,73 +419,67 @@ def random_source(rng: np.random.Generator, k: int, m: int) -> LabeledSource:
     """Random labeled source over ``Domain.indexed(m)`` with priors bounded away from zero."""
     if _json_int(k, "k") < 2 or _json_int(m, "m") < 1:
         raise ValueError("k must be at least 2 and m at least 1")
-    priors, weights = _draw_source(rng, k, m)
-    return _as_objects(priors, _unit_rows(weights)[None])[0]
+    (draws := _Draws(rng, k * m)).source(k, m)
+    priors, weights = draws.sources()
+    return _as_objects(priors, _unit_rows(weights.reshape(k, m))[None])[0]
 
 
 def random_cost(rng: np.random.Generator, k: int) -> CostMatrix:
     """Random cost matrix: 0/1, dense random, or scaled zero-diagonal."""
-    kind = int(rng.integers(0, 3))
-    if kind == 0:
-        c = np.ones((k, k)) - np.eye(k)
-    elif kind == 1:
-        c = rng.uniform(0.0, 1.0, (k, k))
-        c[0, 1] += 1.0
-    else:
-        c = rng.uniform(0.1, 5.0, (k, k))
-        np.fill_diagonal(c, 0.0)
-    c.flags.writeable = False
-    return _trusted(CostMatrix, costs=c)  # unchecked: valid by construction, and a sweep makes one per instance
+    (draws := _Draws(rng, 0)).cost(k)
+    return _trusted(CostMatrix, costs=draws.costs[0])  # unchecked: valid by construction
 
 
 def _theorem_sweep(rng: np.random.Generator, n: int, k_max: int, m_max: int, metric: str):
     """The metric's sweep of ``n`` instances, a :func:`_sweep_block` at a time in trial order; sizes checked at the
-    call. A block, as many instances as ``_BLOCK_BYTES`` holds, makes every draw first, in the public generators'
-    order (k, m, source, :func:`_draw_moves` at a uniform budget, under L1 the cost)."""
+    call. A block, as many instances as ``_BLOCK_BYTES`` holds, makes every draw first, instance by instance in the
+    public generators' order (k, m, the source, the moves at a uniform budget, under L1 the cost), into one
+    :class:`_Draws` whose buffers hold the most class rows the block can charge, at ``m_max`` atoms."""
     if _json_int(k_max, "k_max") < 2 or _json_int(m_max, "m_max") < 2:
         raise ValueError("k_max and m_max must be at least 2")
-    budget = partial(rng.uniform, 0.0, 2.0 if metric == L1 else 1.5)
 
     def blocks():
-        drawn, held = [], 0
+        held = 0
         for trial in range(n):
+            if not held:
+                draws = _Draws(rng, _BLOCK_BYTES // (8 * _ROW_COPIES) + k_max * m_max)
             k, m = int(rng.integers(2, k_max + 1)), int(rng.integers(2, m_max + 1))
-            drawn.append((*_draw_source(rng, k, m), *_draw_moves(rng, k, m, metric, budget),
-                          random_cost(rng, k) if metric == L1 else None))
+            draws.source(k, m)
+            draws.moves(k, m, None, metric == KL)
+            if metric == L1:
+                draws.cost(k)
             held += _ROW_COPIES * 8 * k * m_max + _INSTANCE_BYTES
             if held >= _BLOCK_BYTES or trial == n - 1:
-                yield _sweep_block(drawn, metric)
-                held = 0  # _sweep_block emptied drawn
+                yield _sweep_block(draws, metric)
+                held = 0
 
     return blocks()
 
 
-def _sweep_block(drawn: list, metric: str) -> tuple:
-    """A block's ``drawn`` instances checked (and ``drawn`` emptied): their ``k``, ``m`` and :func:`_checks` columns in
-    the order drawn, and the function giving instance ``j``'s :func:`_as_arrays` arrays and cost. Its class rows, by
-    class count, zero-padded and cut by one prefix mask, go through each kernel once and keep their own bits."""
-    order = sorted(range(len(drawn)), key=lambda i: len(drawn[i][0]))  # a class count's rows are one slab
-    priors, weights, budgets, noise, lams, costs = zip(*(drawn[i] for i in order))
-    drawn.clear()
-    ks, ms = [len(g) for g in priors], [w.shape[1] for w in weights]
-    ends = np.cumsum(ks).tolist()
-    on = np.arange(max(ms)) < np.repeat(ms, ks)[:, None]  # each class row's prefix: its instance's atoms
+def _sweep_block(draws: _Draws, metric: str) -> tuple:
+    """A block's :class:`_Draws` checked: their ``k``, ``m`` and :func:`_checks` columns in the order drawn, and the
+    function giving instance ``j``'s :func:`_as_arrays` arrays and cost. Its class rows, zero-padded and cut by one
+    prefix mask, go through each kernel once (the checks' sorted by class count) and keep their own bits."""
+    ks, ms = np.array(draws.shapes).T
+    on = np.arange(ms.max()) < np.repeat(ms, ks)[:, None]  # each class row's prefix: its instance's atoms
     masses = np.zeros((2, *on.shape))  # the weights and the noise, then the true and moved rows
-    for w, v, end, k, m in zip(weights, noise, ends, ks, ms):
-        masses[0, end - k : end, :m], masses[1, end - k : end, :m] = w, v
-    del weights, noise  # held in masses now
+    priors, masses[0, on] = draws.sources()
+    masses[1, on] = draws.flat[1, : draws.at[1]]
     masses[0] = _unit_rows(masses[0], on)
-    masses[1] = _moved(masses[0], metric, np.concatenate(budgets), masses[1], np.concatenate(lams), on)
-    divergences = _divergences(*masses, metric, on)
-    checks = _checks(np.concatenate(priors), masses, divergences, costs, ks, on)
-    at = (back := np.argsort(order)).tolist()
+    budgets = _scaled(draws.budgets, 0.0, 2.0 if metric == L1 else 1.5)
+    masses[1] = _moved(masses[0], metric, budgets, masses[1], draws.lams, on)
+    divergences, costs = _divergences(*masses, metric, on), draws.costs or [None] * len(ks)
+    order, rows = np.argsort(ks, kind="stable"), np.argsort(np.repeat(ks, ks), kind="stable")  # by class count
+    checks = _checks(priors[rows], masses[:, rows], divergences[rows], [costs[i] for i in order.tolist()],
+                     ks[order].tolist(), on[rows])
+    ends, back = np.cumsum(ks).tolist(), np.argsort(order)
 
     def instance(j: int) -> tuple:
-        i = at[j]
-        rows = slice(ends[i] - ks[i], ends[i])
-        return priors[i], masses[:, rows, : ms[i]], divergences[rows], costs[i]
+        rows, cost = slice(ends[j] - ks[j], ends[j]), costs[j]
+        cost = None if cost is None else _trusted(CostMatrix, costs=cost)  # valid by construction
+        return priors[rows], masses[:, rows, : ms[j]], divergences[rows], cost
 
-    return {name: np.asarray(column)[back] for name, column in {"k": ks, "m": ms, **checks}.items()}, instance
+    return {"k": ks, "m": ms, **{name: np.asarray(column)[back] for name, column in checks.items()}}, instance
 
 
 def random_theorem1_instance(
@@ -665,13 +635,20 @@ def tightness_search(
         if restart == 0 and k == 2 and m == 2:
             priors, masses = _seed_masses(budget.metric, budget.epsilon)
         else:
-            priors = np.full(k, 1.0 / k) if rng.random() < 0.5 else _draw_source(rng, k, m)[0]
-            true = _unit_rows(rng.gamma(0.6, 1.0, (k, m)) + 1e-300)
+            draws = _Draws(rng, 2 * k * m)
+            if rng.random() < 0.5:
+                priors = np.full(k, 1.0 / k)
+            else:  # a random source's priors, its class weights drawn and left
+                draws.source(k, m)
+                priors = draws.sources()[0]
+            true = _unit_rows(draws.weights(0.6, k * m).reshape(k, m) + 1e-300)
             radius = min(budget.epsilon / priors.min(), 2.0) if budget.metric == L1 else 1.0
-            moves = _draw_moves(rng, k, m, budget.metric, lambda: radius)
+            draws.moves(k, m, radius, budget.metric == KL)
+            noise = draws.flat[1, : k * m].reshape(k, m)
             # The estimates start from the true rows rescaled a second time. _exact_unit_mass is not
             # idempotent (it can move a row it left one ulp off), and the recorded searches rest on it.
-            masses = np.array([true, _moved(_exact_unit_mass(true.copy()), budget.metric, *moves)])
+            masses = np.array([true, _moved(_exact_unit_mass(true.copy()), budget.metric, np.array(draws.budgets),
+                                            noise, draws.lams)])
         val, projected = _climb(masses, partial(excess, priors), budget.epsilon, rng)
         if val > best_val:
             best_val = val

@@ -19,7 +19,6 @@ code from its rows' verdicts; ``--replay`` and ``main``'s usage errors decide th
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import os
@@ -70,21 +69,19 @@ class _Run:
         self.config = config
         self.csv_columns: list[str] = []
         self.started_at = time.strftime("%Y-%m-%dT%H:%M:%S%z")
-        self.rows: list[list] = []
+        self.lines: list[str] = []
         self.violations = 0
         self.extra_outputs: list[str] = []
 
     def add_rows(self, columns: dict, ok) -> None:
-        """Add a block of rows: each column a list, range or 1-D array of the rows' values, or a float that every
-        row holds, turned to text once (``str``, the text ``csv.writer`` writes for a float); ``ok`` the verdicts."""
+        """Add a block of rows, each column a list, range or 1-D array of the rows' values, or a float that every row
+        holds, turned to its CSV text at once (:func:`_texts`); ``ok`` the verdicts."""
         keys = list(columns)
-        if not self.rows:
+        if not self.lines:
             self.csv_columns = keys
         elif keys != self.csv_columns:
             raise ValueError(f"row has columns {keys}, the first row has {self.csv_columns}")
-        cells = [repeat(str(v)) if isinstance(v, float) else v.tolist() if isinstance(v, np.ndarray) else v
-                 for v in columns.values()]
-        self.rows.extend(zip(*cells))
+        self.lines.extend(map(",".join, zip(*map(_texts, columns.values()))))
         self.violations += len(ok) - int(np.count_nonzero(ok))
 
     def add_row(self, row: dict, ok: bool) -> None:
@@ -97,10 +94,8 @@ class _Run:
 
     def finish(self, summary: dict) -> int:
         report_path = self.out / "report.csv"
-        with report_path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(self.csv_columns)
-            writer.writerows(self.rows)
+        with report_path.open("w", newline="") as fh:  # the lines of csv.writer's excel dialect
+            fh.write("\r\n".join([",".join(_texts(self.csv_columns)), *self.lines, ""]))
         summary_path = self.out / "summary.json"
         summary_path.write_text(json.dumps(summary, indent=2))
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]  # the floats of a run depend on it
@@ -122,6 +117,28 @@ class _Run:
         }
         (self.out / "manifest.json").write_text(json.dumps(manifest, indent=2))
         return EXIT_VIOLATION if self.violations else EXIT_OK
+
+
+# The characters for which csv.writer (excel dialect, QUOTE_MINIMAL) quotes a field.
+_QUOTED_BY = frozenset(',"\r\n')
+
+
+def _texts(column):
+    """A column's fields as ``csv.writer`` writes them: a float every row holds, once; a range or a numeric or bool
+    array, ``str`` of each value, which never needs quoting; any other values each as :func:`_field` writes it."""
+    if isinstance(column, float):
+        return repeat(_field(column))
+    if isinstance(column, range) or isinstance(column, np.ndarray) and column.dtype.kind in "biuf":
+        return map(str, column.tolist() if isinstance(column, np.ndarray) else column)
+    return map(_field, column.tolist() if isinstance(column, np.ndarray) else column)
+
+
+def _field(value) -> str:
+    """``value`` as ``csv.writer`` writes a field (``QUOTE_MINIMAL``): ``None`` empty, anything else its ``str``,
+    quoted, each quote doubled, when that holds a comma, a quote or a line break."""
+    text = "" if value is None else str(value)
+    return text if _QUOTED_BY.isdisjoint(text) else '"' + text.replace('"', '""') + '"'
+
 
 
 def _instance_payload(source: LabeledSource, est_dists, cost, metric: str) -> dict:

@@ -250,11 +250,12 @@ def _exact_unit_mass(mass: np.ndarray, on=True) -> np.ndarray:
 
 
 def _unit_sums(totals: np.ndarray) -> bool:
-    """Whether the row sums ``totals`` are all exactly 1.0; a ``ValueError`` if one lies further than ``SUM_TOL``."""
-    for total in (listed := totals.tolist()):  # cheaper than numpy calls for the few rows of most calls
-        if abs(total - 1.0) > SUM_TOL:
-            raise ValueError(f"mass sums to {total!r}, expected 1 within {SUM_TOL}")
-    return listed.count(1.0) == len(listed)
+    """Whether the row sums ``totals`` are all exactly 1.0; a ``ValueError`` names the first that lies further than
+    ``SUM_TOL``. A nan total lies no further, but makes the worst distance nan, so then each total is tested."""
+    worst = np.maximum.reduce(np.abs(totals - 1.0), initial=0.0)
+    if not worst <= SUM_TOL and (off := np.abs(totals - 1.0) > SUM_TOL).any():
+        raise ValueError(f"mass sums to {float(totals[off.argmax()])!r}, expected 1 within {SUM_TOL}")
+    return bool(worst == 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -337,7 +338,7 @@ def _unit_rows(weights: np.ndarray, on=True) -> np.ndarray:
     :func:`make_distribution`."""
     with np.errstate(over="ignore"):
         totals = _ragged_sums(weights, on)
-    if not (weights.min() >= 0.0 and all(0.0 < total < math.inf for total in totals.tolist())):
+    if not (weights.min() >= 0.0 and ((0.0 < totals) & (totals < math.inf)).all()):
         if not np.isfinite(weights).all() or (weights < 0.0).any():
             raise ValueError("invalid mass: weights must be finite and non-negative")
         raise ValueError("degenerate: all weights are zero" if totals.min() == 0.0 else
@@ -496,11 +497,84 @@ def random_quantized(spec: QuantizedClassSpec, rng: np.random.Generator) -> Dist
     Dyadic masses with denominator ``2**bits_per_atom`` are exact in binary
     floating point, so membership survives construction.
     """
-    return Distribution(spec.domain, _draw_numerators(spec, rng) / spec.scale)
+    (draws := _Draws(rng, spec.domain.size)).numerators(spec.domain.size, spec.scale)
+    return Distribution(spec.domain, draws.flat[0] / spec.scale)
 
 
-def _draw_numerators(spec: QuantizedClassSpec, rng: np.random.Generator) -> np.ndarray:
-    """:func:`random_quantized`'s draws: ``rng.dirichlet(np.ones(m))``, bit for bit without its checks (at alpha 1 it
-    scales ``standard_exponential(m)`` by one over the sum taken in sequence), then the numerators over it."""
-    g = rng.standard_exponential(spec.domain.size)
-    return rng.multinomial(spec.scale, g * (1.0 / g.cumsum()[-1]))
+def _scaled(raw, lo: float, hi: float) -> np.ndarray:
+    """``rng.uniform(lo, hi)`` of the ``rng.random()`` draws ``raw``, bit for bit: numpy draws it as
+    ``lo + (hi - lo) * r``."""
+    return lo + (hi - lo) * np.asarray(raw, dtype=float)
+
+
+@lru_cache(maxsize=None)  # one read-only array per class count
+def _zero_one(k: int) -> np.ndarray:
+    (costs := np.ones((k, k)) - np.eye(k)).flags.writeable = False
+    return costs
+
+
+class _Draws:
+    """The random draws of a block of instances or trials (a public generator's are a block of one), made in the order
+    asked for, each by the cheapest generator call that gives the public calls' bits and leaves the generator where they
+    do. A uniform is ``rng.random()``, kept raw and scaled by :func:`_scaled` a block at a time; gammas, normals and
+    numerators go straight into the flat buffers ``flat[0]`` (class weights or numerators) and ``flat[1]`` (noise, zero
+    where none is drawn), ``size`` floats each, filled from the left up to ``at``."""
+
+    def __init__(self, rng: np.random.Generator, size: int):
+        self.rng, self.flat, self.at = rng, np.zeros((2, size)), [0, 0]
+        self.shapes, self.priors, self.budgets, self.lams, self.costs = [], [], [], [], []
+
+    def source(self, k: int, m: int) -> None:
+        """A labeled source's draws: ``k`` prior uniforms on ``[0.05, 1)``, the index of its gamma shape and its
+        ``(k, m)`` class weights of that shape."""
+        self.shapes.append((k, m))
+        self.priors.append(self.rng.random(k))
+        self.weights((0.3, 1.0, 3.0)[self.rng.integers(0, 3)], k * m)
+
+    def weights(self, shape: float, n: int) -> np.ndarray:
+        """``n`` class weights of gamma ``shape``, ``rng.gamma(shape, 1.0, n)``'s bits, into ``flat[0]``."""
+        self.at[0] = (at := self.at[0]) + n
+        return self.rng.standard_gamma(shape, out=self.flat[0, at : at + n])
+
+    def sources(self) -> tuple:
+        """The block's sources: each one's priors over their sum as numpy sums them, and the weights plus ``1e-300``."""
+        ks = np.array([k for k, _ in self.shapes])
+        priors = _scaled(np.concatenate(self.priors), 0.05, 1.0)
+        priors /= np.repeat(_run_sums(priors, ks), ks)
+        weights = self.flat[0, : self.at[0]]
+        weights += 1e-300
+        return priors, weights
+
+    def moves(self, k: int, m: int, budget, floors: bool) -> None:
+        """The moves of ``k`` classes of ``m`` atoms, class by class: its L1 budget (``budget``, or if ``None`` a raw
+        uniform), its normal noise into ``flat[1]`` unless that budget is zero or ``m`` is one, and with ``floors``
+        its raw floor weight."""
+        rng, noise, at, budgets, lams = self.rng, self.flat[1], self.at[1], self.budgets, self.lams
+        self.at[1] = end = at + k * m
+        for row in range(at, end, m):
+            budgets.append(drawn := rng.random() if budget is None else budget)
+            if drawn != 0.0 and m != 1:
+                rng.standard_normal(out=noise[row : row + m])
+            if floors:
+                lams.append(rng.random())
+
+    def cost(self, k: int) -> None:
+        """A ``(k, k)`` cost matrix, read-only, as its first draw picks: 0/1, uniform on ``[0, 1)`` with 1 added at
+        ``[0, 1]``, or uniform on ``[0.1, 5)`` with a zero diagonal."""
+        kind = int(self.rng.integers(0, 3))
+        c = _zero_one(k) if kind == 0 else self.rng.random((k, k))  # uniform on [0, 1) is r itself
+        if kind == 1:
+            c[0, 1] += 1.0
+        elif kind == 2:
+            (c := _scaled(c, 0.1, 5.0)).ravel()[:: k + 1] = 0.0
+        c.flags.writeable = False
+        self.costs.append(c)
+
+    def numerators(self, m: int, scale: int) -> None:
+        """The numerators of a member of the quantized class of ``m`` atoms and denominator ``scale``, into ``flat[0]``:
+        those of ``rng.multinomial(scale, rng.dirichlet(np.ones(m)))``, bit for bit without its checks (at alpha 1
+        ``dirichlet`` scales ``standard_exponential(m)`` by one over the sum taken in sequence)."""
+        g = self.rng.standard_exponential(m)
+        g *= 1.0 / np.add.accumulate(g)[-1]
+        self.at[0] = (at := self.at[0]) + m
+        self.flat[0, at : at + m] = self.rng.multinomial(scale, g)

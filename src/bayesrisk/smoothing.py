@@ -28,8 +28,8 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .bounds import EXACT_TOL, ReportRows, _draw_noise, _perturb_rows, _within
-from .distributions import Distribution, QuantizedClassSpec, _draw_numerators, _exact_unit_mass
+from .bounds import EXACT_TOL, ReportRows, _perturb_rows, _within
+from .distributions import Distribution, QuantizedClassSpec, _Draws, _exact_unit_mass
 from .distributions import _json_float, _json_int, _kl_on_support, _l1_distance, _require_same_domain
 
 # Explicit class enumerations beyond this are refused rather than averaged.
@@ -189,16 +189,17 @@ def _verify_rows(true: np.ndarray, est: np.ndarray, params: SmoothingParams, bas
 def _sweep(spec: QuantizedClassSpec, params: SmoothingParams, base: BaseDistribution, trials: int, rng):
     """The smoothing sweep's trials a block at a time, each block ``(true, estimates, columns)``: its ``(n, m)``
     masses and :func:`_verify_rows`' columns. A block of trials, at most ``_BLOCK_BYTES`` per array, makes each
-    trial's draws of :func:`random_quantized` and :func:`random_l1_perturbation` at budget ``xi`` first, then its
-    arithmetic on the whole block."""
-    m = spec.domain.size
+    trial's draws of :func:`random_quantized` and :func:`random_l1_perturbation` at budget ``xi`` first, into one
+    :class:`_Draws`, then its arithmetic on the whole block, the numerators over the scale first."""
+    m, scale, xi = spec.domain.size, spec.scale, params.xi
     per_block = max(1, _BLOCK_BYTES // (8 * m))
     for start in range(0, trials, per_block):
-        n = min(per_block, trials - start)
-        true, noise = np.empty((n, m)), np.zeros((n, m))
-        for row, trial_noise in zip(true, noise):
-            np.divide(_draw_numerators(spec, rng), spec.scale, out=row)
-            _draw_noise(rng, params.xi, trial_noise)
+        draws = _Draws(rng, (n := min(per_block, trials - start)) * m)
+        for _ in range(n):
+            draws.numerators(m, scale)
+            draws.moves(1, m, xi, False)
+        true, noise = draws.flat.reshape(2, n, m)
+        true /= scale
         _exact_unit_mass(true)
-        est = _perturb_rows(true, np.full(n, params.xi), noise)
+        est = _perturb_rows(true, np.full(n, xi), noise)
         yield true, est, _verify_rows(true, est, params, base)

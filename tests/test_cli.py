@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -228,6 +229,28 @@ class TestDerivedColumns:
         with (tmp_path / "report.csv").open(newline="") as fh:
             rows = list(csv.reader(fh))[1:]
         assert [row[1:] for row in rows] == [[str(value)] * 3] * 3 and str(value) == repr(value)
+
+    def test_the_report_is_the_bytes_csv_writer_writes(self, tmp_path):
+        """Every cell kind ``add_rows`` takes is written as ``csv.writer`` (excel dialect, ``QUOTE_MINIMAL``) writes
+        the same values: ints, ranges and bools, special floats as arrays, lists and constants, ``None``, strings
+        that need quoting and the pipeline's ``counts`` text; the header too, a column name needing quotes."""
+        floats = [math.nan, math.inf, -0.0, 5e-324, 1e16, -math.inf, 0.1 + 0.2]
+        texts = ["a,b", 'say "hi"', "two\nlines", "cr\r", "", "20|30", " padded "]
+        columns = {"trial": range(7), "ints": np.arange(-3, 4), "listed ints": [0, 1, 2, 3, 4, 5, np.int64(6)],
+                   "bools": np.arange(7) % 2 == 0, "listed bools": [True, False, np.bool_(True), *[False] * 4],
+                   "floats": np.array(floats), "listed floats": [*floats[:6], np.float64(0.5)],
+                   "constant": 1e16, "gaps": np.where(np.arange(7) % 3 == 0, np.array(floats), None),
+                   "texts": texts, 'quoted "name", too': np.array(texts, dtype=object)}
+        run_ = _Run("test", tmp_path, 0, {})
+        for rows in (slice(0, 3), slice(3, 7)):  # two blocks
+            run_.add_rows({key: value if isinstance(value, float) else value[rows] for key, value in columns.items()},
+                          [True] * (rows.stop - rows.start))
+        assert run_.finish({}) == 0
+        values = [[value] * 7 if isinstance(value, float) else list(value.tolist() if isinstance(value, np.ndarray)
+                                                                     else value) for value in columns.values()]
+        with (tmp_path / "expected.csv").open("w", newline="") as fh:
+            csv.writer(fh).writerows([list(columns), *zip(*values)])
+        assert (tmp_path / "report.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
     @pytest.mark.parametrize(
         "argv",

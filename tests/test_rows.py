@@ -26,8 +26,8 @@ from bayesrisk.bounds import (
     BOUND_TOL,
     KL,
     L1,
+    PerturbationBudget,
     _as_arrays,
-    _draw_moves,
     _floor_rows,
     _moved,
     _perturb_rows,
@@ -40,6 +40,7 @@ from bayesrisk.bounds import (
     random_l1_perturbation,
     random_source,
     support_safe_perturbation,
+    tightness_search,
 )
 from bayesrisk.classify import CostMatrix
 from bayesrisk.distributions import (
@@ -90,6 +91,26 @@ def test_rewritten_draws_take_what_the_old_ones_took():
         b.standard_normal(out=slot[1])
         assert a.standard_normal(m).tobytes() == slot[1].tobytes()
         assert a.random() == b.random()
+        b.standard_gamma(alpha, out=slot[0])  # the sweeps' gamma draw, at scale 1, into its buffer
+        assert a.gamma(alpha, 1.0, m).tobytes() == slot[0].tobytes()
+        assert a.bit_generator.state == b.bit_generator.state
+
+
+# Every pair of bounds the package draws uniforms between: priors, the L1 and KL sweeps' budgets, floor weights and
+# the two random cost kinds.
+UNIFORM_BOUNDS = [(0.05, 1.0), (0.0, 2.0), (0.0, 1.5), (0.2 * 0.05, 0.05), (0.0, 1.0), (0.1, 5.0)]
+
+
+@pytest.mark.parametrize("lo, hi", UNIFORM_BOUNDS)
+def test_a_scaled_random_draw_is_the_uniform_draw(lo, hi):
+    """``lo + (hi - lo) * rng.random()`` (``distributions._scaled``) is ``rng.uniform(lo, hi)`` bit for bit, as a
+    scalar and as an array, and leaves the generator where it does: numpy draws a uniform so. A numpy that draws it
+    otherwise fails here, where every golden file would fail with it."""
+    for seed in range(200):
+        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert float(distributions._scaled(ours.random(), lo, hi)).hex() == ref.uniform(lo, hi).hex()
+        assert distributions._scaled(ours.random((3, 5)), lo, hi).tobytes() == ref.uniform(lo, hi, (3, 5)).tobytes()
+        assert ours.bit_generator.state == ref.bit_generator.state
 
 
 def _hex_fields(report) -> dict:
@@ -284,22 +305,40 @@ def _reference_cost(rng: np.random.Generator, k: int) -> np.ndarray:
     return c
 
 
+def _reference_source(rng: np.random.Generator, k: int, m: int) -> tuple:
+    """A source's draws by the public calls: priors over their own sum, and the class weights off zero."""
+    priors = rng.uniform(0.05, 1.0, k)
+    priors /= priors.sum()
+    alpha = (0.3, 1.0, 3.0)[rng.integers(0, 3)]
+    return priors, rng.gamma(alpha, 1.0, (k, m)) + 1e-300
+
+
+def _reference_moves(rng: np.random.Generator, k: int, m: int, budget, metric: str) -> list:
+    """Each class's ``(budget, noise, floor weight)`` by the public calls, the budget ``budget()``: no noise
+    (``None``) at a zero budget or on one atom, a floor weight only under KL."""
+    moves = []
+    for _ in range(k):
+        drawn = float(budget())
+        noise = rng.standard_normal(m) if drawn != 0.0 and m != 1 else None
+        moves.append((drawn, noise, float(rng.uniform(0.2 * 0.05, 0.05)) if metric == KL else None))
+    return moves
+
+
+def _reference_draws(rng: np.random.Generator, k_max: int, m_max: int, metric: str) -> tuple:
+    """One sweep instance's draws by the public calls: k, m, priors, the class weights, each class's budget,
+    noise and under KL floor weight, then under L1 the cost."""
+    k, m = int(rng.integers(2, k_max + 1)), int(rng.integers(2, m_max + 1))
+    priors, weights = _reference_source(rng, k, m)
+    moves = _reference_moves(rng, k, m, lambda: rng.uniform(0.0, 2.0 if metric == L1 else 1.5), metric)
+    return priors, weights, moves, _reference_cost(rng, k) if metric == L1 else None
+
+
 def _reference_sweep(rng: np.random.Generator, n: int, k_max: int, m_max: int, metric: str):
-    """The sweep's instances with every draw a plain generator call, one instance after another
-    (k, m, priors, the class weights, each class's budget, noise and under KL floor weight, then
-    under L1 the cost), and each instance's arithmetic done class by class in plain numpy."""
+    """The sweep's instances with every draw a plain generator call (:func:`_reference_draws`), one instance after
+    another, and each instance's arithmetic done class by class in plain numpy."""
     for _ in range(n):
-        k, m = int(rng.integers(2, k_max + 1)), int(rng.integers(2, m_max + 1))
-        priors = rng.uniform(0.05, 1.0, k)
-        priors /= priors.sum()
-        alpha = (0.3, 1.0, 3.0)[rng.integers(0, 3)]
-        weights = rng.gamma(alpha, 1.0, (k, m)) + 1e-300
-        moves = []
-        for _ in range(k):
-            budget = float(rng.uniform(0.0, 2.0 if metric == L1 else 1.5))
-            noise = rng.standard_normal(m) if budget != 0.0 else None
-            moves.append((budget, noise, float(rng.uniform(0.2 * 0.05, 0.05)) if metric == KL else None))
-        cost = _reference_cost(rng, k) if metric == L1 else None
+        priors, weights, moves, cost = _reference_draws(rng, k_max, m_max, metric)
+        m = weights.shape[1]
         true = [_old_unit_mass(w / float(w.sum())) for w in weights]
         est = [t if v is None else _old_l1_perturbation(t.copy(), b, v)[0] for t, (b, v, _) in zip(true, moves)]
         if metric == L1:
@@ -339,10 +378,123 @@ def test_sweep_blocks_equal_an_independent_reference(monkeypatch, metric, k_max,
     assert rng.random() == ref.random()
 
 
+def _block_draws(draws, metric: str) -> tuple:
+    """A theorem sweep block's draws as its arithmetic reads them, instance by instance ``(priors, weights,
+    budgets, noise, floor weights, cost)``, and the generator's state after them."""
+    priors, weights = draws.sources()
+    budgets = distributions._scaled(draws.budgets, 0.0, 2.0 if metric == L1 else 1.5)
+    lams = distributions._scaled(draws.lams, 0.2 * 0.05, 0.05) if metric == KL else np.zeros(len(budgets))
+    instances, row, at = [], 0, 0
+    for i, (k, m) in enumerate(draws.shapes):
+        rows, flat = slice(row, row + k), slice(at, at + k * m)
+        instances.append((priors[rows], weights[flat].reshape(k, m), budgets[rows], draws.flat[1, flat].reshape(k, m),
+                          lams[rows], draws.costs[i] if metric == L1 else None))
+        row, at = row + k, at + k * m
+    return instances, draws.rng.bit_generator.state
+
+
+@pytest.mark.parametrize("metric", [L1, KL])
+@pytest.mark.parametrize("k_max, m_max", [(2, 2), (5, 64), (10, 3), (9, 300)])
+def test_block_draws_are_the_public_calls_draws(monkeypatch, metric, k_max, m_max):
+    """A theorem sweep's draws, written into each block's buffers by the cheapest bit-identical calls, equal the
+    public calls' draws made instance by instance (``rng.uniform``, ``rng.gamma``, priors over their own ``sum()``,
+    the public cost), bit for bit, and leave ``rng.bit_generator.state`` equal after every block and the sweep."""
+    blocks = []
+    monkeypatch.setattr(bounds, "_sweep_block", lambda draws, metric: blocks.append(_block_draws(draws, metric)))
+    for seed in range(3):
+        rng, ref = np.random.default_rng([seed, k_max, m_max]), np.random.default_rng([seed, k_max, m_max])
+        blocks.clear()
+        list(_theorem_sweep(rng, 120, k_max, m_max, metric))
+        assert len(blocks) > 1 or m_max < 64
+        for instances, state in blocks:
+            for drawn in instances:
+                priors, weights, moves, cost = _reference_draws(ref, k_max, m_max, metric)
+                noise = np.array([np.zeros(weights.shape[1]) if v is None else v for _, v, _ in moves])
+                lams = [0.0 if lam is None else lam for _, _, lam in moves]
+                expected = priors, weights, [b for b, _, _ in moves], noise, lams, cost
+                assert [_hex_rows(np.atleast_2d(a)) for a in drawn[:5]] == [_hex_rows(np.atleast_2d(a))
+                                                                            for a in expected[:5]]
+                assert (drawn[5] is None and cost is None) or drawn[5].tobytes() == cost.tobytes()
+            assert state == ref.bit_generator.state
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("m", [1, 8, 300])
+def test_smoothing_block_draws_are_the_public_calls_draws(monkeypatch, m):
+    """The smoothing sweep's draws, a block of trials at a time into its buffers, equal the public calls' draws
+    made trial by trial (``rng.multinomial(scale, rng.dirichlet(np.ones(m)))`` over the scale by ``np.divide``, and
+    the noise of a perturbation at budget ``xi``, none on one atom), bit for bit, and leave
+    ``rng.bit_generator.state`` equal after every block."""
+    monkeypatch.setattr(smoothing, "_BLOCK_BYTES", 8 * m * 7)
+    spec = QuantizedClassSpec(Domain.indexed(m), 8)
+    params = SmoothingParams(0.5, spec.description_length)
+    rng, ref = np.random.default_rng([m, 5]), np.random.default_rng([m, 5])
+    perturb, blocks = smoothing._perturb_rows, []
+
+    def recorded(true, budgets, noise):
+        blocks.append((true.copy(), noise.copy(), rng.bit_generator.state))
+        return perturb(true, budgets, noise)
+
+    monkeypatch.setattr(smoothing, "_perturb_rows", recorded)
+    assert len(list(smoothing._sweep(spec, params, base_mixture(spec), 30, rng))) == len(blocks) == 5
+    for true, noise, state in blocks:
+        for got_true, got_noise in zip(true, noise):
+            expected = np.divide(ref.multinomial(spec.scale, ref.dirichlet(np.ones(m))), spec.scale)
+            assert got_true.tobytes() == expected.tobytes()
+            assert got_noise.tobytes() == (np.zeros(m) if m == 1 else ref.standard_normal(m)).tobytes()
+        assert state == ref.bit_generator.state
+
+
+def test_public_generators_draw_the_public_calls_draws(monkeypatch):
+    """``random_source``, ``random_cost``, ``random_quantized``, both perturbations (at budget 0.0 too, where only
+    the floor weight is drawn) and the tightness search's starts, each a block of one, take the draws of the public
+    calls and their arithmetic's bits, and leave ``rng.bit_generator.state`` equal."""
+    domain, spec = Domain.indexed(7), QuantizedClassSpec(Domain.indexed(7), 5)
+    for seed in range(20):
+        ours, ref = np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1])
+        source = random_source(ours, 3, 7)
+        priors, weights = _reference_source(ref, 3, 7)
+        assert source.priors.tobytes() == priors.tobytes()
+        assert _hex_rows([d.mass for d in source.class_dists]) == _hex_rows(
+            [_old_unit_mass(w / float(w.sum())) for w in weights])
+        assert random_cost(ours, 4).costs.tobytes() == _reference_cost(ref, 4).tobytes()
+        expected = np.divide(ref.multinomial(spec.scale, ref.dirichlet(np.ones(7))), spec.scale)
+        assert random_quantized(spec, ours).mass.tobytes() == expected.tobytes()
+        d = source.class_dists[0]
+        for budget in (0.0, 0.7):
+            (_, v, _), = _reference_moves(ref, 1, 7, lambda: budget, L1)
+            old = d.mass if v is None else _old_l1_perturbation(d.mass.copy(), budget, v)[0]
+            assert random_l1_perturbation(d, budget, ours).mass.tobytes() == old.tobytes()
+            (_, v, lam), = _reference_moves(ref, 1, 7, lambda: budget, KL)
+            old = _old_unit_mass((1.0 - lam) * (d.mass if v is None else _old_l1_perturbation(d.mass.copy(), budget,
+                                                                                             v)[0]) + lam / 7)
+            assert support_safe_perturbation(d, budget, ours).mass.tobytes() == old.tobytes()
+        assert ours.bit_generator.state == ref.bit_generator.state
+    starts = []
+    monkeypatch.setattr(bounds, "_climb", lambda masses, excess, *_: starts.append((excess.args[0], masses)) or
+                        (0.0, masses))
+    for metric in (L1, KL):
+        ours, ref = np.random.default_rng([9, len(metric)]), np.random.default_rng([9, len(metric)])
+        starts.clear()
+        tightness_search(3, 8, CostMatrix.zero_one(3) if metric == L1 else None, PerturbationBudget(metric, 0.2), 6,
+                         ours)
+        for priors, masses in starts:
+            expected = np.full(3, 1.0 / 3) if ref.random() < 0.5 else _reference_source(ref, 3, 8)[0]
+            true = [_old_unit_mass(w / float(w.sum())) for w in ref.gamma(0.6, 1.0, (3, 8)) + 1e-300]
+            radius = min(0.2 / expected.min(), 2.0) if metric == L1 else 1.0
+            moves = _reference_moves(ref, 3, 8, lambda: radius, metric)
+            est = [_old_l1_perturbation(_old_unit_mass(t.copy()), radius, v)[0] for t, (_, v, _) in zip(true, moves)]
+            if metric == KL:
+                est = [_old_unit_mass((1.0 - lam) * e + lam / 8) for e, (_, _, lam) in zip(est, moves)]
+            assert priors.tobytes() == expected.tobytes()
+            assert _hex_rows(masses[0]) == _hex_rows(true) and _hex_rows(masses[1]) == _hex_rows(est)
+        assert ours.bit_generator.state == ref.bit_generator.state
+
+
 @pytest.mark.parametrize("metric", [L1, KL])
 @pytest.mark.parametrize("m", range(1, 65))
 def test_drawn_moves_equal_the_public_generators_class_by_class(metric, m):
-    """:func:`_moved` on :func:`_draw_moves`' draws for k classes is k calls of the public
+    """:func:`_moved` on ``_Draws.moves``' draws for k classes is k calls of the public
     generator on a generator of the same seed, in float.hex, and leaves it where they do;
     a zero budget draws no noise."""
     public = random_l1_perturbation if metric == L1 else support_safe_perturbation
@@ -350,7 +502,9 @@ def test_drawn_moves_equal_the_public_generators_class_by_class(metric, m):
     for seed, (k, radius) in enumerate([(2, 0.0), (3, 0.3), (4, 2.0)]):
         dists = [make_distribution(domain, w) for w in np.random.default_rng(m).gamma(0.5, 1.0, (k, m))]
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        est = _moved(np.array([d.mass for d in dists]), metric, *_draw_moves(rng, k, m, metric, lambda: radius))
+        (draws := distributions._Draws(rng, k * m)).moves(k, m, radius, metric == KL)
+        est = _moved(np.array([d.mass for d in dists]), metric, np.array(draws.budgets), draws.flat[1].reshape(k, m),
+                     draws.lams)
         expected = [public(d, radius, ref).mass for d in dists]
         assert _hex_rows(est) == _hex_rows(expected)
         assert rng.random() == ref.random()
@@ -390,17 +544,17 @@ class _Recording:
 
 @pytest.mark.parametrize("m", [1, 2, 3, 8, 9, 64, 129, 4096])
 def test_drawn_numerators_are_the_dirichlet_draws(m):
-    """``distributions._draw_numerators`` gives, bit for bit, the numerators of
+    """``distributions._Draws.numerators`` gives, bit for bit, the numerators of
     ``rng.multinomial(scale, rng.dirichlet(np.ones(m)))``, over the very shape ``dirichlet`` draws (a shape an ulp
     off would mostly give the same numerators), and leaves the generator in the same state."""
     spec = QuantizedClassSpec(Domain.indexed(m), 8)
     for seed in range(12):
         ours, ref = _Recording(np.random.default_rng([seed, m])), np.random.default_rng([seed, m])
         for _ in range(3):
-            drawn = distributions._draw_numerators(spec, ours)
+            (draws := distributions._Draws(ours, m)).numerators(m, spec.scale)
             shape = ref.dirichlet(np.ones(m))
             assert ours.shapes[-1].tobytes() == shape.tobytes()
-            assert drawn.tobytes() == ref.multinomial(spec.scale, shape).tobytes()
+            assert draws.flat[0].tobytes() == ref.multinomial(spec.scale, shape).astype(float).tobytes()
         assert ours.rng.bit_generator.state == ref.bit_generator.state
 
 

@@ -16,10 +16,12 @@ import tempfile
 from pathlib import Path
 
 LONG_ROWS = ["--trials", "300", "--k-max", "9", "--m-max", "300", "--seed", "7"]
+WIDE_BLOCKS = ["--trials", "500", "--k-max", "10", "--m-max", "2", "--seed", "3"]  # more classes than atoms
 MACHINES = "pdfa:tests/data/machine_half.json,pdfa:tests/data/machine_quarter.json"
 CASES = [
     *([f"verify-theorem{t}", "--trials", "300", "--seed", seed] for t in "12" for seed in ("1", "42")),
     *([f"verify-theorem{t}", *LONG_ROWS] for t in "12"),
+    *([f"verify-theorem{t}", *WIDE_BLOCKS] for t in "12"),
     ["lower-bounds"],
     ["lower-bounds", "--grid", "0,0.01,0.1,0.3"],
     ["smooth", "--trials", "300"],
