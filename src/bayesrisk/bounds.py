@@ -43,8 +43,8 @@ import numpy as np
 
 from .classify import CostLike, CostMatrix, LabeledSource, as_cost_array
 from .classify import _bayes_labels, _cost_risk, _logloss_risk, _posterior, _workspace
-from .distributions import Distribution, Domain, _Draws, _exact_unit_mass, _json_float, _json_int, _kl_on_support
-from .distributions import _l1_distance, _ragged_sums, _scaled, _trusted, _unit_rows
+from .distributions import Distribution, Domain, _costs, _exact_unit_mass, _json_float, _json_int, _kl_on_support
+from .distributions import _l1_distance, _moves, _ragged_sums, _scaled, _sources, _trusted, _unit_rows
 
 # Tolerance of every "value <= bound" verdict, read only by _within.
 BOUND_TOL = 1e-9
@@ -54,8 +54,9 @@ EXACT_TOL = 1e-12
 L1 = "L1"
 KL = "KL"
 
-# Bytes one block of sweep instances may hold, each charged _ROW_COPIES of its class rows at m_max atoms plus
-# _INSTANCE_BYTES (by tracemalloc, 8.0-9.3 copies and 2-2.5 KiB at k_max = 2-10, m_max = 2-200).
+# Bytes one block of sweep instances may hold, each charged _ROW_COPIES of k_max class rows at m_max atoms plus
+# _INSTANCE_BYTES (by tracemalloc, 8.0-9.3 copies and 2-2.5 KiB at k_max = 2-10, m_max = 2-200). The block size they
+# give is part of a sweep's stream: its draws are made a block at a time.
 _BLOCK_BYTES = 1 << 20
 _ROW_COPIES, _INSTANCE_BYTES = 10, 2560
 
@@ -371,9 +372,9 @@ def _floor_rows(rough: np.ndarray, lams: np.ndarray, on=True) -> np.ndarray:
 
 
 def _moved(true: np.ndarray, metric: str, budgets, noise, lams, on=True) -> np.ndarray:
-    """The estimates of the ``(k, m)`` unit masses ``true`` (on the prefix mask ``on``) on the draws of
-    :meth:`_Draws.moves`: each row perturbed within its L1 budget and, under KL, mixed with uniform to full support
-    at its floor weight, the raw ``lams`` on ``[0.2 * 0.05, 0.05]``."""
+    """The estimates of the ``(k, m)`` unit masses ``true`` (on the prefix mask ``on``) on the draws of ``_moves``:
+    each row perturbed within its L1 budget and, under KL, mixed with uniform to full support at its floor weight, the
+    raw ``lams`` on ``[0.2 * 0.05, 0.05]``."""
     est = _perturb_rows(true, budgets, noise, on)
     return _floor_rows(est, _scaled(lams, 0.2 * 0.05, 0.05), on) if metric == KL else est
 
@@ -382,8 +383,7 @@ def _perturbed(d: Distribution, budget: float, rng: np.random.Generator, metric:
     """:func:`_moved` of the one distribution ``d``."""
     if not 0.0 <= _json_float(budget, "L1 budget") <= 2.0:
         raise ValueError("L1 budget must lie in [0, 2]")
-    (draws := _Draws(rng, m := d.domain.size)).moves(1, m, budget, metric == KL)
-    est = _moved(d.mass[None], metric, np.array(draws.budgets), draws.flat[1:], draws.lams)
+    est = _moved(d.mass[None], metric, *_moves(rng, np.ones((1, d.domain.size), bool), budget, metric == KL))
     return Distribution._frozen(d.domain, est[0])
 
 
@@ -419,56 +419,53 @@ def random_source(rng: np.random.Generator, k: int, m: int) -> LabeledSource:
     """Random labeled source over ``Domain.indexed(m)`` with priors bounded away from zero."""
     if _json_int(k, "k") < 2 or _json_int(m, "m") < 1:
         raise ValueError("k must be at least 2 and m at least 1")
-    (draws := _Draws(rng, k * m)).source(k, m)
-    priors, weights = draws.sources()
-    return _as_objects(priors, _unit_rows(weights.reshape(k, m))[None])[0]
+    priors, weights = _sources(rng, np.ones((k, m), bool), np.array([k]))
+    return _as_objects(priors, _unit_rows(weights)[None])[0]
 
 
 def random_cost(rng: np.random.Generator, k: int) -> CostMatrix:
     """Random cost matrix: 0/1, dense random, or scaled zero-diagonal."""
-    (draws := _Draws(rng, 0)).cost(k)
-    return _trusted(CostMatrix, costs=draws.costs[0])  # unchecked: valid by construction
+    return _trusted(CostMatrix, costs=_costs(rng, np.array([k]))[0])  # unchecked: valid by construction
+
+
+def _instances_per_block(k_max: int, m_max: int) -> int:
+    """The instances a theorem sweep's block holds at sizes ``k_max`` and ``m_max``, as many as ``_BLOCK_BYTES`` fit."""
+    return max(1, _BLOCK_BYTES // (_ROW_COPIES * 8 * k_max * m_max + _INSTANCE_BYTES))
 
 
 def _theorem_sweep(rng: np.random.Generator, n: int, k_max: int, m_max: int, metric: str):
-    """The metric's sweep of ``n`` instances, a :func:`_sweep_block` at a time in trial order; sizes checked at the
-    call. A block, as many instances as ``_BLOCK_BYTES`` holds, makes every draw first, instance by instance in the
-    public generators' order (k, m, the source, the moves at a uniform budget, under L1 the cost), into one
-    :class:`_Draws` whose buffers hold the most class rows the block can charge, at ``m_max`` atoms."""
+    """The metric's sweep of ``n`` instances, a :func:`_sweep_block` of :func:`_block_draws` at a time in trial order;
+    sizes checked at the call. Every block but the last holds :func:`_instances_per_block` instances, so the block
+    size, and with it ``_BLOCK_BYTES``, is part of the stream's definition: a run's instances are a prefix of a longer
+    run's only over its whole blocks."""
     if _json_int(k_max, "k_max") < 2 or _json_int(m_max, "m_max") < 2:
         raise ValueError("k_max and m_max must be at least 2")
-
-    def blocks():
-        held = 0
-        for trial in range(n):
-            if not held:
-                draws = _Draws(rng, _BLOCK_BYTES // (8 * _ROW_COPIES) + k_max * m_max)
-            k, m = int(rng.integers(2, k_max + 1)), int(rng.integers(2, m_max + 1))
-            draws.source(k, m)
-            draws.moves(k, m, None, metric == KL)
-            if metric == L1:
-                draws.cost(k)
-            held += _ROW_COPIES * 8 * k * m_max + _INSTANCE_BYTES
-            if held >= _BLOCK_BYTES or trial == n - 1:
-                yield _sweep_block(draws, metric)
-                held = 0
-
-    return blocks()
+    size = _instances_per_block(k_max, m_max)
+    return (_sweep_block(_block_draws(rng, min(size, n - start), k_max, m_max, metric), metric)
+            for start in range(0, n, size))
 
 
-def _sweep_block(draws: _Draws, metric: str) -> tuple:
-    """A block's :class:`_Draws` checked: their ``k``, ``m`` and :func:`_checks` columns in the order drawn, and the
-    function giving instance ``j``'s :func:`_as_arrays` arrays and cost. Its class rows, zero-padded and cut by one
-    prefix mask, go through each kernel once (the checks' sorted by class count) and keep their own bits."""
-    ks, ms = np.array(draws.shapes).T
+def _block_draws(rng: np.random.Generator, n: int, k_max: int, m_max: int, metric: str) -> tuple:
+    """The draws of a sweep block of ``n`` instances, field major, one generator call for each kind of draw: every
+    instance's ``k``, every ``m``, the sources' priors, gamma-shape indices and class weights (:func:`_sources`), every
+    class's budget (a raw uniform), noise and under KL floor weight (:func:`_moves`), then under L1 every cost kind and
+    the random costs' uniforms (:func:`_costs`). Returns ``(ks, ms, on, priors, weights, budgets, noise, lams, costs)``:
+    the class rows' prefix mask ``on``, made here once per block, and the rows zero past it."""
+    ks, ms = rng.integers(2, k_max + 1, n), rng.integers(2, m_max + 1, n)
     on = np.arange(ms.max()) < np.repeat(ms, ks)[:, None]  # each class row's prefix: its instance's atoms
-    masses = np.zeros((2, *on.shape))  # the weights and the noise, then the true and moved rows
-    priors, masses[0, on] = draws.sources()
-    masses[1, on] = draws.flat[1, : draws.at[1]]
-    masses[0] = _unit_rows(masses[0], on)
-    budgets = _scaled(draws.budgets, 0.0, 2.0 if metric == L1 else 1.5)
-    masses[1] = _moved(masses[0], metric, budgets, masses[1], draws.lams, on)
-    divergences, costs = _divergences(*masses, metric, on), draws.costs or [None] * len(ks)
+    sources, moves = _sources(rng, on, ks), _moves(rng, on, None, metric == KL)
+    return ks, ms, on, *sources, *moves, _costs(rng, ks) if metric == L1 else None
+
+
+def _sweep_block(draws: tuple, metric: str) -> tuple:
+    """A block's :func:`_block_draws` checked: their ``k``, ``m`` and :func:`_checks` columns in the order drawn, and
+    the function giving instance ``j``'s :func:`_as_arrays` arrays and cost. Its class rows, zero-padded and cut by one
+    prefix mask, go through each kernel once (the checks' sorted by class count) and keep their own bits."""
+    ks, ms, on, priors, weights, budgets, noise, lams, costs = draws
+    true = _unit_rows(weights, on)
+    budgets = _scaled(budgets, 0.0, 2.0 if metric == L1 else 1.5)
+    masses = np.array([true, _moved(true, metric, budgets, noise, lams, on)])
+    divergences, costs = _divergences(*masses, metric, on), costs or [None] * len(ks)
     order, rows = np.argsort(ks, kind="stable"), np.argsort(np.repeat(ks, ks), kind="stable")  # by class count
     checks = _checks(priors[rows], masses[:, rows], divergences[rows], [costs[i] for i in order.tolist()],
                      ks[order].tolist(), on[rows])
@@ -485,6 +482,7 @@ def _sweep_block(draws: _Draws, metric: str) -> tuple:
 def random_theorem1_instance(
     rng: np.random.Generator, k_max: int = 5, m_max: int = 64
 ) -> tuple[LabeledSource, tuple[Distribution, ...], CostMatrix]:
+    """The instance of a theorem-1 sweep of one instance: a block of one, drawn field major (:func:`_block_draws`)."""
     priors, masses, _, cost = next(_theorem_sweep(rng, 1, k_max, m_max, L1))[1](0)
     return (*_as_objects(priors, masses), cost)
 
@@ -492,6 +490,7 @@ def random_theorem1_instance(
 def random_theorem2_instance(
     rng: np.random.Generator, k_max: int = 5, m_max: int = 64
 ) -> tuple[LabeledSource, tuple[Distribution, ...]]:
+    """The instance of a theorem-2 sweep of one instance: a block of one, drawn field major (:func:`_block_draws`)."""
     return _as_objects(*next(_theorem_sweep(rng, 1, k_max, m_max, KL))[1](0)[:2])
 
 
@@ -635,20 +634,16 @@ def tightness_search(
         if restart == 0 and k == 2 and m == 2:
             priors, masses = _seed_masses(budget.metric, budget.epsilon)
         else:
-            draws = _Draws(rng, 2 * k * m)
-            if rng.random() < 0.5:
-                priors = np.full(k, 1.0 / k)
-            else:  # a random source's priors, its class weights drawn and left
-                draws.source(k, m)
-                priors = draws.sources()[0]
-            true = _unit_rows(draws.weights(0.6, k * m).reshape(k, m) + 1e-300)
+            priors = (np.full(k, 1.0 / k) if rng.random() < 0.5  # or a random source's, its weights drawn and left
+                      else _sources(rng, np.ones((k, m), bool), np.array([k]))[0])
+            true = _unit_rows(rng.standard_gamma(0.6, (k, m)) + 1e-300)
             radius = min(budget.epsilon / priors.min(), 2.0) if budget.metric == L1 else 1.0
-            draws.moves(k, m, radius, budget.metric == KL)
-            noise = draws.flat[1, : k * m].reshape(k, m)
+            # One class at a time, so that under KL each class's floor weight follows its noise.
+            moves = [_moves(rng, np.ones((1, m), bool), radius, budget.metric == KL) for _ in range(k)]
             # The estimates start from the true rows rescaled a second time. _exact_unit_mass is not
             # idempotent (it can move a row it left one ulp off), and the recorded searches rest on it.
-            masses = np.array([true, _moved(_exact_unit_mass(true.copy()), budget.metric, np.array(draws.budgets),
-                                            noise, draws.lams)])
+            masses = np.array([true, _moved(_exact_unit_mass(true.copy()), budget.metric,
+                                            *map(np.concatenate, zip(*moves)))])
         val, projected = _climb(masses, partial(excess, priors), budget.epsilon, rng)
         if val > best_val:
             best_val = val

@@ -31,13 +31,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bounds import EXACT_TOL, KL, L1, BoundReport, PerturbationBudget, _check_search, tightness_search
-from .bounds import _as_arrays, _as_objects, _check, _divergences, _theorem_sweep, _two_atom_masses, _within
+from .bounds import EXACT_TOL, KL, L1, BoundReport, PerturbationBudget, _as_arrays, _as_objects, _check, _check_search
+from .bounds import _divergences, _instances_per_block, _theorem_sweep, _two_atom_masses, _within, tightness_search
 from .classify import CostMatrix, LabeledSource, as_cost_array
 from .distributions import Distribution, Domain, QuantizedClassSpec, _json_float
 from .pdfa import Pdfa
 from .pipeline import config_from_dict, run_pac_experiment
-from .smoothing import SmoothingReport, SmoothingParams, _sweep, base_mixture, kl_certificate, kl_certificate_from_floor
+from .smoothing import SmoothingReport, SmoothingParams, _sweep, _trials_per_block, base_mixture, kl_certificate
+from .smoothing import kl_certificate_from_floor
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -92,7 +93,7 @@ class _Run:
         path.write_text(json.dumps(payload, indent=2))
         self.extra_outputs.append(str(path))
 
-    def finish(self, summary: dict) -> int:
+    def finish(self, summary: dict, **stream) -> int:
         report_path = self.out / "report.csv"
         with report_path.open("w", newline="") as fh:  # the lines of csv.writer's excel dialect
             fh.write("\r\n".join([",".join(_texts(self.csv_columns)), *self.lines, ""]))
@@ -103,6 +104,7 @@ class _Run:
             "subcommand": self.subcommand,
             "config": self.config,
             "seed": self.seed,
+            **stream,
             "version": __version__,
             "csv_columns": self.csv_columns,
             "environment": {"python": platform.python_version(), "numpy": np.__version__, "cpu_count": os.cpu_count(),
@@ -225,7 +227,7 @@ def cmd_verify(args) -> int:
     summary = {"trials": args.trials, "violations": run.violations}
     if metric == KL:
         summary["worst_identity_gap"] = worst_gap
-    return run.finish(summary)
+    return run.finish(summary, instances_per_block=_instances_per_block(args.k_max, args.m_max))
 
 
 def cmd_lower_bounds(args) -> int:
@@ -294,7 +296,8 @@ def cmd_smooth(args) -> int:
             run.write_instance(f"violation_{done + j}.json",
                                {"true": true_d.to_dict(), "estimate": est_d.to_dict(), "report": report})
         done += len(ok)
-    return run.finish({"trials": args.trials, "violations": run.violations, "xi": params.xi})
+    summary = {"trials": args.trials, "violations": run.violations, "xi": params.xi}
+    return run.finish(summary, instances_per_block=_trials_per_block(m))
 
 
 def _pdfa_machines(sources: str) -> tuple[Pdfa, ...]:

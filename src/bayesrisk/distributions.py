@@ -251,8 +251,9 @@ def _exact_unit_mass(mass: np.ndarray, on=True) -> np.ndarray:
 
 def _unit_sums(totals: np.ndarray) -> bool:
     """Whether the row sums ``totals`` are all exactly 1.0; a ``ValueError`` names the first that lies further than
-    ``SUM_TOL``. A nan total lies no further, but makes the worst distance nan, so then each total is tested."""
-    worst = np.maximum.reduce(np.abs(totals - 1.0), initial=0.0)
+    ``SUM_TOL``. A nan total lies no further, but makes the worst distance nan, so then each total is tested. One total,
+    as each step of a bisection has, is tested as a float: three numpy calls cost it ten times as much."""
+    worst = abs(totals.item() - 1.0) if totals.size == 1 else np.maximum.reduce(np.abs(totals - 1.0), initial=0.0)
     if not worst <= SUM_TOL and (off := np.abs(totals - 1.0) > SUM_TOL).any():
         raise ValueError(f"mass sums to {float(totals[off.argmax()])!r}, expected 1 within {SUM_TOL}")
     return bool(worst == 0.0)
@@ -497,8 +498,22 @@ def random_quantized(spec: QuantizedClassSpec, rng: np.random.Generator) -> Dist
     Dyadic masses with denominator ``2**bits_per_atom`` are exact in binary
     floating point, so membership survives construction.
     """
-    (draws := _Draws(rng, spec.domain.size)).numerators(spec.domain.size, spec.scale)
-    return Distribution(spec.domain, draws.flat[0] / spec.scale)
+    return Distribution(spec.domain, _quantized_rows(rng, 1, spec.domain.size, spec.scale)[0])
+
+
+# The random draws: each function makes one kind of draw for a whole block of rows in one generator call, kind after
+# kind (a public generator's draws are a block of one). For integers, random, standard_gamma of an array of shapes, the
+# normals, the exponentials and a 2-D multinomial, one such call gives the bits of the same calls made one after
+# another and leaves the generator where they do.
+
+
+def _quantized_rows(rng: np.random.Generator, n: int, m: int, scale: int) -> np.ndarray:
+    """``n`` members of the quantized class of ``m`` atoms and denominator ``scale``, as rows: every row's
+    ``rng.dirichlet(np.ones(m))`` (at alpha 1 ``standard_exponential(m)`` scaled by one over its sum taken in sequence),
+    then every row's ``rng.multinomial(scale, ...)`` of it, over the scale; bit for bit, without the checks."""
+    g = rng.standard_exponential((n, m))
+    g *= 1.0 / np.add.accumulate(g, axis=1)[:, -1:]
+    return rng.multinomial(scale, g) / scale
 
 
 def _scaled(raw, lo: float, hi: float) -> np.ndarray:
@@ -507,74 +522,41 @@ def _scaled(raw, lo: float, hi: float) -> np.ndarray:
     return lo + (hi - lo) * np.asarray(raw, dtype=float)
 
 
-@lru_cache(maxsize=None)  # one read-only array per class count
-def _zero_one(k: int) -> np.ndarray:
-    (costs := np.ones((k, k)) - np.eye(k)).flags.writeable = False
-    return costs
+def _sources(rng: np.random.Generator, on: np.ndarray, ks: np.ndarray) -> tuple:
+    """Labeled sources' draws, ``ks[i]`` class rows to source ``i`` of the prefix mask ``on``: every prior, a uniform
+    on ``[0.05, 1)`` over its source's sum as numpy sums it; every source's gamma-shape index; then every class weight
+    of its source's shape, plus ``1e-300``, on the mask and zero past it."""
+    priors = _scaled(rng.random(len(on)), 0.05, 1.0)
+    priors /= np.repeat(_run_sums(priors, ks), ks)
+    shapes = np.repeat(np.array([0.3, 1.0, 3.0])[rng.integers(0, 3, len(ks))], ks)
+    weights = np.zeros(on.shape)
+    weights[on] = rng.standard_gamma(np.broadcast_to(shapes[:, None], on.shape)[on]) + 1e-300
+    return priors, weights
 
 
-class _Draws:
-    """The random draws of a block of instances or trials (a public generator's are a block of one), made in the order
-    asked for, each by the cheapest generator call that gives the public calls' bits and leaves the generator where they
-    do. A uniform is ``rng.random()``, kept raw and scaled by :func:`_scaled` a block at a time; gammas, normals and
-    numerators go straight into the flat buffers ``flat[0]`` (class weights or numerators) and ``flat[1]`` (noise, zero
-    where none is drawn), ``size`` floats each, filled from the left up to ``at``."""
+def _moves(rng: np.random.Generator, on: np.ndarray, budget, floors: bool) -> tuple:
+    """Perturbation draws of the class rows of the prefix mask ``on``: every row's L1 budget (``budget``, or if ``None``
+    a raw uniform); the normal noise of every row whose budget is not zero and that has more than one atom, zero
+    elsewhere; then, with ``floors``, every row's raw floor weight (zeros without)."""
+    budgets = rng.random(len(on)) if budget is None else np.full(len(on), budget, dtype=float)
+    noisy = on & ((budgets != 0.0) & (np.count_nonzero(on, axis=1) > 1))[:, None]
+    noise = np.zeros(on.shape)
+    noise[noisy] = rng.standard_normal(np.count_nonzero(noisy))
+    return budgets, noise, rng.random(len(on)) if floors else np.zeros(len(on))
 
-    def __init__(self, rng: np.random.Generator, size: int):
-        self.rng, self.flat, self.at = rng, np.zeros((2, size)), [0, 0]
-        self.shapes, self.priors, self.budgets, self.lams, self.costs = [], [], [], [], []
 
-    def source(self, k: int, m: int) -> None:
-        """A labeled source's draws: ``k`` prior uniforms on ``[0.05, 1)``, the index of its gamma shape and its
-        ``(k, m)`` class weights of that shape."""
-        self.shapes.append((k, m))
-        self.priors.append(self.rng.random(k))
-        self.weights((0.3, 1.0, 3.0)[self.rng.integers(0, 3)], k * m)
-
-    def weights(self, shape: float, n: int) -> np.ndarray:
-        """``n`` class weights of gamma ``shape``, ``rng.gamma(shape, 1.0, n)``'s bits, into ``flat[0]``."""
-        self.at[0] = (at := self.at[0]) + n
-        return self.rng.standard_gamma(shape, out=self.flat[0, at : at + n])
-
-    def sources(self) -> tuple:
-        """The block's sources: each one's priors over their sum as numpy sums them, and the weights plus ``1e-300``."""
-        ks = np.array([k for k, _ in self.shapes])
-        priors = _scaled(np.concatenate(self.priors), 0.05, 1.0)
-        priors /= np.repeat(_run_sums(priors, ks), ks)
-        weights = self.flat[0, : self.at[0]]
-        weights += 1e-300
-        return priors, weights
-
-    def moves(self, k: int, m: int, budget, floors: bool) -> None:
-        """The moves of ``k`` classes of ``m`` atoms, class by class: its L1 budget (``budget``, or if ``None`` a raw
-        uniform), its normal noise into ``flat[1]`` unless that budget is zero or ``m`` is one, and with ``floors``
-        its raw floor weight."""
-        rng, noise, at, budgets, lams = self.rng, self.flat[1], self.at[1], self.budgets, self.lams
-        self.at[1] = end = at + k * m
-        for row in range(at, end, m):
-            budgets.append(drawn := rng.random() if budget is None else budget)
-            if drawn != 0.0 and m != 1:
-                rng.standard_normal(out=noise[row : row + m])
-            if floors:
-                lams.append(rng.random())
-
-    def cost(self, k: int) -> None:
-        """A ``(k, k)`` cost matrix, read-only, as its first draw picks: 0/1, uniform on ``[0, 1)`` with 1 added at
-        ``[0, 1]``, or uniform on ``[0.1, 5)`` with a zero diagonal."""
-        kind = int(self.rng.integers(0, 3))
-        c = _zero_one(k) if kind == 0 else self.rng.random((k, k))  # uniform on [0, 1) is r itself
+def _costs(rng: np.random.Generator, ks: np.ndarray) -> list:
+    """Read-only ``(k, k)`` cost arrays of instances of ``ks`` classes: every instance's kind, then each random one's
+    uniforms in turn. A kind is 0/1, uniform on ``[0, 1)`` with 1 added at ``[0, 1]``, or uniform on ``[0.1, 5)`` with
+    a zero diagonal."""
+    kinds = rng.integers(0, 3, len(ks))
+    drawn, costs = rng.random(int((ks * ks)[kinds != 0].sum())), []
+    for k, kind, at in zip(ks.tolist(), kinds.tolist(), np.cumsum(ks * ks * (kinds != 0)).tolist()):
+        c = 1.0 - np.eye(k) if kind == 0 else drawn[at - k * k : at].reshape(k, k)  # uniform on [0, 1) is r itself
         if kind == 1:
             c[0, 1] += 1.0
         elif kind == 2:
             (c := _scaled(c, 0.1, 5.0)).ravel()[:: k + 1] = 0.0
         c.flags.writeable = False
-        self.costs.append(c)
-
-    def numerators(self, m: int, scale: int) -> None:
-        """The numerators of a member of the quantized class of ``m`` atoms and denominator ``scale``, into ``flat[0]``:
-        those of ``rng.multinomial(scale, rng.dirichlet(np.ones(m)))``, bit for bit without its checks (at alpha 1
-        ``dirichlet`` scales ``standard_exponential(m)`` by one over the sum taken in sequence)."""
-        g = self.rng.standard_exponential(m)
-        g *= 1.0 / np.add.accumulate(g)[-1]
-        self.at[0] = (at := self.at[0]) + m
-        self.flat[0, at : at + m] = self.rng.multinomial(scale, g)
+        costs.append(c)
+    return costs

@@ -29,7 +29,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .bounds import EXACT_TOL, ReportRows, _perturb_rows, _within
-from .distributions import Distribution, QuantizedClassSpec, _Draws, _exact_unit_mass
+from .distributions import Distribution, QuantizedClassSpec, _exact_unit_mass, _moves, _quantized_rows
 from .distributions import _json_float, _json_int, _kl_on_support, _l1_distance, _require_same_domain
 
 # Explicit class enumerations beyond this are refused rather than averaged.
@@ -186,20 +186,20 @@ def _verify_rows(true: np.ndarray, est: np.ndarray, params: SmoothingParams, bas
             "certificate_floor": kl_certificate_from_floor(params, base), "within": _within(kl, params.epsilon)}
 
 
+def _trials_per_block(m: int) -> int:
+    """The trials in a block of a smoothing sweep on ``m`` atoms: as many as ``_BLOCK_BYTES`` holds as one array."""
+    return max(1, _BLOCK_BYTES // (8 * m))
+
+
 def _sweep(spec: QuantizedClassSpec, params: SmoothingParams, base: BaseDistribution, trials: int, rng):
     """The smoothing sweep's trials a block at a time, each block ``(true, estimates, columns)``: its ``(n, m)``
-    masses and :func:`_verify_rows`' columns. A block of trials, at most ``_BLOCK_BYTES`` per array, makes each
-    trial's draws of :func:`random_quantized` and :func:`random_l1_perturbation` at budget ``xi`` first, into one
-    :class:`_Draws`, then its arithmetic on the whole block, the numerators over the scale first."""
-    m, scale, xi = spec.domain.size, spec.scale, params.xi
-    per_block = max(1, _BLOCK_BYTES // (8 * m))
-    for start in range(0, trials, per_block):
-        draws = _Draws(rng, (n := min(per_block, trials - start)) * m)
-        for _ in range(n):
-            draws.numerators(m, scale)
-            draws.moves(1, m, xi, False)
-        true, noise = draws.flat.reshape(2, n, m)
-        true /= scale
-        _exact_unit_mass(true)
-        est = _perturb_rows(true, np.full(n, xi), noise)
+    masses and :func:`_verify_rows`' columns. A block of :func:`_trials_per_block` trials (fewer in the last) draws
+    field major, one generator call for each kind of draw: every trial's :func:`random_quantized` exponentials, every
+    trial's multinomial (``_quantized_rows``), then the noise of every trial's :func:`random_l1_perturbation` at budget
+    ``xi``; then it does its arithmetic on the whole block. The block size, and with it ``_BLOCK_BYTES``, is part of the
+    stream's definition: a run's trials are a prefix of a longer run's only over its whole blocks."""
+    m, size = spec.domain.size, _trials_per_block(spec.domain.size)
+    for start in range(0, trials, size):
+        true = _exact_unit_mass(_quantized_rows(rng, n := min(size, trials - start), m, spec.scale))
+        est = _perturb_rows(true, *_moves(rng, np.ones((n, m), bool), params.xi, False)[:2])
         yield true, est, _verify_rows(true, est, params, base)

@@ -148,6 +148,44 @@ def test_l1_pull_back_stays_non_negative(seed, m, share):
         assert pulled.tobytes() == checked.mass.tobytes()
 
 
+def _smoothed_at(excess: float):
+    """The smoothing check of an estimate whose L1 distance from the truth is ``xi + excess``."""
+    spec = QuantizedClassSpec(D2, 4)
+    params = SmoothingParams(0.5, spec.description_length)
+    half = (params.xi + excess) / 2
+    estimate = Distribution(D2, np.array([0.5 - half, 0.5 + half]))
+    return verify_smoothing(uniform2(), estimate, params, base_mixture(spec))
+
+
+# Each check exact in real arithmetic, pressed from both sides with literal values: inside its tolerance it passes,
+# outside it raises its message. Masses and the smoothing hypothesis are allowed 1e-12, priors half of it, and an
+# excess may be 1e-12 below zero.
+TOLERANCES = [
+    pytest.param(lambda excess: Distribution(D2, np.array([0.5, 0.5 + excess])), 5e-13, 2e-12, "mass sums to",
+                 id="mass"),
+    pytest.param(lambda excess: LabeledSource(np.array([0.5, 0.5 + excess]), (uniform2(), uniform2())), 2.5e-13,
+                 1e-12, "class priors must sum to 1", id="priors"),
+    pytest.param(lambda excess: bounds._bound_columns(np.array([0.5]), np.array([0.5 - excess]), np.array([0.1]),
+                                                      np.array([0.2])), 5e-13, 2e-12, "optimality violated",
+                 id="excess"),
+    pytest.param(_smoothed_at, 5e-13, 2e-12, "hypothesis not met", id="smoothing"),
+]
+
+
+@pytest.mark.parametrize("check, inside, outside, message", TOLERANCES)
+def test_each_exact_tolerance_is_pressed_from_both_sides(check, inside, outside, message):
+    check(inside)
+    with pytest.raises(ValueError, match=message):
+        check(outside)
+
+
+def test_the_bound_tolerance_is_pressed_from_both_sides():
+    """A verdict holds 5e-10 past its bound and fails 2e-9 past it: the bound is allowed 1e-9."""
+    assert bounds._within(np.array([0.5 + 5e-10]), 0.5).tolist() == [True]
+    assert bounds._within(np.array([0.5 + 2e-9]), 0.5).tolist() == [False]
+    assert bounds._within(0.5 + 5e-10, 0.5) and not bounds._within(0.5 + 2e-9, 0.5)
+
+
 def test_trusted_objects_are_frozen_and_equal_to_validated_ones():
     source = random_source(np.random.default_rng(1), 3, 9)
     f = bayes_classifier(source, np.ones((3, 3)) - np.eye(3))

@@ -294,6 +294,27 @@ class TestDerivedColumns:
             assert (tmp_path / "again" / name).read_bytes() == (tmp_path / "first" / name).read_bytes()
 
 
+    @pytest.mark.parametrize(
+        "argv, per_block",
+        [
+            pytest.param(["verify-theorem1", "--trials", "3"], 37, id="verify-theorem1"),
+            pytest.param(["verify-theorem2", "--trials", "3", "--k-max", "9", "--m-max", "300"], 4,
+                         id="verify-theorem2"),
+            pytest.param(["smooth", "--trials", "3"], 256, id="smooth"),
+            pytest.param(["smooth", "--trials", "3", "--domain-size", "300", "--bits", "12"], 6, id="smooth-wide"),
+            pytest.param(["lower-bounds"], None, id="lower-bounds"),
+            pytest.param(["tightness", "--iterations", "1"], None, id="tightness"),
+        ],
+    )
+    def test_manifest_records_the_block_size(self, tmp_path, argv, per_block):
+        """A sweep draws a block of instances (trials) at a time, so the block size is part of its stream: the
+        sweeps' manifests record it beside their config, and no other command's manifest has it."""
+        assert run([*argv, "--out-dir", tmp_path]) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest.get("instances_per_block") == per_block
+        assert "instances_per_block" not in manifest["config"]
+
+
 class TestVerifyCommands:
     def test_theorem1_small_sweep_passes(self, tmp_path):
         assert run(["verify-theorem1", "--trials", "25", "--out-dir", tmp_path]) == 0

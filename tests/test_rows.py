@@ -1,12 +1,13 @@
 """The row kernels behind the sweeps, and the numpy and generator facts they rest on.
 
-The sweeps make every draw of an instance (or of a block of smoothing
-trials) first, in the order the per-object generators make them, and then
-run the arithmetic on ``(rows, m)`` arrays; a block of PAC trials writes
-its draws into one buffer and answers each class's with one CDF. Both
-halves are bit-identical to the per-object path only because of the facts
-pinned here: a numpy or generator upgrade that breaks one should fail this
-file, not a golden.
+The sweeps make every draw of a block of instances (or of smoothing trials)
+first, field major: each kind of draw in one generator call for the whole
+block, the kinds in a fixed order. They then run the arithmetic on
+``(rows, m)`` arrays; a block of PAC trials writes its draws into one buffer
+and answers each class's with one CDF. The draws equal the public numpy
+calls made one after another, and the arithmetic the per-object path, only
+because of the facts pinned here: a numpy or generator upgrade that breaks
+one should fail this file, not a golden.
 """
 
 from __future__ import annotations
@@ -42,8 +43,9 @@ from bayesrisk.bounds import (
     support_safe_perturbation,
     tightness_search,
 )
-from bayesrisk.classify import CostMatrix
+from bayesrisk.classify import CostMatrix, LabeledSource
 from bayesrisk.distributions import (
+    Distribution,
     Domain,
     _draw_indices,
     QuantizedClassSpec,
@@ -94,6 +96,30 @@ def test_rewritten_draws_take_what_the_old_ones_took():
         b.standard_gamma(alpha, out=slot[0])  # the sweeps' gamma draw, at scale 1, into its buffer
         assert a.gamma(alpha, 1.0, m).tobytes() == slot[0].tobytes()
         assert a.bit_generator.state == b.bit_generator.state
+
+
+@pytest.mark.parametrize("n", [1, 5])
+def test_one_call_per_kind_draws_what_the_calls_one_after_another_draw(n):
+    """The facts the field-major block draws rest on: ``integers`` of size ``n``, ``random`` of ``n``,
+    ``standard_gamma`` of an array of shapes, ``standard_exponential`` of ``(n, m)`` rows, a 2-D ``multinomial``
+    and ``standard_normal`` of ``n`` rows give the bits of the same calls made one after another, and leave
+    ``rng.bit_generator.state`` where they do; so a block of one draws what the one-instance calls draw."""
+    for seed in range(100):
+        ours, ref = np.random.default_rng([seed, n]), np.random.default_rng([seed, n])
+        ms = ours.integers(1, 70, n)
+        assert ms.tolist() == [int(ref.integers(1, 70)) for _ in range(n)]
+        assert ours.integers(0, 3, n).tolist() == [int(ref.integers(0, 3)) for _ in range(n)]
+        assert ours.random(n).tobytes() == np.array([ref.random() for _ in range(n)]).tobytes()
+        shapes = np.array([0.3, 1.0, 3.0])[np.arange(n) % 3]
+        drawn = ours.standard_gamma(np.repeat(shapes, ms))
+        assert drawn.tobytes() == np.concatenate([ref.gamma(a, 1.0, m) for a, m in zip(shapes, ms)]).tobytes()
+        m = int(ms[0])
+        g = ours.standard_exponential((n, m))
+        assert g.tobytes() == np.array([ref.standard_exponential(m) for _ in range(n)]).tobytes()
+        g *= 1.0 / np.add.accumulate(g, axis=1)[:, -1:]
+        assert ours.multinomial(256, g).tobytes() == np.array([ref.multinomial(256, row) for row in g]).tobytes()
+        assert ours.standard_normal((n, m)).tobytes() == np.array([ref.standard_normal(m) for _ in range(n)]).tobytes()
+        assert ours.bit_generator.state == ref.bit_generator.state
 
 
 # Every pair of bounds the package draws uniforms between: priors, the L1 and KL sweeps' budgets, floor weights and
@@ -182,24 +208,26 @@ def test_ragged_sums_equal_numpys_sums_at_every_length():
 @example(1, KL, 2, 2)
 @settings(max_examples=150, deadline=None)
 def test_sweep_instance_and_report_equal_the_public_composition(seed, metric, k_max, m_max):
-    """Three sweep instances, drawn first and computed in blocks of one or two (the budget of two instances of two
-    classes), are the instances the public generators build class by class from the same seed, one after another,
-    and leave the generator where they do; each block verdict has the public check's report, field by field in
-    float.hex, and under log loss the gap of the public identity's two sides."""
-    rng = np.random.default_rng(seed)
-    with mock.patch.object(bounds, "_BLOCK_BYTES", 2 * (bounds._ROW_COPIES * 8 * 2 * m_max + bounds._INSTANCE_BYTES)):
+    """Three sweep instances, drawn in blocks of two and one, are the instances that the public constructors and
+    perturbations build from the same seed's draws made by the public calls (:func:`_reference_block`), each
+    perturbation handed its class's noise and floor weight, and leave the generator where those calls do; each block
+    verdict has the public check's report, field by field in float.hex, and under log loss the gap of the public
+    identity's two sides."""
+    rng, charge = np.random.default_rng(seed), bounds._ROW_COPIES * 8 * k_max * m_max + bounds._INSTANCE_BYTES
+    with mock.patch.object(bounds, "_BLOCK_BYTES", 2 * charge):
         instances = list(swept(_theorem_sweep(rng, 3, k_max, m_max, metric)))
     ref = np.random.default_rng(seed)
-    for (priors, masses, _, cost), (report, gap, ok) in instances:
-        k, m = int(ref.integers(2, k_max + 1)), int(ref.integers(2, m_max + 1))
-        source = random_source(ref, k, m)
+    drawn = _reference_block(ref, 2, k_max, m_max, metric) + _reference_block(ref, 1, k_max, m_max, metric)
+    assert len(instances) == len(drawn) == 3
+    for ((priors, masses, _, cost), (report, gap, ok)), (ref_priors, weights, moves, ref_cost) in zip(instances, drawn):
+        domain = Domain.indexed(weights.shape[1])
+        source = LabeledSource(ref_priors, tuple(make_distribution(domain, w) for w in weights))
+        perturb = random_l1_perturbation if metric == L1 else support_safe_perturbation
+        est = tuple(perturb(d, b, _Served(v, lam)) for d, (b, v, lam) in zip(source.class_dists, moves))
         if metric == L1:
-            est = tuple(random_l1_perturbation(d, float(ref.uniform(0.0, 2.0)), ref) for d in source.class_dists)
-            ref_cost = random_cost(ref, k)
-            public, ref_gap = check_theorem1(source, est, ref_cost), None
-            assert cost.costs.tobytes() == ref_cost.costs.tobytes()
+            public, ref_gap = check_theorem1(source, est, CostMatrix(ref_cost)), None
+            assert cost.costs.tobytes() == ref_cost.tobytes()
         else:
-            est = tuple(support_safe_perturbation(d, float(ref.uniform(0.0, 1.5)), ref) for d in source.class_dists)
             public, (lhs, rhs) = check_theorem2(source, est), excess_logloss_identity(source, est)
             ref_gap = abs(lhs - rhs)
             assert report.excess.hex() == lhs.hex()
@@ -207,17 +235,22 @@ def test_sweep_instance_and_report_equal_the_public_composition(seed, metric, k_
         assert masses.tobytes() == _as_arrays(source, est, metric)[1].tobytes()
         assert _hex_verdict((report, gap, ok)) == _hex_verdict((public, ref_gap, ok))
         assert ok == (public.satisfied and (ref_gap is None or ref_gap <= BOUND_TOL))
-    assert rng.random() == ref.random()
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
-class _Normals:
-    """A generator stand-in that hands out one given row of normals."""
+class _Served:
+    """A generator stand-in for one perturbation: it hands out the given row of normals (zeros if ``None``) and the
+    given raw floor weight."""
 
-    def __init__(self, row):
-        self.row = row
+    def __init__(self, noise, floor=None):
+        self.noise, self.floor = np.zeros(0) if noise is None else noise, floor
 
-    def standard_normal(self, out):
-        out[:] = self.row
+    def standard_normal(self, size):
+        assert size in (0, len(self.noise))
+        return self.noise[:size]
+
+    def random(self, size):
+        return np.full(size, self.floor)
 
 
 def _old_unit_mass(mass: np.ndarray) -> np.ndarray:
@@ -269,7 +302,7 @@ def _compare_perturbations(seed: int, m: int) -> int:
     floored = _floor_rows(est, lams)
     pulled = 0
     for i, d in enumerate(true):
-        public = random_l1_perturbation(d, float(budgets[i]), _Normals(noise[i]))
+        public = random_l1_perturbation(d, float(budgets[i]), _Served(noise[i]))
         old, pulled_back = _old_l1_perturbation(d.mass.copy(), float(budgets[i]), noise[i])
         pulled += pulled_back
         assert est[i].tobytes() == public.mass.tobytes() == old.tobytes()
@@ -292,8 +325,8 @@ def test_pull_back_branch_is_compared():
     assert sum(_compare_perturbations(seed, 5) for seed in range(4)) > 0
 
 
-def _reference_cost(rng: np.random.Generator, k: int) -> np.ndarray:
-    kind = int(rng.integers(0, 3))
+def _reference_cost(rng: np.random.Generator, k: int, kind: int) -> np.ndarray:
+    """A cost array of the given kind, its entries drawn by the public calls."""
     if kind == 0:
         return np.ones((k, k)) - np.eye(k)
     if kind == 1:
@@ -314,8 +347,8 @@ def _reference_source(rng: np.random.Generator, k: int, m: int) -> tuple:
 
 
 def _reference_moves(rng: np.random.Generator, k: int, m: int, budget, metric: str) -> list:
-    """Each class's ``(budget, noise, floor weight)`` by the public calls, the budget ``budget()``: no noise
-    (``None``) at a zero budget or on one atom, a floor weight only under KL."""
+    """Each class's ``(budget, noise, floor weight)`` by the public calls, one class after another, the budget
+    ``budget()``: no noise (``None``) at a zero budget or on one atom, a floor weight only under KL."""
     moves = []
     for _ in range(k):
         drawn = float(budget())
@@ -324,107 +357,142 @@ def _reference_moves(rng: np.random.Generator, k: int, m: int, budget, metric: s
     return moves
 
 
-def _reference_draws(rng: np.random.Generator, k_max: int, m_max: int, metric: str) -> tuple:
-    """One sweep instance's draws by the public calls: k, m, priors, the class weights, each class's budget,
-    noise and under KL floor weight, then under L1 the cost."""
-    k, m = int(rng.integers(2, k_max + 1)), int(rng.integers(2, m_max + 1))
-    priors, weights = _reference_source(rng, k, m)
-    moves = _reference_moves(rng, k, m, lambda: rng.uniform(0.0, 2.0 if metric == L1 else 1.5), metric)
-    return priors, weights, moves, _reference_cost(rng, k) if metric == L1 else None
+def _reference_block(rng: np.random.Generator, n: int, k_max: int, m_max: int, metric: str) -> list:
+    """A sweep block's draws by the public calls, field major: one call per instance or class, kind after kind, in
+    the order every k, every m, every instance's priors (over their own sum), every gamma-shape index, every
+    instance's class weights (off zero), every class's budget, every class's noise (none at a zero budget), under KL
+    every class's floor weight as a raw ``rng.uniform()``, under L1 every cost kind, then each random cost's entries.
+    Each instance's ``(priors, weights, moves, cost)``, ``moves`` its classes' ``(budget, noise, raw floor weight)``."""
+    ks = [int(rng.integers(2, k_max + 1)) for _ in range(n)]
+    ms = [int(rng.integers(2, m_max + 1)) for _ in range(n)]
+    priors = [rng.uniform(0.05, 1.0, k) for k in ks]
+    alphas = [(0.3, 1.0, 3.0)[rng.integers(0, 3)] for _ in range(n)]
+    weights = [rng.gamma(alpha, 1.0, (k, m)) + 1e-300 for alpha, k, m in zip(alphas, ks, ms)]
+    budgets = [[float(rng.uniform(0.0, 2.0 if metric == L1 else 1.5)) for _ in range(k)] for k in ks]
+    noise = [[rng.standard_normal(m) if b != 0.0 else None for b in row] for row, m in zip(budgets, ms)]
+    floors = [[float(rng.uniform()) if metric == KL else None for _ in range(k)] for k in ks]
+    kinds = [int(rng.integers(0, 3)) if metric == L1 else None for _ in range(n)]
+    costs = [None if kind is None else _reference_cost(rng, k, kind) for k, kind in zip(ks, kinds)]
+    return [(p / p.sum(), w, list(zip(*moves)), c) for p, w, *moves, c in zip(priors, weights, budgets, noise, floors,
+                                                                                costs)]
 
 
-def _reference_sweep(rng: np.random.Generator, n: int, k_max: int, m_max: int, metric: str):
-    """The sweep's instances with every draw a plain generator call (:func:`_reference_draws`), one instance after
-    another, and each instance's arithmetic done class by class in plain numpy."""
-    for _ in range(n):
-        priors, weights, moves, cost = _reference_draws(rng, k_max, m_max, metric)
-        m = weights.shape[1]
-        true = [_old_unit_mass(w / float(w.sum())) for w in weights]
-        est = [t if v is None else _old_l1_perturbation(t.copy(), b, v)[0] for t, (b, v, _) in zip(true, moves)]
-        if metric == L1:
-            divergences = [float(np.abs(t - e).sum()) for t, e in zip(true, est)]
-        else:
-            est = [_old_unit_mass((1.0 - lam) * e + lam / m) for e, (_, _, lam) in zip(est, moves)]
-            divergences = [max(0.0, float((t * np.log2(t / e)).sum())) for t, e in zip(true, est)]
-        yield priors, np.array([true, est]), divergences, cost
+def _reference_sweep(rng: np.random.Generator, n: int, k_max: int, m_max: int, metric: str, size: int):
+    """The sweep's blocks of ``size`` instances (fewer in the last), each drawn by :func:`_reference_block` and its
+    instances' arithmetic done class by class in plain numpy: each block's instances and the generator's state after
+    its draws."""
+    for start in range(0, n, size):
+        instances = []
+        for priors, weights, moves, cost in _reference_block(rng, min(size, n - start), k_max, m_max, metric):
+            m = weights.shape[1]
+            true = [_old_unit_mass(w / float(w.sum())) for w in weights]
+            est = [t if v is None else _old_l1_perturbation(t.copy(), b, v)[0] for t, (b, v, _) in zip(true, moves)]
+            if metric == L1:
+                divergences = [float(np.abs(t - e).sum()) for t, e in zip(true, est)]
+            else:  # the floor weight on [0.2 * 0.05, 0.05] as numpy draws a uniform: lo + (hi - lo) * r
+                lams = [0.2 * 0.05 + (0.05 - 0.2 * 0.05) * r for _, _, r in moves]
+                est = [_old_unit_mass((1.0 - lam) * e + lam / m) for e, lam in zip(est, lams)]
+                divergences = [max(0.0, float((t * np.log2(t / e)).sum())) for t, e in zip(true, est)]
+            instances.append((priors, np.array([true, est]), divergences, cost))
+        yield instances, rng.bit_generator.state
 
 
 @pytest.mark.parametrize("metric", [L1, KL])
 @pytest.mark.parametrize("k_max, m_max", [(2, 2), (5, 64)])
 @pytest.mark.parametrize("n, per_block", [(1, None), (2, None), (200, None), (200, 7)])
 def test_sweep_blocks_equal_an_independent_reference(monkeypatch, metric, k_max, m_max, n, per_block):
-    """The block generator's instances, drawn a block at a time and computed once per block on padded
-    rows, equal the plain per-instance reference in float.hex, and leave the generator where it does;
-    each block verdict equals, field by field, the one-instance verdict of the reference's instance.
-    ``per_block`` cuts the blocks small (that many instances of ``k_max`` classes) so instances straddle them."""
+    """The block generator's instances, drawn a block at a time and computed once per block on padded rows, equal the
+    plain reference drawn block by block in float.hex, and leave the generator where it does after every block; each
+    block verdict equals, field by field, the one-instance verdict of the reference's instance. A block holds
+    ``_BLOCK_BYTES // (_ROW_COPIES * 8 * k_max * m_max + _INSTANCE_BYTES)`` instances, 37 at the defaults;
+    ``per_block`` cuts the blocks small (that many instances) so that a run of 200 spans many."""
+    charge = bounds._ROW_COPIES * 8 * k_max * m_max + bounds._INSTANCE_BYTES
     if per_block is not None:
-        charge = bounds._ROW_COPIES * 8 * k_max * m_max + bounds._INSTANCE_BYTES
         monkeypatch.setattr(bounds, "_BLOCK_BYTES", per_block * charge)
+    size = max(1, bounds._BLOCK_BYTES // charge)
+    assert size == {(None, 2, 2): (1 << 20) // 2880, (None, 5, 64): 37}.get((per_block, k_max, m_max), per_block)
     rng, ref = np.random.default_rng([n, k_max]), np.random.default_rng([n, k_max])
-    instances = list(swept(_theorem_sweep(rng, n, k_max, m_max, metric)))
-    assert len(instances) == n
-    for ((priors, masses, divergences, cost), block_verdict), expected in zip(instances,
-                                                                              _reference_sweep(ref, n, k_max, m_max,
-                                                                                               metric)):
-        assert masses.shape == expected[1].shape
-        assert _hex_rows(priors) == _hex_rows(expected[0])
-        assert _hex_rows(masses.reshape(-1, masses.shape[2])) == _hex_rows(expected[1].reshape(-1, masses.shape[2]))
-        assert _hex_rows(divergences) == _hex_rows(expected[2])
-        assert (cost is None) == (expected[3] is None)
-        assert cost is None or _hex_rows(cost.costs) == _hex_rows(expected[3])
-        ref_cost = None if expected[3] is None else CostMatrix(expected[3])
-        own = verdict(_check(expected[0], expected[1], np.array(expected[2]), ref_cost))
-        assert _hex_verdict(block_verdict) == _hex_verdict(own)
-    assert rng.random() == ref.random()
+    blocks = _theorem_sweep(rng, n, k_max, m_max, metric)
+    done = 0
+    for block, (expected, state) in zip(blocks, _reference_sweep(ref, n, k_max, m_max, metric, size)):
+        assert rng.bit_generator.state == state
+        instances = list(swept([block]))
+        assert len(instances) == len(expected) == min(size, n - done)
+        for ((priors, masses, divergences, cost), block_verdict), (ref_priors, ref_masses, ref_divergences,
+                                                                     ref_cost) in zip(instances, expected):
+            assert masses.shape == ref_masses.shape
+            assert _hex_rows(priors) == _hex_rows(ref_priors)
+            assert _hex_rows(masses.reshape(-1, masses.shape[2])) == _hex_rows(ref_masses.reshape(-1, masses.shape[2]))
+            assert _hex_rows(divergences) == _hex_rows(ref_divergences)
+            assert (cost is None) == (ref_cost is None)
+            assert cost is None or _hex_rows(cost.costs) == _hex_rows(ref_cost)
+            own = verdict(_check(ref_priors, ref_masses, np.array(ref_divergences),
+                                 None if ref_cost is None else CostMatrix(ref_cost)))
+            assert _hex_verdict(block_verdict) == _hex_verdict(own)
+        done += len(instances)
+    assert done == n
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
-def _block_draws(draws, metric: str) -> tuple:
-    """A theorem sweep block's draws as its arithmetic reads them, instance by instance ``(priors, weights,
-    budgets, noise, floor weights, cost)``, and the generator's state after them."""
-    priors, weights = draws.sources()
-    budgets = distributions._scaled(draws.budgets, 0.0, 2.0 if metric == L1 else 1.5)
-    lams = distributions._scaled(draws.lams, 0.2 * 0.05, 0.05) if metric == KL else np.zeros(len(budgets))
-    instances, row, at = [], 0, 0
-    for i, (k, m) in enumerate(draws.shapes):
-        rows, flat = slice(row, row + k), slice(at, at + k * m)
-        instances.append((priors[rows], weights[flat].reshape(k, m), budgets[rows], draws.flat[1, flat].reshape(k, m),
-                          lams[rows], draws.costs[i] if metric == L1 else None))
-        row, at = row + k, at + k * m
-    return instances, draws.rng.bit_generator.state
+def _block_instances(draws, metric: str) -> list:
+    """A theorem sweep block's :func:`bounds._block_draws` as its arithmetic reads them, instance by instance
+    ``(priors, weights, budgets, noise, raw floor weights, cost)``, the budgets scaled; the padding is checked zero."""
+    ks, ms, on, priors, weights, budgets, noise, lams, costs = draws
+    assert not weights[~on].any() and not noise[~on].any()
+    budgets = distributions._scaled(budgets, 0.0, 2.0 if metric == L1 else 1.5)
+    instances, row = [], 0
+    for i, (k, m) in enumerate(zip(ks.tolist(), ms.tolist())):
+        rows = slice(row, row + k)
+        instances.append((priors[rows], weights[rows, :m], budgets[rows], noise[rows, :m], lams[rows],
+                          costs[i] if metric == L1 else None))
+        row += k
+    return instances
 
 
 @pytest.mark.parametrize("metric", [L1, KL])
 @pytest.mark.parametrize("k_max, m_max", [(2, 2), (5, 64), (10, 3), (9, 300)])
 def test_block_draws_are_the_public_calls_draws(monkeypatch, metric, k_max, m_max):
-    """A theorem sweep's draws, written into each block's buffers by the cheapest bit-identical calls, equal the
-    public calls' draws made instance by instance (``rng.uniform``, ``rng.gamma``, priors over their own ``sum()``,
-    the public cost), bit for bit, and leave ``rng.bit_generator.state`` equal after every block and the sweep."""
+    """A theorem sweep's draws, each kind made for a whole block in one call, equal the public calls' draws made one
+    instance or class after another, kind after kind (:func:`_reference_block`: ``rng.uniform``, ``rng.gamma``, priors
+    over their own ``sum()``), bit for bit, in blocks of ``_BLOCK_BYTES // (_ROW_COPIES * 8 * k_max * m_max +
+    _INSTANCE_BYTES)`` instances, and leave ``rng.bit_generator.state`` equal after every block and the sweep."""
     blocks = []
-    monkeypatch.setattr(bounds, "_sweep_block", lambda draws, metric: blocks.append(_block_draws(draws, metric)))
+    monkeypatch.setattr(bounds, "_sweep_block", lambda draws, metric: blocks.append((_block_instances(draws, metric),
+                                                                                     rng.bit_generator.state)))
+    size = max(1, bounds._BLOCK_BYTES // (bounds._ROW_COPIES * 8 * k_max * m_max + bounds._INSTANCE_BYTES))
     for seed in range(3):
         rng, ref = np.random.default_rng([seed, k_max, m_max]), np.random.default_rng([seed, k_max, m_max])
         blocks.clear()
         list(_theorem_sweep(rng, 120, k_max, m_max, metric))
+        assert [len(instances) for instances, _ in blocks] == [min(size, 120 - start) for start in range(0, 120, size)]
         assert len(blocks) > 1 or m_max < 64
         for instances, state in blocks:
-            for drawn in instances:
-                priors, weights, moves, cost = _reference_draws(ref, k_max, m_max, metric)
+            for drawn, (priors, weights, moves, cost) in zip(instances, _reference_block(ref, len(instances), k_max,
+                                                                                           m_max, metric)):
                 noise = np.array([np.zeros(weights.shape[1]) if v is None else v for _, v, _ in moves])
                 lams = [0.0 if lam is None else lam for _, _, lam in moves]
-                expected = priors, weights, [b for b, _, _ in moves], noise, lams, cost
+                expected = priors, weights, [b for b, _, _ in moves], noise, lams
                 assert [_hex_rows(np.atleast_2d(a)) for a in drawn[:5]] == [_hex_rows(np.atleast_2d(a))
-                                                                            for a in expected[:5]]
+                                                                            for a in expected]
                 assert (drawn[5] is None and cost is None) or drawn[5].tobytes() == cost.tobytes()
             assert state == ref.bit_generator.state
         assert rng.bit_generator.state == ref.bit_generator.state
 
 
+def _reference_trials(rng: np.random.Generator, n: int, m: int, scale: int) -> tuple:
+    """A smoothing block's draws by the public calls, field major: every trial's ``rng.dirichlet(np.ones(m))``, every
+    trial's ``rng.multinomial(scale, ...)`` of it over the scale by ``np.divide``, then every trial's noise (none on one
+    atom)."""
+    shapes = [rng.dirichlet(np.ones(m)) for _ in range(n)]
+    true = [np.divide(rng.multinomial(scale, shape), scale) for shape in shapes]
+    return true, [rng.standard_normal(m) if m > 1 else np.zeros(m) for _ in range(n)]
+
+
 @pytest.mark.parametrize("m", [1, 8, 300])
 def test_smoothing_block_draws_are_the_public_calls_draws(monkeypatch, m):
-    """The smoothing sweep's draws, a block of trials at a time into its buffers, equal the public calls' draws
-    made trial by trial (``rng.multinomial(scale, rng.dirichlet(np.ones(m)))`` over the scale by ``np.divide``, and
-    the noise of a perturbation at budget ``xi``, none on one atom), bit for bit, and leave
-    ``rng.bit_generator.state`` equal after every block."""
+    """The smoothing sweep's draws, each kind made for a block of trials in one call, equal the public calls' draws
+    made trial by trial, kind after kind (:func:`_reference_trials`), bit for bit, in blocks of ``_BLOCK_BYTES //
+    (8 * m)`` trials, and leave ``rng.bit_generator.state`` equal after every block."""
     monkeypatch.setattr(smoothing, "_BLOCK_BYTES", 8 * m * 7)
     spec = QuantizedClassSpec(Domain.indexed(m), 8)
     params = SmoothingParams(0.5, spec.description_length)
@@ -433,15 +501,16 @@ def test_smoothing_block_draws_are_the_public_calls_draws(monkeypatch, m):
 
     def recorded(true, budgets, noise):
         blocks.append((true.copy(), noise.copy(), rng.bit_generator.state))
+        assert budgets.tobytes() == np.full(len(true), params.xi).tobytes()
         return perturb(true, budgets, noise)
 
     monkeypatch.setattr(smoothing, "_perturb_rows", recorded)
     assert len(list(smoothing._sweep(spec, params, base_mixture(spec), 30, rng))) == len(blocks) == 5
-    for true, noise, state in blocks:
-        for got_true, got_noise in zip(true, noise):
-            expected = np.divide(ref.multinomial(spec.scale, ref.dirichlet(np.ones(m))), spec.scale)
-            assert got_true.tobytes() == expected.tobytes()
-            assert got_noise.tobytes() == (np.zeros(m) if m == 1 else ref.standard_normal(m)).tobytes()
+    for (true, noise, state), n in zip(blocks, [7, 7, 7, 7, 2]):
+        expected_true, expected_noise = _reference_trials(ref, n, m, spec.scale)
+        assert len(true) == n
+        assert true.tobytes() == np.array(expected_true).tobytes()
+        assert noise.tobytes() == np.array(expected_noise).tobytes()
         assert state == ref.bit_generator.state
 
 
@@ -457,7 +526,7 @@ def test_public_generators_draw_the_public_calls_draws(monkeypatch):
         assert source.priors.tobytes() == priors.tobytes()
         assert _hex_rows([d.mass for d in source.class_dists]) == _hex_rows(
             [_old_unit_mass(w / float(w.sum())) for w in weights])
-        assert random_cost(ours, 4).costs.tobytes() == _reference_cost(ref, 4).tobytes()
+        assert random_cost(ours, 4).costs.tobytes() == _reference_cost(ref, 4, int(ref.integers(0, 3))).tobytes()
         expected = np.divide(ref.multinomial(spec.scale, ref.dirichlet(np.ones(7))), spec.scale)
         assert random_quantized(spec, ours).mass.tobytes() == expected.tobytes()
         d = source.class_dists[0]
@@ -494,38 +563,47 @@ def test_public_generators_draw_the_public_calls_draws(monkeypatch):
 @pytest.mark.parametrize("metric", [L1, KL])
 @pytest.mark.parametrize("m", range(1, 65))
 def test_drawn_moves_equal_the_public_generators_class_by_class(metric, m):
-    """:func:`_moved` on ``_Draws.moves``' draws for k classes is k calls of the public
-    generator on a generator of the same seed, in float.hex, and leaves it where they do;
-    a zero budget draws no noise."""
+    """:func:`_moved` on ``distributions._moves``' draws for k classes, one class at a time as the tightness search
+    draws them, is k calls of the public generator on a generator of the same seed, in float.hex, and leaves it where
+    they do; a zero budget draws no noise. Under L1, which draws no floor weights, one call for the k classes draws
+    the same."""
     public = random_l1_perturbation if metric == L1 else support_safe_perturbation
     domain = Domain.indexed(m)
     for seed, (k, radius) in enumerate([(2, 0.0), (3, 0.3), (4, 2.0)]):
         dists = [make_distribution(domain, w) for w in np.random.default_rng(m).gamma(0.5, 1.0, (k, m))]
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        (draws := distributions._Draws(rng, k * m)).moves(k, m, radius, metric == KL)
-        est = _moved(np.array([d.mass for d in dists]), metric, np.array(draws.budgets), draws.flat[1].reshape(k, m),
-                     draws.lams)
+        moves = [distributions._moves(rng, np.ones((1, m), bool), radius, metric == KL) for _ in range(k)]
+        true = np.array([d.mass for d in dists])
+        est = _moved(true, metric, *map(np.concatenate, zip(*moves)))
         expected = [public(d, radius, ref).mass for d in dists]
         assert _hex_rows(est) == _hex_rows(expected)
-        assert rng.random() == ref.random()
+        assert rng.bit_generator.state == ref.bit_generator.state
+        if metric == L1:
+            once = np.random.default_rng(seed)
+            assert _hex_rows(_moved(true, L1, *distributions._moves(once, np.ones((k, m), bool), radius, False))) == \
+                _hex_rows(expected)
+            assert once.bit_generator.state == ref.bit_generator.state
 
 
 @pytest.mark.parametrize("m, bits", [(1, 8), (3, 1), (8, 8), (64, 2)])
 def test_smoothing_blocks_equal_the_per_trial_path(monkeypatch, m, bits):
-    """The smoothing sweep's blocks, cut small so trials straddle them, give the reports
-    of the public per-trial path from the same seed, field by field in float.hex."""
+    """The smoothing sweep's blocks, cut small so trials straddle them, give the reports of the public per-trial path
+    on the same seed's draws made by the public calls (:func:`_reference_trials`), each perturbation handed its trial's
+    noise, field by field in float.hex, and leave the generator where those calls do."""
     monkeypatch.setattr(smoothing, "_BLOCK_BYTES", 8 * m * 7)
     spec = QuantizedClassSpec(Domain.indexed(m), bits)
     params = SmoothingParams(0.5, spec.description_length)
     base = base_mixture(spec)
     rng, ref = np.random.default_rng(m), np.random.default_rng(m)
     rows = [report for _, _, report in smoothed(smoothing._sweep(spec, params, base, 30, rng))]
-    assert len(rows) == 30
-    for row in rows:
-        true_d = random_quantized(spec, ref)
-        report = verify_smoothing(true_d, random_l1_perturbation(true_d, params.xi, ref), params, base)
-        assert _hex_fields(row) == _hex_fields(report)
-    assert rng.random() == ref.random()
+    expected = []
+    for n in (7, 7, 7, 7, 2):
+        for true, noise in zip(*_reference_trials(ref, n, m, spec.scale)):
+            true_d = Distribution(spec.domain, true)
+            expected.append(verify_smoothing(true_d, random_l1_perturbation(true_d, params.xi, _Served(noise)),
+                                             params, base))
+    assert [_hex_fields(row) for row in rows] == [_hex_fields(report) for report in expected]
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 class _Recording:
@@ -544,17 +622,19 @@ class _Recording:
 
 @pytest.mark.parametrize("m", [1, 2, 3, 8, 9, 64, 129, 4096])
 def test_drawn_numerators_are_the_dirichlet_draws(m):
-    """``distributions._Draws.numerators`` gives, bit for bit, the numerators of
-    ``rng.multinomial(scale, rng.dirichlet(np.ones(m)))``, over the very shape ``dirichlet`` draws (a shape an ulp
-    off would mostly give the same numerators), and leaves the generator in the same state."""
+    """``distributions._quantized_rows`` of one row and of three gives, bit for bit, each row's numerators of
+    ``rng.multinomial(scale, rng.dirichlet(np.ones(m)))`` over the scale, every row's ``dirichlet`` first, over the
+    very shapes ``dirichlet`` draws (a shape an ulp off would mostly give the same numerators), and leaves the
+    generator in the same state."""
     spec = QuantizedClassSpec(Domain.indexed(m), 8)
     for seed in range(12):
         ours, ref = _Recording(np.random.default_rng([seed, m])), np.random.default_rng([seed, m])
-        for _ in range(3):
-            (draws := distributions._Draws(ours, m)).numerators(m, spec.scale)
-            shape = ref.dirichlet(np.ones(m))
-            assert ours.shapes[-1].tobytes() == shape.tobytes()
-            assert draws.flat[0].tobytes() == ref.multinomial(spec.scale, shape).astype(float).tobytes()
+        for n in (1, 3, 1):
+            drawn = distributions._quantized_rows(ours, n, m, spec.scale)
+            shapes = np.array([ref.dirichlet(np.ones(m)) for _ in range(n)])
+            assert ours.shapes[-1].tobytes() == shapes.tobytes()
+            numerators = np.array([ref.multinomial(spec.scale, shape) for shape in shapes])
+            assert drawn.tobytes() == np.divide(numerators, spec.scale).tobytes()
         assert ours.rng.bit_generator.state == ref.bit_generator.state
 
 

@@ -28,9 +28,10 @@ CASES = [
     ["smooth", "--domain-size", "1"],  # one atom: a one-entry draw and no noise
     ["smooth", "--domain-size", "300", "--bits", "12", "--trials", "200"],  # a block of 6 trials
     ["smooth", "--ld", "64", "--domain-size", "8"],
-    ["verify-theorem2", "--seed", "42"],  # the 10k default sweep
+    *([f"verify-theorem{t}", "--seed", "42"] for t in "12"),  # the 10k default sweeps
     ["tightness"],
     ["tightness", "--metric", "KL", "--k", "3", "--domain-size", "8", "--epsilon", "0.05", "--iterations", "1"],
+    ["tightness", "--metric", "KL", "--k", "4", "--domain-size", "4", "--iterations", "2"],  # starts drawn class by class
     ["pipeline", "--config", "tests/data/pipeline_config.json"],
     ["pipeline", "--config", "tests/data/pipeline_logloss_config.json"],
     ["pipeline", "--source", MACHINES, "--truncate", "6"],
