@@ -325,8 +325,9 @@ def test_pull_back_branch_is_compared():
     assert sum(_compare_perturbations(seed, 5) for seed in range(4)) > 0
 
 
-def _reference_cost(rng: np.random.Generator, k: int, kind: int) -> np.ndarray:
-    """A cost array of the given kind, its entries drawn by the public calls."""
+def _reference_cost(rng: np.random.Generator, k: int, kind=None) -> np.ndarray:
+    """A cost array of the given kind (drawn first if ``None``), its entries drawn by the public calls."""
+    kind = int(rng.integers(0, 3)) if kind is None else kind
     if kind == 0:
         return np.ones((k, k)) - np.eye(k)
     if kind == 1:
@@ -526,7 +527,7 @@ def test_public_generators_draw_the_public_calls_draws(monkeypatch):
         assert source.priors.tobytes() == priors.tobytes()
         assert _hex_rows([d.mass for d in source.class_dists]) == _hex_rows(
             [_old_unit_mass(w / float(w.sum())) for w in weights])
-        assert random_cost(ours, 4).costs.tobytes() == _reference_cost(ref, 4, int(ref.integers(0, 3))).tobytes()
+        assert random_cost(ours, 4).costs.tobytes() == _reference_cost(ref, 4).tobytes()
         expected = np.divide(ref.multinomial(spec.scale, ref.dirichlet(np.ones(7))), spec.scale)
         assert random_quantized(spec, ours).mass.tobytes() == expected.tobytes()
         d = source.class_dists[0]
