@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import partial
-from itertools import groupby, repeat
+from itertools import repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -125,8 +125,8 @@ def _within(value, bound):
 
 def theorem1_bound(epsilon: float, k: int, cost: CostLike) -> float:
     """Cost-loss excess bound ``epsilon * k * max_ij c_ij``, the log-loss bound times the largest cost; elementwise for
-    a block of instances of ``k`` classes: an array of budgets and the ``(n, k, k)`` stack of their cost arrays, each
-    checked by ``as_cost_array`` where it was stacked."""
+    a block of instances of ``k`` classes: an array of budgets and the ``(n, k, k)`` array of their costs, valid as
+    :func:`_costs` drew them or as ``as_cost_array`` checked them."""
     bound = theorem2_bound(epsilon, k)
     return bound * (cost.max(axis=(1, 2)) if isinstance(epsilon, np.ndarray) else float(as_cost_array(cost, k).max()))
 
@@ -184,28 +184,28 @@ def _bound_columns(risk_opt, risk_plugin, eps, bound) -> dict:
 def _checks(priors, masses, divergences, costs, ks, on=True, identity=True) -> dict:
     """The instances' checks under their ``costs`` (log loss if ``None``), as columns: :func:`_bound_columns`', then
     the identity's ``rhs`` under log loss and its ``identity_gap`` (``None`` without ``identity`` or for an infinite
-    KL) and ``ok``. The instances' rows run in turn, by class count ``ks``, through ``priors``, ``divergences`` and
-    the ``(2, rows, width)`` ``masses`` (true classes, then estimates), on the rows' prefix mask ``on``. Both
-    predictors of one class count, a quarter of the instances at most, are scored at once, and bounded at once."""
+    KL) and ``ok``. Instance ``i`` has its ``ks[i]`` rows in turn in ``priors``, ``divergences`` and the ``(2, rows,
+    width)`` ``masses`` (true classes, then estimates), on the rows' prefix mask ``on``, and its costs in the corner of
+    ``costs[i]``. The instances of one class count, a quarter at most, are scored and bounded at once, in place."""
     starts, weighted = np.cumsum(ks) - ks, priors * divergences
-    eps, limits = np.maximum.reduceat(weighted, starts), np.empty(len(ks))
-    risks, mixtures, first, row, most = [], [], 0, 0, -(-len(ks) // 4)
-    runs = [(k, len(list(run))) for k, run in groupby(ks)]
-    for k, count in [(k, min(most, n - start)) for k, n in runs for start in range(0, n, most)]:
-        rows, run = slice(row, row + count * k), slice(first, first + count)
-        scored = (masses[:, rows] * priors[rows, None]).reshape(2, count, k, -1)
-        group = None if costs[0] is None else np.array(costs[run])
-        risks.append(_plugin_risk(scored[0], scored, group, on=on if on is True else on[rows].reshape(count, k, -1)))
-        if group is None:
-            mixtures.append(scored.sum(axis=-2))
-        limits[run] = theorem2_bound(eps[run], k) if group is None else theorem1_bound(eps[run], k, group)
-        first, row = first + count, row + count * k
-    columns = _bound_columns(*np.concatenate(risks, axis=1), eps, limits)
+    eps, limits, risks = np.maximum.reduceat(weighted, starts), np.empty(len(ks)), np.empty((2, len(ks)))
+    mixtures, most = np.empty((2, len(ks), masses.shape[-1])) if costs is None else None, -(-len(ks) // 4)
+    for k, of_k in ((k, np.flatnonzero(ks == k)) for k in set(ks.tolist())):
+        for run in (of_k[at : at + most] for at in range(0, len(of_k), most)):
+            rows = (starts[run, None] + np.arange(k)).ravel()
+            scored = (masses[:, rows] * priors[rows, None]).reshape(2, len(run), k, -1)
+            group = None if costs is None else costs[run, :k, :k]
+            cut = on if on is True else on[rows].reshape(len(run), k, -1)
+            risks[:, run] = _plugin_risk(scored[0], scored, group, on=cut)
+            if group is None:
+                mixtures[:, run] = scored.sum(axis=-2)
+            limits[run] = theorem2_bound(eps[run], k) if group is None else theorem1_bound(eps[run], k, group)
+    columns = _bound_columns(*risks, eps, limits)
     rhs = np.full(len(ks), math.nan)
-    if costs[0] is None and identity:
-        kls = _mixture_kl(np.concatenate(mixtures, axis=1), on if on is True else on[starts])
+    if costs is None and identity:
+        kls = _mixture_kl(mixtures, on if on is True else on[starts])
         flat = weighted.tolist()  # Python's sum, left to right, of each instance's terms, as its own check takes it
-        sums = np.array([sum(flat[a : a + k]) for a, k in zip(starts.tolist(), ks)])
+        sums = np.array([sum(flat[a : a + k]) for a, k in zip(starts.tolist(), ks.tolist())])
         np.subtract(sums, kls, out=rhs, where=np.logical_and.reduceat(np.isfinite(divergences), starts))
     gap, has = np.abs(columns["excess"] - rhs), ~np.isnan(rhs)
     ok = columns["satisfied"] & (~has | _within(gap, 0.0))
@@ -214,9 +214,9 @@ def _checks(priors, masses, divergences, costs, ks, on=True, identity=True) -> d
 
 def _check(priors, masses, divergences, cost, identity=True) -> tuple:
     """The one instance of :func:`_as_arrays`' arrays checked, as the sweeps, replays and ``lower-bounds`` decide it:
-    ``(report, rhs, identity_gap, ok)`` from its :func:`_checks` row."""
-    cost = None if cost is None else as_cost_array(cost, len(priors))
-    columns = _checks(priors, masses, divergences, [cost], [len(priors)], identity=identity)
+    ``(report, rhs, identity_gap, ok)`` from its :func:`_checks` row, a block of one."""
+    cost = None if cost is None else as_cost_array(cost, len(priors))[None]
+    columns = _checks(priors, masses, divergences, cost, np.array([len(priors)]), identity=identity)
     return *BoundReport.from_columns(columns), *(columns[name].tolist()[0] for name in ("rhs", "identity_gap", "ok"))
 
 
@@ -450,7 +450,7 @@ def _block_draws(rng: np.random.Generator, n: int, k_max: int, m_max: int, metri
     instance's ``k``, every ``m``, the sources' priors, gamma-shape indices and class weights (:func:`_sources`), every
     class's budget (a raw uniform), noise and under KL floor weight (:func:`_moves`), then under L1 every cost kind and
     the random costs' uniforms (:func:`_costs`). Returns ``(ks, ms, on, priors, weights, budgets, noise, lams, costs)``:
-    the class rows' prefix mask ``on``, made here once per block, and the rows zero past it."""
+    the class rows' prefix mask ``on``, made here once per block, the rows zero past it and the costs padded."""
     ks, ms = rng.integers(2, k_max + 1, n), rng.integers(2, m_max + 1, n)
     on = np.arange(ms.max()) < np.repeat(ms, ks)[:, None]  # each class row's prefix: its instance's atoms
     sources, moves = _sources(rng, on, ks), _moves(rng, on, None, metric == KL)
@@ -460,23 +460,19 @@ def _block_draws(rng: np.random.Generator, n: int, k_max: int, m_max: int, metri
 def _sweep_block(draws: tuple, metric: str) -> tuple:
     """A block's :func:`_block_draws` checked: their ``k``, ``m`` and :func:`_checks` columns in the order drawn, and
     the function giving instance ``j``'s :func:`_as_arrays` arrays and cost. Its class rows, zero-padded and cut by one
-    prefix mask, go through each kernel once (the checks' sorted by class count) and keep their own bits."""
+    prefix mask, and its padded costs stay in draw order through each kernel and keep their own bits."""
     ks, ms, on, priors, weights, budgets, noise, lams, costs = draws
     true = _unit_rows(weights, on)
     budgets = _scaled(budgets, 0.0, 2.0 if metric == L1 else 1.5)
     masses = np.array([true, _moved(true, metric, budgets, noise, lams, on)])
-    divergences, costs = _divergences(*masses, metric, on), costs or [None] * len(ks)
-    order, rows = np.argsort(ks, kind="stable"), np.argsort(np.repeat(ks, ks), kind="stable")  # by class count
-    checks = _checks(priors[rows], masses[:, rows], divergences[rows], [costs[i] for i in order.tolist()],
-                     ks[order].tolist(), on[rows])
-    ends, back = np.cumsum(ks).tolist(), np.argsort(order)
+    divergences, ends = _divergences(*masses, metric, on), np.cumsum(ks).tolist()
 
     def instance(j: int) -> tuple:
-        rows, cost = slice(ends[j] - ks[j], ends[j]), costs[j]
-        cost = None if cost is None else _trusted(CostMatrix, costs=cost)  # valid by construction
+        rows = slice(ends[j] - ks[j], ends[j])
+        cost = None if costs is None else _trusted(CostMatrix, costs=costs[j, : ks[j], : ks[j]])  # valid as drawn
         return priors[rows], masses[:, rows, : ms[j]], divergences[rows], cost
 
-    return {"k": ks, "m": ms, **{name: np.asarray(column)[back] for name, column in checks.items()}}, instance
+    return {"k": ks, "m": ms, **_checks(priors, masses, divergences, costs, ks, on)}, instance
 
 
 def random_theorem1_instance(

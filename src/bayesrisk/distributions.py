@@ -545,18 +545,16 @@ def _moves(rng: np.random.Generator, on: np.ndarray, budget, floors: bool) -> tu
     return budgets, noise, rng.random(len(on)) if floors else np.zeros(len(on))
 
 
-def _costs(rng: np.random.Generator, ks: np.ndarray) -> list:
-    """Read-only ``(k, k)`` cost arrays of instances of ``ks`` classes: every instance's kind, then each random one's
-    uniforms in turn. A kind is 0/1, uniform on ``[0, 1)`` with 1 added at ``[0, 1]``, or uniform on ``[0.1, 5)`` with
-    a zero diagonal."""
-    kinds = rng.integers(0, 3, len(ks))
-    drawn, costs = rng.random(int((ks * ks)[kinds != 0].sum())), []
-    for k, kind, at in zip(ks.tolist(), kinds.tolist(), np.cumsum(ks * ks * (kinds != 0)).tolist()):
-        c = 1.0 - np.eye(k) if kind == 0 else drawn[at - k * k : at].reshape(k, k)  # uniform on [0, 1) is r itself
-        if kind == 1:
-            c[0, 1] += 1.0
-        elif kind == 2:
-            (c := _scaled(c, 0.1, 5.0)).ravel()[:: k + 1] = 0.0
-        c.flags.writeable = False
-        costs.append(c)
+def _costs(rng: np.random.Generator, ks: np.ndarray) -> np.ndarray:
+    """The read-only ``(n, w, w)`` costs of instances of ``ks`` classes (``w`` their largest), instance ``i``'s in its
+    ``(ks[i], ks[i])`` corner, zero past it: every kind, then the random kinds' uniforms, row major into their corners.
+    A kind is 0/1, uniform on ``[0, 1)`` with 1 added at ``[0, 1]``, or uniform on ``[0.1, 5)`` with a zero diagonal."""
+    kinds, on = rng.integers(0, 3, len(ks)), np.arange(ks.max()) < ks[:, None]
+    costs = np.zeros((corners := on[:, :, None] & on[:, None, :]).shape)
+    costs[corners & (kinds != 0)[:, None, None]] = rng.random(int((ks * ks)[kinds != 0].sum()))  # [0, 1): r itself
+    costs[two] = _scaled(costs[two := corners & (kinds == 2)[:, None, None]], 0.1, 5.0)
+    costs[kinds == 0] = corners[kinds == 0]
+    costs[kinds == 1, 0, 1] += 1.0
+    costs.reshape(len(ks), -1)[kinds != 1, :: on.shape[1] + 1] = 0.0  # the diagonals of kinds 0 and 2
+    costs.flags.writeable = False
     return costs

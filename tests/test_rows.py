@@ -437,15 +437,18 @@ def test_sweep_blocks_equal_an_independent_reference(monkeypatch, metric, k_max,
 
 def _block_instances(draws, metric: str) -> list:
     """A theorem sweep block's :func:`bounds._block_draws` as its arithmetic reads them, instance by instance
-    ``(priors, weights, budgets, noise, raw floor weights, cost)``, the budgets scaled; the padding is checked zero."""
+    ``(priors, weights, budgets, noise, raw floor weights, cost)``, the budgets scaled, each cost the ``(k, k)``
+    corner of its padded array; the padding is checked zero."""
     ks, ms, on, priors, weights, budgets, noise, lams, costs = draws
     assert not weights[~on].any() and not noise[~on].any()
+    corners = np.arange(ks.max()) < ks[:, None]
+    assert costs is None or not costs[~(corners[:, :, None] & corners[:, None, :])].any()
     budgets = distributions._scaled(budgets, 0.0, 2.0 if metric == L1 else 1.5)
     instances, row = [], 0
     for i, (k, m) in enumerate(zip(ks.tolist(), ms.tolist())):
         rows = slice(row, row + k)
         instances.append((priors[rows], weights[rows, :m], budgets[rows], noise[rows, :m], lams[rows],
-                          costs[i] if metric == L1 else None))
+                          costs[i, :k, :k] if metric == L1 else None))
         row += k
     return instances
 
@@ -478,6 +481,55 @@ def test_block_draws_are_the_public_calls_draws(monkeypatch, metric, k_max, m_ma
                 assert (drawn[5] is None and cost is None) or drawn[5].tobytes() == cost.tobytes()
             assert state == ref.bit_generator.state
         assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def _block_of(instances: list) -> tuple:
+    """``bounds._checks``' arguments for the instances (each its ``_as_arrays`` arrays and cost) in the order given: the
+    priors and divergences stacked, the masses' rows zero-padded to the widest and their prefix mask, each cost in the
+    corner of a zero ``(n, w, w)`` array (``None`` under log loss), and the class counts."""
+    priors, masses, divergences, costs = zip(*instances)
+    ks, ms = np.array([len(p) for p in priors]), [a.shape[2] for a in masses]
+    on = np.arange(max(ms)) < np.repeat(ms, ks)[:, None]
+    padded = np.zeros((2, *on.shape))
+    padded[:, on] = np.concatenate([a.reshape(2, -1) for a in masses], axis=1)
+    corners = None if costs[0] is None else np.zeros((len(ks), ks.max(), ks.max()))
+    if corners is not None:
+        for i, cost in enumerate(costs):
+            corners[i, : ks[i], : ks[i]] = cost.costs
+    return np.concatenate(priors), padded, np.concatenate(divergences), corners, ks, on
+
+
+def _row_bits(columns: dict, at: int) -> tuple:
+    """Instance ``at``'s ``(report, rhs, identity_gap, ok)`` from the check columns, floats in float.hex."""
+    report = bounds.BoundReport.from_columns(columns, slice(at, at + 1))[0]
+    return _own_bits((report, *(columns[name].tolist()[at] for name in ("rhs", "identity_gap", "ok"))))
+
+
+def _own_bits(check: tuple) -> tuple:
+    """A one-instance ``_check``'s ``(report, rhs, identity_gap, ok)``, floats in float.hex."""
+    report, rhs, gap, ok = check
+    return _hex_fields(report), *(None if v is None else v.hex() for v in (rhs, gap)), ok
+
+
+@pytest.mark.parametrize("metric", [L1, KL])
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("k_max", [3, 10])
+def test_checks_give_each_instance_its_own_bits_in_any_order(metric, seed, k_max):
+    """``bounds._checks`` on a block of class counts 2 to ``k_max`` mixed in draw order gives every instance the
+    float.hex bits of its own one-instance ``_check``, whichever instances share its kernel call (at ``k_max`` 3 a class
+    count's instances outnumber the quarter block and are split), as the sweep block does; the block's instances
+    permuted give its columns permuted."""
+    rng = np.random.default_rng([seed, k_max])
+    draws = bounds._block_draws(rng, 60, k_max, 20, metric)
+    assert set(draws[0].tolist()) == set(range(2, k_max + 1))
+    swept_columns, instance = bounds._sweep_block(draws, metric)
+    instances = [instance(j) for j in range(60)]
+    own = [_own_bits(_check(*arrays)) for arrays in instances]
+    in_order = bounds._checks(*_block_of(instances))
+    assert [_row_bits(in_order, j) for j in range(60)] == [_row_bits(swept_columns, j) for j in range(60)] == own
+    order = rng.permutation(60)
+    permuted = bounds._checks(*_block_of([instances[j] for j in order]))
+    assert [_row_bits(permuted, place) for place in range(60)] == [own[j] for j in order]
 
 
 def _reference_trials(rng: np.random.Generator, n: int, m: int, scale: int) -> tuple:

@@ -22,6 +22,8 @@ CASES = [
     *([f"verify-theorem{t}", "--trials", "300", "--seed", seed] for t in "12" for seed in ("1", "42")),
     *([f"verify-theorem{t}", *LONG_ROWS] for t in "12"),
     *([f"verify-theorem{t}", *WIDE_BLOCKS] for t in "12"),
+    ["verify-theorem1", "--trials", "1", "--seed", "5"],  # a block of one: its costs as wide as its k
+    ["verify-theorem1", "--trials", "800", "--k-max", "2", "--m-max", "2", "--seed", "9"],  # blocks of 364, all k = 2
     ["lower-bounds"],
     ["lower-bounds", "--grid", "0,0.01,0.1,0.3"],
     ["smooth", "--trials", "300"],
