@@ -4,7 +4,8 @@ Two bounds are checked against exact excess risks:
 
 - cost loss: if every class satisfies ``L1(D_i, D'_i) <= eps / g_i`` then
   the plug-in classifier's risk exceeds the Bayes risk by at most
-  ``eps * k * max_ij c_ij``;
+  ``eps * k * max_ij c_ij``, and by at most the data-dependent
+  ``R = sum_i (max_j c_ij - min_j c_ij) g_i L1_i``, itself within that bound;
 - log loss: if every class satisfies ``KL(D_i || D'_i) <= eps / g_i``
   then the plug-in rule's log-loss risk exceeds the optimum by at most
   ``k * eps``, and the excess obeys the exact identity
@@ -182,13 +183,15 @@ def _bound_columns(risk_opt, risk_plugin, eps, bound) -> dict:
 
 
 def _checks(priors, masses, divergences, costs, ks, on=True, identity=True) -> dict:
-    """The instances' checks under their ``costs`` (log loss if ``None``), as columns: :func:`_bound_columns`', then
-    the identity's ``rhs`` under log loss and its ``identity_gap`` (``None`` without ``identity`` or for an infinite
-    KL) and ``ok``. Instance ``i`` has its ``ks[i]`` rows in turn in ``priors``, ``divergences`` and the ``(2, rows,
-    width)`` ``masses`` (true classes, then estimates), on the rows' prefix mask ``on``, and its costs in the corner of
+    """The instances' checks under their ``costs`` (log loss if ``None``), as columns: :func:`_bound_columns`', the
+    refined cost bound ``refined`` (nan under log loss), the identity's ``rhs`` under log loss and its ``identity_gap``
+    (``None`` without ``identity`` or for an infinite KL), and ``ok``, under costs also ``excess <= refined <= bound``.
+    Instance ``i`` has its ``ks[i]`` rows in turn in ``priors``, ``divergences`` and the ``(2, rows, width)``
+    ``masses`` (true classes, then estimates), on the rows' prefix mask ``on``, and its costs in the corner of
     ``costs[i]``. The instances of one class count, a quarter at most, are scored and bounded at once, in place."""
     starts, weighted = np.cumsum(ks) - ks, priors * divergences
     eps, limits, risks = np.maximum.reduceat(weighted, starts), np.empty(len(ks)), np.empty((2, len(ks)))
+    refined = np.full(len(ks), math.nan)
     mixtures, most = np.empty((2, len(ks), masses.shape[-1])) if costs is None else None, -(-len(ks) // 4)
     for k, of_k in ((k, np.flatnonzero(ks == k)) for k in set(ks.tolist())):
         for run in (of_k[at : at + most] for at in range(0, len(of_k), most)):
@@ -199,8 +202,10 @@ def _checks(priors, masses, divergences, costs, ks, on=True, identity=True) -> d
             risks[:, run] = _plugin_risk(scored[0], scored, group, on=cut)
             if group is None:
                 mixtures[:, run] = scored.sum(axis=-2)
+            else:  # R = sum_i (max_j c_ij - min_j c_ij) g_i L1_i, between the excess and the bound
+                refined[run] = (np.ptp(group, axis=2) * weighted[rows].reshape(len(run), k)).sum(axis=1)
             limits[run] = theorem2_bound(eps[run], k) if group is None else theorem1_bound(eps[run], k, group)
-    columns = _bound_columns(*risks, eps, limits)
+    columns = {**_bound_columns(*risks, eps, limits), "refined": refined}
     rhs = np.full(len(ks), math.nan)
     if costs is None and identity:
         kls = _mixture_kl(mixtures, on if on is True else on[starts])
@@ -209,6 +214,7 @@ def _checks(priors, masses, divergences, costs, ks, on=True, identity=True) -> d
         np.subtract(sums, kls, out=rhs, where=np.logical_and.reduceat(np.isfinite(divergences), starts))
     gap, has = np.abs(columns["excess"] - rhs), ~np.isnan(rhs)
     ok = columns["satisfied"] & (~has | _within(gap, 0.0))
+    ok &= costs is None or _within(columns["excess"], refined) & _within(refined, limits)
     return {**columns, "rhs": np.where(has, rhs, None), "identity_gap": np.where(has, gap, None), "ok": ok}
 
 

@@ -338,8 +338,7 @@ def cmd_pipeline(args) -> int:
         raise UsageError(f"bad pipeline config from {args.config or args.source}: {exc!r}") from exc
     run = _Run(args.command, args.out_dir, config.seed, data)
     summary = run_pac_experiment(config)
-    columns = {key: [row[key] for row in summary.rows] for key in summary.rows[0]}  # at least 30 trials
-    run.add_rows(columns, columns["satisfied"])
+    run.add_rows(summary.columns, summary.columns["satisfied"])
     return run.finish(summary.to_dict())
 
 

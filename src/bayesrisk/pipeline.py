@@ -14,13 +14,14 @@ actually achieved; that check is an unconditional theorem consequence,
 so it must hold in 100% of trials, not merely 1 - delta of them.
 
 Trials draw from generators spawned deterministically off the master
-seed, so runs are reproducible and trials could be evaluated in
-parallel; aggregation is a sequential reduction over the trial index.
+seed, so runs are reproducible and trials could be evaluated in parallel.
 Labels and atoms are drawn by inverse CDF: the same algorithm, and so the
 same draws, as ``Generator.choice`` with ``p=``, without re-validating
 masses the source has already checked. Trials run in blocks that make
 every draw first; each class's CDF is then built once per block, in the
-experiment's one CDF row, never held for the whole experiment.
+experiment's one CDF row. A block gives its trials as columns, a row each,
+bounded at once by ``bounds._bound_columns`` as a sweep block is; the
+report's columns join the blocks', and ``per_n`` is taken from them.
 
 A trial on every atom runs on raw arrays in one workspace per experiment,
 scored in either mode by ``bounds._plugin_risk``: a cost-mode trial whose
@@ -28,13 +29,13 @@ classes have full support allocates no m-sized array. A cost-mode trial whose
 every estimate is sparse (no add-lambda smoothing, at most one draw per 16
 atoms), its hits on so few of numpy's 128-atom leaves that summing those afresh
 beats a full pass (``distributions._few_leaves``), joins a batch
-(``_sparse_batch``): its sums are rebuilt from leaf sums in one tree pass per
-batch, its Bayes labels come from one cost product, and ``_BATCH_FLOATS`` caps
-each batch array. Where trials can be batched, the optimal risk and the base
-sums are built leaf by leaf, and the workspace waits for the first trial on
-every atom, so a run whose every trial is batched holds no m-sized array but
-the class masses and the CDF row. Each output keeps its bits
-(``test_sparse_trials_equal_the_dense_kernels``).
+(``_sparse_batch``), written at its trials' rows: its sums are rebuilt from leaf
+sums in one tree pass per batch, its Bayes labels come from one cost product,
+and ``_BATCH_FLOATS`` caps each batch array. Where trials can be batched, the
+optimal risk and the base sums are built leaf by leaf, and the workspace waits
+for the first trial on every atom, so a run whose every trial is batched holds
+no m-sized array but the class masses and the CDF row. Each output keeps its
+bits (``test_sparse_trials_equal_the_dense_kernels``).
 """
 
 from __future__ import annotations
@@ -201,7 +202,9 @@ def run_trial(
     """
     if (n := _json_int(config.sample_size if sample_size is None else sample_size, "sample_size")) < 1:
         raise ValueError("sample_size must be at least 1")
-    return next(_block(config, [rng], n, *_fixed(config)))
+    block = _block(config, [rng], n, *_fixed(config))
+    return TrialOutcome(*(tuple(block[key][0].tolist()) for key in ("counts", "l1s", "kls")),
+                        BoundReport.from_columns(block)[0])
 
 
 def _fixed(config: TrialConfig):
@@ -227,15 +230,16 @@ def _fixed(config: TrialConfig):
 
 
 def _block(config: TrialConfig, rngs: Sequence[np.random.Generator], n: int, ws, costs, risk_opt, classes, costs_base):
-    """:func:`run_trial`'s outcome at sample size ``n`` for each generator of ``rngs``, given :func:`_fixed`.
-    Every draw comes first, each generator making one trial's calls in its order (labels, then class
-    0, class 1, ...) into one buffer; each class's CDF, built once in the CDF row, answers the block's
-    draws of that class. Then a cost-mode trial with every estimate sparse on few leaves joins a batch
-    (:func:`_sparse_batch`); any other writes its estimates into the workspace, the first one making it, and runs
-    on every atom, its report made with those of the run of such trials it ends (:func:`_outcomes`)."""
-    source, laplace = config.source, config.resolved_laplace
+    """The trials at sample size ``n`` of the generators of ``rngs``, given :func:`_fixed`, as columns: their split
+    sizes ``counts`` and per-class ``l1s`` and ``kls``, ``(trials, k)`` arrays, then :func:`_bound_columns`' fields.
+    Every draw comes first, each generator making one trial's calls in its order (labels, then class 0, class 1,
+    ...) into one buffer; each class's CDF, built once in the CDF row, answers the block's draws of that class.
+    Then a cost-mode trial with every estimate sparse on few leaves joins a batch (:func:`_sparse_batch`), whose
+    results are written at its trials' rows; any other writes its estimates into the workspace, the first one
+    making it, and runs on every atom, writing its own row. The bounds are checked once, for the whole block."""
+    source, laplace, trials = config.source, config.resolved_laplace, len(rngs)
     k, m = source.k, source.domain.size
-    uniforms = np.empty((len(rngs), n))
+    uniforms = np.empty((trials, n))
     for rng, trial_uniforms in zip(rngs, uniforms):
         rng.random(out=trial_uniforms)
     counts = np.array([np.bincount(labels, minlength=k) for labels in _draw_indices(source.priors, uniforms)])
@@ -246,19 +250,19 @@ def _block(config: TrialConfig, rngs: Sequence[np.random.Generator], n: int, ws,
             rng.random(out=flat[start:end])
         samples.append(np.split(_draw_indices(d.mass, flat[: ends[-1]], ws[3]), ends[:-1]))
     del uniforms, flat, trial_uniforms  # the loop's last view would keep the draws' buffer alive
-    slots, batch, used = max(k << _pairwise_tree(m)[0], 1 << _pairwise_tree(k * m)[0]), [], 0  # a trial's slot rows
-    dirty, dense = [slice(None)] * k, []  # where each workspace row may be non-zero; the run of dense trials
-    for t, trial_counts in enumerate(counts.tolist()):
+    slots, batch, batched, used = max(k << _pairwise_tree(m)[0], 1 << _pairwise_tree(k * m)[0]), [], [], 0  # slot rows
+    dirty = [slice(None)] * k  # where each workspace row may be non-zero
+    l1s, kls, risks = np.empty((trials, k)), np.empty((trials, k)), np.empty(trials)
+    for t in range(trials):
         hits = [_estimate(idx[t], m, laplace) for idx in samples] if costs_base is not None else [None] * k
         sparse = all(hit is not None and _few_leaves(m, hit[0]) for hit in hits)
         charge = max(slots, 8 * k * sum(at.size for at, _ in hits)) if sparse else math.inf  # or its hits' arrays
         if batch and used + charge > _BATCH_FLOATS:  # a dense trial, or one the batch has no room for, ends it
-            yield from _sparse_batch(config, batch, costs, risk_opt, classes, costs_base)
-            batch, used = [], 0
+            l1s[batched], kls[batched], risks[batched] = _sparse_batch(config, batch, costs, classes, costs_base)
+            batch, batched, used = [], [], 0
         if sparse:
-            yield from _outcomes(config, costs, risk_opt, *zip(*dense)) if dense else ()  # a batch follows them
-            dense = []
-            batch.append((trial_counts, hits))
+            batch.append(hits)
+            batched.append(t)
             used += charge
             continue
         if ws[0] is None:  # the first dense trial makes the workspace around the CDF row
@@ -272,20 +276,24 @@ def _block(config: TrialConfig, rngs: Sequence[np.random.Generator], n: int, ws,
                 est[hit[0]] = hit[1]
             dirty[i] = slice(None) if hit is None else hit[0]
         _exact_unit_mass(ests)
-        l1s = tuple(_l1_distance(p, q, row) for (p, *_), q in zip(classes, ests))
-        kls = tuple(_kl_on_support(p, q, support, row) for (p, support, *_), q in zip(classes, ests))
+        l1s[t] = [_l1_distance(p, q, row) for (p, *_), q in zip(classes, ests)]
+        kls[t] = [_kl_on_support(p, q, support, row) for (p, support, *_), q in zip(classes, ests)]
         ests *= source.priors[:, None]
-        dense.append((tuple(trial_counts), l1s, kls, float(_plugin_risk(source.weighted_mass, ests, costs, ws[1:]))))
-    yield from _outcomes(config, costs, risk_opt, *zip(*dense)) if dense else ()
-    yield from _sparse_batch(config, batch, costs, risk_opt, classes, costs_base) if batch else ()
+        risks[t] = _plugin_risk(source.weighted_mass, ests, costs, ws[1:])
+    if batch:
+        l1s[batched], kls[batched], risks[batched] = _sparse_batch(config, batch, costs, classes, costs_base)
+    eps = ((kls if costs is None else l1s) * source.priors).max(axis=1)
+    bound = theorem2_bound(eps, k) if costs is None else theorem1_bound(eps, k, costs[None])
+    return {"counts": counts, "l1s": l1s, "kls": kls, **_bound_columns(np.full(trials, risk_opt), risks, eps, bound)}
 
 
-def _sparse_batch(config: TrialConfig, batch, costs, risk_opt, classes, costs_base) -> list[TrialOutcome]:
-    """The outcomes of a ``batch`` of cost-mode trials, each its split sizes and, per class, its estimate's atom
-    set (:func:`_estimate`'s) and entries there, on few leaves. Each sum, the unit masses, the L1s and the risks
-    (from one cost product), is numpy's over the full row, rebuilt in lockstep (``distributions._patched_sums``)."""
+def _sparse_batch(config: TrialConfig, batch, costs, classes, costs_base) -> tuple:
+    """The per-class L1s and KLs, ``(trials, k)`` arrays, and the plug-in risks of a ``batch`` of cost-mode trials,
+    each given per class as its estimate's atom set (:func:`_estimate`'s) and entries there, on few leaves. Each sum,
+    the unit masses, the L1s and the risks (from one cost product), is numpy's over the full row, rebuilt in
+    lockstep (``distributions._patched_sums``)."""
     source, trials, (k, m) = config.source, len(batch), (config.source.k, config.source.domain.size)
-    estimates = [hits[i] for i in range(k) for _, hits in batch]  # a row per class and trial, class by class
+    estimates = [hits[i] for i in range(k) for hits in batch]  # a row per class and trial, class by class
     atom, q = (np.concatenate(part) for part in zip(*estimates))
     bounds = np.cumsum([0, *(at.size for at, _ in estimates)])  # each row's hits
     row = np.arange(k * trials).repeat(bounds[1:] - bounds[:-1])
@@ -327,99 +335,76 @@ def _sparse_batch(config: TrialConfig, batch, costs, risk_opt, classes, costs_ba
     del labels, trial, atom, order, flat_atoms
     label_0 = _cost_leaves(true, source.priors, costs, False)
     risks = _patched_sums(k * m, plan, entries, np.repeat(costs_base[None], trials, 0), label_0)
-    return _outcomes(config, costs, risk_opt, [tuple(counts) for counts, _ in batch],
-                     [tuple(l1s[:, t].tolist()) for t in range(trials)], [tuple(kls[t::trials]) for t in range(trials)],
-                     risks)
-
-
-def _outcomes(config: TrialConfig, costs, risk_opt: float, counts, l1s, kls, risks) -> list[TrialOutcome]:
-    """The outcomes of trials from their split sizes, per-class L1s and KLs and plug-in ``risks``, their reports made
-    at once: under the cost bound with the cost array ``costs``, or the log-loss bound if ``None``."""
-    k, divergences = config.source.k, np.array(kls if costs is None else l1s).T
-    eps, risks = (config.source.priors[:, None] * divergences).max(axis=0), np.asarray(risks)
-    bound = theorem2_bound(eps, k) if costs is None else theorem1_bound(eps, k, costs[None])
-    reports = BoundReport.from_columns(_bound_columns(np.full(len(risks), risk_opt), risks, eps, bound))
-    return [TrialOutcome(*outcome) for outcome in zip(counts, l1s, kls, reports)]
+    return l1s.T, np.reshape(kls, (k, trials)).T, risks
 
 
 @dataclass(frozen=True)
 class ExperimentSummary:
-    """Per-trial rows plus per-sample-size aggregates.
+    """The report's columns plus per-sample-size aggregates.
 
-    ``rows`` are the report's rows, one dict per trial in grid order, their
-    keys the CSV columns in order; ``per_n`` is aggregated from them.
-    ``to_dict`` is every field but ``rows``.
+    ``columns`` maps each CSV column, in order, to its values, one Python
+    scalar per trial in grid order; ``per_n`` is aggregated from them.
+    ``to_dict`` is every field but ``columns``.
     """
 
     mode: str
     n_grid: tuple[int, ...]
     trials: int
-    rows: tuple[dict, ...]
+    columns: dict
     per_n: tuple[dict, ...]
 
     def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "rows"}
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "columns"}
 
 
 def _quantile(values: Sequence[float], q: float) -> float:
     finite = [v for v in values if math.isfinite(v)]
-    if not finite:
-        return math.inf
-    return float(np.quantile(finite, q))
+    return float(np.quantile(finite, q)) if finite else math.inf
 
 
 def run_pac_experiment(config: TrialConfig) -> ExperimentSummary:
     """Repeat trials across the sample-size grid and aggregate.
 
-    Every grid point runs first, each trial making one row; the CDF row
-    and any workspace are then freed, and ``per_n`` is aggregated from those rows, so the
-    report and the summary come from one source. The config has been
-    checked when it was built, its floor of 30 trials per grid point
-    included, so this checks no input.
+    Every grid point runs first, a block of trials at a time, each block
+    giving its columns; the CDF row and any workspace are then freed, the
+    blocks are joined into the report's columns, and ``per_n`` is aggregated
+    from slices of those, so the report and the summary come from one
+    source. The config has been checked when it was built, its floor of 30
+    trials per grid point included, so this checks no input.
     """
-    grid = config.n_grid or (config.sample_size,)
-    streams = np.random.SeedSequence(config.seed).spawn(len(grid) * config.trials)
-    fixed = _fixed(config)
-    rows = []
+    grid, trials = config.n_grid or (config.sample_size,), config.trials
+    streams = np.random.SeedSequence(config.seed).spawn(len(grid) * trials)
+    fixed, blocks = _fixed(config), []
     for gi, n in enumerate(grid):
-        point = streams[gi * config.trials : (gi + 1) * config.trials]
+        point = streams[gi * trials : (gi + 1) * trials]
         per_block = max(1, _BLOCK_DRAWS // n)
-        for start in range(0, config.trials, per_block):
+        for start in range(0, trials, per_block):
             rngs = [np.random.default_rng(s) for s in point[start : start + per_block]]
-            for t, outcome in enumerate(_block(config, rngs, n, *fixed), start):
-                report = outcome.report
-                rows.append({
-                    "n": n,
-                    "trial": t,
-                    "excess": report.excess,
-                    "bound": report.bound,
-                    "satisfied": report.satisfied,
-                    "risk_opt": report.risk_opt,
-                    "risk_plugin": report.risk_plugin,
-                    "max_l1": max(outcome.l1_per_class),
-                    "max_kl": max(outcome.kl_per_class),
-                    "counts": "|".join(str(c) for c in outcome.counts),
-                })
+            blocks.append(_block(config, rngs, n, *fixed))
     del fixed  # np.median's first call imports numpy.ma, which must not add to the workspace's peak
+    joined = {key: np.concatenate([block[key] for block in blocks]) for key in blocks[0]}
+    columns = {"n": [n for n in grid for _ in range(trials)], "trial": list(range(trials)) * len(grid),
+               **{key: joined[key].tolist() for key in ("excess", "bound", "satisfied", "risk_opt", "risk_plugin")},
+               "max_l1": joined["l1s"].max(axis=1).tolist(), "max_kl": joined["kls"].max(axis=1).tolist(),
+               "counts": ["|".join(map(str, counts)) for counts in joined["counts"].tolist()]}
     per_n = []
     for gi, n in enumerate(grid):
-        point_rows = rows[gi * config.trials : (gi + 1) * config.trials]
-        excesses, max_l1s, max_kls = ([row[key] for row in point_rows] for key in ("excess", "max_l1", "max_kl"))
+        point = {key: values[gi * trials : (gi + 1) * trials] for key, values in columns.items()}
         per_n.append(
             {
                 "n": n,
-                "violation_fraction": float(np.mean([e > config.epsilon_target for e in excesses])),
-                "satisfied_fraction": float(np.mean([row["satisfied"] for row in point_rows])),
-                "mean_excess": float(np.mean(excesses)),
-                "median_excess": float(np.median(excesses)),
-                "l1_q50": _quantile(max_l1s, 0.5),
-                "l1_q90": _quantile(max_l1s, 0.9),
-                "kl_q50": _quantile(max_kls, 0.5),
-                "kl_q90": _quantile(max_kls, 0.9),
+                "violation_fraction": float(np.mean([e > config.epsilon_target for e in point["excess"]])),
+                "satisfied_fraction": float(np.mean(point["satisfied"])),
+                "mean_excess": float(np.mean(point["excess"])),
+                "median_excess": float(np.median(point["excess"])),
+                "l1_q50": _quantile(point["max_l1"], 0.5),
+                "l1_q90": _quantile(point["max_l1"], 0.9),
+                "kl_q50": _quantile(point["max_kl"], 0.5),
+                "kl_q90": _quantile(point["max_kl"], 0.9),
             }
         )
     mode = "logloss" if config.log_loss_mode else "cost"
-    return ExperimentSummary(mode, tuple(grid), config.trials, tuple(rows), tuple(per_n))
+    return ExperimentSummary(mode, tuple(grid), trials, columns, tuple(per_n))
 
 
 # TrialConfig's fields after the source and the cost, which have JSON forms of their own: its settings.

@@ -53,6 +53,17 @@ def theorem1(priors, true, est, costs):
     return excess, bound, plugin
 
 
+def refined(priors, true, est, costs):
+    """The exact data-dependent cost bound ``R = sum_i (max_j c_ij - min_j c_ij) * g_i * L1_i`` of a theorem-1
+    instance, read from its floats. At each atom the plug-in label minimizes the estimated score, so the excess there
+    is at most ``sum_i (c_i,plugin - c_i,optimal) * g_i * (D_i - D'_i)``, and summed over atoms at most R; with
+    non-negative costs R is at most the bound. Neither step needs unit rows."""
+    priors = _exact(priors)
+    true, est, costs = ([_exact(row) for row in rows] for rows in (true, est, costs))
+    return sum((max(c) - min(c)) * g * sum(abs(p - q) for p, q in zip(p_row, q_row))
+               for g, c, p_row, q_row in zip(priors, costs, true, est))
+
+
 def _unit(row):
     """The float ``row`` read exactly, then scaled to unit sum."""
     row = [Decimal(x) for x in row]

@@ -631,7 +631,7 @@ class TestPipelineCommand:
         """Two binary machines truncated at 14 give 32,768 atoms, and no class draws more than 500, one
         per 64 atoms: every trial's estimates are worked only at their hit atoms, and its sums, of rows
         too short to be rebuilt from leaf sums, take the full pass."""
-        code = run(["pipeline", "--source", self.binary_machines(tmp_path), "--truncate", "14",
+        code = run(["pipeline", "--source", self.binary_machines(), "--truncate", "14",
                     "--n-grid", "20,100,500", "--trials", "30", "--seed", "11", "--out-dir", tmp_path / "run"])
         assert code == 0
         for name in ("report.csv", "summary.json"):
@@ -640,7 +640,7 @@ class TestPipelineCommand:
     def test_wide_pdfa_sources_match_golden(self, tmp_path):
         """The same machines truncated at 16 give 131,072 atoms, on few enough of whose 128-atom leaves the
         hits fall for every sum of every trial to be rebuilt from numpy's leaf sums."""
-        code = run(["pipeline", "--source", self.binary_machines(tmp_path), "--truncate", "16",
+        code = run(["pipeline", "--source", self.binary_machines(), "--truncate", "16",
                     "--n-grid", "20,100,500", "--trials", "30", "--seed", "11", "--out-dir", tmp_path / "run"])
         assert code == 0
         for name in ("report.csv", "summary.json"):
@@ -666,20 +666,9 @@ class TestPipelineCommand:
             assert (tmp_path / "run" / name).read_bytes() == golden.read_bytes()
 
     @staticmethod
-    def binary_machines(tmp_path):
-        from bayesrisk.pdfa import Pdfa
-
-        paths = []
-        for name, (stop, pa, to) in {"m1": (0.25, 0.5, 1), "m2": (0.5, 0.25, 0)}.items():
-            machine = Pdfa.build(
-                ("a", "b"),
-                4,
-                [(stop, {"a": (pa, to), "b": (1.0 - stop - pa, 0)}), (0.5, {"a": (0.25, 0), "b": (0.25, 1)})],
-            )
-            path = tmp_path / f"{name}.json"
-            path.write_text(machine.to_json())
-            paths.append(f"pdfa:{path}")
-        return ",".join(paths)
+    def binary_machines():
+        """The two binary machines of the sparse and wide PDFA goldens, as a ``--source``."""
+        return ",".join(f"pdfa:{DATA / f'machine_binary_{i}.json'}" for i in (1, 2))
 
     def test_pdfa_classes_share_one_domain(self, tmp_path, monkeypatch):
         import bayesrisk.cli as cli
@@ -692,7 +681,7 @@ class TestPipelineCommand:
 
         real = cli.run_pac_experiment
         monkeypatch.setattr(cli, "run_pac_experiment", capture)
-        sources = self.binary_machines(tmp_path)
+        sources = self.binary_machines()
         code = run(["pipeline", "--source", sources, "--truncate", "6", "--sample-size", "50",
                     "--trials", "30", "--out-dir", tmp_path / "run"])
         assert code == 0
@@ -706,14 +695,14 @@ class TestPipelineCommand:
         seen = []
         real = pipeline.truncate_all
         monkeypatch.setattr(pipeline, "truncate_all", lambda *args: seen.append(real(*args)) or seen[-1])
-        code = run(["pipeline", "--source", self.binary_machines(tmp_path), "--truncate", "16",
+        code = run(["pipeline", "--source", self.binary_machines(), "--truncate", "16",
                     "--n-grid", "20,200", "--trials", "30", "--out-dir", tmp_path / "run"])
         assert code == 0
         (domain,) = {id(d.domain): d.domain for d in seen[0]}.values()
         assert domain.size == 131_072 and "atoms" not in vars(domain)
 
     def test_pdfa_manifest_is_small_and_replays_bit_for_bit(self, tmp_path):
-        sources = self.binary_machines(tmp_path)
+        sources = self.binary_machines()
         first = tmp_path / "source_run"
         code = run(["pipeline", "--source", sources, "--truncate", "12", "--n-grid", "20,200",
                     "--trials", "30", "--seed", "3", "--out-dir", first])
@@ -732,7 +721,7 @@ class TestPipelineCommand:
         assert json.loads((again / "manifest.json").read_text())["config"] == config
 
     def test_pdfa_sources_over_different_alphabets_are_usage_errors(self, tmp_path):
-        sources = f"{self.binary_machines(tmp_path)},pdfa:{DATA / 'machine_half.json'}"
+        sources = f"{self.binary_machines()},pdfa:{DATA / 'machine_half.json'}"
         code = run(["pipeline", "--source", sources, "--truncate", "4", "--out-dir", tmp_path / "run"])
         assert code == 2
 

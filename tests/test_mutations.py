@@ -110,6 +110,7 @@ def test_one_violating_smoothing_trial_writes_its_own_trial(tmp_path, monkeypatc
         pytest.param("theorem1_bound", ["lower-bounds"], id="theorem1-lower-bounds"),
         pytest.param("theorem1_bound", ["tightness", "--k", "2", "--domain-size", "2", "--iterations", "1"],
                      id="theorem1-tightness"),
+        pytest.param("theorem1_bound", ["verify-theorem1", "--trials", "20"], id="theorem1-verify"),
         pytest.param("theorem2_bound", ["verify-theorem2", "--trials", "20"], id="theorem2-verify"),
         pytest.param("theorem2_bound", ["lower-bounds"], id="theorem2-lower-bounds"),
         pytest.param("theorem2_bound", ["tightness", "--metric", "KL", "--iterations", "1"], id="theorem2-tightness"),
@@ -117,10 +118,29 @@ def test_one_violating_smoothing_trial_writes_its_own_trial(tmp_path, monkeypatc
 )
 def test_halved_bound_fails_the_run(tmp_path, monkeypatch, formula, argv):
     """With the bound halved, the runs that meet or press it exit 1: the lower-bound constructions
-    (cost slack law, log-loss equality), the tightness search and the log-loss sweep."""
+    (cost slack law, log-loss equality), the tightness search, the log-loss sweep, and the cost sweep, whose
+    data-dependent bound R exceeds half the bound on about 42% of its instances."""
     bound = getattr(bounds, formula)
     monkeypatch.setattr(bounds, formula, lambda *args: 0.5 * bound(*args))
     assert main([*argv, "--out-dir", str(tmp_path)]) == 1
+
+
+def test_a_cost_bound_one_percent_low_fails_the_sweep(tmp_path, monkeypatch):
+    """With ``theorem1_bound`` at 0.99 of itself, the cost sweep exits 1 at 600 instances (seed 42), though no
+    excess there reaches 0.28 of the bound or 0.42 of its refined bound R: one instance's R is 0.9914 of the bound."""
+    bound = bounds.theorem1_bound
+    monkeypatch.setattr(bounds, "theorem1_bound", lambda *args: 0.99 * bound(*args))
+    assert main(["verify-theorem1", "--trials", "600", "--seed", "42", "--out-dir", str(tmp_path)]) == 1
+
+
+def test_halved_cost_bound_breaks_the_cost_scaling_relation(monkeypatch):
+    """With ``theorem1_bound`` halved, scaling the costs by a power of two flips some verdicts: the fixed
+    ``BOUND_TOL`` passes at 2**-30 and 2**-40 what fails at the drawn scale (170 of the 1,200 scaled checks)."""
+    import test_relations
+
+    bound = bounds.theorem1_bound
+    monkeypatch.setattr(bounds, "theorem1_bound", lambda *args: 0.5 * bound(*args))
+    assert test_relations.scaling_flips() > 0
 
 
 def test_lower_bounds_instances_off_their_stated_eps_prime_fail_the_run(tmp_path, monkeypatch):

@@ -229,7 +229,7 @@ class TestRunPacExperiment:
         a = run_pac_experiment(config)
         b = run_pac_experiment(config)
         assert a.to_dict() == b.to_dict()
-        assert a.rows == b.rows
+        assert a.columns == b.columns
 
     def test_trials_floor_enforced(self):
         with pytest.raises(ValueError, match="30 trials"):
@@ -304,10 +304,10 @@ class TestRunPacExperiment:
         block measured is one after a block that made it."""
         config = self.wide_config(laplace)
         fixed = _fixed(config)
-        list(_block(config, [np.random.default_rng(1)], 1000, *fixed))
+        _block(config, [np.random.default_rng(1)], 1000, *fixed)
         assert fixed[0][0] is not None
         rng = np.random.default_rng(2)
-        peak = self.traced_peak(lambda: list(_block(config, [rng], 1000, *fixed)))
+        peak = self.traced_peak(lambda: _block(config, [rng], 1000, *fixed))
         assert peak < self.M * 8
 
 
@@ -328,7 +328,7 @@ class TestRunPacExperiment:
         config = self.peaked_config()
         fixed, atom_sets, estimate = _fixed(config), [], pipeline._estimate
         monkeypatch.setattr(pipeline, "_estimate", lambda *args: atom_sets.append(estimate(*args)) or atom_sets[-1])
-        peak = self.traced_peak(lambda: list(_block(config, [np.random.default_rng(2)], 1000, *fixed)))
+        peak = self.traced_peak(lambda: _block(config, [np.random.default_rng(2)], 1000, *fixed))
         assert atom_sets and not any(at is None for at in atom_sets) and trees
         assert peak < self.M * 8
 
@@ -341,7 +341,7 @@ class TestRunPacExperiment:
                             or sparse_batch(config, batch, *fixed))
         config = self.peaked_config()
         fixed, rngs = _fixed(config), [np.random.default_rng([2, t]) for t in range(30)]
-        peak = self.traced_peak(lambda: list(_block(config, rngs, 1000, *fixed)))
+        peak = self.traced_peak(lambda: _block(config, rngs, 1000, *fixed))
         assert sum(batches) == 30 and max(batches) > 1
         assert peak < self.M * 8
 
@@ -392,7 +392,7 @@ def test_experiment_blocks_equal_one_trial_at_a_time(seed, m, log_loss, laplace,
         n_grid=tuple(grid),
     )
     with mock.patch.object(pipeline, "_BLOCK_DRAWS", cap):
-        rows = run_pac_experiment(config).rows
+        columns = run_pac_experiment(config).columns
     streams = np.random.SeedSequence(seed).spawn(len(grid) * 30)
     expected = []
     for gi, n in enumerate(grid):
@@ -410,6 +410,7 @@ def test_experiment_blocks_equal_one_trial_at_a_time(seed, m, log_loss, laplace,
                 "max_kl": max(out.kl_per_class),
                 "counts": "|".join(str(c) for c in out.counts),
             })
+    rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
     assert [_hexed(row) for row in rows] == [_hexed(row) for row in expected]
 
 
@@ -435,18 +436,20 @@ def _dense_trial(config, rng, n):
 
 def check_block_against_dense(config, fixed, seeds, n, cap=pipeline._BATCH_FLOATS):
     """Each ``_block`` trial on the generators of ``seeds``, run on :func:`_fixed`'s ``fixed`` with the batches
-    capped at ``cap`` floats, has the counts, L1s, KLs and plug-in risk in float.hex of the dense kernels on the
-    same draws. Returns the sizes of the batches of sparse trials."""
+    capped at ``cap`` floats, has in its row of the block's columns (one row per seed) the counts, L1s, KLs and
+    plug-in risk in float.hex of the dense kernels on the same draws. Returns the sizes of the batches of sparse
+    trials."""
     batches, sparse_batch = [], pipeline._sparse_batch
     spy = lambda config, batch, *fixed: batches.append(len(batch)) or sparse_batch(config, batch, *fixed)
     with mock.patch.object(pipeline, "_BATCH_FLOATS", cap), mock.patch.object(pipeline, "_sparse_batch", spy):
-        outcomes = list(_block(config, [np.random.default_rng(s) for s in seeds], n, *fixed))
-    for s, out in zip(seeds, outcomes, strict=True):
+        block = _block(config, [np.random.default_rng(s) for s in seeds], n, *fixed)
+    assert all(len(block[key]) == len(seeds) for key in ("counts", "l1s", "kls", "risk_plugin"))
+    for j, s in enumerate(seeds):
         counts, l1s, kls, risk = _dense_trial(config, np.random.default_rng(s), n)
-        assert list(out.counts) == counts
-        assert [v.hex() for v in out.l1_per_class] == [v.hex() for v in l1s]
-        assert [v.hex() for v in out.kl_per_class] == [v.hex() for v in kls]
-        assert out.report.risk_plugin.hex() == risk.hex()
+        assert block["counts"][j].tolist() == counts
+        assert [v.hex() for v in block["l1s"][j].tolist()] == [v.hex() for v in l1s]
+        assert [v.hex() for v in block["kls"][j].tolist()] == [v.hex() for v in kls]
+        assert float(block["risk_plugin"][j]).hex() == risk.hex()
     return batches
 
 
@@ -607,10 +610,11 @@ def test_a_lone_hit_column_scores_as_the_dense_kernels(k, atom, m):
     config = TrialConfig(source=source, cost=CostMatrix(costs), sample_size=1, trials=30, epsilon_target=0.1,
                          delta_target=0.05)
     hits = [(np.array([atom]), np.array([1.0]))] * k
-    (outcome,) = pipeline._sparse_batch(config, [((1,) * k, hits)], *_fixed(config)[1:])
+    _, costs_array, _, classes, base = _fixed(config)
+    _, _, (risk,) = pipeline._sparse_batch(config, [hits], costs_array, classes, base)
     est = np.zeros((k, m))
     est[:, atom] = 1.0
-    assert outcome.report.risk_plugin.hex() == float(_plugin_risk(source.weighted_mass, est * source.priors[:, None],
+    assert float(risk).hex() == float(_plugin_risk(source.weighted_mass, est * source.priors[:, None],
                                                                   costs)).hex()
 
 

@@ -48,14 +48,19 @@ def test_the_referee_can_fail(gamma, scale):
 
 
 def test_random_sweep_verdicts_equal_the_exact_ones():
+    """Each float verdict is the exact one, at three cost scales; the exact refined bound R lies between the exact
+    excess and bound, and the sweep's ``refined`` column is R to 1e-12 of it."""
     checked = 0
     for scale in SCALES:
-        blocks = bounds._theorem_sweep(np.random.default_rng(0), 50, 5, 64, bounds.L1)
-        for (priors, masses, _, cost), _ in swept(blocks):
-            costs = cost.costs * scale
-            excess, bound, _ = referee.theorem1(priors, *masses, costs)
-            assert float_report(priors, masses, costs).satisfied == (referee.verdict(excess, bound) == "satisfied")
-            checked += 1
+        for columns, instance in bounds._theorem_sweep(np.random.default_rng(0), 50, 5, 64, bounds.L1):
+            for j, swept_refined in enumerate(columns["refined"].tolist()):
+                priors, masses, _, cost = instance(j)
+                costs = cost.costs * scale
+                excess, bound, _ = referee.theorem1(priors, *masses, costs)
+                assert float_report(priors, masses, costs).satisfied == (referee.verdict(excess, bound) == "satisfied")
+                assert excess <= referee.refined(priors, *masses, costs) <= bound
+                assert relative_error(swept_refined, referee.refined(priors, *masses, cost.costs)) <= 1e-12
+                checked += 1
     assert checked == 150
 
 

@@ -3,9 +3,11 @@
     python tools/compare_runs.py PARENT CHANGE
 
 Each command runs in a fresh ``python -m bayesrisk.cli`` process per checkout, with ``PYTHONPATH=<checkout>/src``
-and the checkout as its working directory. A case matches when the exit codes, ``report.csv``, ``summary.json``,
-every other ``*.json`` written but the manifest, and the manifest's ``config`` and ``csv_columns`` are the same.
-It prints one line per case and exits 1 if any case differs. Only the standard library is used.
+and the checkout as its working directory; both read their input files from the ``tests/data`` of the checkout
+this tool sits in, so a case may use an input that one checkout lacks. A case matches when the exit codes,
+``report.csv``, ``summary.json``, every other ``*.json`` written but the manifest, and the manifest's ``config``
+and ``csv_columns`` are the same. It prints one line per case and exits 1 if any case differs. Only the standard
+library is used.
 """
 
 import json
@@ -17,7 +19,10 @@ from pathlib import Path
 
 LONG_ROWS = ["--trials", "300", "--k-max", "9", "--m-max", "300", "--seed", "7"]
 WIDE_BLOCKS = ["--trials", "500", "--k-max", "10", "--m-max", "2", "--seed", "3"]  # more classes than atoms
-MACHINES = "pdfa:tests/data/machine_half.json,pdfa:tests/data/machine_quarter.json"
+DATA = Path(__file__).resolve().parent.parent / "tests" / "data"
+MACHINES = f"pdfa:{DATA / 'machine_half.json'},pdfa:{DATA / 'machine_quarter.json'}"
+BINARY = f"pdfa:{DATA / 'machine_binary_1.json'},pdfa:{DATA / 'machine_binary_2.json'}"
+WIDE = ["--trials", "30", "--seed", "11"]
 CASES = [
     *([f"verify-theorem{t}", "--trials", "300", "--seed", seed] for t in "12" for seed in ("1", "42")),
     *([f"verify-theorem{t}", *LONG_ROWS] for t in "12"),
@@ -34,9 +39,12 @@ CASES = [
     ["tightness"],
     ["tightness", "--metric", "KL", "--k", "3", "--domain-size", "8", "--epsilon", "0.05", "--iterations", "1"],
     ["tightness", "--metric", "KL", "--k", "4", "--domain-size", "4", "--iterations", "2"],  # starts drawn class by class
-    ["pipeline", "--config", "tests/data/pipeline_config.json"],
-    ["pipeline", "--config", "tests/data/pipeline_logloss_config.json"],
+    ["pipeline", "--config", str(DATA / "pipeline_config.json")],
+    ["pipeline", "--config", str(DATA / "pipeline_logloss_config.json")],
     ["pipeline", "--source", MACHINES, "--truncate", "6"],
+    # 262,144 and 131,072 atoms: all 90 trials batched, in 18 and 13 batches
+    ["pipeline", "--source", BINARY, "--truncate", "17", "--n-grid", "500,3000,8000", *WIDE],
+    ["pipeline", "--source", BINARY, "--truncate", "16", "--n-grid", "1000,3000,8000", *WIDE],
 ]
 
 
