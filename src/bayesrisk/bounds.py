@@ -165,7 +165,7 @@ def _plugin_risk(weighted, scored, costs, ws=None, on=True) -> np.ndarray:
     scores, labels, row, mask = ws or _workspace(*scored.shape)
     if costs is None:
         _posterior(scored, scores, row, mask)
-        return _logloss_risk(scores, weighted)
+        return _logloss_risk(scores, weighted, scores)
     return _cost_risk(costs, _bayes_labels(costs, scored, scores, labels, row.view(np.intp)), weighted, scores, on)
 
 
@@ -191,8 +191,7 @@ def _checks(priors, masses, divergences, costs, ks, on=True, identity=True) -> d
     ``costs[i]``. The instances of one class count, a quarter at most, are scored and bounded at once, in place."""
     starts, weighted = np.cumsum(ks) - ks, priors * divergences
     eps, limits, risks = np.maximum.reduceat(weighted, starts), np.empty(len(ks)), np.empty((2, len(ks)))
-    refined = np.full(len(ks), math.nan)
-    mixtures, most = np.empty((2, len(ks), masses.shape[-1])) if costs is None else None, -(-len(ks) // 4)
+    refined, kls, most = np.full(len(ks), math.nan), np.empty(len(ks)), -(-len(ks) // 4)
     for k, of_k in ((k, np.flatnonzero(ks == k)) for k in set(ks.tolist())):
         for run in (of_k[at : at + most] for at in range(0, len(of_k), most)):
             rows = (starts[run, None] + np.arange(k)).ravel()
@@ -200,15 +199,14 @@ def _checks(priors, masses, divergences, costs, ks, on=True, identity=True) -> d
             group = None if costs is None else costs[run, :k, :k]
             cut = on if on is True else on[rows].reshape(len(run), k, -1)
             risks[:, run] = _plugin_risk(scored[0], scored, group, on=cut)
-            if group is None:
-                mixtures[:, run] = scored.sum(axis=-2)
-            else:  # R = sum_i (max_j c_ij - min_j c_ij) g_i L1_i, between the excess and the bound
+            if group is not None:  # R = sum_i (max_j c_ij - min_j c_ij) g_i L1_i, between the excess and the bound
                 refined[run] = (np.ptp(group, axis=2) * weighted[rows].reshape(len(run), k)).sum(axis=1)
+            elif identity:  # a run's mixtures, not the block's, are held
+                kls[run] = _mixture_kl(scored.sum(axis=-2), cut if cut is True else cut[:, 0])
             limits[run] = theorem2_bound(eps[run], k) if group is None else theorem1_bound(eps[run], k, group)
     columns = {**_bound_columns(*risks, eps, limits), "refined": refined}
     rhs = np.full(len(ks), math.nan)
     if costs is None and identity:
-        kls = _mixture_kl(mixtures, on if on is True else on[starts])
         flat = weighted.tolist()  # Python's sum, left to right, of each instance's terms, as its own check takes it
         sums = np.array([sum(flat[a : a + k]) for a, k in zip(starts.tolist(), ks.tolist())])
         np.subtract(sums, kls, out=rhs, where=np.logical_and.reduceat(np.isfinite(divergences), starts))
@@ -353,36 +351,38 @@ def _into_budget(metric: str, true: np.ndarray, est: np.ndarray, limits: np.ndar
     return est
 
 
-def _perturb_rows(true: np.ndarray, budgets: np.ndarray, noise: np.ndarray, on=True) -> np.ndarray:
+def _perturb_rows(true: np.ndarray, budgets: np.ndarray, noise: np.ndarray, on=True, out=None) -> np.ndarray:
     """:func:`random_l1_perturbation` of each row of the ``(n, m)`` unit masses ``true`` at its budget, on its row
-    of normal ``noise`` (zeros if not drawn; centred in place), rows on the prefix mask ``on`` (``True``: whole)."""
+    of normal ``noise`` (zeros if not drawn; spent in place), rows on the prefix mask ``on`` (``True``: whole),
+    written into ``out`` (fresh if ``None``)."""
     sizes = np.count_nonzero(np.broadcast_to(on, true.shape), axis=1)
-    noise -= (_ragged_sums(noise, on) / sizes)[:, None] * on  # the mask keeps the zeros past the cut
-    norms = _ragged_sums(np.abs(noise), on)
-    est, moved = true.copy(), np.flatnonzero(norms)
+    np.subtract(noise, (_ragged_sums(noise, on) / sizes)[:, None], out=noise, where=on)  # zeros past the cut kept
+    norms = _ragged_sums(est := np.abs(noise, out=out), on)  # the estimates' rows hold the noise's sizes first
+    est[:], moved = true, np.flatnonzero(norms)
     if len(moved):  # _unit_rows refuses an empty block
-        t, limits, cut = true[moved], budgets[moved], on if on is True else on[moved]
-        cand = noise[moved]
-        cand *= (limits / norms[moved])[:, None]
+        at = slice(None) if len(moved) == len(true) else moved  # every row, as in a sweep: views, not copies
+        t, limits, cut = true[at], budgets[moved], on if on is True else on[at]
+        cand = np.multiply(noise[at], (limits / norms[moved])[:, None], out=est[at])
         cand += t
         # np.maximum(x, 0.0) is np.clip(x, 0.0, None) without its Python wrapper.
-        cand = _unit_rows(np.maximum(cand, 0.0, out=cand), cut)
-        est[moved] = _into_budget(L1, t, cand, limits, cut)
+        est[at] = _into_budget(L1, t, _unit_rows(np.maximum(cand, 0.0, out=cand), cut, cand), limits, cut)
     return est
 
 
-def _floor_rows(rough: np.ndarray, lams: np.ndarray, on=True) -> np.ndarray:
-    """:func:`support_safe_perturbation`'s mix of each row of ``rough`` with uniform at ``lams``, on the mask ``on``."""
-    floor = (lams / np.count_nonzero(np.broadcast_to(on, rough.shape), axis=1))[:, None] * on
-    return _exact_unit_mass((1.0 - lams)[:, None] * rough + floor, on)
+def _floor_rows(rough: np.ndarray, lams: np.ndarray, on=True, out=None) -> np.ndarray:
+    """:func:`support_safe_perturbation`'s mix of each row of ``rough`` with uniform at ``lams``, on the mask ``on``,
+    written into ``out`` (fresh if ``None``; it may be ``rough``)."""
+    mixed = np.multiply(rough, (1.0 - lams)[:, None], out=out)
+    floor = (lams / np.count_nonzero(np.broadcast_to(on, rough.shape), axis=1))[:, None]
+    return _exact_unit_mass(np.add(mixed, floor, out=mixed, where=on), on)  # zero past the cut, as rough is
 
 
-def _moved(true: np.ndarray, metric: str, budgets, noise, lams, on=True) -> np.ndarray:
-    """The estimates of the ``(k, m)`` unit masses ``true`` (on the prefix mask ``on``) on the draws of ``_moves``:
-    each row perturbed within its L1 budget and, under KL, mixed with uniform to full support at its floor weight, the
-    raw ``lams`` on ``[0.2 * 0.05, 0.05]``."""
-    est = _perturb_rows(true, budgets, noise, on)
-    return _floor_rows(est, _scaled(lams, 0.2 * 0.05, 0.05), on) if metric == KL else est
+def _moved(true: np.ndarray, metric: str, budgets, noise, lams, on=True, out=None) -> np.ndarray:
+    """The estimates of the ``(k, m)`` unit masses ``true`` (on the prefix mask ``on``) on the draws of ``_moves``,
+    written into ``out`` (fresh if ``None``): each row perturbed within its L1 budget and, under KL, mixed with uniform
+    to full support at its floor weight, the raw ``lams`` on ``[0.2 * 0.05, 0.05]``."""
+    est = _perturb_rows(true, budgets, noise, on, out)
+    return _floor_rows(est, _scaled(lams, 0.2 * 0.05, 0.05), on, est) if metric == KL else est
 
 
 def _perturbed(d: Distribution, budget: float, rng: np.random.Generator, metric: str) -> Distribution:
@@ -468,9 +468,12 @@ def _sweep_block(draws: tuple, metric: str) -> tuple:
     the function giving instance ``j``'s :func:`_as_arrays` arrays and cost. Its class rows, zero-padded and cut by one
     prefix mask, and its padded costs stay in draw order through each kernel and keep their own bits."""
     ks, ms, on, priors, weights, budgets, noise, lams, costs = draws
-    true = _unit_rows(weights, on)
+    masses = np.empty((2, *on.shape))  # the true rows, then the estimates, each written in place
+    _unit_rows(weights, on, masses[0])
+    del draws, weights  # each draw is let go once spent, so a block holds its rows about five times at most
     budgets = _scaled(budgets, 0.0, 2.0 if metric == L1 else 1.5)
-    masses = np.array([true, _moved(true, metric, budgets, noise, lams, on)])
+    _moved(masses[0], metric, budgets, noise, lams, on, masses[1])
+    del noise
     divergences, ends = _divergences(*masses, metric, on), np.cumsum(ks).tolist()
 
     def instance(j: int) -> tuple:

@@ -134,12 +134,13 @@ def _ragged_sums(values: np.ndarray, on=True) -> np.ndarray:
     return values.sum(axis=1, where=on)
 
 
-def _run_sums(flat: np.ndarray, counts: np.ndarray) -> np.ndarray:
+def _run_sums(flat: np.ndarray, counts: np.ndarray, out=None) -> np.ndarray:
     """numpy's sum of each run of ``counts`` consecutive entries of the 1-D ``flat``, in an array of the counts'
-    shape: runs of one length as the rows of one matrix, others as the zero-padded rows of :func:`_ragged_sums`."""
+    shape: runs of one length as the rows of one matrix, others as the prefixes of the rows of :func:`_ragged_sums`,
+    written into ``out`` if given (a scratch matrix, a row a run, as wide as the longest at least), else zeros."""
     if (counts == counts.flat[0]).all():
         return flat.reshape(*counts.shape, int(counts.flat[0])).sum(axis=-1)
-    rows = np.zeros((counts.size, counts.max()))
+    rows = np.zeros((counts.size, counts.max())) if out is None else out
     rows[on := np.arange(rows.shape[1]) < counts.reshape(-1, 1)] = flat
     return _ragged_sums(rows, on).reshape(counts.shape)
 
@@ -333,10 +334,10 @@ def make_distribution(domain: Domain, weights: Sequence[float]) -> Distribution:
     return Distribution._frozen(domain, _unit_rows(w[None])[0])
 
 
-def _unit_rows(weights: np.ndarray, on=True) -> np.ndarray:
-    """Each row of the ``(n, m)`` weights over its sum (on its prefix of the mask ``on``), fresh and made unit by
-    :func:`_exact_unit_mass`: the one weight normalizer, checked in one fused pass, with the messages of
-    :func:`make_distribution`."""
+def _unit_rows(weights: np.ndarray, on=True, out=None) -> np.ndarray:
+    """Each row of the ``(n, m)`` weights over its sum (on its prefix of the mask ``on``), written into ``out`` (fresh
+    if ``None``; it may be ``weights``) and made unit by :func:`_exact_unit_mass`: the one weight normalizer, checked in
+    one fused pass, with the messages of :func:`make_distribution`."""
     with np.errstate(over="ignore"):
         totals = _ragged_sums(weights, on)
     if not (weights.min() >= 0.0 and ((0.0 < totals) & (totals < math.inf)).all()):
@@ -344,7 +345,7 @@ def _unit_rows(weights: np.ndarray, on=True) -> np.ndarray:
             raise ValueError("invalid mass: weights must be finite and non-negative")
         raise ValueError("degenerate: all weights are zero" if totals.min() == 0.0 else
                          "invalid mass: weights sum overflows the float range")
-    return _exact_unit_mass(weights / totals[:, None], on)
+    return _exact_unit_mass(np.divide(weights, totals[:, None], out=out), on)
 
 
 def _require_same_domain(p: Distribution, q: Distribution) -> None:
@@ -389,9 +390,8 @@ def _kl_on_support(p: np.ndarray, q: np.ndarray, support: np.ndarray, out=None):
     each row sums (:func:`_run_sums`) what its 1-D gather sums.
     """
     if p.ndim == 2:
-        qs = q[support]
         with np.errstate(divide="ignore"):  # a zero of q on the support: that row's KL is inf
-            sums = _run_sums(_kl_terms(p[support], qs), np.count_nonzero(support, axis=1))
+            sums = _run_sums(_kl_terms(p[support], q[support]), np.count_nonzero(support, axis=1))
         kl = np.where(sums > 0.0, sums, 0.0)
         kl[np.count_nonzero(support & (q == 0.0), axis=1) > 0] = math.inf
         return kl
