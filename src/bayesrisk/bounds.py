@@ -56,10 +56,12 @@ L1 = "L1"
 KL = "KL"
 
 # Bytes one block of sweep instances may hold, each charged _ROW_COPIES of k_max class rows at m_max atoms plus
-# _INSTANCE_BYTES (by tracemalloc, 8.0-9.3 copies and 2-2.5 KiB at k_max = 2-10, m_max = 2-200). The block size they
-# give is part of a sweep's stream: its draws are made a block at a time.
+# _INSTANCE_BYTES (by tracemalloc on blocks whose every k is k_max, k_max = 2-10, m_max = 2-300: 4.0-4.6 copies at
+# m_max >= 64, at most 1.6 KiB past 5 copies at m_max = 2-8, and up to 150 KiB a block of numpy's ufunc buffers, which
+# the rest of the charge leaves room for). The block size they give is part of a sweep's stream: its draws are made a
+# block at a time.
 _BLOCK_BYTES = 1 << 20
-_ROW_COPIES, _INSTANCE_BYTES = 10, 2560
+_ROW_COPIES, _INSTANCE_BYTES = 5, 2560
 
 
 @dataclass(frozen=True)
@@ -435,7 +437,8 @@ def random_cost(rng: np.random.Generator, k: int) -> CostMatrix:
 
 
 def _instances_per_block(k_max: int, m_max: int) -> int:
-    """The instances a theorem sweep's block holds at sizes ``k_max`` and ``m_max``, as many as ``_BLOCK_BYTES`` fit."""
+    """The instances a theorem sweep's block holds at sizes ``k_max`` and ``m_max``, as many as ``_BLOCK_BYTES`` fit at
+    their charge: 68 at the defaults (5, 64), 9 at (9, 300) and 385 at (2, 2)."""
     return max(1, _BLOCK_BYTES // (_ROW_COPIES * 8 * k_max * m_max + _INSTANCE_BYTES))
 
 

@@ -297,8 +297,8 @@ class TestDerivedColumns:
     @pytest.mark.parametrize(
         "argv, per_block",
         [
-            pytest.param(["verify-theorem1", "--trials", "3"], 37, id="verify-theorem1"),
-            pytest.param(["verify-theorem2", "--trials", "3", "--k-max", "9", "--m-max", "300"], 4,
+            pytest.param(["verify-theorem1", "--trials", "3"], 68, id="verify-theorem1"),
+            pytest.param(["verify-theorem2", "--trials", "3", "--k-max", "9", "--m-max", "300"], 9,
                          id="verify-theorem2"),
             pytest.param(["smooth", "--trials", "3"], 256, id="smooth"),
             pytest.param(["smooth", "--trials", "3", "--domain-size", "300", "--bits", "12"], 6, id="smooth-wide"),

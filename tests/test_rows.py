@@ -13,6 +13,7 @@ one should fail this file, not a golden.
 from __future__ import annotations
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -405,13 +406,13 @@ def test_sweep_blocks_equal_an_independent_reference(monkeypatch, metric, k_max,
     """The block generator's instances, drawn a block at a time and computed once per block on padded rows, equal the
     plain reference drawn block by block in float.hex, and leave the generator where it does after every block; each
     block verdict equals, field by field, the one-instance verdict of the reference's instance. A block holds
-    ``_BLOCK_BYTES // (_ROW_COPIES * 8 * k_max * m_max + _INSTANCE_BYTES)`` instances, 37 at the defaults;
+    ``_BLOCK_BYTES // (_ROW_COPIES * 8 * k_max * m_max + _INSTANCE_BYTES)`` instances, 68 at the defaults;
     ``per_block`` cuts the blocks small (that many instances) so that a run of 200 spans many."""
     charge = bounds._ROW_COPIES * 8 * k_max * m_max + bounds._INSTANCE_BYTES
     if per_block is not None:
         monkeypatch.setattr(bounds, "_BLOCK_BYTES", per_block * charge)
     size = max(1, bounds._BLOCK_BYTES // charge)
-    assert size == {(None, 2, 2): (1 << 20) // 2880, (None, 5, 64): 37}.get((per_block, k_max, m_max), per_block)
+    assert size == {(None, 2, 2): (1 << 20) // 2720, (None, 5, 64): 68}.get((per_block, k_max, m_max), per_block)
     rng, ref = np.random.default_rng([n, k_max]), np.random.default_rng([n, k_max])
     blocks = _theorem_sweep(rng, n, k_max, m_max, metric)
     done = 0
@@ -433,6 +434,24 @@ def test_sweep_blocks_equal_an_independent_reference(monkeypatch, metric, k_max,
         done += len(instances)
     assert done == n
     assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("metric", [L1, KL])
+@pytest.mark.parametrize("k_max, m_max", [(2, 2), (2, 64), (2, 300), (5, 64), (9, 300), (10, 200)])
+def test_a_sweep_block_peaks_within_its_bytes(metric, k_max, m_max):
+    """One full theorem-sweep block, its draws included, peaks by tracemalloc under ``_BLOCK_BYTES``: the charge its
+    size comes from holds. At ``k_max`` 2 every instance has the block's largest rows, its worst case."""
+    n = bounds._instances_per_block(k_max, m_max)
+    for seed in range(3):
+        rng = np.random.default_rng([seed, k_max, m_max])
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            bounds._sweep_block(bounds._block_draws(rng, n, k_max, m_max, metric), metric)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < bounds._BLOCK_BYTES
 
 
 def _block_instances(draws, metric: str) -> list:

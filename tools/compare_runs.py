@@ -28,7 +28,8 @@ CASES = [
     *([f"verify-theorem{t}", *LONG_ROWS] for t in "12"),
     *([f"verify-theorem{t}", *WIDE_BLOCKS] for t in "12"),
     ["verify-theorem1", "--trials", "1", "--seed", "5"],  # a block of one: its costs as wide as its k
-    ["verify-theorem1", "--trials", "800", "--k-max", "2", "--m-max", "2", "--seed", "9"],  # blocks of 364, all k = 2
+    ["verify-theorem1", "--trials", "800", "--k-max", "2", "--m-max", "2", "--seed", "9"],  # blocks of 385, all k = 2
+    ["verify-theorem2", "--trials", "69", "--k-max", "5", "--m-max", "64", "--seed", "1"],  # one past a block of 68
     ["lower-bounds"],
     ["lower-bounds", "--grid", "0,0.01,0.1,0.3"],
     ["smooth", "--trials", "300"],
