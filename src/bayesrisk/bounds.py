@@ -56,10 +56,9 @@ L1 = "L1"
 KL = "KL"
 
 # Bytes one block of sweep instances may hold, each charged _ROW_COPIES of k_max class rows at m_max atoms plus
-# _INSTANCE_BYTES (by tracemalloc on blocks whose every k is k_max, k_max = 2-10, m_max = 2-300: 4.0-4.6 copies at
-# m_max >= 64, at most 1.6 KiB past 5 copies at m_max = 2-8, and up to 150 KiB a block of numpy's ufunc buffers, which
-# the rest of the charge leaves room for). The block size they give is part of a sweep's stream: its draws are made a
-# block at a time.
+# _INSTANCE_BYTES (by tracemalloc on blocks whose every k is k_max, k_max = 2-10, m_max = 2-300: 4.0-4.6 copies at m_max
+# >= 64, at most 1.6 KiB past 5 copies, and up to 150 KiB of numpy's ufunc buffers a block). The block size they give
+# is part of a sweep's stream: its draws are made a block at a time.
 _BLOCK_BYTES = 1 << 20
 _ROW_COPIES, _INSTANCE_BYTES = 5, 2560
 
@@ -355,8 +354,7 @@ def _into_budget(metric: str, true: np.ndarray, est: np.ndarray, limits: np.ndar
 
 def _perturb_rows(true: np.ndarray, budgets: np.ndarray, noise: np.ndarray, on=True, out=None) -> np.ndarray:
     """:func:`random_l1_perturbation` of each row of the ``(n, m)`` unit masses ``true`` at its budget, on its row
-    of normal ``noise`` (zeros if not drawn; spent in place), rows on the prefix mask ``on`` (``True``: whole),
-    written into ``out`` (fresh if ``None``)."""
+    of normal ``noise`` (zeros if not drawn; spent in place), rows on the prefix mask ``on``, into ``out`` if given."""
     sizes = np.count_nonzero(np.broadcast_to(on, true.shape), axis=1)
     np.subtract(noise, (_ragged_sums(noise, on) / sizes)[:, None], out=noise, where=on)  # zeros past the cut kept
     norms = _ragged_sums(est := np.abs(noise, out=out), on)  # the estimates' rows hold the noise's sizes first
@@ -437,8 +435,8 @@ def random_cost(rng: np.random.Generator, k: int) -> CostMatrix:
 
 
 def _instances_per_block(k_max: int, m_max: int) -> int:
-    """The instances a theorem sweep's block holds at sizes ``k_max`` and ``m_max``, as many as ``_BLOCK_BYTES`` fit at
-    their charge: 68 at the defaults (5, 64), 9 at (9, 300) and 385 at (2, 2)."""
+    """The instances a theorem sweep's block holds at sizes ``k_max`` and ``m_max``, as many as ``_BLOCK_BYTES`` fit
+    at their charge (68 at the defaults)."""
     return max(1, _BLOCK_BYTES // (_ROW_COPIES * 8 * k_max * m_max + _INSTANCE_BYTES))
 
 
@@ -471,11 +469,10 @@ def _sweep_block(draws: tuple, metric: str) -> tuple:
     the function giving instance ``j``'s :func:`_as_arrays` arrays and cost. Its class rows, zero-padded and cut by one
     prefix mask, and its padded costs stay in draw order through each kernel and keep their own bits."""
     ks, ms, on, priors, weights, budgets, noise, lams, costs = draws
-    masses = np.empty((2, *on.shape))  # the true rows, then the estimates, each written in place
+    masses = np.empty((2, *on.shape))  # the true rows, then the estimates; each draw is let go once spent
     _unit_rows(weights, on, masses[0])
-    del draws, weights  # each draw is let go once spent, so a block holds its rows about five times at most
-    budgets = _scaled(budgets, 0.0, 2.0 if metric == L1 else 1.5)
-    _moved(masses[0], metric, budgets, noise, lams, on, masses[1])
+    del draws, weights
+    _moved(masses[0], metric, _scaled(budgets, 0.0, 2.0 if metric == L1 else 1.5), noise, lams, on, masses[1])
     del noise
     divergences, ends = _divergences(*masses, metric, on), np.cumsum(ks).tolist()
 

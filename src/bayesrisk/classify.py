@@ -260,9 +260,8 @@ def _cost_risk(costs, labels, weighted, out=None, on=True) -> np.ndarray:
     weighted_costs *= weighted
     if on is True:  # summed in place: a gather would copy every term of a wide PAC trial
         return weighted_costs.reshape(*weighted_costs.shape[:-2], -1).sum(axis=-1)
-    cut = np.broadcast_to(on, weighted_costs.shape)
-    counts = np.count_nonzero(cut, axis=(-2, -1))  # the terms are gathered, then laid out in their own buffer
-    return _run_sums(weighted_costs[cut], counts, weighted_costs.reshape(counts.size, -1))
+    counts = np.count_nonzero(cut := np.broadcast_to(on, weighted_costs.shape), axis=(-2, -1))
+    return _run_sums(weighted_costs[cut], counts, weighted_costs.reshape(counts.size, -1))  # gathered, laid out anew
 
 
 def _cost_leaves(masses, priors, costs, bayes=True):
@@ -360,8 +359,8 @@ def _logloss_risk(table, weighted, scratch=None) -> np.ndarray:
     """:func:`logloss_risk` of ``(k, m)`` rule tables on weighted masses, one per instance of the ``(..., k, m)``
     ``table`` (``weighted`` broadcast to it, zero where padded). Both are gathered where the weights are positive,
     atom by atom, as a ``StochasticRule`` lays out its table, so the sum's order, and its bits, do not depend on
-    ``table``'s layout; a zero of the rule there makes a term, and the risk, infinite. The terms are summed in
-    ``scratch`` if given, a contiguous array of the table's shape (the table itself, if spent)."""
+    ``table``'s layout; a zero of the rule there makes a term, and the risk, infinite; summed in ``scratch`` if given
+    (a contiguous array of the table's shape, the table itself if spent)."""
     weighted, table = np.swapaxes(weighted, -1, -2), np.swapaxes(table, -1, -2)
     on = weighted > 0.0
     terms, weights = table[np.broadcast_to(on, table.shape)], weighted[on]

@@ -135,9 +135,8 @@ def _ragged_sums(values: np.ndarray, on=True) -> np.ndarray:
 
 
 def _run_sums(flat: np.ndarray, counts: np.ndarray, out=None) -> np.ndarray:
-    """numpy's sum of each run of ``counts`` consecutive entries of the 1-D ``flat``, in an array of the counts'
-    shape: runs of one length as the rows of one matrix, others as the prefixes of the rows of :func:`_ragged_sums`,
-    written into ``out`` if given (a scratch matrix, a row a run, as wide as the longest at least), else zeros."""
+    """numpy's sum of each run of ``counts`` consecutive entries of the 1-D ``flat``, in an array of the counts' shape:
+    runs of one length as a matrix's rows, others as :func:`_ragged_sums` of prefixes of ``out``'s rows (or zeros')."""
     if (counts == counts.flat[0]).all():
         return flat.reshape(*counts.shape, int(counts.flat[0])).sum(axis=-1)
     rows = np.zeros((counts.size, counts.max())) if out is None else out
