@@ -359,8 +359,7 @@ def _logloss_risk(table, weighted, scratch=None) -> np.ndarray:
     """:func:`logloss_risk` of ``(k, m)`` rule tables on weighted masses, one per instance of the ``(..., k, m)``
     ``table`` (``weighted`` broadcast to it, zero where padded). Both are gathered where the weights are positive,
     atom by atom, as a ``StochasticRule`` lays out its table, so the sum's order, and its bits, do not depend on
-    ``table``'s layout; a zero of the rule there makes a term, and the risk, infinite; summed in ``scratch`` if given
-    (a contiguous array of the table's shape, the table itself if spent)."""
+    ``table``'s layout; a zero of the rule there makes the risk infinite. It is summed in a spent ``scratch`` if any."""
     weighted, table = np.swapaxes(weighted, -1, -2), np.swapaxes(table, -1, -2)
     on = weighted > 0.0
     terms, weights = table[np.broadcast_to(on, table.shape)], weighted[on]

@@ -224,6 +224,7 @@ def cmd_verify(args) -> int:
             payload = _instance_payload(*_as_objects(priors, masses), cost, metric)
             run.write_instance(f"violation_{done + j}.json", payload)
         done += len(ok)
+        del columns, instance  # the block's rows go before the next block is made, not after
     summary = {"trials": args.trials, "violations": run.violations}
     if metric == KL:
         summary["worst_identity_gap"] = worst_gap
