@@ -357,7 +357,7 @@ def _perturb_rows(true: np.ndarray, budgets: np.ndarray, noise: np.ndarray, on=T
     of normal ``noise`` (zeros if not drawn; spent in place), rows on the prefix mask ``on``, into ``out`` if given."""
     sizes = np.count_nonzero(np.broadcast_to(on, true.shape), axis=1)
     np.subtract(noise, (_ragged_sums(noise, on) / sizes)[:, None], out=noise, where=on)  # zeros past the cut kept
-    norms = _ragged_sums(est := np.abs(noise, out=out), on)  # the estimates' rows hold the noise's sizes first
+    norms = _ragged_sums(est := np.abs(noise, out=out), on)  # est holds |noise| first, then the estimates
     est[:], moved = true, np.flatnonzero(norms)
     if len(moved):  # _unit_rows refuses an empty block
         at = slice(None) if len(moved) == len(true) else moved  # every row, as in a sweep: views, not copies
