@@ -134,12 +134,12 @@ def _ragged_sums(values: np.ndarray, on=True) -> np.ndarray:
     return values.sum(axis=1, where=on)
 
 
-def _run_sums(flat: np.ndarray, counts: np.ndarray, out=None) -> np.ndarray:
+def _run_sums(flat: np.ndarray, counts: np.ndarray, scratch=None) -> np.ndarray:
     """numpy's sum of each run of ``counts`` consecutive entries of the 1-D ``flat``, in an array of the counts' shape:
-    runs of one length as a matrix's rows, others as :func:`_ragged_sums` of prefixes of ``out``'s rows (or zeros')."""
+    runs of one length as a matrix's rows, others as :func:`_ragged_sums` of row prefixes of ``scratch`` or zeros."""
     if (counts == counts.flat[0]).all():
         return flat.reshape(*counts.shape, int(counts.flat[0])).sum(axis=-1)
-    rows = np.zeros((counts.size, counts.max())) if out is None else out
+    rows = np.zeros((counts.size, counts.max())) if scratch is None else scratch
     rows[on := np.arange(rows.shape[1]) < counts.reshape(-1, 1)] = flat
     return _ragged_sums(rows, on).reshape(counts.shape)
 
