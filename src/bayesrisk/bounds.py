@@ -162,12 +162,12 @@ def _plugin_risk(weighted, scored, costs, ws=None, on=True) -> np.ndarray:
     """Risks, on true classes of weighted masses ``weighted``, of the Bayes classifiers under the cost arrays
     ``costs`` (posterior rules if ``None``) of the weighted estimates ``scored``: one per ``(k, m)`` instance of the
     stacked ``scored``, to which ``weighted``, ``costs`` and the rows' prefix mask ``on`` (``True``: whole rows)
-    broadcast. ``ws`` is a :func:`_workspace` of ``scored``'s shape, allocated if not given."""
-    scores, labels, row, mask = ws or _workspace(*scored.shape)
+    broadcast. ``ws`` is a :func:`_workspace` of ``scored``'s shape and loss, allocated if not given."""
+    scores, row, spare = ws or _workspace(scored.shape, costs)
     if costs is None:
-        _posterior(scored, scores, row, mask)
+        _posterior(scored, scores, row, spare)
         return _logloss_risk(scores, weighted, scores)
-    return _cost_risk(costs, _bayes_labels(costs, scored, scores, labels, row.view(np.intp)), weighted, scores, on)
+    return _cost_risk(costs, _bayes_labels(costs, scored, scores, spare, row.view(np.intp)), weighted, scores, on)
 
 
 def _bound_columns(risk_opt, risk_plugin, eps, bound) -> dict:

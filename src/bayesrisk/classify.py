@@ -200,17 +200,17 @@ def bayes_classifier(source: LabeledSource, cost: CostLike) -> Classifier:
     ``labels[x] = argmin_j sum_i c[i, j] * g_i * D_i(x)``, ties to the smallest label, which
     also covers atoms with zero mixture mass (all scores zero there).
     """
-    scores, labels, row, _ = _workspace(source.k, source.domain.size)
-    labels = _bayes_labels(as_cost_array(cost, source.k), source.weighted_mass, scores, labels, row.view(np.intp))
-    return Classifier(source.domain, labels)
+    costs = as_cost_array(cost, source.k)
+    scores, row, labels = _workspace((source.k, source.domain.size), costs)
+    return Classifier(source.domain, _bayes_labels(costs, source.weighted_mass, scores, labels, row.view(np.intp)))
 
 
-def _workspace(*shape: int, row=None) -> tuple[np.ndarray, ...]:
-    """Buffers for the kernels of ``(..., k, m)`` masses: scores of that shape, then labels, a float row (``row`` if
-    given) and a bool row, each of that shape without its ``k``."""
+def _workspace(shape: tuple, costs, row=None) -> tuple[np.ndarray, ...]:
+    """The buffers the kernels of ``(..., k, m)`` masses read under the cost arrays ``costs`` (log loss if ``None``):
+    scores of that shape and, each of that shape without its ``k``, a float row (``row`` if given; under costs, viewed
+    as intp, the Bayes labels' scan row) and the Bayes labels (intp) under costs or the covered atoms (bool) else."""
     rows = shape[:-2] + shape[-1:]
-    row = np.empty(rows) if row is None else row
-    return np.empty(shape), np.empty(rows, np.intp), row, np.empty(rows, bool)
+    return np.empty(shape), np.empty(rows) if row is None else row, np.empty(rows, bool if costs is None else np.intp)
 
 
 def _bayes_labels(costs, weighted, scores, labels, less) -> np.ndarray:
@@ -318,7 +318,7 @@ def posterior_rule(source: LabeledSource) -> StochasticRule:
     weight is zero, so any fixed choice is sound and this one keeps the
     table total.
     """
-    table, _, mix, covered = _workspace(source.k, source.domain.size)
+    table, mix, covered = _workspace((source.k, source.domain.size), None)
     _posterior(source.weighted_mass, table, mix, covered)
     return StochasticRule(source.domain, table.T)
 

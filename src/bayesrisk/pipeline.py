@@ -23,19 +23,19 @@ experiment's one CDF row. A block gives its trials as columns, a row each,
 bounded at once by ``bounds._bound_columns`` as a sweep block is; the
 report's columns join the blocks', and ``per_n`` is taken from them.
 
-A trial on every atom runs on raw arrays in one workspace per experiment,
-scored in either mode by ``bounds._plugin_risk``: a cost-mode trial whose
-classes have full support allocates no m-sized array. A cost-mode trial whose
-every estimate is sparse (no add-lambda smoothing, at most one draw per 16
-atoms), its hits on so few of numpy's 128-atom leaves that summing those afresh
-beats a full pass (``distributions._few_leaves``), joins a batch
-(``_sparse_batch``), written at its trials' rows: its sums are rebuilt from leaf
-sums in one tree pass per batch, its Bayes labels come from one cost product,
-and ``_BATCH_FLOATS`` caps each batch array. Where trials can be batched, the
-optimal risk and the base sums are built leaf by leaf, and the workspace waits
-for the first trial on every atom, so a run whose every trial is batched holds
-no m-sized array but the class masses and the CDF row. Each output keeps its
-bits (``test_sparse_trials_equal_the_dense_kernels``).
+A trial on every atom runs on raw arrays in one workspace per experiment (the
+first such trial makes it around the CDF row), scored in either mode by
+``bounds._plugin_risk``: a cost-mode trial whose classes have full support
+allocates no m-sized array. A cost-mode trial whose every estimate is sparse
+(no add-lambda smoothing, at most one draw per 16 atoms), its hits on so few of
+numpy's 128-atom leaves that summing those afresh beats a full pass
+(``distributions._few_leaves``), joins a batch (``_sparse_batch``), written at
+its trials' rows: its sums are rebuilt from leaf sums in one tree pass per
+batch, its Bayes labels come from one cost product, and ``_BATCH_FLOATS`` caps
+each batch array. Where trials can be batched, the optimal risk and the base
+sums are built leaf by leaf, so a run whose every trial is batched holds no
+m-sized array but the class masses and the CDF row. Each output keeps its bits
+(``test_sparse_trials_equal_the_dense_kernels``).
 """
 
 from __future__ import annotations
@@ -208,12 +208,12 @@ def run_trial(
 
 
 def _fixed(config: TrialConfig):
-    """An experiment's workspace (a list, at first holding only its float row, every block's CDF row), cost array
-    (``None`` under log loss), optimal risk (:func:`_plugin_risk` of the true classes), per class its mass, support
-    (``None`` if full), support size and leaf sums, and the leaf sums of the flattened label-0 weighted costs: what
-    a batch's sums start from, taken only in cost mode if an estimate can go sparse (``None`` else). Then the
-    optimal risk and those sums are built leaf by leaf (``classify._cost_leaves``), and the rest of the workspace
-    and the source's weighted masses wait for the first dense trial."""
+    """An experiment's workspace (four slots, at first holding only the CDF row of every block, at index 2), cost
+    array (``None`` under log loss), optimal risk (:func:`_plugin_risk` of the true classes, on that function's own
+    buffers), per class its mass, support (``None`` if full), support size and leaf sums, and the leaf sums of the
+    flattened label-0 weighted costs: what a batch's sums start from, taken only in cost mode if an estimate can go
+    sparse (``None`` else). Then the optimal risk and those sums are built leaf by leaf (``classify._cost_leaves``),
+    before the CDF row is made, and the source's weighted masses wait for the first dense trial."""
     source, (k, m) = config.source, (config.source.k, config.source.domain.size)
     costs = None if config.cost is None else config.cost.costs  # its shape checked with the config
     sparse = costs is not None and not config.resolved_laplace and m >= _SPARSE_ATOMS
@@ -221,12 +221,11 @@ def _fixed(config: TrialConfig):
     classes = tuple((p, None if p.min() > 0.0 else p > 0.0, np.count_nonzero(p), _leaf_sums(m, p) if sparse else None)
                     for p in masses)
     if not sparse:
-        ws = [np.empty((k, m)), *_workspace(k, m)]
-        risk_opt = float(_plugin_risk(source.weighted_mass, source.weighted_mass, costs, ws[1:]))
-        return ws, costs, risk_opt, classes, None
-    risk_opt = float(_tree_sum(_leaf_sums(k * m, _cost_leaves(masses, source.priors, costs))))
-    base = _leaf_sums(k * m, _cost_leaves(masses, source.priors, costs, False))
-    return [None, None, None, np.empty(m), None], costs, risk_opt, classes, base
+        risk_opt, base = float(_plugin_risk(source.weighted_mass, source.weighted_mass, costs)), None
+    else:
+        risk_opt = float(_tree_sum(_leaf_sums(k * m, _cost_leaves(masses, source.priors, costs))))
+        base = _leaf_sums(k * m, _cost_leaves(masses, source.priors, costs, False))
+    return [None, None, np.empty(m), None], costs, risk_opt, classes, base
 
 
 def _block(config: TrialConfig, rngs: Sequence[np.random.Generator], n: int, ws, costs, risk_opt, classes, costs_base):
@@ -235,8 +234,8 @@ def _block(config: TrialConfig, rngs: Sequence[np.random.Generator], n: int, ws,
     Every draw comes first, each generator making one trial's calls in its order (labels, then class 0, class 1,
     ...) into one buffer; each class's CDF, built once in the CDF row, answers the block's draws of that class.
     Then a cost-mode trial with every estimate sparse on few leaves joins a batch (:func:`_sparse_batch`), whose
-    results are written at its trials' rows; any other writes its estimates into the workspace, the first one
-    making it, and runs on every atom, writing its own row. The bounds are checked once, for the whole block."""
+    results are written at its trials' rows; any other writes its estimates into the workspace (the first one makes
+    it, ``[ests, scores, row, spare]`` around the CDF row) and runs on every atom. The bounds are checked once."""
     source, laplace, trials = config.source, config.resolved_laplace, len(rngs)
     k, m = source.k, source.domain.size
     uniforms = np.empty((trials, n))
@@ -248,7 +247,7 @@ def _block(config: TrialConfig, rngs: Sequence[np.random.Generator], n: int, ws,
         ends = class_counts.cumsum()
         for rng, start, end in zip(rngs, ends - class_counts, ends):
             rng.random(out=flat[start:end])
-        samples.append(np.split(_draw_indices(d.mass, flat[: ends[-1]], ws[3]), ends[:-1]))
+        samples.append(np.split(_draw_indices(d.mass, flat[: ends[-1]], ws[2]), ends[:-1]))
     del uniforms, flat, trial_uniforms  # the loop's last view would keep the draws' buffer alive
     slots, batch, batched, used = max(k << _pairwise_tree(m)[0], 1 << _pairwise_tree(k * m)[0]), [], [], 0  # slot rows
     dirty = [slice(None)] * k  # where each workspace row may be non-zero
@@ -266,8 +265,8 @@ def _block(config: TrialConfig, rngs: Sequence[np.random.Generator], n: int, ws,
             used += charge
             continue
         if ws[0] is None:  # the first dense trial makes the workspace around the CDF row
-            ws[:] = np.empty((k, m)), *_workspace(k, m, row=ws[3])
-        ests, _, _, row, _ = ws
+            ws[:] = np.empty((k, m)), *_workspace((k, m), costs, row=ws[2])
+        ests, row = ws[0], ws[2]
         for i, (est, idx, hit) in enumerate(zip(ests, samples, hits)):
             if hit is None:
                 _add_lambda(est, idx[t], laplace)

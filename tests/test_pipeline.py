@@ -242,12 +242,15 @@ class TestRunPacExperiment:
     # On one workspace per experiment it peaked at 9.75 MB as the first
     # experiment in a process, where np.median's first call imported
     # numpy.ma (1.17 MB) while the workspace was alive. Aggregated after the
-    # workspace is freed, it peaks at 9,061,464 bytes as the first
-    # experiment and 9,061,887 once numpy.ma is loaded. The ceiling is
-    # 0.44 MB above that, less than one m-float array (1.05 MB), so one more
-    # such array alive at the peak (a CDF held per class, or a second
-    # workspace) fails the test. Tighten it freely; never loosen it.
-    PEAK_CEILING = 9_500_000
+    # workspace is freed, it peaked at 9,061,464 bytes as the first
+    # experiment and 9,061,887 once numpy.ma was loaded; with the order
+    # statistics taken without numpy.ma, 8,995,866. With a workspace of only
+    # the buffers the cost kernels read (no bool row) it peaks at 8,864,791.
+    # The ceiling is 0.44 MB above that, less than one m-float array
+    # (1.05 MB), so one more such array alive at the peak (a CDF held per
+    # class, or a second workspace) fails the test. Tighten it freely; never
+    # loosen it.
+    PEAK_CEILING = 9_300_000
 
     M = 131_073
 
@@ -295,6 +298,23 @@ class TestRunPacExperiment:
     def test_wide_domain_peak_memory(self):
         config = self.wide_config()
         assert self.traced_peak(lambda: run_pac_experiment(config)) <= self.PEAK_CEILING
+
+    def test_wide_domain_logloss_peak_memory(self):
+        """The same run under log loss (laplace resolves to 1). With an intp row of labels in its workspace, which no
+        log-loss kernel reads, it peaked at 13,324,071 bytes; without it, at 12,275,299. The ceiling is 0.42 MB above
+        that, less than one m-float array, so that row, or any other spare m-sized array, fails the test."""
+        config = TrialConfig(**{**vars(self.wide_config()), "cost": None})
+        assert self.traced_peak(lambda: run_pac_experiment(config)) <= 12_700_000
+
+    @pytest.mark.parametrize("cost, spare", [(CostMatrix.zero_one(2), np.intp), (None, bool)])
+    def test_workspace_holds_only_its_loss_buffers(self, cost, spare):
+        """After one dense block the workspace is the estimates, the scores, the CDF row and one row the loss's
+        kernels read: the Bayes labels (intp) under costs, the covered atoms (bool) under log loss."""
+        config = TrialConfig(**{**vars(self.wide_config(1.0)), "cost": cost})
+        fixed = _fixed(config)
+        _block(config, [np.random.default_rng(1)], 1000, *fixed)
+        shapes = [(2, self.M), (2, self.M), (self.M,), (self.M,)]
+        assert [(a.dtype, a.shape) for a in fixed[0]] == list(zip([float, float, float, spare], shapes))
 
     # Without estimate smoothing the KLs are infinite; with it the KL is summed in full.
     @pytest.mark.parametrize("laplace", [0.0, 1.0])
@@ -349,7 +369,7 @@ class TestRunPacExperiment:
     def test_sparse_experiment_holds_no_full_width_workspace(self):
         """An experiment whose every trial is batched builds its optimal risk and base sums leaf by leaf and never
         makes the dense workspace: its peak stays under two m-float arrays (the one CDF row and the leaf matrices),
-        where the workspace alone is 5.25, and the source's weighted masses are never made."""
+        where the rest of the workspace alone is 5, and the source's weighted masses are never made."""
         config = self.peaked_config()
         assert self.traced_peak(lambda: run_pac_experiment(config)) < 2 * self.M * 8
         assert "weighted_mass" not in config.source.__dict__

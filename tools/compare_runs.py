@@ -46,6 +46,8 @@ CASES = [
     # 262,144 and 131,072 atoms: all 90 trials batched, in 18 and 13 batches
     ["pipeline", "--source", BINARY, "--truncate", "17", "--n-grid", "500,3000,8000", *WIDE],
     ["pipeline", "--source", BINARY, "--truncate", "16", "--n-grid", "1000,3000,8000", *WIDE],
+    # 8,192 atoms, below where any trial batches: all 60 trials on every atom, most estimates written from their hits
+    ["pipeline", "--source", BINARY, "--truncate", "12", "--n-grid", "100,1000", *WIDE],
 ]
 
 
