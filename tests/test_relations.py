@@ -77,8 +77,9 @@ def relation_misses(transform, names: tuple, n: int = 200, seed: int = 3) -> tup
         (report, ok), moved = checked(priors, masses, cost), transform(rng, masses)
         other, other_ok = checked(priors, moved, cost)
         for name in names:
-            a, b, terms = getattr(report, name), getattr(other, name), moved.shape[-1] * len(priors)
-            misses[name] += abs(a - b) > gamma(moved.shape[-1] if name == "bound" else terms) * (a + b)
+            a, b = getattr(report, name), getattr(other, name)
+            terms = moved.shape[-1] * (1 if name == "bound" else len(priors))
+            misses[name] += abs(a - b) > gamma(terms) * (a + b)
         flips += (other_ok, other.satisfied) != (ok, report.satisfied)
     return misses, flips
 
