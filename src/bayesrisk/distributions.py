@@ -148,6 +148,7 @@ def _run_sums(flat: np.ndarray, counts: np.ndarray, scratch=None) -> np.ndarray:
 # atoms of a full pass for each atom of the leaves it sums afresh (the unit-mass, L1 and cost-risk sums of
 # 32,768-262,144 entries, each timed rebuilt against full pass on a 2-CPU VM).
 _TREE_ATOMS, _LEAF_PASSES = 1 << 16, 6
+_BATCH_ATOMS = _TREE_ATOMS + _LEAF_PASSES * _LEAF  # 66,304: no shorter row is rebuilt, no PAC trial on it batched
 # Most floats in a leaf matrix of _patched_sums (pipeline._BATCH_FLOATS bounds the other arrays of a batch).
 _LEAF_FLOATS = 1 << 14
 
@@ -156,7 +157,7 @@ def _few_leaves(n: int, atoms: np.ndarray) -> bool:
     """Whether summing afresh the leaves of a length-``n`` row that hold the sorted ``atoms`` costs less than a
     full pass over it; found first from the ``_LEAF``-atom blocks the atoms meet, as a leaf meets at most two."""
     most = (n - _TREE_ATOMS) // (_LEAF_PASSES * _LEAF)
-    if most < 1 or np.count_nonzero((blocks := atoms // _LEAF)[1:] != blocks[:-1]) >= 2 * most:
+    if n < _BATCH_ATOMS or np.count_nonzero((blocks := atoms // _LEAF)[1:] != blocks[:-1]) >= 2 * most:
         return False
     leaves = _pairwise_tree(n)[1].searchsorted(atoms, "right")
     return np.count_nonzero(leaves[1:] != leaves[:-1]) < most

@@ -23,19 +23,18 @@ experiment's one CDF row. A block gives its trials as columns, a row each,
 bounded at once by ``bounds._bound_columns`` as a sweep block is; the
 report's columns join the blocks', and ``per_n`` is taken from them.
 
-A trial on every atom runs on raw arrays in one workspace per experiment (the
-first such trial makes it around the CDF row), scored in either mode by
-``bounds._plugin_risk``: a cost-mode trial whose classes have full support
-allocates no m-sized array. A cost-mode trial whose every estimate is sparse
-(no add-lambda smoothing, at most one draw per 16 atoms), its hits on so few of
-numpy's 128-atom leaves that summing those afresh beats a full pass
-(``distributions._few_leaves``), joins a batch (``_sparse_batch``), written at
-its trials' rows: its sums are rebuilt from leaf sums in one tree pass per
-batch, its Bayes labels come from one cost product, and ``_BATCH_FLOATS`` caps
-each batch array. Where trials can be batched, the optimal risk and the base
-sums are built leaf by leaf, so a run whose every trial is batched holds no
-m-sized array but the class masses and the CDF row. Each output keeps its bits
-(``test_sparse_trials_equal_the_dense_kernels``).
+A trial on every atom counts its estimates with ``_add_lambda`` and runs on raw
+arrays in one workspace per experiment (the first such trial makes it around the
+CDF row), scored by ``bounds._plugin_risk``: a cost-mode trial whose classes
+have full support allocates no m-sized array. On ``distributions._BATCH_ATOMS``
+atoms or more, a cost-mode trial whose every estimate is sparse (no smoothing,
+at most one draw per 16 atoms), its hits on few enough of numpy's 128-atom
+leaves (``distributions._few_leaves``), joins a batch (``_sparse_batch``): its
+sums are rebuilt from leaf sums in one tree pass per batch, its Bayes labels
+come from one cost product, and ``_BATCH_FLOATS`` caps each batch array. There
+the optimal risk and the base sums are built leaf by leaf, so a run whose every
+trial is batched holds no m-sized array but the class masses and the CDF row.
+Each output keeps its bits (``test_sparse_trials_equal_the_dense_kernels``).
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ import numpy as np
 
 from .bounds import BoundReport, _bound_columns, _plugin_risk, theorem1_bound, theorem2_bound
 from .classify import CostMatrix, LabeledSource, _bayes_labels, _cost_leaves, _workspace, as_cost_array
-from .distributions import Distribution, Domain, _draw_indices, _exact_unit_mass, _few_leaves
+from .distributions import _BATCH_ATOMS, Distribution, Domain, _draw_indices, _exact_unit_mass, _few_leaves
 from .distributions import _json_float, _json_int, _kl_on_support, _l1_distance, _leaf_plan, _leaf_sums, _on_leaves
 from .distributions import _pairwise_tree, _patched_sums, _sorted_set, _tree_sum, _unit_sums
 from .pdfa import Pdfa, truncate_all
@@ -158,7 +157,8 @@ def empirical_estimator(
 
 
 def _add_lambda(mass: np.ndarray, idx: np.ndarray, laplace: float) -> None:
-    """Write the add-lambda estimate of the atom indices ``idx`` into ``mass``, unnormalized."""
+    """Write the add-lambda estimate of the atom indices ``idx`` into ``mass``, unnormalized; where it is sparse
+    (:func:`_sparse`), only the drawn atoms are divided, each count over n in the bits of the full divide."""
     mass.fill(0.0)
     np.add.at(mass, idx, 1.0)
     denom = idx.size + laplace * mass.size
@@ -167,15 +167,20 @@ def _add_lambda(mass: np.ndarray, idx: np.ndarray, laplace: float) -> None:
         return
     if laplace:  # counts are >= +0.0, so adding 0.0 would change no bit
         mass += laplace
-    mass /= denom
+    if laplace or not _sparse(idx, mass.size):
+        mass /= denom
+    else:
+        mass[idx] /= denom
 
 
-def _estimate(idx: np.ndarray, m: int, laplace: float):
-    """The add-lambda estimate of the atom indices ``idx`` over ``m`` atoms where it is sparse: without smoothing
-    and with at most one draw per 16 of ``_SPARSE_ATOMS`` or more atoms, its non-zero entries' atoms (the sorted
-    distinct draws) and those entries, each draw count over n, in :func:`_add_lambda`'s bits; else ``None``. Only
-    then do the hits' indexing pay for the passes saved."""
-    if laplace or m < _SPARSE_ATOMS or not 0 < 16 * idx.size <= m:
+def _sparse(idx: np.ndarray, m: int) -> bool:  # an unsmoothed estimate of at most one draw per 16 atoms
+    return 0 < 16 * idx.size <= m
+
+
+def _estimate(idx: np.ndarray, m: int):
+    """Where the unsmoothed estimate of the atom indices ``idx`` over ``m`` atoms is sparse (:func:`_sparse`), its
+    non-zero entries' atoms (the sorted distinct draws) and those entries, in :func:`_add_lambda`'s bits; else None."""
+    if not _sparse(idx, m):
         return None
     draws = np.sort(idx)
     first = np.flatnonzero(np.concatenate(([True], draws[1:] != draws[:-1])))  # idx is not empty
@@ -184,10 +189,6 @@ def _estimate(idx: np.ndarray, m: int, laplace: float):
 
 # Most draws (trials times sample size) in a block of trials; a larger trial is a block of its own.
 _BLOCK_DRAWS = 1 << 15
-# Fewest atoms at which an estimate goes sparse. Below 66,304 atoms no trial is batched, so that saves only the
-# zero fill and the divide: a dense 30-trial _block (k = 2-3, n = 20-100) took 0.89-0.99x the sparse one's time
-# at 4,096 atoms, 0.95-1.07x at 8,192, 1.11-1.18x at 32,768 and 1.03-1.45x at 65,536 (medians of 7, 2-CPU VM).
-_SPARSE_ATOMS = 4096
 # Most floats in a batch's slot rows, or in its arrays of hits (about 8 of k floats a hit); table in CHANGES.md.
 _BATCH_FLOATS = 1 << 15
 
@@ -208,23 +209,20 @@ def run_trial(
 
 
 def _fixed(config: TrialConfig):
-    """An experiment's workspace (four slots, at first holding only the CDF row of every block, at index 2), cost
-    array (``None`` under log loss), optimal risk (:func:`_plugin_risk` of the true classes, on that function's own
-    buffers), per class its mass, support (``None`` if full), support size and leaf sums, and the leaf sums of the
-    flattened label-0 weighted costs: what a batch's sums start from, taken only in cost mode if an estimate can go
-    sparse (``None`` else). Then the optimal risk and those sums are built leaf by leaf (``classify._cost_leaves``),
-    before the CDF row is made, and the source's weighted masses wait for the first dense trial."""
+    """An experiment's workspace (four slots, at first only the CDF row of every block, at index 2), cost array
+    (``None`` under log loss), optimal risk (:func:`_plugin_risk` of the true classes), per class its mass, support
+    (``None`` if full), support size and leaf sums, and the leaf sums of the flattened label-0 weighted costs: what a
+    batch's sums start from, taken only where trials can batch (``None`` else). There the optimal risk and those sums
+    are built leaf by leaf (``classify._cost_leaves``) before the CDF row, and no weighted masses are made."""
     source, (k, m) = config.source, (config.source.k, config.source.domain.size)
     costs = None if config.cost is None else config.cost.costs  # its shape checked with the config
-    sparse = costs is not None and not config.resolved_laplace and m >= _SPARSE_ATOMS
+    batch = costs is not None and not config.resolved_laplace and m >= _BATCH_ATOMS
     masses = [d.mass for d in source.class_dists]
-    classes = tuple((p, None if p.min() > 0.0 else p > 0.0, np.count_nonzero(p), _leaf_sums(m, p) if sparse else None)
+    classes = tuple((p, None if p.min() > 0.0 else p > 0.0, np.count_nonzero(p), _leaf_sums(m, p) if batch else None)
                     for p in masses)
-    if not sparse:
-        risk_opt, base = float(_plugin_risk(source.weighted_mass, source.weighted_mass, costs)), None
-    else:
-        risk_opt = float(_tree_sum(_leaf_sums(k * m, _cost_leaves(masses, source.priors, costs))))
-        base = _leaf_sums(k * m, _cost_leaves(masses, source.priors, costs, False))
+    risk_opt = float(_tree_sum(_leaf_sums(k * m, _cost_leaves(masses, source.priors, costs))) if batch
+                     else _plugin_risk(source.weighted_mass, source.weighted_mass, costs))
+    base = _leaf_sums(k * m, _cost_leaves(masses, source.priors, costs, False)) if batch else None
     return [None, None, np.empty(m), None], costs, risk_opt, classes, base
 
 
@@ -233,9 +231,9 @@ def _block(config: TrialConfig, rngs: Sequence[np.random.Generator], n: int, ws,
     sizes ``counts`` and per-class ``l1s`` and ``kls``, ``(trials, k)`` arrays, then :func:`_bound_columns`' fields.
     Every draw comes first, each generator making one trial's calls in its order (labels, then class 0, class 1,
     ...) into one buffer; each class's CDF, built once in the CDF row, answers the block's draws of that class.
-    Then a cost-mode trial with every estimate sparse on few leaves joins a batch (:func:`_sparse_batch`), whose
-    results are written at its trials' rows; any other writes its estimates into the workspace (the first one makes
-    it, ``[ests, scores, row, spare]`` around the CDF row) and runs on every atom. The bounds are checked once."""
+    Then a trial with every estimate sparse on few leaves joins a batch (:func:`_sparse_batch`), written at its
+    trials' rows; any other counts its estimates (:func:`_add_lambda`) into the workspace (the first one makes it,
+    ``[ests, scores, row, spare]`` around the CDF row) and runs on every atom. The bounds are checked once."""
     source, laplace, trials = config.source, config.resolved_laplace, len(rngs)
     k, m = source.k, source.domain.size
     uniforms = np.empty((trials, n))
@@ -250,10 +248,9 @@ def _block(config: TrialConfig, rngs: Sequence[np.random.Generator], n: int, ws,
         samples.append(np.split(_draw_indices(d.mass, flat[: ends[-1]], ws[2]), ends[:-1]))
     del uniforms, flat, trial_uniforms  # the loop's last view would keep the draws' buffer alive
     slots, batch, batched, used = max(k << _pairwise_tree(m)[0], 1 << _pairwise_tree(k * m)[0]), [], [], 0  # slot rows
-    dirty = [slice(None)] * k  # where each workspace row may be non-zero
     l1s, kls, risks = np.empty((trials, k)), np.empty((trials, k)), np.empty(trials)
     for t in range(trials):
-        hits = [_estimate(idx[t], m, laplace) for idx in samples] if costs_base is not None else [None] * k
+        hits = [_estimate(idx[t], m) for idx in samples] if costs_base is not None else [None] * k
         sparse = all(hit is not None and _few_leaves(m, hit[0]) for hit in hits)
         charge = max(slots, 8 * k * sum(at.size for at, _ in hits)) if sparse else 0  # or its hits' arrays
         if sparse and batch and used + charge > _BATCH_FLOATS:  # a trial the batch has no room for ends it
@@ -267,13 +264,8 @@ def _block(config: TrialConfig, rngs: Sequence[np.random.Generator], n: int, ws,
         if ws[0] is None:  # the first dense trial makes the workspace around the CDF row
             ws[:] = np.empty((k, m)), *_workspace((k, m), costs, row=ws[2])
         ests, row = ws[0], ws[2]
-        for i, (est, idx, hit) in enumerate(zip(ests, samples, hits)):
-            if hit is None:
-                _add_lambda(est, idx[t], laplace)
-            else:  # a sparse estimate on too many leaves: its entries are written, not counted again
-                est[dirty[i]] = 0.0
-                est[hit[0]] = hit[1]
-            dirty[i] = slice(None) if hit is None else hit[0]
+        for est, idx in zip(ests, samples):
+            _add_lambda(est, idx[t], laplace)
         _exact_unit_mass(ests)
         l1s[t] = [_l1_distance(p, q, row) for (p, *_), q in zip(classes, ests)]
         kls[t] = [_kl_on_support(p, q, support, row) for (p, support, *_), q in zip(classes, ests)]

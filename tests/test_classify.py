@@ -174,8 +174,8 @@ def batch_probe(rng, k, m, sizes):
 @pytest.mark.parametrize("m", [4_096, 131_072])
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_gathered_product_keeps_the_full_products_bits(k, m):
-    """A batch of sparse trials multiplies its trials' hit columns in one product. On each domain width the
-    pipeline goes sparse at, 12 batches of 1 to 40 trials, each trial of 1 to 3,000 columns (log-uniform, both
+    """A batch of sparse trials multiplies its trials' hit columns in one product. On a narrow domain and one the
+    pipeline batches at, 12 batches of 1 to 40 trials, each trial of 1 to 3,000 columns (log-uniform, both
     ends included, at most 6,000 in a batch), 12 batches of one lone column, padded, and the widest leaf chunk
     whose Bayes labels ``classify._cost_leaves`` takes from one product (``distributions._LEAF_FLOATS`` columns,
     or every atom), equal each trial's own product and the full product bit for bit. An unpadded lone column

@@ -30,6 +30,7 @@ from bayesrisk.pipeline import (
 )
 
 D2 = Domain.indexed(2)
+FLOOR = distributions._BATCH_ATOMS  # the fewest atoms on which a trial can batch
 
 
 def fixed_config(**overrides):
@@ -95,20 +96,27 @@ class TestEmpiricalEstimator:
 
 
 class TestEstimateHits:
-    """Without smoothing, with at most one draw per 16 atoms and on a domain of at least
-    ``_SPARSE_ATOMS`` atoms, ``_estimate`` returns the sorted atoms where the estimate is non-zero
-    and its entries there, which are the dense estimate's (``_add_lambda``'s) bit for bit."""
+    """``_add_lambda`` divides only the drawn atoms where an estimate is sparse (no smoothing, at most one draw per
+    16 atoms, ``_sparse``) and the whole row elsewhere. Either way the row holds, in bytes, ``bincount / n`` (or the
+    add-lambda formula, or the uniform fallback at n = 0), whatever the row held before. Where the estimate is
+    sparse, ``_estimate`` gives its non-zero atoms and its entries there in those bits, and else ``None``."""
 
-    M = pipeline._SPARSE_ATOMS
+    M = 4096
 
-    def check(self, draws, mass=None):
+    def check(self, draws, sparse, mass=None, laplace=0.0):
         mass = np.full(self.M, 0.5) if mass is None else mass
-        idx = np.array(draws)
-        at, entries = pipeline._estimate(idx, self.M, 0.0)
-        pipeline._add_lambda(mass, idx, 0.0)
-        assert at.tolist() == np.flatnonzero(mass > 0.0).tolist()
-        assert entries.tobytes() == mass[at].tobytes()
-        assert mass.tobytes() == (np.bincount(idx, minlength=self.M) / len(draws)).tobytes()
+        m, idx = mass.size, np.array(draws, dtype=np.intp)
+        assert (not laplace and pipeline._sparse(idx, m)) == sparse
+        pipeline._add_lambda(mass, idx, laplace)
+        tally, denom = np.bincount(idx, minlength=m).astype(float), len(draws) + laplace * m
+        expected = np.full(m, 1.0 / m) if denom == 0.0 else (tally + laplace if laplace else tally) / denom
+        assert mass.tobytes() == expected.tobytes()
+        hits = None if laplace else pipeline._estimate(idx, m)
+        assert (hits is not None) == sparse
+        if sparse:
+            at, entries = hits
+            assert at.tolist() == np.flatnonzero(mass > 0.0).tolist()
+            assert entries.tobytes() == mass[at].tobytes()
         return mass
 
     @pytest.mark.parametrize(
@@ -117,20 +125,42 @@ class TestEstimateHits:
         ids=["one-draw", "every-draw-on-one-atom", "last-atom", "last-and-first-atoms", "n-is-m-over-16"],
     )
     def test_hits_are_the_nonzero_atoms(self, draws):
-        self.check(draws)
+        self.check(draws, True)
 
     def test_more_than_one_draw_per_16_atoms_is_dense(self):
-        assert pipeline._estimate(np.arange(self.M // 16 + 1), self.M, 0.0) is None
+        self.check([40, 3, 40, 12] * (self.M // 64) + [self.M - 1], False)
 
     def test_a_domain_below_the_break_even_is_dense(self):
-        assert pipeline._estimate(np.array([7]), self.M - 1, 0.0) is None
+        """One draw is sparse on 16 atoms and dense on 15."""
+        self.check([7], True, mass=np.full(16, 0.5))
+        self.check([7], False, mass=np.full(15, 0.5))
 
     def test_row_holding_the_last_trials_hits(self):
-        """A dense trial writes its estimates over the last trial's in the workspace rows, so a row must hold
-        zeros off this trial's draws."""
-        mass = self.check([self.M - 1, 2, 30])
-        mass = self.check([5, 5, 30], mass=mass)
-        self.check([0, 17, 33, 33], mass=mass)
+        """A trial counts its estimates over the last trial's in the workspace rows, sparse or dense, so a row must
+        hold zeros off this trial's draws."""
+        mass = self.check([self.M - 1, 2, 30], True)
+        mass = self.check(list(range(0, self.M, 8)), False, mass=mass)
+        mass = self.check([5, 5, 30], True, mass=mass)
+        self.check([0, 17, 33, 33], True, mass=mass)
+
+    def test_no_draws_is_uniform(self):
+        self.check([], False)
+        self.check([], False, laplace=0.5)
+
+    def test_smoothing_divides_every_atom(self):
+        self.check([7, 7, 3], False, laplace=0.5)
+        self.check([40, 3, 40, 12] * (self.M // 64) + [self.M - 1], False, laplace=0.5)
+
+    @given(m=st.integers(1, 5_000), n=st.integers(0, 600), laplace=st.sampled_from([0.0, 0.5]),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_every_estimate_has_the_formulas_bits(self, m, n, laplace, seed):
+        """Draws with repeats on both sides of the 16-draw rule, into a row that held another estimate."""
+        rng = np.random.default_rng(seed)
+        mass = np.empty(m)
+        pipeline._add_lambda(mass, rng.integers(0, m, rng.integers(0, 50)), 0.0)
+        draws = rng.integers(0, min(m, n // 2 + 1), n).tolist()  # on at most about n / 2 atoms: repeats
+        self.check(draws, not laplace and 0 < 16 * n <= m, mass=mass, laplace=laplace)
 
 
 class TestRunTrial:
@@ -480,7 +510,7 @@ CAPS = {"one": 1, "default": pipeline._BATCH_FLOATS, "block": 1 << 40}
 @given(
     seed=st.integers(0, 2**32 - 1),
     k=st.integers(2, 5),
-    m=st.one_of(st.integers(1, 300), st.sampled_from([4000, 4096, 9000, 40000, 81_920])),
+    m=st.one_of(st.integers(1, 300), st.sampled_from([4000, 4096, 9000, 40000, FLOOR - 1, FLOOR, 81_920])),
     grid=st.lists(st.sampled_from([1, 3, 20, 150, 2000]), min_size=1, max_size=3),
     rare=st.booleans(),
     peaked=st.booleans(),
@@ -507,15 +537,15 @@ CAPS = {"one": 1, "default": pipeline._BATCH_FLOATS, "block": 1 << 40}
          laplace=0.0, trials=30, cap="default")
 def test_sparse_trials_equal_the_dense_kernels(seed, k, m, grid, rare, peaked, partial, ties, log_loss, laplace,
                                                trials, cap):
-    """Each ``_block`` trial, its estimates worked only at their hit atoms where lambda is 0, a class
-    drew at most one atom in 16 and the domain has at least ``_SPARSE_ATOMS`` atoms, has the counts,
-    L1s, KLs and plug-in risk in float.hex of the dense kernels on the same draws: n < m and n >> m,
-    with domains just below and at the break-even, and wide enough for 2,000 draws to be sparse,
-    one (81,920 atoms) wide enough for a generated peaked case at small n to be batched, classes that
-    share their likeliest atoms (so their hits meet in one column), a class that draws nothing (a prior
-    of 1e-3), a true class missing atoms, costs with two equal columns (ties), and several blocks of
-    several trials on one workspace, so each trial starts from the last one's atoms; batches of one
-    trial, of several and of a whole block."""
+    """Each ``_block`` trial, its estimates divided only at their hit atoms where lambda is 0 and a class drew
+    at most one atom in 16, and batched where it can be (``_BATCH_ATOMS`` atoms or more, hits on few leaves),
+    has the counts, L1s, KLs and plug-in risk in float.hex of the dense kernels on the same draws: n < m and
+    n >> m, with domains wide enough for 2,000 draws to be sparse, one atom below the batching floor and at it,
+    and one (81,920 atoms) wide enough for a generated peaked case at small n to be batched, classes that
+    share their likeliest atoms (so their hits meet in one column), a class that draws nothing (a prior of
+    1e-3), a true class missing atoms, costs with two equal columns (ties), and several blocks of several
+    trials on one workspace, so each trial starts from the last one's atoms; batches of one trial, of several
+    and of a whole block."""
     rng = np.random.default_rng(seed)
     source = random_source(rng, k, m)
     priors, dists = source.priors.copy(), source.class_dists
@@ -588,14 +618,15 @@ def test_a_block_mixes_batched_and_dense_trials():
     assert 0 < sum(batches) < 30 and len(batches) == 2
 
 
-@pytest.mark.parametrize("m", [4_096, 65_537, 131_072, 131_073])
+@pytest.mark.parametrize("m", [4_096, 65_537, FLOOR, FLOOR + 1, 131_072, 131_073])
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_leaf_built_sums_equal_the_full_width_ones(k, m):
-    """Where an estimate can go sparse, ``_fixed`` builds the optimal risk and the label-0 base leaf sums leaf by
-    leaf; they equal in float.hex the full-width ``_plugin_risk`` of the true classes and the leaf sums of the
-    flattened ``costs[:, :1] * weighted_mass``. Random, zero-one and tied costs (two equal columns), each scaled
-    by 10^U(-9, 9), with the last class missing about half the atoms; at 65,537 and 131,073 atoms leaves lie
-    across a class's end of the flattened ``(k, m)`` array."""
+    """Where trials can batch (``_BATCH_ATOMS`` atoms or more), ``_fixed`` builds the optimal risk and the label-0
+    base leaf sums leaf by leaf; they equal in float.hex the full-width ``_plugin_risk`` of the true classes and the
+    leaf sums of the flattened ``costs[:, :1] * weighted_mass``. Below it (4,096 atoms, and 65,537, past
+    ``_TREE_ATOMS``) it builds no base and takes that ``_plugin_risk`` itself. Random, zero-one and tied costs (two
+    equal columns), each scaled by 10^U(-9, 9), with the last class missing about half the atoms; at 66,305 and
+    131,073 atoms a leaf lies across every class's end of the flattened ``(k, m)`` array."""
     rng = np.random.default_rng([k, m])
     source = random_source(rng, k, m)
     weights = source.class_dists[-1].mass.copy()
@@ -611,12 +642,15 @@ def test_leaf_built_sums_equal_the_full_width_ones(k, m):
         _, _, risk_opt, _, base = _fixed(config)
         true = np.array([d.mass for d in source.class_dists])
         assert risk_opt.hex() == float(_plugin_risk(source.weighted_mass, true * source.priors[:, None], costs)).hex()
+        if m < FLOOR:
+            assert base is None
+            continue
         label_0 = costs[:, :1] * source.weighted_mass
         assert [v.hex() for v in base.tolist()] == [v.hex() for v in _leaf_sums(label_0.size, label_0.reshape(-1))
                                                     .tolist()]
 
 
-@pytest.mark.parametrize("m", [8_192, 131_072])
+@pytest.mark.parametrize("m", [FLOOR, 131_072])
 @pytest.mark.parametrize("atom", [0, 4_000])
 @pytest.mark.parametrize("k", [4, 5])
 def test_a_lone_hit_column_scores_as_the_dense_kernels(k, atom, m):
@@ -637,6 +671,22 @@ def test_a_lone_hit_column_scores_as_the_dense_kernels(k, atom, m):
     est[:, atom] = 1.0
     assert float(risk).hex() == float(_plugin_risk(source.weighted_mass, est * source.priors[:, None],
                                                                   costs)).hex()
+
+
+@pytest.mark.parametrize("m", [FLOOR - 1, FLOOR])
+def test_leaf_sums_are_built_only_where_trials_can_batch(m):
+    """``_fixed`` builds the class leaf sums, the label-0 base sums and the leaf-built optimal risk only on a domain
+    where a trial can batch: on ``_BATCH_ATOMS`` atoms, the fewest on which ``_few_leaves`` admits a leaf, and not
+    on one atom fewer, where it takes ``_plugin_risk`` of the true classes. The optimal risk has its bits either way."""
+    rng = np.random.default_rng(m)
+    source = random_source(rng, 2, m)
+    config = TrialConfig(source=source, cost=random_cost(rng, 2), sample_size=1, trials=30, epsilon_target=0.1,
+                         delta_target=0.05)
+    batches = distributions._few_leaves(m, np.array([0]))
+    assert batches == (m == FLOOR)
+    _, costs, risk_opt, classes, base = _fixed(config)
+    assert [leaves is not None for *_, leaves in classes] == [batches] * 2 and (base is not None) == batches
+    assert risk_opt.hex() == float(_plugin_risk(source.weighted_mass, source.weighted_mass, costs)).hex()
 
 
 class TestConfigValidation:

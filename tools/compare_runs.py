@@ -46,8 +46,10 @@ CASES = [
     # 262,144 and 131,072 atoms: all 90 trials batched, in 18 and 13 batches
     ["pipeline", "--source", BINARY, "--truncate", "17", "--n-grid", "500,3000,8000", *WIDE],
     ["pipeline", "--source", BINARY, "--truncate", "16", "--n-grid", "1000,3000,8000", *WIDE],
-    # 8,192 atoms, below where any trial batches: all 60 trials on every atom, most estimates written from their hits
+    # 8,192 and 65,536 atoms, below where any trial batches: every trial on every atom, each estimate counted by
+    # _add_lambda, which divides only the drawn atoms of 108 of 120 and of 91 of 180 estimates
     ["pipeline", "--source", BINARY, "--truncate", "12", "--n-grid", "100,1000", *WIDE],
+    ["pipeline", "--source", BINARY, "--truncate", "15", "--n-grid", "20,8192,12000", *WIDE],
 ]
 
 
