@@ -29,7 +29,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .distributions import SUM_TOL, Distribution, Domain, _json_float, _on_leaves, _run_sums
+from .distributions import SUM_TOL, Distribution, Domain, _json_float, _run_sums
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,44 +262,6 @@ def _cost_risk(costs, labels, weighted, out=None, on=True) -> np.ndarray:
         return weighted_costs.reshape(*weighted_costs.shape[:-2], -1).sum(axis=-1)
     counts = np.count_nonzero(cut := np.broadcast_to(on, weighted_costs.shape), axis=(-2, -1))
     return _run_sums(weighted_costs[cut], counts, weighted_costs.reshape(counts.size, -1))  # gathered, laid out anew
-
-
-def _cost_leaves(masses, priors, costs, bayes=True):
-    """A background of ``distributions._patched_sums``: the flattened ``(k, m)`` entries ``costs[i, label] *
-    weighted[i, x]`` of :func:`_cost_risk` on its leaves, in their bits, ``weighted[i]`` being ``masses[i] *
-    priors[i]`` and ``label`` the Bayes label of ``weighted`` at ``x`` (0 if not ``bayes``). The leaves' columns
-    are gathered from the class masses, only of each leaf's own class for label 0, and a leaf across a class's end
-    on its own: no array is longer than the leaves asked for, times k."""
-    k, m = len(masses), masses[0].size
-
-    def labels(weighted):
-        size = weighted.shape[1]
-        return _bayes_labels(costs, weighted, None, np.empty(size, np.intp), np.empty(size, np.intp)) if bayes else 0
-
-    def on_leaves(_, starts, length):
-        (of, at), count = np.divmod(starts, m), len(starts)
-        across = np.flatnonzero(at > m - length)  # its atoms end class ``of`` and start the next: redone below
-        at, entries = np.minimum(at, m - length), np.empty((count, length))
-        if bayes:
-            weighted = np.empty((k, count, length))
-            for w, mass, prior in zip(weighted, masses, priors):
-                np.multiply(_on_leaves(mass, at, length), prior, out=w)
-            label = labels(weighted.reshape(k, -1)).reshape(count, length)
-            np.multiply(costs[of[:, None], label], weighted[of, np.arange(count)], out=entries)
-        else:
-            for i in set(of.tolist()):
-                own = of == i
-                on_class = _on_leaves(masses[i], at[own], length)
-                on_class *= priors[i]
-                on_class *= costs[i, 0]
-                entries[own] = on_class
-        for p in across:
-            rows, atoms = np.divmod(starts[p] + np.arange(length), m)
-            weighted = np.stack([mass[atoms] * prior for mass, prior in zip(masses, priors)])
-            entries[p] = costs[rows, labels(weighted)] * weighted[rows, np.arange(length)]
-        return entries
-
-    return on_leaves
 
 
 def posterior(source: LabeledSource, atom: str) -> np.ndarray:

@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -77,7 +77,9 @@ class Domain:
     @classmethod
     def indexed(cls, size: int) -> "Domain":
         """Canonical domain ``{x0, x1, ..., x<size-1>}``."""
-        return cls(tuple(f"x{i}" for i in range(_json_int(size, "size"))))
+        if (size := _json_int(size, "size")) < 1:
+            raise ValueError("domain must contain at least one atom")
+        return _trusted(cls, atoms=tuple(f"x{i}" for i in range(size)))  # distinct strings: nothing to check
 
     @cached_property
     def _positions(self) -> dict[str, int]:
@@ -97,36 +99,6 @@ class Domain:
             raise KeyError(f"atom {atom!r} is not in the domain") from None
 
 
-def _sorted_set(values: np.ndarray) -> np.ndarray:
-    """``np.unique`` of the non-empty 1-D ``values``, without its first call's import of numpy.ma."""
-    ordered = np.sort(values)
-    return ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
-
-
-# numpy sums a float row of more than _LEAF entries as the sum of its first n // 2 entries, rounded down to
-# a multiple of _LANES, plus the sum of the rest; a leaf, a row of at most _LEAF, it sums in _LANES
-# interleaved accumulators (Higham, Accuracy and Stability of Numerical Algorithms, section 4.2).
-_LEAF, _LANES = 128, 8
-
-
-@lru_cache(maxsize=16)  # an experiment sums rows of two lengths, m and k * m
-def _pairwise_tree(n: int, built=None):
-    """numpy's summation tree of a float row of length ``n``: its height, and its leaves' starts, lengths
-    and slots in a perfect binary tree of that height, summed pairwise level by level. A subtree less tall
-    than its level takes the left half below it; the free slots hold 0.0, which adds no bit to any sum of
-    numpy's, never -0.0 (its sums start from 0.0). Subtrees are built once each into ``built``, not kept."""
-    built = {} if built is None else built
-    if n <= _LEAF:
-        built[n] = 0, np.zeros(1, int), np.array([n]), np.zeros(1, int)
-    elif n not in built:
-        half = n // 2 // _LANES * _LANES
-        (left, *lows), (right, *highs) = (_pairwise_tree.__wrapped__(size, built) for size in (half, n - half))
-        height = max(left, right) + 1
-        offsets = np.array([[half], [0], [1 << height - 1]])
-        built[n] = height, *(np.concatenate(pair) for pair in zip(lows, highs + offsets))
-    return built[n]
-
-
 def _ragged_sums(values: np.ndarray, on=True) -> np.ndarray:
     """numpy's sum of each row of the 2-D ``values`` on its prefix of the mask ``on`` (``True``: whole rows), bit for
     bit, whatever lies past the prefix: a masked reduction hands numpy's summation loop each row's unmasked prefix as
@@ -142,84 +114,6 @@ def _run_sums(flat: np.ndarray, counts: np.ndarray, scratch=None) -> np.ndarray:
     rows = np.zeros((counts.size, counts.max())) if scratch is None else scratch
     rows[on := np.arange(rows.shape[1]) < counts.reshape(-1, 1)] = flat
     return _ragged_sums(rows, on).reshape(counts.shape)
-
-
-# A sum rebuilt from leaf sums costs about what a full pass over _TREE_ATOMS atoms costs, plus _LEAF_PASSES
-# atoms of a full pass for each atom of the leaves it sums afresh (the unit-mass, L1 and cost-risk sums of
-# 32,768-262,144 entries, each timed rebuilt against full pass on a 2-CPU VM).
-_TREE_ATOMS, _LEAF_PASSES = 1 << 16, 6
-_BATCH_ATOMS = _TREE_ATOMS + _LEAF_PASSES * _LEAF  # 66,304: no shorter row is rebuilt, no PAC trial on it batched
-# Most floats in a leaf matrix of _patched_sums (pipeline._BATCH_FLOATS bounds the other arrays of a batch).
-_LEAF_FLOATS = 1 << 14
-
-
-def _few_leaves(n: int, atoms: np.ndarray) -> bool:
-    """Whether summing afresh the leaves of a length-``n`` row that hold the sorted ``atoms`` costs less than a
-    full pass over it; found first from the ``_LEAF``-atom blocks the atoms meet, as a leaf meets at most two."""
-    most = (n - _TREE_ATOMS) // (_LEAF_PASSES * _LEAF)
-    if n < _BATCH_ATOMS or np.count_nonzero((blocks := atoms // _LEAF)[1:] != blocks[:-1]) >= 2 * most:
-        return False
-    leaves = _pairwise_tree(n)[1].searchsorted(atoms, "right")
-    return np.count_nonzero(leaves[1:] != leaves[:-1]) < most
-
-
-def _leaf_sums(n: int, row, leaves=None, out=None) -> np.ndarray:
-    """numpy's sums of the ``leaves`` (every leaf if ``None``) of the length-``n`` float ``row``, or of the row
-    that the :func:`_patched_sums` background ``row`` makes leaf by leaf, written at their slots into ``out``
-    (zeros if ``None``), which is returned."""
-    height, starts = _pairwise_tree(n)[:2]
-    leaves = np.arange(len(starts)) if leaves is None else leaves
-    out = np.zeros(1 << height) if out is None else out
-    none = np.zeros(len(leaves) + 1, np.intp)  # the plan of a row changed nowhere
-    background = row if callable(row) else lambda _, *at: _on_leaves(row, *at)
-    _patched_sums(n, (none[1:], leaves, none, none[:0]), none[:0], out[None], background)
-    return out
-
-
-def _tree_sum(sums: np.ndarray) -> np.ndarray:
-    """numpy's sum of each row whose leaf sums, at their slots, are the last axis of ``sums``."""
-    while sums.shape[-1] > 1:
-        sums = sums[..., ::2] + sums[..., 1::2]
-    return sums[..., 0]
-
-
-def _on_leaves(row: np.ndarray, starts: np.ndarray, length: int) -> np.ndarray:
-    """The contiguous 1-D ``row`` on the runs of ``length`` atoms at ``starts``, a run a row."""
-    return np.ndarray((row.size - length + 1, length), row.dtype, row, 0, row.strides * 2)[starts]
-
-
-def _leaf_plan(n: int, rows: np.ndarray, atoms: np.ndarray):
-    """The leaves of length-``n`` rows that hold ``atoms``, sorted within each of their non-decreasing ``rows``: the
-    row and leaf of each (row, leaf) pair, each pair's first atom and then the atom count, each atom's offset."""
-    starts = _pairwise_tree(n)[1]
-    leaf = starts.searchsorted(atoms, "right") - 1
-    pair = rows * len(starts) + leaf
-    first = np.flatnonzero(np.concatenate((pair[:1] >= 0, pair[1:] != pair[:-1])))  # pairs are non-negative
-    return rows[first], leaf[first], np.append(first, len(atoms)), atoms - starts[leaf]
-
-
-def _patched_sums(n: int, plan, values: np.ndarray, out: np.ndarray, background=None, chosen=None) -> np.ndarray:
-    """numpy's sums of length-``n`` rows that are ``background(rows, starts, length)`` (zero if ``None``) but at
-    the atoms of a :func:`_leaf_plan`, where they are ``values``: the plan's leaves (or those of its pairs ``chosen``)
-    are summed afresh into the slot rows ``out``, at most ``_LEAF_FLOATS`` entries at a time, and joined."""
-    rows, leaves, bounds, offsets = plan
-    _, starts, lengths, slots = _pairwise_tree(n)
-    if chosen is not None or ((size := lengths[leaves])[1:] < size[:-1]).any():  # pairs in runs of one length
-        pairs = np.arange(len(leaves)) if chosen is None else chosen
-        pairs = pairs[np.argsort(lengths[leaves[pairs]], kind="stable")]
-        count = bounds[pairs + 1] - bounds[pairs]
-        hit = np.arange(count.sum()) + np.repeat(bounds[pairs] - count.cumsum() + count, count)
-        rows, leaves, bounds = rows[pairs], leaves[pairs], np.concatenate(([0], count.cumsum()))
-        offsets, values = offsets[hit], values[hit]
-    size = lengths[leaves]
-    cuts = sorted({*range(0, len(size), _LEAF_FLOATS // _LEAF), *(np.flatnonzero(size[1:] != size[:-1]) + 1)})
-    for p0, p1 in zip(cuts, [*cuts[1:], len(size)]):
-        cut, leaf, length = bounds[p0 : p1 + 1], leaves[p0:p1], int(size[p0])  # the atoms from cut[0] to cut[-1]
-        on_leaves = np.zeros((p1 - p0, length)) if background is None else background(rows[p0:p1], starts[leaf], length)
-        on_leaves[np.arange(p1 - p0).repeat(cut[1:] - cut[:-1]), offsets[cut[0] : cut[-1]]] = values[cut[0] : cut[-1]]
-        out[rows[p0:p1], slots[leaf]] = on_leaves.sum(axis=1)
-        del on_leaves  # else two matrices would be alive as the next one is made
-    return _tree_sum(out)
 
 
 def _exact_unit_mass(mass: np.ndarray, on=True) -> np.ndarray:

@@ -26,14 +26,14 @@ report's columns join the blocks', and ``per_n`` is taken from them.
 A trial on every atom counts its estimates with ``_add_lambda`` and runs on raw
 arrays in one workspace per experiment (the first such trial makes it around the
 CDF row), scored by ``bounds._plugin_risk``: a cost-mode trial whose classes
-have full support allocates no m-sized array. On ``distributions._BATCH_ATOMS``
-atoms or more, a cost-mode trial whose every estimate is sparse (no smoothing,
-at most one draw per 16 atoms), its hits on few enough of numpy's 128-atom
-leaves (``distributions._few_leaves``), joins a batch (``_sparse_batch``): its
-sums are rebuilt from leaf sums in one tree pass per batch, its Bayes labels
-come from one cost product, and ``_BATCH_FLOATS`` caps each batch array. There
-the optimal risk and the base sums are built leaf by leaf, so a run whose every
-trial is batched holds no m-sized array but the class masses and the CDF row.
+have full support allocates no m-sized array. On ``_BATCH_ATOMS`` atoms or
+more, a cost-mode trial whose every estimate is sparse (no smoothing, at most
+one draw per 16 atoms), its hits on few enough of numpy's 128-atom leaves
+(``_few_leaves``), joins a batch (``_sparse_batch``): its sums are rebuilt from
+the leaf sums of numpy's summation tree (``_pairwise_tree``), one tree pass a
+batch, its labels come from one cost product, and ``_BATCH_FLOATS`` caps each
+batch array. The optimal risk and base sums are then built leaf by leaf, so a
+fully batched run holds no m-sized array but the class masses and the CDF row.
 Each output keeps its bits (``test_sparse_trials_equal_the_dense_kernels``).
 """
 
@@ -41,15 +41,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import MISSING, dataclass, fields
+from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .bounds import BoundReport, _bound_columns, _plugin_risk, theorem1_bound, theorem2_bound
-from .classify import CostMatrix, LabeledSource, _bayes_labels, _cost_leaves, _workspace, as_cost_array
-from .distributions import _BATCH_ATOMS, Distribution, Domain, _draw_indices, _exact_unit_mass, _few_leaves
-from .distributions import _json_float, _json_int, _kl_on_support, _l1_distance, _leaf_plan, _leaf_sums, _on_leaves
-from .distributions import _pairwise_tree, _patched_sums, _sorted_set, _tree_sum, _unit_sums
+from .classify import CostMatrix, LabeledSource, _bayes_labels, _workspace, as_cost_array
+from .distributions import Distribution, Domain, _draw_indices, _exact_unit_mass, _json_float, _json_int
+from .distributions import _kl_on_support, _l1_distance, _unit_sums
 from .pdfa import Pdfa, truncate_all
 
 
@@ -193,6 +193,149 @@ _BLOCK_DRAWS = 1 << 15
 _BATCH_FLOATS = 1 << 15
 
 
+# numpy sums a float row of more than _LEAF entries as the sum of its first n // 2 entries, rounded down to
+# a multiple of _LANES, plus the sum of the rest; a leaf, a row of at most _LEAF, it sums in _LANES
+# interleaved accumulators (Higham, Accuracy and Stability of Numerical Algorithms, section 4.2).
+_LEAF, _LANES = 128, 8
+
+
+@lru_cache(maxsize=16)  # an experiment sums rows of two lengths, m and k * m
+def _pairwise_tree(n: int, built=None):
+    """numpy's summation tree of a float row of length ``n``: its height, and its leaves' starts, lengths
+    and slots in a perfect binary tree of that height, summed pairwise level by level. A subtree less tall
+    than its level takes the left half below it; the free slots hold 0.0, which adds no bit to any sum of
+    numpy's, never -0.0 (its sums start from 0.0). Subtrees are built once each into ``built``, not kept."""
+    built = {} if built is None else built
+    if n <= _LEAF:
+        built[n] = 0, np.zeros(1, int), np.array([n]), np.zeros(1, int)
+    elif n not in built:
+        half = n // 2 // _LANES * _LANES
+        (left, *lows), (right, *highs) = (_pairwise_tree.__wrapped__(size, built) for size in (half, n - half))
+        height = max(left, right) + 1
+        offsets = np.array([[half], [0], [1 << height - 1]])
+        built[n] = height, *(np.concatenate(pair) for pair in zip(lows, highs + offsets))
+    return built[n]
+
+
+# A sum rebuilt from leaf sums costs about what a full pass over _TREE_ATOMS atoms costs, plus _LEAF_PASSES
+# atoms of a full pass for each atom of the leaves it sums afresh (the unit-mass, L1 and cost-risk sums of
+# 32,768-262,144 entries, each timed rebuilt against full pass on a 2-CPU VM).
+_TREE_ATOMS, _LEAF_PASSES = 1 << 16, 6
+_BATCH_ATOMS = _TREE_ATOMS + _LEAF_PASSES * _LEAF  # 66,304: no shorter row is rebuilt, no PAC trial on it batched
+# Most floats in a leaf matrix of _patched_sums (_BATCH_FLOATS bounds the other arrays of a batch).
+_LEAF_FLOATS = 1 << 14
+
+
+def _few_leaves(n: int, atoms: np.ndarray) -> bool:
+    """Whether summing afresh the leaves of a length-``n`` row that hold the sorted ``atoms`` costs less than a
+    full pass over it; found first from the ``_LEAF``-atom blocks the atoms meet, as a leaf meets at most two."""
+    most = (n - _TREE_ATOMS) // (_LEAF_PASSES * _LEAF)
+    if n < _BATCH_ATOMS or np.count_nonzero((blocks := atoms // _LEAF)[1:] != blocks[:-1]) >= 2 * most:
+        return False
+    leaves = _pairwise_tree(n)[1].searchsorted(atoms, "right")
+    return np.count_nonzero(leaves[1:] != leaves[:-1]) < most
+
+
+def _leaf_sums(n: int, row) -> np.ndarray:
+    """numpy's sums of every leaf of the length-``n`` float ``row``, or of the row that the :func:`_patched_sums`
+    background ``row`` makes leaf by leaf, at their slots."""
+    height, starts = _pairwise_tree(n)[:2]
+    none, out = np.zeros(len(starts) + 1, np.intp), np.zeros(1 << height)  # none: the plan of a row changed nowhere
+    background = row if callable(row) else lambda _, *at: _on_leaves(row, *at)
+    _patched_sums(n, (none[1:], np.arange(len(starts)), none, none[:0]), none[:0], out[None], background)
+    return out
+
+
+def _tree_sum(sums: np.ndarray) -> np.ndarray:
+    """numpy's sum of each row whose leaf sums, at their slots, are the last axis of ``sums``."""
+    while sums.shape[-1] > 1:
+        sums = sums[..., ::2] + sums[..., 1::2]
+    return sums[..., 0]
+
+
+def _on_leaves(row: np.ndarray, starts: np.ndarray, length: int) -> np.ndarray:
+    """The contiguous 1-D ``row`` on the runs of ``length`` atoms at ``starts``, a run a row."""
+    return np.ndarray((row.size - length + 1, length), row.dtype, row, 0, row.strides * 2)[starts]
+
+
+def _leaf_plan(n: int, rows: np.ndarray, atoms: np.ndarray):
+    """The leaves of length-``n`` rows that hold ``atoms``, sorted within each of their non-decreasing ``rows``: the
+    row and leaf of each (row, leaf) pair, each pair's first atom and then the atom count, each atom's offset."""
+    starts = _pairwise_tree(n)[1]
+    leaf = starts.searchsorted(atoms, "right") - 1
+    pair = rows * len(starts) + leaf
+    first = np.flatnonzero(np.concatenate((pair[:1] >= 0, pair[1:] != pair[:-1])))  # pairs are non-negative
+    return rows[first], leaf[first], np.append(first, len(atoms)), atoms - starts[leaf]
+
+
+def _patched_sums(n: int, plan, values: np.ndarray, out: np.ndarray, background=None, chosen=None) -> np.ndarray:
+    """numpy's sums of length-``n`` rows that are ``background(rows, starts, length)`` (zero if ``None``) but at
+    the atoms of a :func:`_leaf_plan`, where they are ``values``: the plan's leaves (or those of its pairs ``chosen``)
+    are summed afresh into the slot rows ``out``, at most ``_LEAF_FLOATS`` entries at a time, and joined."""
+    rows, leaves, bounds, offsets = plan
+    _, starts, lengths, slots = _pairwise_tree(n)
+    if chosen is not None or ((size := lengths[leaves])[1:] < size[:-1]).any():  # pairs in runs of one length
+        pairs = np.arange(len(leaves)) if chosen is None else chosen
+        pairs = pairs[np.argsort(lengths[leaves[pairs]], kind="stable")]
+        count = bounds[pairs + 1] - bounds[pairs]
+        hit = np.arange(count.sum()) + np.repeat(bounds[pairs] - count.cumsum() + count, count)
+        rows, leaves, bounds = rows[pairs], leaves[pairs], np.concatenate(([0], count.cumsum()))
+        offsets, values = offsets[hit], values[hit]
+    size = lengths[leaves]
+    cuts = sorted({*range(0, len(size), _LEAF_FLOATS // _LEAF), *(np.flatnonzero(size[1:] != size[:-1]) + 1)})
+    for p0, p1 in zip(cuts, [*cuts[1:], len(size)]):
+        cut, leaf, length = bounds[p0 : p1 + 1], leaves[p0:p1], int(size[p0])  # the atoms from cut[0] to cut[-1]
+        on_leaves = np.zeros((p1 - p0, length)) if background is None else background(rows[p0:p1], starts[leaf], length)
+        on_leaves[np.arange(p1 - p0).repeat(cut[1:] - cut[:-1]), offsets[cut[0] : cut[-1]]] = values[cut[0] : cut[-1]]
+        out[rows[p0:p1], slots[leaf]] = on_leaves.sum(axis=1)
+        del on_leaves  # else two matrices would be alive as the next one is made
+    return _tree_sum(out)
+
+
+def _cost_leaves(masses, priors, costs, bayes=True):
+    """A background of :func:`_patched_sums`: the flattened ``(k, m)`` entries ``costs[i, label] *
+    weighted[i, x]`` of ``classify._cost_risk`` on its leaves, in their bits, ``weighted[i]`` being ``masses[i] *
+    priors[i]`` and ``label`` the Bayes label of ``weighted`` at ``x`` (0 if not ``bayes``). The leaves' columns
+    are gathered from the class masses, only of each leaf's own class for label 0, and a leaf across a class's end
+    on its own: no array is longer than the leaves asked for, times k."""
+    k, m = len(masses), masses[0].size
+
+    def labels(weighted):
+        size = weighted.shape[1]
+        return _bayes_labels(costs, weighted, None, np.empty(size, np.intp), np.empty(size, np.intp)) if bayes else 0
+
+    def on_leaves(_, starts, length):
+        (of, at), count = np.divmod(starts, m), len(starts)
+        across = np.flatnonzero(at > m - length)  # its atoms end class ``of`` and start the next: redone below
+        at, entries = np.minimum(at, m - length), np.empty((count, length))
+        if bayes:
+            weighted = np.empty((k, count, length))
+            for w, mass, prior in zip(weighted, masses, priors):
+                np.multiply(_on_leaves(mass, at, length), prior, out=w)
+            label = labels(weighted.reshape(k, -1)).reshape(count, length)
+            np.multiply(costs[of[:, None], label], weighted[of, np.arange(count)], out=entries)
+        else:
+            for i in set(of.tolist()):
+                own = of == i
+                on_class = _on_leaves(masses[i], at[own], length)
+                on_class *= priors[i]
+                on_class *= costs[i, 0]
+                entries[own] = on_class
+        for p in across:
+            rows, atoms = np.divmod(starts[p] + np.arange(length), m)
+            weighted = np.stack([mass[atoms] * prior for mass, prior in zip(masses, priors)])
+            entries[p] = costs[rows, labels(weighted)] * weighted[rows, np.arange(length)]
+        return entries
+
+    return on_leaves
+
+
+def _sorted_set(values: np.ndarray) -> np.ndarray:
+    """``np.unique`` of the non-empty 1-D ``values``, without its first call's import of numpy.ma."""
+    ordered = np.sort(values)
+    return ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+
+
 def run_trial(
     config: TrialConfig, rng: np.random.Generator, sample_size: Optional[int] = None
 ) -> TrialOutcome:
@@ -213,7 +356,7 @@ def _fixed(config: TrialConfig):
     (``None`` under log loss), optimal risk (:func:`_plugin_risk` of the true classes), per class its mass, support
     (``None`` if full), support size and leaf sums, and the leaf sums of the flattened label-0 weighted costs: what a
     batch's sums start from, taken only where trials can batch (``None`` else). There the optimal risk and those sums
-    are built leaf by leaf (``classify._cost_leaves``) before the CDF row, and no weighted masses are made."""
+    are built leaf by leaf (:func:`_cost_leaves`) before the CDF row, and no weighted masses are made."""
     source, (k, m) = config.source, (config.source.k, config.source.domain.size)
     costs = None if config.cost is None else config.cost.costs  # its shape checked with the config
     batch = costs is not None and not config.resolved_laplace and m >= _BATCH_ATOMS
@@ -282,7 +425,7 @@ def _sparse_batch(config: TrialConfig, batch, costs, classes, costs_base) -> tup
     """The per-class L1s and KLs, ``(trials, k)`` arrays, and the plug-in risks of a ``batch`` of cost-mode trials,
     each given per class as its estimate's atom set (:func:`_estimate`'s) and entries there, on few leaves. Each sum,
     the unit masses, the L1s and the risks (from one cost product), is numpy's over the full row, rebuilt in
-    lockstep (``distributions._patched_sums``)."""
+    lockstep (:func:`_patched_sums`)."""
     source, trials, (k, m) = config.source, len(batch), (config.source.k, config.source.domain.size)
     estimates = [hits[i] for i in range(k) for hits in batch]  # a row per class and trial, class by class
     atom, q = (np.concatenate(part) for part in zip(*estimates))

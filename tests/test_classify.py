@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bayesrisk import classify, distributions
+from bayesrisk import classify, pipeline
 from bayesrisk.bounds import example1_construction, example2_construction, excess_logloss_identity, random_source
 from bayesrisk.classify import (
     CostMatrix,
@@ -177,7 +177,7 @@ def test_gathered_product_keeps_the_full_products_bits(k, m):
     """A batch of sparse trials multiplies its trials' hit columns in one product. On a narrow domain and one the
     pipeline batches at, 12 batches of 1 to 40 trials, each trial of 1 to 3,000 columns (log-uniform, both
     ends included, at most 6,000 in a batch), 12 batches of one lone column, padded, and the widest leaf chunk
-    whose Bayes labels ``classify._cost_leaves`` takes from one product (``distributions._LEAF_FLOATS`` columns,
+    whose Bayes labels ``pipeline._cost_leaves`` takes from one product (``pipeline._LEAF_FLOATS`` columns,
     or every atom), equal each trial's own product and the full product bit for bit. An unpadded lone column
     takes another BLAS kernel, which missed in 73 of 240 probes at k = 4-5 with OpenBLAS 0.3.31 (test_mutations
     checks that this test sees it, and sees a chunk multiplied one column at a time)."""
@@ -186,7 +186,7 @@ def test_gathered_product_keeps_the_full_products_bits(k, m):
     for trials in rng.integers(1, 41, 9):
         top = math.log(min(3_000, 6_000 // trials) + 1)
         shapes.append(np.exp(rng.uniform(0.0, top, trials)).astype(int).tolist())
-    for sizes in [*shapes, *[[1]] * 12, [min(m, distributions._LEAF_FLOATS)]]:
+    for sizes in [*shapes, *[[1]] * 12, [min(m, pipeline._LEAF_FLOATS)]]:
         batch_probe(rng, k, m, sizes)
 
 

@@ -8,20 +8,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import bayesrisk.distributions as distributions
+import bayesrisk.pipeline as pipeline
 from bayesrisk.distributions import (
     Distribution,
     Domain,
     QuantizedClassSpec,
     _draw_indices,
-    _few_leaves,
     _kl_on_support,
-    _leaf_plan,
-    _leaf_sums,
-    _on_leaves,
-    _pairwise_tree,
-    _patched_sums,
-    _tree_sum,
     kl_divergence,
     l1_distance,
     make_distribution,
@@ -29,6 +22,7 @@ from bayesrisk.distributions import (
     random_quantized,
     sample,
 )
+from bayesrisk.pipeline import _few_leaves, _leaf_plan, _leaf_sums, _on_leaves, _pairwise_tree, _patched_sums
 
 D2 = Domain.indexed(2)
 
@@ -349,16 +343,11 @@ def _base_leaf_sums(row: np.ndarray) -> np.ndarray:
     return _leaf_sums(row.size, row)
 
 
-def _leaves(n: int, atoms: np.ndarray) -> np.ndarray:
-    """The leaves that hold ``atoms``, each once: the last leaf starting at or before each."""
-    return np.unique(_pairwise_tree(n)[1].searchsorted(atoms, "right") - 1)
-
-
 def check_tree_sums(n: int, kind: str, rng) -> None:
     """The kernel against ``ndarray.sum`` in float.hex at length ``n``: on a 1-D row, on the second row of a
     ``(2, n)`` array summed along its rows, and on that array flattened. Each is a base row with the atoms
-    of ``kind`` changed, summed from the base's leaf sums, and the same row zero off those atoms, summed
-    from zero leaf sums; only the leaves holding those atoms are summed afresh."""
+    of ``kind`` changed, summed as a one-row plan from the base's leaf sums, and the same row zero off those
+    atoms, summed from zero leaf sums; only the leaves holding those atoms are summed afresh."""
     base = rng.random((2, n)) * 2.0 ** rng.integers(-20, 20, (2, n))
     cases = [
         (base[0], _hit_atoms(kind, n, rng), lambda row: row.sum()),
@@ -368,10 +357,12 @@ def check_tree_sums(n: int, kind: str, rng) -> None:
     for before, at, numpy_sum in cases:
         after, alone = before.copy(), np.zeros_like(before)
         after[at] = alone[at] = rng.random(len(at))
-        from_base = _leaf_sums(after.size, after, _leaves(after.size, at), _base_leaf_sums(before))
-        from_zero = _leaf_sums(alone.size, alone, _leaves(alone.size, at))
-        assert float(_tree_sum(from_base)).hex() == float(numpy_sum(after)).hex()
-        assert float(_tree_sum(from_zero)).hex() == float(numpy_sum(alone)).hex()
+        size, plan = before.size, _leaf_plan(before.size, np.zeros(len(at), int), at)  # every atom in row 0
+        from_base = _patched_sums(size, plan, after[at], _base_leaf_sums(before)[None],
+                                  lambda _, starts, length: _on_leaves(before, starts, length))
+        from_zero = _patched_sums(size, plan, alone[at], np.zeros((1, 1 << _pairwise_tree(size)[0])))
+        assert float(from_base[0]).hex() == float(numpy_sum(after)).hex()
+        assert float(from_zero[0]).hex() == float(numpy_sum(alone)).hex()
 
 
 def check_tree_rows(n: int, kind: str, rng, rows: int = 3) -> None:
@@ -415,8 +406,8 @@ class TestPairwiseTree:
         the full pass; else its leaves are few, each leaf counted once however many of its atoms are hit."""
         n = 131_072
         starts = _pairwise_tree(n)[1]
-        most = (n - distributions._TREE_ATOMS) // (distributions._LEAF_PASSES * distributions._LEAF)
-        assert not _few_leaves(distributions._TREE_ATOMS - 1, np.array([0]))
+        most = (n - pipeline._TREE_ATOMS) // (pipeline._LEAF_PASSES * pipeline._LEAF)
+        assert not _few_leaves(pipeline._TREE_ATOMS - 1, np.array([0]))
         assert _few_leaves(n, np.array([0, 1, 200]))
         assert _few_leaves(n, np.sort(np.concatenate((starts[:most] + 5, starts[:most] + 6))))
         assert not _few_leaves(n, starts[: most + 1])

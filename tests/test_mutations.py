@@ -215,9 +215,9 @@ def tree_mutation(request, monkeypatch):
     import test_distributions
 
     if request.param == "split-not-rounded-to-8":
-        monkeypatch.setattr(distributions, "_LANES", 1)
-        distributions._pairwise_tree.cache_clear()
-        request.addfinalizer(distributions._pairwise_tree.cache_clear)
+        monkeypatch.setattr(pipeline, "_LANES", 1)
+        pipeline._pairwise_tree.cache_clear()
+        request.addfinalizer(pipeline._pairwise_tree.cache_clear)
     else:
         for module, name in ((test_distributions, "_base_leaf_sums"), (pipeline, "_leaf_sums")):
             real = getattr(module, name)
@@ -287,11 +287,11 @@ def test_a_broken_ragged_sum_fails_its_pin(tmp_path, monkeypatch, broken):
 
 def test_a_chunk_labelled_one_column_at_a_time_fails_the_gathered_product_pin(monkeypatch):
     """With a leaf chunk's Bayes labels taken from unpadded one-column products, the scores of
-    ``classify._cost_leaves`` that the optimal risk rests on leave the full product's bits: the pin's probe of the
+    ``pipeline._cost_leaves`` that the optimal risk rests on leave the full product's bits: the pin's probe of the
     widest chunk (16,384 columns of 131,072 atoms) fails at k = 4 and 5, though it passes as one product."""
     import test_classify
 
-    probe = dict(m=131_072, sizes=[distributions._LEAF_FLOATS])
+    probe = dict(m=131_072, sizes=[pipeline._LEAF_FLOATS])
     for k in (4, 5):
         test_classify.batch_probe(np.random.default_rng(k), k, **probe)
     columns = lambda costs, w: [np.matmul(costs.T, w[:, j : j + 1]) for j in range(w.shape[1])]

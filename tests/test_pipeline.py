@@ -13,11 +13,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bayesrisk import distributions, pipeline
+from bayesrisk import pipeline
 from bayesrisk.bounds import _plugin_risk, random_cost, random_source
 from bayesrisk.classify import CostMatrix, LabeledSource
 from bayesrisk.distributions import Distribution, Domain, _draw_indices, _exact_unit_mass, make_distribution
-from bayesrisk.distributions import _kl_on_support, _l1_distance, _leaf_sums
+from bayesrisk.distributions import _kl_on_support, _l1_distance
 from bayesrisk.pipeline import (
     TrialConfig,
     config_from_dict,
@@ -25,12 +25,13 @@ from bayesrisk.pipeline import (
     empirical_estimator,
     _block,
     _fixed,
+    _leaf_sums,
     run_pac_experiment,
     run_trial,
 )
 
 D2 = Domain.indexed(2)
-FLOOR = distributions._BATCH_ATOMS  # the fewest atoms on which a trial can batch
+FLOOR = pipeline._BATCH_ATOMS  # the fewest atoms on which a trial can batch
 
 
 def fixed_config(**overrides):
@@ -373,9 +374,9 @@ class TestRunPacExperiment:
 
     def test_sparse_trial_allocates_no_full_width_array(self, monkeypatch):
         """A trial whose draws fall on few of numpy's leaves sums those leaves afresh, at most
-        ``distributions._LEAF_FLOATS`` floats at a time: no returning temporary is as large as m floats."""
-        trees, tree_sum = [], distributions._tree_sum
-        monkeypatch.setattr(distributions, "_tree_sum", lambda sums: trees.append(len(sums)) or tree_sum(sums))
+        ``pipeline._LEAF_FLOATS`` floats at a time: no returning temporary is as large as m floats."""
+        trees, tree_sum = [], pipeline._tree_sum
+        monkeypatch.setattr(pipeline, "_tree_sum", lambda sums: trees.append(len(sums)) or tree_sum(sums))
         config = self.peaked_config()
         fixed, atom_sets, estimate = _fixed(config), [], pipeline._estimate
         monkeypatch.setattr(pipeline, "_estimate", lambda *args: atom_sets.append(estimate(*args)) or atom_sets[-1])
@@ -385,7 +386,7 @@ class TestRunPacExperiment:
 
     def test_sparse_block_allocates_no_full_width_array(self, monkeypatch):
         """A block of 30 such trials, worked in batches, holds no more than one m-float array would: the batches'
-        arrays are capped by ``_BATCH_FLOATS``, their leaf matrices by ``distributions._LEAF_FLOATS``, and the
+        arrays are capped by ``_BATCH_FLOATS``, their leaf matrices by ``pipeline._LEAF_FLOATS``, and the
         block's uniform draws are freed once they are turned into atoms."""
         batches, sparse_batch = [], pipeline._sparse_batch
         monkeypatch.setattr(pipeline, "_sparse_batch", lambda config, batch, *fixed: batches.append(len(batch))
@@ -682,7 +683,7 @@ def test_leaf_sums_are_built_only_where_trials_can_batch(m):
     source = random_source(rng, 2, m)
     config = TrialConfig(source=source, cost=random_cost(rng, 2), sample_size=1, trials=30, epsilon_target=0.1,
                          delta_target=0.05)
-    batches = distributions._few_leaves(m, np.array([0]))
+    batches = pipeline._few_leaves(m, np.array([0]))
     assert batches == (m == FLOOR)
     _, costs, risk_opt, classes, base = _fixed(config)
     assert [leaves is not None for *_, leaves in classes] == [batches] * 2 and (base is not None) == batches

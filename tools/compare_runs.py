@@ -22,6 +22,7 @@ WIDE_BLOCKS = ["--trials", "500", "--k-max", "10", "--m-max", "2", "--seed", "3"
 DATA = Path(__file__).resolve().parent.parent / "tests" / "data"
 MACHINES = f"pdfa:{DATA / 'machine_half.json'},pdfa:{DATA / 'machine_quarter.json'}"
 BINARY = f"pdfa:{DATA / 'machine_binary_1.json'},pdfa:{DATA / 'machine_binary_2.json'}"
+SPREAD = f"pdfa:{DATA / 'machine_spread.json'},pdfa:{DATA / 'machine_binary_1.json'}"
 WIDE = ["--trials", "30", "--seed", "11"]
 CASES = [
     *([f"verify-theorem{t}", "--trials", "300", "--seed", seed] for t in "12" for seed in ("1", "42")),
@@ -50,6 +51,9 @@ CASES = [
     # _add_lambda, which divides only the drawn atoms of 108 of 120 and of 91 of 180 estimates
     ["pipeline", "--source", BINARY, "--truncate", "12", "--n-grid", "100,1000", *WIDE],
     ["pipeline", "--source", BINARY, "--truncate", "15", "--n-grid", "20,8192,12000", *WIDE],
+    # 131,072 atoms, a one-state machine's mass spread over every string: the 60 trials at n = 100 and 300 batched,
+    # the 30 at n = 2,000 sorted into hits, refused by _few_leaves and counted again on every atom
+    ["pipeline", "--source", SPREAD, "--truncate", "16", "--n-grid", "100,300,2000", *WIDE],
 ]
 
 
