@@ -16,12 +16,13 @@ Checkers invert the hypothesis: the effective ``eps`` is
 ``max_i g_i * divergence_i``, the tightest budget for which the
 hypothesis holds, which makes every check as strict as possible. An
 infinite per-class KL gives an infinite bound (vacuous hypothesis,
-trivially satisfied) so randomized sweeps stay total. A sweep makes its
-instances in blocks: every draw first, then each row kernel once per block, on
-its class rows zero-padded to one width and cut by one prefix mask. Every risk,
+trivially satisfied) so randomized sweeps stay total. A sweep draws its
+instances in draw blocks, every draw of a block first, and computes them in
+batches of consecutive draw blocks: each row kernel once per batch, on its class
+rows zero-padded to one width and cut by one prefix mask. Every risk,
 in the checks, the PAC trial and the tightness search, is ``_plugin_risk`` on
 raw ``(k, m)`` masses, stacked; the optimal risk is that scorer on the true classes.
-A block's checks are columns (``_checks``), their excess, bound, slack and verdict
+A batch's checks are columns (``_checks``), their excess, bound, slack and verdict
 from ``_bound_columns`` alone; report objects are built from their rows only for a
 violation, a replay and the public checks. Every verdict "value <= bound" is
 decided by ``_within``, the one place ``BOUND_TOL`` is read.
@@ -61,6 +62,10 @@ KL = "KL"
 # is part of a sweep's stream: its draws are made a block at a time.
 _BLOCK_BYTES = 1 << 20
 _ROW_COPIES, _INSTANCE_BYTES = 5, 2560
+# Draw blocks computed and checked at once, a batch (smoothing's too): the most whose 3,000-instance CLI sweep peaks
+# under three blocks' bytes (2.9 MB by tracemalloc; 5 peak at 3.4 MB). 1 to 6 took the 10k default sweeps 0.36 s /
+# 0.57 s (theorem 1 / 2) to 0.29 s / 0.38 s, 4 0.34 s / 0.43 s.
+_BATCH_BLOCKS = 4
 
 
 @dataclass(frozen=True)
@@ -127,22 +132,23 @@ def _within(value, bound):
 
 def theorem1_bound(epsilon: float, k: int, cost: CostLike) -> float:
     """Cost-loss excess bound ``epsilon * k * max_ij c_ij``, the log-loss bound times the largest cost; elementwise for
-    a block of instances of ``k`` classes: an array of budgets and the ``(n, k, k)`` array of their costs, valid as
-    :func:`_costs` drew them or as ``as_cost_array`` checked them."""
+    instances: arrays of budgets and class counts and the ``(n, w, w)`` array of their costs, each in its corner and
+    zero past it, valid as :func:`_costs` drew them or as ``as_cost_array`` checked them."""
     bound = theorem2_bound(epsilon, k)
     return bound * (cost.max(axis=(1, 2)) if isinstance(epsilon, np.ndarray) else float(as_cost_array(cost, k).max()))
 
 
 def theorem2_bound(epsilon: float, k: int) -> float:
-    """Log-loss excess bound ``k * epsilon`` (bits); elementwise for an array of budgets."""
+    """Log-loss excess bound ``k * epsilon`` (bits); elementwise for arrays of budgets and class counts."""
     if not np.all((epsilon if isinstance(epsilon, np.ndarray) else _json_float(epsilon, "epsilon")) >= 0.0):
         raise ValueError("epsilon must be non-negative")
-    return _json_int(k, "k") * epsilon
+    return (k if isinstance(epsilon, np.ndarray) else _json_int(k, "k")) * epsilon
 
 
-def _divergences(true: np.ndarray, est: np.ndarray, metric: str, on=True) -> np.ndarray:
-    """Each row's L1 (``L1``) or KL (``KL``, inf off the estimate's support) of ``(n, m)`` masses on the mask ``on``."""
-    return _l1_distance(true, est, on=on) if metric == L1 else _kl_on_support(true, est, true > 0.0)
+def _divergences(true: np.ndarray, est: np.ndarray, metric: str, on=True, scratch=None) -> np.ndarray:
+    """Each row's L1 (``L1``) or KL (``KL``, inf off the estimate's support) of ``(n, m)`` masses on the mask ``on``;
+    an L1's terms are written into ``scratch`` if given."""
+    return _l1_distance(true, est, scratch, on) if metric == L1 else _kl_on_support(true, est, true > 0.0)
 
 
 def _as_arrays(true_source: LabeledSource, est_dists: Sequence[Distribution], metric: str):
@@ -189,12 +195,13 @@ def _checks(priors, masses, divergences, costs, ks, on=True, identity=True) -> d
     (``None`` without ``identity`` or for an infinite KL), and ``ok``, under costs also ``excess <= refined <= bound``.
     Instance ``i`` has its ``ks[i]`` rows in turn in ``priors``, ``divergences`` and the ``(2, rows, width)``
     ``masses`` (true classes, then estimates), on the rows' prefix mask ``on``, and its costs in the corner of
-    ``costs[i]``. The instances of one class count, a quarter at most, are scored and bounded at once, in place."""
+    ``costs[i]``. A class count's instances are scored at once, in place, in runs of at most ``ceil(n / 4) * max(ks)``
+    class rows; the bounds are taken in one call."""
     starts, weighted = np.cumsum(ks) - ks, priors * divergences
-    eps, limits, risks = np.maximum.reduceat(weighted, starts), np.empty(len(ks)), np.empty((2, len(ks)))
-    refined, kls, most = np.full(len(ks), math.nan), np.empty(len(ks)), -(-len(ks) // 4)
+    eps, risks, kls = np.maximum.reduceat(weighted, starts), np.empty((2, len(ks))), np.empty(len(ks))
+    refined, most = np.full(len(ks), math.nan), -(-len(ks) // 4) * int(ks.max())
     for k, of_k in ((k, np.flatnonzero(ks == k)) for k in set(ks.tolist())):
-        for run in (of_k[at : at + most] for at in range(0, len(of_k), most)):
+        for run in (of_k[at : at + most // k] for at in range(0, len(of_k), most // k)):
             rows = (starts[run, None] + np.arange(k)).ravel()
             scored = (masses[:, rows] * priors[rows, None]).reshape(2, len(run), k, -1)
             group = None if costs is None else costs[run, :k, :k]
@@ -202,9 +209,9 @@ def _checks(priors, masses, divergences, costs, ks, on=True, identity=True) -> d
             risks[:, run] = _plugin_risk(scored[0], scored, group, on=cut)
             if group is not None:  # R = sum_i (max_j c_ij - min_j c_ij) g_i L1_i, between the excess and the bound
                 refined[run] = (np.ptp(group, axis=2) * weighted[rows].reshape(len(run), k)).sum(axis=1)
-            elif identity:  # a run's mixtures, not the block's, are held
+            elif identity:  # a run's mixtures, not the batch's, are held
                 kls[run] = _mixture_kl(scored.sum(axis=-2), cut if cut is True else cut[:, 0])
-            limits[run] = theorem2_bound(eps[run], k) if group is None else theorem1_bound(eps[run], k, group)
+    limits = theorem2_bound(eps, ks) if costs is None else theorem1_bound(eps, ks, costs)
     columns = {**_bound_columns(*risks, eps, limits), "refined": refined}
     rhs = np.full(len(ks), math.nan)
     if costs is None and identity:
@@ -327,13 +334,13 @@ def _bisect(fits, hi: float, steps: int) -> float:
     return lo
 
 
-def _into_budget(metric: str, true: np.ndarray, est: np.ndarray, limits: np.ndarray, on=True) -> np.ndarray:
+def _into_budget(metric: str, true: np.ndarray, est: np.ndarray, limits: np.ndarray, on=True, scratch=None):
     """Pull each row ``q`` of the ``(n, m)`` unit masses ``est`` whose :func:`_divergences` from its row ``p``
-    of ``true`` is over its entry of ``limits`` back toward ``p``, in place and at unit mass: under L1 to
-    ``p + t * (q - p)``, ``t`` the limit over the distance (non-negative in floats: rounding is monotone, so
-    q - p >= -p, t * (q - p) >= -p, sum >= 0), rows on the prefix mask ``on``; under KL to ``(1 - t) * p + t * q``,
-    ``t`` bisected in 50 steps, on whole rows."""
-    divergences = _divergences(true, est, metric, on)
+    of ``true`` (L1's terms written into ``scratch`` if given) is over its entry of ``limits`` back toward ``p``, in
+    place and at unit mass: under L1 to ``p + t * (q - p)``, ``t`` the limit over the distance (non-negative in floats:
+    rounding is monotone, so q - p >= -p, t * (q - p) >= -p, sum >= 0), rows on the prefix mask ``on``; under KL to
+    ``(1 - t) * p + t * q``, ``t`` bisected in 50 steps, on whole rows."""
+    divergences = _divergences(true, est, metric, on, scratch)
     over = np.flatnonzero(divergences > limits)
     if metric == KL:
         for i, limit in zip(over.tolist(), limits[over].tolist()):
@@ -364,8 +371,8 @@ def _perturb_rows(true: np.ndarray, budgets: np.ndarray, noise: np.ndarray, on=T
         t, limits, cut = true[at], budgets[moved], on if on is True else on[at]
         cand = np.multiply(noise[at], (limits / norms[moved])[:, None], out=est[at])
         cand += t
-        # np.maximum(x, 0.0) is np.clip(x, 0.0, None) without its Python wrapper.
-        est[at] = _into_budget(L1, t, _unit_rows(np.maximum(cand, 0.0, out=cand), cut, cand), limits, cut)
+        # np.maximum(x, 0.0) is np.clip(x, 0.0, None) without its Python wrapper; the spent noise holds L1's terms.
+        est[at] = _into_budget(L1, t, _unit_rows(np.maximum(cand, 0.0, out=cand), cut, cand), limits, cut, noise[at])
     return est
 
 
@@ -435,43 +442,63 @@ def random_cost(rng: np.random.Generator, k: int) -> CostMatrix:
 
 
 def _instances_per_block(k_max: int, m_max: int) -> int:
-    """The instances a theorem sweep's block holds at sizes ``k_max`` and ``m_max``, as many as ``_BLOCK_BYTES`` fit
-    at their charge (68 at the defaults)."""
+    """The instances a theorem sweep's draw block holds at sizes ``k_max`` and ``m_max``, checked here, as many as
+    ``_BLOCK_BYTES`` fit at their charge (68 at the defaults)."""
+    if _json_int(k_max, "k_max") < 2 or _json_int(m_max, "m_max") < 2:
+        raise ValueError("k_max and m_max must be at least 2")
     return max(1, _BLOCK_BYTES // (_ROW_COPIES * 8 * k_max * m_max + _INSTANCE_BYTES))
 
 
 def _theorem_sweep(rng: np.random.Generator, n: int, k_max: int, m_max: int, metric: str):
-    """The metric's sweep of ``n`` instances, a :func:`_sweep_block` of :func:`_block_draws` at a time in trial order;
-    sizes checked at the call. Every block but the last holds :func:`_instances_per_block` instances, so the block
-    size, and with it ``_BLOCK_BYTES``, is part of the stream's definition: a run's instances are a prefix of a longer
-    run's only over its whole blocks."""
-    if _json_int(k_max, "k_max") < 2 or _json_int(m_max, "m_max") < 2:
-        raise ValueError("k_max and m_max must be at least 2")
+    """The metric's sweep of ``n`` instances in trial order, a :func:`_sweep_block` of each batch of ``_BATCH_BLOCKS``
+    draw blocks (fewer in the last), their :func:`_block_draws` made in turn and :func:`_joined`; sizes checked at the
+    call. Every draw block but the last holds :func:`_instances_per_block` instances, so the block size, and with it
+    ``_BLOCK_BYTES``, is part of the stream's definition: a run's instances are a prefix of a longer run's only over
+    its whole draw blocks. The batch length is not: an instance keeps its bits in any batch."""
     size = _instances_per_block(k_max, m_max)
-    return (_sweep_block(_block_draws(rng, min(size, n - start), k_max, m_max, metric), metric)
-            for start in range(0, n, size))
+    step = _BATCH_BLOCKS * size
+    return (_sweep_block(_joined([_block_draws(rng, min(size, n - at), k_max, m_max, metric)
+                                  for at in range(start, min(n, start + step), size)]), metric)
+            for start in range(0, n, step))
 
 
-def _block_draws(rng: np.random.Generator, n: int, k_max: int, m_max: int, metric: str) -> tuple:
-    """The draws of a sweep block of ``n`` instances, field major, one generator call for each kind of draw: every
+def _block_draws(rng: np.random.Generator, n: int, k_max: int, m_max: int, metric: str) -> list:
+    """The draws of a draw block of ``n`` instances, field major, one generator call for each kind of draw: every
     instance's ``k``, every ``m``, the sources' priors, gamma-shape indices and class weights (:func:`_sources`), every
     class's budget (a raw uniform), noise and under KL floor weight (:func:`_moves`), then under L1 every cost kind and
-    the random costs' uniforms (:func:`_costs`). Returns ``(ks, ms, on, priors, weights, budgets, noise, lams, costs)``:
+    the random costs' uniforms (:func:`_costs`). Returns ``[ks, ms, on, priors, weights, budgets, noise, lams, costs]``:
     the class rows' prefix mask ``on``, made here once per block, the rows zero past it and the costs padded."""
     ks, ms = rng.integers(2, k_max + 1, n), rng.integers(2, m_max + 1, n)
     on = np.arange(ms.max()) < np.repeat(ms, ks)[:, None]  # each class row's prefix: its instance's atoms
     sources, moves = _sources(rng, on, ks), _moves(rng, on, None, metric == KL)
-    return ks, ms, on, *sources, *moves, _costs(rng, ks) if metric == L1 else None
+    return [ks, ms, on, *sources, *moves, _costs(rng, ks) if metric == L1 else None]
 
 
-def _sweep_block(draws: tuple, metric: str) -> tuple:
-    """A block's :func:`_block_draws` checked: their ``k``, ``m`` and :func:`_checks` columns in the order drawn, and
-    the function giving instance ``j``'s :func:`_as_arrays` arrays and cost. Its class rows, zero-padded and cut by one
-    prefix mask, and its padded costs stay in draw order through each kernel and keep their own bits."""
+def _joined(blocks: list) -> list:
+    """The :func:`_block_draws` of consecutive draw blocks as those of one block of all their instances, in the first
+    block's list: each field's arrays in draw order, the class rows and the costs zero-padded to the widest. A block's
+    array is let go once written, so no field is held twice."""
+    if len(blocks) == 1:
+        return blocks[0]
+    for field in [f for f, drawn in enumerate(blocks[0]) if drawn is not None]:
+        shapes = np.array([block[field].shape for block in blocks])
+        out, at = np.zeros((shapes[:, 0].sum(), *shapes[:, 1:].max(axis=0)), blocks[0][field].dtype), 0
+        for block in blocks:
+            part, block[field] = block[field], None
+            out[(slice(at, at := at + len(part)), *map(slice, part.shape[1:]))] = part
+        out.flags.writeable, blocks[0][field] = part.flags.writeable, out  # the costs stay read-only
+    return blocks[0]
+
+
+def _block_arrays(draws: list, metric: str) -> tuple:
+    """A draw block's or a batch's :func:`_block_draws` made into its instances, unchecked: :func:`_checks`' arguments,
+    every ``m``, and the function giving instance ``j``'s :func:`_as_arrays` arrays and cost. The class rows and costs
+    keep their draw order and bits through each row kernel; ``draws`` is emptied, each draw let go once spent."""
     ks, ms, on, priors, weights, budgets, noise, lams, costs = draws
-    masses = np.empty((2, *on.shape))  # the true rows, then the estimates; each draw is let go once spent
+    draws.clear()
+    masses = np.empty((2, *on.shape))  # the true rows, then the estimates
     _unit_rows(weights, on, masses[0])
-    del draws, weights
+    del weights
     _moved(masses[0], metric, _scaled(budgets, 0.0, 2.0 if metric == L1 else 1.5), noise, lams, on, masses[1])
     del noise
     divergences, ends = _divergences(*masses, metric, on), np.cumsum(ks).tolist()
@@ -481,22 +508,34 @@ def _sweep_block(draws: tuple, metric: str) -> tuple:
         cost = None if costs is None else _trusted(CostMatrix, costs=costs[j, : ks[j], : ks[j]])  # valid as drawn
         return priors[rows], masses[:, rows, : ms[j]], divergences[rows], cost
 
-    return {"k": ks, "m": ms, **_checks(priors, masses, divergences, costs, ks, on)}, instance
+    return (priors, masses, divergences, costs, ks, on), ms, instance
+
+
+def _sweep_block(draws: list, metric: str) -> tuple:
+    """:func:`_block_arrays` checked: the ``k``, ``m`` and :func:`_checks` columns in draw order, and the function."""
+    arrays, ms, instance = _block_arrays(draws, metric)
+    return {"k": arrays[4], "m": ms, **_checks(*arrays)}, instance
+
+
+def _sweep_instance(rng: np.random.Generator, k_max: int, m_max: int, metric: str) -> tuple:
+    """The arrays and cost of the instance of a sweep of one instance, a draw block of one, unchecked."""
+    _instances_per_block(k_max, m_max)  # the sizes checked
+    return _block_arrays(_block_draws(rng, 1, k_max, m_max, metric), metric)[2](0)
 
 
 def random_theorem1_instance(
     rng: np.random.Generator, k_max: int = 5, m_max: int = 64
 ) -> tuple[LabeledSource, tuple[Distribution, ...], CostMatrix]:
-    """The instance of a theorem-1 sweep of one instance: a block of one, drawn field major (:func:`_block_draws`)."""
-    priors, masses, _, cost = next(_theorem_sweep(rng, 1, k_max, m_max, L1))[1](0)
+    """The instance of a theorem-1 sweep of one instance: a draw block of one (:func:`_block_draws`)."""
+    priors, masses, _, cost = _sweep_instance(rng, k_max, m_max, L1)
     return (*_as_objects(priors, masses), cost)
 
 
 def random_theorem2_instance(
     rng: np.random.Generator, k_max: int = 5, m_max: int = 64
 ) -> tuple[LabeledSource, tuple[Distribution, ...]]:
-    """The instance of a theorem-2 sweep of one instance: a block of one, drawn field major (:func:`_block_draws`)."""
-    return _as_objects(*next(_theorem_sweep(rng, 1, k_max, m_max, KL))[1](0)[:2])
+    """The instance of a theorem-2 sweep of one instance: a draw block of one (:func:`_block_draws`)."""
+    return _as_objects(*_sweep_instance(rng, k_max, m_max, KL)[:2])
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ as resolved, or pipeline's config dict; seed, version, CSV column order,
 environment) suffices to reproduce the run bit for bit.
 
 Every row reaches report.csv through ``_Run.add_rows``, a block of rows given
-as columns with their verdicts: the sweeps add one block of their checks at a
+as columns with their verdicts: the sweeps add one batch of their checks at a
 time, and ``_Run.add_row`` adds a block of one row.
 
 Exit codes: 0 success / no violations, 1 a bound or identity was violated (a
@@ -201,7 +201,7 @@ def _require_positive_trials(args) -> None:
 
 def cmd_verify(args) -> int:
     """Randomized sweep of one theorem (the subcommand names which), its instances drawn, computed and checked
-    in blocks by ``bounds._theorem_sweep`` and written in trial order; or ``--replay`` of one instance."""
+    in batches by ``bounds._theorem_sweep`` and written in trial order; or ``--replay`` of one instance."""
     metric = L1 if args.command == "verify-theorem1" else KL
     if args.replay:
         instance = _read_input(args.replay, lambda data: _instance_from_payload(data, metric))
@@ -224,7 +224,7 @@ def cmd_verify(args) -> int:
             payload = _instance_payload(*_as_objects(priors, masses), cost, metric)
             run.write_instance(f"violation_{done + j}.json", payload)
         done += len(ok)
-        del columns, instance  # the block's rows go before the next block is made, not after
+        del columns, instance  # the batch's rows go before the next batch is made, not after
     summary = {"trials": args.trials, "violations": run.violations}
     if metric == KL:
         summary["worst_identity_gap"] = worst_gap

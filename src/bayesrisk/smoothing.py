@@ -28,7 +28,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .bounds import EXACT_TOL, ReportRows, _perturb_rows, _within
+from .bounds import _BATCH_BLOCKS, EXACT_TOL, ReportRows, _perturb_rows, _within
 from .distributions import Distribution, QuantizedClassSpec, _exact_unit_mass, _moves, _quantized_rows
 from .distributions import _json_float, _json_int, _kl_on_support, _l1_distance, _require_same_domain
 
@@ -187,19 +187,23 @@ def _verify_rows(true: np.ndarray, est: np.ndarray, params: SmoothingParams, bas
 
 
 def _trials_per_block(m: int) -> int:
-    """The trials in a block of a smoothing sweep on ``m`` atoms: as many as ``_BLOCK_BYTES`` holds as one array."""
+    """The trials in a smoothing sweep's draw block on ``m`` atoms: as many as ``_BLOCK_BYTES`` holds as one array."""
     return max(1, _BLOCK_BYTES // (8 * m))
 
 
 def _sweep(spec: QuantizedClassSpec, params: SmoothingParams, base: BaseDistribution, trials: int, rng):
-    """The smoothing sweep's trials a block at a time, each block ``(true, estimates, columns)``: its ``(n, m)``
-    masses and :func:`_verify_rows`' columns. A block of :func:`_trials_per_block` trials (fewer in the last) draws
-    field major, one generator call for each kind of draw: every trial's :func:`random_quantized` exponentials, every
-    trial's multinomial (``_quantized_rows``), then the noise of every trial's :func:`random_l1_perturbation` at budget
-    ``xi``; then it does its arithmetic on the whole block. The block size, and with it ``_BLOCK_BYTES``, is part of the
-    stream's definition: a run's trials are a prefix of a longer run's only over its whole blocks."""
+    """The smoothing sweep's trials a batch of ``_BATCH_BLOCKS`` draw blocks at a time, each batch ``(true, estimates,
+    columns)``: its ``(n, m)`` masses and :func:`_verify_rows`' columns. A draw block of :func:`_trials_per_block`
+    trials (fewer in the last) draws field major, one generator call for each kind of draw: every trial's
+    :func:`random_quantized` exponentials, every trial's multinomial (``_quantized_rows``), then the noise of every
+    trial's :func:`random_l1_perturbation` at budget ``xi``, written into the batch's rows; then the batch does its
+    arithmetic on all its rows at once. The block size, and with it ``_BLOCK_BYTES``, is part of the stream's
+    definition: a run's trials are a prefix of a longer run's only over its whole blocks. The batch length is not."""
     m, size = spec.domain.size, _trials_per_block(spec.domain.size)
-    for start in range(0, trials, size):
-        true = _exact_unit_mass(_quantized_rows(rng, n := min(size, trials - start), m, spec.scale))
-        est = _perturb_rows(true, *_moves(rng, np.ones((n, m), bool), params.xi, False)[:2])
+    for start in range(0, trials, step := _BATCH_BLOCKS * size):
+        true, noise = np.empty((n := min(step, trials - start), m)), np.empty((n, m))
+        for rows in (slice(at, min(n, at + size)) for at in range(0, n, size)):
+            true[rows] = _quantized_rows(rng, rows.stop - rows.start, m, spec.scale)
+            noise[rows] = _moves(rng, np.ones((rows.stop - rows.start, m), bool), params.xi, False)[1]
+        est = _perturb_rows(_exact_unit_mass(true), np.full(n, params.xi), noise)
         yield true, est, _verify_rows(true, est, params, base)

@@ -384,9 +384,10 @@ class TestVerifyCommands:
 
     @pytest.mark.parametrize("command", ["verify-theorem1", "verify-theorem2"])
     def test_sweep_memory_is_held_to_its_blocks(self, tmp_path, command):
-        """A 3,000-trial sweep peaks, by tracemalloc, under three block budgets: about one block of
-        instances (some 1 MB at the default shapes) and the report's rows (0.3 MB per 1,000 trials).
-        Every instance held at once would take about 15 MB."""
+        """A 3,000-trial sweep peaks, by tracemalloc, under three draw blocks' budgets: one batch of
+        ``bounds._BATCH_BLOCKS`` draw blocks of instances (some 2 MB at the default shapes) and the
+        report's rows (0.3 MB per 1,000 trials), 2.9 MB in all at four draw blocks a batch. Every
+        instance held at once would take about 15 MB."""
         import tracemalloc
 
         from bayesrisk.bounds import _BLOCK_BYTES

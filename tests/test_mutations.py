@@ -158,7 +158,7 @@ def test_lower_bounds_instances_off_their_stated_eps_prime_fail_the_run(tmp_path
 def test_estimates_left_over_budget_fail_the_tightness_search(tmp_path, monkeypatch, metric):
     """With the pull-back into the budget returning its rows unchanged, the search climbs past the
     budget and its ratio exceeds 1."""
-    monkeypatch.setattr(bounds, "_into_budget", lambda _, true, est, limits, on=True: est)
+    monkeypatch.setattr(bounds, "_into_budget", lambda _, true, est, limits, on=True, scratch=None: est)
     argv = ["tightness", "--metric", metric, "--k", "2", "--domain-size", "2", "--epsilon", "0.2", "--iterations", "3"]
     assert main([*argv, "--out-dir", str(tmp_path)]) == 1
 

@@ -374,11 +374,12 @@ class TestRunPacExperiment:
 
     def test_sparse_trial_allocates_no_full_width_array(self, monkeypatch):
         """A trial whose draws fall on few of numpy's leaves sums those leaves afresh, at most
-        ``pipeline._LEAF_FLOATS`` floats at a time: no returning temporary is as large as m floats."""
-        trees, tree_sum = [], pipeline._tree_sum
-        monkeypatch.setattr(pipeline, "_tree_sum", lambda sums: trees.append(len(sums)) or tree_sum(sums))
+        ``pipeline._LEAF_FLOATS`` floats at a time: no returning temporary is as large as m floats. The trial's
+        own sums go through the tree: ``_fixed``'s tree passes are made before it is watched."""
         config = self.peaked_config()
-        fixed, atom_sets, estimate = _fixed(config), [], pipeline._estimate
+        fixed, atom_sets, trees = _fixed(config), [], []
+        estimate, tree_sum = pipeline._estimate, pipeline._tree_sum
+        monkeypatch.setattr(pipeline, "_tree_sum", lambda sums: trees.append(len(sums)) or tree_sum(sums))
         monkeypatch.setattr(pipeline, "_estimate", lambda *args: atom_sets.append(estimate(*args)) or atom_sets[-1])
         peak = self.traced_peak(lambda: _block(config, [np.random.default_rng(2)], 1000, *fixed))
         assert atom_sets and not any(at is None for at in atom_sets) and trees

@@ -399,45 +399,61 @@ def _reference_sweep(rng: np.random.Generator, n: int, k_max: int, m_max: int, m
         yield instances, rng.bit_generator.state
 
 
+def _recording_block_draws(monkeypatch, record) -> None:
+    """``bounds._block_draws`` patched to hand ``record`` a copy of each draw block's draws (the sweep spends its noise
+    in place) and its generator, once drawn."""
+    block_draws = bounds._block_draws
+
+    def recorded(rng, *args):
+        draws = block_draws(rng, *args)
+        record([None if a is None else a.copy() for a in draws], rng)
+        return draws
+
+    monkeypatch.setattr(bounds, "_block_draws", recorded)
+
+
 @pytest.mark.parametrize("metric", [L1, KL])
 @pytest.mark.parametrize("k_max, m_max", [(2, 2), (5, 64)])
 @pytest.mark.parametrize("n, per_block", [(1, None), (2, None), (200, None), (200, 7)])
 def test_sweep_blocks_equal_an_independent_reference(monkeypatch, metric, k_max, m_max, n, per_block):
-    """The block generator's instances, drawn a block at a time and computed once per block on padded rows, equal the
-    plain reference drawn block by block in float.hex, and leave the generator where it does after every block; each
-    block verdict equals, field by field, the one-instance verdict of the reference's instance. A block holds
-    ``_BLOCK_BYTES // (_ROW_COPIES * 8 * k_max * m_max + _INSTANCE_BYTES)`` instances, 68 at the defaults;
-    ``per_block`` cuts the blocks small (that many instances) so that a run of 200 spans many."""
+    """The sweep's instances, drawn a draw block at a time and computed once per batch of draw blocks on padded rows,
+    equal in trial order the plain reference drawn block by block, in float.hex, and the generator is where the
+    reference leaves it after every draw block; each verdict equals, field by field, the one-instance verdict of the
+    reference's instance. A draw block holds ``_BLOCK_BYTES // (_ROW_COPIES * 8 * k_max * m_max + _INSTANCE_BYTES)``
+    instances, 68 at the defaults; ``per_block`` cuts the blocks small (that many instances) so that a run of 200
+    spans many batches."""
     charge = bounds._ROW_COPIES * 8 * k_max * m_max + bounds._INSTANCE_BYTES
     if per_block is not None:
         monkeypatch.setattr(bounds, "_BLOCK_BYTES", per_block * charge)
     size = max(1, bounds._BLOCK_BYTES // charge)
     assert size == {(None, 2, 2): (1 << 20) // 2720, (None, 5, 64): 68}.get((per_block, k_max, m_max), per_block)
+    states = []
+    _recording_block_draws(monkeypatch, lambda draws, rng: states.append(rng.bit_generator.state))
     rng, ref = np.random.default_rng([n, k_max]), np.random.default_rng([n, k_max])
-    blocks = _theorem_sweep(rng, n, k_max, m_max, metric)
-    done = 0
-    for block, (expected, state) in zip(blocks, _reference_sweep(ref, n, k_max, m_max, metric, size)):
-        assert rng.bit_generator.state == state
-        instances = list(swept([block]))
-        assert len(instances) == len(expected) == min(size, n - done)
-        for ((priors, masses, divergences, cost), block_verdict), (ref_priors, ref_masses, ref_divergences,
-                                                                     ref_cost) in zip(instances, expected):
-            assert masses.shape == ref_masses.shape
-            assert _hex_rows(priors) == _hex_rows(ref_priors)
-            assert _hex_rows(masses.reshape(-1, masses.shape[2])) == _hex_rows(ref_masses.reshape(-1, masses.shape[2]))
-            assert _hex_rows(divergences) == _hex_rows(ref_divergences)
-            assert (cost is None) == (ref_cost is None)
-            assert cost is None or _hex_rows(cost.costs) == _hex_rows(ref_cost)
-            own = verdict(_check(ref_priors, ref_masses, np.array(ref_divergences),
-                                 None if ref_cost is None else CostMatrix(ref_cost)))
-            assert _hex_verdict(block_verdict) == _hex_verdict(own)
-        done += len(instances)
-    assert done == n
+    instances = list(swept(_theorem_sweep(rng, n, k_max, m_max, metric)))
+    reference = list(_reference_sweep(ref, n, k_max, m_max, metric, size))
+    assert states == [state for _, state in reference] and len(states) == -(-n // size)
+    expected = [instance for block, _ in reference for instance in block]
+    assert len(instances) == len(expected) == n
+    for ((priors, masses, divergences, cost), block_verdict), (ref_priors, ref_masses, ref_divergences,
+                                                                 ref_cost) in zip(instances, expected):
+        assert masses.shape == ref_masses.shape
+        assert _hex_rows(priors) == _hex_rows(ref_priors)
+        assert _hex_rows(masses.reshape(-1, masses.shape[2])) == _hex_rows(ref_masses.reshape(-1, masses.shape[2]))
+        assert _hex_rows(divergences) == _hex_rows(ref_divergences)
+        assert (cost is None) == (ref_cost is None)
+        assert cost is None or _hex_rows(cost.costs) == _hex_rows(ref_cost)
+        own = verdict(_check(ref_priors, ref_masses, np.array(ref_divergences),
+                             None if ref_cost is None else CostMatrix(ref_cost)))
+        assert _hex_verdict(block_verdict) == _hex_verdict(own)
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
+SWEEP_SHAPES = [(2, 2), (2, 64), (2, 300), (5, 64), (9, 300), (10, 200)]
+
+
 @pytest.mark.parametrize("metric", [L1, KL])
-@pytest.mark.parametrize("k_max, m_max", [(2, 2), (2, 64), (2, 300), (5, 64), (9, 300), (10, 200)])
+@pytest.mark.parametrize("k_max, m_max", SWEEP_SHAPES)
 def test_a_sweep_block_peaks_within_its_bytes(metric, k_max, m_max):
     """One full theorem-sweep block, its draws included, peaks by tracemalloc under ``_BLOCK_BYTES``: the charge its
     size comes from holds. At ``k_max`` 2 every instance has the block's largest rows, its worst case."""
@@ -452,6 +468,58 @@ def test_a_sweep_block_peaks_within_its_bytes(metric, k_max, m_max):
         finally:
             tracemalloc.stop()
         assert peak < bounds._BLOCK_BYTES
+
+
+@pytest.mark.parametrize("metric", [L1, KL])
+@pytest.mark.parametrize("k_max, m_max", SWEEP_SHAPES)
+def test_a_sweep_batch_peaks_within_its_bytes(metric, k_max, m_max):
+    """One full batch, ``_BATCH_BLOCKS`` full draw blocks drawn, joined and swept at once, peaks by tracemalloc under
+    the charge of its blocks, ``_BATCH_BLOCKS * _BLOCK_BYTES``: a block's draws are let go as they are joined, and
+    the batch's row kernels hold no more per instance than a block's."""
+    n = bounds._instances_per_block(k_max, m_max)
+    for seed in range(3):
+        rng = np.random.default_rng([seed, k_max, m_max])
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            bounds._sweep_block(bounds._joined([bounds._block_draws(rng, n, k_max, m_max, metric)
+                                                for _ in range(bounds._BATCH_BLOCKS)]), metric)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < bounds._BATCH_BLOCKS * bounds._BLOCK_BYTES
+
+
+def _column_bits(column) -> list:
+    """A check column's entries, floats in float.hex."""
+    return [v.hex() if isinstance(v, float) else v for v in np.asarray(column).tolist()]
+
+
+@pytest.mark.parametrize("metric", [L1, KL])
+@pytest.mark.parametrize("k_max, m_max", [(2, 2), (5, 64), (9, 300), (10, 3)])
+def test_a_batch_checks_as_its_draw_blocks_one_at_a_time(metric, k_max, m_max):
+    """A batch of ``_BATCH_BLOCKS`` draw blocks, the last one short, joined and swept at once, gives every column and
+    every instance's arrays and cost of its blocks swept one at a time, bit for bit, in draw order; both leave the
+    generator in one state."""
+    size = bounds._instances_per_block(k_max, m_max)
+    sizes = [size] * (bounds._BATCH_BLOCKS - 1) + [max(1, size // 3)]
+    for seed in range(2):
+        rng, ref = np.random.default_rng([seed, k_max, m_max]), np.random.default_rng([seed, k_max, m_max])
+        columns, instance = bounds._sweep_block(
+            bounds._joined([bounds._block_draws(rng, n, k_max, m_max, metric) for n in sizes]), metric)
+        blocks = [bounds._sweep_block(bounds._block_draws(ref, n, k_max, m_max, metric), metric) for n in sizes]
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert list(columns) == list(blocks[0][0])
+        for name, column in columns.items():
+            assert _column_bits(column) == [v for block, _ in blocks for v in _column_bits(block[name])], name
+        at = 0
+        for block_columns, block_instance in blocks:
+            for j in range(len(block_columns["ok"])):
+                (priors, masses, divergences, cost), expected = instance(at + j), block_instance(j)
+                assert [_hex_rows(np.atleast_2d(a)) for a in (priors, *masses, divergences)] == [
+                    _hex_rows(np.atleast_2d(a)) for a in (expected[0], *expected[1], expected[2])]
+                assert (cost is None and expected[3] is None) or cost.costs.tobytes() == expected[3].costs.tobytes()
+            at += len(block_columns["ok"])
 
 
 def _block_instances(draws, metric: str) -> list:
@@ -475,13 +543,14 @@ def _block_instances(draws, metric: str) -> list:
 @pytest.mark.parametrize("metric", [L1, KL])
 @pytest.mark.parametrize("k_max, m_max", [(2, 2), (5, 64), (10, 3), (9, 300)])
 def test_block_draws_are_the_public_calls_draws(monkeypatch, metric, k_max, m_max):
-    """A theorem sweep's draws, each kind made for a whole block in one call, equal the public calls' draws made one
-    instance or class after another, kind after kind (:func:`_reference_block`: ``rng.uniform``, ``rng.gamma``, priors
-    over their own ``sum()``), bit for bit, in blocks of ``_BLOCK_BYTES // (_ROW_COPIES * 8 * k_max * m_max +
-    _INSTANCE_BYTES)`` instances, and leave ``rng.bit_generator.state`` equal after every block and the sweep."""
+    """A theorem sweep's draws, each kind made for a whole draw block in one call, equal the public calls' draws made
+    one instance or class after another, kind after kind (:func:`_reference_block`: ``rng.uniform``, ``rng.gamma``,
+    priors over their own ``sum()``), bit for bit, in draw blocks of ``_BLOCK_BYTES // (_ROW_COPIES * 8 * k_max *
+    m_max + _INSTANCE_BYTES)`` instances, and leave ``rng.bit_generator.state`` equal after every draw block and the
+    sweep, however the blocks are batched."""
     blocks = []
-    monkeypatch.setattr(bounds, "_sweep_block", lambda draws, metric: blocks.append((_block_instances(draws, metric),
-                                                                                     rng.bit_generator.state)))
+    _recording_block_draws(monkeypatch, lambda draws, rng: blocks.append((_block_instances(draws, metric),
+                                                                         rng.bit_generator.state)))
     size = max(1, bounds._BLOCK_BYTES // (bounds._ROW_COPIES * 8 * k_max * m_max + bounds._INSTANCE_BYTES))
     for seed in range(3):
         rng, ref = np.random.default_rng([seed, k_max, m_max]), np.random.default_rng([seed, k_max, m_max])
@@ -562,22 +631,37 @@ def _reference_trials(rng: np.random.Generator, n: int, m: int, scale: int) -> t
 
 @pytest.mark.parametrize("m", [1, 8, 300])
 def test_smoothing_block_draws_are_the_public_calls_draws(monkeypatch, m):
-    """The smoothing sweep's draws, each kind made for a block of trials in one call, equal the public calls' draws
-    made trial by trial, kind after kind (:func:`_reference_trials`), bit for bit, in blocks of ``_BLOCK_BYTES //
-    (8 * m)`` trials, and leave ``rng.bit_generator.state`` equal after every block."""
+    """The smoothing sweep's draws, each kind made for a draw block of trials in one call, equal the public calls'
+    draws made trial by trial, kind after kind (:func:`_reference_trials`), bit for bit, in draw blocks of
+    ``_BLOCK_BYTES // (8 * m)`` trials, and leave ``rng.bit_generator.state`` equal after every draw block; the
+    blocks' rows are perturbed a batch of ``_BATCH_BLOCKS`` blocks at a time, each row at budget ``xi``."""
     monkeypatch.setattr(smoothing, "_BLOCK_BYTES", 8 * m * 7)
     spec = QuantizedClassSpec(Domain.indexed(m), 8)
     params = SmoothingParams(0.5, spec.description_length)
     rng, ref = np.random.default_rng([m, 5]), np.random.default_rng([m, 5])
-    perturb, blocks = smoothing._perturb_rows, []
+    quantized, moves, perturb = smoothing._quantized_rows, smoothing._moves, smoothing._perturb_rows
+    blocks, batches = [], []
+
+    def drawn_true(rng_, n, m_, scale):
+        blocks.append([quantized(rng_, n, m_, scale)])
+        return blocks[-1][0]
+
+    def drawn_moves(rng_, on, budget, floors):
+        budgets, noise, lams = moves(rng_, on, budget, floors)
+        blocks[-1] += [noise.copy(), rng_.bit_generator.state]
+        return budgets, noise, lams
 
     def recorded(true, budgets, noise):
-        blocks.append((true.copy(), noise.copy(), rng.bit_generator.state))
+        batches.append(len(true))
         assert budgets.tobytes() == np.full(len(true), params.xi).tobytes()
         return perturb(true, budgets, noise)
 
+    monkeypatch.setattr(smoothing, "_quantized_rows", drawn_true)
+    monkeypatch.setattr(smoothing, "_moves", drawn_moves)
     monkeypatch.setattr(smoothing, "_perturb_rows", recorded)
-    assert len(list(smoothing._sweep(spec, params, base_mixture(spec), 30, rng))) == len(blocks) == 5
+    assert len(list(smoothing._sweep(spec, params, base_mixture(spec), 30, rng))) == len(batches)
+    assert batches == [7 * bounds._BATCH_BLOCKS, 30 - 7 * bounds._BATCH_BLOCKS]
+    assert len(blocks) == 5
     for (true, noise, state), n in zip(blocks, [7, 7, 7, 7, 2]):
         expected_true, expected_noise = _reference_trials(ref, n, m, spec.scale)
         assert len(true) == n

@@ -31,9 +31,12 @@ CASES = [
     ["verify-theorem1", "--trials", "1", "--seed", "5"],  # a block of one: its costs as wide as its k
     ["verify-theorem1", "--trials", "800", "--k-max", "2", "--m-max", "2", "--seed", "9"],  # blocks of 385, all k = 2
     ["verify-theorem2", "--trials", "69", "--k-max", "5", "--m-max", "64", "--seed", "1"],  # one past a block of 68
+    # one past a batch: four draw blocks of 68 checked at once, then a batch of one block of one
+    *([f"verify-theorem{t}", "--trials", "273", "--k-max", "5", "--m-max", "64", "--seed", "1"] for t in "12"),
     ["lower-bounds"],
     ["lower-bounds", "--grid", "0,0.01,0.1,0.3"],
     ["smooth", "--trials", "300"],
+    ["smooth", "--trials", "1025"],  # one past a batch: four draw blocks of 256 at once, then one trial
     ["smooth", "--domain-size", "1"],  # one atom: a one-entry draw and no noise
     ["smooth", "--domain-size", "300", "--bits", "12", "--trials", "200"],  # a block of 6 trials
     ["smooth", "--ld", "64", "--domain-size", "8"],
