@@ -193,7 +193,7 @@ def _checks(priors, masses, divergences, costs, ks, on=True, identity=True) -> d
     """The instances' checks under their ``costs`` (log loss if ``None``), as columns: :func:`_bound_columns`', the
     refined cost bound ``refined`` (nan under log loss), the identity's ``rhs`` under log loss and its ``identity_gap``
     (``None`` without ``identity`` or for an infinite KL), and ``ok``, under costs also ``excess <= refined <= bound``.
-    Instance ``i`` has its ``ks[i]`` rows in turn in ``priors``, ``divergences`` and the ``(2, rows, width)``
+    Instance ``i`` has its ``ks[i]`` rows in turn in ``priors``, ``divergences`` and both ``(rows, width)`` arrays of
     ``masses`` (true classes, then estimates), on the rows' prefix mask ``on``, and its costs in the corner of
     ``costs[i]``. A class count's instances are scored at once, in place, in runs of at most ``ceil(n / 4) * max(ks)``
     class rows; the bounds are taken in one call."""
@@ -203,7 +203,8 @@ def _checks(priors, masses, divergences, costs, ks, on=True, identity=True) -> d
     for k, of_k in ((k, np.flatnonzero(ks == k)) for k in set(ks.tolist())):
         for run in (of_k[at : at + most // k] for at in range(0, len(of_k), most // k)):
             rows = (starts[run, None] + np.arange(k)).ravel()
-            scored = (masses[:, rows] * priors[rows, None]).reshape(2, len(run), k, -1)
+            scored = np.array([m[rows] for m in masses]).reshape(2, len(run), k, -1)
+            scored *= priors[rows].reshape(len(run), k, 1)
             group = None if costs is None else costs[run, :k, :k]
             cut = on if on is True else on[rows].reshape(len(run), k, -1)
             risks[:, run] = _plugin_risk(scored[0], scored, group, on=cut)
@@ -496,9 +497,7 @@ def _block_arrays(draws: list, metric: str) -> tuple:
     keep their draw order and bits through each row kernel; ``draws`` is emptied, each draw let go once spent."""
     ks, ms, on, priors, weights, budgets, noise, lams, costs = draws
     draws.clear()
-    masses = np.empty((2, *on.shape))  # the true rows, then the estimates
-    _unit_rows(weights, on, masses[0])
-    del weights
+    masses = (_unit_rows(weights, on, weights), np.empty(on.shape))  # the true rows, in place, then the estimates
     _moved(masses[0], metric, _scaled(budgets, 0.0, 2.0 if metric == L1 else 1.5), noise, lams, on, masses[1])
     del noise
     divergences, ends = _divergences(*masses, metric, on), np.cumsum(ks).tolist()
@@ -506,7 +505,7 @@ def _block_arrays(draws: list, metric: str) -> tuple:
     def instance(j: int) -> tuple:
         rows = slice(ends[j] - ks[j], ends[j])
         cost = None if costs is None else _trusted(CostMatrix, costs=costs[j, : ks[j], : ks[j]])  # valid as drawn
-        return priors[rows], masses[:, rows, : ms[j]], divergences[rows], cost
+        return priors[rows], np.array([m[rows, : ms[j]] for m in masses]), divergences[rows], cost
 
     return (priors, masses, divergences, costs, ks, on), ms, instance
 

@@ -5,9 +5,9 @@
 Each command runs in a fresh ``python -m bayesrisk.cli`` process per checkout, with ``PYTHONPATH=<checkout>/src``
 and the checkout as its working directory; both read their input files from the ``tests/data`` of the checkout
 this tool sits in, so a case may use an input that one checkout lacks. A case matches when the exit codes,
-``report.csv``, ``summary.json``, every other ``*.json`` written but the manifest, and the manifest's ``config``
-and ``csv_columns`` are the same. It prints one line per case and exits 1 if any case differs. Only the standard
-library is used.
+``report.csv``, ``summary.json``, every other ``*.json`` written but the manifest, and the manifest's ``config``,
+``csv_columns`` and ``instances_per_block`` (a sweep's draw block size) are the same. It prints one line per case and
+exits 1 if any case differs. Only the standard library is used.
 """
 
 import json
@@ -69,7 +69,8 @@ def outputs(checkout: Path, argv: list, out: Path) -> dict:
     for path in sorted(out.glob("*")):
         if path.name == "manifest.json":
             manifest = json.loads(path.read_text())
-            found["manifest config and csv_columns"] = manifest["config"], manifest["csv_columns"]
+            found["manifest config, csv_columns and instances_per_block"] = [
+                manifest[key] for key in ("config", "csv_columns", "instances_per_block") if key in manifest]
         elif path.name == "report.csv" or path.suffix == ".json":
             found[path.name] = path.read_bytes()
     return found
