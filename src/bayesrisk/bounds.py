@@ -196,7 +196,7 @@ def _checks(priors, masses, divergences, costs, ks, on=True, identity=True) -> d
     Instance ``i`` has its ``ks[i]`` rows in turn in ``priors``, ``divergences`` and both ``(rows, width)`` arrays of
     ``masses`` (true classes, then estimates), on the rows' prefix mask ``on``, and its costs in the corner of
     ``costs[i]``. A class count's instances are scored at once, in place, in runs of at most ``ceil(n / 4) * max(ks)``
-    class rows; the bounds are taken in one call."""
+    class rows (a sweep batch's ``n`` instances); the bounds are taken in one call."""
     starts, weighted = np.cumsum(ks) - ks, priors * divergences
     eps, risks, kls = np.maximum.reduceat(weighted, starts), np.empty((2, len(ks))), np.empty(len(ks))
     refined, most = np.full(len(ks), math.nan), -(-len(ks) // 4) * int(ks.max())

@@ -449,11 +449,8 @@ def test_sweep_blocks_equal_an_independent_reference(monkeypatch, metric, k_max,
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
-SWEEP_SHAPES = [(2, 2), (2, 64), (2, 300), (5, 64), (9, 300), (10, 200)]
-
-
 @pytest.mark.parametrize("metric", [L1, KL])
-@pytest.mark.parametrize("k_max, m_max", SWEEP_SHAPES)
+@pytest.mark.parametrize("k_max, m_max", [(2, 2), (2, 64), (2, 300), (5, 64), (9, 300), (10, 200)])
 def test_a_sweep_block_peaks_within_its_bytes(metric, k_max, m_max):
     """One full theorem-sweep block, its draws included, peaks by tracemalloc under ``_BLOCK_BYTES``: the charge its
     size comes from holds. At ``k_max`` 2 every instance has the block's largest rows, its worst case."""
@@ -471,7 +468,7 @@ def test_a_sweep_block_peaks_within_its_bytes(metric, k_max, m_max):
 
 
 @pytest.mark.parametrize("metric", [L1, KL])
-@pytest.mark.parametrize("k_max, m_max", SWEEP_SHAPES)
+@pytest.mark.parametrize("k_max, m_max", [(2, 2), (2, 64), (2, 300), (5, 64), (9, 300), (10, 200)])
 def test_a_sweep_batch_peaks_within_its_bytes(metric, k_max, m_max):
     """One full batch, ``_BATCH_BLOCKS`` full draw blocks drawn, joined and swept at once, peaks by tracemalloc under
     the charge of its blocks, ``_BATCH_BLOCKS * _BLOCK_BYTES``: a block's draws are let go as they are joined, and
