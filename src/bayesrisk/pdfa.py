@@ -255,27 +255,25 @@ def _path_masses(a: Pdfa, max_len: int) -> np.ndarray:
     """Masses of all strings up to ``max_len``, level by level, then the overflow.
 
     A level holds one (state, path probability) pair per string of that
-    length. The next level multiplies each path by every entry of its
-    state's row of :attr:`Pdfa.table` (an absent transition's 0.0 and
-    state 0 included), symbol ``j``'s products filling every ``width``-th
-    entry from the ``j``-th, so each string's mass is the float product
-    ``((1.0 * p1) * p2 ...) * stop``, in the order
-    :func:`string_probability` multiplies.
+    length. The next level gathers each path's state's row of
+    :attr:`Pdfa.table` (an absent transition's 0.0 and state 0 included),
+    one row gather for the level, and multiplies each row by its path, so
+    string ``s`` followed by symbol ``j`` lands at ``width * s + j`` and its
+    mass is the float product ``((1.0 * p1) * p2 ...) * stop``, in the
+    order :func:`string_probability` multiplies.
     """
     width = len(a.alphabet)
-    prob, target = np.array(a.table, dtype=float).reshape(a.n, width, 2).T  # one row per symbol
-    target, stops = target.astype(np.intp), np.asarray(a.stops)
+    table = np.array(a.table, dtype=float).reshape(a.n, width, 2)
+    prob, target, stops = table[..., 0], table[..., 1].astype(np.intp), np.asarray(a.stops)  # one row per state
     mass = np.empty(TruncatedStringDomain.atom_count(width, max_len))
     states, paths, start = np.array([a.initial]), np.array([1.0]), 0
     for length in range(max_len + 1):
         np.multiply(paths, stops.take(states), out=mass[start : start + len(paths)])
         start += len(paths)
         if length < max_len:
-            grown, moved = np.empty(width * len(paths)), np.empty(width * len(paths), np.intp)
-            for j in range(width):
-                np.multiply(paths, prob[j].take(states), out=grown[j::width])
-                moved[j::width] = target[j].take(states)
-            paths, states = grown, moved
+            grown = prob.take(states, axis=0)
+            grown *= paths[:, None]
+            paths, states = grown.reshape(-1), target.take(states, axis=0).reshape(-1)
     mass[-1] = max(0.0, 1.0 - float(np.sum(mass[:-1])))
     return mass
 

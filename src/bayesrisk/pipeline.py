@@ -19,7 +19,9 @@ Labels and atoms are drawn by inverse CDF: the same algorithm, and so the
 same draws, as ``Generator.choice`` with ``p=``, without re-validating
 masses the source has already checked. Trials run in blocks that make
 every draw first; each class's CDF is then built once per block, in the
-experiment's one CDF row. A block gives its trials as columns, a row each,
+experiment's one CDF row, and answers a trial's uniforms of that class
+sorted, so its indices come out sorted. Only their counts are read, so
+sorting moves no output. A block gives its trials as columns, a row each,
 bounded at once by ``bounds._bound_columns`` as a sweep block is; the
 report's columns join the blocks', and ``per_n`` is taken from them.
 
@@ -27,13 +29,16 @@ A trial on every atom counts its estimates with ``_add_lambda`` and runs on raw
 arrays in one workspace per experiment (the first such trial makes it around the
 CDF row), scored by ``bounds._plugin_risk``: a cost-mode trial whose classes
 have full support allocates no m-sized array. On ``_BATCH_ATOMS`` atoms or
-more, a cost-mode trial whose every estimate is sparse (no smoothing, at most
-one draw per 16 atoms), its hits on few enough of numpy's 128-atom leaves
-(``_few_leaves``), joins a batch (``_sparse_batch``): its sums are rebuilt from
-the leaf sums of numpy's summation tree (``_pairwise_tree``), one tree pass a
-batch, its labels come from one cost product, and ``_BATCH_FLOATS`` caps each
-batch array. The optimal risk and base sums are then built leaf by leaf, so a
-fully batched run holds no m-sized array but the class masses and the CDF row.
+more, one pass per class over a block's draws (``_hits``) gives every trial's
+hits (its distinct draws) and entries there, and whether the estimate is sparse
+(no smoothing, at most one draw per 16 atoms) with its hits on few enough of
+numpy's 128-atom leaves. A cost-mode trial whose every estimate is joins a batch
+(``_sparse_batch``): its sums are rebuilt from the leaf sums of numpy's
+summation tree (``_pairwise_tree``), one tree pass a batch, its labels come
+from one cost product, and ``_BATCH_FLOATS`` caps each batch array. The optimal
+risk and base sums are then built leaf by leaf, the true source's Bayes labels
+found once per atom into one byte-sized row (``_true_labels``), so a fully
+batched run holds no m-float array but the class masses and the CDF row.
 Each output keeps its bits (``test_sparse_trials_equal_the_dense_kernels``).
 """
 
@@ -167,24 +172,14 @@ def _add_lambda(mass: np.ndarray, idx: np.ndarray, laplace: float) -> None:
         return
     if laplace:  # counts are >= +0.0, so adding 0.0 would change no bit
         mass += laplace
-    if laplace or not _sparse(idx, mass.size):
+    if laplace or not _sparse(idx.size, mass.size):
         mass /= denom
     else:
         mass[idx] /= denom
 
 
-def _sparse(idx: np.ndarray, m: int) -> bool:  # an unsmoothed estimate of at most one draw per 16 atoms
-    return 0 < 16 * idx.size <= m
-
-
-def _estimate(idx: np.ndarray, m: int):
-    """Where the unsmoothed estimate of the atom indices ``idx`` over ``m`` atoms is sparse (:func:`_sparse`), its
-    non-zero entries' atoms (the sorted distinct draws) and those entries, in :func:`_add_lambda`'s bits; else None."""
-    if not _sparse(idx, m):
-        return None
-    draws = np.sort(idx)
-    first = np.flatnonzero(np.concatenate(([True], draws[1:] != draws[:-1])))  # idx is not empty
-    return draws[first], (np.append(first[1:], idx.size) - first) / idx.size
+def _sparse(n, m: int):  # whether an unsmoothed estimate of n draws (an int or an array) has at most one per 16 atoms
+    return (0 < 16 * n) & (16 * n <= m)
 
 
 # Most draws (trials times sample size) in a block of trials; a larger trial is a block of its own.
@@ -226,14 +221,31 @@ _BATCH_ATOMS = _TREE_ATOMS + _LEAF_PASSES * _LEAF  # 66,304: no shorter row is r
 _LEAF_FLOATS = 1 << 14
 
 
-def _few_leaves(n: int, atoms: np.ndarray) -> bool:
-    """Whether summing afresh the leaves of a length-``n`` row that hold the sorted ``atoms`` costs less than a
-    full pass over it; found first from the ``_LEAF``-atom blocks the atoms meet, as a leaf meets at most two."""
-    most = (n - _TREE_ATOMS) // (_LEAF_PASSES * _LEAF)
-    if n < _BATCH_ATOMS or np.count_nonzero((blocks := atoms // _LEAF)[1:] != blocks[:-1]) >= 2 * most:
-        return False
-    leaves = _pairwise_tree(n)[1].searchsorted(atoms, "right")
-    return np.count_nonzero(leaves[1:] != leaves[:-1]) < most
+def _hits(m: int, draws: np.ndarray, counts: np.ndarray):
+    """Each trial's hits in one class's ``draws`` over ``m`` atoms, a sorted run of ``counts[t]`` draws a trial, in
+    one pass: their atoms (each run's distinct draws) and entries (each one's count over its run's size, in
+    :func:`_add_lambda`'s bits), each run's bounds there, and whether each trial's estimate is sparse
+    (:func:`_sparse`) with hits on few enough of numpy's leaves that summing those afresh costs less than a full
+    pass over a length-``m`` row (none below ``_BATCH_ATOMS`` atoms)."""
+    starts = counts.cumsum() - counts
+    first = _firsts(draws, starts)
+    bounds, atoms, entries = first.searchsorted(np.append(starts, draws.size)), draws[first], np.empty(first.size)
+    np.subtract(first[1:], first[:-1], out=entries[:-1])  # each hit's count, then over its run's size
+    entries[-1:] = draws.size - first[-1:]
+    del first
+    entries /= counts.repeat(np.diff(bounds))
+    leaves = np.diff(_firsts(_pairwise_tree(m)[1].searchsorted(atoms, "right"), bounds[:-1]).searchsorted(bounds))
+    few = _sparse(counts, m) & (leaves <= (m - _TREE_ATOMS) // (_LEAF_PASSES * _LEAF))
+    return atoms, entries, bounds, few & (m >= _BATCH_ATOMS)
+
+
+def _firsts(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """The positions in ``values`` of each run's first entry, runs starting at ``starts``, and of each other entry
+    that differs from the one before it."""
+    first = np.ones(values.size, bool)
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    first[starts[starts < values.size]] = True
+    return np.flatnonzero(first)
 
 
 def _leaf_sums(n: int, row) -> np.ndarray:
@@ -292,42 +304,41 @@ def _patched_sums(n: int, plan, values: np.ndarray, out: np.ndarray, background=
     return _tree_sum(out)
 
 
-def _cost_leaves(masses, priors, costs, bayes=True):
-    """A background of :func:`_patched_sums`: the flattened ``(k, m)`` entries ``costs[i, label] *
-    weighted[i, x]`` of ``classify._cost_risk`` on its leaves, in their bits, ``weighted[i]`` being ``masses[i] *
-    priors[i]`` and ``label`` the Bayes label of ``weighted`` at ``x`` (0 if not ``bayes``). The leaves' columns
-    are gathered from the class masses, only of each leaf's own class for label 0, and a leaf across a class's end
-    on its own: no array is longer than the leaves asked for, times k."""
-    k, m = len(masses), masses[0].size
-
-    def labels(weighted):
-        size = weighted.shape[1]
-        return _bayes_labels(costs, weighted, None, np.empty(size, np.intp), np.empty(size, np.intp)) if bayes else 0
+def _cost_leaves(masses, priors, costs, labels=None):
+    """A background of :func:`_patched_sums`: the flattened ``(k, m)`` entries ``costs[i, label] * weighted[i, x]``
+    of ``classify._cost_risk`` on its leaves, in their bits, ``weighted[i]`` being ``masses[i] * priors[i]`` and
+    ``label`` the true source's Bayes label at ``x`` in the row ``labels`` (:func:`_true_labels`; 0 if ``None``). A
+    leaf gathers only its own class's masses and labels and takes its costs from its class's row; a leaf across a
+    class's end is made on its own: no array is longer than the leaves asked for, times k."""
+    m = masses[0].size
 
     def on_leaves(_, starts, length):
-        (of, at), count = np.divmod(starts, m), len(starts)
+        (of, at), entries = np.divmod(starts, m), np.empty((len(starts), length))
         across = np.flatnonzero(at > m - length)  # its atoms end class ``of`` and start the next: redone below
-        at, entries = np.minimum(at, m - length), np.empty((count, length))
-        if bayes:
-            weighted = np.empty((k, count, length))
-            for w, mass, prior in zip(weighted, masses, priors):
-                np.multiply(_on_leaves(mass, at, length), prior, out=w)
-            label = labels(weighted.reshape(k, -1)).reshape(count, length)
-            np.multiply(costs[of[:, None], label], weighted[of, np.arange(count)], out=entries)
-        else:
-            for i in set(of.tolist()):
-                own = of == i
-                on_class = _on_leaves(masses[i], at[own], length)
-                on_class *= priors[i]
-                on_class *= costs[i, 0]
-                entries[own] = on_class
+        at = np.minimum(at, m - length)
+        for i in set(of.tolist()):
+            own = of == i
+            on_class = _on_leaves(masses[i], at[own], length)
+            on_class *= priors[i]
+            on_class *= costs[i, 0] if labels is None else costs[i].take(_on_leaves(labels, at[own], length))
+            entries[own] = on_class
         for p in across:
             rows, atoms = np.divmod(starts[p] + np.arange(length), m)
-            weighted = np.stack([mass[atoms] * prior for mass, prior in zip(masses, priors)])
-            entries[p] = costs[rows, labels(weighted)] * weighted[rows, np.arange(length)]
+            weighted = np.stack([mass[atoms] for mass in masses])[rows, np.arange(length)] * priors[rows]
+            entries[p] = costs[rows, 0 if labels is None else labels[atoms]] * weighted
         return entries
 
     return on_leaves
+
+
+def _true_labels(masses, priors, costs) -> np.ndarray:
+    """The Bayes label of the weighted true classes ``masses[i] * priors[i]`` at each atom, in the smallest integer
+    type that holds k - 1, from one product (``classify._gathered_scores``) per run of ``_LEAF_FLOATS`` atoms."""
+    labels, step = np.empty(masses[0].size, np.min_scalar_type(len(masses) - 1)), _LEAF_FLOATS
+    for lo in range(0, labels.size, step):
+        weighted = np.stack([mass[lo : lo + step] * prior for mass, prior in zip(masses, priors)])
+        _bayes_labels(costs, weighted, None, labels[lo : lo + step], np.empty(weighted.shape[1], labels.dtype))
+    return labels
 
 
 def _sorted_set(values: np.ndarray) -> np.ndarray:
@@ -363,9 +374,11 @@ def _fixed(config: TrialConfig):
     masses = [d.mass for d in source.class_dists]
     classes = tuple((p, None if p.min() > 0.0 else p > 0.0, np.count_nonzero(p), _leaf_sums(m, p) if batch else None)
                     for p in masses)
-    risk_opt = float(_tree_sum(_leaf_sums(k * m, _cost_leaves(masses, source.priors, costs))) if batch
+    bayes = _cost_leaves(masses, source.priors, costs, _true_labels(masses, source.priors, costs)) if batch else None
+    risk_opt = float(_tree_sum(_leaf_sums(k * m, bayes)) if batch
                      else _plugin_risk(source.weighted_mass, source.weighted_mass, costs))
-    base = _leaf_sums(k * m, _cost_leaves(masses, source.priors, costs, False)) if batch else None
+    del bayes  # and its row of labels
+    base = _leaf_sums(k * m, _cost_leaves(masses, source.priors, costs)) if batch else None
     return [None, None, np.empty(m), None], costs, risk_opt, classes, base
 
 
@@ -373,42 +386,49 @@ def _block(config: TrialConfig, rngs: Sequence[np.random.Generator], n: int, ws,
     """The trials at sample size ``n`` of the generators of ``rngs``, given :func:`_fixed`, as columns: their split
     sizes ``counts`` and per-class ``l1s`` and ``kls``, ``(trials, k)`` arrays, then :func:`_bound_columns`' fields.
     Every draw comes first, each generator making one trial's calls in its order (labels, then class 0, class 1,
-    ...) into one buffer; each class's CDF, built once in the CDF row, answers the block's draws of that class.
-    Then a trial with every estimate sparse on few leaves joins a batch (:func:`_sparse_batch`), written at its
-    trials' rows; any other counts its estimates (:func:`_add_lambda`) into the workspace (the first one makes it,
-    ``[ests, scores, row, spare]`` around the CDF row) and runs on every atom. The bounds are checked once."""
+    ...) into one buffer; each class's CDF, built once in the CDF row, answers the block's draws of that class, each
+    trial's uniforms sorted first so that its indices are. Where trials can batch, one pass per class
+    (:func:`_hits`) finds every trial's hits and verdict; a trial with every estimate sparse on few leaves joins a
+    batch (:func:`_sparse_batch`), written at its trials' rows. Any other counts its estimates
+    (:func:`_add_lambda`) into the workspace (the first one makes it, ``[ests, scores, row, spare]`` around the
+    CDF row) and runs on every atom. The block keeps the draws only for those, the hits only for a batch. The
+    bounds are checked once."""
     source, laplace, trials = config.source, config.resolved_laplace, len(rngs)
     k, m = source.k, source.domain.size
     uniforms = np.empty((trials, n))
     for rng, trial_uniforms in zip(rngs, uniforms):
         rng.random(out=trial_uniforms)
     counts = np.array([np.bincount(labels, minlength=k) for labels in _draw_indices(source.priors, uniforms)])
-    flat, samples = uniforms.reshape(-1), []
-    for d, class_counts in zip(source.class_dists, counts.T):
-        ends = class_counts.cumsum()
-        for rng, start, end in zip(rngs, ends - class_counts, ends):
+    runs = np.zeros((k, trials + 1), int)  # each class's draws, trial by trial
+    runs[:, 1:] = counts.T.cumsum(axis=1)
+    flat, draws, runs = uniforms.reshape(-1), [], runs.tolist()
+    for d, run in zip(source.class_dists, runs):
+        for rng, start, end in zip(rngs, run, run[1:]):
             rng.random(out=flat[start:end])
-        samples.append(np.split(_draw_indices(d.mass, flat[: ends[-1]], ws[2]), ends[:-1]))
+            flat[start:end].sort()  # the trial's indices then come out sorted, the search walking the CDF in order
+        draws.append(_draw_indices(d.mass, flat[: run[-1]], ws[2]))
     del uniforms, flat, trial_uniforms  # the loop's last view would keep the draws' buffer alive
+    hits = [_hits(m, idx, class_counts) for idx, class_counts in zip(draws, counts.T)] if costs_base is not None else []
+    sparse = np.logical_and.reduce([few for *_, few in hits]).tolist() if hits else [False] * trials
+    sizes = sum(np.diff(at_ends) for _, _, at_ends, _ in hits)  # each trial's hits, over its classes
+    draws, hits = [] if all(sparse) else draws, hits if any(sparse) else []  # only what the trials will read
     slots, batch, batched, used = max(k << _pairwise_tree(m)[0], 1 << _pairwise_tree(k * m)[0]), [], [], 0  # slot rows
     l1s, kls, risks = np.empty((trials, k)), np.empty((trials, k)), np.empty(trials)
     for t in range(trials):
-        hits = [_estimate(idx[t], m) for idx in samples] if costs_base is not None else [None] * k
-        sparse = all(hit is not None and _few_leaves(m, hit[0]) for hit in hits)
-        charge = max(slots, 8 * k * sum(at.size for at, _ in hits)) if sparse else 0  # or its hits' arrays
-        if sparse and batch and used + charge > _BATCH_FLOATS:  # a trial the batch has no room for ends it
-            l1s[batched], kls[batched], risks[batched] = _sparse_batch(config, batch, costs, classes, costs_base)
-            batch, batched, used = [], [], 0
-        if sparse:
-            batch.append(hits)
+        if sparse[t]:
+            charge = max(slots, 8 * k * int(sizes[t]))  # or its hits' arrays
+            if batch and used + charge > _BATCH_FLOATS:  # a trial the batch has no room for ends it
+                l1s[batched], kls[batched], risks[batched] = _sparse_batch(config, batch, costs, classes, costs_base)
+                batch, batched, used = [], [], 0
+            batch.append([(at[lo[t] : lo[t + 1]], q[lo[t] : lo[t + 1]]) for at, q, lo, _ in hits])
             batched.append(t)
             used += charge
             continue
         if ws[0] is None:  # the first dense trial makes the workspace around the CDF row
             ws[:] = np.empty((k, m)), *_workspace((k, m), costs, row=ws[2])
         ests, row = ws[0], ws[2]
-        for est, idx in zip(ests, samples):
-            _add_lambda(est, idx[t], laplace)
+        for est, idx, run in zip(ests, draws, runs):
+            _add_lambda(est, idx[run[t] : run[t + 1]], laplace)
         _exact_unit_mass(ests)
         l1s[t] = [_l1_distance(p, q, row) for (p, *_), q in zip(classes, ests)]
         kls[t] = [_kl_on_support(p, q, support, row) for (p, support, *_), q in zip(classes, ests)]
@@ -423,7 +443,7 @@ def _block(config: TrialConfig, rngs: Sequence[np.random.Generator], n: int, ws,
 
 def _sparse_batch(config: TrialConfig, batch, costs, classes, costs_base) -> tuple:
     """The per-class L1s and KLs, ``(trials, k)`` arrays, and the plug-in risks of a ``batch`` of cost-mode trials,
-    each given per class as its estimate's atom set (:func:`_estimate`'s) and entries there, on few leaves. Each sum,
+    each given per class as its estimate's atom set (:func:`_hits`') and entries there, on few leaves. Each sum,
     the unit masses, the L1s and the risks (from one cost product), is numpy's over the full row, rebuilt in
     lockstep (:func:`_patched_sums`)."""
     source, trials, (k, m) = config.source, len(batch), (config.source.k, config.source.domain.size)
@@ -467,7 +487,7 @@ def _sparse_batch(config: TrialConfig, batch, costs, classes, costs_base) -> tup
     entries[order] = costs.take(labels, axis=1) * (np.stack([p[atom] for p in true]) * source.priors[:, None])
     plan = _leaf_plan(k * m, np.arange(trials).repeat(k * cols), flat_atoms)
     del labels, trial, atom, order, flat_atoms
-    label_0 = _cost_leaves(true, source.priors, costs, False)
+    label_0 = _cost_leaves(true, source.priors, costs)
     risks = _patched_sums(k * m, plan, entries, np.repeat(costs_base[None], trials, 0), label_0)
     return l1s.T, np.reshape(kls, (k, trials)).T, risks
 

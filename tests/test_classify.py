@@ -176,8 +176,8 @@ def batch_probe(rng, k, m, sizes):
 def test_gathered_product_keeps_the_full_products_bits(k, m):
     """A batch of sparse trials multiplies its trials' hit columns in one product. On a narrow domain and one the
     pipeline batches at, 12 batches of 1 to 40 trials, each trial of 1 to 3,000 columns (log-uniform, both
-    ends included, at most 6,000 in a batch), 12 batches of one lone column, padded, and the widest leaf chunk
-    whose Bayes labels ``pipeline._cost_leaves`` takes from one product (``pipeline._LEAF_FLOATS`` columns,
+    ends included, at most 6,000 in a batch), 12 batches of one lone column, padded, and the widest run of atoms
+    whose Bayes labels ``pipeline._true_labels`` takes from one product (``pipeline._LEAF_FLOATS`` columns,
     or every atom), equal each trial's own product and the full product bit for bit. An unpadded lone column
     takes another BLAS kernel, which missed in 73 of 240 probes at k = 4-5 with OpenBLAS 0.3.31 (test_mutations
     checks that this test sees it, and sees a chunk multiplied one column at a time)."""

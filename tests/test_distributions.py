@@ -22,7 +22,7 @@ from bayesrisk.distributions import (
     random_quantized,
     sample,
 )
-from bayesrisk.pipeline import _few_leaves, _leaf_plan, _leaf_sums, _on_leaves, _pairwise_tree, _patched_sums
+from bayesrisk.pipeline import _hits, _leaf_plan, _leaf_sums, _on_leaves, _pairwise_tree, _patched_sums
 
 D2 = Domain.indexed(2)
 
@@ -407,7 +407,10 @@ class TestPairwiseTree:
         n = 131_072
         starts = _pairwise_tree(n)[1]
         most = (n - pipeline._TREE_ATOMS) // (pipeline._LEAF_PASSES * pipeline._LEAF)
-        assert not _few_leaves(pipeline._TREE_ATOMS - 1, np.array([0]))
-        assert _few_leaves(n, np.array([0, 1, 200]))
-        assert _few_leaves(n, np.sort(np.concatenate((starts[:most] + 5, starts[:most] + 6))))
-        assert not _few_leaves(n, starts[: most + 1])
+        def few_leaves(n, atoms):  # the hits pass's verdict on one trial's sorted draws
+            return bool(_hits(n, atoms, np.array([atoms.size]))[3][0])
+
+        assert not few_leaves(pipeline._TREE_ATOMS - 1, np.array([0]))
+        assert few_leaves(n, np.array([0, 1, 200]))
+        assert few_leaves(n, np.sort(np.concatenate((starts[:most] + 5, starts[:most] + 6))))
+        assert not few_leaves(n, starts[: most + 1])

@@ -286,9 +286,9 @@ def test_a_broken_ragged_sum_fails_its_pin(tmp_path, monkeypatch, broken):
 
 
 def test_a_chunk_labelled_one_column_at_a_time_fails_the_gathered_product_pin(monkeypatch):
-    """With a leaf chunk's Bayes labels taken from unpadded one-column products, the scores of
-    ``pipeline._cost_leaves`` that the optimal risk rests on leave the full product's bits: the pin's probe of the
-    widest chunk (16,384 columns of 131,072 atoms) fails at k = 4 and 5, though it passes as one product."""
+    """With a run's Bayes labels taken from unpadded one-column products, the scores of ``pipeline._true_labels``
+    that the optimal risk rests on leave the full product's bits: the pin's probe of the widest run (16,384
+    columns of 131,072 atoms) fails at k = 4 and 5, though it passes as one product."""
     import test_classify
 
     probe = dict(m=131_072, sizes=[pipeline._LEAF_FLOATS])

@@ -99,23 +99,26 @@ class TestEmpiricalEstimator:
 class TestEstimateHits:
     """``_add_lambda`` divides only the drawn atoms where an estimate is sparse (no smoothing, at most one draw per
     16 atoms, ``_sparse``) and the whole row elsewhere. Either way the row holds, in bytes, ``bincount / n`` (or the
-    add-lambda formula, or the uniform fallback at n = 0), whatever the row held before. Where the estimate is
-    sparse, ``_estimate`` gives its non-zero atoms and its entries there in those bits, and else ``None``."""
+    add-lambda formula, or the uniform fallback at n = 0), whatever the row held before. The hits pass
+    (``_hits``) over the sorted draws, as a block's one trial, takes the sparse rule from ``_sparse``, and where
+    there are draws and no smoothing gives the estimate's non-zero atoms and its entries there in those bits."""
 
     M = 4096
 
     def check(self, draws, sparse, mass=None, laplace=0.0):
         mass = np.full(self.M, 0.5) if mass is None else mass
         m, idx = mass.size, np.array(draws, dtype=np.intp)
-        assert (not laplace and pipeline._sparse(idx, m)) == sparse
+        assert (not laplace and pipeline._sparse(idx.size, m)) == sparse
         pipeline._add_lambda(mass, idx, laplace)
         tally, denom = np.bincount(idx, minlength=m).astype(float), len(draws) + laplace * m
         expected = np.full(m, 1.0 / m) if denom == 0.0 else (tally + laplace if laplace else tally) / denom
         assert mass.tobytes() == expected.tobytes()
-        hits = None if laplace else pipeline._estimate(idx, m)
-        assert (hits is not None) == sparse
-        if sparse:
-            at, entries = hits
+        hits = None if laplace else pipeline._hits(m, np.sort(idx), np.array([idx.size]))
+        if hits is not None:  # its verdict admits only a sparse estimate, by _sparse's rule on the count
+            assert pipeline._sparse(np.array([idx.size]), m).tolist() == [sparse] and (sparse or not hits[3][0])
+        if hits is not None and idx.size:  # a dense estimate's hits are its non-zero atoms too
+            at, entries, bounds, _ = hits
+            assert bounds.tolist() == [0, at.size]
             assert at.tolist() == np.flatnonzero(mass > 0.0).tolist()
             assert entries.tobytes() == mass[at].tobytes()
         return mass
@@ -162,6 +165,67 @@ class TestEstimateHits:
         pipeline._add_lambda(mass, rng.integers(0, m, rng.integers(0, 50)), 0.0)
         draws = rng.integers(0, min(m, n // 2 + 1), n).tolist()  # on at most about n / 2 atoms: repeats
         self.check(draws, not laplace and 0 < 16 * n <= m, mass=mass, laplace=laplace)
+
+
+def reference_estimate(idx: np.ndarray, m: int):
+    """One trial's estimate as it was found trial by trial: where it is sparse, its sorted distinct draws and each
+    one's count over n, else None."""
+    if not 0 < 16 * idx.size <= m:
+        return None
+    draws = np.sort(idx)
+    first = np.flatnonzero(np.concatenate(([True], draws[1:] != draws[:-1])))
+    return draws[first], (np.append(first[1:], idx.size) - first) / idx.size
+
+
+def reference_few_leaves(n: int, atoms: np.ndarray) -> bool:
+    """The per-trial verdict: the sorted ``atoms`` lie on few enough leaves of a length-``n`` row that summing those
+    afresh costs less than a full pass; found first from the 128-atom blocks they meet, as a leaf meets at most two."""
+    most = (n - pipeline._TREE_ATOMS) // (pipeline._LEAF_PASSES * pipeline._LEAF)
+    if n < FLOOR or np.count_nonzero((blocks := atoms // pipeline._LEAF)[1:] != blocks[:-1]) >= 2 * most:
+        return False
+    leaves = pipeline._pairwise_tree(n)[1].searchsorted(atoms, "right")
+    return np.count_nonzero(leaves[1:] != leaves[:-1]) < most
+
+
+@given(m=st.sampled_from([4_096, FLOOR - 1, FLOOR, 131_073]), seed=st.integers(0, 2**32 - 1),
+       sizes=st.lists(st.sampled_from(["empty", "m/16", "m/16+1", "one", "some", "again"]), min_size=1, max_size=5))
+@example(m=131_073, seed=0, sizes=["empty"])
+@example(m=131_073, seed=1, sizes=["m/16", "empty", "m/16+1", "one"])
+@example(m=FLOOR, seed=2, sizes=["one", "some", "empty", "m/16"])
+@example(m=FLOOR, seed=3, sizes=["one", "again", "again", "again", "again"])
+@settings(max_examples=30, deadline=None)
+def test_hits_pass_equals_the_per_trial_reference(m, seed, sizes):
+    """One class's draws in a block of trials, each trial's run sorted, as ``_block`` hands them to ``_hits``:
+    empty runs, n = m/16 and m/16 + 1, draws on leaves' first and last atoms, the leaves drawn about as many as a
+    rebuilt sum may take, and runs that start on the atom the run before ended on. Each trial's hits are its sorted distinct draws, their entries are ``_add_lambda``'s
+    bytes there, and its verdict is the per-trial reference's: sparse (``reference_estimate``) on few leaves."""
+    rng = np.random.default_rng(seed)
+    _, starts, lengths, _ = pipeline._pairwise_tree(m)
+    most = max(1, (m - pipeline._TREE_ATOMS) // (pipeline._LEAF_PASSES * pipeline._LEAF))
+    runs = []
+    for size in sizes:
+        if size == "again" and runs and runs[-1].size:  # on from the last run's last draw: an atom and a leaf shared
+            offsets = np.sort(rng.integers(0, 3 * pipeline._LEAF, int(rng.integers(1, 6))))
+            offsets[0] = 0
+            runs.append(np.minimum(runs[-1][-1] + offsets, m - 1))
+            continue
+        n = {"empty": 0, "m/16": m // 16, "m/16+1": m // 16 + 1}.get(size, 1)  # "again" with no draw before: one
+        n = int(rng.integers(2, m // 16)) if size == "some" else n
+        leaves = rng.choice(len(starts), min(len(starts), max(1, most + int(rng.integers(-1, 3)))), replace=False)
+        leaf, side = rng.choice(leaves, n), rng.integers(0, 3, n)  # a leaf's first atom, its last, or any
+        offset = np.select([side == 0, side == 1], [0, lengths[leaf] - 1], rng.integers(0, lengths[leaf]))
+        runs.append(np.sort(starts[leaf] + offset))
+    counts = np.array([run.size for run in runs])
+    atoms, entries, bounds, few = pipeline._hits(m, np.concatenate(runs), counts)
+    assert bounds[0] == 0 and bounds[-1] == atoms.size == entries.size
+    for run, lo, hi, verdict in zip(runs, bounds[:-1], bounds[1:], few.tolist()):
+        assert atoms[lo:hi].tolist() == sorted(set(run.tolist()))
+        pipeline._add_lambda(mass := np.empty(m), run, 0.0)
+        assert run.size == 0 or entries[lo:hi].tobytes() == mass[atoms[lo:hi]].tobytes()
+        reference = reference_estimate(run, m)
+        assert verdict == (reference is not None and reference_few_leaves(m, reference[0]))
+        if reference is not None:
+            assert [a.tobytes() for a in reference] == [atoms[lo:hi].tobytes(), entries[lo:hi].tobytes()]
 
 
 class TestRunTrial:
@@ -378,11 +442,11 @@ class TestRunPacExperiment:
         own sums go through the tree: ``_fixed``'s tree passes are made before it is watched."""
         config = self.peaked_config()
         fixed, atom_sets, trees = _fixed(config), [], []
-        estimate, tree_sum = pipeline._estimate, pipeline._tree_sum
+        hits, tree_sum = pipeline._hits, pipeline._tree_sum
         monkeypatch.setattr(pipeline, "_tree_sum", lambda sums: trees.append(len(sums)) or tree_sum(sums))
-        monkeypatch.setattr(pipeline, "_estimate", lambda *args: atom_sets.append(estimate(*args)) or atom_sets[-1])
+        monkeypatch.setattr(pipeline, "_hits", lambda *args: atom_sets.append(hits(*args)) or atom_sets[-1])
         peak = self.traced_peak(lambda: _block(config, [np.random.default_rng(2)], 1000, *fixed))
-        assert atom_sets and not any(at is None for at in atom_sets) and trees
+        assert atom_sets and all(few.all() for *_, few in atom_sets) and trees
         assert peak < self.M * 8
 
     def test_sparse_block_allocates_no_full_width_array(self, monkeypatch):
@@ -678,13 +742,13 @@ def test_a_lone_hit_column_scores_as_the_dense_kernels(k, atom, m):
 @pytest.mark.parametrize("m", [FLOOR - 1, FLOOR])
 def test_leaf_sums_are_built_only_where_trials_can_batch(m):
     """``_fixed`` builds the class leaf sums, the label-0 base sums and the leaf-built optimal risk only on a domain
-    where a trial can batch: on ``_BATCH_ATOMS`` atoms, the fewest on which ``_few_leaves`` admits a leaf, and not
+    where a trial can batch: on ``_BATCH_ATOMS`` atoms, the fewest on which ``_hits`` admits a leaf, and not
     on one atom fewer, where it takes ``_plugin_risk`` of the true classes. The optimal risk has its bits either way."""
     rng = np.random.default_rng(m)
     source = random_source(rng, 2, m)
     config = TrialConfig(source=source, cost=random_cost(rng, 2), sample_size=1, trials=30, epsilon_target=0.1,
                          delta_target=0.05)
-    batches = pipeline._few_leaves(m, np.array([0]))
+    batches = bool(pipeline._hits(m, np.array([0]), np.array([1]))[3][0])
     assert batches == (m == FLOOR)
     _, costs, risk_opt, classes, base = _fixed(config)
     assert [leaves is not None for *_, leaves in classes] == [batches] * 2 and (base is not None) == batches

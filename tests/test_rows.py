@@ -487,6 +487,27 @@ def test_a_sweep_batch_peaks_within_its_bytes(metric, k_max, m_max):
         assert peak < bounds._BATCH_BLOCKS * bounds._BLOCK_BYTES
 
 
+@pytest.mark.parametrize("metric", [L1, KL])
+@pytest.mark.parametrize("k_max, m_max", [(2, 2), (2, 64), (2, 300), (5, 64), (9, 300), (10, 200)])
+def test_a_batch_join_holds_one_field_at_a_time(metric, k_max, m_max):
+    """``_joined`` alone, on ``_BATCH_BLOCKS`` full draw blocks drawn under tracemalloc, peaks above its draws by
+    at most its widest joined field, the padding its join adds and 16 KiB: each block's array is let go once
+    written. A join that keeps the blocks' arrays until it returns peaks at about all of its draws' bytes."""
+    n = bounds._instances_per_block(k_max, m_max)
+    rng = np.random.default_rng([k_max, m_max])
+    tracemalloc.start()
+    try:
+        blocks = [bounds._block_draws(rng, n, k_max, m_max, metric) for _ in range(bounds._BATCH_BLOCKS)]
+        drawn = sum(a.nbytes for block in blocks for a in block if a is not None)
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        joined = [a.nbytes for a in bounds._joined(blocks) if a is not None]
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < max(joined) + sum(joined) - drawn + 16_384
+
+
 def _column_bits(column) -> list:
     """A check column's entries, floats in float.hex."""
     return [v.hex() if isinstance(v, float) else v for v in np.asarray(column).tolist()]

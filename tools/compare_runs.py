@@ -23,6 +23,7 @@ DATA = Path(__file__).resolve().parent.parent / "tests" / "data"
 MACHINES = f"pdfa:{DATA / 'machine_half.json'},pdfa:{DATA / 'machine_quarter.json'}"
 BINARY = f"pdfa:{DATA / 'machine_binary_1.json'},pdfa:{DATA / 'machine_binary_2.json'}"
 SPREAD = f"pdfa:{DATA / 'machine_spread.json'},pdfa:{DATA / 'machine_binary_1.json'}"
+THREE = f"{BINARY},pdfa:{DATA / 'machine_spread.json'}"
 WIDE = ["--trials", "30", "--seed", "11"]
 CASES = [
     *([f"verify-theorem{t}", "--trials", "300", "--seed", seed] for t in "12" for seed in ("1", "42")),
@@ -57,6 +58,8 @@ CASES = [
     # 131,072 atoms, a one-state machine's mass spread over every string: the 60 trials at n = 100 and 300 batched,
     # the 30 at n = 2,000 sorted into hits, refused by _few_leaves and counted again on every atom
     ["pipeline", "--source", SPREAD, "--truncate", "16", "--n-grid", "100,300,2000", *WIDE],
+    # three classes on 131,072 atoms, the one wide case with k > 2: all 60 trials batched, in 10 batches
+    ["pipeline", "--source", THREE, "--truncate", "16", "--n-grid", "100,1000", "--trials", "30", "--seed", "5"],
 ]
 
 
