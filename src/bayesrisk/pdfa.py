@@ -271,9 +271,9 @@ def _path_masses(a: Pdfa, max_len: int) -> np.ndarray:
         np.multiply(paths, stops.take(states), out=mass[start : start + len(paths)])
         start += len(paths)
         if length < max_len:
-            grown = prob.take(states, axis=0)
-            grown *= paths[:, None]
-            paths, states = grown.reshape(-1), target.take(states, axis=0).reshape(-1)
+            grown = prob.take(states, axis=0).reshape(-1)
+            grown *= paths.repeat(width)  # a flat multiply: a broadcast one over rows this short is slower
+            paths, states = grown, target.take(states, axis=0).reshape(-1)
     mass[-1] = max(0.0, 1.0 - float(np.sum(mass[:-1])))
     return mass
 

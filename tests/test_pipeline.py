@@ -197,8 +197,9 @@ def reference_few_leaves(n: int, atoms: np.ndarray) -> bool:
 def test_hits_pass_equals_the_per_trial_reference(m, seed, sizes):
     """One class's draws in a block of trials, each trial's run sorted, as ``_block`` hands them to ``_hits``:
     empty runs, n = m/16 and m/16 + 1, draws on leaves' first and last atoms, the leaves drawn about as many as a
-    rebuilt sum may take, and runs that start on the atom the run before ended on. Each trial's hits are its sorted distinct draws, their entries are ``_add_lambda``'s
-    bytes there, and its verdict is the per-trial reference's: sparse (``reference_estimate``) on few leaves."""
+    rebuilt sum may take, and runs that start on the atom the run before ended on. Each trial's hits are its
+    sorted distinct draws, their entries are ``_add_lambda``'s bytes there, and its verdict is the per-trial
+    reference's: sparse (``reference_estimate``) on few leaves."""
     rng = np.random.default_rng(seed)
     _, starts, lengths, _ = pipeline._pairwise_tree(m)
     most = max(1, (m - pipeline._TREE_ATOMS) // (pipeline._LEAF_PASSES * pipeline._LEAF))

@@ -56,7 +56,7 @@ CASES = [
     ["pipeline", "--source", BINARY, "--truncate", "12", "--n-grid", "100,1000", *WIDE],
     ["pipeline", "--source", BINARY, "--truncate", "15", "--n-grid", "20,8192,12000", *WIDE],
     # 131,072 atoms, a one-state machine's mass spread over every string: the 60 trials at n = 100 and 300 batched,
-    # the 30 at n = 2,000 sorted into hits, refused by _few_leaves and counted again on every atom
+    # the 30 at n = 2,000 found in the hits pass, refused for their leaves and counted again on every atom
     ["pipeline", "--source", SPREAD, "--truncate", "16", "--n-grid", "100,300,2000", *WIDE],
     # three classes on 131,072 atoms, the one wide case with k > 2: all 60 trials batched, in 10 batches
     ["pipeline", "--source", THREE, "--truncate", "16", "--n-grid", "100,1000", "--trials", "30", "--seed", "5"],
