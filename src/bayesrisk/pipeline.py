@@ -445,7 +445,7 @@ def _sparse_batch(config: TrialConfig, batch, costs, classes, costs_base) -> tup
     """The per-class L1s and KLs, ``(trials, k)`` arrays, and the plug-in risks of a ``batch`` of cost-mode trials,
     each given per class as its estimate's atom set (:func:`_hits`') and entries there, on few leaves. Each sum,
     the unit masses, the L1s and the risks (from one cost product), is numpy's over the full row, rebuilt in
-    lockstep (:func:`_patched_sums`)."""
+    lockstep (:func:`_patched_sums`); a risk's leaves are summed afresh only where a hit's plug-in label is not 0."""
     source, trials, (k, m) = config.source, len(batch), (config.source.k, config.source.domain.size)
     estimates = [hits[i] for i in range(k) for hits in batch]  # a row per class and trial, class by class
     atom, q = (np.concatenate(part) for part in zip(*estimates))
@@ -479,6 +479,7 @@ def _sparse_batch(config: TrialConfig, batch, costs, classes, costs_base) -> tup
     weighted[row // trials, union.searchsorted(columns)] = source.priors[row // trials] * q
     labels = _bayes_labels(costs, weighted, None, np.empty(len(union), np.intp), np.empty(len(union), np.intp))
     del atom, q, row, plan, diff, columns, sums, weighted  # before the risks' arrays are made
+    union, labels = union[moved := labels != 0], labels[moved]  # a column labelled 0 holds the background's entries
     trial, atom = np.divmod(union, m)
     cols = np.bincount(trial, minlength=trials)  # the risks' hits: trial by trial, class by class, atom by atom
     order = np.arange(len(union)) + (k - 1) * (cols.cumsum() - cols)[trial] + np.outer(range(k), cols[trial])
