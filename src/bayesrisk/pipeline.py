@@ -25,14 +25,17 @@ sorting moves no output. A block gives its trials as columns, a row each,
 bounded at once by ``bounds._bound_columns`` as a sweep block is; the
 report's columns join the blocks', and ``per_n`` is taken from them.
 
-A trial on every atom counts its estimates with ``_add_lambda`` and runs on raw
-arrays in one workspace per experiment (the first such trial makes it around the
-CDF row), scored by ``bounds._plugin_risk``: a cost-mode trial whose classes
-have full support allocates no m-sized array. On ``_BATCH_ATOMS`` atoms or
-more, one pass per class over a block's draws (``_hits``) gives every trial's
-hits (its distinct draws) and entries there, and whether the estimate is sparse
-(no smoothing, at most one draw per 16 atoms) with its hits on few enough of
-numpy's 128-atom leaves. A cost-mode trial whose every estimate is joins a batch
+Every estimate is counted once, from the runs of its sorted draws: one pass per
+class over a block's draws (``_hits``) gives every trial's hits (its distinct
+draws), its add-lambda entries there and its value off them;
+``empirical_estimator`` sorts its samples and takes the same pass. A trial on
+every atom fills its estimates from those and runs on raw arrays in one
+workspace per experiment (the first such trial makes it around the CDF row),
+scored by ``bounds._plugin_risk``: a cost-mode trial whose classes have full
+support allocates no m-sized array. On ``_BATCH_ATOMS`` atoms or more in cost
+mode without smoothing, the pass also tells whether each estimate is sparse (at
+most one draw per 16 atoms) with its hits on few enough of numpy's 128-atom
+leaves. A cost-mode trial whose every estimate is joins a batch
 (``_sparse_batch``): its sums are rebuilt from the leaf sums of numpy's
 summation tree (``_pairwise_tree``), one tree pass a batch, its labels come
 from one cost product, and ``_BATCH_FLOATS`` caps each batch array. The optimal
@@ -157,28 +160,12 @@ def empirical_estimator(
         raise ValueError(f"sample {exc.args[0]}") from None
     if idx.size and (idx.min() < 0 or idx.max() >= m):
         raise ValueError(f"sample index out of range: atom indices must lie in [0, {m})")
-    _add_lambda(mass := np.empty(m), idx, float(laplace))
+    atoms, entries, _, off, _ = _hits(m, np.sort(idx), np.array([idx.size]), float(laplace), False)
+    (mass := np.full(m, off[0]))[atoms] = entries
     return Distribution(domain, mass)
 
 
-def _add_lambda(mass: np.ndarray, idx: np.ndarray, laplace: float) -> None:
-    """Write the add-lambda estimate of the atom indices ``idx`` into ``mass``, unnormalized; where it is sparse
-    (:func:`_sparse`), only the drawn atoms are divided, each count over n in the bits of the full divide."""
-    mass.fill(0.0)
-    np.add.at(mass, idx, 1.0)
-    denom = idx.size + laplace * mass.size
-    if denom == 0.0:
-        mass.fill(1.0 / mass.size)
-        return
-    if laplace:  # counts are >= +0.0, so adding 0.0 would change no bit
-        mass += laplace
-    if laplace or not _sparse(idx.size, mass.size):
-        mass /= denom
-    else:
-        mass[idx] /= denom
-
-
-def _sparse(n, m: int):  # whether an unsmoothed estimate of n draws (an int or an array) has at most one per 16 atoms
+def _sparse(n: np.ndarray, m: int):  # whether each unsmoothed estimate of n[t] draws has at most one per 16 atoms
     return (0 < 16 * n) & (16 * n <= m)
 
 
@@ -221,27 +208,33 @@ _BATCH_ATOMS = _TREE_ATOMS + _LEAF_PASSES * _LEAF  # 66,304: no shorter row is r
 _LEAF_FLOATS = 1 << 14
 
 
-def _hits(m: int, draws: np.ndarray, counts: np.ndarray):
-    """Each trial's hits in one class's ``draws`` over ``m`` atoms, a sorted run of ``counts[t]`` draws a trial, in
-    one pass: their atoms (each run's distinct draws) and entries (each one's count over its run's size, in
-    :func:`_add_lambda`'s bits), each run's bounds there, and whether each trial's estimate is sparse
-    (:func:`_sparse`) with hits on few enough of numpy's leaves that summing those afresh costs less than a full
-    pass over a length-``m`` row (none below ``_BATCH_ATOMS`` atoms)."""
+def _hits(m: int, draws: np.ndarray, counts: np.ndarray, laplace: float, batch: bool):
+    """Each trial's add-lambda estimate over ``m`` atoms from one class's ``draws``, a sorted run of ``counts[t]``
+    draws a trial, in one pass: its hits (each run's distinct draws), its entries there, ``(count + laplace) / (n +
+    laplace * m)``, each run's bounds in those, and its value off its hits, ``laplace / (n + laplace * m)`` or ``1 /
+    m`` for an empty unsmoothed run: a row filled with that value and written at the hits holds the formula's bits.
+    Only where trials can ``batch`` (else ``None``), whether each estimate is sparse (:func:`_sparse`) with hits on
+    few enough of numpy's leaves that summing those afresh costs less than a full pass over a length-``m`` row
+    (none below ``_BATCH_ATOMS`` atoms)."""
     starts = counts.cumsum() - counts
     first = _firsts(draws, starts)
     bounds, atoms, entries = first.searchsorted(np.append(starts, draws.size)), draws[first], np.empty(first.size)
-    np.subtract(first[1:], first[:-1], out=entries[:-1])  # each hit's count, then over its run's size
+    np.subtract(first[1:], first[:-1], out=entries[:-1])  # each hit's count, then plus laplace over its denominator
     entries[-1:] = draws.size - first[-1:]
     del first
-    entries /= counts.repeat(np.diff(bounds))
-    leaves = np.diff(_firsts(_pairwise_tree(m)[1].searchsorted(atoms, "right"), bounds[:-1]).searchsorted(bounds))
-    few = _sparse(counts, m) & (leaves <= (m - _TREE_ATOMS) // (_LEAF_PASSES * _LEAF))
-    return atoms, entries, bounds, few & (m >= _BATCH_ATOMS)
+    denom = counts + laplace * m
+    entries += laplace  # counts are >= +0.0, so adding 0.0 changes no bit
+    entries /= denom.repeat(np.diff(bounds))
+    off, few = np.divide(laplace, denom, out=np.full(counts.size, 1.0 / m), where=denom > 0.0), None
+    if batch:
+        leaves = np.diff(_firsts(_pairwise_tree(m)[1].searchsorted(atoms, "right"), bounds[:-1]).searchsorted(bounds))
+        few = _sparse(counts, m) & (leaves <= (m - _TREE_ATOMS) // (_LEAF_PASSES * _LEAF)) & (m >= _BATCH_ATOMS)
+    return atoms, entries, bounds, off, few
 
 
-def _firsts(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """The positions in ``values`` of each run's first entry, runs starting at ``starts``, and of each other entry
-    that differs from the one before it."""
+def _firsts(values: np.ndarray, starts: np.ndarray = np.zeros(1, np.intp)) -> np.ndarray:
+    """The positions in ``values`` of each run's first entry, runs starting at ``starts`` (one run if not given), and
+    of each other entry that differs from the one before it."""
     first = np.ones(values.size, bool)
     np.not_equal(values[1:], values[:-1], out=first[1:])
     first[starts[starts < values.size]] = True
@@ -276,7 +269,7 @@ def _leaf_plan(n: int, rows: np.ndarray, atoms: np.ndarray):
     starts = _pairwise_tree(n)[1]
     leaf = starts.searchsorted(atoms, "right") - 1
     pair = rows * len(starts) + leaf
-    first = np.flatnonzero(np.concatenate((pair[:1] >= 0, pair[1:] != pair[:-1])))  # pairs are non-negative
+    first = _firsts(pair)
     return rows[first], leaf[first], np.append(first, len(atoms)), atoms - starts[leaf]
 
 
@@ -341,12 +334,6 @@ def _true_labels(masses, priors, costs) -> np.ndarray:
     return labels
 
 
-def _sorted_set(values: np.ndarray) -> np.ndarray:
-    """``np.unique`` of the non-empty 1-D ``values``, without its first call's import of numpy.ma."""
-    ordered = np.sort(values)
-    return ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
-
-
 def run_trial(
     config: TrialConfig, rng: np.random.Generator, sample_size: Optional[int] = None
 ) -> TrialOutcome:
@@ -387,12 +374,11 @@ def _block(config: TrialConfig, rngs: Sequence[np.random.Generator], n: int, ws,
     sizes ``counts`` and per-class ``l1s`` and ``kls``, ``(trials, k)`` arrays, then :func:`_bound_columns`' fields.
     Every draw comes first, each generator making one trial's calls in its order (labels, then class 0, class 1,
     ...) into one buffer; each class's CDF, built once in the CDF row, answers the block's draws of that class, each
-    trial's uniforms sorted first so that its indices are. Where trials can batch, one pass per class
-    (:func:`_hits`) finds every trial's hits and verdict; a trial with every estimate sparse on few leaves joins a
-    batch (:func:`_sparse_batch`), written at its trials' rows. Any other counts its estimates
-    (:func:`_add_lambda`) into the workspace (the first one makes it, ``[ests, scores, row, spare]`` around the
-    CDF row) and runs on every atom. The block keeps the draws only for those, the hits only for a batch. The
-    bounds are checked once."""
+    trial's uniforms sorted first so that its indices are. One pass per class (:func:`_hits`) counts every trial's
+    estimate, and the class's draws go. Where trials can batch, the pass gives each its verdict too; a trial with
+    every estimate sparse on few leaves joins a batch (:func:`_sparse_batch`), written at its trials' rows. Any
+    other fills its estimates from its hits into the workspace (the first one makes it, ``[ests, scores, row,
+    spare]`` around the CDF row) and runs on every atom. The bounds are checked once."""
     source, laplace, trials = config.source, config.resolved_laplace, len(rngs)
     k, m = source.k, source.domain.size
     uniforms = np.empty((trials, n))
@@ -401,17 +387,16 @@ def _block(config: TrialConfig, rngs: Sequence[np.random.Generator], n: int, ws,
     counts = np.array([np.bincount(labels, minlength=k) for labels in _draw_indices(source.priors, uniforms)])
     runs = np.zeros((k, trials + 1), int)  # each class's draws, trial by trial
     runs[:, 1:] = counts.T.cumsum(axis=1)
-    flat, draws, runs = uniforms.reshape(-1), [], runs.tolist()
-    for d, run in zip(source.class_dists, runs):
+    flat, hits, runs = uniforms.reshape(-1), [], runs.tolist()
+    for d, run, class_counts in zip(source.class_dists, runs, counts.T):
         for rng, start, end in zip(rngs, run, run[1:]):
             rng.random(out=flat[start:end])
             flat[start:end].sort()  # the trial's indices then come out sorted, the search walking the CDF in order
-        draws.append(_draw_indices(d.mass, flat[: run[-1]], ws[2]))
-    del uniforms, flat, trial_uniforms  # the loop's last view would keep the draws' buffer alive
-    hits = [_hits(m, idx, class_counts) for idx, class_counts in zip(draws, counts.T)] if costs_base is not None else []
-    sparse = np.logical_and.reduce([few for *_, few in hits]).tolist() if hits else [False] * trials
-    sizes = sum(np.diff(at_ends) for _, _, at_ends, _ in hits)  # each trial's hits, over its classes
-    draws, hits = [] if all(sparse) else draws, hits if any(sparse) else []  # only what the trials will read
+        draws = _draw_indices(d.mass, flat[: run[-1]], ws[2])
+        hits.append(_hits(m, draws, class_counts, laplace, costs_base is not None))
+    del uniforms, flat, trial_uniforms, draws  # the loop's last view would keep the uniforms' buffer alive
+    sparse = np.logical_and.reduce([few for *_, few in hits]).tolist() if costs_base is not None else [False] * trials
+    sizes = sum(np.diff(at_ends) for _, _, at_ends, *_ in hits)  # each trial's hits, over its classes
     slots, batch, batched, used = max(k << _pairwise_tree(m)[0], 1 << _pairwise_tree(k * m)[0]), [], [], 0  # slot rows
     l1s, kls, risks = np.empty((trials, k)), np.empty((trials, k)), np.empty(trials)
     for t in range(trials):
@@ -420,15 +405,16 @@ def _block(config: TrialConfig, rngs: Sequence[np.random.Generator], n: int, ws,
             if batch and used + charge > _BATCH_FLOATS:  # a trial the batch has no room for ends it
                 l1s[batched], kls[batched], risks[batched] = _sparse_batch(config, batch, costs, classes, costs_base)
                 batch, batched, used = [], [], 0
-            batch.append([(at[lo[t] : lo[t + 1]], q[lo[t] : lo[t + 1]]) for at, q, lo, _ in hits])
+            batch.append([(at[lo[t] : lo[t + 1]], q[lo[t] : lo[t + 1]]) for at, q, lo, *_ in hits])
             batched.append(t)
             used += charge
             continue
         if ws[0] is None:  # the first dense trial makes the workspace around the CDF row
             ws[:] = np.empty((k, m)), *_workspace((k, m), costs, row=ws[2])
         ests, row = ws[0], ws[2]
-        for est, idx, run in zip(ests, draws, runs):
-            _add_lambda(est, idx[run[t] : run[t + 1]], laplace)
+        for est, (at, q, lo, off, _) in zip(ests, hits):
+            est.fill(off[t])
+            est[at[lo[t] : lo[t + 1]]] = q[lo[t] : lo[t + 1]]
         _exact_unit_mass(ests)
         l1s[t] = [_l1_distance(p, q, row) for (p, *_), q in zip(classes, ests)]
         kls[t] = [_kl_on_support(p, q, support, row) for (p, support, *_), q in zip(classes, ests)]
@@ -474,7 +460,8 @@ def _sparse_batch(config: TrialConfig, batch, costs, classes, costs_base) -> tup
     l1s = _patched_sums(m, plan, np.abs(diff, out=diff), sums, true_on_leaves).reshape(k, trials)
     kls = [math.inf if size > hi - lo else _kl_on_support(p[atom[lo:hi]], q[lo:hi], None)  # q is 0 off the hits
            for (p, _, size, _), lo, hi in zip([c for c in classes for _ in range(trials)], bounds[:-1], bounds[1:])]
-    union = _sorted_set(columns := row % trials * m + atom)  # each trial's hit columns, as trial * m + atom
+    union = np.sort(columns := row % trials * m + atom)  # each trial's hit columns, as trial * m + atom
+    union = union[_firsts(union)]  # np.unique's, without its first call's import of numpy.ma
     weighted = np.zeros((k, len(union)))
     weighted[row // trials, union.searchsorted(columns)] = source.priors[row // trials] * q
     labels = _bayes_labels(costs, weighted, None, np.empty(len(union), np.intp), np.empty(len(union), np.intp))
@@ -573,19 +560,10 @@ def run_pac_experiment(config: TrialConfig) -> ExperimentSummary:
 _SETTINGS = tuple(f for f in fields(TrialConfig) if f.name not in ("source", "cost"))
 
 
-def config_to_dict(config: TrialConfig) -> dict:
-    """JSON form of the config, every class mass written out; :func:`config_from_dict` reads it back bit for bit."""
-    settings = ((f.name, getattr(config, f.name)) for f in _SETTINGS)
-    return {
-        **config.source.to_dict(),
-        "cost": config.cost.to_list() if config.cost is not None else None,
-        **{name: list(value) if isinstance(value, tuple) else value for name, value in settings},
-    }
-
-
 def config_from_dict(data: dict) -> TrialConfig:
-    """The config of a :func:`config_to_dict` dict, or of one whose classes are PDFA-sourced: ``machines`` and
-    ``truncate`` in place of the class masses, which ``truncate_all`` then makes, each machine parsed once."""
+    """The config of a JSON dict: the source's form (or, PDFA-sourced, ``machines`` and ``truncate`` in place of the
+    class masses, which ``truncate_all`` then makes, each machine parsed once), ``cost`` (a matrix or ``None``), then
+    the settings by field name, each read as :class:`TrialConfig` reads it."""
     if "machines" in data:
         machines = tuple(Pdfa.from_dict(a) for a in data["machines"])
         classes = truncate_all(machines, _json_int(data["truncate"], "truncate"))

@@ -408,7 +408,7 @@ class TestPairwiseTree:
         starts = _pairwise_tree(n)[1]
         most = (n - pipeline._TREE_ATOMS) // (pipeline._LEAF_PASSES * pipeline._LEAF)
         def few_leaves(n, atoms):  # the hits pass's verdict on one trial's sorted draws
-            return bool(_hits(n, atoms, np.array([atoms.size]))[3][0])
+            return bool(_hits(n, atoms, np.array([atoms.size]), 0.0, True)[4][0])
 
         assert not few_leaves(pipeline._TREE_ATOMS - 1, np.array([0]))
         assert few_leaves(n, np.array([0, 1, 200]))

@@ -18,10 +18,10 @@ from bayesrisk.bounds import _plugin_risk, random_cost, random_source
 from bayesrisk.classify import CostMatrix, LabeledSource
 from bayesrisk.distributions import Distribution, Domain, _draw_indices, _exact_unit_mass, make_distribution
 from bayesrisk.distributions import _kl_on_support, _l1_distance
+from bayesrisk.pdfa import Pdfa, truncate_all
 from bayesrisk.pipeline import (
     TrialConfig,
     config_from_dict,
-    config_to_dict,
     empirical_estimator,
     _block,
     _fixed,
@@ -97,30 +97,24 @@ class TestEmpiricalEstimator:
 
 
 class TestEstimateHits:
-    """``_add_lambda`` divides only the drawn atoms where an estimate is sparse (no smoothing, at most one draw per
-    16 atoms, ``_sparse``) and the whole row elsewhere. Either way the row holds, in bytes, ``bincount / n`` (or the
-    add-lambda formula, or the uniform fallback at n = 0), whatever the row held before. The hits pass
-    (``_hits``) over the sorted draws, as a block's one trial, takes the sparse rule from ``_sparse``, and where
-    there are draws and no smoothing gives the estimate's non-zero atoms and its entries there in those bits."""
+    """The counting pass (``_hits``) over a trial's sorted draws gives its hits (its sorted distinct draws), its
+    entries there and its value off them. A row filled with that value and written at the hits, as a trial on every
+    atom writes its estimate, holds in bytes ``bincount / n``, or the add-lambda formula, or the uniform fallback at
+    n = 0 without smoothing, whatever the row held before. Where trials can batch (no smoothing), the pass's verdict
+    admits only a sparse estimate: no smoothing and at most one draw per 16 atoms, ``_sparse``'s rule on the count."""
 
     M = 4096
 
     def check(self, draws, sparse, mass=None, laplace=0.0):
         mass = np.full(self.M, 0.5) if mass is None else mass
-        m, idx = mass.size, np.array(draws, dtype=np.intp)
-        assert (not laplace and pipeline._sparse(idx.size, m)) == sparse
-        pipeline._add_lambda(mass, idx, laplace)
-        tally, denom = np.bincount(idx, minlength=m).astype(float), len(draws) + laplace * m
-        expected = np.full(m, 1.0 / m) if denom == 0.0 else (tally + laplace if laplace else tally) / denom
-        assert mass.tobytes() == expected.tobytes()
-        hits = None if laplace else pipeline._hits(m, np.sort(idx), np.array([idx.size]))
-        if hits is not None:  # its verdict admits only a sparse estimate, by _sparse's rule on the count
-            assert pipeline._sparse(np.array([idx.size]), m).tolist() == [sparse] and (sparse or not hits[3][0])
-        if hits is not None and idx.size:  # a dense estimate's hits are its non-zero atoms too
-            at, entries, bounds, _ = hits
-            assert bounds.tolist() == [0, at.size]
-            assert at.tolist() == np.flatnonzero(mass > 0.0).tolist()
-            assert entries.tobytes() == mass[at].tobytes()
+        m, idx, count = mass.size, np.array(draws, dtype=np.intp), np.array([len(draws)])
+        assert (not laplace and pipeline._sparse(count, m)[0]) == sparse
+        at, entries, bounds, off, few = pipeline._hits(m, np.sort(idx), count, laplace, not laplace)
+        assert bounds.tolist() == [0, at.size] and at.tolist() == sorted(set(draws))
+        mass.fill(off[0])
+        mass[at] = entries
+        assert mass.tobytes() == reference_row(idx, m, laplace).tobytes()
+        assert few is None if laplace else (sparse or not few[0])
         return mass
 
     @pytest.mark.parametrize(
@@ -129,7 +123,8 @@ class TestEstimateHits:
         ids=["one-draw", "every-draw-on-one-atom", "last-atom", "last-and-first-atoms", "n-is-m-over-16"],
     )
     def test_hits_are_the_nonzero_atoms(self, draws):
-        self.check(draws, True)
+        mass = self.check(draws, True)
+        assert np.flatnonzero(mass).tolist() == sorted(set(draws))
 
     def test_more_than_one_draw_per_16_atoms_is_dense(self):
         self.check([40, 3, 40, 12] * (self.M // 64) + [self.M - 1], False)
@@ -140,31 +135,47 @@ class TestEstimateHits:
         self.check([7], False, mass=np.full(15, 0.5))
 
     def test_row_holding_the_last_trials_hits(self):
-        """A trial counts its estimates over the last trial's in the workspace rows, sparse or dense, so a row must
-        hold zeros off this trial's draws."""
+        """A trial writes its estimates over the last trial's in the workspace rows, sparse or dense, so a row must
+        hold the value off its hits everywhere but at this trial's draws."""
         mass = self.check([self.M - 1, 2, 30], True)
         mass = self.check(list(range(0, self.M, 8)), False, mass=mass)
         mass = self.check([5, 5, 30], True, mass=mass)
-        self.check([0, 17, 33, 33], True, mass=mass)
+        mass = self.check([0, 17, 33, 33], True, mass=mass)
+        self.check([self.M - 1, 2], False, mass=mass, laplace=1.0)
 
     def test_no_draws_is_uniform(self):
-        self.check([], False)
-        self.check([], False, laplace=0.5)
+        """An empty run is uniform with or without smoothing: 1 / m, or laplace / (laplace * m), on every atom."""
+        for laplace in (0.0, 0.5, 1.0):
+            assert np.unique(self.check([], False, laplace=laplace)).size == 1
 
     def test_smoothing_divides_every_atom(self):
-        self.check([7, 7, 3], False, laplace=0.5)
-        self.check([40, 3, 40, 12] * (self.M // 64) + [self.M - 1], False, laplace=0.5)
+        for laplace in (0.5, 1.0):
+            self.check([7, 7, 3], False, laplace=laplace)
+            self.check([self.M - 1], False, laplace=laplace)  # a draw on the last atom
+            self.check([40, 3, 40, 12] * (self.M // 64) + [self.M - 1], False, laplace=laplace)
 
-    @given(m=st.integers(1, 5_000), n=st.integers(0, 600), laplace=st.sampled_from([0.0, 0.5]),
+    @pytest.mark.parametrize("laplace", [0.0, 0.5, 1.0])
+    def test_a_one_atom_domain(self, laplace):
+        """On one atom every estimate is 1.0 there, from no draw, one, or many; none is sparse."""
+        for draws in ([], [0], [0, 0, 0]):
+            assert self.check(draws, False, mass=np.full(1, 0.5), laplace=laplace).tolist() == [1.0]
+
+    @given(m=st.integers(1, 5_000), n=st.integers(0, 600), laplace=st.sampled_from([0.0, 0.5, 1.0]),
            seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_every_estimate_has_the_formulas_bits(self, m, n, laplace, seed):
-        """Draws with repeats on both sides of the 16-draw rule, into a row that held another estimate."""
+        """Draws with repeats on both sides of the 16-draw rule, into a row that held other values."""
         rng = np.random.default_rng(seed)
-        mass = np.empty(m)
-        pipeline._add_lambda(mass, rng.integers(0, m, rng.integers(0, 50)), 0.0)
         draws = rng.integers(0, min(m, n // 2 + 1), n).tolist()  # on at most about n / 2 atoms: repeats
-        self.check(draws, not laplace and 0 < 16 * n <= m, mass=mass, laplace=laplace)
+        self.check(draws, not laplace and 0 < 16 * n <= m, mass=rng.random(m), laplace=laplace)
+
+
+def reference_row(idx: np.ndarray, m: int, laplace: float) -> np.ndarray:
+    """One estimate as it was counted atom by atom: ``np.add.at`` counts plus ``laplace`` (only if set), over ``n +
+    laplace * m``, or uniform where that is 0."""
+    np.add.at(tally := np.zeros(m), idx, 1.0)
+    denom = idx.size + laplace * m
+    return np.full(m, 1.0 / m) if denom == 0.0 else (tally + laplace if laplace else tally) / denom
 
 
 def reference_estimate(idx: np.ndarray, m: int):
@@ -188,18 +199,22 @@ def reference_few_leaves(n: int, atoms: np.ndarray) -> bool:
 
 
 @given(m=st.sampled_from([4_096, FLOOR - 1, FLOOR, 131_073]), seed=st.integers(0, 2**32 - 1),
-       sizes=st.lists(st.sampled_from(["empty", "m/16", "m/16+1", "one", "some", "again"]), min_size=1, max_size=5))
-@example(m=131_073, seed=0, sizes=["empty"])
-@example(m=131_073, seed=1, sizes=["m/16", "empty", "m/16+1", "one"])
-@example(m=FLOOR, seed=2, sizes=["one", "some", "empty", "m/16"])
-@example(m=FLOOR, seed=3, sizes=["one", "again", "again", "again", "again"])
+       sizes=st.lists(st.sampled_from(["empty", "m/16", "m/16+1", "one", "some", "again"]), min_size=1, max_size=5),
+       laplace=st.sampled_from([0.0, 0.5, 1.0]))
+@example(m=131_073, seed=0, sizes=["empty"], laplace=0.0)
+@example(m=131_073, seed=0, sizes=["empty", "one"], laplace=0.5)
+@example(m=131_073, seed=1, sizes=["m/16", "empty", "m/16+1", "one"], laplace=0.0)
+@example(m=FLOOR, seed=2, sizes=["one", "some", "empty", "m/16"], laplace=0.0)
+@example(m=FLOOR, seed=3, sizes=["one", "again", "again", "again", "again"], laplace=0.0)
+@example(m=FLOOR, seed=3, sizes=["one", "again", "again", "again", "again"], laplace=1.0)
 @settings(max_examples=30, deadline=None)
-def test_hits_pass_equals_the_per_trial_reference(m, seed, sizes):
+def test_hits_pass_equals_the_per_trial_reference(m, seed, sizes, laplace):
     """One class's draws in a block of trials, each trial's run sorted, as ``_block`` hands them to ``_hits``:
-    empty runs, n = m/16 and m/16 + 1, draws on leaves' first and last atoms, the leaves drawn about as many as a
-    rebuilt sum may take, and runs that start on the atom the run before ended on. Each trial's hits are its
-    sorted distinct draws, their entries are ``_add_lambda``'s bytes there, and its verdict is the per-trial
-    reference's: sparse (``reference_estimate``) on few leaves."""
+    empty runs, n = m/16 and m/16 + 1, draws on leaves' first and last atoms (the domain's last among them), the
+    leaves drawn about as many as a rebuilt sum may take, and runs that start on the atom the run before ended on.
+    Each trial's hits are its sorted distinct draws, and its row, filled off them and written there, is
+    ``reference_row``'s bytes. Without smoothing its verdict is the per-trial reference's, sparse
+    (``reference_estimate``) on few leaves, and its entries are that reference's; with it there is no verdict."""
     rng = np.random.default_rng(seed)
     _, starts, lengths, _ = pipeline._pairwise_tree(m)
     most = max(1, (m - pipeline._TREE_ATOMS) // (pipeline._LEAF_PASSES * pipeline._LEAF))
@@ -217,14 +232,16 @@ def test_hits_pass_equals_the_per_trial_reference(m, seed, sizes):
         offset = np.select([side == 0, side == 1], [0, lengths[leaf] - 1], rng.integers(0, lengths[leaf]))
         runs.append(np.sort(starts[leaf] + offset))
     counts = np.array([run.size for run in runs])
-    atoms, entries, bounds, few = pipeline._hits(m, np.concatenate(runs), counts)
-    assert bounds[0] == 0 and bounds[-1] == atoms.size == entries.size
-    for run, lo, hi, verdict in zip(runs, bounds[:-1], bounds[1:], few.tolist()):
+    atoms, entries, bounds, off, few = pipeline._hits(m, np.concatenate(runs), counts, laplace, not laplace)
+    assert bounds[0] == 0 and bounds[-1] == atoms.size == entries.size and (few is None) == bool(laplace)
+    for t, (run, lo, hi) in enumerate(zip(runs, bounds[:-1], bounds[1:])):
         assert atoms[lo:hi].tolist() == sorted(set(run.tolist()))
-        pipeline._add_lambda(mass := np.empty(m), run, 0.0)
-        assert run.size == 0 or entries[lo:hi].tobytes() == mass[atoms[lo:hi]].tobytes()
+        (row := np.full(m, off[t]))[atoms[lo:hi]] = entries[lo:hi]
+        assert row.tobytes() == reference_row(run, m, laplace).tobytes()
+        if laplace:
+            continue
         reference = reference_estimate(run, m)
-        assert verdict == (reference is not None and reference_few_leaves(m, reference[0]))
+        assert few[t] == (reference is not None and reference_few_leaves(m, reference[0]))
         if reference is not None:
             assert [a.tobytes() for a in reference] == [atoms[lo:hi].tobytes(), entries[lo:hi].tobytes()]
 
@@ -685,6 +702,22 @@ def test_a_block_mixes_batched_and_dense_trials():
     assert 0 < sum(batches) < 30 and len(batches) == 2
 
 
+def test_a_refused_wide_block_counts_each_class_once(monkeypatch):
+    """The spread machine and a binary one truncated at 16 (131,072 atoms) at n = 2,000: every trial's estimates
+    are sparse, but the spread class's hits lie on too many leaves, so the counting pass refuses every trial and the
+    block runs them on every atom from that pass's hits, in the dense kernels' bits. It counts each class once: k
+    passes, none batched, none counted again."""
+    data, names = Path(__file__).parent / "data", ("spread", "binary_1")
+    machines = [Pdfa.from_dict(json.loads((data / f"machine_{name}.json").read_text())) for name in names]
+    source = LabeledSource(np.array([0.5, 0.5]), truncate_all(machines, 16))
+    config = TrialConfig(source=source, cost=CostMatrix.zero_one(2), sample_size=2000, trials=30, epsilon_target=0.1,
+                         delta_target=0.05)
+    fixed, passes, hits = _fixed(config), [], pipeline._hits
+    monkeypatch.setattr(pipeline, "_hits", lambda *args: passes.append(hits(*args)) or passes[-1])
+    assert check_block_against_dense(config, fixed, [[7, t] for t in range(16)], 2000) == []
+    assert len(passes) == source.k and not np.logical_and.reduce([few for *_, few in passes]).any()
+
+
 @pytest.mark.parametrize("m", [4_096, 65_537, FLOOR, FLOOR + 1, 131_072, 131_073])
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_leaf_built_sums_equal_the_full_width_ones(k, m):
@@ -749,7 +782,7 @@ def test_leaf_sums_are_built_only_where_trials_can_batch(m):
     source = random_source(rng, 2, m)
     config = TrialConfig(source=source, cost=random_cost(rng, 2), sample_size=1, trials=30, epsilon_target=0.1,
                          delta_target=0.05)
-    batches = bool(pipeline._hits(m, np.array([0]), np.array([1]))[3][0])
+    batches = bool(pipeline._hits(m, np.array([0]), np.array([1]), 0.0, True)[4][0])
     assert batches == (m == FLOOR)
     _, costs, risk_opt, classes, base = _fixed(config)
     assert [leaves is not None for *_, leaves in classes] == [batches] * 2 and (base is not None) == batches
@@ -788,20 +821,29 @@ class TestConfigValidation:
         assert log_mode.resolved_laplace == 1.0
 
     def test_round_trip_through_dict(self):
-        from bayesrisk.pipeline import config_from_dict, config_to_dict
-
+        """A dict written out field by field, the source and the cost in their JSON forms, reads back as the config."""
         config = fixed_config(n_grid=(10, 20), laplace=0.5)
-        back = config_from_dict(config_to_dict(config))
+        settings = {"sample_size": 500, "trials": 30, "epsilon_target": 0.1, "delta_target": 0.05, "seed": 42}
+        back = config_from_dict({**config.source.to_dict(), "cost": config.cost.to_list(), **settings,
+                                 "laplace": 0.5, "n_grid": [10, 20]})
         assert back.n_grid == (10, 20)
         assert back.laplace == 0.5
         assert np.array_equal(back.source.priors, config.source.priors)
         assert np.array_equal(back.cost.costs, config.cost.costs)
+        assert back == dataclasses.replace(config, source=back.source, cost=back.cost)
 
     def test_data_config_round_trips_with_key_order(self):
+        """The data config lists the source, the cost, then every other field in field order, and each value reads
+        back as written: the masses and costs bit for bit, the settings as JSON values."""
         data = json.loads((Path(__file__).parent / "data" / "pipeline_config.json").read_text())
-        back = config_to_dict(config_from_dict(data))
-        assert back == data
-        assert list(back) == list(data)
+        settings = [f.name for f in dataclasses.fields(TrialConfig)][2:]
+        assert list(data) == ["priors", "classes", "cost", *settings]
+        config = config_from_dict(data)
+        assert config.source.to_dict() == {key: data[key] for key in ("priors", "classes")}
+        assert config.cost.to_list() == data["cost"]
+        read = {name: getattr(config, name) for name in settings}
+        assert {name: list(v) if isinstance(v, tuple) else v for name, v in read.items()} == {
+            name: data[name] for name in settings}
 
     @given(
         epsilon=st.one_of(st.integers(1, 5), st.floats(1e-6, 5.0), st.builds(np.int64, st.integers(1, 5)),
@@ -814,25 +856,29 @@ class TestConfigValidation:
     )
     @settings(max_examples=50, deadline=None)
     def test_derived_schema_round_trips_every_setting(self, epsilon, delta, laplace, n_grid, seed, log_loss):
-        """``config_to_dict`` writes the source, the cost, then every other field in field order, as JSON values;
-        ``config_from_dict`` gives back each of them. The reals are floats and the seed an int from construction
-        on, whatever number type they were given as, and a set ``laplace`` is the resolved one."""
+        """``config_from_dict`` reads the source, the cost, then every other field, named as in field order, from a
+        dict of numpy or Python numbers and from its JSON text alike, into the config built from those values. The
+        reals are floats and the seed an int from construction on, whatever number type they were given as, and a
+        set ``laplace`` is the resolved one."""
+        cost = None if log_loss else CostMatrix.zero_one(3)
         config = fixed_config(epsilon_target=epsilon, delta_target=delta, laplace=laplace, n_grid=n_grid,
-                              seed=seed, cost=None if log_loss else CostMatrix.zero_one(3))
-        data = config_to_dict(config)
-        settings = [f.name for f in dataclasses.fields(TrialConfig)][2:]
-        assert list(data) == [*config.source.to_dict(), "cost", *settings]
-        back = config_from_dict(json.loads(json.dumps(data)))
-        for name in settings:
-            value = getattr(config, name)
-            assert getattr(back, name) == value and type(getattr(back, name)) is type(value)
+                              seed=seed, cost=cost)
+        settings = {"sample_size": 500, "trials": 30, "epsilon_target": epsilon, "delta_target": delta, "seed": seed,
+                    "laplace": laplace, "n_grid": None if n_grid is None else list(n_grid)}
+        assert [f.name for f in pipeline._SETTINGS] == [f.name for f in dataclasses.fields(TrialConfig)][2:]
+        assert list(settings) == [f.name for f in pipeline._SETTINGS]
+        data = {**config.source.to_dict(), "cost": None if cost is None else cost.to_list(), **settings}
+        for back in (config_from_dict(data), config_from_dict(json.loads(json.dumps(data, default=np.generic.item)))):
+            for name in settings:
+                value = getattr(config, name)
+                assert getattr(back, name) == value and type(getattr(back, name)) is type(value)
+            assert np.array_equal(back.source.priors, config.source.priors) and back.log_loss_mode == log_loss
+            if laplace is not None:
+                assert back.resolved_laplace == config.resolved_laplace == laplace
+                assert type(back.laplace) is float
         assert all(type(c.epsilon_target) is type(c.delta_target) is float for c in (config, back))
         assert type(config.seed) is int and config.seed == seed
         assert config.epsilon_target == float(epsilon) and config.delta_target == float(delta)
-        assert np.array_equal(back.source.priors, config.source.priors) and back.log_loss_mode == log_loss
-        if laplace is not None:
-            assert back.resolved_laplace == config.resolved_laplace == laplace
-            assert type(back.laplace) is float
 
 
 @given(

@@ -51,15 +51,19 @@ CASES = [
     # 262,144 and 131,072 atoms: all 90 trials batched, in 18 and 13 batches
     ["pipeline", "--source", BINARY, "--truncate", "17", "--n-grid", "500,3000,8000", *WIDE],
     ["pipeline", "--source", BINARY, "--truncate", "16", "--n-grid", "1000,3000,8000", *WIDE],
-    # 8,192 and 65,536 atoms, below where any trial batches: every trial on every atom, each estimate counted by
-    # _add_lambda, which divides only the drawn atoms of 108 of 120 and of 91 of 180 estimates
+    # 8,192 and 65,536 atoms, below where any trial batches: every trial on every atom, its estimates filled from
+    # the counting pass's hits
     ["pipeline", "--source", BINARY, "--truncate", "12", "--n-grid", "100,1000", *WIDE],
     ["pipeline", "--source", BINARY, "--truncate", "15", "--n-grid", "20,8192,12000", *WIDE],
     # 131,072 atoms, a one-state machine's mass spread over every string: the 60 trials at n = 100 and 300 batched,
-    # the 30 at n = 2,000 found in the hits pass, refused for their leaves and counted again on every atom
+    # the 30 at n = 2,000 refused by the counting pass for their leaves and run on every atom from its hits
     ["pipeline", "--source", SPREAD, "--truncate", "16", "--n-grid", "100,300,2000", *WIDE],
     # three classes on 131,072 atoms, the one wide case with k > 2: all 60 trials batched, in 10 batches
     ["pipeline", "--source", THREE, "--truncate", "16", "--n-grid", "100,1000", "--trials", "30", "--seed", "5"],
+    # 131,072 atoms under log loss (lambda 1), and in cost mode smoothed (lambda 0.5): every trial on every atom,
+    # each estimate non-zero off its hits
+    ["pipeline", "--config", str(DATA / "pipeline_wide_logloss_config.json")],
+    ["pipeline", "--config", str(DATA / "pipeline_smoothed_config.json")],
 ]
 
 
