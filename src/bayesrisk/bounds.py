@@ -22,10 +22,10 @@ batches of consecutive draw blocks: each row kernel once per batch, on its class
 rows zero-padded to one width and cut by one prefix mask. Every risk,
 in the checks, the PAC trial and the tightness search, is ``_plugin_risk`` on
 raw ``(k, m)`` masses, stacked; the optimal risk is that scorer on the true classes.
-A batch's checks are columns (``_checks``), their excess, bound, slack and verdict
-from ``_bound_columns`` alone; report objects are built from their rows only for a
-violation, a replay and the public checks. Every verdict "value <= bound" is
-decided by ``_within``, the one place ``BOUND_TOL`` is read.
+A batch's checks are columns (``_checks``), their budget, excess, bound, slack and
+verdict from ``_bound_columns`` alone, as a PAC trial's are; report objects are
+built from their rows only for a violation, a replay and the public checks. Every
+verdict "value <= bound" is decided by ``_within``, the one place ``BOUND_TOL`` is read.
 
 The two-atom constructions reproduce the matching lower bounds: the cost
 construction leaves slack exactly ``2 * gamma * max_cost`` against the
@@ -176,10 +176,13 @@ def _plugin_risk(weighted, scored, costs, ws=None, on=True) -> np.ndarray:
     return _cost_risk(costs, _bayes_labels(costs, scored, scores, spare, row.view(np.intp)), weighted, scores, on)
 
 
-def _bound_columns(risk_opt, risk_plugin, eps, bound) -> dict:
-    """The :class:`BoundReport` fields, as columns, of instances with optimal and plug-in risks ``risk_opt`` and
-    ``risk_plugin``, effective budgets ``eps`` and bounds ``bound``. An excess below ``-EXACT_TOL`` (or nan) is the
-    report's ``ValueError``."""
+def _bound_columns(risk_opt, risk_plugin, weighted, ks, costs) -> dict:
+    """The :class:`BoundReport` fields, as columns, of instances with risks ``risk_opt`` and ``risk_plugin``, ``ks[i]``
+    prior-weighted divergences in turn in ``weighted`` (the largest its budget) and costs in the corner of ``costs[i]``
+    (log loss if ``None``; one of ``(1, k, k)`` serves all): every verdict's bound is taken here, in one call. An excess
+    below ``-EXACT_TOL`` (or nan) is the report's ``ValueError``."""
+    eps = np.maximum.reduceat(weighted, np.cumsum(ks) - ks)
+    bound = theorem2_bound(eps, ks) if costs is None else theorem1_bound(eps, ks, costs)
     excess = risk_plugin - risk_opt
     if not (optimal := excess >= -EXACT_TOL).all():
         raise ValueError(f"negative excess {float(excess[~optimal][0])!r}: optimality violated")
@@ -195,11 +198,11 @@ def _checks(priors, masses, divergences, costs, ks, on=True, identity=True) -> d
     (``None`` without ``identity`` or for an infinite KL), and ``ok``, under costs also ``excess <= refined <= bound``.
     Instance ``i`` has its ``ks[i]`` rows in turn in ``priors``, ``divergences`` and both ``(rows, width)`` arrays of
     ``masses`` (true classes, then estimates), on the rows' prefix mask ``on``, and its costs in the corner of
-    ``costs[i]``. A class count's instances are scored at once, in place, in runs of at most ``ceil(n / 4) * max(ks)``
-    class rows (a sweep batch's ``n`` instances); the bounds are taken in one call."""
+    ``costs[i]``. A class count's instances are scored at once, in place, in runs of at most ``ceil(n / _BATCH_BLOCKS) *
+    max(ks)`` class rows of the ``n`` instances."""
     starts, weighted = np.cumsum(ks) - ks, priors * divergences
-    eps, risks, kls = np.maximum.reduceat(weighted, starts), np.empty((2, len(ks))), np.empty(len(ks))
-    refined, most = np.full(len(ks), math.nan), -(-len(ks) // 4) * int(ks.max())
+    risks, kls = np.empty((2, len(ks))), np.empty(len(ks))
+    refined, most = np.full(len(ks), math.nan), -(-len(ks) // _BATCH_BLOCKS) * int(ks.max())
     for k, of_k in ((k, np.flatnonzero(ks == k)) for k in set(ks.tolist())):
         for run in (of_k[at : at + most // k] for at in range(0, len(of_k), most // k)):
             rows = (starts[run, None] + np.arange(k)).ravel()
@@ -212,8 +215,7 @@ def _checks(priors, masses, divergences, costs, ks, on=True, identity=True) -> d
                 refined[run] = (np.ptp(group, axis=2) * weighted[rows].reshape(len(run), k)).sum(axis=1)
             elif identity:  # a run's mixtures, not the batch's, are held
                 kls[run] = _mixture_kl(scored.sum(axis=-2), cut if cut is True else cut[:, 0])
-    limits = theorem2_bound(eps, ks) if costs is None else theorem1_bound(eps, ks, costs)
-    columns = {**_bound_columns(*risks, eps, limits), "refined": refined}
+    columns = {**_bound_columns(*risks, weighted, ks, costs), "refined": refined}
     rhs = np.full(len(ks), math.nan)
     if costs is None and identity:
         flat = weighted.tolist()  # Python's sum, left to right, of each instance's terms, as its own check takes it
@@ -221,7 +223,7 @@ def _checks(priors, masses, divergences, costs, ks, on=True, identity=True) -> d
         np.subtract(sums, kls, out=rhs, where=np.logical_and.reduceat(np.isfinite(divergences), starts))
     gap, has = np.abs(columns["excess"] - rhs), ~np.isnan(rhs)
     ok = columns["satisfied"] & (~has | _within(gap, 0.0))
-    ok &= costs is None or _within(columns["excess"], refined) & _within(refined, limits)
+    ok &= costs is None or _within(columns["excess"], refined) & _within(refined, columns["bound"])
     return {**columns, "rhs": np.where(has, rhs, None), "identity_gap": np.where(has, gap, None), "ok": ok}
 
 
@@ -553,15 +555,6 @@ class TightnessResult:
     ratio: float
 
 
-def _transfer(mass: np.ndarray, a: int, b: int, step: float) -> bool:
-    moved = min(step, float(mass[a]))
-    if moved <= 0.0:
-        return False
-    mass[a] -= moved
-    mass[b] += moved
-    return True
-
-
 def _climb(
     masses: np.ndarray, excess, epsilon: float, rng: np.random.Generator
 ) -> tuple[float, np.ndarray]:
@@ -588,10 +581,12 @@ def _climb(
                 pairs = [tuple(rng.choice(m, size=2, replace=False)) for _ in range(24)]
             for i in range(k):
                 for row in (1, 0):
-                    for a, b in pairs:
-                        trial = best.copy()
-                        if not _transfer(trial[row, i], a, b, step):
+                    for a, b in pairs:  # move up to step of mass from atom a to atom b, if a holds any
+                        if (moved := min(step, float(best[row, i, a]))) <= 0.0:
                             continue
+                        trial = best.copy()
+                        trial[row, i, a] -= moved
+                        trial[row, i, b] += moved
                         val, projected = excess(trial, slice(i, i + 1), best_projected)
                         if val > best_val + 1e-15:
                             best_val, best, best_projected = val, trial, projected

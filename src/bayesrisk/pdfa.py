@@ -340,8 +340,7 @@ class _BitWriter:
     def write_gamma(self, value: int) -> None:
         if value < 1:
             raise ValueError("Elias gamma encodes positive integers only")
-        # width - 1 zero bits, then value's width bits: value in 2 * width - 1 bits.
-        self.write(value, 2 * value.bit_length() - 1)
+        self.write(value, _gamma_bits(value))
 
     def to_bytes(self) -> bytes:
         pad = -self.length % 8
@@ -372,18 +371,17 @@ class _BitReader:
 
 
 def _gamma_bits(value: int) -> int:
-    return 2 * value.bit_length() - 1
+    return 2 * value.bit_length() - 1  # Elias gamma: width - 1 zero bits, then value's width bits
+
+
+def _header(a: Pdfa) -> list[int]:
+    """The header's integers in order, each written in Elias gamma (the module's docstring lists them)."""
+    return [a.n, len(a.alphabet) + 1, a.precision, a.initial + 1, *(ord(sym) + 1 for sym in a.alphabet)]
 
 
 def header_length(a: Pdfa) -> int:
     """Bit length of the self-delimiting header, symbol table included."""
-    bits = (
-        _gamma_bits(a.n)
-        + _gamma_bits(len(a.alphabet) + 1)
-        + _gamma_bits(a.precision)
-        + _gamma_bits(a.initial + 1)
-    )
-    return bits + sum(_gamma_bits(ord(sym) + 1) for sym in a.alphabet)
+    return sum(map(_gamma_bits, _header(a)))
 
 
 def payload_length(a: Pdfa) -> int:
@@ -400,12 +398,8 @@ def encoding_length(a: Pdfa) -> int:
 def encode(a: Pdfa) -> bytes:
     """Canonical encoding, ``encoding_length(a)`` bits padded to whole bytes."""
     w = _BitWriter()
-    w.write_gamma(a.n)
-    w.write_gamma(len(a.alphabet) + 1)
-    w.write_gamma(a.precision)
-    w.write_gamma(a.initial + 1)
-    for sym in a.alphabet:
-        w.write_gamma(ord(sym) + 1)
+    for value in _header(a):
+        w.write_gamma(value)
     scale = 1 << a.precision
     target_bits = _log2_ceil(a.n)
     for stop, row in zip(a.stops, a.table):

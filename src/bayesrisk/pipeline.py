@@ -13,16 +13,16 @@ Every trial also re-checks the relevant risk bound at the divergences it
 actually achieved; that check is an unconditional theorem consequence,
 so it must hold in 100% of trials, not merely 1 - delta of them.
 
-Trials draw from generators spawned deterministically off the master
-seed, so runs are reproducible and trials could be evaluated in parallel.
-Labels and atoms are drawn by inverse CDF: the same algorithm, and so the
-same draws, as ``Generator.choice`` with ``p=``, without re-validating
-masses the source has already checked. Trials run in blocks that make
-every draw first; each class's CDF is then built once per block, in the
-experiment's one CDF row, and answers a trial's uniforms of that class
-sorted, so its indices come out sorted. Only their counts are read, so
-sorting moves no output. A block gives its trials as columns, a row each,
-bounded at once by ``bounds._bound_columns`` as a sweep block is; the
+Trials draw from generators spawned deterministically off the master seed, so
+runs are reproducible and trials could be evaluated in parallel. Labels and
+atoms are drawn by inverse CDF: the same algorithm, and so the same draws, as
+``Generator.choice`` with ``p=``, without re-validating masses the source has
+already checked. Trials run in blocks that make every draw first; each class's
+CDF is then built once per block, in the experiment's one CDF row, and answers
+a trial's uniforms of that class sorted, so its indices come out sorted. Only
+their counts are read, so sorting moves no output. A block gives its trials as
+columns, a row each, bounded at once by ``bounds._bound_columns`` from their
+prior-weighted divergences, as a sweep block is (no bound is taken here); the
 report's columns join the blocks', and ``per_n`` is taken from them.
 
 Every estimate is counted once, from the runs of its sorted draws: one pass per
@@ -37,11 +37,12 @@ mode without smoothing, the pass also tells whether each estimate is sparse (at
 most one draw per 16 atoms) with its hits on few enough of numpy's 128-atom
 leaves. A cost-mode trial whose every estimate is joins a batch
 (``_sparse_batch``): its sums are rebuilt from the leaf sums of numpy's
-summation tree (``_pairwise_tree``), one tree pass a batch, its labels come
-from one cost product, and ``_BATCH_FLOATS`` caps each batch array. The optimal
-risk and base sums are then built leaf by leaf, the true source's Bayes labels
-found once per atom into one byte-sized row (``_true_labels``), so a fully
-batched run holds no m-float array but the class masses and the CDF row.
+summation tree (``_pairwise_tree``), one tree pass a batch, its KLs are one
+ragged sum at its hits, its labels come from one cost product, and
+``_BATCH_FLOATS`` caps each batch array. The optimal risk and base sums are
+then built leaf by leaf, the true source's Bayes labels found once per atom into
+one byte-sized row (``_true_labels``), so a fully batched run holds no m-float
+array but the class masses and the CDF row.
 Each output keeps its bits (``test_sparse_trials_equal_the_dense_kernels``).
 """
 
@@ -54,10 +55,10 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .bounds import BoundReport, _bound_columns, _plugin_risk, theorem1_bound, theorem2_bound
+from .bounds import BoundReport, _bound_columns, _plugin_risk
 from .classify import CostMatrix, LabeledSource, _bayes_labels, _workspace, as_cost_array
 from .distributions import Distribution, Domain, _draw_indices, _exact_unit_mass, _json_float, _json_int
-from .distributions import _kl_on_support, _l1_distance, _unit_sums
+from .distributions import _kl_on_support, _kl_terms, _l1_distance, _run_sums, _unit_sums
 from .pdfa import Pdfa, truncate_all
 
 
@@ -228,7 +229,7 @@ def _hits(m: int, draws: np.ndarray, counts: np.ndarray, laplace: float, batch: 
     off, few = np.divide(laplace, denom, out=np.full(counts.size, 1.0 / m), where=denom > 0.0), None
     if batch:
         leaves = np.diff(_firsts(_pairwise_tree(m)[1].searchsorted(atoms, "right"), bounds[:-1]).searchsorted(bounds))
-        few = _sparse(counts, m) & (leaves <= (m - _TREE_ATOMS) // (_LEAF_PASSES * _LEAF)) & (m >= _BATCH_ATOMS)
+        few = _sparse(counts, m) & (leaves <= (m - _TREE_ATOMS) // (_LEAF_PASSES * _LEAF))
     return atoms, entries, bounds, off, few
 
 
@@ -378,7 +379,7 @@ def _block(config: TrialConfig, rngs: Sequence[np.random.Generator], n: int, ws,
     estimate, and the class's draws go. Where trials can batch, the pass gives each its verdict too; a trial with
     every estimate sparse on few leaves joins a batch (:func:`_sparse_batch`), written at its trials' rows. Any
     other fills its estimates from its hits into the workspace (the first one makes it, ``[ests, scores, row,
-    spare]`` around the CDF row) and runs on every atom. The bounds are checked once."""
+    spare]`` around the CDF row) and runs on every atom. The block's prior-weighted divergences are bounded once."""
     source, laplace, trials = config.source, config.resolved_laplace, len(rngs)
     k, m = source.k, source.domain.size
     uniforms = np.empty((trials, n))
@@ -422,16 +423,18 @@ def _block(config: TrialConfig, rngs: Sequence[np.random.Generator], n: int, ws,
         risks[t] = _plugin_risk(source.weighted_mass, ests, costs, ws[1:])
     if batch:
         l1s[batched], kls[batched], risks[batched] = _sparse_batch(config, batch, costs, classes, costs_base)
-    eps = ((kls if costs is None else l1s) * source.priors).max(axis=1)
-    bound = theorem2_bound(eps, k) if costs is None else theorem1_bound(eps, k, costs[None])
-    return {"counts": counts, "l1s": l1s, "kls": kls, **_bound_columns(np.full(trials, risk_opt), risks, eps, bound)}
+    weighted, ks = ((kls if costs is None else l1s) * source.priors).ravel(), np.full(trials, k)
+    columns = _bound_columns(np.full(trials, risk_opt), risks, weighted, ks, None if costs is None else costs[None])
+    return {"counts": counts, "l1s": l1s, "kls": kls, **columns}
 
 
 def _sparse_batch(config: TrialConfig, batch, costs, classes, costs_base) -> tuple:
     """The per-class L1s and KLs, ``(trials, k)`` arrays, and the plug-in risks of a ``batch`` of cost-mode trials,
     each given per class as its estimate's atom set (:func:`_hits`') and entries there, on few leaves. Each sum,
     the unit masses, the L1s and the risks (from one cost product), is numpy's over the full row, rebuilt in
-    lockstep (:func:`_patched_sums`); a risk's leaves are summed afresh only where a hit's plug-in label is not 0."""
+    lockstep (:func:`_patched_sums`); a risk's leaves are summed afresh only where a hit's plug-in label is not 0.
+    The hits lie on the support, and an estimate is 0 off them: a KL is inf where the support outnumbers the hits,
+    else its row's sum at the hits (:func:`_run_sums`)."""
     source, trials, (k, m) = config.source, len(batch), (config.source.k, config.source.domain.size)
     estimates = [hits[i] for i in range(k) for hits in batch]  # a row per class and trial, class by class
     atom, q = (np.concatenate(part) for part in zip(*estimates))
@@ -450,7 +453,7 @@ def _sparse_batch(config: TrialConfig, batch, costs, classes, costs_base) -> tup
             q[top] -= residual[off]
             chosen = plan[2].searchsorted(top, "right") - 1
     true, ends = [p for p, *_ in classes], bounds[::trials]  # each class's hits
-    diff = np.concatenate([p[atom[lo:hi]] for p, lo, hi in zip(true, ends[:-1], ends[1:])]) - q
+    diff = (at_hits := np.concatenate([p[atom[lo:hi]] for p, lo, hi in zip(true, ends[:-1], ends[1:])])) - q
     sums.reshape(k, trials, width)[:] = np.array([base for *_, base in classes])[:, None]
 
     def true_on_leaves(rows, starts, length):  # the rows run class by class
@@ -458,14 +461,14 @@ def _sparse_batch(config: TrialConfig, batch, costs, classes, costs_base) -> tup
         return np.concatenate([_on_leaves(true[i], starts[of == i], length) for i in range(of[0], of[-1] + 1)])
 
     l1s = _patched_sums(m, plan, np.abs(diff, out=diff), sums, true_on_leaves).reshape(k, trials)
-    kls = [math.inf if size > hi - lo else _kl_on_support(p[atom[lo:hi]], q[lo:hi], None)  # q is 0 off the hits
-           for (p, _, size, _), lo, hi in zip([c for c in classes for _ in range(trials)], bounds[:-1], bounds[1:])]
+    kls = _run_sums(_kl_terms(at_hits, q, diff), counts := np.diff(bounds).reshape(k, trials))
+    kls = np.where(np.array([c[2] for c in classes])[:, None] > counts, math.inf, np.where(kls > 0.0, kls, 0.0))
     union = np.sort(columns := row % trials * m + atom)  # each trial's hit columns, as trial * m + atom
     union = union[_firsts(union)]  # np.unique's, without its first call's import of numpy.ma
     weighted = np.zeros((k, len(union)))
     weighted[row // trials, union.searchsorted(columns)] = source.priors[row // trials] * q
     labels = _bayes_labels(costs, weighted, None, np.empty(len(union), np.intp), np.empty(len(union), np.intp))
-    del atom, q, row, plan, diff, columns, sums, weighted  # before the risks' arrays are made
+    del atom, q, at_hits, row, plan, diff, columns, sums, weighted  # before the risks' arrays are made
     union, labels = union[moved := labels != 0], labels[moved]  # a column labelled 0 holds the background's entries
     trial, atom = np.divmod(union, m)
     cols = np.bincount(trial, minlength=trials)  # the risks' hits: trial by trial, class by class, atom by atom
@@ -477,7 +480,7 @@ def _sparse_batch(config: TrialConfig, batch, costs, classes, costs_base) -> tup
     del labels, trial, atom, order, flat_atoms
     label_0 = _cost_leaves(true, source.priors, costs)
     risks = _patched_sums(k * m, plan, entries, np.repeat(costs_base[None], trials, 0), label_0)
-    return l1s.T, np.reshape(kls, (k, trials)).T, risks
+    return l1s.T, kls.T, risks
 
 
 @dataclass(frozen=True)

@@ -165,8 +165,8 @@ TOLERANCES = [
                  id="mass"),
     pytest.param(lambda excess: LabeledSource(np.array([0.5, 0.5 + excess]), (uniform2(), uniform2())), 2.5e-13,
                  1e-12, "class priors must sum to 1", id="priors"),
-    pytest.param(lambda excess: bounds._bound_columns(np.array([0.5]), np.array([0.5 - excess]), np.array([0.1]),
-                                                      np.array([0.2])), 5e-13, 2e-12, "optimality violated",
+    pytest.param(lambda excess: bounds._bound_columns(np.array([0.5]), np.array([0.5 - excess]), np.array([0.1, 0.05]),
+                                                      np.array([2]), None), 5e-13, 2e-12, "optimality violated",
                  id="excess"),
     pytest.param(_smoothed_at, 5e-13, 2e-12, "hypothesis not met", id="smoothing"),
 ]

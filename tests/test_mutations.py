@@ -28,16 +28,20 @@ DATA = Path(__file__).parent / "data"
 
 
 @pytest.mark.parametrize(
-    "command, formula",
-    [("verify-theorem1", "theorem1_bound"), ("verify-theorem2", "theorem2_bound")],
+    "command, formula, config",
+    [pytest.param("verify-theorem1", "theorem1_bound", "pipeline_config.json", id="verify-theorem1-theorem1_bound"),
+     pytest.param("verify-theorem2", "theorem2_bound", "pipeline_logloss_config.json",
+                  id="verify-theorem2-theorem2_bound")],
 )
-def test_sweep_and_replay_go_through_the_one_bound(tmp_path, monkeypatch, command, formula):
-    """With the bound patched to 0.0 every instance with a positive excess breaks it."""
-    monkeypatch.setattr(bounds, formula, lambda *args: 0.0)
+def test_sweep_and_replay_go_through_the_one_bound(tmp_path, monkeypatch, command, formula, config):
+    """With the bound patched to 0.0 every instance with a positive excess breaks it: the sweep's, its replay's and
+    the PAC trials' of the mode's pipeline config, which take their bounds where the sweeps do."""
+    monkeypatch.setattr(bounds, formula, lambda epsilon, *args: 0.0 * epsilon)
     assert main([command, "--trials", "20", "--out-dir", str(tmp_path)]) == 1
     violations = sorted(tmp_path.glob("violation_*.json"))
     assert violations
     assert main([command, "--replay", str(violations[0])]) == 1
+    assert main(["pipeline", "--config", str(DATA / config), "--out-dir", str(tmp_path / "pipeline")]) == 1
 
 
 @pytest.mark.parametrize("metric", ["L1", "KL"])

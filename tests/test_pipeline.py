@@ -246,6 +246,33 @@ def test_hits_pass_equals_the_per_trial_reference(m, seed, sizes, laplace):
             assert [a.tobytes() for a in reference] == [atoms[lo:hi].tobytes(), entries[lo:hi].tobytes()]
 
 
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 40), zero=st.sampled_from([0.0, 0.3, 0.7]),
+       sizes=st.lists(st.integers(0, 12), min_size=1, max_size=6))
+@example(seed=0, m=6, zero=0.7, sizes=[0, 3, 0])
+@settings(max_examples=60, deadline=None)
+def test_counting_pass_counts_uniforms_on_cdf_entries(seed, m, zero, sizes):
+    """Uniforms that lie exactly on the CDF's entries, the repeated entries of zero-mass atoms among them (0.0 where
+    the first atoms have none), in runs some of which are empty: sorted per trial as ``_block`` sorts them, drawn and
+    counted by ``_hits``, each trial's hits are the atoms ``np.bincount`` of its unsorted draws finds, its entries
+    those counts over n, and an empty run's value off its hits is 1/m."""
+    rng = np.random.default_rng(seed)
+    weights = rng.random(m) * (rng.random(m) >= zero)
+    weights[rng.integers(m)] = 1.0
+    mass = make_distribution(Domain.indexed(m), weights).mass
+    cdf = np.cumsum(mass)
+    entries = (cdf / cdf[-1])[:-1]  # the last entry is 1.0, which no uniform reaches
+    runs = [rng.choice(np.append(entries[entries < 1.0], rng.random()), n) for n in sizes]
+    flat, counts = np.concatenate(runs), np.array(sizes)
+    for start, end in zip(counts.cumsum() - counts, counts.cumsum()):
+        flat[start:end].sort()
+    atoms, found, bounds, off, _ = pipeline._hits(m, _draw_indices(mass, flat), counts, 0.0, False)
+    for t, (run, lo, hi) in enumerate(zip(runs, bounds[:-1], bounds[1:])):
+        expected = np.bincount(_draw_indices(mass, run), minlength=m)
+        assert atoms[lo:hi].tolist() == np.flatnonzero(expected).tolist() and (mass[atoms[lo:hi]] > 0.0).all()
+        assert found[lo:hi].tobytes() == (expected[atoms[lo:hi]] / max(run.size, 1)).tobytes()
+        assert run.size or off[t] == 1.0 / m
+
+
 class TestRunTrial:
     def test_counts_sum_to_sample_size(self):
         config = fixed_config()

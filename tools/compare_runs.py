@@ -51,6 +51,8 @@ CASES = [
     # 262,144 and 131,072 atoms: all 90 trials batched, in 18 and 13 batches
     ["pipeline", "--source", BINARY, "--truncate", "17", "--n-grid", "500,3000,8000", *WIDE],
     ["pipeline", "--source", BINARY, "--truncate", "16", "--n-grid", "1000,3000,8000", *WIDE],
+    # 131,072 atoms at n = 2: a batched trial has one hit per class row, so its KLs are sums of equal-length runs
+    ["pipeline", "--source", BINARY, "--truncate", "16", "--n-grid", "2,3,20", "--trials", "30", "--seed", "4"],
     # 8,192 and 65,536 atoms, below where any trial batches: every trial on every atom, its estimates filled from
     # the counting pass's hits
     ["pipeline", "--source", BINARY, "--truncate", "12", "--n-grid", "100,1000", *WIDE],
